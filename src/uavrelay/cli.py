@@ -21,7 +21,7 @@ from pathlib import Path
 from .channel import ici_ratio_db, occupancy_sensitivity, reference_ici_context
 from .orchestrator import ALGORITHMS, SWEEP_AXES, EpisodeLog, run_episode, sweep
 from .scenario import Scenario, load_scenario, validate
-from .uav_power import flying_power_upper
+from .uav_power import flying_power, flying_power_upper
 
 EPISODE_COLUMNS = ("slot", "ue", "mode", "subchannels", "rate", "weight",
                    "objective", "uav_x", "uav_y", "uav_z", "speed",
@@ -58,8 +58,11 @@ def write_episode_csv(log: EpisodeLog, path: Path) -> None:
 
 def episode_summary(log: EpisodeLog) -> dict:
     sc = log.scenario
-    energy = sum(flying_power_upper(s.speed / sc.slot_len, sc.propulsion)
-                 * sc.slot_len for s in log.slots)
+
+    def energy(power) -> float:
+        return sum(power(s.speed / sc.slot_len, sc.propulsion) * sc.slot_len
+                   for s in log.slots)
+
     return {
         "algorithm": log.algorithm,
         "n_ues": sc.n_ues,
@@ -71,7 +74,8 @@ def episode_summary(log: EpisodeLog) -> dict:
         "n_relay_ues": log.n_relay_ues,
         "n_scheduled_ues": log.n_scheduled_ues,
         "per_ue_avg_rate": [float(r) for r in log.avg_rates],
-        "flying_energy": energy,
+        "flying_energy": energy(flying_power_upper),
+        "flying_energy_exact": energy(flying_power),
         "final_uav_position": [float(x) for x in log.slots[-1].position],
     }
 

@@ -25,8 +25,107 @@ from .link_rate import (PowerAllocation, min_power_cellular, min_powers_relay,
 from .scenario import Scenario
 
 LN2 = math.log(2.0)
+_HALF_LOG2E = 0.5 / LN2  # d/dx of 0.5*log2(x) is this over x
 _FLOOR_MARGIN = 1e-9    # relative headroom when funding a QoS floor
 _CAP_TOL = 1e-9
+
+
+@dataclass
+class DcTerms:
+    """Both concave pieces of every rate term at one power vector, laid
+    out over a `PowerLayout`'s variables.
+
+    `k` holds each assigned subchannel's term of K (UE-variable order),
+    `m` each relayed subchannel's term of M (UAV-variable order; direct
+    subchannels have none).  Every variable feeds exactly one UE's rate,
+    so one gradient entry per variable suffices: `k_grad[i]` and
+    `m_grad[i]` differentiate the K and M of the UE that owns variable i."""
+
+    k: np.ndarray
+    m: np.ndarray | None
+    k_grad: np.ndarray
+    m_grad: np.ndarray | None
+
+
+class PowerLayout:
+    """The active powers of one slot flattened into a vector: first the
+    UE power of every assigned (ue, subchannel) in row-major order, then
+    the UAV power of every relayed subchannel in the same order.  Index
+    arrays and per-variable gains are built once; `dc_terms` evaluates
+    the DC split of every rate term in one array pass.
+
+    A subchannel serves at most one UE, so each UAV variable belongs to
+    exactly one relayed UE variable."""
+
+    def __init__(self, beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
+                 sigma2: float, ici: float):
+        self.beta = np.asarray(beta, dtype=int)
+        self.alloc = np.asarray(alloc, dtype=int)
+        self.gains = gains
+        self.sigma2 = sigma2
+        self.ici = ici
+        self.ue_n, self.ue_k = np.nonzero(self.alloc)
+        self.relay = self.beta[self.ue_n] == 1
+        self.uav_k = self.ue_k[self.relay]
+        self.n_ue_vars = self.ue_n.size
+        self.n_vars = self.n_ue_vars + self.uav_k.size
+        # the UE whose rate each variable feeds
+        self.owner = np.concatenate((self.ue_n, self.ue_n[self.relay]))
+
+        # first-phase gain of each UE variable: to the UAV when relayed,
+        # to the BS when direct; the second phase adds the ICI on direct
+        # links and is the UAV's hop on relayed ones
+        self.h_hop1 = np.where(self.relay, gains.h_ue_uav[self.ue_n, self.ue_k],
+                               gains.h_ue_bs[self.ue_n, self.ue_k])
+        self.h_hop2 = gains.h_uav_bs[self.uav_k]
+        c = 1.0 + ici / sigma2
+        self._relay_idx = np.flatnonzero(self.relay)
+        self._direct = (~self.relay).astype(float)
+        self._c_sigma2 = c * sigma2
+        self._c_h1 = c * self.h_hop1[self._relay_idx]
+        self._dk_hop1 = _HALF_LOG2E * self.h_hop1
+        self._dk_hop2 = _HALF_LOG2E * self.h_hop2
+        # direct K is normalized by both phases' noise floors, relayed K is not
+        self._k_offset = np.where(self.relay, 0.0,
+                                  -0.5 * math.log2(sigma2 * (sigma2 + ici)))
+
+    def pack(self, powers: PowerAllocation) -> np.ndarray:
+        return np.concatenate((powers.p_ue[self.ue_n, self.ue_k],
+                               powers.p_uav[self.uav_k]))
+
+    def unpack(self, x: np.ndarray) -> PowerAllocation:
+        p_ue = np.zeros(self.alloc.shape)
+        p_uav = np.zeros(self.alloc.shape[1])
+        p_ue[self.ue_n, self.ue_k] = x[:self.n_ue_vars]
+        p_uav[self.uav_k] = x[self.n_ue_vars:]
+        return PowerAllocation(p_ue, p_uav)
+
+    def dc_terms(self, x: np.ndarray, with_m: bool = True) -> DcTerms:
+        """Split every rate term as K - M at the packed powers `x`.
+
+        Relayed subchannels contribute to both pieces, direct ones only
+        to K, which keeps K - M equal to the exact rate.  `with_m=False`
+        skips M (left as None), which a surrogate holding M's tangent
+        never reads."""
+        u = self.n_ue_vars
+        p, pu = x[:u], x[u:]
+        first = p * self.h_hop1 + self.sigma2
+        second = first + self.ici
+        received = pu * self.h_hop2
+        hop2 = received + self._c_sigma2
+        second[self._relay_idx] = hop2
+        k = 0.5 * np.log2(first * second) + self._k_offset
+        k_grad = np.concatenate((self._dk_hop1 * (1.0 / first + self._direct / second),
+                                 self._dk_hop2 / hop2))
+        if not with_m:
+            return DcTerms(k, None, k_grad, None)
+
+        mixed = p[self._relay_idx] * self._c_h1 + received + self._c_sigma2
+        m = 0.5 * np.log2(self.sigma2 * mixed)
+        m_grad = np.zeros(self.n_vars)
+        m_grad[self._relay_idx] = self._c_h1 * (_HALF_LOG2E / mixed)
+        m_grad[u:] = self._dk_hop2 / mixed
+        return DcTerms(k, m, k_grad, m_grad)
 
 
 @dataclass
@@ -40,8 +139,6 @@ class DcParts:
     k_grad_uav: np.ndarray  # (K,)
     m_grad_ue: np.ndarray
     m_grad_uav: np.ndarray
-    expansion_ue: np.ndarray
-    expansion_uav: np.ndarray
 
     @property
     def rate(self) -> float:
@@ -50,108 +147,52 @@ class DcParts:
 
 def dc_split(n: int, beta: np.ndarray, alloc: np.ndarray, powers: PowerAllocation,
              gains: ChannelGains, sigma2: float, ici: float) -> DcParts:
-    """Evaluate both concave pieces of UE n's rate and their gradients.
-
-    Relayed subchannels contribute to both pieces; direct ones only to
-    the first, which keeps the identity K - M = R exact."""
-    k_sub = alloc.shape[1]
-    parts = DcParts(0.0, 0.0, np.zeros(k_sub), np.zeros(k_sub), np.zeros(k_sub),
-                    np.zeros(k_sub), powers.p_ue[n].copy(), powers.p_uav.copy())
-    c = 1.0 + ici / sigma2
-    for k in np.flatnonzero(alloc[n]):
-        p = powers.p_ue[n, k]
-        if beta[n]:
-            h1, h2 = gains.h_ue_uav[n, k], gains.h_uav_bs[k]
-            pu = powers.p_uav[k]
-            a1 = p * h1 + sigma2
-            a2 = pu * h2 + c * sigma2
-            parts.k_value += 0.5 * math.log2(a1 * a2)
-            parts.k_grad_ue[k] = 0.5 * h1 / (a1 * LN2)
-            parts.k_grad_uav[k] = 0.5 * h2 / (a2 * LN2)
-            x = c * p * h1 + pu * h2 + c * sigma2
-            parts.m_value += 0.5 * math.log2(sigma2 * x)
-            parts.m_grad_ue[k] = 0.5 * c * h1 / (x * LN2)
-            parts.m_grad_uav[k] = 0.5 * h2 / (x * LN2)
-        else:
-            h = gains.h_ue_bs[n, k]
-            s1 = sigma2 + p * h
-            s2 = sigma2 + ici + p * h
-            parts.k_value += 0.5 * (math.log2(s1 / sigma2) + math.log2(s2 / (sigma2 + ici)))
-            parts.k_grad_ue[k] = 0.5 * h * (1.0 / s1 + 1.0 / s2) / LN2
-    return parts
+    """UE n's share of `PowerLayout.dc_terms`: both concave pieces of its
+    rate and their gradients, scattered over the subchannels."""
+    layout = PowerLayout(beta, alloc, gains, sigma2, ici)
+    terms = layout.dc_terms(layout.pack(powers))
+    u = layout.n_ue_vars
+    own_ue = layout.ue_n == n
+    own_uav = own_ue[layout.relay]
+    grads = []
+    for g in (terms.k_grad, terms.m_grad):
+        on_ue, on_uav = np.zeros(alloc.shape[1]), np.zeros(alloc.shape[1])
+        on_ue[layout.ue_k[own_ue]] = g[:u][own_ue]
+        on_uav[layout.uav_k[own_uav]] = g[u:][own_uav]
+        grads += [on_ue, on_uav]
+    return DcParts(float(terms.k[own_ue].sum()), float(terms.m[own_uav].sum()),
+                   grads[0], grads[1], grads[2], grads[3])
 
 
 # ---------------------------------------------------------------------------
-# Variable packing and the surrogate.
+# The power problem and its surrogate.
 
-class PowerProblem:
-    """Flattens the active powers of one slot into a single vector and
-    exposes the exact objective, the tight concave surrogate, and the
-    linear feasible set over it."""
+class PowerProblem(PowerLayout):
+    """One slot's power allocation over a `PowerLayout`: the exact
+    objective, the tight concave surrogate, and the linear feasible set."""
 
     def __init__(self, beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
                  weights: np.ndarray, scenario: Scenario):
-        self.beta = np.asarray(beta, dtype=int)
-        self.alloc = np.asarray(alloc, dtype=int)
-        self.gains = gains
+        super().__init__(beta, alloc, gains, scenario.noise_var, scenario.ici_power)
         self.weights = np.asarray(weights, dtype=float)
         self.sc = scenario
-        self.sigma2 = scenario.noise_var
-        self.ici = scenario.ici_power
-        rows, cols = np.nonzero(self.alloc)
-        self.ue_vars = [(int(n), int(k)) for n, k in zip(rows, cols)]
-        self.uav_vars = [k for n, k in self.ue_vars if self.beta[n]]
-        self.n_vars = len(self.ue_vars) + len(self.uav_vars)
-
-    def pack(self, powers: PowerAllocation) -> np.ndarray:
-        x = np.empty(self.n_vars)
-        for i, (n, k) in enumerate(self.ue_vars):
-            x[i] = powers.p_ue[n, k]
-        for j, k in enumerate(self.uav_vars):
-            x[len(self.ue_vars) + j] = powers.p_uav[k]
-        return x
-
-    def unpack(self, x: np.ndarray) -> PowerAllocation:
-        n_ues, k_sub = self.alloc.shape
-        p_ue = np.zeros((n_ues, k_sub))
-        p_uav = np.zeros(k_sub)
-        for i, (n, k) in enumerate(self.ue_vars):
-            p_ue[n, k] = x[i]
-        for j, k in enumerate(self.uav_vars):
-            p_uav[k] = x[len(self.ue_vars) + j]
-        return PowerAllocation(p_ue, p_uav)
+        thr = scenario.snr_thresholds
+        lo_ue = min_power_cellular(self.h_hop1, thr, self.sigma2, self.ici)
+        lo_ue[self._relay_idx], lo_uav = min_powers_relay(
+            self.h_hop1[self._relay_idx], self.h_hop2, thr, self.sigma2, self.ici)
+        self._floors = np.concatenate((lo_ue, lo_uav))
 
     def qos_floors(self) -> np.ndarray:
         """Per-variable QoS lower bounds at the fixed gains."""
-        thr = self.sc.snr_thresholds
-        lo = np.zeros(self.n_vars)
-        for i, (n, k) in enumerate(self.ue_vars):
-            if self.beta[n]:
-                lo[i] = min_powers_relay(self.gains.h_ue_uav[n, k],
-                                         self.gains.h_uav_bs[k], thr,
-                                         self.sigma2, self.ici)[0]
-            else:
-                lo[i] = min_power_cellular(self.gains.h_ue_bs[n, k], thr,
-                                           self.sigma2, self.ici)
-        for j, k in enumerate(self.uav_vars):
-            n = next(n for n, kk in self.ue_vars if kk == k)
-            lo[len(self.ue_vars) + j] = min_powers_relay(
-                self.gains.h_ue_uav[n, k], self.gains.h_uav_bs[k], thr,
-                self.sigma2, self.ici)[1]
-        return lo
+        return self._floors.copy()
 
     def feasible_set(self) -> FeasibleSet:
-        spaces = []
-        for n in np.unique([n for n, _ in self.ue_vars]):
-            a = np.zeros(self.n_vars)
-            for i, (m, _) in enumerate(self.ue_vars):
-                if m == n:
-                    a[i] = 1.0
-            spaces.append((a, self.sc.p_ue_max))
-        if self.uav_vars:
-            a = np.zeros(self.n_vars)
-            a[len(self.ue_vars):] = 1.0
-            spaces.append((a, self.sc.p_uav_max))
+        """One budget block per UE with variables, then the UAV's."""
+        budget_of = np.concatenate((self.ue_n, np.full(self.uav_k.size, -1)))
+        spaces = [((budget_of == n).astype(float), self.sc.p_ue_max)
+                  for n in np.unique(self.ue_n)]
+        if self.uav_k.size:
+            spaces.append(((budget_of == -1).astype(float), self.sc.p_uav_max))
         return FeasibleSet(halfspaces=spaces, lower_bounds=self.qos_floors())
 
     def true_objective(self, x: np.ndarray) -> float:
@@ -159,59 +200,25 @@ class PowerProblem:
                              self.weights, self.sigma2, self.ici)
         return report.objective
 
-    def _weighted_parts(self, powers: PowerAllocation):
-        return [(n, dc_split(n, self.beta, self.alloc, powers, self.gains,
-                             self.sigma2, self.ici))
-                for n in range(self.alloc.shape[0]) if self.alloc[n].any()]
-
     def surrogate(self, x0: np.ndarray):
         """Concave minorant of the exact objective, tight at x0: the
         subtracted pieces are replaced by their tangents there."""
-        exp_powers = self.unpack(x0)
-        anchors = self._weighted_parts(exp_powers)
+        anchor = self.dc_terms(x0)
+        w_k = self.weights[self.ue_n]
+        w_var = self.weights[self.owner]
+        m0 = float(self.weights[self.ue_n[self.relay]] @ anchor.m)
+        m_slope = w_var * anchor.m_grad
 
         def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-            powers = self.unpack(x)
-            total = 0.0
-            grad = np.zeros(self.n_vars)
-            for n, anchor in anchors:
-                parts = dc_split(n, self.beta, self.alloc, powers, self.gains,
-                                 self.sigma2, self.ici)
-                m_lin = anchor.m_value \
-                    + float(anchor.m_grad_ue @ (powers.p_ue[n] - anchor.expansion_ue)) \
-                    + float(anchor.m_grad_uav @ (powers.p_uav - anchor.expansion_uav))
-                total += self.weights[n] * (parts.k_value - m_lin)
-                for i, (m, k) in enumerate(self.ue_vars):
-                    if m == n:
-                        grad[i] += self.weights[n] * (parts.k_grad_ue[k] - anchor.m_grad_ue[k])
-                for j, k in enumerate(self.uav_vars):
-                    grad[len(self.ue_vars) + j] += self.weights[n] * (
-                        parts.k_grad_uav[k] - anchor.m_grad_uav[k])
-            return total, grad
+            terms = self.dc_terms(x, with_m=False)
+            value = float(w_k @ terms.k) - m0 - float(m_slope @ (x - x0))
+            return value, w_var * terms.k_grad - m_slope
 
         return objective
 
 
 # ---------------------------------------------------------------------------
 # Feasibility restoration.
-
-def _floor_powers(beta, alloc, gains, thr, sigma2, ici) -> PowerAllocation:
-    """Fund every occupied subchannel at its QoS floor plus a hair."""
-    n_ues, k_sub = alloc.shape
-    p_ue = np.zeros((n_ues, k_sub))
-    p_uav = np.zeros(k_sub)
-    for n in range(n_ues):
-        for k in np.flatnonzero(alloc[n]):
-            if beta[n]:
-                lo_ue, lo_uav = min_powers_relay(gains.h_ue_uav[n, k],
-                                                 gains.h_uav_bs[k], thr, sigma2, ici)
-                p_ue[n, k] = lo_ue * (1.0 + _FLOOR_MARGIN)
-                p_uav[k] = lo_uav * (1.0 + _FLOOR_MARGIN)
-            else:
-                p_ue[n, k] = min_power_cellular(gains.h_ue_bs[n, k], thr,
-                                                sigma2, ici) * (1.0 + _FLOOR_MARGIN)
-    return PowerAllocation(p_ue, p_uav)
-
 
 def _assignment_value(n, k, beta, powers, gains, weights, sigma2, ici) -> float:
     from .link_rate import subchannel_rate
@@ -233,8 +240,9 @@ def restore_feasible(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
     dropped: list[tuple[int, int]] = []
 
     while True:
-        powers = _floor_powers(beta, alloc, gains, s.snr_thresholds,
-                               s.noise_var, s.ici_power)
+        # fund every occupied subchannel at its QoS floor plus a hair
+        floored = PowerProblem(beta, alloc, gains, weights, s)
+        powers = floored.unpack(floored.qos_floors() * (1.0 + _FLOOR_MARGIN))
         ue_over = [n for n in range(alloc.shape[0])
                    if powers.p_ue[n].sum() > s.p_ue_max * (1.0 + _CAP_TOL)]
         if ue_over:
@@ -261,38 +269,29 @@ def restore_feasible(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
 
 def spread_leftover(beta, alloc, powers, gains, weights, s: Scenario) -> None:
     """Hand each entity's remaining budget to its subchannels in
-    proportion to the weighted marginal rate at the floors."""
-    sigma2, ici = s.noise_var, s.ici_power
-    for n in range(alloc.shape[0]):
-        ks = np.flatnonzero(alloc[n])
-        if ks.size == 0:
+    proportion to the weighted marginal rate at the current powers
+    (evenly when no subchannel gains).  UE budgets are spread first; the
+    UAV's marginals are then taken at the raised UE powers."""
+    layout = PowerLayout(beta, alloc, gains, s.noise_var, s.ici_power)
+    weights = np.asarray(weights, dtype=float)
+    u = layout.n_ue_vars
+    # (variables, budget owner of each, budget, power array, its indices)
+    parts = ((slice(0, u), layout.ue_n, s.p_ue_max, powers.p_ue,
+              (layout.ue_n, layout.ue_k)),
+             (slice(u, None), np.zeros(layout.n_vars - u, dtype=int), s.p_uav_max,
+              powers.p_uav, layout.uav_k))
+    for part, entity, budget, p, idx in parts:
+        n = int(entity.max(initial=-1)) + 1
+        leftover = (budget - np.bincount(entity, p[idx], n))[entity]
+        if not np.any(leftover > 0.0):
             continue
-        leftover = s.p_ue_max - powers.p_ue[n].sum()
-        if leftover <= 0.0:
-            continue
-        parts = dc_split(n, beta, alloc, powers, gains, sigma2, ici)
-        marginal = weights[n] * np.maximum(
-            parts.k_grad_ue[ks] - parts.m_grad_ue[ks], 0.0)
-        total = marginal.sum()
-        share = marginal / total if total > 0 else np.full(ks.size, 1.0 / ks.size)
-        powers.p_ue[n, ks] += leftover * share
-
-    relay_ks = np.flatnonzero(powers.p_uav)
-    if relay_ks.size == 0:
-        return
-    leftover = s.p_uav_max - powers.p_uav.sum()
-    if leftover <= 0.0:
-        return
-    marginal = np.zeros(relay_ks.size)
-    for n in np.flatnonzero(beta):
-        parts = dc_split(n, beta, alloc, powers, gains, sigma2, ici)
-        for i, k in enumerate(relay_ks):
-            if alloc[n, k]:
-                marginal[i] = weights[n] * max(
-                    parts.k_grad_uav[k] - parts.m_grad_uav[k], 0.0)
-    total = marginal.sum()
-    share = marginal / total if total > 0 else np.full(relay_ks.size, 1.0 / relay_ks.size)
-    powers.p_uav[relay_ks] += leftover * share
+        terms = layout.dc_terms(layout.pack(powers))
+        marginal = weights[layout.owner[part]] * np.maximum(
+            terms.k_grad[part] - terms.m_grad[part], 0.0)
+        total = np.bincount(entity, marginal, n)[entity]
+        even = 1.0 / np.bincount(entity, minlength=n)[entity]
+        share = np.divide(marginal, total, out=even, where=total > 0.0)
+        p[idx] += np.where(leftover > 0.0, leftover * share, 0.0)
 
 
 # ---------------------------------------------------------------------------

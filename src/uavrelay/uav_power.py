@@ -2,15 +2,18 @@
 the fastest speed the per-slot energy budget allows.
 
 The exact curve dips below hover power at moderate speed (induced power
-falls as forward speed grows) and is not convex.  Optimization therefore
-uses the upper bound that freezes the induced term at its hover value;
-reporting uses the exact curve.
+falls as forward speed grows) and is not convex.  Optimization, the
+displacement cap and the slot validator therefore use the upper bound that
+freezes the induced term at its hover value, and so do the episode CSV's
+`flying_power` and `summary.json`'s `flying_energy`; `summary.json`'s
+`flying_energy_exact` uses the exact curve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .scenario import PropulsionParams
 
@@ -77,8 +80,10 @@ def max_speed_under_energy(e_max: float, slot_len: float,
     return lo
 
 
+@lru_cache(maxsize=256)
 def move_radius(d_max: float, e_max: float, slot_len: float,
                 params: PropulsionParams) -> float:
     """Per-slot displacement cap: distance limit or energy-limited reach,
-    whichever binds."""
+    whichever binds.  Memoized: every stage of every slot asks again with
+    the scenario's constants, and each answer costs a bisection."""
     return min(d_max, max_speed_under_energy(e_max, slot_len, params) * slot_len)

@@ -62,6 +62,8 @@ def test_run_writes_episode_and_summary(config, tmp_path):
     assert summary["n_slots"] == 2
     assert len(summary["per_ue_avg_rate"]) == 2
     assert summary["jain"] >= 0.0
+    # the exact propulsion curve never exceeds its convex bound
+    assert 0.0 < summary["flying_energy_exact"] <= summary["flying_energy"]
 
 
 def test_run_is_deterministic(config, tmp_path):

@@ -51,23 +51,76 @@ class TestProjection:
         assert fs.project(np.array([1.0, 1.0])) == pytest.approx([0.5, 0.5])
 
     def test_idempotent(self):
-        fs = FeasibleSet(ball=(np.array([1.0, 0.0]), 2.0),
-                         halfspaces=[(np.array([0.0, 1.0]), 0.5)],
-                         lower_bounds=np.array([-1.0, -1.0]))
+        # one set per shape the projection supports: a disc, an interval,
+        # and budget blocks with floors and a floored free variable
+        lo = np.array([0.1, 0.0, 0.2, 0.05, -1.0])
+        shapes = {
+            "ball": FeasibleSet(ball=(np.array([1.0, 0.0]), 2.0)),
+            "interval": FeasibleSet(ball=(np.array([3.0]), 2.0),
+                                    halfspaces=[(np.array([2.0]), 8.0),
+                                                (np.array([-1.0]), -1.5)],
+                                    lower_bounds=np.array([1.8])),
+            "blocks": FeasibleSet(halfspaces=[(np.array([1.0, 0, 1.0, 0, 0]), 1.0),
+                                              (np.array([0, 1.0, 0, 1.0, 0]), 0.5)],
+                                  lower_bounds=lo),
+        }
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            p = fs.project(rng.normal(0, 3, 2))
-            assert fs.project(p) == pytest.approx(p, abs=1e-9)
-            assert fs.linear_violation(p) <= 1e-9
+        for name, fs in shapes.items():
+            dim = 1 if name == "interval" else 2 if name == "ball" else lo.size
+            for _ in range(20):
+                p = fs.project(rng.normal(0, 3, dim))
+                assert fs.project(p) == pytest.approx(p, abs=1e-12), name
+                assert fs.linear_violation(p) <= 1e-9, name
 
-    @given(st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
-           st.floats(0.5, 4.0))
-    @settings(max_examples=60, deadline=None)
-    def test_dykstra_matches_bisection_oracle_on_capped_simplex(self, y, budget):
-        y = np.array(y)
-        fs = FeasibleSet(halfspaces=[(np.ones(4), budget)],
-                         lower_bounds=np.zeros(4))
-        assert fs.project(y) == pytest.approx(capped_simplex_projection(y, budget), abs=1e-7)
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_budget_blocks_match_bisection_oracle(self, data):
+        """Random partitions of up to 9 variables into budget blocks, with
+        floors and some uncovered variables, checked block by block."""
+        n = data.draw(st.integers(2, 9))
+        block_of = data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+        y = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+        lo = np.array(data.draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n)))
+        block_of = np.array(block_of)
+        spaces, expected = [], np.maximum(y, lo)
+        for b in np.unique(block_of[block_of >= 0]):
+            members = block_of == b
+            budget = lo[members].sum() + data.draw(st.floats(0.0, 4.0))
+            spaces.append((members.astype(float), budget))
+            expected[members] = lo[members] + capped_simplex_projection(
+                y[members] - lo[members], budget - lo[members].sum())
+        fs = FeasibleSet(halfspaces=spaces, lower_bounds=lo)
+        assert fs.project(y) == pytest.approx(expected, abs=1e-9)
+
+    def test_floors_over_budget_leave_the_set_empty(self):
+        fs = FeasibleSet(halfspaces=[(np.array([1.0, 1.0, 0.0]), 0.5),
+                                     (np.array([0.0, 0.0, 1.0]), 1.0)],
+                         lower_bounds=np.array([0.3, 0.4, 0.0]))
+        assert fs.linear_violation(fs.project(np.array([1.0, 1.0, 0.5]))) > 1e-9
+        res = maximize_concave(quadratic_around([0.0, 0.0, 0.0]), fs,
+                               np.array([0.3, 0.4, 0.0]))
+        assert not res.feasible
+        assert res.diagnostics.reason == "no feasible start derivable"
+
+    def test_interval_clips_to_the_tightest_bounds(self):
+        # ball [1, 5], 2x <= 8 (x <= 4), -x <= -1.5 (x >= 1.5), floor 1.8
+        fs = FeasibleSet(ball=(np.array([3.0]), 2.0),
+                         halfspaces=[(np.array([2.0]), 8.0), (np.array([-1.0]), -1.5)],
+                         lower_bounds=np.array([1.8]))
+        assert fs.project(np.array([9.0])) == pytest.approx([4.0])
+        assert fs.project(np.array([-9.0])) == pytest.approx([1.8])
+        assert fs.project(np.array([2.5])) == pytest.approx([2.5])
+
+    @pytest.mark.parametrize("fs", [
+        FeasibleSet(ball=(np.zeros(2), 1.0), halfspaces=[(np.array([0.0, 1.0]), 0.5)]),
+        FeasibleSet(ball=(np.zeros(2), 1.0), lower_bounds=np.zeros(2)),
+        FeasibleSet(halfspaces=[(np.array([2.0, 1.0]), 1.0)]),
+        FeasibleSet(halfspaces=[(np.array([1.0, 1.0]), 1.0), (np.array([0.0, 1.0]), 1.0)]),
+        FeasibleSet(halfspaces=[(np.array([1.0, 0.0]), 1.0)], lower_bounds=np.zeros(3)),
+    ], ids=["ball+halfspace", "ball+floors", "weighted", "overlapping", "dimensions"])
+    def test_unsupported_shape_rejected(self, fs):
+        with pytest.raises(ValueError):
+            fs.project(np.zeros(2))
 
 
 class TestMaximizeConcave:
@@ -104,6 +157,7 @@ class TestMaximizeConcave:
     def test_infeasible_start_unrecoverable(self):
         # two disjoint halfspaces: x <= -1 and -x <= -1 (x >= 1)
         fs = FeasibleSet(halfspaces=[(np.array([1.0]), -1.0), (np.array([-1.0]), -1.0)])
+        assert fs.linear_violation(fs.project(np.array([0.0]))) > 1e-9
         res = maximize_concave(quadratic_around([0.0]), fs, np.array([0.0]))
         assert not res.feasible
         assert "feasible" in res.diagnostics.reason

@@ -106,32 +106,53 @@ class TestDcSplit:
             assert parts.rate == pytest.approx(rate, rel=1e-10)
 
 
+LAYOUTS = {"direct": [0, 0, 0, 0], "relay": [1, 1, 1, 1], "mixed": [1, 0, 0, 1]}
+
+
+def layout_problems():
+    """The mixed instance's allocation under all-direct, all-relay and
+    mixed modes, trimmed to what floor funding can pay, with the
+    restored powers."""
+    sc, gains, _, alloc, weights = mixed_instance()
+    for name, modes in LAYOUTS.items():
+        beta = np.array(modes)
+        kept, restored, _ = restore_feasible(beta, alloc, gains, weights, sc)
+        assert kept.any(), name
+        yield name, PowerProblem(beta, kept, gains, weights, sc), restored
+
+
 class TestSurrogate:
     def test_tight_at_expansion_and_never_above(self):
-        sc, gains, beta, alloc, weights = mixed_instance()
-        prob = PowerProblem(beta, alloc, gains, weights, sc)
-        fset = prob.feasible_set()
-        lo = prob.qos_floors()
-        _, restored, _ = restore_feasible(beta, alloc, gains, weights, sc)
-        hi = prob.pack(restored)
-        x0 = fset.project(0.5 * (lo + hi))
-        surrogate = prob.surrogate(x0)
-
-        tight = abs(surrogate(x0)[0] - prob.true_objective(x0))
-        assert tight <= 1e-10 * max(1.0, abs(prob.true_objective(x0)))
-
         rng = np.random.default_rng(7)
-        for _ in range(1000):
-            z = fset.project(lo + rng.uniform(0, 1, prob.n_vars) * (hi - lo + 0.05))
-            assert surrogate(z)[0] <= prob.true_objective(z) + 1e-9
+        for name, prob, restored in layout_problems():
+            fset = prob.feasible_set()
+            lo = prob.qos_floors()
+            hi = prob.pack(restored)
+            x0 = fset.project(0.5 * (lo + hi))
+            surrogate = prob.surrogate(x0)
+
+            exact = prob.true_objective(x0)
+            assert abs(surrogate(x0)[0] - exact) <= 1e-12 * max(1.0, abs(exact)), name
+
+            for _ in range(300):
+                z = fset.project(lo + rng.uniform(0, 1, prob.n_vars) * (hi - lo + 0.05))
+                exact = prob.true_objective(z)
+                assert surrogate(z)[0] <= exact + 1e-12 * max(1.0, abs(exact)), name
 
     def test_surrogate_gradient(self):
         from uavrelay.convex_core import grad_check
-        sc, gains, beta, alloc, weights = mixed_instance()
-        prob = PowerProblem(beta, alloc, gains, weights, sc)
-        _, restored, _ = restore_feasible(beta, alloc, gains, weights, sc)
-        x0 = 0.7 * prob.pack(restored)
-        assert grad_check(prob.surrogate(x0), x0, step=1e-9) <= 1e-4
+        for name, prob, restored in layout_problems():
+            x0 = 0.7 * prob.pack(restored)
+            assert grad_check(prob.surrogate(x0), x0, step=1e-9) <= 1e-4, name
+
+    def test_pack_unpack_round_trip(self):
+        for name, prob, restored in layout_problems():
+            x = prob.pack(restored)
+            back = prob.unpack(x)
+            assert np.array_equal(back.p_ue, restored.p_ue), name
+            assert np.array_equal(back.p_uav, restored.p_uav), name
+            assert np.array_equal(prob.pack(back), x), name
+            assert x.size == prob.n_vars == prob.alloc.sum() + prob.alloc[prob.beta == 1].sum()
 
 
 class TestScpPower:

@@ -83,3 +83,6 @@ class TestMaxSpeed:
         assert up.move_radius(15.0, 500.0, 1.0, PP) == pytest.approx(15.0)
         v = up.max_speed_under_energy(200.0, 1.0, PP)
         assert up.move_radius(50.0, 200.0, 1.0, PP) == pytest.approx(v * 1.0)
+        # memoized answers are the bisection's, bit for bit, on every call
+        for _ in range(2):
+            assert up.move_radius(50.0, 200.0, 1.0, PP) == min(50.0, v * 1.0)
