@@ -1,95 +1,83 @@
-"""Per-subchannel and per-UE rates, SINRs, QoS checks, weights, fairness.
+"""The link budget of every (UE, subchannel) assignment, weights and fairness.
 
-Relayed traffic crosses two hops in two half-slot phases, hence the 1/2 in
-front of every log.  The direct uplink also spans both phases, one with and
-one without relay-induced interference.
+Every link crosses two hops, each with its own SNR and QoS floor.  A
+direct link is one uplink heard at the BS over two half-slot phases: hop 1
+is the clean phase, hop 2 the phase hit by the relay's inter-carrier
+interference I.  A relayed link is amplify-and-forward: hop 1 is the
+access hop at the UAV, hop 2 the backhaul hop at the BS, which also hears
+I.  With noise power sigma2:
+
+    direct:   g1 = p h_ue_bs / sigma2     g2 = p h_ue_bs / (sigma2 + I)
+              R = 1/2 log2(1 + g1) + 1/2 log2(1 + g2)
+    relayed:  g1 = p h_ue_uav / sigma2    g2 = p_uav h_uav_bs / (sigma2 + I)
+              R = 1/2 log2(1 + g1 g2 / (g1 + g2 + 1))
+
+The relayed form is the standard AF end-to-end SNR (Laneman, Tse and
+Wornell, IEEE Trans. Inf. Theory 2004): the UAV amplifies its received
+signal plus noise to power p_uav, so the BS sees the access hop's noise
+amplified alongside the signal.  Each hop must reach its floor (the
+direct threshold on both phases of a direct link, the access and
+backhaul thresholds on a relayed one), which fixes the smallest UE and
+UAV powers a link can run on.
+
+`LinkBudget` evaluates all of this elementwise over broadcastable arrays
+and is the only place the exact link model is written out: `rate_report`
+sums it over a slot, and the matching, trajectory and power stages call
+it on their own batches of links.  (The power and trajectory stages'
+concave surrogates split the same rates into difference-of-concave
+pieces of their own.)
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelGains
-from .scenario import SnrThresholds
+from .scenario import Scenario, SnrThresholds
 
 
-def rate_cellular(p: float, h: float, sigma2: float, ici: float) -> float:
-    """Direct uplink rate: clean phase plus interfered phase, half slot each."""
-    snr_clean = p * h / sigma2
-    snr_dirty = p * h / (sigma2 + ici)
-    return 0.5 * math.log2(1.0 + snr_clean) + 0.5 * math.log2(1.0 + snr_dirty)
+class LinkBudget:
+    """Hop SNRs and rates of a batch of links, and on request their
+    per-hop thresholds, floor powers and QoS verdicts.  Every argument
+    broadcasts: `relay` flags relayed links, powers are watts and gains
+    linear."""
 
+    def __init__(self, relay, p_ue, p_uav, h_ue_bs, h_ue_uav, h_uav_bs,
+                 thresholds: SnrThresholds, sigma2: float, ici: float):
+        self.relay = relay = np.asarray(relay, dtype=bool)
+        self.p_ue, self.p_uav, self.h_uav_bs = p_ue, p_uav, h_uav_bs
+        self.thr, self.sigma2 = thresholds, sigma2
+        self.noise2 = sigma2 + ici  # noise plus interference at the BS
+        self.h_hop1 = np.where(relay, h_ue_uav, h_ue_bs)
+        g1 = p_ue * self.h_hop1 / sigma2
+        g2 = np.where(relay, p_uav * h_uav_bs, p_ue * h_ue_bs) / self.noise2
+        self.snr = (g1, g2)
+        # relayed: the AF end-to-end SNR over one half slot; direct: each
+        # phase's SNR over a half slot
+        first = np.where(relay, g1 * g2 / (g1 + g2 + 1.0), g1)
+        second = np.where(relay, 0.0, g2)
+        self.rate = 0.5 * np.log2(1.0 + first) + 0.5 * np.log2(1.0 + second)
 
-def relay_sinrs(p_ue: float, p_uav: float, h_ue_uav: float, h_uav_bs: float,
-                sigma2: float, ici: float) -> tuple[float, float]:
-    """(hop-1 SINR at the UAV, end-to-end SINR at the BS).
+    def thresholds(self) -> tuple[np.ndarray, np.ndarray]:
+        """(hop 1, hop 2) SNR floors."""
+        thr = self.thr
+        return (np.where(self.relay, thr.ue_uav, thr.direct),
+                np.where(self.relay, thr.uav_bs, thr.direct))
 
-    The end-to-end form folds the amplify-and-forward gain in; c = 1 + I/sigma2
-    scales the terms hit by interference at the BS."""
-    gamma_hop1 = p_ue * h_ue_uav / sigma2
-    c = 1.0 + ici / sigma2
-    num = p_uav * p_ue * h_uav_bs * h_ue_uav
-    den = sigma2 * (p_uav * h_uav_bs + c * p_ue * h_ue_uav + c * sigma2)
-    return gamma_hop1, num / den
+    def floors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Smallest (UE, UAV) powers meeting both hop floors; a direct
+        link needs no UAV power, and its interfered phase binds."""
+        t1, t2 = self.thresholds()
+        hop2 = t2 * self.noise2
+        return (np.where(self.relay, t1 * self.sigma2, hop2) / self.h_hop1,
+                np.where(self.relay, hop2, 0.0) / self.h_uav_bs)
 
-
-def rate_relay(sinrs: tuple[float, float]) -> float:
-    """End-to-end relayed rate; the second hop is always the bottleneck."""
-    _, gamma_e2e = sinrs
-    return 0.5 * math.log2(1.0 + gamma_e2e)
-
-
-def amplification_power_gain(p_uav: float, p_ue: float, h_ue_uav: float, sigma2: float) -> float:
-    """Squared AF gain: retransmit power over received signal-plus-noise power."""
-    return p_uav / (p_ue * h_ue_uav + sigma2)
-
-
-def subchannel_rate(beta: int, p_ue: float, p_uav: float, h_direct: float,
-                    h_ue_uav: float, h_uav_bs: float, sigma2: float, ici: float) -> float:
-    """Rate of one (UE, subchannel) under the UE's mode."""
-    if beta:
-        return rate_relay(relay_sinrs(p_ue, p_uav, h_ue_uav, h_uav_bs, sigma2, ici))
-    return rate_cellular(p_ue, h_direct, sigma2, ici)
-
-
-def qos_feasible_cellular(p: float, h: float, thr: SnrThresholds,
-                          sigma2: float, ici: float) -> bool:
-    return p * h / sigma2 >= thr.direct and p * h / (sigma2 + ici) >= thr.direct
-
-
-def qos_feasible_relay(p_ue: float, p_uav: float, h_ue_uav: float, h_uav_bs: float,
-                       thr: SnrThresholds, sigma2: float, ici: float) -> bool:
-    return (p_ue * h_ue_uav / sigma2 >= thr.ue_uav
-            and p_uav * h_uav_bs / (sigma2 + ici) >= thr.uav_bs)
-
-
-def qos_feasible(mode: str, *, occupied: bool = True, p_ue: float = 0.0,
-                 p_uav: float = 0.0, h_direct: float = 0.0, h_ue_uav: float = 0.0,
-                 h_uav_bs: float = 0.0, thresholds: SnrThresholds,
-                 sigma2: float, ici: float) -> bool:
-    """Per-subchannel QoS test.  Unoccupied subchannels pass vacuously: the
-    constraints only bind where the allocation and mode flags are on."""
-    if not occupied:
-        return True
-    if mode == "cellular":
-        return qos_feasible_cellular(p_ue, h_direct, thresholds, sigma2, ici)
-    if mode == "relay":
-        return qos_feasible_relay(p_ue, p_uav, h_ue_uav, h_uav_bs, thresholds, sigma2, ici)
-    raise ValueError("mode must be 'cellular' or 'relay'")
-
-
-def min_power_cellular(h: float, thr: SnrThresholds, sigma2: float, ici: float) -> float:
-    """Smallest UE power meeting both phases' SNR floors on a direct link."""
-    return thr.direct * (sigma2 + ici) / h
-
-
-def min_powers_relay(h_ue_uav: float, h_uav_bs: float, thr: SnrThresholds,
-                     sigma2: float, ici: float) -> tuple[float, float]:
-    """Smallest (UE, UAV) powers meeting the two per-hop SNR floors."""
-    return thr.ue_uav * sigma2 / h_ue_uav, thr.uav_bs * (sigma2 + ici) / h_uav_bs
+    def feasible(self) -> np.ndarray:
+        """Both powers at or above their floors (boundary included)."""
+        floor_ue, floor_uav = self.floors()
+        return (self.p_ue >= floor_ue) & (self.p_uav >= floor_uav)
 
 
 @dataclass
@@ -102,51 +90,25 @@ class PowerAllocation:
     def copy(self) -> "PowerAllocation":
         return PowerAllocation(self.p_ue.copy(), self.p_uav.copy())
 
-    def violations(self, alloc: np.ndarray, p_ue_max: float, p_uav_max: float,
-                   tol: float = 1e-9) -> list[str]:
-        out = []
-        if np.any(self.p_ue < 0) or np.any(self.p_uav < 0):
-            out.append("negative transmit power")
-        budget = (alloc * self.p_ue).sum(axis=1)
-        for n, b in enumerate(budget):
-            if b > p_ue_max * (1 + tol) + tol:
-                out.append(f"ue {n} power budget exceeded: {b} > {p_ue_max}")
-        if self.p_uav.sum() > p_uav_max * (1 + tol) + tol:
-            out.append(f"uav power budget exceeded: {self.p_uav.sum()} > {p_uav_max}")
-        return out
-
-
-def ue_rate(n: int, beta: int, alloc_row: np.ndarray, powers: PowerAllocation,
-            gains: ChannelGains, sigma2: float, ici: float) -> float:
-    """Slot rate of UE n: mode-gated sum over its assigned subchannels."""
-    total = 0.0
-    for k in np.flatnonzero(alloc_row):
-        total += subchannel_rate(beta, powers.p_ue[n, k], powers.p_uav[k],
-                                 gains.h_ue_bs[n, k], gains.h_ue_uav[n, k],
-                                 gains.h_uav_bs[k], sigma2, ici)
-    return total
-
 
 @dataclass
 class RateReport:
     per_ue_rate: np.ndarray         # (N,)
     per_subchannel_rate: np.ndarray  # (N, K), zero where unassigned
     objective: float                # weights dot per_ue_rate
+    link: LinkBudget                # every (UE, subchannel) under the UE's mode
 
 
 def rate_report(beta: np.ndarray, alloc: np.ndarray, powers: PowerAllocation,
-                gains: ChannelGains, weights: np.ndarray, sigma2: float,
-                ici: float) -> RateReport:
-    n_ues, n_sub = alloc.shape
-    per_sub = np.zeros((n_ues, n_sub))
-    for n in range(n_ues):
-        for k in np.flatnonzero(alloc[n]):
-            per_sub[n, k] = subchannel_rate(int(beta[n]), powers.p_ue[n, k],
-                                            powers.p_uav[k], gains.h_ue_bs[n, k],
-                                            gains.h_ue_uav[n, k], gains.h_uav_bs[k],
-                                            sigma2, ici)
+                gains: ChannelGains, weights: np.ndarray, sc: Scenario) -> RateReport:
+    """Rates of one slot's assignments, per subchannel, per UE and
+    weighted, with the link budget they came from."""
+    link = LinkBudget(np.asarray(beta)[:, None] == 1, powers.p_ue, powers.p_uav,
+                      gains.h_ue_bs, gains.h_ue_uav, gains.h_uav_bs,
+                      sc.snr_thresholds, sc.noise_var, sc.ici_power)
+    per_sub = np.where(alloc, link.rate, 0.0)
     per_ue = per_sub.sum(axis=1)
-    return RateReport(per_ue, per_sub, float(np.dot(weights, per_ue)))
+    return RateReport(per_ue, per_sub, float(np.dot(weights, per_ue)), link)
 
 
 def update_weights(prev_avg_rates) -> np.ndarray:

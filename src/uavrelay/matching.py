@@ -12,7 +12,7 @@ what a profitable swap is.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,73 +103,43 @@ class MatchingContext:
         return [McPair(n, m) for n in range(self.n_ues) for m in (CELLULAR, RELAY)]
 
 
-def subchannel_utility(k: int, pair: McPair, ctx: MatchingContext,
-                       ue_power: float | None = None,
-                       uav_power: float | None = None) -> float:
-    """Weighted rate the pair would earn on subchannel k at the given powers
-    (full budgets when unspecified)."""
-    p = ctx.p_ue_max if ue_power is None else ue_power
-    pv = ctx.p_uav_max if uav_power is None else uav_power
-    rate = lr.subchannel_rate(pair.mode, p, pv, ctx.gains.h_ue_bs[pair.ue, k],
-                              ctx.gains.h_ue_uav[pair.ue, k], ctx.gains.h_uav_bs[k],
-                              ctx.sigma2, ctx.ici)
-    return float(ctx.weights[pair.ue]) * rate
-
-
-def pair_feasible(k: int, pair: McPair, ctx: MatchingContext,
-                  ue_power: float | None = None,
-                  uav_power: float | None = None) -> bool:
-    p = ctx.p_ue_max if ue_power is None else ue_power
-    pv = ctx.p_uav_max if uav_power is None else uav_power
-    mode = "relay" if pair.mode == RELAY else "cellular"
-    return lr.qos_feasible(mode, p_ue=p, p_uav=pv,
-                           h_direct=ctx.gains.h_ue_bs[pair.ue, k],
-                           h_ue_uav=ctx.gains.h_ue_uav[pair.ue, k],
-                           h_uav_bs=ctx.gains.h_uav_bs[k],
-                           thresholds=ctx.thresholds,
-                           sigma2=ctx.sigma2, ici=ctx.ici)
-
-
-def mc_pair_utility(pair: McPair, subchannels, ctx: MatchingContext,
-                    ue_power: float | None = None,
-                    uav_power: float | None = None) -> float:
-    return sum(subchannel_utility(k, pair, ctx, ue_power, uav_power)
-               for k in subchannels)
+def score_rows(ctx: MatchingContext, pairs, ue_power,
+               uav_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted rate and QoS verdict of every pair on every subchannel,
+    one row per pair, from one link-budget evaluation.  `ue_power` is one
+    UE power per pair, or one for all; `uav_power` is the relay's power
+    per relayed subchannel."""
+    ue = [pair.ue for pair in pairs]
+    g = ctx.gains
+    relay = np.array([pair.mode == RELAY for pair in pairs], dtype=bool)[:, None]
+    link = lr.LinkBudget(relay, np.asarray(ue_power, dtype=float).reshape(-1, 1), uav_power,
+                         g.h_ue_bs[ue], g.h_ue_uav[ue], g.h_uav_bs,
+                         ctx.thresholds, ctx.sigma2, ctx.ici)
+    return ctx.weights[ue, None] * link.rate, link.feasible()
 
 
 class GameView:
     """Utilities and QoS verdicts of one matching under its equal-split
-    powers, cached.  Valid across swaps because swaps never change any
-    pair's subchannel count or the relay total."""
+    powers, every pair's row scored at once and kept as Python lists.
+    Valid across swaps because swaps never change any pair's subchannel
+    count or the relay total."""
 
     def __init__(self, matching: Matching, ctx: MatchingContext):
         self.ctx = ctx
         self.counts = matching.counts()
         relay_total = matching.relay_total()
         self.uav_power = ctx.p_uav_max / relay_total if relay_total else 0.0
-        self._utility: dict[tuple[McPair, int], float] = {}
-        self._feasible: dict[tuple[McPair, int], bool] = {}
-
-    def ue_power(self, pair: McPair) -> float:
-        return self.ctx.p_ue_max / self.counts[pair]
+        pairs = list(self.counts)
+        utility, feasible = score_rows(
+            ctx, pairs, [ctx.p_ue_max / self.counts[p] for p in pairs], self.uav_power)
+        self._utility = dict(zip(pairs, utility.tolist()))
+        self._feasible = dict(zip(pairs, feasible.tolist()))
 
     def utility(self, pair: McPair | None, k: int) -> float:
-        if pair is VACANT:
-            return 0.0
-        key = (pair, k)
-        if key not in self._utility:
-            self._utility[key] = subchannel_utility(
-                k, pair, self.ctx, self.ue_power(pair), self.uav_power)
-        return self._utility[key]
+        return 0.0 if pair is VACANT else self._utility[pair][k]
 
     def feasible(self, pair: McPair | None, k: int) -> bool:
-        if pair is VACANT:
-            return True
-        key = (pair, k)
-        if key not in self._feasible:
-            self._feasible[key] = pair_feasible(
-                k, pair, self.ctx, self.ue_power(pair), self.uav_power)
-        return self._feasible[key]
+        return True if pair is VACANT else self._feasible[pair][k]
 
     def system_utility(self, matching: Matching) -> float:
         return sum(self.utility(p, k) for k, p in enumerate(matching.assign))
@@ -209,16 +179,6 @@ def approve_swap(psi: Matching, k1: int, k2: int, view: GameView) -> bool:
     if not (view.feasible(p1, k2) and view.feasible(p2, k1)):
         return False
     return _consistent_after_swap(psi, k1, k2)
-
-
-def swap_blocking(psi: Matching, k1: int, k2: int,
-                  ctx: MatchingContext) -> tuple[bool, Matching | None]:
-    if k1 == k2:
-        raise ValueError("need two distinct subchannels")
-    view = GameView(psi, ctx)
-    if approve_swap(psi, k1, k2, view):
-        return True, psi.swapped(k1, k2)
-    return False, None
 
 
 @dataclass
@@ -266,10 +226,6 @@ def msma_detailed(init: Matching, ctx: MatchingContext) -> MsmaResult:
     return MsmaResult(psi, len(gains), gains, trace, examined_per_round)
 
 
-def msma(init: Matching, ctx: MatchingContext) -> tuple[np.ndarray, np.ndarray]:
-    return msma_detailed(init, ctx).matching.to_beta_alloc(ctx.n_ues)
-
-
 def is_pairwise_stable(psi: Matching, ctx: MatchingContext) -> bool:
     view = GameView(psi, ctx)
     n_sub = len(psi.assign)
@@ -289,16 +245,11 @@ def matching_feasible(psi: Matching, ctx: MatchingContext) -> bool:
 def _scored_modes(ctx: MatchingContext) -> dict[int, int]:
     """Pick each UE's mode by total utility over its QoS-feasible
     subchannels at full-budget reference powers."""
-    modes: dict[int, int] = {}
-    for n in range(ctx.n_ues):
-        score = {CELLULAR: 0.0, RELAY: 0.0}
-        for mode in (CELLULAR, RELAY):
-            pair = McPair(n, mode)
-            for k in range(ctx.n_subchannels):
-                if pair_feasible(k, pair, ctx):
-                    score[mode] += subchannel_utility(k, pair, ctx)
-        modes[n] = RELAY if score[RELAY] > score[CELLULAR] else CELLULAR
-    return modes
+    pairs = ctx.all_pairs()
+    utility, feasible = score_rows(ctx, pairs, ctx.p_ue_max, ctx.p_uav_max)
+    score = dict(zip(pairs, np.where(feasible, utility, 0.0).sum(axis=1)))
+    return {n: RELAY if score[McPair(n, RELAY)] > score[McPair(n, CELLULAR)]
+            else CELLULAR for n in range(ctx.n_ues)}
 
 
 def init_matching(ctx: MatchingContext,
@@ -311,35 +262,43 @@ def init_matching(ctx: MatchingContext,
     Subchannels then go greedily to the highest-utility feasible pair of
     the chosen modes, each candidate scored at the equal split it would
     hold after taking the channel, which is what steers channels away
-    from a single dominant UE once its per-channel budget thins out.  A
-    repair pass drops lowest-utility assignments until every survivor
-    meets QoS under the realized equal split; dropping only raises the
-    survivors' powers, so it terminates."""
-    if forced_modes is not None:
-        modes = dict(forced_modes)
-    else:
-        modes = _scored_modes(ctx)
+    from a single dominant UE once its per-channel budget thins out; a
+    pair's row is re-scored only when that split changes.  A repair pass
+    drops lowest-utility assignments until every survivor meets QoS
+    under the realized equal split; dropping only raises the survivors'
+    powers, so it terminates."""
+    modes = dict(forced_modes) if forced_modes is not None else _scored_modes(ctx)
+    pairs = [McPair(n, modes[n]) for n in range(ctx.n_ues)]
+    counts = [0] * ctx.n_ues
+    relay_total = 0
+    rows: list = [None] * ctx.n_ues
+
+    def rescore(ues: list[int]) -> None:
+        """Rows at the split each UE would hold after one more subchannel."""
+        utility, feasible = score_rows(
+            ctx, [pairs[n] for n in ues], [ctx.p_ue_max / (counts[n] + 1) for n in ues],
+            ctx.p_uav_max / (relay_total + 1))
+        for n, u, ok in zip(ues, utility.tolist(), feasible.tolist()):
+            rows[n] = (u, ok)
 
     psi = Matching([VACANT] * ctx.n_subchannels)
-    counts: dict[McPair, int] = {}
-    relay_total = 0
+    stale = list(range(ctx.n_ues))
     for k in range(ctx.n_subchannels):
+        if stale:
+            rescore(stale)
         best, best_u = VACANT, 0.0
-        for n in range(ctx.n_ues):
-            pair = McPair(n, modes[n])
-            p_split = ctx.p_ue_max / (counts.get(pair, 0) + 1)
-            r_total = relay_total + (1 if pair.mode == RELAY else 0)
-            pv_split = ctx.p_uav_max / r_total if r_total else 0.0
-            if not pair_feasible(k, pair, ctx, p_split, pv_split):
-                continue
-            u = subchannel_utility(k, pair, ctx, p_split, pv_split)
-            if u > best_u:
-                best, best_u = pair, u
+        for pair, (u, ok) in zip(pairs, rows):
+            if ok[k] and u[k] > best_u:
+                best, best_u = pair, u[k]
         psi.assign[k] = best
+        stale = []
         if best is not VACANT:
-            counts[best] = counts.get(best, 0) + 1
+            counts[best.ue] += 1
+            stale = [best.ue]
             if best.mode == RELAY:
+                # the relay split thinned for every relayed pair
                 relay_total += 1
+                stale = [n for n, pair in enumerate(pairs) if pair.mode == RELAY]
 
     while True:
         view = GameView(psi, ctx)

@@ -16,16 +16,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import ChannelGains, gain_matrices
-from .link_rate import (PowerAllocation, jain_index, min_power_cellular,
-                        min_powers_relay, rate_report, update_weights)
+from .link_rate import (LinkBudget, PowerAllocation, jain_index, rate_report,
+                        update_weights)
 from .matching import (CELLULAR, RELAY, VACANT, Matching, MatchingContext,
-                       McPair, init_matching, msma_detailed, pair_feasible,
-                       subchannel_utility)
-from .power_alloc import scp_power, spread_leftover
+                       McPair, init_matching, msma_detailed, score_rows)
+from .power_alloc import PowerLayout, scp_power, spread_leftover
 from .scenario import Scenario, UavState
 from .trajectory import SlotInputs, StageLog, to_algorithm
 from .uav_power import flying_power_upper, move_radius
-from . import link_rate
 
 _STAGE_TOL = 1e-9
 _MAX_BCD = 100
@@ -88,24 +86,17 @@ def validate_solution(sol: SlotSolution, sc: Scenario,
         out.append("relay exceeds its power budget")
 
     gains = gain_matrices(sc, sol.position, slot_index)
-    thr = sc.snr_thresholds
-    for n in range(alloc.shape[0]):
-        for k in np.flatnonzero(alloc[n]):
-            if beta[n]:
-                g1, g2 = link_rate.relay_sinrs(
-                    powers.p_ue[n, k], powers.p_uav[k], gains.h_ue_uav[n, k],
-                    gains.h_uav_bs[k], sc.noise_var, sc.ici_power)
-                hop1 = powers.p_ue[n, k] * gains.h_ue_uav[n, k] / sc.noise_var
-                hop2 = powers.p_uav[k] * gains.h_uav_bs[k] / (sc.noise_var + sc.ici_power)
-                if hop1 < thr.ue_uav * (1 - 1e-6):
-                    out.append(f"ue {n} subchannel {k}: access-hop SNR below floor")
-                if hop2 < thr.uav_bs * (1 - 1e-6):
-                    out.append(f"ue {n} subchannel {k}: backhaul-hop SNR below floor")
-                del g1, g2
-            else:
-                snr = powers.p_ue[n, k] * gains.h_ue_bs[n, k] / (sc.noise_var + sc.ici_power)
-                if snr < thr.direct * (1 - 1e-6):
-                    out.append(f"ue {n} subchannel {k}: direct SNR below floor")
+    report = rate_report(beta, alloc, powers, gains, sol.weights, sc)
+    snr, thr = report.link.snr, report.link.thresholds()
+    low1, low2 = (g < t * (1 - 1e-6) for g, t in zip(snr, thr))
+    for n, k in np.argwhere(alloc):
+        if beta[n]:
+            if low1[n, k]:
+                out.append(f"ue {n} subchannel {k}: access-hop SNR below floor")
+            if low2[n, k]:
+                out.append(f"ue {n} subchannel {k}: backhaul-hop SNR below floor")
+        elif low2[n, k]:  # the interfered phase binds a direct link
+            out.append(f"ue {n} subchannel {k}: direct SNR below floor")
 
     if sol.position[2] <= sc.bs_height:
         out.append("UAV not above the BS antenna height")
@@ -116,8 +107,6 @@ def validate_solution(sol: SlotSolution, sc: Scenario,
     if energy > sc.e_max + 1e-9:
         out.append("propulsion energy bound violated")
 
-    report = rate_report(beta, alloc, powers, gains, sol.weights,
-                         sc.noise_var, sc.ici_power)
     if abs(report.objective - sol.objective) > 1e-9 * max(1.0, abs(sol.objective)):
         out.append("stored objective does not match the recomputed one")
     if not np.allclose(report.per_ue_rate, sol.rates, rtol=1e-9, atol=1e-12):
@@ -150,7 +139,6 @@ def complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
     n_ues, k_sub = alloc.shape
     p_ue = np.zeros((n_ues, k_sub))
     p_uav = np.zeros(k_sub)
-    thr = sc.snr_thresholds
     fresh: list[tuple[int, int]] = []
 
     for n in range(n_ues):
@@ -163,47 +151,33 @@ def complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
             else:
                 fresh.append((n, int(k)))
 
-    def reference_value(nk):
-        n, k = nk
-        return weights[n] * link_rate.subchannel_rate(
-            int(beta[n]), sc.p_ue_max, sc.p_uav_max, gains.h_ue_bs[n, k],
-            gains.h_ue_uav[n, k], gains.h_uav_bs[k], sc.noise_var, sc.ici_power)
-
-    for n, k in sorted(fresh, key=reference_value, reverse=True):
-        if beta[n]:
-            lo_ue, lo_uav = min_powers_relay(gains.h_ue_uav[n, k],
-                                             gains.h_uav_bs[k], thr,
-                                             sc.noise_var, sc.ici_power)
-            lo_ue *= 1.0 + _FLOOR_MARGIN
-            lo_uav *= 1.0 + _FLOOR_MARGIN
-            if p_ue[n].sum() + lo_ue <= sc.p_ue_max \
-                    and p_uav.sum() + lo_uav <= sc.p_uav_max:
-                p_ue[n, k] = lo_ue
-                p_uav[k] = lo_uav
-            else:
-                alloc[n, k] = 0
-        else:
-            lo = min_power_cellular(gains.h_ue_bs[n, k], thr, sc.noise_var,
-                                    sc.ici_power) * (1.0 + _FLOOR_MARGIN)
-            if p_ue[n].sum() + lo <= sc.p_ue_max:
-                p_ue[n, k] = lo
+    if fresh:
+        # full-budget rates rank the newcomers; their floors fund them
+        full = LinkBudget(np.asarray(beta)[:, None] == 1, sc.p_ue_max, sc.p_uav_max,
+                          gains.h_ue_bs, gains.h_ue_uav, gains.h_uav_bs,
+                          sc.snr_thresholds, sc.noise_var, sc.ici_power)
+        value = weights[:, None] * full.rate
+        floor_ue, floor_uav = (f * (1.0 + _FLOOR_MARGIN) for f in full.floors())
+        for n, k in sorted(fresh, key=lambda nk: value[nk], reverse=True):
+            fits = p_ue[n].sum() + floor_ue[n, k] <= sc.p_ue_max
+            if beta[n]:
+                fits = fits and p_uav.sum() + floor_uav[n, k] <= sc.p_uav_max
+            if fits:
+                p_ue[n, k] = floor_ue[n, k]
+                p_uav[k] = floor_uav[n, k]
             else:
                 alloc[n, k] = 0
     powers = PowerAllocation(p_ue, p_uav)
-    spread_leftover(beta, alloc, powers, gains, weights, sc)
+    spread_leftover(PowerLayout(beta, alloc, gains, sc), powers, weights)
     return alloc, powers
 
 
 def _coverage_modes(ctx: MatchingContext) -> dict[int, int]:
     """Relay only the UEs with no QoS-feasible direct subchannel at full
     budget; everyone else stays cellular."""
-    modes: dict[int, int] = {}
-    for n in range(ctx.n_ues):
-        pair = McPair(n, CELLULAR)
-        direct = any(pair_feasible(k, pair, ctx)
-                     for k in range(ctx.n_subchannels))
-        modes[n] = CELLULAR if direct else RELAY
-    return modes
+    _, feasible = score_rows(ctx, [McPair(n, CELLULAR) for n in range(ctx.n_ues)],
+                             ctx.p_ue_max, ctx.p_uav_max)
+    return {n: CELLULAR if feasible[n].any() else RELAY for n in range(ctx.n_ues)}
 
 
 def _matching_stage(sc, gains, weights, beta, alloc, powers, incumbent_obj,
@@ -236,7 +210,7 @@ def _matching_stage(sc, gains, weights, beta, alloc, powers, incumbent_obj,
         cand_alloc, cand_powers = complete_powers(
             beta, alloc, powers, cand_beta, cand_alloc, gains, weights, sc)
         obj = rate_report(cand_beta, cand_alloc, cand_powers, gains, weights,
-                          sc.noise_var, sc.ici_power).objective
+                          sc).objective
         if obj > best[0] + _STAGE_TOL * max(1.0, abs(best[0])):
             best = (obj, cand_beta, cand_alloc, cand_powers)
     return best
@@ -291,8 +265,7 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
         beta = np.zeros(n_ues, dtype=int)
         alloc = np.zeros((n_ues, k_sub), dtype=int)
         powers = PowerAllocation(np.zeros((n_ues, k_sub)), np.zeros(k_sub))
-    obj = rate_report(beta, alloc, powers, gains, weights,
-                      sc.noise_var, sc.ici_power).objective
+    obj = rate_report(beta, alloc, powers, gains, weights, sc).objective
 
     trace: list[tuple[str, float]] = []
     dropped: list[tuple[int, int]] = []
@@ -310,7 +283,7 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
                                                 cand_alloc, gains, weights, sc)
                 beta = cand_beta
                 obj = rate_report(beta, alloc, powers, gains, weights,
-                                  sc.noise_var, sc.ici_power).objective
+                                  sc).objective
                 trace.append(("matching", obj))
         else:
             obj, beta, alloc, powers = _matching_stage(
@@ -330,7 +303,7 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
                 # the UEs nothing currently reaches; later slots then see
                 # relayable geometry instead of a parked UAV
                 rates = rate_report(beta, alloc, powers, gains, weights,
-                                    sc.noise_var, sc.ici_power).per_ue_rate
+                                    sc).per_ue_rate
                 pos = _drift_toward_unserved(sc, pos, anchor, rates, weights)
             gains = gain_matrices(sc, pos, slot_index)
             trace.append(("trajectory", obj))
@@ -345,8 +318,7 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
         if obj - cycle_start < eps:
             break
 
-    report = rate_report(beta, alloc, powers, gains, weights,
-                         sc.noise_var, sc.ici_power)
+    report = rate_report(beta, alloc, powers, gains, weights, sc)
     return SlotSolution(beta, alloc, powers, pos,
                         np.asarray(anchor, dtype=float), report.per_ue_rate,
                         weights, report.objective, iterations, trace, dropped,
@@ -377,17 +349,17 @@ def _random_matching(sc: Scenario, gains: ChannelGains, weights: np.ndarray,
     subchannel goes to a uniform pick of the UEs feasible on it."""
     ctx = MatchingContext(weights, gains, sc.noise_var, sc.ici_power,
                           sc.snr_thresholds, sc.p_ue_max, sc.p_uav_max)
+    pairs = ctx.all_pairs()
+    _, feasible = score_rows(ctx, pairs, sc.p_ue_max, sc.p_uav_max)
+    ok = dict(zip(pairs, feasible.tolist()))
     modes: dict[int, int] = {}
     for n in range(sc.n_ues):
-        options = [m for m in (CELLULAR, RELAY)
-                   if any(pair_feasible(k, McPair(n, m), ctx)
-                          for k in range(sc.n_subchannels))]
+        options = [m for m in (CELLULAR, RELAY) if any(ok[McPair(n, m)])]
         if options:
             modes[n] = int(rng.choice(options))
     assign: list[McPair | None] = [VACANT] * sc.n_subchannels
     for k in range(sc.n_subchannels):
-        cands = [n for n, m in modes.items()
-                 if pair_feasible(k, McPair(n, m), ctx)]
+        cands = [n for n, m in modes.items() if ok[McPair(n, m)][k]]
         if cands:
             n = int(rng.choice(cands))
             assign[k] = McPair(n, modes[n])

@@ -20,8 +20,7 @@ import numpy as np
 
 from .channel import ChannelGains
 from .convex_core import FeasibleSet, maximize_concave
-from .link_rate import (PowerAllocation, min_power_cellular, min_powers_relay,
-                        rate_report)
+from .link_rate import LinkBudget, PowerAllocation, rate_report
 from .scenario import Scenario
 
 LN2 = math.log(2.0)
@@ -52,18 +51,20 @@ class PowerLayout:
     UE power of every assigned (ue, subchannel) in row-major order, then
     the UAV power of every relayed subchannel in the same order.  Index
     arrays and per-variable gains are built once; `dc_terms` evaluates
-    the DC split of every rate term in one array pass.
+    the DC split of every rate term in one array pass, and `qos_floors`
+    gives each variable's QoS floor.
 
     A subchannel serves at most one UE, so each UAV variable belongs to
     exactly one relayed UE variable."""
 
     def __init__(self, beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
-                 sigma2: float, ici: float):
+                 scenario: Scenario):
         self.beta = np.asarray(beta, dtype=int)
         self.alloc = np.asarray(alloc, dtype=int)
         self.gains = gains
-        self.sigma2 = sigma2
-        self.ici = ici
+        self.sc = scenario
+        self.sigma2 = sigma2 = scenario.noise_var
+        self.ici = ici = scenario.ici_power
         self.ue_n, self.ue_k = np.nonzero(self.alloc)
         self.relay = self.beta[self.ue_n] == 1
         self.uav_k = self.ue_k[self.relay]
@@ -88,6 +89,14 @@ class PowerLayout:
         # direct K is normalized by both phases' noise floors, relayed K is not
         self._k_offset = np.where(self.relay, 0.0,
                                   -0.5 * math.log2(sigma2 * (sigma2 + ici)))
+
+    def qos_floors(self) -> np.ndarray:
+        """Per-variable QoS lower bounds at the fixed gains."""
+        g, n, k = self.gains, self.ue_n, self.ue_k
+        floor_ue, floor_uav = LinkBudget(
+            self.relay, 0.0, 0.0, g.h_ue_bs[n, k], g.h_ue_uav[n, k], g.h_uav_bs[k],
+            self.sc.snr_thresholds, self.sigma2, self.ici).floors()
+        return np.concatenate((floor_ue, floor_uav[self.relay]))
 
     def pack(self, powers: PowerAllocation) -> np.ndarray:
         return np.concatenate((powers.p_ue[self.ue_n, self.ue_k],
@@ -128,42 +137,6 @@ class PowerLayout:
         return DcTerms(k, m, k_grad, m_grad)
 
 
-@dataclass
-class DcParts:
-    """One UE's rate split R_n = K_n - M_n at fixed gains, with gradients
-    over the UE's own subchannel powers and the UAV powers."""
-
-    k_value: float
-    m_value: float
-    k_grad_ue: np.ndarray   # (K,)
-    k_grad_uav: np.ndarray  # (K,)
-    m_grad_ue: np.ndarray
-    m_grad_uav: np.ndarray
-
-    @property
-    def rate(self) -> float:
-        return self.k_value - self.m_value
-
-
-def dc_split(n: int, beta: np.ndarray, alloc: np.ndarray, powers: PowerAllocation,
-             gains: ChannelGains, sigma2: float, ici: float) -> DcParts:
-    """UE n's share of `PowerLayout.dc_terms`: both concave pieces of its
-    rate and their gradients, scattered over the subchannels."""
-    layout = PowerLayout(beta, alloc, gains, sigma2, ici)
-    terms = layout.dc_terms(layout.pack(powers))
-    u = layout.n_ue_vars
-    own_ue = layout.ue_n == n
-    own_uav = own_ue[layout.relay]
-    grads = []
-    for g in (terms.k_grad, terms.m_grad):
-        on_ue, on_uav = np.zeros(alloc.shape[1]), np.zeros(alloc.shape[1])
-        on_ue[layout.ue_k[own_ue]] = g[:u][own_ue]
-        on_uav[layout.uav_k[own_uav]] = g[u:][own_uav]
-        grads += [on_ue, on_uav]
-    return DcParts(float(terms.k[own_ue].sum()), float(terms.m[own_uav].sum()),
-                   grads[0], grads[1], grads[2], grads[3])
-
-
 # ---------------------------------------------------------------------------
 # The power problem and its surrogate.
 
@@ -173,18 +146,8 @@ class PowerProblem(PowerLayout):
 
     def __init__(self, beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
                  weights: np.ndarray, scenario: Scenario):
-        super().__init__(beta, alloc, gains, scenario.noise_var, scenario.ici_power)
+        super().__init__(beta, alloc, gains, scenario)
         self.weights = np.asarray(weights, dtype=float)
-        self.sc = scenario
-        thr = scenario.snr_thresholds
-        lo_ue = min_power_cellular(self.h_hop1, thr, self.sigma2, self.ici)
-        lo_ue[self._relay_idx], lo_uav = min_powers_relay(
-            self.h_hop1[self._relay_idx], self.h_hop2, thr, self.sigma2, self.ici)
-        self._floors = np.concatenate((lo_ue, lo_uav))
-
-    def qos_floors(self) -> np.ndarray:
-        """Per-variable QoS lower bounds at the fixed gains."""
-        return self._floors.copy()
 
     def feasible_set(self) -> FeasibleSet:
         """One budget block per UE with variables, then the UAV's."""
@@ -197,7 +160,7 @@ class PowerProblem(PowerLayout):
 
     def true_objective(self, x: np.ndarray) -> float:
         report = rate_report(self.beta, self.alloc, self.unpack(x), self.gains,
-                             self.weights, self.sigma2, self.ici)
+                             self.weights, self.sc)
         return report.objective
 
     def surrogate(self, x0: np.ndarray):
@@ -220,14 +183,6 @@ class PowerProblem(PowerLayout):
 # ---------------------------------------------------------------------------
 # Feasibility restoration.
 
-def _assignment_value(n, k, beta, powers, gains, weights, sigma2, ici) -> float:
-    from .link_rate import subchannel_rate
-    return weights[n] * subchannel_rate(int(beta[n]), powers.p_ue[n, k],
-                                        powers.p_uav[k], gains.h_ue_bs[n, k],
-                                        gains.h_ue_uav[n, k], gains.h_uav_bs[k],
-                                        sigma2, ici)
-
-
 def restore_feasible(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
                      weights: np.ndarray, scenario: Scenario
                      ) -> tuple[np.ndarray, PowerAllocation, list[tuple[int, int]]]:
@@ -236,43 +191,42 @@ def restore_feasible(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
     surviving allocation, floor powers with the leftover budget spread by
     weighted marginal rate, and the dropped (ue, subchannel) pairs."""
     alloc = np.asarray(alloc, dtype=int).copy()
+    beta = np.asarray(beta, dtype=int)
+    weights = np.asarray(weights, dtype=float)
     s = scenario
     dropped: list[tuple[int, int]] = []
 
     while True:
         # fund every occupied subchannel at its QoS floor plus a hair
-        floored = PowerProblem(beta, alloc, gains, weights, s)
-        powers = floored.unpack(floored.qos_floors() * (1.0 + _FLOOR_MARGIN))
-        ue_over = [n for n in range(alloc.shape[0])
-                   if powers.p_ue[n].sum() > s.p_ue_max * (1.0 + _CAP_TOL)]
-        if ue_over:
-            n = ue_over[0]
-            k = min(np.flatnonzero(alloc[n]),
-                    key=lambda k: _assignment_value(n, k, beta, powers, gains,
-                                                    weights, s.noise_var, s.ici_power))
-            alloc[n, k] = 0
-            dropped.append((int(n), int(k)))
-            continue
-        if powers.p_uav.sum() > s.p_uav_max * (1.0 + _CAP_TOL):
-            relay = [(n, k) for n in np.flatnonzero(beta)
-                     for k in np.flatnonzero(alloc[n])]
-            n, k = min(relay, key=lambda nk: _assignment_value(
-                *nk, beta, powers, gains, weights, s.noise_var, s.ici_power))
-            alloc[n, k] = 0
-            dropped.append((int(n), int(k)))
-            continue
-        break
+        layout = PowerLayout(beta, alloc, gains, s)
+        powers = layout.unpack(layout.qos_floors() * (1.0 + _FLOOR_MARGIN))
+        ue_over = np.flatnonzero(powers.p_ue.sum(axis=1) > s.p_ue_max * (1.0 + _CAP_TOL))
+        if ue_over.size:
+            owned = np.zeros_like(alloc)
+            owned[ue_over[0]] = alloc[ue_over[0]]
+        elif powers.p_uav.sum() > s.p_uav_max * (1.0 + _CAP_TOL):
+            owned = alloc * beta[:, None]
+        else:
+            break
+        # release the entity's least valuable subchannel at floor powers
+        value = weights[:, None] * rate_report(beta, alloc, powers, gains,
+                                               weights, s).per_subchannel_rate
+        cands = np.argwhere(owned)
+        n, k = cands[np.argmin(value[owned == 1])]
+        alloc[n, k] = 0
+        dropped.append((int(n), int(k)))
 
-    spread_leftover(beta, alloc, powers, gains, weights, s)
+    spread_leftover(layout, powers, weights)
     return alloc, powers, dropped
 
 
-def spread_leftover(beta, alloc, powers, gains, weights, s: Scenario) -> None:
+def spread_leftover(layout: PowerLayout, powers: PowerAllocation, weights) -> None:
     """Hand each entity's remaining budget to its subchannels in
     proportion to the weighted marginal rate at the current powers
     (evenly when no subchannel gains).  UE budgets are spread first; the
-    UAV's marginals are then taken at the raised UE powers."""
-    layout = PowerLayout(beta, alloc, gains, s.noise_var, s.ici_power)
+    UAV's marginals are then taken at the raised UE powers.  `powers`
+    must be laid out as `layout`."""
+    s = layout.sc
     weights = np.asarray(weights, dtype=float)
     u = layout.n_ue_vars
     # (variables, budget owner of each, budget, power array, its indices)

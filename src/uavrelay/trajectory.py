@@ -59,39 +59,31 @@ class SlotInputs:
         return tuple((int(n), int(k)) for n, k in zip(rows, cols) if self.beta[n])
 
 
-def slot_objective(pos, inputs: SlotInputs) -> float:
-    """Exact weighted sum rate of the slot with the UAV at `pos`."""
-    s = inputs.scenario
-    gains = gain_matrices(s, pos, inputs.slot_index)
-    return rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
-                       inputs.weights, s.noise_var, s.ici_power).objective
+@dataclass(frozen=True)
+class Audit:
+    """The exact slot with the UAV at one position."""
+
+    objective: float  # weighted sum rate
+    surplus: float    # worst normalized SNR surplus over relayed assignments
+    # weighted rate of the cellular UEs: their links never touch the UAV,
+    # so this share of the objective is constant in the position, and
+    # stage stop rules measure progress against the remainder
+    fixed: float
 
 
-def _position_free_mass(pos, inputs: SlotInputs) -> float:
-    """Weighted rate carried by the cellular UEs.  Their links never touch
-    the UAV, so this share of the slot objective is constant in the
-    position; stage stop rules measure progress against the remainder."""
-    s = inputs.scenario
-    gains = gain_matrices(s, pos, inputs.slot_index)
-    report = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
-                         inputs.weights, s.noise_var, s.ici_power)
-    cellular = np.asarray(inputs.beta) == 0
-    return float(np.dot(inputs.weights[cellular], report.per_ue_rate[cellular]))
-
-
-def _audit(pos, inputs: SlotInputs, pairs) -> tuple[float, float]:
-    """(exact objective, worst normalized SNR surplus over relay pairs)."""
+def _audit(pos, inputs: SlotInputs) -> Audit:
+    """The slot at UAV position `pos`, from one channel draw."""
     s = inputs.scenario
     gains = gain_matrices(s, pos, inputs.slot_index)
     report = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
-                         inputs.weights, s.noise_var, s.ici_power)
-    thr = s.snr_thresholds
-    worst = math.inf
-    for n, k in pairs:
-        s1 = inputs.powers.p_ue[n, k] * gains.h_ue_uav[n, k] / (s.noise_var * thr.ue_uav)
-        s2 = inputs.powers.p_uav[k] * gains.h_uav_bs[k] / ((s.noise_var + s.ici_power) * thr.uav_bs)
-        worst = min(worst, s1 - 1.0, s2 - 1.0)
-    return report.objective, worst
+                         inputs.weights, s)
+    beta = np.asarray(inputs.beta)
+    relayed = (np.asarray(inputs.alloc) * beta[:, None]) == 1
+    surplus = min((g / t)[relayed].min(initial=math.inf)
+                  for g, t in zip(report.link.snr, report.link.thresholds())) - 1.0
+    cellular = beta == 0
+    fixed = float(np.dot(inputs.weights[cellular], report.per_ue_rate[cellular]))
+    return Audit(report.objective, surplus, fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +206,6 @@ def horizontal_surrogate(inputs: SlotInputs, position) -> SurrogateContext:
                             s.noise_plus_ici_scale, nudged)
 
 
-def gain_lower_bound(link: str, pos, ctx: SurrogateContext, k: int, ue: int | None = None) -> float:
-    """Concave lower bound on one air gain at horizontal position `pos`."""
-    if link == "uav-bs":
-        return ctx.bs_bound(k, pos)[0]
-    if link == "ue-uav":
-        if ue is None:
-            raise ValueError("ue index required for the ue-uav link")
-        return ctx.ue_bound(ue, k, pos)[0]
-    raise ValueError("link must be 'uav-bs' or 'ue-uav'")
-
-
 def _pair_anchor(ctx: SurrogateContext, n: int, k: int, p_ue: float, p_uav: float,
                  sigma2: float, c: float) -> tuple[float, np.ndarray]:
     """Value and gradient, at the expansion point, of the interference log
@@ -251,19 +232,6 @@ def _pair_rate_bound(ctx: SurrogateContext, n: int, k: int, xy, p_ue: float,
     i0, gi0 = anchor
     xy = np.asarray(xy, dtype=float)
     return val - i0 - float(gi0 @ (xy - ctx.expansion_xy)), grad - gi0
-
-
-def surrogate_relay_rate(pos, ctx: SurrogateContext, alloc: np.ndarray,
-                         powers: PowerAllocation, k: int, n: int) -> float:
-    """Concave lower bound on the relayed rate of assignment (n, k), equal
-    to the exact rate at the expansion point."""
-    if (n, k) not in ctx.pairs or not alloc[n, k]:
-        raise ValueError(f"({n}, {k}) is not a relayed assignment here")
-    sigma2, c = ctx.sigma2, ctx.c_noise
-    anchor = _pair_anchor(ctx, n, k, powers.p_ue[n, k], powers.p_uav[k], sigma2, c)
-    val, _ = _pair_rate_bound(ctx, n, k, pos, powers.p_ue[n, k], powers.p_uav[k],
-                              sigma2, c, anchor)
-    return val
 
 
 def _horizontal_objective(ctx: SurrogateContext, inputs: SlotInputs):
@@ -328,8 +296,7 @@ class StageLog:
     rows: list = field(default_factory=list)
 
 
-def _backtrack(incumbent, candidate, z_of, inputs: SlotInputs, pairs,
-               inc_obj: float):
+def _backtrack(incumbent, candidate, z_of, inputs: SlotInputs, inc_obj: float):
     """Walk the candidate back toward the incumbent until the exact
     objective stops dropping and the relayed SNRs still clear their floors."""
     incumbent = np.asarray(incumbent, dtype=float)
@@ -338,9 +305,9 @@ def _backtrack(incumbent, candidate, z_of, inputs: SlotInputs, pairs,
     tau = 1.0
     for _ in range(_BACKTRACK_STEPS):
         trial = incumbent + tau * (candidate - incumbent)
-        obj, surplus = _audit(z_of(trial), inputs, pairs)
-        if obj >= floor and surplus >= -_QOS_CHECK_TOL:
-            return True, trial, obj, surplus
+        audit = _audit(z_of(trial), inputs)
+        if audit.objective >= floor and audit.surplus >= -_QOS_CHECK_TOL:
+            return True, trial, audit.objective, audit.surplus
         tau *= 0.5
     return False, incumbent, inc_obj, math.nan
 
@@ -350,13 +317,12 @@ def solve_horizontal(state: UavState, inputs: SlotInputs) -> tuple[np.ndarray, S
     horizontal position and the stage log."""
     s = inputs.scenario
     log = StageLog("horizontal")
-    pairs = inputs.relay_pairs()
     cur = np.asarray(state.pos, dtype=float)
     anchor = np.asarray(state.prev_pos, dtype=float)
     xy, z = cur[:2].copy(), float(cur[2])
-    obj, _ = _audit(cur, inputs, pairs)
-    log.objective = obj
-    if not pairs:
+    start = _audit(cur, inputs)
+    obj = log.objective = start.objective
+    if not inputs.relay_pairs():
         log.reason = "no relayed assignments; objective does not depend on position"
         return xy, log
 
@@ -364,7 +330,6 @@ def solve_horizontal(state: UavState, inputs: SlotInputs) -> tuple[np.ndarray, S
     r_h = math.sqrt(max(r_eff * r_eff - (z - anchor[2]) ** 2, 0.0))
     ball = (anchor[:2], r_h)
     eps = s.tolerances.trajectory
-    fixed = _position_free_mass(cur, inputs)
 
     for it in range(1, _MAX_STAGE_ITERS + 1):
         log.iterations = it
@@ -379,13 +344,13 @@ def solve_horizontal(state: UavState, inputs: SlotInputs) -> tuple[np.ndarray, S
             log.reason = f"inner solve unusable: {res.diagnostics.reason}"
             break
         ok, xy_new, new_obj, surplus = _backtrack(
-            xy, res.x, lambda w: (w[0], w[1], z), inputs, pairs, obj)
+            xy, res.x, lambda w: (w[0], w[1], z), inputs, obj)
         if not ok:
             log.reason = "no step kept the exact objective from dropping"
             break
         log.accepted += 1
         log.rows.append((it, xy_new[0], xy_new[1], z, new_obj, surplus))
-        rel = (new_obj - obj) / max(obj - fixed, 1e-9)
+        rel = (new_obj - obj) / max(obj - start.fixed, 1e-9)
         xy, obj = xy_new, new_obj
         if rel < eps:
             break
@@ -428,11 +393,6 @@ def los_linearization(peer_pos, xy, z0: float, params: A2GParams) -> LosLineariz
     pr0 = los_probability(theta0, params.a, params.b)
     slope = params.b * pr0 * (1.0 - pr0) * math.degrees(1.0) / (rho / d0)
     return LosLinearization(z0, d0, pr0, slope)
-
-
-def linearized_los(z: float, lin: LosLinearization) -> float:
-    """The linear-in-z LoS probability model, exact at z0."""
-    return lin.at(z)
 
 
 @dataclass(frozen=True)
@@ -537,13 +497,12 @@ def solve_altitude(state: UavState, inputs: SlotInputs) -> tuple[float, StageLog
     """One SCP run over z at the current horizontal position."""
     s = inputs.scenario
     log = StageLog("altitude")
-    pairs = inputs.relay_pairs()
     cur = np.asarray(state.pos, dtype=float)
     anchor = np.asarray(state.prev_pos, dtype=float)
     xy, z = cur[:2], float(cur[2])
-    obj, _ = _audit(cur, inputs, pairs)
-    log.objective = obj
-    if not pairs:
+    start = _audit(cur, inputs)
+    obj = log.objective = start.objective
+    if not inputs.relay_pairs():
         log.reason = "no relayed assignments; objective does not depend on position"
         return z, log
 
@@ -551,7 +510,6 @@ def solve_altitude(state: UavState, inputs: SlotInputs) -> tuple[float, StageLog
     r_z = math.sqrt(max(r_eff * r_eff - float(np.sum((xy - anchor[:2]) ** 2)), 0.0))
     floor = np.array([s.bs_height + _BS_CLEARANCE])
     eps = s.tolerances.trajectory
-    fixed = _position_free_mass(cur, inputs)
 
     for it in range(1, _MAX_STAGE_ITERS + 1):
         log.iterations = it
@@ -569,14 +527,14 @@ def solve_altitude(state: UavState, inputs: SlotInputs) -> tuple[float, StageLog
             break
         ok, z_new, new_obj, surplus = _backtrack(
             np.array([z]), res.x, lambda v: (xy[0], xy[1], float(v[0])),
-            inputs, pairs, obj)
+            inputs, obj)
         if not ok:
             log.reason = "no step kept the exact objective from dropping"
             break
         z_new = float(z_new[0])
         log.accepted += 1
         log.rows.append((it, xy[0], xy[1], z_new, new_obj, surplus))
-        rel = (new_obj - obj) / max(obj - fixed, 1e-9)
+        rel = (new_obj - obj) / max(obj - start.fixed, 1e-9)
         z, obj = z_new, new_obj
         if rel < eps:
             break
@@ -608,9 +566,9 @@ def to_algorithm(state: UavState, inputs: SlotInputs) -> TrajectoryResult:
     s = inputs.scenario
     pos = np.asarray(state.pos, dtype=float).copy()
     anchor = tuple(float(v) for v in state.prev_pos)
-    pairs = inputs.relay_pairs()
-    obj = slot_objective(pos, inputs)
-    if not pairs:
+    start = _audit(pos, inputs)
+    obj = start.objective
+    if not inputs.relay_pairs():
         return TrajectoryResult(pos, obj, 0, False, [])
 
     r_eff = move_radius(s.d_max, s.e_max, s.slot_len, s.propulsion)
@@ -622,7 +580,6 @@ def to_algorithm(state: UavState, inputs: SlotInputs) -> TrajectoryResult:
     improved = False
     passes = 0
     eps = s.tolerances.trajectory
-    fixed = _position_free_mass(pos, inputs)
     for _ in range(_MAX_PASSES):
         passes += 1
         xy, hlog = solve_horizontal(UavState(tuple(pos), anchor), inputs)
@@ -633,7 +590,7 @@ def to_algorithm(state: UavState, inputs: SlotInputs) -> TrajectoryResult:
         new_obj = alog.objective
         if new_obj > obj:
             improved = True
-        rel = (new_obj - obj) / max(obj - fixed, 1e-9)
+        rel = (new_obj - obj) / max(obj - start.fixed, 1e-9)
         obj = max(obj, new_obj)
         if rel < eps:
             break

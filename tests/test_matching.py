@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from uavrelay import link_rate as lr
 from uavrelay import matching as mt
 from uavrelay.channel import ChannelGains, gain_matrices
 from uavrelay.scenario import Scenario, SnrThresholds, dbm_to_watts
@@ -38,44 +37,78 @@ def random_context(seed, n_ues=2, n_sub=2, thresholds=None):
     )
 
 
+def row(ctx, pair, ue_power=None, uav_power=None):
+    """(utility, feasible) of one pair over every subchannel, full budgets
+    by default."""
+    utility, feasible = mt.score_rows(
+        ctx, [pair], ctx.p_ue_max if ue_power is None else ue_power,
+        ctx.p_uav_max if uav_power is None else uav_power)
+    return utility[0], feasible[0]
+
+
+def direct_rate(p, h):
+    return 0.5 * np.log2(1 + p * h / SIGMA2) + 0.5 * np.log2(1 + p * h / (SIGMA2 + ICI))
+
+
+def relayed_rate(p_ue, p_uav, h_ue_uav, h_uav_bs):
+    g1, g2 = p_ue * h_ue_uav / SIGMA2, p_uav * h_uav_bs / (SIGMA2 + ICI)
+    return 0.5 * np.log2(1 + g1 * g2 / (g1 + g2 + 1))
+
+
 class TestSubchannelUtility:
     def test_zero_weight(self):
         ctx = random_context(0)
-        assert mt.subchannel_utility(0, mt.McPair(0, mt.RELAY),
-                                     synth_context(ctx.gains.h_ue_bs, ctx.gains.h_ue_uav,
-                                                   ctx.gains.h_uav_bs, weights=[0.0, 1.0])) == 0.0
+        zero = synth_context(ctx.gains.h_ue_bs, ctx.gains.h_ue_uav, ctx.gains.h_uav_bs,
+                             weights=[0.0, 1.0])
+        assert not row(zero, mt.McPair(0, mt.RELAY))[0].any()
 
     def test_cellular_matches_direct_rate(self):
         ctx = random_context(1)
-        u = mt.subchannel_utility(1, mt.McPair(0, mt.CELLULAR), ctx, ue_power=0.02)
-        expect = ctx.weights[0] * lr.rate_cellular(0.02, ctx.gains.h_ue_bs[0, 1], SIGMA2, ICI)
-        assert u == pytest.approx(expect, rel=1e-12)
+        u, _ = row(ctx, mt.McPair(0, mt.CELLULAR), ue_power=0.02)
+        expect = ctx.weights[0] * direct_rate(0.02, ctx.gains.h_ue_bs[0])
+        np.testing.assert_allclose(u, expect, rtol=1e-12)
 
     def test_relay_matches_relayed_rate(self):
         ctx = random_context(2)
-        u = mt.subchannel_utility(0, mt.McPair(1, mt.RELAY), ctx, ue_power=0.03, uav_power=0.1)
-        sinrs = lr.relay_sinrs(0.03, 0.1, ctx.gains.h_ue_uav[1, 0], ctx.gains.h_uav_bs[0],
-                               SIGMA2, ICI)
-        assert u == pytest.approx(ctx.weights[1] * lr.rate_relay(sinrs), rel=1e-12)
+        u, _ = row(ctx, mt.McPair(1, mt.RELAY), ue_power=0.03, uav_power=0.1)
+        expect = relayed_rate(0.03, 0.1, ctx.gains.h_ue_uav[1], ctx.gains.h_uav_bs)
+        np.testing.assert_allclose(u, ctx.weights[1] * expect, rtol=1e-12)
+
+    def test_rows_score_each_pair_at_its_own_power(self):
+        ctx = random_context(3, n_ues=3, n_sub=5)
+        pairs = [mt.McPair(2, mt.RELAY), mt.McPair(0, mt.CELLULAR), mt.McPair(2, mt.CELLULAR)]
+        powers = [0.01, 0.02, 0.005]
+        utility, feasible = mt.score_rows(ctx, pairs, powers, 0.07)
+        for pair, p, u, ok in zip(pairs, powers, utility, feasible):
+            u1, ok1 = row(ctx, pair, p, 0.07)
+            np.testing.assert_array_equal(u, u1)
+            np.testing.assert_array_equal(ok, ok1)
 
 
 class TestMcPairUtility:
+    """A matching's utility under its equal split, as `GameView` scores it."""
+
     def test_empty_set(self):
         ctx = random_context(3)
-        assert mt.mc_pair_utility(mt.McPair(0, 0), [], ctx) == 0.0
+        psi = mt.Matching([mt.VACANT] * ctx.n_subchannels)
+        assert mt.GameView(psi, ctx).system_utility(psi) == 0.0
 
     def test_singleton(self):
         ctx = random_context(4)
         pair = mt.McPair(1, mt.CELLULAR)
-        assert mt.mc_pair_utility(pair, [1], ctx) == mt.subchannel_utility(1, pair, ctx)
+        psi = mt.Matching([mt.VACANT, pair])
+        # alone on its subchannel, the pair holds the full budget
+        assert mt.GameView(psi, ctx).system_utility(psi) == row(ctx, pair)[0][1]
 
     def test_additive_over_disjoint_sets(self):
         ctx = random_context(5, n_ues=2, n_sub=6)
         pair = mt.McPair(0, mt.RELAY)
         left, right = [0, 2, 4], [1, 5]
-        assert mt.mc_pair_utility(pair, left + right, ctx) == pytest.approx(
-            mt.mc_pair_utility(pair, left, ctx) + mt.mc_pair_utility(pair, right, ctx),
-            rel=1e-12)
+        psi = mt.Matching([pair if k in left + right else mt.VACANT for k in range(6)])
+        view = mt.GameView(psi, ctx)
+        u, _ = row(ctx, pair, ctx.p_ue_max / 5, ctx.p_uav_max / 5)
+        assert view.system_utility(psi) == pytest.approx(
+            sum(u[k] for k in left) + sum(u[k] for k in right), rel=1e-12)
 
 
 class TestInitMatching:
@@ -96,11 +129,10 @@ class TestInitMatching:
         gains = gain_matrices(s, (400.0, 0.0, 300.0))
         ctx = mt.MatchingContext(np.ones(1), gains, s.noise_var, s.ici_power,
                                  s.snr_thresholds, s.p_ue_max, s.p_uav_max)
-        assert mt.pair_feasible(0, mt.McPair(0, mt.CELLULAR), ctx)
-        assert mt.pair_feasible(0, mt.McPair(0, mt.RELAY), ctx)
-        r_relay = mt.subchannel_utility(0, mt.McPair(0, mt.RELAY), ctx)
-        r_cell = mt.subchannel_utility(0, mt.McPair(0, mt.CELLULAR), ctx)
-        assert r_relay > r_cell
+        r_relay, ok_relay = row(ctx, mt.McPair(0, mt.RELAY))
+        r_cell, ok_cell = row(ctx, mt.McPair(0, mt.CELLULAR))
+        assert ok_cell[0] and ok_relay[0]
+        assert r_relay[0] > r_cell[0]
         psi = mt.init_matching(ctx)
         assert psi.assign == [mt.McPair(0, mt.RELAY)]
 
@@ -130,39 +162,40 @@ def crossing_context():
     return ctx, psi
 
 
+def swap_approved(psi, k1, k2, ctx):
+    return mt.approve_swap(psi, k1, k2, mt.GameView(psi, ctx))
+
+
 class TestSwapBlocking:
     def test_same_pair_never_blocks(self):
         ctx = random_context(7)
         pair = mt.McPair(0, mt.CELLULAR)
         psi = mt.Matching([pair, pair])
-        blocking, swapped = mt.swap_blocking(psi, 0, 1, ctx)
-        assert not blocking and swapped is None
+        assert not swap_approved(psi, 0, 1, ctx)
 
     def test_crossed_assignment_blocks(self):
         ctx, psi = crossing_context()
-        blocking, swapped = mt.swap_blocking(psi, 0, 1, ctx)
-        assert blocking
-        assert swapped.assign == [mt.McPair(0, mt.CELLULAR), mt.McPair(1, mt.CELLULAR)]
+        assert swap_approved(psi, 0, 1, ctx)
+        assert psi.swapped(0, 1).assign == [mt.McPair(0, mt.CELLULAR),
+                                            mt.McPair(1, mt.CELLULAR)]
 
     def test_mode_inconsistent_result_rejected(self):
         # hand-built inconsistent state: same UE present in both modes;
         # the exchange would keep the inconsistency, so it must be vetoed
         ctx, _ = crossing_context()
         psi = mt.Matching([mt.McPair(0, mt.RELAY), mt.McPair(0, mt.CELLULAR)])
-        blocking, _ = mt.swap_blocking(psi, 0, 1, ctx)
-        assert not blocking
+        assert not swap_approved(psi, 0, 1, ctx)
 
     def test_identical_subchannels_rejected(self):
+        # a subchannel swapped with itself exchanges nothing
         ctx, psi = crossing_context()
-        with pytest.raises(ValueError):
-            mt.swap_blocking(psi, 1, 1, ctx)
+        assert not swap_approved(psi, 1, 1, ctx)
 
     def test_vacancy_rescue_requires_zero_utility(self):
         # a positive-utility assignment may not abandon its subchannel
         ctx, psi = crossing_context()
         psi.assign[1] = mt.VACANT
-        blocking, _ = mt.swap_blocking(psi, 0, 1, ctx)
-        assert not blocking
+        assert not swap_approved(psi, 0, 1, ctx)
 
 
 class TestMsma:
@@ -196,7 +229,7 @@ class TestMsma:
 
     def test_projection_shapes(self):
         ctx = random_context(11, n_ues=3, n_sub=5)
-        beta, alloc = mt.msma(mt.init_matching(ctx), ctx)
+        beta, alloc = mt.msma_detailed(mt.init_matching(ctx), ctx).matching.to_beta_alloc(3)
         assert beta.shape == (3,) and alloc.shape == (3, 5)
         assert set(np.unique(alloc)) <= {0, 1}
         assert np.all(alloc.sum(axis=0) <= 1)

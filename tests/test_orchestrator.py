@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from uavrelay.channel import gain_matrices
-from uavrelay.link_rate import (min_power_cellular, min_powers_relay,
-                                subchannel_rate, update_weights)
+from uavrelay.link_rate import LinkBudget, update_weights
 from uavrelay.orchestrator import (
     ALGORITHMS,
     SWEEP_AXES,
@@ -90,35 +89,25 @@ class TestJmstpSlot:
             n_ues=1, n_subchannels=1, n_slots=1, d_max=3.0,
             ue_positions=((60.0, 0.0, 0.0),), uav_start=(30.0, 20.0, 80.0),
         ).with_positions(0)
-        s2, ici = sc.noise_var, sc.ici_power
-        thr = sc.snr_thresholds
-        levels = np.linspace(0.0, sc.p_ue_max, 26)[1:]
+        # every (mode, UE power, UAV power) grid point at once, per position
+        levels = np.linspace(0.0, sc.p_ue_max, 26)[1:, None]
         uav_levels = np.linspace(0.0, sc.p_uav_max, 26)[1:]
 
-        best = 0.0
-        gains0 = gain_matrices(sc, np.asarray(sc.uav_start, dtype=float), 0)
-        h = gains0.h_ue_bs[0, 0]
-        for p in levels:
-            if p >= min_power_cellular(h, thr, s2, ici):
-                best = max(best, subchannel_rate(0, p, 0.0, h, 0.0, 0.0, s2, ici))
+        def best_at(pos, relay):
+            g = gain_matrices(sc, pos, 0)
+            link = LinkBudget(relay, levels, uav_levels, g.h_ue_bs[0, 0],
+                              g.h_ue_uav[0, 0], g.h_uav_bs[0], sc.snr_thresholds,
+                              sc.noise_var, sc.ici_power)
+            return float(np.max(link.rate, where=link.feasible(), initial=0.0))
+
         anchor = np.asarray(sc.uav_start, dtype=float)
+        best = best_at(anchor, False)
         for dx in range(-3, 4):
             for dy in range(-3, 4):
                 for dz in range(-3, 4):
                     if dx * dx + dy * dy + dz * dz > 9:
                         continue
-                    pos = anchor + (dx, dy, dz)
-                    g = gain_matrices(sc, pos, 0)
-                    h1, h2 = g.h_ue_uav[0, 0], g.h_uav_bs[0]
-                    lo_ue, lo_uav = min_powers_relay(h1, h2, thr, s2, ici)
-                    for p in levels:
-                        if p < lo_ue:
-                            continue
-                        for pu in uav_levels:
-                            if pu < lo_uav:
-                                continue
-                            best = max(best, subchannel_rate(
-                                1, p, pu, g.h_ue_bs[0, 0], h1, h2, s2, ici))
+                    best = max(best, best_at(anchor + (dx, dy, dz), True))
 
         sol = jmstp_slot(sc, UavState(tuple(sc.uav_start), tuple(sc.uav_start)),
                          np.array([1.0]))

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavrelay.channel import gain_matrices
-from uavrelay.link_rate import PowerAllocation, ue_rate
-from uavrelay.power_alloc import (PowerProblem, dc_split, restore_feasible,
+from uavrelay.link_rate import PowerAllocation, rate_report
+from uavrelay.power_alloc import (PowerLayout, PowerProblem, restore_feasible,
                                   scp_power)
 from uavrelay.scenario import Scenario, SnrThresholds, dbm_to_watts
 
@@ -31,79 +31,65 @@ def random_powers(rng, alloc, beta, sc):
     return PowerAllocation(p_ue, p_uav)
 
 
+def dc_by_ue(layout, x):
+    """`dc_terms` at `x` summed per UE: (K_n, M_n) arrays and the terms."""
+    terms = layout.dc_terms(x)
+    n = layout.alloc.shape[0]
+    return (np.bincount(layout.ue_n, terms.k, n),
+            np.bincount(layout.ue_n[layout.relay], terms.m, n), terms)
+
+
+def exact_rates(sc, gains, beta, alloc, powers):
+    return rate_report(beta, alloc, powers, gains, np.ones(len(beta)), sc).per_ue_rate
+
+
 class TestDcSplit:
     def test_identity_random_powers(self):
         sc, gains, beta, alloc, _ = mixed_instance()
+        layout = PowerLayout(beta, alloc, gains, sc)
         rng = np.random.default_rng(0)
         for _ in range(100):
             powers = random_powers(rng, alloc, beta, sc)
-            for n in range(alloc.shape[0]):
-                parts = dc_split(n, beta, alloc, powers, gains,
-                                 sc.noise_var, sc.ici_power)
-                rate = ue_rate(n, beta[n], alloc[n], powers, gains,
-                               sc.noise_var, sc.ici_power)
-                assert parts.rate == pytest.approx(rate, rel=1e-10)
+            k, m, _ = dc_by_ue(layout, layout.pack(powers))
+            np.testing.assert_allclose(k - m, exact_rates(sc, gains, beta, alloc, powers),
+                                       rtol=1e-10)
 
     def test_cellular_only_has_no_subtracted_part(self):
         sc, gains, beta, alloc, _ = mixed_instance()
+        layout = PowerLayout(beta, alloc, gains, sc)
         powers = random_powers(np.random.default_rng(1), alloc, beta, sc)
+        k, m, terms = dc_by_ue(layout, layout.pack(powers))
+        rates = exact_rates(sc, gains, beta, alloc, powers)
         for n in (1, 2):
-            parts = dc_split(n, beta, alloc, powers, gains,
-                             sc.noise_var, sc.ici_power)
-            assert parts.m_value == 0.0
-            assert not parts.m_grad_ue.any() and not parts.m_grad_uav.any()
-            rate = ue_rate(n, 0, alloc[n], powers, gains,
-                           sc.noise_var, sc.ici_power)
-            assert parts.k_value == pytest.approx(rate, rel=1e-12)
+            assert m[n] == 0.0
+            assert not terms.m_grad[layout.owner == n].any()
+            assert k[n] == pytest.approx(rates[n], rel=1e-12)
 
     def test_gradients_match_central_differences(self):
         sc, gains, beta, alloc, _ = mixed_instance()
-        powers = random_powers(np.random.default_rng(2), alloc, beta, sc)
-
-        def fd(n, bump, attr):
-            up, dn = powers.copy(), powers.copy()
-            h = 1e-6 * max(bump(up, +0.0), 1e-3)
-            bump(up, +h)
-            bump(dn, -h)
-            hi = getattr(dc_split(n, beta, alloc, up, gains, sc.noise_var,
-                                  sc.ici_power), attr)
-            lo = getattr(dc_split(n, beta, alloc, dn, gains, sc.noise_var,
-                                  sc.ici_power), attr)
-            return (hi - lo) / (2 * h)
-
-        for n in range(alloc.shape[0]):
-            base = dc_split(n, beta, alloc, powers, gains, sc.noise_var,
-                            sc.ici_power)
-            for k in np.flatnonzero(alloc[n]):
-                def bump_ue(pw, h, k=k, n=n):
-                    pw.p_ue[n, k] += h
-                    return pw.p_ue[n, k]
-
-                for attr, ana in (("k_value", base.k_grad_ue[k]),
-                                  ("m_value", base.m_grad_ue[k])):
-                    num = fd(n, bump_ue, attr)
-                    assert num == pytest.approx(ana, rel=1e-4, abs=1e-12)
-                if beta[n]:
-                    def bump_uav(pw, h, k=k):
-                        pw.p_uav[k] += h
-                        return pw.p_uav[k]
-
-                    for attr, ana in (("k_value", base.k_grad_uav[k]),
-                                      ("m_value", base.m_grad_uav[k])):
-                        num = fd(n, bump_uav, attr)
-                        assert num == pytest.approx(ana, rel=1e-4)
+        layout = PowerLayout(beta, alloc, gains, sc)
+        x0 = layout.pack(random_powers(np.random.default_rng(2), alloc, beta, sc))
+        base = layout.dc_terms(x0)
+        for i, n in enumerate(layout.owner):
+            h = 1e-6 * max(x0[i], 1e-3)
+            up, dn = x0.copy(), x0.copy()
+            up[i] += h
+            dn[i] -= h
+            (k_up, m_up, _), (k_dn, m_dn, _) = dc_by_ue(layout, up), dc_by_ue(layout, dn)
+            assert (k_up[n] - k_dn[n]) / (2 * h) == pytest.approx(
+                base.k_grad[i], rel=1e-4, abs=1e-12)
+            assert (m_up[n] - m_dn[n]) / (2 * h) == pytest.approx(
+                base.m_grad[i], rel=1e-4, abs=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_identity_property(self, draw):
         sc, gains, beta, alloc, _ = mixed_instance()
+        layout = PowerLayout(beta, alloc, gains, sc)
         powers = random_powers(np.random.default_rng(draw), alloc, beta, sc)
-        for n in range(alloc.shape[0]):
-            parts = dc_split(n, beta, alloc, powers, gains,
-                             sc.noise_var, sc.ici_power)
-            rate = ue_rate(n, beta[n], alloc[n], powers, gains,
-                           sc.noise_var, sc.ici_power)
-            assert parts.rate == pytest.approx(rate, rel=1e-10)
+        k, m, _ = dc_by_ue(layout, layout.pack(powers))
+        np.testing.assert_allclose(k - m, exact_rates(sc, gains, beta, alloc, powers),
+                                   rtol=1e-10)
 
 
 LAYOUTS = {"direct": [0, 0, 0, 0], "relay": [1, 1, 1, 1], "mixed": [1, 0, 0, 1]}

@@ -11,7 +11,7 @@ import pytest
 
 from uavrelay.channel import a2g_gain, gain_matrices, los_probability
 from uavrelay.convex_core import grad_check
-from uavrelay.link_rate import PowerAllocation, rate_relay, relay_sinrs
+from uavrelay.link_rate import LinkBudget, PowerAllocation, rate_report
 from uavrelay.scenario import (A2GParams, Scenario, SnrThresholds, UavState,
                                dbm_to_watts)
 from uavrelay.trajectory import (
@@ -19,15 +19,13 @@ from uavrelay.trajectory import (
     _altitude_objective,
     _audit,
     _horizontal_objective,
+    _pair_anchor,
+    _pair_rate_bound,
     altitude_surrogate,
-    gain_lower_bound,
     horizontal_surrogate,
-    linearized_los,
     los_linearization,
-    slot_objective,
     solve_altitude,
     solve_horizontal,
-    surrogate_relay_rate,
     to_algorithm,
     write_stage_trace,
 )
@@ -76,6 +74,23 @@ def ball_points(center, radius, count, seed):
     return center + np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
 
 
+def exact_objective(pos, inputs):
+    return _audit(pos, inputs).objective
+
+
+def surrogate_rate(xy, ctx, powers, n, k):
+    """The horizontal stage's concave bound on the relayed rate of (n, k)
+    at `xy`, linearized at the context's expansion point."""
+    p_ue, p_uav = powers.p_ue[n, k], powers.p_uav[k]
+    anchor = _pair_anchor(ctx, n, k, p_ue, p_uav, ctx.sigma2, ctx.c_noise)
+    return _pair_rate_bound(ctx, n, k, xy, p_ue, p_uav, ctx.sigma2, ctx.c_noise, anchor)[0]
+
+
+def relayed_rate(sc, p_ue, p_uav, h_ue_uav, h_uav_bs):
+    return LinkBudget(True, p_ue, p_uav, 1.0, h_ue_uav, h_uav_bs, sc.snr_thresholds,
+                      sc.noise_var, sc.ici_power).rate
+
+
 # ---------------------------------------------------------------------------
 # Gain bounds.
 
@@ -84,10 +99,10 @@ def test_gain_bound_tight_at_expansion(two_ue):
     pos = np.array([200.0, 0.0, 130.0])
     gains = gain_matrices(sc, pos, 0)
     for k in range(sc.n_subchannels):
-        hb = gain_lower_bound("uav-bs", pos[:2], ctx, k)
+        hb = ctx.bs_bound(k, pos[:2])[0]
         assert abs(hb - gains.h_uav_bs[k]) <= 1e-10 * gains.h_uav_bs[k]
         for n in range(sc.n_ues):
-            hu = gain_lower_bound("ue-uav", pos[:2], ctx, k, ue=n)
+            hu = ctx.ue_bound(n, k, pos[:2])[0]
             assert abs(hu - gains.h_ue_uav[n, k]) <= 1e-10 * gains.h_ue_uav[n, k]
 
 
@@ -95,10 +110,10 @@ def test_gain_bound_dominance_sampled(two_ue):
     sc, inputs, ctx = two_ue
     center = np.array([200.0, 0.0])
     for p in ball_points(center, sc.d_max, 1000, seed=3):
-        hb = gain_lower_bound("uav-bs", p, ctx, 0)
+        hb = ctx.bs_bound(0, p)[0]
         true_b = a2g_gain((p[0], p[1], 130.0), (0.0, 0.0, 30.0), 1e9, sc.a2g)
         assert hb <= true_b * (1.0 + 1e-12)
-        hu = gain_lower_bound("ue-uav", p, ctx, 0, ue=0)
+        hu = ctx.ue_bound(0, 0, p)[0]
         true_u = a2g_gain((p[0], p[1], 130.0), sc.ue_positions[0], 1e9, sc.a2g)
         assert hu <= true_u * (1.0 + 1e-12)
 
@@ -108,19 +123,11 @@ def test_gain_bound_midpoint_concavity(two_ue):
     center = np.array([200.0, 0.0])
     pts = ball_points(center, sc.d_max, 600, seed=5)
     for p, q in zip(pts[::2], pts[1::2]):
-        for link, ue in (("uav-bs", None), ("ue-uav", 0)):
-            mid = gain_lower_bound(link, 0.5 * (p + q), ctx, 0, ue=ue)
-            avg = 0.5 * (gain_lower_bound(link, p, ctx, 0, ue=ue)
-                         + gain_lower_bound(link, q, ctx, 0, ue=ue))
+        for bound in (lambda xy: ctx.bs_bound(0, xy)[0],
+                      lambda xy: ctx.ue_bound(0, 0, xy)[0]):
+            mid = bound(0.5 * (p + q))
+            avg = 0.5 * (bound(p) + bound(q))
             assert avg - mid <= 1e-12 * abs(mid)
-
-
-def test_gain_bound_link_validation(two_ue):
-    _, _, ctx = two_ue
-    with pytest.raises(ValueError):
-        gain_lower_bound("bs-ue", np.zeros(2), ctx, 0)
-    with pytest.raises(ValueError):
-        gain_lower_bound("ue-uav", np.zeros(2), ctx, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,24 +138,22 @@ def test_surrogate_rate_tight_at_expansion(two_ue):
     pos = np.array([200.0, 0.0, 130.0])
     gains = gain_matrices(sc, pos, 0)
     for _, k in ctx.pairs:
-        got = surrogate_relay_rate(pos[:2], ctx, inputs.alloc, inputs.powers, k, 0)
-        want = rate_relay(relay_sinrs(inputs.powers.p_ue[0, k], inputs.powers.p_uav[k],
-                                      gains.h_ue_uav[0, k], gains.h_uav_bs[k],
-                                      sc.noise_var, sc.ici_power))
+        got = surrogate_rate(pos[:2], ctx, inputs.powers, 0, k)
+        want = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
+                           inputs.weights, sc).per_subchannel_rate[0, k]
         assert abs(got - want) <= 1e-10 * want
 
 
 def test_surrogate_rate_dominated_by_bound_rate(two_ue):
     sc, inputs, ctx = two_ue
     for p in ball_points(np.array([200.0, 0.0]), sc.d_max, 1000, seed=7):
-        r_hat = surrogate_relay_rate(p, ctx, inputs.alloc, inputs.powers, 0, 0)
-        hu = gain_lower_bound("ue-uav", p, ctx, 0, ue=0)
-        hb = gain_lower_bound("uav-bs", p, ctx, 0)
+        r_hat = surrogate_rate(p, ctx, inputs.powers, 0, 0)
+        hu = ctx.ue_bound(0, 0, p)[0]
+        hb = ctx.bs_bound(0, p)[0]
         if hu <= 0.0 or hb <= 0.0:
             continue
-        bound_rate = rate_relay(relay_sinrs(inputs.powers.p_ue[0, 0],
-                                            inputs.powers.p_uav[0], hu, hb,
-                                            sc.noise_var, sc.ici_power))
+        bound_rate = relayed_rate(sc, inputs.powers.p_ue[0, 0], inputs.powers.p_uav[0],
+                                  hu, hb)
         assert r_hat <= bound_rate + 1e-12
 
 
@@ -156,9 +161,9 @@ def test_surrogate_rate_midpoint_concavity(two_ue):
     sc, inputs, ctx = two_ue
     pts = ball_points(np.array([200.0, 0.0]), sc.d_max, 400, seed=9)
     for p, q in zip(pts[::2], pts[1::2]):
-        mid = surrogate_relay_rate(0.5 * (p + q), ctx, inputs.alloc, inputs.powers, 0, 0)
-        avg = 0.5 * (surrogate_relay_rate(p, ctx, inputs.alloc, inputs.powers, 0, 0)
-                     + surrogate_relay_rate(q, ctx, inputs.alloc, inputs.powers, 0, 0))
+        mid = surrogate_rate(0.5 * (p + q), ctx, inputs.powers, 0, 0)
+        avg = 0.5 * (surrogate_rate(p, ctx, inputs.powers, 0, 0)
+                     + surrogate_rate(q, ctx, inputs.powers, 0, 0))
         assert avg - mid <= 1e-9
 
 
@@ -166,14 +171,8 @@ def test_surrogate_rate_zero_power_is_zero(two_ue):
     sc, inputs, ctx = two_ue
     powers = inputs.powers.copy()
     powers.p_ue[0, 0] = 0.0
-    got = surrogate_relay_rate(ctx.expansion_xy, ctx, inputs.alloc, powers, 0, 0)
+    got = surrogate_rate(ctx.expansion_xy, ctx, powers, 0, 0)
     assert abs(got) <= 1e-12
-
-
-def test_surrogate_rate_rejects_non_relay_pair(two_ue):
-    _, inputs, ctx = two_ue
-    with pytest.raises(ValueError):
-        surrogate_relay_rate(ctx.expansion_xy, ctx, inputs.alloc, inputs.powers, 2, 1)
 
 
 def test_nudged_expansion_above_peer():
@@ -183,7 +182,7 @@ def test_nudged_expansion_above_peer():
     ctx = horizontal_surrogate(inputs, pos)
     assert ctx.nudged
     for p in ball_points(pos[:2], sc.d_max, 300, seed=11):
-        h = gain_lower_bound("ue-uav", p, ctx, 0, ue=0)
+        h = ctx.ue_bound(0, 0, p)[0]
         true = a2g_gain((p[0], p[1], 130.0), sc.ue_positions[0], 1e9, sc.a2g)
         assert h <= true * (1.0 + 1e-12)
 
@@ -232,7 +231,7 @@ def test_solve_horizontal_moves_toward_far_ue_axis(two_ue):
 
     assert axis_dist(xy) < axis_dist(np.array(start[:2]))
     objs = [row[4] for row in log.rows]
-    assert objs[-1] > slot_objective(start, inputs)
+    assert objs[-1] > exact_objective(start, inputs)
     assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
 
 
@@ -265,7 +264,7 @@ def test_linearized_los_exact_at_anchor():
         dz = 130.0 - peer[2]
         d = math.hypot(math.hypot(peer[0], peer[1]), dz)
         exact = los_probability(math.degrees(math.asin(dz / d)), params.a, params.b)
-        assert abs(linearized_los(130.0, lin) - exact) <= 1e-12 * exact
+        assert abs(lin.at(130.0) - exact) <= 1e-12 * exact
         assert lin.slope > 0.0
 
 
@@ -290,7 +289,7 @@ def test_solve_altitude_rises_when_helpful():
     z, log = solve_altitude(UavState(start, start), inputs)
     assert z > 100.0
     objs = [row[4] for row in log.rows]
-    assert objs[-1] > slot_objective(start, inputs)
+    assert objs[-1] > exact_objective(start, inputs)
     assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
 
 
@@ -344,8 +343,8 @@ def random_slot(seed):
 def test_to_algorithm_constraint_and_monotonicity_audit(seed):
     sc, inputs = random_slot(seed)
     start = sc.uav_start
-    before, surplus = _audit(start, inputs, inputs.relay_pairs())
-    assert surplus >= 0.0
+    before = _audit(start, inputs)
+    assert before.surplus >= 0.0
     res = to_algorithm(UavState(start, start), inputs)
     disp = float(np.linalg.norm(res.position - np.array(start)))
     r_eff = move_radius(sc.d_max, sc.e_max, sc.slot_len, sc.propulsion)
@@ -353,11 +352,10 @@ def test_to_algorithm_constraint_and_monotonicity_audit(seed):
     assert res.position[2] >= sc.bs_height + 1.0 - 1e-9
     assert flying_power_upper(disp / sc.slot_len, sc.propulsion) * sc.slot_len \
         <= sc.e_max + 1e-9
-    stage_objs = [before] + [log.objective for log in res.logs]
+    stage_objs = [before.objective] + [log.objective for log in res.logs]
     assert all(b >= a - 1e-9 for a, b in zip(stage_objs, stage_objs[1:]))
-    assert res.objective >= before - 1e-9
-    _, surplus_after = _audit(res.position, inputs, inputs.relay_pairs())
-    assert surplus_after >= -1e-6
+    assert res.objective >= before.objective - 1e-9
+    assert _audit(res.position, inputs).surplus >= -1e-6
 
 
 def test_to_algorithm_stationary_start_stops_in_one_pass():
@@ -369,7 +367,7 @@ def test_to_algorithm_stationary_start_stops_in_one_pass():
     for _ in range(3):
         for x in np.linspace(bx - 1.5, bx + 1.5, 31):
             for z in np.linspace(bz - 1.5, bz + 1.5, 31):
-                o = slot_objective((x, 0.0, z), inputs)
+                o = exact_objective((x, 0.0, z), inputs)
                 if o > best:
                     best, bx, bz = o, float(x), float(z)
     start = (bx, 0.0, bz)
