@@ -5,16 +5,25 @@ line-of-sight and non-line-of-sight free-space losses, weighted by an
 elevation-angle logistic.  The ICI machinery quantifies how much power a
 Doppler-shifted relayed subcarrier leaks into its neighbours; the rest of
 the package treats that leakage as the constant `Scenario.ici_power`.
+
+Everything in a slot's channel that does not depend on where the UAV
+sits -- the fading draws, the whole terrestrial UE-to-BS gain, the
+per-subchannel free-space factors and the ground peers' coordinates -- is
+built once per (scenario, slot) by `slot_channel` and cached.  Those
+arrays are shared by every caller, so they are checked once when built
+and returned read-only; `gain_matrices` adds the geometric part, one
+vectorized pass over the N UEs and the BS per UAV position.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .scenario import SPEED_OF_LIGHT, A2GParams, Scenario
+from .scenario import SPEED_OF_LIGHT, Scenario
 
 
 def free_space_pathloss(freq: float) -> float:
@@ -24,46 +33,11 @@ def free_space_pathloss(freq: float) -> float:
     return (4.0 * math.pi * freq / SPEED_OF_LIGHT) ** 2
 
 
-def los_probability(elevation_deg: float, a: float, b: float) -> float:
-    if not 0.0 < elevation_deg <= 90.0:
+def los_probability(theta_deg: float, a: float, b: float) -> float:
+    """LoS probability of an air link at elevation angle theta (degrees)."""
+    if not 0.0 < theta_deg <= 90.0:
         raise ValueError("elevation must be in (0, 90] degrees")
-    return 1.0 / (1.0 + a * math.exp(-b * (elevation_deg - a)))
-
-
-def elevation_deg(dz: float, dist: float) -> float:
-    """Elevation angle in degrees of a link with height difference dz over
-    slant distance dist."""
-    return math.degrees(math.asin(dz / dist))
-
-
-def avg_pathloss(dist: float, elev_deg: float, freq: float, params: A2GParams) -> float:
-    """LoS/NLoS mixture of the squared-distance free-space loss."""
-    pr_los = los_probability(elev_deg, params.a, params.b)
-    base = free_space_pathloss(freq) * dist * dist
-    return pr_los * base * params.eta_los + (1.0 - pr_los) * base * params.eta_nlos
-
-
-def a2g_gain(pos_a, pos_b, freq: float, params: A2GParams, fading: float = 1.0) -> float:
-    """Average air link power gain between the two endpoints.
-
-    One endpoint must be strictly higher (the aircraft); the link is
-    reciprocal so argument order does not matter.
-    """
-    d = math.dist(pos_a, pos_b)
-    if d == 0.0:
-        raise ValueError("coincident endpoints")
-    dz = abs(pos_a[2] - pos_b[2])
-    if dz <= 0.0:
-        raise ValueError("air link endpoints must differ in height")
-    return fading / avg_pathloss(d, elevation_deg(dz, d), freq, params)
-
-
-def rayleigh_gain(ue_pos, bs_pos, alpha: float, fading: float = 1.0) -> float:
-    """Terrestrial power gain d^-alpha * |g|^2."""
-    d = math.dist(ue_pos, bs_pos)
-    if d == 0.0:
-        raise ValueError("coincident endpoints")
-    return d ** (-alpha) * fading
+    return 1.0 / (1.0 + a * math.exp(-b * (theta_deg - a)))
 
 
 def fading_draws(model: str, shape, rng: np.random.Generator, k_db: float = 10.0) -> np.ndarray:
@@ -91,19 +65,27 @@ class ChannelGains:
     h_ue_uav: np.ndarray
     h_uav_bs: np.ndarray
 
-    def check(self) -> None:
-        for name in ("h_ue_bs", "h_ue_uav", "h_uav_bs"):
-            arr = getattr(self, name)
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-                raise ValueError(f"{name} must be strictly positive and finite")
+
+@dataclass(frozen=True)
+class SlotChannel:
+    """The position-free part of one slot's channel; every array is
+    read-only, as it is shared by all calls for the same (scenario, slot).
+
+    `air_scale` is an air link's gain without its geometry: the fading
+    draw over the free-space factor of the subchannel.  An air gain is
+    air_scale / (d^2 * LoS/NLoS mixture) for the slant distance d."""
+
+    h_ue_bs: np.ndarray    # (N, K) terrestrial gains
+    air_scale: np.ndarray  # (N + 1, K): UE-to-UAV rows, then the UAV-to-BS row
+    peers: np.ndarray      # (N + 1, 3): UE positions, then the BS antenna
 
 
-def gain_matrices(scenario: Scenario, uav_pos, slot_index: int = 0) -> ChannelGains:
-    """All link gains for one UAV position.
+@lru_cache(maxsize=64)
+def slot_channel(scenario: Scenario, slot_index: int = 0) -> SlotChannel:
+    """Build, check and freeze the position-free channel of one slot.
 
     Fading is deterministic 1 unless the scenario opts into a model, in
-    which case draws are seeded per (scenario seed, slot).
-    """
+    which case draws are seeded per (scenario seed, slot)."""
     n, k = scenario.n_ues, scenario.n_subchannels
     if scenario.fading_model == "none":
         g_ue_bs = np.ones((n, k))
@@ -119,21 +101,40 @@ def gain_matrices(scenario: Scenario, uav_pos, slot_index: int = 0) -> ChannelGa
         g_ue_uav = fading_draws(air, (n, k), rng, scenario.rician_k_factor)
         g_uav_bs = fading_draws(air, (k,), rng, scenario.rician_k_factor)
 
-    bs_pos = (0.0, 0.0, scenario.bs_height)
-    h_ue_bs = np.empty((n, k))
-    h_ue_uav = np.empty((n, k))
-    h_uav_bs = np.empty(k)
-    for j in range(k):
-        f = scenario.subchannel_freqs[j]
-        h_uav_bs[j] = a2g_gain(uav_pos, bs_pos, f, scenario.a2g, g_uav_bs[j])
-        for i in range(n):
-            h_ue_bs[i, j] = rayleigh_gain(scenario.ue_positions[i], bs_pos,
-                                          scenario.pathloss_exp, g_ue_bs[i, j])
-            h_ue_uav[i, j] = a2g_gain(uav_pos, scenario.ue_positions[i], f,
-                                      scenario.a2g, g_ue_uav[i, j])
-    gains = ChannelGains(h_ue_bs, h_ue_uav, h_uav_bs)
-    gains.check()
-    return gains
+    peers = np.array([*scenario.ue_positions, (0.0, 0.0, scenario.bs_height)], dtype=float)
+    ground_dist = np.sqrt(np.sum((peers[:n] - peers[n]) ** 2, axis=1))
+    if np.any(ground_dist == 0.0):
+        raise ValueError("coincident endpoints")
+    fspl = np.array([free_space_pathloss(f) for f in scenario.subchannel_freqs])
+    out = SlotChannel(ground_dist[:, None] ** -scenario.pathloss_exp * g_ue_bs,
+                      np.vstack([g_ue_uav, g_uav_bs]) / fspl, peers)
+    for name in ("h_ue_bs", "air_scale"):
+        arr = getattr(out, name)
+        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+            raise ValueError(f"{name} must be strictly positive and finite")
+    for arr in (out.h_ue_bs, out.air_scale, out.peers):
+        arr.flags.writeable = False
+    return out
+
+
+def gain_matrices(scenario: Scenario, uav_pos, slot_index: int = 0) -> ChannelGains:
+    """All link gains for one UAV position: the slot's cached terrestrial
+    gains (shared and read-only) and the air gains of this position."""
+    chan = slot_channel(scenario, slot_index)
+    diff = chan.peers - np.asarray(uav_pos, dtype=float)
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    if not np.isfinite(d2).all():
+        raise ValueError("UAV position must be finite")
+    if (d2 == 0.0).any():
+        raise ValueError("coincident endpoints")
+    dz = np.abs(diff[:, 2])
+    if (dz <= 0.0).any():
+        raise ValueError("air link endpoints must differ in height")
+    p = scenario.a2g
+    elev = np.degrees(np.arcsin(dz / np.sqrt(d2)))
+    pr_los = 1.0 / (1.0 + p.a * np.exp(-p.b * (elev - p.a)))
+    air = chan.air_scale / (d2 * (pr_los * p.eta_los + (1.0 - pr_los) * p.eta_nlos))[:, None]
+    return ChannelGains(chan.h_ue_bs, air[:-1], air[-1])
 
 
 # ---------------------------------------------------------------------------

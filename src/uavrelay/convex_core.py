@@ -23,13 +23,16 @@ Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 @dataclass
 class BarrierTerm:
-    """Smooth concave constraint g(x) >= 0 entering through a log barrier.
+    """Smooth concave constraints g_i(x) >= 0 entering through a log barrier.
 
-    `fn` returns (value, gradient).  `tol` is the residual allowed when the
-    final point is validated (barriers stop strictly inside, but a caller
-    may seed exactly on the boundary)."""
+    `fn` returns the values of its m constraint rows and their Jacobian,
+    shapes (m,) and (m, d); a scalar value with a gradient of shape (d,)
+    is the one-row case.  The barrier adds mu * sum_i log g_i(x).  `tol`
+    is the residual allowed on every row when the final point is
+    validated (barriers stop strictly inside, but a caller may seed
+    exactly on the boundary)."""
 
-    fn: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     tol: float = 1e-9
 
 
@@ -37,7 +40,8 @@ class BarrierTerm:
 class FeasibleSet:
     """Convex feasible region: optional ball, halfspaces a.x <= b, and
     per-variable lower bounds.  Nonlinear concave constraints ride along as
-    barrier terms and do not participate in projection.
+    barrier terms, each carrying one or more constraint rows, and do not
+    participate in projection.
 
     Projection is exact for the three shapes this package builds: a ball
     alone, any set over one variable (an interval), and halfspaces with
@@ -176,10 +180,11 @@ class FeasibleSet:
         return worst
 
     def barrier_violation(self, x: np.ndarray) -> float:
+        """Largest residual over every row of every barrier term."""
         worst = 0.0
         for term in self.barrier_terms:
             val, _ = term.fn(x)
-            worst = max(worst, -(val + term.tol))
+            worst = max(worst, -(float(np.min(val)) + term.tol))
         return worst
 
 
@@ -273,11 +278,12 @@ def maximize_concave(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
             if not math.isfinite(val):
                 return -math.inf, grad
             for term in fset.barrier_terms:
-                g_val, g_grad = term.fn(x)
-                if g_val <= 0.0:
+                g_val, g_jac = term.fn(x)
+                g_val = np.asarray(g_val)
+                if (g_val <= 0.0).any():
                     return -math.inf, grad
-                val += mu * math.log(g_val)
-                grad = grad + (mu / g_val) * g_grad
+                val += mu * float(np.log(g_val).sum())
+                grad = grad + np.dot(mu / g_val, g_jac)
             return val, grad
         return f
 

@@ -9,6 +9,13 @@ move is kept only if the exact slot objective did not drop, with
 step-halving toward the incumbent, so the outer trace is nondecreasing
 regardless of surrogate quality.  Whenever an approximated constraint
 set turns out empty the stage returns the incumbent unchanged.
+
+Both stages work on arrays over the P relayed (UE, subchannel) pairs:
+one evaluation of a stage's gain bounds gives every pair's two hop gains
+and their gradients at a point, shared by the objective and by the one
+barrier term that carries all 2P hop floors.  Each position is audited
+on the exact channel once per `to_algorithm` call: a stage starts from
+the audit that ended the previous one.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import gain_matrices, los_probability
+from .channel import ChannelGains, gain_matrices, los_probability, slot_channel
 from .convex_core import BarrierTerm, FeasibleSet, maximize_concave
 from .link_rate import PowerAllocation, rate_report
 from .scenario import A2GParams, Scenario, UavState
@@ -63,8 +70,10 @@ class SlotInputs:
 class Audit:
     """The exact slot with the UAV at one position."""
 
-    objective: float  # weighted sum rate
-    surplus: float    # worst normalized SNR surplus over relayed assignments
+    position: np.ndarray  # (3,)
+    gains: ChannelGains   # the exact channel at the position
+    objective: float      # weighted sum rate
+    surplus: float        # worst normalized SNR surplus over relayed assignments
     # weighted rate of the cellular UEs: their links never touch the UAV,
     # so this share of the objective is constant in the position, and
     # stage stop rules measure progress against the remainder
@@ -72,8 +81,9 @@ class Audit:
 
 
 def _audit(pos, inputs: SlotInputs) -> Audit:
-    """The slot at UAV position `pos`, from one channel draw."""
+    """The slot at UAV position `pos`, from one channel evaluation."""
     s = inputs.scenario
+    pos = np.array(pos, dtype=float)
     gains = gain_matrices(s, pos, inputs.slot_index)
     report = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
                          inputs.weights, s)
@@ -83,62 +93,136 @@ def _audit(pos, inputs: SlotInputs) -> Audit:
                   for g, t in zip(report.link.snr, report.link.thresholds())) - 1.0
     cellular = beta == 0
     fixed = float(np.dot(inputs.weights[cellular], report.per_ue_rate[cellular]))
-    return Audit(report.objective, surplus, fixed)
+    return Audit(pos, gains, report.objective, surplus, fixed)
+
+
+# ---------------------------------------------------------------------------
+# Surrogate rates shared by both stages.  A stage context exposes the
+# expansion point `x0`, each pair's UE `ue` and subchannel `sub`, and
+# `bounds(x)`, which returns every pair's hop gains and their gradients,
+# (h1, g1, h2, g2) of shapes (P,), (P, d), (P,), (P, d).
+
+
+def _surrogate_rates(ctx, inputs: SlotInputs):
+    """Per-pair concave lower bounds on the relayed rates around the
+    expansion point, as a function x -> (rates (P,), jacobian (P, d)),
+    or None where a bound drives a hop's signal-plus-noise to zero.
+
+    The AF rate is 0.5 log2(a1 a2) - 0.5 log2(sigma2 * x) with a1, a2 and
+    x affine in the hop gains; the last, interference, log is replaced by
+    its tangent at the expansion point, so each rate is concave in the
+    gain bounds and tight at the expansion."""
+    s = inputs.scenario
+    sigma2, c = s.noise_var, s.noise_plus_ici_scale
+    p1 = inputs.powers.p_ue[ctx.ue, ctx.sub]
+    p2 = inputs.powers.p_uav[ctx.sub]
+    k1, k2 = (0.5 / LN2) * p1, (0.5 / LN2) * p2
+    h1, g1, h2, g2 = ctx.bounds(ctx.x0)
+    x = c * p1 * h1 + p2 * h2 + c * sigma2
+    i0 = 0.5 * np.log2(sigma2 * x)
+    gi0 = (c * k1[:, None] * g1 + k2[:, None] * g2) / x[:, None]
+
+    def rates(xv: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        h1, g1, h2, g2 = ctx.bounds(xv)
+        a1 = p1 * h1 + sigma2
+        a2 = p2 * h2 + c * sigma2
+        if (a1 <= 0.0).any() or (a2 <= 0.0).any():
+            return None
+        val = 0.5 * np.log2(a1 * a2) - i0 - gi0 @ (xv - ctx.x0)
+        return val, (k1 / a1)[:, None] * g1 + (k2 / a2)[:, None] * g2 - gi0
+
+    return rates
+
+
+def _stage_objective(ctx, inputs: SlotInputs):
+    """The weighted sum of the surrogate rates and its gradient."""
+    rates = _surrogate_rates(ctx, inputs)
+    w = inputs.weights[ctx.ue]
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        out = rates(x)
+        if out is None:
+            return -math.inf, np.zeros(x.size)
+        return float(w @ out[0]), w @ out[1]
+
+    return objective
+
+
+def _hop_targets(ctx, inputs: SlotInputs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair gains at which each hop sits exactly on its SNR floor."""
+    s = inputs.scenario
+    thr = s.snr_thresholds
+    t1 = s.noise_var * thr.ue_uav / inputs.powers.p_ue[ctx.ue, ctx.sub]
+    t2 = (s.noise_var + s.ici_power) * thr.uav_bs / inputs.powers.p_uav[ctx.sub]
+    return t1, t2
+
+
+def _pair_index(inputs: SlotInputs) -> tuple[np.ndarray, np.ndarray]:
+    """The UE and the subchannel of every relayed pair, as index arrays."""
+    pairs = inputs.relay_pairs()
+    return (np.array([n for n, _ in pairs], dtype=int),
+            np.array([k for _, k in pairs], dtype=int))
 
 
 # ---------------------------------------------------------------------------
 # Horizontal stage: concave tangent bounds on the air gains in (x, y).
 
-class _PeerCore:
-    """Concave lower bound, and its gradient, on the frequency-free
-    reciprocal pathloss 1 / (d^2 * mixture) toward one ground peer, as a
-    function of the UAV's horizontal position at fixed altitude.
+class _PeerCores:
+    """Concave lower bounds, and their gradients, on the frequency-free
+    reciprocal pathloss 1 / (d^2 * mixture) toward each ground peer, as
+    functions of the UAV's horizontal position at fixed altitude.
 
-    Built from three tangents taken at the expansion point: the elevation
-    angle in the slant ratio, the logistic LoS probability in the angle,
-    and the reciprocal in the resulting pathloss.  Each tangent is global,
-    so the composite is a global lower bound, tight at the expansion.
-    """
+    Built per peer from three tangents taken at the expansion point: the
+    elevation angle in the slant ratio, the logistic LoS probability in
+    the angle, and the reciprocal in the resulting pathloss.  Each tangent
+    is global, so each composite is a global lower bound, tight at the
+    expansion."""
 
-    def __init__(self, peer_xy, dz: float, params: A2GParams, exp_xy):
-        if dz <= 0.0:
+    def __init__(self, peers_xy: np.ndarray, dz: np.ndarray, params: A2GParams,
+                 exp_xy: np.ndarray):
+        if np.any(dz <= 0.0):
             raise ValueError("peer must sit below the UAV")
-        self.peer_xy = np.asarray(peer_xy, dtype=float)
-        self.dz = float(dz)
-        self.params = params
-        self.exp_xy = np.asarray(exp_xy, dtype=float)
-
-        r = float(np.linalg.norm(self.exp_xy - self.peer_xy))
-        if r < _NUDGE * 0.5:
+        p = params
+        self.peers_xy = peers_xy
+        self.dz2 = dz * dz
+        self.inv_dz2 = 1.0 / self.dz2
+        r = np.sqrt(np.sum((exp_xy - peers_xy) ** 2, axis=1))
+        if np.any(r < _NUDGE * 0.5):
             raise ValueError("expansion point degenerate; nudge it first")
-        slant = math.sqrt(1.0 + (r / dz) ** 2)  # 3-d distance over height
-        self.c0 = slant
-        self.theta0 = math.degrees(math.asin(1.0 / slant))
-        self.theta_slope = -math.degrees(1.0) / (slant * math.sqrt(slant * slant - 1.0))
-        self.d0 = 1.0 + params.a * math.exp(-params.b * (self.theta0 - params.a))
-        self.shape0 = self._pathloss_shape(self.exp_xy)[0]
+        slant = np.sqrt(1.0 + (r / dz) ** 2)  # 3-d distance over height
+        theta0 = np.degrees(np.arcsin(1.0 / slant))
+        theta_slope = -math.degrees(1.0) / (slant * np.sqrt(slant * slant - 1.0))
+        d0 = 1.0 + p.a * np.exp(-p.b * (theta0 - p.a))
+        # the tangent angle theta0 + theta_slope * (s - slant) enters the
+        # logistic as e = a * exp(exp_slope * s + exp_shift), and the
+        # tangent of 1/u at u = d0, taken at u = 1 + e, turns the mixture
+        # into m0 - m1 * e
+        self.a = p.a
+        self.exp_slope = -p.b * theta_slope
+        self.exp_shift = -p.b * (theta0 - theta_slope * slant - p.a)
+        self.m0 = p.eta_nlos + (p.eta_los - p.eta_nlos) * (2.0 / d0 - 1.0 / (d0 * d0))
+        self.m1 = (p.eta_los - p.eta_nlos) / (d0 * d0)
+        # d(mixture)/d(xy) = e * dmix * diff / slant
+        self.dmix = self.m1 * p.b * theta_slope * self.inv_dz2
+        _, _, _, d2, mix = self._terms(exp_xy)
+        shape0 = d2 * mix
+        self.two_over_shape0 = 2.0 / shape0
+        self.inv_shape0_sq = 1.0 / (shape0 * shape0)
 
-    def _pathloss_shape(self, xy) -> tuple[float, np.ndarray]:
-        """Convex upper bound on d^2 * mixture and its gradient."""
-        p = self.params
-        diff = np.asarray(xy, dtype=float) - self.peer_xy
-        r2 = float(diff @ diff)
-        slant = math.sqrt(1.0 + r2 / (self.dz * self.dz))
-        g_slant = diff / (self.dz * self.dz * slant)
-        theta = self.theta0 + self.theta_slope * (slant - self.c0)
-        g_theta = self.theta_slope * g_slant
-        e = p.a * math.exp(min(-p.b * (theta - p.a), _EXP_CAP))
-        pr = 2.0 / self.d0 - (1.0 + e) / (self.d0 * self.d0)
-        g_pr = (p.b * e / (self.d0 * self.d0)) * g_theta
-        mix = p.eta_nlos + (p.eta_los - p.eta_nlos) * pr
-        g_mix = (p.eta_los - p.eta_nlos) * g_pr
-        d2 = r2 + self.dz * self.dz
-        return d2 * mix, mix * 2.0 * diff + d2 * g_mix
+    def _terms(self, xy):
+        diff = xy - self.peers_xy
+        r2 = np.einsum("ij,ij->i", diff, diff)
+        slant = np.sqrt(1.0 + r2 * self.inv_dz2)
+        e = self.a * np.exp(np.minimum(self.exp_slope * slant + self.exp_shift, _EXP_CAP))
+        return diff, slant, e, r2 + self.dz2, self.m0 - self.m1 * e
 
-    def value_grad(self, xy) -> tuple[float, np.ndarray]:
-        shape, g_shape = self._pathloss_shape(xy)
-        return 2.0 / self.shape0 - shape / (self.shape0 * self.shape0), \
-            -g_shape / (self.shape0 * self.shape0)
+    def value_grad(self, xy) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds (N + 1,) and gradients (N + 1, 2) at `xy`: the tangent
+        of the reciprocal at shape0, 2/shape0 - shape/shape0^2, of the
+        convex pathloss shape d^2 * mixture."""
+        diff, slant, e, d2, mix = self._terms(xy)
+        coef = (2.0 * mix + d2 * e * self.dmix / slant) * self.inv_shape0_sq
+        return self.two_over_shape0 - d2 * mix * self.inv_shape0_sq, -coef[:, None] * diff
 
 
 def _nudged_expansion(xy, peers_xy) -> tuple[np.ndarray, bool]:
@@ -162,121 +246,57 @@ def _nudged_expansion(xy, peers_xy) -> tuple[np.ndarray, bool]:
 class SurrogateContext:
     """Tangent gain bounds for one horizontal expansion point.
 
-    Scales fold the carrier frequency and the slot's fading draw per
-    (link, subchannel); the geometric core is shared per peer."""
+    The peer cores are the geometry (rows: the N UEs, then the BS); each
+    pair's hop scales fold the carrier frequency and the slot's fading
+    draw of its (peer, subchannel) link."""
 
-    expansion_xy: np.ndarray
-    altitude: float
-    pairs: tuple[tuple[int, int], ...]
-    ue_cores: tuple[_PeerCore, ...]
-    bs_core: _PeerCore
-    ue_scale: np.ndarray    # (N, K)
-    bs_scale: np.ndarray    # (K,)
-    sigma2: float
-    c_noise: float
+    x0: np.ndarray          # (2,) expansion point
+    ue: np.ndarray          # (P,)
+    sub: np.ndarray         # (P,)
+    cores: _PeerCores
+    scale1: np.ndarray      # (P,) access-hop scales
+    scale2: np.ndarray      # (P,) backhaul-hop scales
     nudged: bool
+    # the bounds at the last point asked for: an inner solve evaluates the
+    # objective and the barrier at each point, one after the other
+    _last: list = field(default_factory=lambda: [None, None], repr=False, compare=False)
 
-    def ue_bound(self, n: int, k: int, xy) -> tuple[float, np.ndarray]:
-        v, g = self.ue_cores[n].value_grad(xy)
-        s = self.ue_scale[n, k]
-        return s * v, s * g
-
-    def bs_bound(self, k: int, xy) -> tuple[float, np.ndarray]:
-        v, g = self.bs_core.value_grad(xy)
-        s = self.bs_scale[k]
-        return s * v, s * g
+    def bounds(self, xy: np.ndarray):
+        key = xy.tobytes()
+        if key != self._last[0]:
+            v, g = self.cores.value_grad(xy)
+            self._last[:] = key, (self.scale1 * v[self.ue], self.scale1[:, None] * g[self.ue],
+                                  self.scale2 * v[-1], self.scale2[:, None] * g[-1])
+        return self._last[1]
 
 
 def horizontal_surrogate(inputs: SlotInputs, position) -> SurrogateContext:
     """Build the tangent bounds around `position` (expansion nudged off
     any peer it sits directly above)."""
     s = inputs.scenario
+    chan = slot_channel(s, inputs.slot_index)
     z = float(position[2])
-    peers = [np.array([0.0, 0.0])] + [np.array(p[:2], dtype=float) for p in s.ue_positions]
-    exp_xy, nudged = _nudged_expansion(np.asarray(position[:2], dtype=float), peers)
-
-    bs_core = _PeerCore(peers[0], z - s.bs_height, s.a2g, exp_xy)
-    ue_cores = tuple(_PeerCore(peers[1 + n], z - s.ue_positions[n][2], s.a2g, exp_xy)
-                     for n in range(s.n_ues))
-    gains = gain_matrices(s, (exp_xy[0], exp_xy[1], z), inputs.slot_index)
-    ue_scale = gains.h_ue_uav * np.array([c.shape0 for c in ue_cores])[:, None]
-    bs_scale = gains.h_uav_bs * bs_core.shape0
-    return SurrogateContext(exp_xy, z, inputs.relay_pairs(), ue_cores, bs_core,
-                            ue_scale, bs_scale, s.noise_var,
-                            s.noise_plus_ici_scale, nudged)
+    peers_xy = chan.peers[:, :2]
+    exp_xy, nudged = _nudged_expansion(np.asarray(position[:2], dtype=float), peers_xy)
+    cores = _PeerCores(peers_xy, z - chan.peers[:, 2], s.a2g, exp_xy)
+    ue, sub = _pair_index(inputs)
+    return SurrogateContext(exp_xy, ue, sub, cores,
+                            chan.air_scale[ue, sub], chan.air_scale[-1, sub], nudged)
 
 
-def _pair_anchor(ctx: SurrogateContext, n: int, k: int, p_ue: float, p_uav: float,
-                 sigma2: float, c: float) -> tuple[float, np.ndarray]:
-    """Value and gradient, at the expansion point, of the interference log
-    that gets linearized in the concave-minus-concave split."""
-    h1, g1 = ctx.ue_bound(n, k, ctx.expansion_xy)
-    h2, g2 = ctx.bs_bound(k, ctx.expansion_xy)
-    x = c * p_ue * h1 + p_uav * h2 + c * sigma2
-    val = 0.5 * math.log2(sigma2 * x)
-    grad = (0.5 / LN2) * (c * p_ue * g1 + p_uav * g2) / x
-    return val, grad
+def _horizontal_barrier(ctx: SurrogateContext, inputs: SlotInputs) -> BarrierTerm:
+    """All 2P approximated hop floors (every pair's access hop, then every
+    backhaul hop), normalized and slightly relaxed so an incumbent funded
+    exactly at the floor stays strictly interior."""
+    t1, t2 = _hop_targets(ctx, inputs)
+    inv = 1.0 / np.concatenate([t1, t2])
 
+    def rows(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h1, g1, h2, g2 = ctx.bounds(xy)
+        return (np.concatenate([h1, h2]) * inv - 1.0 + _QOS_SLACK,
+                np.concatenate([g1, g2]) * inv[:, None])
 
-def _pair_rate_bound(ctx: SurrogateContext, n: int, k: int, xy, p_ue: float,
-                     p_uav: float, sigma2: float, c: float,
-                     anchor: tuple[float, np.ndarray]) -> tuple[float, np.ndarray]:
-    h1, g1 = ctx.ue_bound(n, k, xy)
-    h2, g2 = ctx.bs_bound(k, xy)
-    a1 = p_ue * h1 + sigma2
-    a2 = p_uav * h2 + c * sigma2
-    if a1 <= 0.0 or a2 <= 0.0:
-        return -math.inf, np.zeros(2)
-    val = 0.5 * (math.log2(a1) + math.log2(a2))
-    grad = (0.5 / LN2) * (p_ue * g1 / a1 + p_uav * g2 / a2)
-    i0, gi0 = anchor
-    xy = np.asarray(xy, dtype=float)
-    return val - i0 - float(gi0 @ (xy - ctx.expansion_xy)), grad - gi0
-
-
-def _horizontal_objective(ctx: SurrogateContext, inputs: SlotInputs):
-    s = inputs.scenario
-    sigma2, c = s.noise_var, s.noise_plus_ici_scale
-    w = inputs.weights
-    p_ue, p_uav = inputs.powers.p_ue, inputs.powers.p_uav
-    anchors = [_pair_anchor(ctx, n, k, p_ue[n, k], p_uav[k], sigma2, c)
-               for n, k in ctx.pairs]
-
-    def objective(xy: np.ndarray) -> tuple[float, np.ndarray]:
-        total, grad = 0.0, np.zeros(2)
-        for (n, k), anchor in zip(ctx.pairs, anchors):
-            val, g = _pair_rate_bound(ctx, n, k, xy, p_ue[n, k], p_uav[k],
-                                      sigma2, c, anchor)
-            if not math.isfinite(val):
-                return -math.inf, np.zeros(2)
-            total += w[n] * val
-            grad += w[n] * g
-        return total, grad
-
-    return objective
-
-
-def _horizontal_barriers(ctx: SurrogateContext, inputs: SlotInputs) -> list[BarrierTerm]:
-    """Approximated per-hop SNR floors, normalized and slightly relaxed so
-    an incumbent funded exactly at the floor stays strictly interior."""
-    s = inputs.scenario
-    thr = s.snr_thresholds
-    terms = []
-    for n, k in ctx.pairs:
-        t1 = s.noise_var * thr.ue_uav / inputs.powers.p_ue[n, k]
-        t2 = (s.noise_var + s.ici_power) * thr.uav_bs / inputs.powers.p_uav[k]
-
-        def hop1(xy, n=n, k=k, t=t1):
-            h, g = ctx.ue_bound(n, k, xy)
-            return h / t - 1.0 + _QOS_SLACK, g / t
-
-        def hop2(xy, k=k, t=t2):
-            h, g = ctx.bs_bound(k, xy)
-            return h / t - 1.0 + _QOS_SLACK, g / t
-
-        terms.append(BarrierTerm(hop1))
-        terms.append(BarrierTerm(hop2))
-    return terms
+    return BarrierTerm(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -296,68 +316,90 @@ class StageLog:
     rows: list = field(default_factory=list)
 
 
-def _backtrack(incumbent, candidate, z_of, inputs: SlotInputs, inc_obj: float):
+def _backtrack(incumbent: Audit, x_inc: np.ndarray, x_cand: np.ndarray, position_of,
+               inputs: SlotInputs) -> Audit | None:
     """Walk the candidate back toward the incumbent until the exact
-    objective stops dropping and the relayed SNRs still clear their floors."""
-    incumbent = np.asarray(incumbent, dtype=float)
-    candidate = np.asarray(candidate, dtype=float)
-    floor = inc_obj - _ACCEPT_SLACK * max(1.0, abs(inc_obj))
+    objective stops dropping and the relayed SNRs still clear their
+    floors; None if no step does.  A trial that lands on the incumbent
+    reuses its audit."""
+    floor = incumbent.objective - _ACCEPT_SLACK * max(1.0, abs(incumbent.objective))
     tau = 1.0
     for _ in range(_BACKTRACK_STEPS):
-        trial = incumbent + tau * (candidate - incumbent)
-        audit = _audit(z_of(trial), inputs)
+        pos = position_of(x_inc + tau * (x_cand - x_inc))
+        audit = incumbent if np.array_equal(pos, incumbent.position) else _audit(pos, inputs)
         if audit.objective >= floor and audit.surplus >= -_QOS_CHECK_TOL:
-            return True, trial, audit.objective, audit.surplus
+            return audit
         tau *= 0.5
-    return False, incumbent, inc_obj, math.nan
+    return None
 
 
-def solve_horizontal(state: UavState, inputs: SlotInputs) -> tuple[np.ndarray, StageLog]:
-    """One SCP run over (x, y) at the current altitude.  Returns the final
-    horizontal position and the stage log."""
-    s = inputs.scenario
-    log = StageLog("horizontal")
-    cur = np.asarray(state.pos, dtype=float)
-    anchor = np.asarray(state.prev_pos, dtype=float)
-    xy, z = cur[:2].copy(), float(cur[2])
-    start = _audit(cur, inputs)
-    obj = log.objective = start.objective
-    if not inputs.relay_pairs():
-        log.reason = "no relayed assignments; objective does not depend on position"
-        return xy, log
+def _run_stage(log: StageLog, start: Audit, inputs: SlotInputs, build) -> Audit:
+    """The SCP loop of one stage, from the audited incumbent `start`.
 
-    r_eff = move_radius(s.d_max, s.e_max, s.slot_len, s.propulsion)
-    r_h = math.sqrt(max(r_eff * r_eff - (z - anchor[2]) ** 2, 0.0))
-    ball = (anchor[:2], r_h)
-    eps = s.tolerances.trajectory
-
+    `build(incumbent)` returns the stage's variable at the incumbent, its
+    surrogate context, feasible set, the reason to stop before solving
+    (empty when the incumbent is inside the approximated set), and the
+    map from the variable to a UAV position."""
+    eps = inputs.scenario.tolerances.trajectory
+    cur = start
     for it in range(1, _MAX_STAGE_ITERS + 1):
         log.iterations = it
-        ctx = horizontal_surrogate(inputs, (xy[0], xy[1], z))
-        fset = FeasibleSet(ball=ball, barrier_terms=_horizontal_barriers(ctx, inputs))
-        if any(term.fn(xy)[0] <= 0.0 for term in fset.barrier_terms):
-            log.reason = "approximated SNR set leaves no room at the incumbent"
+        x, ctx, fset, blocked, position_of = build(cur)
+        if blocked:
+            log.reason = blocked
             break
-        res = maximize_concave(_horizontal_objective(ctx, inputs), fset, xy,
+        res = maximize_concave(_stage_objective(ctx, inputs), fset, x,
                                max_iters=_INNER_ITERS)
         if not res.feasible:
             log.reason = f"inner solve unusable: {res.diagnostics.reason}"
             break
-        ok, xy_new, new_obj, surplus = _backtrack(
-            xy, res.x, lambda w: (w[0], w[1], z), inputs, obj)
-        if not ok:
+        new = _backtrack(cur, x, res.x, position_of, inputs)
+        if new is None:
             log.reason = "no step kept the exact objective from dropping"
             break
         log.accepted += 1
-        log.rows.append((it, xy_new[0], xy_new[1], z, new_obj, surplus))
-        rel = (new_obj - obj) / max(obj - start.fixed, 1e-9)
-        xy, obj = xy_new, new_obj
+        log.rows.append((it, *new.position, new.objective, new.surplus))
+        rel = (new.objective - cur.objective) / max(cur.objective - start.fixed, 1e-9)
+        cur = new
         if rel < eps:
             break
     else:
         log.capped = True
-    log.objective = obj
-    return xy, log
+    log.objective = cur.objective
+    return cur
+
+
+def _stage_start(stage: str, start: Audit, inputs: SlotInputs) -> StageLog:
+    log = StageLog(stage, objective=start.objective)
+    if not inputs.relay_pairs():
+        log.reason = "no relayed assignments; objective does not depend on position"
+    return log
+
+
+def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, StageLog]:
+    """One SCP run over (x, y) at the altitude of the audited position
+    `start`, within the move radius around `anchor`.  Returns the audit
+    of the final position and the stage log."""
+    s = inputs.scenario
+    log = _stage_start("horizontal", start, inputs)
+    if log.reason:
+        return start, log
+    anchor = np.asarray(anchor, dtype=float)
+    z = float(start.position[2])
+    r_eff = move_radius(s.d_max, s.e_max, s.slot_len, s.propulsion)
+    r_h = math.sqrt(max(r_eff * r_eff - (z - anchor[2]) ** 2, 0.0))
+    ball = (anchor[:2], r_h)
+
+    def build(cur: Audit):
+        xy = cur.position[:2].copy()
+        ctx = horizontal_surrogate(inputs, cur.position)
+        barrier = _horizontal_barrier(ctx, inputs)
+        blocked = ("approximated SNR set leaves no room at the incumbent"
+                   if np.any(barrier.fn(xy)[0] <= 0.0) else "")
+        return (xy, ctx, FeasibleSet(ball=ball, barrier_terms=[barrier]), blocked,
+                lambda w: (w[0], w[1], z))
+
+    return _run_stage(log, start, inputs, build), log
 
 
 # ---------------------------------------------------------------------------
@@ -395,153 +437,86 @@ def los_linearization(peer_pos, xy, z0: float, params: A2GParams) -> LosLineariz
     return LosLinearization(z0, d0, pr0, slope)
 
 
-@dataclass(frozen=True)
-class AltitudeContext:
-    """Affine-in-z gain bounds at fixed horizontal position.
-
-    Each link's gain model is h0 * (1 - q*(z - z0)) with q the relative
-    pathloss slope from the linearized LoS probability; q < 0, so every
-    bound grows with altitude and exact-objective acceptance does the
-    pruning."""
-
-    xy: np.ndarray
-    z0: float
-    pairs: tuple[tuple[int, int], ...]
-    lin_bs: LosLinearization
-    lin_ue: tuple[LosLinearization, ...]
-    q_bs: float
-    q_ue: np.ndarray        # (N,)
-    h0_ue: np.ndarray       # (N, K)
-    h0_bs: np.ndarray       # (K,)
-
-    def ue_bound(self, n: int, k: int, z: float) -> tuple[float, float]:
-        h0, q = self.h0_ue[n, k], self.q_ue[n]
-        return h0 * (1.0 - q * (z - self.z0)), -h0 * q
-
-    def bs_bound(self, k: int, z: float) -> tuple[float, float]:
-        h0, q = self.h0_bs[k], self.q_bs
-        return h0 * (1.0 - q * (z - self.z0)), -h0 * q
-
-
 def _relative_pathloss_slope(lin: LosLinearization, params: A2GParams) -> float:
     mix0 = params.eta_nlos + (params.eta_los - params.eta_nlos) * lin.e0
     return (params.eta_los - params.eta_nlos) * lin.slope / (lin.d0 * mix0)
 
 
-def altitude_surrogate(inputs: SlotInputs, position) -> AltitudeContext:
+@dataclass(frozen=True)
+class AltitudeContext:
+    """Affine-in-z gain bounds at fixed horizontal position.
+
+    Each link's gain model is h0 * (1 - q*(z - z0)) with h0 its exact gain
+    at z0 and q the relative pathloss slope from the linearized LoS
+    probability of its peer; q < 0, so every bound grows with altitude and
+    exact-objective acceptance does the pruning."""
+
+    x0: np.ndarray          # (1,) expansion altitude
+    ue: np.ndarray          # (P,)
+    sub: np.ndarray         # (P,)
+    h1: np.ndarray          # (P,) access-hop gains at z0
+    q1: np.ndarray          # (P,)
+    h2: np.ndarray          # (P,) backhaul-hop gains at z0
+    q2: np.ndarray          # (P,)
+
+    def bounds(self, zvec: np.ndarray):
+        dz = zvec[0] - self.x0[0]
+        return (self.h1 * (1.0 - self.q1 * dz), -(self.h1 * self.q1)[:, None],
+                self.h2 * (1.0 - self.q2 * dz), -(self.h2 * self.q2)[:, None])
+
+
+def altitude_surrogate(inputs: SlotInputs, audit: Audit) -> AltitudeContext:
+    """Linearize around the audited position: its exact gains and the LoS
+    slopes of its N UE links and its BS link."""
     s = inputs.scenario
-    xy = np.asarray(position[:2], dtype=float)
-    z0 = float(position[2])
-    lin_bs = los_linearization((0.0, 0.0, s.bs_height), xy, z0, s.a2g)
-    lin_ue = tuple(los_linearization(p, xy, z0, s.a2g) for p in s.ue_positions)
-    gains = gain_matrices(s, (xy[0], xy[1], z0), inputs.slot_index)
-    return AltitudeContext(
-        xy, z0, inputs.relay_pairs(), lin_bs, lin_ue,
-        _relative_pathloss_slope(lin_bs, s.a2g),
-        np.array([_relative_pathloss_slope(lin, s.a2g) for lin in lin_ue]),
-        gains.h_ue_uav.copy(), gains.h_uav_bs.copy())
-
-
-def _altitude_objective(ctx: AltitudeContext, inputs: SlotInputs):
-    s = inputs.scenario
-    sigma2, c = s.noise_var, s.noise_plus_ici_scale
-    w = inputs.weights
-    p_ue, p_uav = inputs.powers.p_ue, inputs.powers.p_uav
-
-    anchors = []
-    for n, k in ctx.pairs:
-        h1, g1 = ctx.ue_bound(n, k, ctx.z0)
-        h2, g2 = ctx.bs_bound(k, ctx.z0)
-        x = c * p_ue[n, k] * h1 + p_uav[k] * h2 + c * sigma2
-        anchors.append((0.5 * math.log2(sigma2 * x),
-                        (0.5 / LN2) * (c * p_ue[n, k] * g1 + p_uav[k] * g2) / x))
-
-    def objective(zvec: np.ndarray) -> tuple[float, np.ndarray]:
-        z = float(zvec[0])
-        total, slope = 0.0, 0.0
-        for (n, k), (i0, gi0) in zip(ctx.pairs, anchors):
-            h1, g1 = ctx.ue_bound(n, k, z)
-            h2, g2 = ctx.bs_bound(k, z)
-            a1 = p_ue[n, k] * h1 + sigma2
-            a2 = p_uav[k] * h2 + c * sigma2
-            if a1 <= 0.0 or a2 <= 0.0:
-                return -math.inf, np.zeros(1)
-            val = 0.5 * (math.log2(a1) + math.log2(a2)) - i0 - gi0 * (z - ctx.z0)
-            total += w[n] * val
-            slope += w[n] * ((0.5 / LN2) * (p_ue[n, k] * g1 / a1 + p_uav[k] * g2 / a2) - gi0)
-        return total, np.array([slope])
-
-    return objective
+    xy, z0 = audit.position[:2], float(audit.position[2])
+    peers = (*s.ue_positions, (0.0, 0.0, s.bs_height))
+    q = np.array([_relative_pathloss_slope(los_linearization(p, xy, z0, s.a2g), s.a2g)
+                  for p in peers])
+    ue, sub = _pair_index(inputs)
+    g = audit.gains
+    return AltitudeContext(np.array([z0]), ue, sub,
+                           g.h_ue_uav[ue, sub], q[ue], g.h_uav_bs[sub],
+                           np.full(sub.shape, q[-1]))
 
 
 def _altitude_halfspaces(ctx: AltitudeContext, inputs: SlotInputs) -> list[tuple[np.ndarray, float]]:
     """Approximated SNR floors; affine gains make them plain halfspaces,
     normalized by their thresholds."""
+    t1, t2 = _hop_targets(ctx, inputs)
+    h0 = np.concatenate([ctx.h1, ctx.h2])
+    q = np.concatenate([ctx.q1, ctx.q2])
+    target = np.concatenate([t1, t2])
+    # h0*(1 - q*(z - z0)) >= target*(1 - slack), written a*z <= b
+    a = h0 * q / target
+    b = h0 * (1.0 + q * ctx.x0[0]) / target - 1.0 + _QOS_SLACK
+    return [(np.array([ai]), float(bi)) for ai, bi in zip(a, b)]
+
+
+def solve_altitude(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, StageLog]:
+    """One SCP run over z at the horizontal position of the audited
+    position `start`, within the move radius around `anchor`."""
     s = inputs.scenario
-    thr = s.snr_thresholds
-    spaces = []
-    for n, k in ctx.pairs:
-        for (h0, q), target in (
-                ((ctx.h0_ue[n, k], ctx.q_ue[n]),
-                 s.noise_var * thr.ue_uav / inputs.powers.p_ue[n, k]),
-                ((ctx.h0_bs[k], ctx.q_bs),
-                 (s.noise_var + s.ici_power) * thr.uav_bs / inputs.powers.p_uav[k])):
-            # h0*(1 - q*(z - z0)) >= target*(1 - slack), written a*z <= b
-            a = h0 * q / target
-            b = h0 * (1.0 + q * ctx.z0) / target - 1.0 + _QOS_SLACK
-            spaces.append((np.array([a]), b))
-    return spaces
-
-
-def solve_altitude(state: UavState, inputs: SlotInputs) -> tuple[float, StageLog]:
-    """One SCP run over z at the current horizontal position."""
-    s = inputs.scenario
-    log = StageLog("altitude")
-    cur = np.asarray(state.pos, dtype=float)
-    anchor = np.asarray(state.prev_pos, dtype=float)
-    xy, z = cur[:2], float(cur[2])
-    start = _audit(cur, inputs)
-    obj = log.objective = start.objective
-    if not inputs.relay_pairs():
-        log.reason = "no relayed assignments; objective does not depend on position"
-        return z, log
-
+    log = _stage_start("altitude", start, inputs)
+    if log.reason:
+        return start, log
+    anchor = np.asarray(anchor, dtype=float)
+    xy = start.position[:2].copy()
     r_eff = move_radius(s.d_max, s.e_max, s.slot_len, s.propulsion)
     r_z = math.sqrt(max(r_eff * r_eff - float(np.sum((xy - anchor[:2]) ** 2)), 0.0))
     floor = np.array([s.bs_height + _BS_CLEARANCE])
-    eps = s.tolerances.trajectory
 
-    for it in range(1, _MAX_STAGE_ITERS + 1):
-        log.iterations = it
-        ctx = altitude_surrogate(inputs, (xy[0], xy[1], z))
+    def build(cur: Audit):
+        ctx = altitude_surrogate(inputs, cur)
         fset = FeasibleSet(ball=(np.array([anchor[2]]), r_z),
                            halfspaces=_altitude_halfspaces(ctx, inputs),
                            lower_bounds=floor)
-        if fset.linear_violation(np.array([z])) > 1e-9:
-            log.reason = "approximated SNR set excludes the incumbent altitude"
-            break
-        res = maximize_concave(_altitude_objective(ctx, inputs), fset,
-                               np.array([z]), max_iters=_INNER_ITERS)
-        if not res.feasible:
-            log.reason = f"inner solve unusable: {res.diagnostics.reason}"
-            break
-        ok, z_new, new_obj, surplus = _backtrack(
-            np.array([z]), res.x, lambda v: (xy[0], xy[1], float(v[0])),
-            inputs, obj)
-        if not ok:
-            log.reason = "no step kept the exact objective from dropping"
-            break
-        z_new = float(z_new[0])
-        log.accepted += 1
-        log.rows.append((it, xy[0], xy[1], z_new, new_obj, surplus))
-        rel = (new_obj - obj) / max(obj - start.fixed, 1e-9)
-        z, obj = z_new, new_obj
-        if rel < eps:
-            break
-    else:
-        log.capped = True
-    log.objective = obj
-    return z, log
+        blocked = ("approximated SNR set excludes the incumbent altitude"
+                   if fset.linear_violation(ctx.x0) > 1e-9 else "")
+        return (ctx.x0, ctx, fset, blocked,
+                lambda v: (xy[0], xy[1], float(v[0])))
+
+    return _run_stage(log, start, inputs, build), log
 
 
 # ---------------------------------------------------------------------------
@@ -564,15 +539,14 @@ def to_algorithm(state: UavState, inputs: SlotInputs) -> TrajectoryResult:
     cellular terms are constant in the position, so folding them into the
     denominator would silence real gains on the movable links."""
     s = inputs.scenario
-    pos = np.asarray(state.pos, dtype=float).copy()
     anchor = tuple(float(v) for v in state.prev_pos)
-    start = _audit(pos, inputs)
+    start = cur = _audit(state.pos, inputs)
     obj = start.objective
     if not inputs.relay_pairs():
-        return TrajectoryResult(pos, obj, 0, False, [])
+        return TrajectoryResult(start.position, obj, 0, False, [])
 
     r_eff = move_radius(s.d_max, s.e_max, s.slot_len, s.propulsion)
-    if r_eff > 0.2 * pos[2]:
+    if r_eff > 0.2 * start.position[2]:
         warnings.warn("move radius exceeds 20% of the altitude; the "
                       "linear-in-z LoS model degrades", stacklevel=2)
 
@@ -582,10 +556,8 @@ def to_algorithm(state: UavState, inputs: SlotInputs) -> TrajectoryResult:
     eps = s.tolerances.trajectory
     for _ in range(_MAX_PASSES):
         passes += 1
-        xy, hlog = solve_horizontal(UavState(tuple(pos), anchor), inputs)
-        pos[:2] = xy
-        z, alog = solve_altitude(UavState(tuple(pos), anchor), inputs)
-        pos[2] = z
+        cur, hlog = solve_horizontal(cur, anchor, inputs)
+        cur, alog = solve_altitude(cur, anchor, inputs)
         logs += [hlog, alog]
         new_obj = alog.objective
         if new_obj > obj:
@@ -594,7 +566,7 @@ def to_algorithm(state: UavState, inputs: SlotInputs) -> TrajectoryResult:
         obj = max(obj, new_obj)
         if rel < eps:
             break
-    return TrajectoryResult(pos, obj, passes, improved, logs)
+    return TrajectoryResult(cur.position, obj, passes, improved, logs)
 
 
 def write_stage_trace(logs: list[StageLog], path) -> None:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,22 +54,33 @@ class TestLosProbability:
             ch.los_probability(90.1, 9.6, 0.28)
 
 
+def one_link_scenario(**kw):
+    """One UE and one 1 GHz subchannel; the BS antenna at 30 m is the air
+    peer the A2G tests measure against."""
+    base = dict(n_ues=1, n_subchannels=1, ue_positions=((100.0, 0.0, 0.0),),
+                subchannel_freqs=(1e9,), bs_height=30.0)
+    return Scenario(**{**base, **kw})
+
+
+def uav_bs_gain(uav, **kw):
+    return ch.gain_matrices(one_link_scenario(**kw), uav).h_uav_bs[0]
+
+
 class TestA2gGain:
     def test_overhead_reference_value(self):
         # chain: L(1 GHz) -> PR(90) -> mixture pathloss at d = 100
-        g = ch.a2g_gain((0, 0, 130.0), (0, 0, 30.0), 1e9, A2GParams())
-        assert g == pytest.approx(4.521093350235884e-08, rel=1e-10)
+        assert uav_bs_gain((0, 0, 130.0)) == pytest.approx(4.521093350235884e-08, rel=1e-10)
 
     def test_equal_attenuations_collapse_mixture(self):
         params = A2GParams(eta_los=3.0, eta_nlos=3.0)
         for uav in ((10.0, -20.0, 90.0), (50.0, 0.0, 140.0)):
             d = math.dist(uav, (0, 0, 30.0))
             expect = 1.0 / (ch.free_space_pathloss(1e9) * d * d * 3.0)
-            assert ch.a2g_gain(uav, (0, 0, 30.0), 1e9, params) == pytest.approx(expect, rel=1e-12)
+            assert uav_bs_gain(uav, a2g=params) == pytest.approx(expect, rel=1e-12)
 
     def test_distance_squared_law_at_fixed_elevation(self):
-        near = ch.a2g_gain((0, 0, 130.0), (0, 0, 30.0), 1e9, A2GParams())
-        far = ch.a2g_gain((0, 0, 230.0), (0, 0, 30.0), 1e9, A2GParams())
+        near = uav_bs_gain((0, 0, 130.0))
+        far = uav_bs_gain((0, 0, 230.0))
         assert far == pytest.approx(near / 4.0, rel=1e-12)
 
     def test_bracketed_by_pure_los_and_nlos(self):
@@ -78,37 +90,44 @@ class TestA2gGain:
         base = ch.free_space_pathloss(1e9) * d * d
         lo = 1.0 / (base * params.eta_nlos)
         hi = 1.0 / (base * params.eta_los)
-        assert lo < ch.a2g_gain(uav, peer, 1e9, params) < hi
-
-    def test_reciprocal(self):
-        a, b = (40.0, -10.0, 150.0), (0.0, 0.0, 30.0)
-        assert ch.a2g_gain(a, b, 1e9, A2GParams()) == ch.a2g_gain(b, a, 1e9, A2GParams())
+        assert lo < uav_bs_gain(uav) < hi
 
     def test_rejects_degenerate_geometry(self):
-        with pytest.raises(ValueError):
-            ch.a2g_gain((0, 0, 100.0), (0, 0, 100.0), 1e9, A2GParams())
-        with pytest.raises(ValueError):
-            ch.a2g_gain((0, 0, 100.0), (50, 0, 100.0), 1e9, A2GParams())
+        sc = one_link_scenario()
+        with pytest.raises(ValueError, match="coincident"):
+            ch.gain_matrices(sc, (0.0, 0.0, 30.0))  # on the BS antenna
+        with pytest.raises(ValueError, match="height"):
+            ch.gain_matrices(sc, (50.0, 0.0, 30.0))  # at the BS antenna's height
+        with pytest.raises(ValueError, match="height"):
+            ch.gain_matrices(sc, (40.0, 10.0, 0.0))  # at the UE's height
+        with pytest.raises(ValueError, match="coincident"):
+            ch.gain_matrices(sc, (100.0, 0.0, 0.0))  # on the UE
+        with pytest.raises(ValueError, match="finite"):
+            ch.gain_matrices(sc, (math.nan, 0.0, 100.0))
 
     @given(st.floats(10.0, 500.0), st.floats(31.0, 400.0))
     @settings(max_examples=50, deadline=None)
     def test_decreasing_in_distance_at_fixed_elevation(self, rho, z):
         # scale the whole geometry: elevation fixed, distance doubles
-        uav, peer = (rho, 0.0, 30.0 + z), (0.0, 0.0, 30.0)
-        far = (2 * rho, 0.0, 30.0 + 2 * z)
-        assert ch.a2g_gain(far, peer, 1e9, A2GParams()) < ch.a2g_gain(uav, peer, 1e9, A2GParams())
+        uav, far = (rho, 0.0, 30.0 + z), (2 * rho, 0.0, 30.0 + 2 * z)
+        assert uav_bs_gain(far) < uav_bs_gain(uav)
 
 
 class TestRayleighGain:
+    @staticmethod
+    def ue_bs_gain(ue):
+        return ch.gain_matrices(one_link_scenario(ue_positions=(ue,)),
+                                (0.0, 0.0, 130.0)).h_ue_bs[0, 0]
+
     def test_unit_distance(self):
-        assert ch.rayleigh_gain((0, 0, 0), (1, 0, 0), 4.0) == 1.0
+        assert self.ue_bs_gain((1.0, 0.0, 30.0)) == 1.0
 
     def test_power_law(self):
-        assert ch.rayleigh_gain((100, 0, 0), (0, 0, 0), 4.0) == pytest.approx(1e-8, rel=1e-12)
+        assert self.ue_bs_gain((100.0, 0.0, 30.0)) == pytest.approx(1e-8, rel=1e-12)
 
     def test_coincident_rejected(self):
-        with pytest.raises(ValueError):
-            ch.rayleigh_gain((1, 2, 0), (1, 2, 0), 4.0)
+        with pytest.raises(ValueError, match="coincident"):
+            self.ue_bs_gain((0.0, 0.0, 30.0))
 
 
 class TestFading:
@@ -131,6 +150,45 @@ class TestFading:
             ch.fading_draws("nakagami", 3, np.random.default_rng(0))
 
 
+def reference_gains(sc, uav, slot):
+    """The per-link formulas written out one link at a time, with the
+    slot's fading drawn in the package's order."""
+    n, k = sc.n_ues, sc.n_subchannels
+    if sc.fading_model == "none":
+        f_ue_bs, f_ue_uav, f_uav_bs = np.ones((n, k)), np.ones((n, k)), np.ones(k)
+    else:
+        rng = np.random.default_rng((sc.rng_seed, 7, slot))
+        ground = "rayleigh" if sc.fading_model == "mixed" else sc.fading_model
+        air = "rician" if sc.fading_model == "mixed" else sc.fading_model
+        f_ue_bs = ch.fading_draws(ground, (n, k), rng, sc.rician_k_factor)
+        f_ue_uav = ch.fading_draws(air, (n, k), rng, sc.rician_k_factor)
+        f_uav_bs = ch.fading_draws(air, (k,), rng, sc.rician_k_factor)
+
+    def a2g(peer, freq, fading):
+        d = math.dist(uav, peer)
+        elev = math.degrees(math.asin(abs(uav[2] - peer[2]) / d))
+        pr = ch.los_probability(elev, sc.a2g.a, sc.a2g.b)
+        base = ch.free_space_pathloss(freq) * d * d
+        return fading / (pr * base * sc.a2g.eta_los + (1.0 - pr) * base * sc.a2g.eta_nlos)
+
+    bs = (0.0, 0.0, sc.bs_height)
+    h_ue_bs, h_ue_uav, h_uav_bs = np.empty((n, k)), np.empty((n, k)), np.empty(k)
+    for j, f in enumerate(sc.subchannel_freqs):
+        h_uav_bs[j] = a2g(bs, f, f_uav_bs[j])
+        for i, ue in enumerate(sc.ue_positions):
+            h_ue_bs[i, j] = math.dist(ue, bs) ** (-sc.pathloss_exp) * f_ue_bs[i, j]
+            h_ue_uav[i, j] = a2g(ue, f, f_ue_uav[i, j])
+    return h_ue_bs, h_ue_uav, h_uav_bs
+
+
+def assert_matches_reference(sc, uav, slot):
+    gains = ch.gain_matrices(sc, uav, slot)
+    for got, want in zip((gains.h_ue_bs, gains.h_ue_uav, gains.h_uav_bs),
+                         reference_gains(sc, uav, slot)):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
 class TestGainMatrices:
     def test_shapes_and_positivity(self):
         s = Scenario().with_positions(seed=3)
@@ -147,13 +205,50 @@ class TestGainMatrices:
         assert np.allclose(gains.h_ue_bs, gains.h_ue_bs[:, :1])
         assert np.allclose(gains.h_uav_bs, gains.h_uav_bs[0])
 
+    @given(n=st.integers(1, 20), k=st.integers(1, 40), seed=st.integers(0, 10_000),
+           model=st.sampled_from(["none", "rayleigh", "rician", "mixed"]),
+           slot=st.integers(0, 9),
+           uav=st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0),
+                         st.floats(31.0, 300.0)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_link_reference(self, n, k, seed, model, slot, uav):
+        rng = np.random.default_rng(seed)
+        s = Scenario(n_ues=n, n_subchannels=k, fading_model=model, rng_seed=seed,
+                     subchannel_freqs=tuple(rng.uniform(0.7e9, 3.5e9, k)),
+                     rician_k_factor=float(rng.uniform(0.0, 15.0))).with_positions(seed)
+        assert_matches_reference(s, uav, slot)
+
     def test_fading_seeded_per_slot(self):
         s = Scenario(fading_model="rayleigh").with_positions(seed=3)
         a = ch.gain_matrices(s, s.uav_start, slot_index=0)
         b = ch.gain_matrices(s, s.uav_start, slot_index=0)
         c = ch.gain_matrices(s, s.uav_start, slot_index=1)
         assert np.array_equal(a.h_ue_bs, b.h_ue_bs)
+        assert np.array_equal(a.h_ue_uav, b.h_ue_uav)
         assert not np.array_equal(a.h_ue_bs, c.h_ue_bs)
+        assert not np.array_equal(a.h_ue_uav, c.h_ue_uav)
+        assert ch.slot_channel(s, 0) is ch.slot_channel(s, 0)
+
+    def test_shared_arrays_are_read_only(self):
+        s = Scenario(fading_model="mixed").with_positions(seed=3)
+        chan = ch.slot_channel(s, 0)
+        gains = ch.gain_matrices(s, s.uav_start)
+        for arr in (chan.h_ue_bs, chan.air_scale, chan.peers, gains.h_ue_bs):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_replaced_scenario_never_reads_stale_gains(self):
+        s = Scenario(fading_model="mixed").with_positions(seed=3)
+        uav = (20.0, -10.0, 120.0)
+        before = ch.gain_matrices(s, uav)
+        moved = replace(s, ue_positions=tuple((x + 7.0, y, z) for x, y, z in s.ue_positions))
+        reseeded = replace(s, rng_seed=s.rng_seed + 1)
+        for other in (moved, reseeded):
+            after = ch.gain_matrices(other, uav)
+            assert not np.array_equal(after.h_ue_bs, before.h_ue_bs)
+            assert not np.array_equal(after.h_ue_uav, before.h_ue_uav)
+            assert_matches_reference(other, uav, 0)
+        assert_matches_reference(s, uav, 0)
 
 
 class TestDirichletKernel:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavrelay import convex_core
 from uavrelay.convex_core import (
     BarrierTerm,
     FeasibleSet,
@@ -205,6 +206,78 @@ class TestMaximizeConcave:
         fs = FeasibleSet(lower_bounds=np.array([0.0]), barrier_terms=[BarrierTerm(g)])
         res = maximize_concave(quadratic_around([1.0]), fs, np.array([0.5]))
         assert not res.feasible
+
+
+def three_rows(x):
+    """Three concave constraints on the plane: a disc, a halfplane and a
+    parabola, as values (3,) and Jacobian (3, 2)."""
+    values = np.array([1.0 - float(np.dot(x, x)), 0.6 - x[0] + 0.2 * x[1],
+                       0.8 - x[1] - x[0] ** 2])
+    jac = np.array([-2.0 * x, [-1.0, 0.2], [-2.0 * x[0], -1.0]])
+    return values, jac
+
+
+def row_terms(rows, m):
+    return [BarrierTerm(lambda x, i=i: (rows(x)[0][i], rows(x)[1][i])) for i in range(m)]
+
+
+class TestVectorBarrier:
+    def barrier_objectives(self, fset, monkeypatch):
+        """The barrier objectives maximize_concave hands to the inner
+        ascent, one per barrier weight."""
+        seen = []
+        original = convex_core._ascend
+
+        def spy(objective, *args, **kwargs):
+            seen.append(objective)
+            return original(objective, *args, **kwargs)
+
+        monkeypatch.setattr(convex_core, "_ascend", spy)
+        res = maximize_concave(quadratic_around([1.0, 1.0]), fset, np.zeros(2))
+        monkeypatch.undo()
+        return res, seen
+
+    def test_rows_equal_scalar_terms(self, monkeypatch):
+        vector = FeasibleSet(ball=(np.zeros(2), 2.0), barrier_terms=[BarrierTerm(three_rows)])
+        scalar = FeasibleSet(ball=(np.zeros(2), 2.0), barrier_terms=row_terms(three_rows, 3))
+        res_v, obj_v = self.barrier_objectives(vector, monkeypatch)
+        res_s, obj_s = self.barrier_objectives(scalar, monkeypatch)
+        assert len(obj_v) == len(obj_s) == 3
+        pts = np.random.default_rng(2).uniform(-0.5, 0.5, (50, 2))
+        for fv, fs in zip(obj_v, obj_s):
+            for p in pts:
+                (val_v, grad_v), (val_s, grad_s) = fv(p), fs(p)
+                assert val_v == pytest.approx(val_s, rel=1e-13, abs=1e-15)
+                assert np.allclose(grad_v, grad_s, rtol=1e-13, atol=1e-15)
+        assert res_v.feasible and res_s.feasible
+        # both stop on a stalled line search near the same barrier optimum;
+        # summation order alone moves the stopping point
+        assert np.allclose(res_v.x, res_s.x, rtol=0.0, atol=1e-4)
+        assert res_v.value == pytest.approx(res_s.value, rel=1e-8)
+        assert np.all(three_rows(res_v.x)[0] > 0.0)
+
+    def test_violation_reads_the_worst_row(self):
+        def rows(x):
+            return np.array([0.5, -0.3, -0.1]), np.zeros((3, 1))
+
+        fs = FeasibleSet(barrier_terms=[BarrierTerm(rows, tol=0.0)])
+        assert fs.barrier_violation(np.zeros(1)) == pytest.approx(0.3, rel=1e-15)
+        fine = FeasibleSet(barrier_terms=[BarrierTerm(three_rows)])
+        assert fine.barrier_violation(np.zeros(2)) == 0.0
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_violated_row_fails_cleanly(self, bad):
+        def rows(x):
+            values, jac = three_rows(x)
+            values[bad] = -1.0  # always violated
+            jac[bad] = 0.0
+            return values, jac
+
+        fs = FeasibleSet(ball=(np.zeros(2), 2.0), barrier_terms=[BarrierTerm(rows)])
+        res = maximize_concave(quadratic_around([1.0, 1.0]), fs, np.zeros(2))
+        assert not res.feasible
+        assert np.all(np.isfinite(res.x))
+        assert "violated" in res.diagnostics.reason
 
 
 class TestGradCheck:

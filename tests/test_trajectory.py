@@ -9,18 +9,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uavrelay.channel import a2g_gain, gain_matrices, los_probability
+from uavrelay import trajectory
+from uavrelay.channel import gain_matrices, los_probability, slot_channel
 from uavrelay.convex_core import grad_check
 from uavrelay.link_rate import LinkBudget, PowerAllocation, rate_report
 from uavrelay.scenario import (A2GParams, Scenario, SnrThresholds, UavState,
                                dbm_to_watts)
 from uavrelay.trajectory import (
     SlotInputs,
-    _altitude_objective,
     _audit,
-    _horizontal_objective,
-    _pair_anchor,
-    _pair_rate_bound,
+    _horizontal_barrier,
+    _stage_objective,
+    _surrogate_rates,
     altitude_surrogate,
     horizontal_surrogate,
     los_linearization,
@@ -78,12 +78,35 @@ def exact_objective(pos, inputs):
     return _audit(pos, inputs).objective
 
 
-def surrogate_rate(xy, ctx, powers, n, k):
-    """The horizontal stage's concave bound on the relayed rate of (n, k)
-    at `xy`, linearized at the context's expansion point."""
-    p_ue, p_uav = powers.p_ue[n, k], powers.p_uav[k]
-    anchor = _pair_anchor(ctx, n, k, p_ue, p_uav, ctx.sigma2, ctx.c_noise)
-    return _pair_rate_bound(ctx, n, k, xy, p_ue, p_uav, ctx.sigma2, ctx.c_noise, anchor)[0]
+def peer_bounds(ctx, inputs, xy):
+    """The horizontal stage's tangent bounds at `xy` on every air gain:
+    (N, K) UE-to-UAV and (K,) UAV-to-BS, from the context's peer cores
+    and the slot's position-free scales."""
+    v = ctx.cores.value_grad(np.asarray(xy, dtype=float))[0]
+    bound = slot_channel(inputs.scenario, inputs.slot_index).air_scale * v[:, None]
+    return bound[:-1], bound[-1]
+
+
+def surrogate_rate(xy, ctx, inputs, pair=0):
+    """The horizontal stage's concave bound on the relayed rate of one
+    pair at `xy`, linearized at the context's expansion point."""
+    out = _surrogate_rates(ctx, inputs)(np.asarray(xy, dtype=float))
+    return -math.inf if out is None else out[0][pair]
+
+
+def true_gains(sc, xy, z=130.0):
+    gains = gain_matrices(sc, (xy[0], xy[1], z), 0)
+    return gains.h_ue_uav, gains.h_uav_bs
+
+
+def run_horizontal(start, inputs):
+    audit, log = solve_horizontal(_audit(start, inputs), start, inputs)
+    return audit.position[:2], log
+
+
+def run_altitude(start, inputs):
+    audit, log = solve_altitude(_audit(start, inputs), start, inputs)
+    return float(audit.position[2]), log
 
 
 def relayed_rate(sc, p_ue, p_uav, h_ue_uav, h_uav_bs):
@@ -98,36 +121,34 @@ def test_gain_bound_tight_at_expansion(two_ue):
     sc, inputs, ctx = two_ue
     pos = np.array([200.0, 0.0, 130.0])
     gains = gain_matrices(sc, pos, 0)
-    for k in range(sc.n_subchannels):
-        hb = ctx.bs_bound(k, pos[:2])[0]
-        assert abs(hb - gains.h_uav_bs[k]) <= 1e-10 * gains.h_uav_bs[k]
-        for n in range(sc.n_ues):
-            hu = ctx.ue_bound(n, k, pos[:2])[0]
-            assert abs(hu - gains.h_ue_uav[n, k]) <= 1e-10 * gains.h_ue_uav[n, k]
+    hu, hb = peer_bounds(ctx, inputs, pos[:2])
+    assert np.all(np.abs(hb - gains.h_uav_bs) <= 1e-10 * gains.h_uav_bs)
+    assert np.all(np.abs(hu - gains.h_ue_uav) <= 1e-10 * gains.h_ue_uav)
+    # the pair view reads the same bounds
+    h1, _, h2, _ = ctx.bounds(pos[:2])
+    assert np.array_equal(h1, hu[ctx.ue, ctx.sub])
+    assert np.array_equal(h2, hb[ctx.sub])
 
 
 def test_gain_bound_dominance_sampled(two_ue):
     sc, inputs, ctx = two_ue
     center = np.array([200.0, 0.0])
     for p in ball_points(center, sc.d_max, 1000, seed=3):
-        hb = ctx.bs_bound(0, p)[0]
-        true_b = a2g_gain((p[0], p[1], 130.0), (0.0, 0.0, 30.0), 1e9, sc.a2g)
-        assert hb <= true_b * (1.0 + 1e-12)
-        hu = ctx.ue_bound(0, 0, p)[0]
-        true_u = a2g_gain((p[0], p[1], 130.0), sc.ue_positions[0], 1e9, sc.a2g)
-        assert hu <= true_u * (1.0 + 1e-12)
+        hu, hb = peer_bounds(ctx, inputs, p)
+        true_u, true_b = true_gains(sc, p)
+        assert np.all(hb <= true_b * (1.0 + 1e-12))
+        assert np.all(hu <= true_u * (1.0 + 1e-12))
 
 
 def test_gain_bound_midpoint_concavity(two_ue):
-    sc, _, ctx = two_ue
+    sc, inputs, ctx = two_ue
     center = np.array([200.0, 0.0])
     pts = ball_points(center, sc.d_max, 600, seed=5)
     for p, q in zip(pts[::2], pts[1::2]):
-        for bound in (lambda xy: ctx.bs_bound(0, xy)[0],
-                      lambda xy: ctx.ue_bound(0, 0, xy)[0]):
-            mid = bound(0.5 * (p + q))
-            avg = 0.5 * (bound(p) + bound(q))
-            assert avg - mid <= 1e-12 * abs(mid)
+        mid = np.vstack(peer_bounds(ctx, inputs, 0.5 * (p + q)))
+        avg = 0.5 * (np.vstack(peer_bounds(ctx, inputs, p))
+                     + np.vstack(peer_bounds(ctx, inputs, q)))
+        assert np.all(avg - mid <= 1e-12 * np.abs(mid))
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +158,18 @@ def test_surrogate_rate_tight_at_expansion(two_ue):
     sc, inputs, ctx = two_ue
     pos = np.array([200.0, 0.0, 130.0])
     gains = gain_matrices(sc, pos, 0)
-    for _, k in ctx.pairs:
-        got = surrogate_rate(pos[:2], ctx, inputs.powers, 0, k)
-        want = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
-                           inputs.weights, sc).per_subchannel_rate[0, k]
-        assert abs(got - want) <= 1e-10 * want
+    want = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
+                       inputs.weights, sc).per_subchannel_rate[ctx.ue, ctx.sub]
+    got = _surrogate_rates(ctx, inputs)(pos[:2])[0]
+    assert np.all(np.abs(got - want) <= 1e-10 * want)
 
 
 def test_surrogate_rate_dominated_by_bound_rate(two_ue):
     sc, inputs, ctx = two_ue
     for p in ball_points(np.array([200.0, 0.0]), sc.d_max, 1000, seed=7):
-        r_hat = surrogate_rate(p, ctx, inputs.powers, 0, 0)
-        hu = ctx.ue_bound(0, 0, p)[0]
-        hb = ctx.bs_bound(0, p)[0]
+        r_hat = surrogate_rate(p, ctx, inputs)
+        h1, _, h2, _ = ctx.bounds(p)
+        hu, hb = h1[0], h2[0]
         if hu <= 0.0 or hb <= 0.0:
             continue
         bound_rate = relayed_rate(sc, inputs.powers.p_ue[0, 0], inputs.powers.p_uav[0],
@@ -161,9 +181,8 @@ def test_surrogate_rate_midpoint_concavity(two_ue):
     sc, inputs, ctx = two_ue
     pts = ball_points(np.array([200.0, 0.0]), sc.d_max, 400, seed=9)
     for p, q in zip(pts[::2], pts[1::2]):
-        mid = surrogate_rate(0.5 * (p + q), ctx, inputs.powers, 0, 0)
-        avg = 0.5 * (surrogate_rate(p, ctx, inputs.powers, 0, 0)
-                     + surrogate_rate(q, ctx, inputs.powers, 0, 0))
+        mid = surrogate_rate(0.5 * (p + q), ctx, inputs)
+        avg = 0.5 * (surrogate_rate(p, ctx, inputs) + surrogate_rate(q, ctx, inputs))
         assert avg - mid <= 1e-9
 
 
@@ -171,7 +190,7 @@ def test_surrogate_rate_zero_power_is_zero(two_ue):
     sc, inputs, ctx = two_ue
     powers = inputs.powers.copy()
     powers.p_ue[0, 0] = 0.0
-    got = surrogate_rate(ctx.expansion_xy, ctx, powers, 0, 0)
+    got = surrogate_rate(ctx.x0, ctx, replace(inputs, powers=powers))
     assert abs(got) <= 1e-12
 
 
@@ -182,17 +201,17 @@ def test_nudged_expansion_above_peer():
     ctx = horizontal_surrogate(inputs, pos)
     assert ctx.nudged
     for p in ball_points(pos[:2], sc.d_max, 300, seed=11):
-        h = ctx.ue_bound(0, 0, p)[0]
-        true = a2g_gain((p[0], p[1], 130.0), sc.ue_positions[0], 1e9, sc.a2g)
+        h = peer_bounds(ctx, inputs, p)[0][0, 0]
+        true = true_gains(sc, p)[0][0, 0]
         assert h <= true * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# Stage objective gradients.
+# Stage objective and barrier gradients.
 
 def test_horizontal_objective_gradient(two_ue):
     _, inputs, ctx = two_ue
-    objective = _horizontal_objective(ctx, inputs)
+    objective = _stage_objective(ctx, inputs)
     for shift in ([0.0, 0.0], [4.0, -3.0], [-7.0, 6.0]):
         point = np.array([200.0, 0.0]) + np.array(shift)
         assert grad_check(objective, point) <= 1e-6
@@ -200,10 +219,85 @@ def test_horizontal_objective_gradient(two_ue):
 
 def test_altitude_objective_gradient(two_ue):
     _, inputs, _ = two_ue
-    ctx = altitude_surrogate(inputs, np.array([200.0, 0.0, 130.0]))
-    objective = _altitude_objective(ctx, inputs)
+    ctx = altitude_surrogate(inputs, _audit((200.0, 0.0, 130.0), inputs))
+    objective = _stage_objective(ctx, inputs)
     for z in (130.0, 136.0, 124.0):
         assert grad_check(objective, np.array([z])) <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def three_pairs():
+    """Two relayed UEs on three subchannels, UE 0 on two of them, and a
+    direct UE on the fourth."""
+    sc = Scenario(n_ues=3, n_subchannels=4,
+                  ue_positions=((300.0, 40.0, 0.0), (120.0, -60.0, 0.0),
+                                (-80.0, 30.0, 0.0)),
+                  subchannel_freqs=(1.0e9, 1.2e9, 0.9e9, 1.1e9),
+                  p_ue_max=dbm_to_watts(17.0), snr_thresholds=EASY,
+                  fading_model="mixed", rng_seed=4, uav_start=(200.0, 0.0, 130.0))
+    beta = np.array([1, 1, 0])
+    alloc = np.array([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    p_ue = alloc * np.array([[0.02], [0.04], [0.03]])
+    p_uav = np.array([0.1, 0.08, 0.12, 0.0])
+    inputs = SlotInputs(sc, beta, alloc, PowerAllocation(p_ue, p_uav),
+                        np.array([1.3, 0.7, 1.0]), 2)
+    assert inputs.relay_pairs() == ((0, 0), (0, 1), (1, 2))
+    return sc, inputs
+
+
+@pytest.mark.parametrize("shift", [[0.0, 0.0], [5.0, -4.0], [-8.0, 9.0]])
+def test_horizontal_gradients_over_pairs(three_pairs, shift):
+    _, inputs = three_pairs
+    ctx = horizontal_surrogate(inputs, (200.0, 0.0, 130.0))
+    point = ctx.x0 + np.array(shift)
+    assert grad_check(_stage_objective(ctx, inputs), point) <= 1e-6
+    rows = _horizontal_barrier(ctx, inputs).fn
+    values, jac = rows(point)
+    assert values.shape == (6,) and jac.shape == (6, 2)
+    # rows are in the hundreds here, so a 1e-6 m difference step loses digits
+    for i in range(values.size):
+        assert grad_check(lambda x, i=i: (rows(x)[0][i], rows(x)[1][i]), point,
+                          step=1e-4) <= 1e-6
+
+
+@pytest.mark.parametrize("z", [130.0, 137.0, 121.0])
+def test_altitude_gradient_over_pairs(three_pairs, z):
+    _, inputs = three_pairs
+    ctx = altitude_surrogate(inputs, _audit((200.0, 0.0, 130.0), inputs))
+    assert grad_check(_stage_objective(ctx, inputs), np.array([z])) <= 1e-6
+
+
+def test_barrier_rows_match_each_hop_floor(three_pairs):
+    sc, inputs = three_pairs
+    ctx = horizontal_surrogate(inputs, (200.0, 0.0, 130.0))
+    values, _ = _horizontal_barrier(ctx, inputs).fn(ctx.x0)
+    gains = gain_matrices(sc, (200.0, 0.0, 130.0), inputs.slot_index)
+    thr = sc.snr_thresholds
+    p_ue, p_uav = inputs.powers.p_ue, inputs.powers.p_uav
+    want = [p_ue[n, k] * gains.h_ue_uav[n, k] / (sc.noise_var * thr.ue_uav)
+            for n, k in inputs.relay_pairs()]
+    want += [p_uav[k] * gains.h_uav_bs[k] / ((sc.noise_var + sc.ici_power) * thr.uav_bs)
+             for _, k in inputs.relay_pairs()]
+    assert np.allclose(values + 1.0, want, rtol=1e-10, atol=0.0)
+
+
+def test_one_channel_evaluation_per_audited_position(three_pairs, monkeypatch):
+    _, inputs = three_pairs
+    calls = []
+    original = trajectory.gain_matrices
+
+    def counted(scenario, pos, slot_index=0):
+        calls.append(tuple(float(v) for v in pos))
+        return original(scenario, pos, slot_index)
+
+    monkeypatch.setattr(trajectory, "gain_matrices", counted)
+    start = (170.0, -40.0, 130.0)
+    res = to_algorithm(UavState(start, start), inputs)
+    assert len(calls) > 2
+    assert len(calls) == len(set(calls))
+    accepted = {tuple(float(v) for v in row[1:4]) for log in res.logs for row in log.rows}
+    assert accepted <= set(calls)
+    assert calls[0] == start
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +307,7 @@ def test_solve_horizontal_no_relay_keeps_position(two_ue):
     sc, inputs, _ = two_ue
     quiet = SlotInputs(sc, np.zeros(2, dtype=int), inputs.alloc, inputs.powers,
                        inputs.weights, 0)
-    state = UavState((170.0, -40.0, 130.0), (170.0, -40.0, 130.0))
-    xy, log = solve_horizontal(state, quiet)
+    xy, log = run_horizontal((170.0, -40.0, 130.0), quiet)
     assert np.allclose(xy, (170.0, -40.0))
     assert log.iterations == 0
 
@@ -222,7 +315,7 @@ def test_solve_horizontal_no_relay_keeps_position(two_ue):
 def test_solve_horizontal_moves_toward_far_ue_axis(two_ue):
     sc, inputs, _ = two_ue
     start = (170.0, -40.0, 130.0)
-    xy, log = solve_horizontal(UavState(start, start), inputs)
+    xy, log = run_horizontal(start, inputs)
     axis = np.array(sc.ue_positions[0][:2])
     axis /= np.linalg.norm(axis)
 
@@ -240,7 +333,7 @@ def test_solve_horizontal_infeasible_set_keeps_position():
                              n_subchannels=2,
                              thresholds=SnrThresholds(1e8, 1e8, 1e8))
     start = (250.0, 0.0, 100.0)
-    xy, log = solve_horizontal(UavState(start, start), inputs)
+    xy, log = run_horizontal(start, inputs)
     assert np.allclose(xy, start[:2])
     assert "no room" in log.reason
 
@@ -250,7 +343,7 @@ def test_solve_horizontal_zero_radius_keeps_position(two_ue):
     pinned = SlotInputs(replace(sc, d_max=0.0), inputs.beta, inputs.alloc,
                         inputs.powers, inputs.weights, 0)
     start = (170.0, -40.0, 130.0)
-    xy, _ = solve_horizontal(UavState(start, start), pinned)
+    xy, _ = run_horizontal(start, pinned)
     assert np.allclose(xy, start[:2])
 
 
@@ -286,7 +379,7 @@ def test_solve_altitude_rises_when_helpful():
     _, inputs = relay_inputs([(350.0, 0.0, 0.0)], (250.0, 0.0, 100.0),
                              n_subchannels=2)
     start = (250.0, 0.0, 100.0)
-    z, log = solve_altitude(UavState(start, start), inputs)
+    z, log = run_altitude(start, inputs)
     assert z > 100.0
     objs = [row[4] for row in log.rows]
     assert objs[-1] > exact_objective(start, inputs)
@@ -297,7 +390,7 @@ def test_solve_altitude_never_descends_within_slot():
     _, inputs = relay_inputs([(350.0, 0.0, 0.0)], (300.0, 0.0, 190.0),
                              n_subchannels=2)
     start = (300.0, 0.0, 190.0)
-    z, _ = solve_altitude(UavState(start, start), inputs)
+    z, _ = run_altitude(start, inputs)
     assert z >= 190.0 - 1e-9
 
 
@@ -307,12 +400,12 @@ def test_solve_altitude_no_relay_and_infeasible_keep_altitude():
     start = (250.0, 0.0, 100.0)
     quiet = SlotInputs(sc, np.zeros(1, dtype=int), inputs.alloc, inputs.powers,
                        inputs.weights, 0)
-    z, _ = solve_altitude(UavState(start, start), quiet)
+    z, _ = run_altitude(start, quiet)
     assert z == 100.0
     _, hard = relay_inputs([(350.0, 0.0, 0.0)], (250.0, 0.0, 100.0),
                            n_subchannels=2,
                            thresholds=SnrThresholds(1e8, 1e8, 1e8))
-    z, log = solve_altitude(UavState(start, start), hard)
+    z, log = run_altitude(start, hard)
     assert z == 100.0 and "excludes" in log.reason
 
 
