@@ -16,6 +16,10 @@ whose beta/alloc or findings differ, the largest relative objective move
 and the largest UAV position move in metres:
 
     python3 scripts/parity.py --diff parent.json change.json
+
+and ends with a verdict line; it exits 1 when any slot's beta/alloc or
+findings differ (or the two dumps hold different slots), 0 otherwise, so
+that an exact-answer change can gate on the exit status.
 """
 
 import os
@@ -80,6 +84,7 @@ def diff(path_a: Path, path_b: Path) -> int:
     if a.keys() != b.keys():
         print(f"slot sets differ: {len(a.keys() - b.keys())} only in A, "
               f"{len(b.keys() - a.keys())} only in B")
+        print("verdict: DIFFER slot sets")
         return 1
     rows = defaultdict(lambda: {"slots": 0, "assign": 0, "findings": 0,
                                 "objective": 0.0, "position": 0.0})
@@ -97,7 +102,10 @@ def diff(path_a: Path, path_b: Path) -> int:
     for name, row in rows.items():
         print(f"{name:<18} {row['slots']:>5} {row['assign']:>10} {row['findings']:>8} "
               f"{row['objective']:>12.2e} {row['position']:>10.2e}")
-    return int(any(r["assign"] or r["findings"] for r in rows.values()))
+    differ = sum(bool(r["assign"] or r["findings"]) for r in rows.values())
+    print(f"verdict: {'DIFFER' if differ else 'SAME'} beta/alloc and findings "
+          f"({differ} of {len(rows)} workloads differ)")
+    return int(differ > 0)
 
 
 def main(argv=None) -> int:

@@ -7,6 +7,12 @@ matched subchannels and the relay budget is divided evenly over relay-matched
 subchannels.  Swaps preserve those counts, so the split is fixed for a whole
 run, which is what makes the brute-force oracle and the algorithm agree on
 what a profitable swap is.
+
+Swap approval is one array pass: `swap_approvals` reads a (K, K) table
+whose row j scores the pair on subchannel j on every subchannel, and
+tests every subchannel pair at once.  Mode consistency needs no per-swap
+check: a swap keeps the multiset of pairs, so whether a UE holds one mode
+only is the same before and after it.
 """
 
 from __future__ import annotations
@@ -120,65 +126,82 @@ def score_rows(ctx: MatchingContext, pairs, ue_power,
 
 class GameView:
     """Utilities and QoS verdicts of one matching under its equal-split
-    powers, every pair's row scored at once and kept as Python lists.
-    Valid across swaps because swaps never change any pair's subchannel
-    count or the relay total."""
+    powers: one table row per pair over every subchannel, all scored at
+    once, and a last all-zero, all-feasible row that VACANT reads as row
+    -1.  Valid across swaps because swaps never change any pair's
+    subchannel count or the relay total."""
 
     def __init__(self, matching: Matching, ctx: MatchingContext):
-        self.ctx = ctx
-        self.counts = matching.counts()
+        counts = matching.counts()
         relay_total = matching.relay_total()
-        self.uav_power = ctx.p_uav_max / relay_total if relay_total else 0.0
-        pairs = list(self.counts)
+        uav_power = ctx.p_uav_max / relay_total if relay_total else 0.0
+        pairs = list(counts)
+        self._row = {pair: i for i, pair in enumerate(pairs)}
         utility, feasible = score_rows(
-            ctx, pairs, [ctx.p_ue_max / self.counts[p] for p in pairs], self.uav_power)
-        self._utility = dict(zip(pairs, utility.tolist()))
-        self._feasible = dict(zip(pairs, feasible.tolist()))
+            ctx, pairs, [ctx.p_ue_max / counts[p] for p in pairs], uav_power)
+        k_sub = ctx.n_subchannels
+        self.utility = np.vstack([utility, np.zeros(k_sub)])
+        self.feasible = np.vstack([feasible, np.ones(k_sub, dtype=bool)])
 
-    def utility(self, pair: McPair | None, k: int) -> float:
-        return 0.0 if pair is VACANT else self._utility[pair][k]
+    def rows(self, matching: Matching) -> np.ndarray:
+        """Table row of the pair on each subchannel, -1 for VACANT."""
+        return np.array([self._row.get(p, -1) for p in matching.assign], dtype=int)
 
-    def feasible(self, pair: McPair | None, k: int) -> bool:
-        return True if pair is VACANT else self._feasible[pair][k]
+    def own(self, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
+        """Utility and QoS verdict of each subchannel's own pair there."""
+        rows = self.rows(matching)
+        k = np.arange(rows.size)
+        return self.utility[rows, k], self.feasible[rows, k]
 
     def system_utility(self, matching: Matching) -> float:
-        return sum(self.utility(p, k) for k, p in enumerate(matching.assign))
+        return sum(self.own(matching)[0].tolist())
 
 
-def _consistent_after_swap(psi: Matching, k1: int, k2: int) -> bool:
-    involved = {p.ue for p in (psi.assign[k1], psi.assign[k2]) if p is not VACANT}
-    swapped = psi.swapped(k1, k2)
-    for ue in involved:
-        modes = {p.mode for p in swapped.assign if p is not VACANT and p.ue == ue}
-        if len(modes) > 1:
-            return False
-    return True
+def _consistent_slots(psi: Matching) -> np.ndarray:
+    """Per subchannel: VACANT, or a pair whose UE holds one mode only.
+    A swap keeps the multiset of pairs, so each UE's consistency after
+    any swap equals its consistency before it."""
+    modes: dict[int, set[int]] = {}
+    for pair in psi.assign:
+        if pair is not VACANT:
+            modes.setdefault(pair.ue, set()).add(pair.mode)
+    return np.array([pair is VACANT or len(modes[pair.ue]) == 1
+                     for pair in psi.assign], dtype=bool)
 
 
-def approve_swap(psi: Matching, k1: int, k2: int, view: GameView) -> bool:
-    """Swap approval shared by the algorithm, the stability audit, and the
-    brute-force oracle.
+def _approvals(u: np.ndarray, ok: np.ndarray, rows: np.ndarray,
+               consistent: np.ndarray) -> np.ndarray:
+    """Swap approval over every subchannel pair (k1 < k2) from the pair
+    table: row j of `u`/`ok` scores the pair on subchannel j (table row
+    `rows[j]`, -1 for VACANT) on every subchannel."""
+    own = np.diagonal(u)
+    u11, u22, u12, u21 = own[:, None], own[None, :], u, u.T
+    real = rows >= 0
+    # no involved player loses: subchannels k1, k2, then pairs p1, p2
+    approved = ~((u21 < u11) | (u12 < u22) | (u12 < u11) | (u21 < u22))
+    # some real pair strictly gains
+    approved &= (real[:, None] & (u12 > u11)) | (real[None, :] & (u21 > u22))
+    # QoS on both re-assigned subchannels, two distinct pairs, and modes
+    # that stay consistent
+    approved &= ok & ok.T
+    approved &= rows[:, None] != rows[None, :]
+    approved &= consistent[:, None] & consistent[None, :]
+    return np.triu(approved, 1)
 
-    Approved iff, exchanging the matches of k1 and k2: no involved player
-    (either subchannel, either pair) loses utility, at least one real pair
-    strictly gains, and the swapped matching stays feasible (QoS on the two
-    re-assigned subchannels, mode consistency; the power split and the
-    exclusivity structure are unchanged by construction)."""
-    p1, p2 = psi.assign[k1], psi.assign[k2]
-    if p1 == p2:
-        return False
-    u11, u12 = view.utility(p1, k1), view.utility(p1, k2)
-    u22, u21 = view.utility(p2, k2), view.utility(p2, k1)
-    if u21 < u11 or u12 < u22:  # subchannels k1, k2 must not lose
-        return False
-    if u12 < u11 or u21 < u22:  # pairs p1, p2 must not lose
-        return False
-    strict = (p1 is not VACANT and u12 > u11) or (p2 is not VACANT and u21 > u22)
-    if not strict:
-        return False
-    if not (view.feasible(p1, k2) and view.feasible(p2, k1)):
-        return False
-    return _consistent_after_swap(psi, k1, k2)
+
+def swap_approvals(psi: Matching, view: GameView) -> np.ndarray:
+    """(K, K) mask, true at (k1, k2), k1 < k2, where exchanging the
+    matches of k1 and k2 is approved; shared by the algorithm, the
+    stability audit and the brute-force oracle.
+
+    Approved iff no involved player (either subchannel, either pair)
+    loses utility, at least one real pair strictly gains, the two pairs
+    differ, and the swapped matching stays feasible: QoS on the two
+    re-assigned subchannels and mode consistency of both UEs (the power
+    split and the exclusivity structure are unchanged by construction)."""
+    rows = view.rows(psi)
+    return _approvals(view.utility[rows], view.feasible[rows], rows,
+                      _consistent_slots(psi))
 
 
 @dataclass
@@ -193,53 +216,54 @@ class MsmaResult:
 def msma_detailed(init: Matching, ctx: MatchingContext) -> MsmaResult:
     """Run rounds of profitable swaps to pairwise stability.
 
-    Deterministic: subchannel pairs scanned in ascending order, the first
-    approved swap executes immediately.  A per-round memo skips configurations
-    already tried in the round, mirroring the 'not yet executed' bookkeeping
-    of the swap search."""
+    Deterministic: each round scans the subchannel pairs (k1 < k2) in
+    row-major order and executes the first approved swap at or after its
+    scan position, then goes on from the next pair, so a round examines
+    all K(K-1)/2 pairs.  The approvals come from one mask over the pair
+    table (row j: the pair on subchannel j, scored on every subchannel);
+    an executed swap exchanges two table rows and the mask is rebuilt.
+    The per-UE mode-consistency verdict is computed once, as no swap
+    changes the multiset of pairs."""
     psi = init.copy()
     view = GameView(psi, ctx)
+    rows = view.rows(psi)
+    u, ok = view.utility[rows], view.feasible[rows]
+    consistent = _consistent_slots(psi)
     trace = [view.system_utility(psi)]
     gains: list[float] = []
     examined_per_round: list[int] = []
-    n_sub = len(psi.assign)
+    n_sub = rows.size
     changed = True
     while changed:
         changed = False
-        seen: set[tuple] = set()
-        examined = 0
-        for k1 in range(n_sub):
-            for k2 in range(k1 + 1, n_sub):
-                key = (k1, k2, psi.assign[k1], psi.assign[k2])
-                if key in seen:
-                    continue
-                seen.add(key)
-                examined += 1
-                if approve_swap(psi, k1, k2, view):
-                    before = view.utility(psi.assign[k1], k1) + view.utility(psi.assign[k2], k2)
-                    after = view.utility(psi.assign[k1], k2) + view.utility(psi.assign[k2], k1)
-                    psi.assign[k1], psi.assign[k2] = psi.assign[k2], psi.assign[k1]
-                    gains.append(after - before)
-                    trace.append(trace[-1] + (after - before))
-                    changed = True
-        examined_per_round.append(examined)
+        at = 0  # scan position, row-major over (k1, k2)
+        while True:
+            hits = np.flatnonzero(_approvals(u, ok, rows, consistent).ravel()[at:])
+            if not hits.size:
+                break
+            at += int(hits[0])
+            k1, k2 = divmod(at, n_sub)
+            gain = float((u[k1, k2] + u[k2, k1]) - (u[k1, k1] + u[k2, k2]))
+            # both slots are consistent, so `consistent` needs no swap
+            for a in (u, ok, rows):
+                a[[k1, k2]] = a[[k2, k1]]
+            psi.assign[k1], psi.assign[k2] = psi.assign[k2], psi.assign[k1]
+            gains.append(gain)
+            trace.append(trace[-1] + gain)
+            changed = True
+            at += 1
+        examined_per_round.append(n_sub * (n_sub - 1) // 2)
     return MsmaResult(psi, len(gains), gains, trace, examined_per_round)
 
 
 def is_pairwise_stable(psi: Matching, ctx: MatchingContext) -> bool:
-    view = GameView(psi, ctx)
-    n_sub = len(psi.assign)
-    return not any(approve_swap(psi, k1, k2, view)
-                   for k1 in range(n_sub) for k2 in range(k1 + 1, n_sub))
+    return not swap_approvals(psi, GameView(psi, ctx)).any()
 
 
 def matching_feasible(psi: Matching, ctx: MatchingContext) -> bool:
     """Mode consistency plus per-assignment QoS under the matching's own
     equal-split powers.  Power caps hold by construction of the split."""
-    if not psi.mode_consistent():
-        return False
-    view = GameView(psi, ctx)
-    return all(view.feasible(p, k) for k, p in enumerate(psi.assign))
+    return psi.mode_consistent() and bool(GameView(psi, ctx).own(psi)[1].all())
 
 
 def _scored_modes(ctx: MatchingContext) -> dict[int, int]:
@@ -301,13 +325,11 @@ def init_matching(ctx: MatchingContext,
                 stale = [n for n, pair in enumerate(pairs) if pair.mode == RELAY]
 
     while True:
-        view = GameView(psi, ctx)
-        bad = [(view.utility(p, k), k) for k, p in enumerate(psi.assign)
-               if p is not VACANT and not view.feasible(p, k)]
-        if not bad:
+        utility, feasible = GameView(psi, ctx).own(psi)
+        bad = np.flatnonzero(~feasible)  # VACANT is always feasible
+        if not bad.size:
             return psi
-        _, k_drop = min(bad)
-        psi.assign[k_drop] = VACANT
+        psi.assign[bad[np.argmin(utility[bad])]] = VACANT
 
 
 def brute_force_stable(ctx: MatchingContext, n_ues: int, n_subchannels: int) -> list[Matching]:

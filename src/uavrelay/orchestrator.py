@@ -136,29 +136,25 @@ def complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
     powers, and at bare floors a relayed link shows roughly half the rate
     it reaches once the two hop budgets are actually spent."""
     alloc = alloc.copy()
-    n_ues, k_sub = alloc.shape
-    p_ue = np.zeros((n_ues, k_sub))
-    p_uav = np.zeros(k_sub)
-    fresh: list[tuple[int, int]] = []
+    held = alloc != 0
+    retained = np.zeros_like(held)
+    if prev_alloc is not None:  # same subchannel, same mode
+        retained = held & (prev_alloc != 0) & (np.asarray(prev_beta) == beta)[:, None]
+    p_ue = np.where(retained, prev_powers.p_ue, 0.0)
+    relayed = (retained & (np.asarray(beta) != 0)[:, None]).any(axis=0)
+    p_uav = np.where(relayed, prev_powers.p_uav, 0.0)
+    fresh = np.argwhere(held & ~retained)  # row-major
 
-    for n in range(n_ues):
-        for k in np.flatnonzero(alloc[n]):
-            if prev_alloc is not None and prev_alloc[n, k] \
-                    and prev_beta[n] == beta[n]:
-                p_ue[n, k] = prev_powers.p_ue[n, k]
-                if beta[n]:
-                    p_uav[k] = prev_powers.p_uav[k]
-            else:
-                fresh.append((n, int(k)))
-
-    if fresh:
-        # full-budget rates rank the newcomers; their floors fund them
+    if fresh.size:
+        # full-budget rates rank the newcomers, best first and ties in
+        # row-major order; their floors fund them
         full = LinkBudget(np.asarray(beta)[:, None] == 1, sc.p_ue_max, sc.p_uav_max,
                           gains.h_ue_bs, gains.h_ue_uav, gains.h_uav_bs,
                           sc.snr_thresholds, sc.noise_var, sc.ici_power)
         value = weights[:, None] * full.rate
         floor_ue, floor_uav = (f * (1.0 + _FLOOR_MARGIN) for f in full.floors())
-        for n, k in sorted(fresh, key=lambda nk: value[nk], reverse=True):
+        order = np.argsort(-value[fresh[:, 0], fresh[:, 1]], kind="stable")
+        for n, k in fresh[order].tolist():
             fits = p_ue[n].sum() + floor_ue[n, k] <= sc.p_ue_max
             if beta[n]:
                 fits = fits and p_uav.sum() + floor_uav[n, k] <= sc.p_uav_max
@@ -172,6 +168,12 @@ def complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
     return alloc, powers
 
 
+def _matching_context(sc: Scenario, gains: ChannelGains,
+                      weights: np.ndarray) -> MatchingContext:
+    return MatchingContext(weights, gains, sc.noise_var, sc.ici_power,
+                           sc.snr_thresholds, sc.p_ue_max, sc.p_uav_max)
+
+
 def _coverage_modes(ctx: MatchingContext) -> dict[int, int]:
     """Relay only the UEs with no QoS-feasible direct subchannel at full
     budget; everyone else stays cellular."""
@@ -180,32 +182,40 @@ def _coverage_modes(ctx: MatchingContext) -> dict[int, int]:
     return {n: CELLULAR if feasible[n].any() else RELAY for n in range(ctx.n_ues)}
 
 
-def _matching_stage(sc, gains, weights, beta, alloc, powers, incumbent_obj,
-                    relay_allowed: bool):
-    """Run the swap game from the incumbent and from fresh greedy starts,
-    complete each candidate's powers, and keep the best completed exact
-    objective (never below the incumbent).
+def _fresh_matchings(ctx: MatchingContext, relay_allowed: bool) -> list[Matching]:
+    """Stable matchings of the fresh greedy starts.
 
     Three greedy starts cover the mode spectrum: scored modes (relay
     whenever its utility sum wins), coverage modes (relay only where no
     direct link passes QoS), and all-cellular.  Relaying pays half the
     spectral efficiency for reach, so which mix wins is geometry- and
-    weight-dependent; the exact completed objective arbitrates."""
-    ctx = MatchingContext(weights, gains, sc.noise_var, sc.ici_power,
-                          sc.snr_thresholds, sc.p_ue_max, sc.p_uav_max)
-    all_cellular = {n: CELLULAR for n in range(sc.n_ues)}
+    weight-dependent; the exact completed objective arbitrates.  The
+    starts and their swap runs read only the scenario, the gains and the
+    weights, so one channel state needs them once."""
+    all_cellular = {n: CELLULAR for n in range(ctx.n_ues)}
     starts = [init_matching(ctx, forced_modes=all_cellular)]
     if relay_allowed:
         starts.insert(0, init_matching(ctx))
         coverage = _coverage_modes(ctx)
         if coverage != all_cellular:
             starts.append(init_matching(ctx, forced_modes=coverage))
-    if alloc is not None and alloc.any():
-        starts.append(matching_from(beta, alloc))
+    return [msma_detailed(start, ctx).matching for start in starts]
 
+
+def _matching_stage(sc, ctx: MatchingContext, fresh: list[Matching], beta,
+                    alloc, powers, incumbent_obj):
+    """Run the swap game from the incumbent, complete its powers and those
+    of the fresh starts' stable matchings (`_fresh_matchings`, computed
+    once per channel state), and keep the best completed exact objective
+    (never below the incumbent).  Completion carries the incumbent's
+    powers, so it runs on every call."""
+    candidates = list(fresh)
+    if alloc is not None and alloc.any():
+        candidates.append(msma_detailed(matching_from(beta, alloc), ctx).matching)
+
+    gains, weights = ctx.gains, ctx.weights
     best = (incumbent_obj, beta, alloc, powers)
-    for start in starts:
-        psi = msma_detailed(start, ctx).matching
+    for psi in candidates:
         cand_beta, cand_alloc = psi.to_beta_alloc(sc.n_ues)
         cand_alloc, cand_powers = complete_powers(
             beta, alloc, powers, cand_beta, cand_alloc, gains, weights, sc)
@@ -272,6 +282,7 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
     stage_logs: list[StageLog] = []
     eps = sc.tolerances.bcd
     iterations = 0
+    fresh: list[Matching] | None = None  # valid while `gains` is unchanged
 
     for iterations in range(1, _MAX_BCD + 1):
         cycle_start = obj
@@ -286,16 +297,20 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
                                   sc).objective
                 trace.append(("matching", obj))
         else:
+            ctx = _matching_context(sc, gains, weights)
+            if fresh is None:
+                fresh = _fresh_matchings(ctx, relay_allowed)
             obj, beta, alloc, powers = _matching_stage(
-                sc, gains, weights, beta, alloc, powers, obj, relay_allowed)
+                sc, ctx, fresh, beta, alloc, powers, obj)
             trace.append(("matching", obj))
 
         if optimize_trajectory:
             inputs = SlotInputs(sc, beta, alloc, powers, weights, slot_index)
+            new_pos, new_gains = pos, gains
             if inputs.relay_pairs():
-                result = to_algorithm(UavState(tuple(pos), anchor), inputs)
+                result = to_algorithm(UavState(tuple(pos), anchor), inputs, gains)
                 if result.objective >= obj - _STAGE_TOL * max(1.0, abs(obj)):
-                    pos = result.position
+                    new_pos, new_gains = result.position, result.gains
                     obj = max(obj, result.objective)
                     stage_logs.extend(result.logs)
             else:
@@ -304,8 +319,14 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
                 # relayable geometry instead of a parked UAV
                 rates = rate_report(beta, alloc, powers, gains, weights,
                                     sc).per_ue_rate
-                pos = _drift_toward_unserved(sc, pos, anchor, rates, weights)
-            gains = gain_matrices(sc, pos, slot_index)
+                new_pos = _drift_toward_unserved(sc, pos, anchor, rates, weights)
+                new_gains = None
+            if not np.array_equal(new_pos, pos):
+                # a new channel state; the fresh starts belong to the old one
+                gains = (gain_matrices(sc, new_pos, slot_index) if new_gains is None
+                         else new_gains)
+                fresh = None
+            pos = new_pos
             trace.append(("trajectory", obj))
 
         res = scp_power(beta, alloc, gains, weights, sc, init=powers)
@@ -347,8 +368,7 @@ def _random_matching(sc: Scenario, gains: ChannelGains, weights: np.ndarray,
                      rng: np.random.Generator) -> Matching:
     """Uniform mode per UE among its QoS-feasible options, then each
     subchannel goes to a uniform pick of the UEs feasible on it."""
-    ctx = MatchingContext(weights, gains, sc.noise_var, sc.ici_power,
-                          sc.snr_thresholds, sc.p_ue_max, sc.p_uav_max)
+    ctx = _matching_context(sc, gains, weights)
     pairs = ctx.all_pairs()
     _, feasible = score_rows(ctx, pairs, sc.p_ue_max, sc.p_uav_max)
     ok = dict(zip(pairs, feasible.tolist()))

@@ -80,11 +80,13 @@ class Audit:
     fixed: float
 
 
-def _audit(pos, inputs: SlotInputs) -> Audit:
-    """The slot at UAV position `pos`, from one channel evaluation."""
+def _audit(pos, inputs: SlotInputs, gains: ChannelGains | None = None) -> Audit:
+    """The slot at UAV position `pos`, from one channel evaluation, or
+    none when the caller holds the exact `gains` at `pos`."""
     s = inputs.scenario
     pos = np.array(pos, dtype=float)
-    gains = gain_matrices(s, pos, inputs.slot_index)
+    if gains is None:
+        gains = gain_matrices(s, pos, inputs.slot_index)
     report = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
                          inputs.weights, s)
     beta = np.asarray(inputs.beta)
@@ -525,25 +527,28 @@ def solve_altitude(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, Sta
 @dataclass
 class TrajectoryResult:
     position: np.ndarray
+    gains: ChannelGains  # the exact channel at `position`
     objective: float
     passes: int
     improved: bool
     logs: list[StageLog]
 
 
-def to_algorithm(state: UavState, inputs: SlotInputs) -> TrajectoryResult:
+def to_algorithm(state: UavState, inputs: SlotInputs,
+                 gains: ChannelGains | None = None) -> TrajectoryResult:
     """Alternate the horizontal and altitude stages until the exact slot
-    objective stops improving by the trajectory tolerance.
+    objective stops improving by the trajectory tolerance.  `gains`, when
+    given, is the exact channel at `state.pos`.
 
     The tolerance is read relative to the relayed share of the objective:
     cellular terms are constant in the position, so folding them into the
     denominator would silence real gains on the movable links."""
     s = inputs.scenario
     anchor = tuple(float(v) for v in state.prev_pos)
-    start = cur = _audit(state.pos, inputs)
+    start = cur = _audit(state.pos, inputs, gains)
     obj = start.objective
     if not inputs.relay_pairs():
-        return TrajectoryResult(start.position, obj, 0, False, [])
+        return TrajectoryResult(start.position, start.gains, obj, 0, False, [])
 
     r_eff = move_radius(s.d_max, s.e_max, s.slot_len, s.propulsion)
     if r_eff > 0.2 * start.position[2]:
@@ -566,7 +571,7 @@ def to_algorithm(state: UavState, inputs: SlotInputs) -> TrajectoryResult:
         obj = max(obj, new_obj)
         if rel < eps:
             break
-    return TrajectoryResult(cur.position, obj, passes, improved, logs)
+    return TrajectoryResult(cur.position, cur.gains, obj, passes, improved, logs)
 
 
 def write_stage_trace(logs: list[StageLog], path) -> None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavrelay import matching as mt
 from uavrelay.channel import ChannelGains, gain_matrices
@@ -163,7 +165,138 @@ def crossing_context():
 
 
 def swap_approved(psi, k1, k2, ctx):
-    return mt.approve_swap(psi, k1, k2, mt.GameView(psi, ctx))
+    return bool(mt.swap_approvals(psi, mt.GameView(psi, ctx))[k1, k2])
+
+
+# ---------------------------------------------------------------------------
+# The swap game written out one subchannel pair at a time: the reference
+# the array-form mask and scan are held to.
+
+def scalar_lookups(psi, view):
+    """(utility, feasible) of one pair on one subchannel, read from the
+    view's table; VACANT scores 0 and is always feasible."""
+    row = dict(zip(psi.assign, view.rows(psi).tolist()))
+
+    def utility(pair, k):
+        return 0.0 if pair is mt.VACANT else float(view.utility[row[pair], k])
+
+    def feasible(pair, k):
+        return True if pair is mt.VACANT else bool(view.feasible[row[pair], k])
+
+    return utility, feasible
+
+
+def scalar_approved(psi, k1, k2, utility, feasible):
+    p1, p2 = psi.assign[k1], psi.assign[k2]
+    if p1 == p2:
+        return False
+    u11, u12 = utility(p1, k1), utility(p1, k2)
+    u22, u21 = utility(p2, k2), utility(p2, k1)
+    if u21 < u11 or u12 < u22 or u12 < u11 or u21 < u22:
+        return False
+    if not ((p1 is not mt.VACANT and u12 > u11) or (p2 is not mt.VACANT and u21 > u22)):
+        return False
+    if not (feasible(p1, k2) and feasible(p2, k1)):
+        return False
+    swapped = psi.swapped(k1, k2)
+    for ue in {p.ue for p in (p1, p2) if p is not mt.VACANT}:
+        if len({p.mode for p in swapped.assign if p is not mt.VACANT and p.ue == ue}) > 1:
+            return False
+    return True
+
+
+def scalar_msma(init, ctx):
+    """Rounds of ascending (k1, k2) scans, the first approved swap executing
+    at once; returns the result and the swaps executed in each round."""
+    psi = init.copy()
+    utility, feasible = scalar_lookups(psi, mt.GameView(psi, ctx))
+    trace = [sum(utility(p, k) for k, p in enumerate(psi.assign))]
+    gains, examined, swaps_per_round = [], [], []
+    n_sub = len(psi.assign)
+    while not swaps_per_round or swaps_per_round[-1]:
+        visited = swaps = 0
+        for k1 in range(n_sub):
+            for k2 in range(k1 + 1, n_sub):
+                visited += 1
+                if scalar_approved(psi, k1, k2, utility, feasible):
+                    p1, p2 = psi.assign[k1], psi.assign[k2]
+                    before = utility(p1, k1) + utility(p2, k2)
+                    after = utility(p1, k2) + utility(p2, k1)
+                    psi.assign[k1], psi.assign[k2] = p2, p1
+                    gains.append(after - before)
+                    trace.append(trace[-1] + (after - before))
+                    swaps += 1
+        examined.append(visited)
+        swaps_per_round.append(swaps)
+    return mt.MsmaResult(psi, len(gains), gains, trace, examined), swaps_per_round
+
+
+LEVELS = (1e-9, 2e-9, 4e-9, 8e-9)
+
+
+def random_game(rng, n, k, threshold=5.0, inconsistent=False):
+    """A context with gains drawn from few levels, so that utilities tie,
+    and a start with one mode per UE, mixed across UEs, and vacancies;
+    `inconsistent` puts UE 0 on the first two subchannels in both modes."""
+    ctx = synth_context(h_ue_bs=rng.choice(LEVELS, (n, k)),
+                        h_ue_uav=10 * rng.choice(LEVELS, (n, k)),
+                        h_uav_bs=10 * rng.choice(LEVELS, k),
+                        thresholds=SnrThresholds(threshold, threshold, threshold))
+    modes = rng.integers(0, 2, n)
+    assign = [mt.VACANT if ue < 0 else mt.McPair(int(ue), int(modes[ue]))
+              for ue in rng.integers(-1, n, k)]
+    if inconsistent and k >= 2:
+        assign[:2] = [mt.McPair(0, mt.CELLULAR), mt.McPair(0, mt.RELAY)]
+    return ctx, mt.Matching(assign)
+
+
+@st.composite
+def small_games(draw):
+    """`random_game` with N <= 4 UEs and K <= 8 subchannels."""
+    return random_game(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                       draw(st.integers(1, 4)), draw(st.integers(1, 8)),
+                       draw(st.sampled_from((1.0, 5.0, 200.0))), draw(st.booleans()))
+
+
+def assert_scan_matches_scalar(ctx, psi):
+    res = mt.msma_detailed(psi, ctx)
+    ref, _ = scalar_msma(psi, ctx)
+    assert res.matching == ref.matching
+    assert res.n_swaps == ref.n_swaps
+    assert res.swap_gains == ref.swap_gains
+    assert res.utility_trace == ref.utility_trace
+    assert res.examined_per_round == ref.examined_per_round
+    return res
+
+
+class TestScalarEquivalence:
+    @given(small_games())
+    @settings(max_examples=150, deadline=None)
+    def test_mask_matches_scalar_predicate(self, game):
+        ctx, psi = game
+        view = mt.GameView(psi, ctx)
+        mask = mt.swap_approvals(psi, view)
+        utility, feasible = scalar_lookups(psi, view)
+        n_sub = len(psi.assign)
+        expect = np.zeros((n_sub, n_sub), dtype=bool)
+        for k1 in range(n_sub):
+            for k2 in range(k1 + 1, n_sub):
+                expect[k1, k2] = scalar_approved(psi, k1, k2, utility, feasible)
+        np.testing.assert_array_equal(mask, expect)
+
+    @given(small_games())
+    @settings(max_examples=150, deadline=None)
+    def test_scan_matches_scalar_scan(self, game):
+        assert_scan_matches_scalar(*game)
+
+    def test_scan_matches_scalar_scan_at_full_size(self):
+        # small draws rarely hold two distinct pairs that both gain, so the
+        # largest size is also swept over seeds, where many starts swap and
+        # the higher floors leave a share of the table infeasible
+        swaps = [assert_scan_matches_scalar(*random_game(
+            np.random.default_rng(seed), 4, 8, threshold=(5.0, 100.0, 200.0, 400.0)[seed % 4],
+            inconsistent=seed % 5 == 0)).n_swaps for seed in range(80)]
+        assert sum(s > 0 for s in swaps) >= 20 and max(swaps) >= 2
 
 
 class TestSwapBlocking:
@@ -224,8 +357,14 @@ class TestMsma:
         for seed in range(10):
             n, k = 4, 6
             ctx = random_context(seed, n_ues=n, n_sub=k)
-            res = mt.msma_detailed(mt.init_matching(ctx), ctx)
-            assert all(c <= k * k * n for c in res.examined_per_round)
+            start = mt.init_matching(ctx)
+            start.assign[::2] = start.assign[::2][::-1]  # give the scan work
+            res = mt.msma_detailed(start, ctx)
+            _, swaps_per_round = scalar_msma(start, ctx)
+            # every round examines each subchannel pair once; every round
+            # but the last executes a swap
+            assert res.examined_per_round == [k * (k - 1) // 2] * len(res.examined_per_round)
+            assert len(res.examined_per_round) == sum(1 for c in swaps_per_round if c) + 1
 
     def test_projection_shapes(self):
         ctx = random_context(11, n_ues=3, n_sub=5)

@@ -8,18 +8,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uavrelay import orchestrator, trajectory
 from uavrelay.channel import gain_matrices
-from uavrelay.link_rate import LinkBudget, update_weights
+from uavrelay.link_rate import LinkBudget, PowerAllocation, update_weights
 from uavrelay.orchestrator import (
     ALGORITHMS,
     SWEEP_AXES,
     cluster_scenario,
+    complete_powers,
     dwell_times,
     jmstp_slot,
     run_episode,
     sweep,
     validate_solution,
 )
+from uavrelay.power_alloc import PowerLayout, spread_leftover
 from uavrelay.scenario import Scenario, SnrThresholds, UavState
 
 warnings.filterwarnings("ignore", message="move radius")
@@ -113,6 +116,110 @@ class TestJmstpSlot:
                          np.array([1.0]))
         assert validate_solution(sol, sc) == []
         assert sol.objective >= 0.98 * best
+
+
+def loop_complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
+                         weights, sc):
+    """`complete_powers` written out per assignment: carry, then fund the
+    newcomers best full-budget value first (a stable sort)."""
+    alloc = alloc.copy()
+    p_ue, p_uav = np.zeros(alloc.shape), np.zeros(alloc.shape[1])
+    fresh = []
+    for n in range(alloc.shape[0]):
+        for k in np.flatnonzero(alloc[n]):
+            if prev_alloc is not None and prev_alloc[n, k] and prev_beta[n] == beta[n]:
+                p_ue[n, k] = prev_powers.p_ue[n, k]
+                if beta[n]:
+                    p_uav[k] = prev_powers.p_uav[k]
+            else:
+                fresh.append((n, int(k)))
+    full = LinkBudget(beta[:, None] == 1, sc.p_ue_max, sc.p_uav_max, gains.h_ue_bs,
+                      gains.h_ue_uav, gains.h_uav_bs, sc.snr_thresholds,
+                      sc.noise_var, sc.ici_power)
+    value = weights[:, None] * full.rate
+    floor_ue, floor_uav = (f * (1.0 + 1e-9) for f in full.floors())
+    for n, k in sorted(fresh, key=lambda nk: value[nk], reverse=True):
+        fits = p_ue[n].sum() + floor_ue[n, k] <= sc.p_ue_max
+        if beta[n]:
+            fits = fits and p_uav.sum() + floor_uav[n, k] <= sc.p_uav_max
+        if fits:
+            p_ue[n, k], p_uav[k] = floor_ue[n, k], floor_uav[n, k]
+        else:
+            alloc[n, k] = 0
+    powers = PowerAllocation(p_ue, p_uav)
+    spread_leftover(PowerLayout(beta, alloc, gains, sc), powers, weights)
+    return alloc, powers
+
+
+class TestCompletePowers:
+    def test_matches_loop_reference(self):
+        # floors low enough that a UE funds some of its newcomers and sheds
+        # the rest, so the funding order decides which
+        sc = Scenario(n_ues=4, n_subchannels=8, fading_model="mixed",
+                      snr_thresholds=SnrThresholds(100.0, 100.0, 100.0)).with_positions(1)
+        gains = gain_matrices(sc, sc.uav_start, 0)
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            def draw():
+                owner = rng.integers(-1, sc.n_ues, sc.n_subchannels)
+                alloc = (owner[None, :] == np.arange(sc.n_ues)[:, None]).astype(int)
+                return rng.integers(0, 2, sc.n_ues), alloc
+            (prev_beta, prev_alloc), (beta, alloc) = draw(), draw()
+            prev = PowerAllocation(rng.uniform(0, 0.01, alloc.shape) * prev_alloc,
+                                   rng.uniform(0, 0.05, sc.n_subchannels))
+            weights = rng.choice((0.0, 1.0, 2.0), sc.n_ues)  # zero weights tie
+            for carried in (prev_alloc, None):
+                args = (prev_beta, carried, prev, beta, alloc, gains, weights, sc)
+                got_alloc, got = complete_powers(*args)
+                want_alloc, want = loop_complete_powers(*args)
+                np.testing.assert_array_equal(got_alloc, want_alloc)
+                np.testing.assert_array_equal(got.p_ue, want.p_ue)
+                np.testing.assert_array_equal(got.p_uav, want.p_uav)
+
+
+def record_calls(monkeypatch, module, name):
+    """Replace `module.name` by a wrapper that appends each call's
+    positional arguments to the returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+class TestChannelStateReuse:
+    """Work that reads only the channel is done once per UAV position."""
+
+    @pytest.mark.parametrize("fading, seed", [("none", 0), ("mixed", 5), ("mixed", 7)])
+    def test_no_position_evaluated_twice(self, monkeypatch, fading, seed):
+        # drift moves (fading none), accepted trajectory moves (mixed)
+        calls = [record_calls(monkeypatch, module, "gain_matrices")
+                 for module in (orchestrator, trajectory)]
+        sol = cold_slot(tiny_scenario(fading_model=fading, rng_seed=seed))
+        positions = [tuple(np.asarray(args[1], dtype=float)) for c in calls for args in c]
+        assert sol.iterations >= 2 and len(positions) >= 2
+        assert len(set(positions)) == len(positions)
+
+    def test_cellular_greedy_start_built_once_per_slot(self, monkeypatch):
+        sc = tiny_scenario(n_slots=4, rng_seed=1, fading_model="mixed")
+        calls = record_calls(monkeypatch, orchestrator, "init_matching")
+        log = run_episode(sc, "cellular")
+        assert sum(sol.iterations >= 2 for sol in log.slots) >= 2
+        assert len(calls) == sc.n_slots
+
+    def test_fresh_starts_rebuilt_after_a_move(self, monkeypatch):
+        # no relayed pair forms, so each drift move is a new channel state,
+        # and each state gets the scored, all-cellular and coverage starts
+        inits = record_calls(monkeypatch, orchestrator, "init_matching")
+        evals = record_calls(monkeypatch, orchestrator, "gain_matrices")
+        sol = cold_slot(tiny_scenario())
+        assert not sol.beta.any()
+        assert len(evals) == 2
+        assert len(inits) == 3 * len(evals)
 
 
 class TestRunEpisode:
