@@ -1,24 +1,30 @@
 """Small projected-gradient engine for concave maximization over the
-intersection of a ball, halfspaces, and per-variable lower bounds, with an
-optional log-barrier pass for smooth nonlinear constraints.
+three feasible regions this package builds, with an optional log-barrier
+pass for smooth nonlinear constraints.
 
-Every subproblem in this package has a handful of variables and a
-feasible set with a closed-form projection (a disc, an interval, or a
-product of budget blocks), so the engine projects exactly and spends its
-effort on a backtracking line search with a sufficient-increase test and
-a three-decade barrier schedule with warm starts.
+The horizontal trajectory stage moves inside a disc, the altitude stage
+inside an interval, and the power stage over budget blocks with
+per-variable floors.  Each region has a closed-form projection, so the
+engine projects exactly and spends its effort on a backtracking line
+search with a sufficient-increase test and a three-decade barrier
+schedule with warm starts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
+
+# residual allowed on every barrier row when the final point is validated:
+# barriers stop strictly inside, but a caller may seed exactly on the boundary
+_BARRIER_TOL = 1e-9
+_PG_TOL = 1e-8
 
 
 @dataclass
@@ -27,31 +33,31 @@ class BarrierTerm:
 
     `fn` returns the values of its m constraint rows and their Jacobian,
     shapes (m,) and (m, d); a scalar value with a gradient of shape (d,)
-    is the one-row case.  The barrier adds mu * sum_i log g_i(x).  `tol`
-    is the residual allowed on every row when the final point is
-    validated (barriers stop strictly inside, but a caller may seed
-    exactly on the boundary)."""
+    is the one-row case.  The barrier adds mu * sum_i log g_i(x)."""
 
     fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    tol: float = 1e-9
 
 
 @dataclass
 class FeasibleSet:
-    """Convex feasible region: optional ball, halfspaces a.x <= b, and
-    per-variable lower bounds.  Nonlinear concave constraints ride along as
-    barrier terms, each carrying one or more constraint rows, and do not
-    participate in projection.
+    """Convex feasible region in one of three shapes, each projected
+    exactly:
 
-    Projection is exact for the three shapes this package builds: a ball
-    alone, any set over one variable (an interval), and halfspaces with
-    0/1 coefficients and disjoint supports plus optional lower bounds (a
-    product of budget blocks).  Any other shape is rejected."""
+    - `ball=(center, radius)`: a disc;
+    - `interval=(lo, hi)`: one variable in [lo, hi]; an empty interval
+      clips to `hi`, which `linear_violation` then reports;
+    - `blocks=(block, budgets)` with `floors`: variable i belongs to block
+      `block[i]` (ids 0 .. B-1, none empty), x >= floors, and each block
+      sums to at most its entry of `budgets`.
+
+    Smooth nonlinear constraints ride along as one optional `barrier`
+    term, which carries every row and takes no part in projection."""
 
     ball: tuple[np.ndarray, float] | None = None
-    halfspaces: list[tuple[np.ndarray, float]] = field(default_factory=list)
-    lower_bounds: np.ndarray | None = None
-    barrier_terms: list[BarrierTerm] = field(default_factory=list)
+    interval: tuple[float, float] | None = None
+    blocks: tuple[np.ndarray, np.ndarray] | None = None
+    floors: np.ndarray | None = None
+    barrier: BarrierTerm | None = None
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Euclidean projection onto the linear part of the set."""
@@ -59,23 +65,12 @@ class FeasibleSet:
 
     @cached_property
     def _projector(self) -> Callable[[np.ndarray], np.ndarray]:
-        sizes = {int(np.size(a)) for a, _ in self.halfspaces}
         if self.ball is not None:
-            sizes.add(int(np.size(self.ball[0])))
-        if self.lower_bounds is not None:
-            sizes.add(int(np.size(self.lower_bounds)))
-        if len(sizes) > 1:
-            raise ValueError(f"constraints disagree on the dimension: {sorted(sizes)}")
-        if not sizes:
-            return lambda x: x
-        if sizes == {1}:
-            return self._interval_projector()
-        if self.ball is not None:
-            if self.halfspaces or self.lower_bounds is not None:
-                raise ValueError("no exact projection for a ball combined with "
-                                 "halfspaces or lower bounds")
             return self._project_ball
-        return self._block_projector(sizes.pop())
+        if self.interval is not None:
+            lo, hi = self.interval
+            return lambda x: np.array([min(max(float(x[0]), lo), hi)])
+        return self._block_projector()
 
     def _project_ball(self, x: np.ndarray) -> np.ndarray:
         center, radius = self.ball
@@ -85,67 +80,20 @@ class FeasibleSet:
             return x
         return center + d * (radius / norm)
 
-    def _interval_projector(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Clip onto [lo, hi], the intersection of every constraint on the
-        single variable.  An empty interval clips to its upper end, which
-        `linear_violation` then reports."""
-        lo, hi = -math.inf, math.inf
-        if self.ball is not None:
-            center, radius = float(np.ravel(self.ball[0])[0]), self.ball[1]
-            lo, hi = center - radius, center + radius
-        for a, b in self.halfspaces:
-            a = float(np.ravel(a)[0])
-            if a > 0.0:
-                hi = min(hi, b / a)
-            elif a < 0.0:
-                lo = max(lo, b / a)
-        if self.lower_bounds is not None:
-            lo = max(lo, float(np.ravel(self.lower_bounds)[0]))
-        return lambda x: np.array([min(max(float(x[0]), lo), hi)])
+    def _block_projector(self) -> Callable[[np.ndarray], np.ndarray]:
+        """Projection onto the product of blocks {x >= floors, sum(x) <= b}.
 
-    def _block_projector(self, n: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Projection onto a product of blocks {x >= lo, sum(x) <= b}, one
-        per halfspace; variables outside every halfspace are only floored.
-
-        With floors, a block whose budget binds is projected by
-        sort-and-threshold on x - lo (Duchi et al., "Efficient projections
-        onto the l1-ball", ICML 2008), all blocks in one vectorized pass.
-        Without floors a binding block is shifted evenly onto its budget."""
-        members, budgets = [], []
-        covered = np.zeros(n, dtype=bool)
-        for a, b in self.halfspaces:
-            a = np.asarray(a, dtype=float)
-            support = np.flatnonzero(a)
-            if np.any(a[support] != 1.0) or covered[support].any():
-                raise ValueError("no exact projection: halfspaces need 0/1 "
-                                 "coefficients and disjoint supports")
-            if support.size:
-                covered[support] = True
-                members.append(support)
-                budgets.append(float(b))
-        floors = self.lower_bounds
-        if not members:
-            return (lambda x: x) if floors is None else (lambda x: np.maximum(x, floors))
-
-        idx = np.concatenate(members)
-        counts = np.array([m.size for m in members])
+        A block whose budget binds is projected by sort-and-threshold on
+        x - floors (Duchi et al., "Efficient projections onto the l1-ball",
+        ICML 2008), all blocks in one vectorized pass."""
+        block, budgets = self.blocks
+        floors = np.asarray(self.floors, dtype=float)
+        idx = np.argsort(block, kind="stable")  # the members of each block, in turn
+        block = np.asarray(block)[idx]
+        counts = np.bincount(block)
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        block = np.repeat(np.arange(len(members)), counts)
-        budgets = np.array(budgets)
-
-        if floors is None:
-            def shift(x: np.ndarray) -> np.ndarray:
-                excess = np.add.reduceat(x[idx], starts) - budgets
-                if np.all(excess <= 0.0):
-                    return x
-                out = x.copy()
-                out[idx] -= (np.maximum(excess, 0.0) / counts)[block]
-                return out
-            return shift
-
-        floors = np.asarray(floors, dtype=float)
         lo = floors[idx]
-        spare = budgets - np.add.reduceat(lo, starts)
+        spare = np.asarray(budgets, dtype=float) - np.add.reduceat(lo, starts)
         rank = np.arange(idx.size) - starts[block] + 1.0
         ends = starts + counts - 1
 
@@ -168,30 +116,28 @@ class FeasibleSet:
         return threshold
 
     def linear_violation(self, x: np.ndarray) -> float:
-        """Largest residual over ball, halfspaces, and lower bounds."""
-        worst = 0.0
+        """Largest residual of the region's constraints at `x`; 0 inside."""
         if self.ball is not None:
             center, radius = self.ball
-            worst = max(worst, float(np.linalg.norm(x - center)) - radius)
-        for a, b in self.halfspaces:
-            worst = max(worst, float(np.dot(a, x)) - b)
-        if self.lower_bounds is not None:
-            worst = max(worst, float(np.max(self.lower_bounds - x)))
-        return worst
+            return max(0.0, float(np.linalg.norm(x - center)) - radius)
+        if self.interval is not None:
+            lo, hi = self.interval
+            return max(0.0, lo - float(x[0]), float(x[0]) - hi)
+        block, budgets = self.blocks
+        over = np.bincount(block, x, len(budgets)) - budgets
+        return max(0.0, float(np.max(over)), float(np.max(self.floors - x)))
 
     def barrier_violation(self, x: np.ndarray) -> float:
-        """Largest residual over every row of every barrier term."""
-        worst = 0.0
-        for term in self.barrier_terms:
-            val, _ = term.fn(x)
-            worst = max(worst, -(float(np.min(val)) + term.tol))
-        return worst
+        """Largest residual over the barrier's rows, beyond `_BARRIER_TOL`."""
+        if self.barrier is None:
+            return 0.0
+        val, _ = self.barrier.fn(x)
+        return max(0.0, -(float(np.min(val)) + _BARRIER_TOL))
 
 
 @dataclass
 class Diagnostics:
     iterations: int = 0
-    grad_norm: float = math.inf
     converged: bool = False
     reason: str = ""
 
@@ -209,7 +155,7 @@ _MAX_STEP = 1e8
 
 
 def _ascend(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
-            max_iters: int, pg_tol: float) -> tuple[np.ndarray, float, Diagnostics]:
+            max_iters: int) -> tuple[np.ndarray, float, Diagnostics]:
     """Spectral projected gradient ascent with a monotone Armijo search
     along the feasible segment toward the projected trial point."""
     x = fset.project(np.asarray(x0, dtype=float))
@@ -226,8 +172,7 @@ def _ascend(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
         # h(t)/min(t,1) upper-bounds the unit-step residual for any t, so
         # stopping on it never stops earlier than the true criterion would
         pg_norm = float(np.linalg.norm(d)) / min(step, 1.0)
-        diag.grad_norm = pg_norm
-        if pg_norm < pg_tol:
+        if pg_norm < _PG_TOL:
             diag.converged = True
             diag.reason = "projected gradient below tolerance"
             break
@@ -257,10 +202,10 @@ def _ascend(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
 
 
 def maximize_concave(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
-                     max_iters: int = 500, pg_tol: float = 1e-8) -> SolveResult:
+                     max_iters: int = 500) -> SolveResult:
     """Maximize a concave objective over the feasible set.
 
-    Nonlinear barrier terms are folded in through a decreasing-weight
+    The barrier term, if any, is folded in through a decreasing-weight
     log-barrier, warm-starting each stage.  The reported value is the plain
     objective at the final point."""
     x0 = fset.project(np.asarray(x0, dtype=float))
@@ -268,8 +213,9 @@ def maximize_concave(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
         return SolveResult(x0, -math.inf, False,
                            Diagnostics(reason="no feasible start derivable"))
 
-    if not fset.barrier_terms:
-        x, val, diag = _ascend(objective, fset, x0, max_iters, pg_tol)
+    barrier = fset.barrier
+    if barrier is None:
+        x, val, diag = _ascend(objective, fset, x0, max_iters)
         return SolveResult(x, val, True, diag)
 
     def barrier_objective(mu: float) -> Objective:
@@ -277,40 +223,20 @@ def maximize_concave(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
             val, grad = objective(x)
             if not math.isfinite(val):
                 return -math.inf, grad
-            for term in fset.barrier_terms:
-                g_val, g_jac = term.fn(x)
-                g_val = np.asarray(g_val)
-                if (g_val <= 0.0).any():
-                    return -math.inf, grad
-                val += mu * float(np.log(g_val).sum())
-                grad = grad + np.dot(mu / g_val, g_jac)
-            return val, grad
+            g_val, g_jac = barrier.fn(x)
+            g_val = np.asarray(g_val)
+            if (g_val <= 0.0).any():
+                return -math.inf, grad
+            return val + mu * float(np.log(g_val).sum()), grad + np.dot(mu / g_val, g_jac)
         return f
 
     x = x0
     diag = Diagnostics()
     for mu in BARRIER_WEIGHTS:
-        x, _, diag = _ascend(barrier_objective(mu), fset, x, max_iters, pg_tol)
+        x, _, diag = _ascend(barrier_objective(mu), fset, x, max_iters)
     val, _ = objective(x)
     if not math.isfinite(val) or fset.barrier_violation(x) > 0.0:
         return SolveResult(x, val, False,
                            Diagnostics(reason="barrier stage left constraints violated"))
     return SolveResult(x, val, True, diag)
 
-
-def grad_check(objective: Objective, point, step: float = 1e-6) -> float:
-    """Max relative deviation between the analytic gradient and central
-    finite differences, normalized by the larger gradient norm."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    x = np.asarray(point, dtype=float)
-    _, analytic = objective(x)
-    numeric = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        up, _ = objective(x + e)
-        down, _ = objective(x - e)
-        numeric[i] = (up - down) / (2.0 * step)
-    scale = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(numeric)), 1e-12)
-    return float(np.max(np.abs(analytic - numeric)) / scale)

@@ -61,9 +61,6 @@ class Matching:
     def relay_total(self) -> int:
         return sum(1 for p in self.assign if p is not VACANT and p.mode == RELAY)
 
-    def subchannels_of(self, pair: McPair) -> list[int]:
-        return [k for k, p in enumerate(self.assign) if p == pair]
-
     def mode_consistent(self) -> bool:
         modes: dict[int, int] = {}
         for pair in self.assign:

@@ -20,14 +20,13 @@ from .link_rate import (LinkBudget, PowerAllocation, jain_index, rate_report,
                         update_weights)
 from .matching import (CELLULAR, RELAY, VACANT, Matching, MatchingContext,
                        McPair, init_matching, msma_detailed, score_rows)
-from .power_alloc import PowerLayout, scp_power, spread_leftover
+from .power_alloc import _FLOOR_MARGIN, PowerLayout, scp_power, spread_leftover
 from .scenario import Scenario, UavState
 from .trajectory import SlotInputs, StageLog, to_algorithm
 from .uav_power import flying_power_upper, move_radius
 
 _STAGE_TOL = 1e-9
 _MAX_BCD = 100
-_FLOOR_MARGIN = 1e-9
 
 
 @dataclass

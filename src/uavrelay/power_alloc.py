@@ -5,7 +5,7 @@ Each UE's rate splits into a difference of two concave pieces in the
 powers; linearizing the subtracted piece at the current iterate gives a
 concave surrogate that is tight there and never overshoots, so the SCP
 loop is monotone in the exact weighted sum rate.  All constraints are
-linear at fixed gains: per-entity budget halfspaces and per-subchannel
+linear at fixed gains: one budget block per entity and per-subchannel
 QoS floors.  Infeasible starts are repaired by funding every occupied
 subchannel at its floor and releasing the lowest-value subchannel of
 whichever entity still cannot pay.
@@ -151,12 +151,12 @@ class PowerProblem(PowerLayout):
 
     def feasible_set(self) -> FeasibleSet:
         """One budget block per UE with variables, then the UAV's."""
-        budget_of = np.concatenate((self.ue_n, np.full(self.uav_k.size, -1)))
-        spaces = [((budget_of == n).astype(float), self.sc.p_ue_max)
-                  for n in np.unique(self.ue_n)]
+        ues, block = np.unique(self.ue_n, return_inverse=True)
+        budgets = [self.sc.p_ue_max] * ues.size
         if self.uav_k.size:
-            spaces.append(((budget_of == -1).astype(float), self.sc.p_uav_max))
-        return FeasibleSet(halfspaces=spaces, lower_bounds=self.qos_floors())
+            budgets.append(self.sc.p_uav_max)
+        block = np.concatenate((block, np.full(self.uav_k.size, ues.size)))
+        return FeasibleSet(blocks=(block, np.array(budgets)), floors=self.qos_floors())
 
     def true_objective(self, x: np.ndarray) -> float:
         report = rate_report(self.beta, self.alloc, self.unpack(x), self.gains,
@@ -291,12 +291,11 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
     if start is None:
         alloc, powers, dropped = restore_feasible(beta, alloc, gains, weights, s)
         prob = PowerProblem(beta, alloc, gains, weights, s)
+        if prob.n_vars == 0:
+            return PowerResult(prob.unpack(np.zeros(0)), alloc, dropped, 0.0, 0, True)
+        fset = prob.feasible_set()
         start = prob.pack(powers)
 
-    if prob.n_vars == 0:
-        return PowerResult(prob.unpack(np.zeros(0)), alloc, dropped, 0.0, 0, True)
-
-    fset = prob.feasible_set()
     eps = s.tolerances.bcd / 10.0
     x = start
     obj = prob.true_objective(x)

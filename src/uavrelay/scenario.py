@@ -156,10 +156,42 @@ def sample_uav_start(seed: int, radius: float = CELL_RADIUS) -> Point:
     return (x, y, z)
 
 
-# Config keys.  Each entry maps the documented key to (scenario field, kind).
-# kind "w"/"linear" means the key is given in SI already; "dbm"/"db" variants
-# are generated below.  Booked this way so unknown keys can be rejected with a
-# clear message and dBm/dB duplicates detected.
+# Config values are converted once, by key, before anything reads them; a
+# value of the wrong type or shape is rejected, never truncated.
+
+def _number(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def _integer(v) -> int:
+    if not _number(v).is_integer():
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _numbers(v, lengths=()) -> tuple[float, ...]:
+    """A list of numbers, of one of `lengths` when any are given."""
+    if not isinstance(v, list) or (lengths and len(v) not in lengths):
+        size = " " + " or ".join(map(str, lengths)) if lengths else ""
+        raise ValueError(f"expected a list of{size} numbers, got {v!r}")
+    return tuple(_number(x) for x in v)
+
+
+def _ue_positions(v) -> tuple[Point, ...]:
+    """UE positions as [x, y] (on the ground) or [x, y, z]."""
+    if not isinstance(v, list):
+        raise ValueError(f"expected a list of positions, got {v!r}")
+    return tuple((*p, 0.0) if len(p) == 2 else p
+                 for p in (_numbers(q, (2, 3)) for q in v))
+
+
+# Config keys.  _PLAIN_KEYS and _LIST_KEYS map each documented key to its
+# converter.  _POWER_KEYS and _ATTEN_KEYS map a base name to its scenario
+# field; their unit variants (W/dBm, linear/dB), all numbers, are generated
+# below.  Booked this way so unknown keys can be rejected with a clear
+# message and dBm/dB duplicates detected.
 _POWER_KEYS = {
     "p_ue_max": "p_ue_max",
     "p_uav_max": "p_uav_max",
@@ -171,39 +203,43 @@ _ATTEN_KEYS = {
     "eta_nlos": "eta_nlos",
 }
 _PLAIN_KEYS = {
-    "n_ues": int,
-    "n_subchannels": int,
-    "n_slots": int,
-    "slot_len": float,
-    "bs_height_m": float,
-    "pathloss_exp": float,
-    "a2g_a": float,
-    "a2g_b": float,
-    "d_max_m": float,
-    "e_max": float,
-    "snr_min": float,
-    "snr_min_db": float,
-    "snr_min_ue_uav": float,
-    "snr_min_uav_bs": float,
-    "bcd_eps": float,
-    "trajectory_eps": float,
-    "fading_model": str,
-    "rician_k_db": float,
-    "rng_seed": int,
-    "freq_hz": float,
-    "prop_delta": float,
-    "prop_omega": float,
-    "prop_rotor_radius_m": float,
-    "prop_u_tip": float,
-    "prop_v0": float,
-    "prop_d0": float,
-    "prop_rho": float,
-    "prop_s": float,
-    "prop_disc_area": float,
-    "prop_weight": float,
-    "prop_k_factor": float,
+    "n_ues": _integer,
+    "n_subchannels": _integer,
+    "n_slots": _integer,
+    "slot_len": _number,
+    "bs_height_m": _number,
+    "pathloss_exp": _number,
+    "a2g_a": _number,
+    "a2g_b": _number,
+    "d_max_m": _number,
+    "e_max": _number,
+    "snr_min": _number,
+    "snr_min_db": _number,
+    "snr_min_ue_uav": _number,
+    "snr_min_uav_bs": _number,
+    "bcd_eps": _number,
+    "trajectory_eps": _number,
+    "fading_model": str,  # validate() names the models it accepts
+    "rician_k_db": _number,
+    "rng_seed": _integer,
+    "freq_hz": _number,
+    "prop_delta": _number,
+    "prop_omega": _number,
+    "prop_rotor_radius_m": _number,
+    "prop_u_tip": _number,
+    "prop_v0": _number,
+    "prop_d0": _number,
+    "prop_rho": _number,
+    "prop_s": _number,
+    "prop_disc_area": _number,
+    "prop_weight": _number,
+    "prop_k_factor": _number,
 }
-_LIST_KEYS = ("subchannel_freqs_hz", "ue_positions", "uav_start")
+_LIST_KEYS = {
+    "subchannel_freqs_hz": _numbers,
+    "ue_positions": _ue_positions,
+    "uav_start": lambda v: _numbers(v, (3,)),
+}
 
 
 def known_config_keys() -> set[str]:
@@ -218,20 +254,28 @@ def known_config_keys() -> set[str]:
 def load_scenario(text: str) -> Scenario:
     """Parse a JSON config document into a validated Scenario.
 
-    Missing keys fall back to the defaults above.  Unknown keys and
+    Missing keys fall back to the defaults above.  Unknown keys,
     duplicate unit variants (e.g. both noise_var_w and noise_var_dbm)
-    are rejected.
+    and values of the wrong type or shape are rejected.
     """
     try:
-        doc = json.loads(text) if text.strip() else {}
+        raw = json.loads(text) if text.strip() else {}
     except json.JSONDecodeError as exc:
         raise ValueError(f"config parse failure: {exc}") from exc
-    if not isinstance(doc, dict):
+    if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
 
-    unknown = set(doc) - known_config_keys()
+    unknown = set(raw) - known_config_keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+
+    doc: dict = {}
+    for key, value in raw.items():
+        convert = _PLAIN_KEYS.get(key) or _LIST_KEYS.get(key) or _number
+        try:
+            doc[key] = convert(value)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"config key {key}: {exc}") from exc
 
     kw: dict = {}
 
@@ -240,9 +284,9 @@ def load_scenario(text: str) -> Scenario:
         if w_key in doc and dbm_key in doc:
             raise ValueError(f"give only one of {w_key} / {dbm_key}")
         if w_key in doc:
-            kw[fname] = float(doc[w_key])
+            kw[fname] = doc[w_key]
         elif dbm_key in doc:
-            kw[fname] = dbm_to_watts(float(doc[dbm_key]))
+            kw[fname] = dbm_to_watts(doc[dbm_key])
 
     a2g_kw: dict = {}
     for base, fname in _ATTEN_KEYS.items():
@@ -250,20 +294,20 @@ def load_scenario(text: str) -> Scenario:
         if base in doc and db_key in doc:
             raise ValueError(f"give only one of {base} / {db_key}")
         if base in doc:
-            a2g_kw[fname] = float(doc[base])
+            a2g_kw[fname] = doc[base]
         elif db_key in doc:
-            a2g_kw[fname] = db_to_linear(float(doc[db_key]))
+            a2g_kw[fname] = db_to_linear(doc[db_key])
     if "a2g_a" in doc:
-        a2g_kw["a"] = float(doc["a2g_a"])
+        a2g_kw["a"] = doc["a2g_a"]
     if "a2g_b" in doc:
-        a2g_kw["b"] = float(doc["a2g_b"])
+        a2g_kw["b"] = doc["a2g_b"]
     if a2g_kw:
         kw["a2g"] = A2GParams(**{**A2GParams().__dict__, **a2g_kw})
 
     prop_kw = {}
     for key in _PLAIN_KEYS:
         if key.startswith("prop_") and key in doc:
-            prop_kw[key.removeprefix("prop_").removesuffix("_m")] = float(doc[key])
+            prop_kw[key.removeprefix("prop_").removesuffix("_m")] = doc[key]
     if prop_kw:
         kw["propulsion"] = PropulsionParams(**{**PropulsionParams().__dict__, **prop_kw})
 
@@ -272,52 +316,41 @@ def load_scenario(text: str) -> Scenario:
                        ("bs_height_m", "bs_height"), ("pathloss_exp", "pathloss_exp"),
                        ("d_max_m", "d_max"), ("e_max", "e_max"),
                        ("fading_model", "fading_model"), ("rician_k_db", "rician_k_factor"),
-                       ("rng_seed", "rng_seed")):
+                       ("rng_seed", "rng_seed"), ("ue_positions", "ue_positions"),
+                       ("uav_start", "uav_start")):
         if key in doc:
-            kw[fname] = _PLAIN_KEYS[key](doc[key])
+            kw[fname] = doc[key]
 
     if "snr_min" in doc and "snr_min_db" in doc:
         raise ValueError("give only one of snr_min / snr_min_db")
     gamma = None
     if "snr_min" in doc:
-        gamma = float(doc["snr_min"])
+        gamma = doc["snr_min"]
     elif "snr_min_db" in doc:
-        gamma = db_to_linear(float(doc["snr_min_db"]))
+        gamma = db_to_linear(doc["snr_min_db"])
     if gamma is not None or "snr_min_ue_uav" in doc or "snr_min_uav_bs" in doc:
         base_thr = SnrThresholds()
         g = gamma if gamma is not None else base_thr.direct
         kw["snr_thresholds"] = SnrThresholds(
             direct=g,
-            ue_uav=float(doc.get("snr_min_ue_uav", g)),
-            uav_bs=float(doc.get("snr_min_uav_bs", g)),
+            ue_uav=doc.get("snr_min_ue_uav", g),
+            uav_bs=doc.get("snr_min_uav_bs", g),
         )
 
     if "bcd_eps" in doc or "trajectory_eps" in doc:
         base_tol = Tolerances()
         kw["tolerances"] = Tolerances(
-            bcd=float(doc.get("bcd_eps", base_tol.bcd)),
-            trajectory=float(doc.get("trajectory_eps", base_tol.trajectory)),
+            bcd=doc.get("bcd_eps", base_tol.bcd),
+            trajectory=doc.get("trajectory_eps", base_tol.trajectory),
         )
 
     if "subchannel_freqs_hz" in doc and "freq_hz" in doc:
         raise ValueError("give only one of freq_hz / subchannel_freqs_hz")
     if "subchannel_freqs_hz" in doc:
-        kw["subchannel_freqs"] = tuple(float(f) for f in doc["subchannel_freqs_hz"])
+        kw["subchannel_freqs"] = doc["subchannel_freqs_hz"]
     elif "freq_hz" in doc:
         n_k = kw.get("n_subchannels", Scenario().n_subchannels)
-        kw["subchannel_freqs"] = (float(doc["freq_hz"]),) * n_k
-
-    if "ue_positions" in doc:
-        pts = []
-        for p in doc["ue_positions"]:
-            if len(p) == 2:
-                pts.append((float(p[0]), float(p[1]), 0.0))
-            else:
-                pts.append((float(p[0]), float(p[1]), float(p[2])))
-        kw["ue_positions"] = tuple(pts)
-    if "uav_start" in doc:
-        x, y, z = doc["uav_start"]
-        kw["uav_start"] = (float(x), float(y), float(z))
+        kw["subchannel_freqs"] = (doc["freq_hz"],) * n_k
 
     scenario = Scenario(**kw).with_positions()
     problems = validate(scenario)

@@ -398,7 +398,7 @@ def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, S
         barrier = _horizontal_barrier(ctx, inputs)
         blocked = ("approximated SNR set leaves no room at the incumbent"
                    if np.any(barrier.fn(xy)[0] <= 0.0) else "")
-        return (xy, ctx, FeasibleSet(ball=ball, barrier_terms=[barrier]), blocked,
+        return (xy, ctx, FeasibleSet(ball=ball, barrier=barrier), blocked,
                 lambda w: (w[0], w[1], z))
 
     return _run_stage(log, start, inputs, build), log
@@ -482,9 +482,10 @@ def altitude_surrogate(inputs: SlotInputs, audit: Audit) -> AltitudeContext:
                            np.full(sub.shape, q[-1]))
 
 
-def _altitude_halfspaces(ctx: AltitudeContext, inputs: SlotInputs) -> list[tuple[np.ndarray, float]]:
-    """Approximated SNR floors; affine gains make them plain halfspaces,
-    normalized by their thresholds."""
+def _altitude_rows(ctx: AltitudeContext, inputs: SlotInputs) -> tuple[np.ndarray, np.ndarray]:
+    """Approximated SNR floors as rows a*z <= b, one per hop of every
+    pair (affine gains make each a bound on z), normalized by their
+    thresholds."""
     t1, t2 = _hop_targets(ctx, inputs)
     h0 = np.concatenate([ctx.h1, ctx.h2])
     q = np.concatenate([ctx.q1, ctx.q2])
@@ -492,7 +493,7 @@ def _altitude_halfspaces(ctx: AltitudeContext, inputs: SlotInputs) -> list[tuple
     # h0*(1 - q*(z - z0)) >= target*(1 - slack), written a*z <= b
     a = h0 * q / target
     b = h0 * (1.0 + q * ctx.x0[0]) / target - 1.0 + _QOS_SLACK
-    return [(np.array([ai]), float(bi)) for ai, bi in zip(a, b)]
+    return a, b
 
 
 def solve_altitude(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, StageLog]:
@@ -506,16 +507,24 @@ def solve_altitude(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, Sta
     xy = start.position[:2].copy()
     r_eff = move_radius(s.d_max, s.e_max, s.slot_len, s.propulsion)
     r_z = math.sqrt(max(r_eff * r_eff - float(np.sum((xy - anchor[:2]) ** 2)), 0.0))
-    floor = np.array([s.bs_height + _BS_CLEARANCE])
+    floor = s.bs_height + _BS_CLEARANCE
+    move_lo, move_hi = max(anchor[2] - r_z, floor), anchor[2] + r_z
 
     def build(cur: Audit):
         ctx = altitude_surrogate(inputs, cur)
-        fset = FeasibleSet(ball=(np.array([anchor[2]]), r_z),
-                           halfspaces=_altitude_halfspaces(ctx, inputs),
-                           lower_bounds=floor)
-        blocked = ("approximated SNR set excludes the incumbent altitude"
-                   if fset.linear_violation(ctx.x0) > 1e-9 else "")
-        return (ctx.x0, ctx, fset, blocked,
+        a, b = _altitude_rows(ctx, inputs)
+        z0 = ctx.x0[0]
+        # every residual is read at the incumbent, rows with a == 0 included,
+        # though only rows with a != 0 bound the interval
+        blocked = ""
+        if np.max(a * z0 - b) > 1e-9:
+            blocked = "approximated SNR set excludes the incumbent altitude"
+        elif max(abs(z0 - anchor[2]) - r_z, floor - z0) > 1e-9:
+            blocked = "move range leaves no altitude room at the incumbent"
+        up, down = a > 0.0, a < 0.0
+        lo = max(move_lo, np.max(b[down] / a[down], initial=-math.inf))
+        hi = min(move_hi, np.min(b[up] / a[up], initial=math.inf))
+        return (ctx.x0, ctx, FeasibleSet(interval=(lo, hi)), blocked,
                 lambda v: (xy[0], xy[1], float(v[0])))
 
     return _run_stage(log, start, inputs, build), log

@@ -37,6 +37,26 @@ def test_validate_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, named", [
+    ('{"n_ues": null}', "n_ues"),
+    ('{"n_ues": 2.7}', "n_ues"),
+    ('{"p_ue_max_w": [1]}', "p_ue_max_w"),
+    ('{"ue_positions": [[1.0]]}', "ue_positions"),
+    ('{"n_ues": 1, "ue_positions": [[1.0, 2.0, 0.0, 4.0]]}', "ue_positions"),
+    ('{"uav_start": [1.0, 2.0]}', "uav_start"),
+    ('{"subchannel_freqs_hz": 5}', "subchannel_freqs_hz"),
+    (None, "config.json"),  # a directory where the file should be
+])
+def test_validate_rejects_malformed_configs(tmp_path, capsys, text, named):
+    path = tmp_path / "config.json"
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_missing_config_file_fails_cleanly(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
     assert "invalid" in capsys.readouterr().err

@@ -2,16 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from gradcheck import grad_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavrelay import convex_core
-from uavrelay.convex_core import (
-    BarrierTerm,
-    FeasibleSet,
-    grad_check,
-    maximize_concave,
-)
+from uavrelay.convex_core import BarrierTerm, FeasibleSet, maximize_concave
 
 
 def quadratic_around(target, scale=1.0):
@@ -48,22 +44,18 @@ class TestProjection:
         assert fs.project(inside) == pytest.approx(inside)
 
     def test_halfspace_projection(self):
-        fs = FeasibleSet(halfspaces=[(np.array([1.0, 1.0]), 1.0)])
+        # one block with zero floors: the halfspace x1 + x2 <= 1 over x >= 0
+        fs = FeasibleSet(blocks=(np.array([0, 0]), np.array([1.0])), floors=np.zeros(2))
         assert fs.project(np.array([1.0, 1.0])) == pytest.approx([0.5, 0.5])
 
     def test_idempotent(self):
-        # one set per shape the projection supports: a disc, an interval,
-        # and budget blocks with floors and a floored free variable
+        # one set per shape: a disc, an interval, and budget blocks with floors
         lo = np.array([0.1, 0.0, 0.2, 0.05, -1.0])
         shapes = {
             "ball": FeasibleSet(ball=(np.array([1.0, 0.0]), 2.0)),
-            "interval": FeasibleSet(ball=(np.array([3.0]), 2.0),
-                                    halfspaces=[(np.array([2.0]), 8.0),
-                                                (np.array([-1.0]), -1.5)],
-                                    lower_bounds=np.array([1.8])),
-            "blocks": FeasibleSet(halfspaces=[(np.array([1.0, 0, 1.0, 0, 0]), 1.0),
-                                              (np.array([0, 1.0, 0, 1.0, 0]), 0.5)],
-                                  lower_bounds=lo),
+            "interval": FeasibleSet(interval=(1.8, 4.0)),
+            "blocks": FeasibleSet(blocks=(np.array([0, 1, 0, 1, 2]), np.array([1.0, 0.5, 0.0])),
+                                  floors=lo),
         }
         rng = np.random.default_rng(3)
         for name, fs in shapes.items():
@@ -77,26 +69,25 @@ class TestProjection:
     @settings(max_examples=80, deadline=None)
     def test_budget_blocks_match_bisection_oracle(self, data):
         """Random partitions of up to 9 variables into budget blocks, with
-        floors and some uncovered variables, checked block by block."""
+        floors, checked block by block."""
         n = data.draw(st.integers(2, 9))
-        block_of = data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+        drawn = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
         y = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
         lo = np.array(data.draw(st.lists(st.floats(0.0, 0.5), min_size=n, max_size=n)))
-        block_of = np.array(block_of)
-        spaces, expected = [], np.maximum(y, lo)
-        for b in np.unique(block_of[block_of >= 0]):
+        _, block_of = np.unique(drawn, return_inverse=True)  # ids 0 .. B-1
+        budgets, expected = [], np.empty(n)
+        for b in range(block_of.max() + 1):
             members = block_of == b
             budget = lo[members].sum() + data.draw(st.floats(0.0, 4.0))
-            spaces.append((members.astype(float), budget))
+            budgets.append(budget)
             expected[members] = lo[members] + capped_simplex_projection(
                 y[members] - lo[members], budget - lo[members].sum())
-        fs = FeasibleSet(halfspaces=spaces, lower_bounds=lo)
+        fs = FeasibleSet(blocks=(block_of, np.array(budgets)), floors=lo)
         assert fs.project(y) == pytest.approx(expected, abs=1e-9)
 
     def test_floors_over_budget_leave_the_set_empty(self):
-        fs = FeasibleSet(halfspaces=[(np.array([1.0, 1.0, 0.0]), 0.5),
-                                     (np.array([0.0, 0.0, 1.0]), 1.0)],
-                         lower_bounds=np.array([0.3, 0.4, 0.0]))
+        fs = FeasibleSet(blocks=(np.array([0, 0, 1]), np.array([0.5, 1.0])),
+                         floors=np.array([0.3, 0.4, 0.0]))
         assert fs.linear_violation(fs.project(np.array([1.0, 1.0, 0.5]))) > 1e-9
         res = maximize_concave(quadratic_around([0.0, 0.0, 0.0]), fs,
                                np.array([0.3, 0.4, 0.0]))
@@ -104,30 +95,22 @@ class TestProjection:
         assert res.diagnostics.reason == "no feasible start derivable"
 
     def test_interval_clips_to_the_tightest_bounds(self):
-        # ball [1, 5], 2x <= 8 (x <= 4), -x <= -1.5 (x >= 1.5), floor 1.8
-        fs = FeasibleSet(ball=(np.array([3.0]), 2.0),
-                         halfspaces=[(np.array([2.0]), 8.0), (np.array([-1.0]), -1.5)],
-                         lower_bounds=np.array([1.8]))
+        # the altitude stage intersects its bounds into [lo, hi] itself
+        # (test_trajectory::test_altitude_interval_matches_the_row_loop)
+        fs = FeasibleSet(interval=(1.8, 4.0))
         assert fs.project(np.array([9.0])) == pytest.approx([4.0])
         assert fs.project(np.array([-9.0])) == pytest.approx([1.8])
         assert fs.project(np.array([2.5])) == pytest.approx([2.5])
-
-    @pytest.mark.parametrize("fs", [
-        FeasibleSet(ball=(np.zeros(2), 1.0), halfspaces=[(np.array([0.0, 1.0]), 0.5)]),
-        FeasibleSet(ball=(np.zeros(2), 1.0), lower_bounds=np.zeros(2)),
-        FeasibleSet(halfspaces=[(np.array([2.0, 1.0]), 1.0)]),
-        FeasibleSet(halfspaces=[(np.array([1.0, 1.0]), 1.0), (np.array([0.0, 1.0]), 1.0)]),
-        FeasibleSet(halfspaces=[(np.array([1.0, 0.0]), 1.0)], lower_bounds=np.zeros(3)),
-    ], ids=["ball+halfspace", "ball+floors", "weighted", "overlapping", "dimensions"])
-    def test_unsupported_shape_rejected(self, fs):
-        with pytest.raises(ValueError):
-            fs.project(np.zeros(2))
+        assert fs.linear_violation(np.array([1.5])) == pytest.approx(0.3)
+        # an empty interval clips to its upper end and reports the gap
+        empty = FeasibleSet(interval=(3.0, 2.0))
+        assert empty.project(np.array([2.5])) == pytest.approx([2.0])
+        assert empty.linear_violation(empty.project(np.array([2.5]))) == pytest.approx(1.0)
 
 
 class TestMaximizeConcave:
     def test_scalar_quadratic_over_interval(self):
-        fs = FeasibleSet(halfspaces=[(np.array([1.0]), 3.0)],
-                         lower_bounds=np.array([0.0]))
+        fs = FeasibleSet(interval=(0.0, 3.0))
         res = maximize_concave(quadratic_around([1.0]), fs, np.array([2.5]))
         assert res.feasible
         assert res.x == pytest.approx([1.0], abs=1e-7)
@@ -150,14 +133,14 @@ class TestMaximizeConcave:
         assert res.x == pytest.approx([1.0 + 2 * 0.6, 1.0 + 2 * 0.8], abs=1e-6)
 
     def test_interior_optimum_small_gradient(self):
-        fs = FeasibleSet(lower_bounds=np.array([-10.0, -10.0]))
+        fs = FeasibleSet(ball=(np.zeros(2), 10.0))
         res = maximize_concave(quadratic_around([0.3, -0.7]), fs, np.array([5.0, 5.0]))
         assert res.x == pytest.approx([0.3, -0.7], abs=1e-7)
         assert res.diagnostics.converged
 
     def test_infeasible_start_unrecoverable(self):
-        # two disjoint halfspaces: x <= -1 and -x <= -1 (x >= 1)
-        fs = FeasibleSet(halfspaces=[(np.array([1.0]), -1.0), (np.array([-1.0]), -1.0)])
+        # x <= -1 and x >= 1: an empty interval
+        fs = FeasibleSet(interval=(1.0, -1.0))
         assert fs.linear_violation(fs.project(np.array([0.0]))) > 1e-9
         res = maximize_concave(quadratic_around([0.0]), fs, np.array([0.0]))
         assert not res.feasible
@@ -187,8 +170,7 @@ class TestMaximizeConcave:
         def ring(x):
             return 1.0 - float(np.dot(x, x)), -2.0 * x
 
-        fs = FeasibleSet(lower_bounds=np.array([-5.0, -5.0]),
-                         barrier_terms=[BarrierTerm(ring)])
+        fs = FeasibleSet(ball=(np.zeros(2), 5.0), barrier=BarrierTerm(ring))
 
         def f(x):
             return float(x.sum()), np.ones(2)
@@ -203,7 +185,7 @@ class TestMaximizeConcave:
         def g(x):
             return -1.0, np.zeros(1)  # always violated
 
-        fs = FeasibleSet(lower_bounds=np.array([0.0]), barrier_terms=[BarrierTerm(g)])
+        fs = FeasibleSet(interval=(0.0, math.inf), barrier=BarrierTerm(g))
         res = maximize_concave(quadratic_around([1.0]), fs, np.array([0.5]))
         assert not res.feasible
 
@@ -217,8 +199,19 @@ def three_rows(x):
     return values, jac
 
 
-def row_terms(rows, m):
-    return [BarrierTerm(lambda x, i=i: (rows(x)[0][i], rows(x)[1][i])) for i in range(m)]
+def scalar_barrier_objective(objective, rows, mu):
+    """The barrier objective written out as the plain objective plus one
+    scalar log-barrier per constraint row."""
+    def f(x):
+        val, grad = objective(x)
+        values, jac = rows(x)
+        for g, dg in zip(values, jac):
+            if g <= 0.0:
+                return -math.inf, grad
+            val += mu * math.log(g)
+            grad = grad + (mu / g) * dg
+        return val, grad
+    return f
 
 
 class TestVectorBarrier:
@@ -238,32 +231,41 @@ class TestVectorBarrier:
         return res, seen
 
     def test_rows_equal_scalar_terms(self, monkeypatch):
-        vector = FeasibleSet(ball=(np.zeros(2), 2.0), barrier_terms=[BarrierTerm(three_rows)])
-        scalar = FeasibleSet(ball=(np.zeros(2), 2.0), barrier_terms=row_terms(three_rows, 3))
-        res_v, obj_v = self.barrier_objectives(vector, monkeypatch)
-        res_s, obj_s = self.barrier_objectives(scalar, monkeypatch)
-        assert len(obj_v) == len(obj_s) == 3
+        fset = FeasibleSet(ball=(np.zeros(2), 2.0), barrier=BarrierTerm(three_rows))
+        res, seen = self.barrier_objectives(fset, monkeypatch)
+        objective = quadratic_around([1.0, 1.0])
+        written = [scalar_barrier_objective(objective, three_rows, mu)
+                   for mu in convex_core.BARRIER_WEIGHTS]
+        assert len(seen) == len(written) == 3
         pts = np.random.default_rng(2).uniform(-0.5, 0.5, (50, 2))
-        for fv, fs in zip(obj_v, obj_s):
+        for fv, fs in zip(seen, written):
             for p in pts:
                 (val_v, grad_v), (val_s, grad_s) = fv(p), fs(p)
                 assert val_v == pytest.approx(val_s, rel=1e-13, abs=1e-15)
                 assert np.allclose(grad_v, grad_s, rtol=1e-13, atol=1e-15)
-        assert res_v.feasible and res_s.feasible
+        # the same weight schedule, warm-started, on the written-out sums
+        x = np.zeros(2)
+        for f in written:
+            x, _, diag = convex_core._ascend(f, fset, x, 500)
+        assert res.feasible and diag.reason == res.diagnostics.reason
         # both stop on a stalled line search near the same barrier optimum;
         # summation order alone moves the stopping point
-        assert np.allclose(res_v.x, res_s.x, rtol=0.0, atol=1e-4)
-        assert res_v.value == pytest.approx(res_s.value, rel=1e-8)
-        assert np.all(three_rows(res_v.x)[0] > 0.0)
+        assert np.allclose(res.x, x, rtol=0.0, atol=1e-4)
+        assert res.value == pytest.approx(objective(x)[0], rel=1e-8)
+        assert np.all(three_rows(res.x)[0] > 0.0)
 
     def test_violation_reads_the_worst_row(self):
         def rows(x):
             return np.array([0.5, -0.3, -0.1]), np.zeros((3, 1))
 
-        fs = FeasibleSet(barrier_terms=[BarrierTerm(rows, tol=0.0)])
-        assert fs.barrier_violation(np.zeros(1)) == pytest.approx(0.3, rel=1e-15)
-        fine = FeasibleSet(barrier_terms=[BarrierTerm(three_rows)])
+        fs = FeasibleSet(barrier=BarrierTerm(rows))
+        assert fs.barrier_violation(np.zeros(1)) == pytest.approx(0.3 - 1e-9, rel=1e-15)
+        fine = FeasibleSet(barrier=BarrierTerm(three_rows))
         assert fine.barrier_violation(np.zeros(2)) == 0.0
+        # a row on the boundary passes within the validation tolerance
+        edge = FeasibleSet(barrier=BarrierTerm(lambda x: (np.array([0.5, -5e-10]),
+                                                          np.zeros((2, 1)))))
+        assert edge.barrier_violation(np.zeros(1)) == 0.0
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_violated_row_fails_cleanly(self, bad):
@@ -273,7 +275,7 @@ class TestVectorBarrier:
             jac[bad] = 0.0
             return values, jac
 
-        fs = FeasibleSet(ball=(np.zeros(2), 2.0), barrier_terms=[BarrierTerm(rows)])
+        fs = FeasibleSet(ball=(np.zeros(2), 2.0), barrier=BarrierTerm(rows))
         res = maximize_concave(quadratic_around([1.0, 1.0]), fs, np.zeros(2))
         assert not res.feasible
         assert np.all(np.isfinite(res.x))

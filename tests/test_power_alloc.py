@@ -126,7 +126,7 @@ class TestSurrogate:
                 assert surrogate(z)[0] <= exact + 1e-12 * max(1.0, abs(exact)), name
 
     def test_surrogate_gradient(self):
-        from uavrelay.convex_core import grad_check
+        from gradcheck import grad_check
         for name, prob, restored in layout_problems():
             x0 = 0.7 * prob.pack(restored)
             assert grad_check(prob.surrogate(x0), x0, step=1e-9) <= 1e-4, name

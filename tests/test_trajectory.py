@@ -8,10 +8,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from gradcheck import grad_check
 
 from uavrelay import trajectory
 from uavrelay.channel import gain_matrices, los_probability, slot_channel
-from uavrelay.convex_core import grad_check
 from uavrelay.link_rate import LinkBudget, PowerAllocation, rate_report
 from uavrelay.scenario import (A2GParams, Scenario, SnrThresholds, UavState,
                                dbm_to_watts)
@@ -407,6 +407,75 @@ def test_solve_altitude_no_relay_and_infeasible_keep_altitude():
                            thresholds=SnrThresholds(1e8, 1e8, 1e8))
     z, log = run_altitude(start, hard)
     assert z == 100.0 and "excludes" in log.reason
+
+
+def interval_by_row_loop(a, b, anchor_z, r_z, floor):
+    """The altitude interval as the one-variable halfspace loop builds it:
+    the move range, each row a*z <= b with a != 0, then the floor."""
+    lo, hi = anchor_z - r_z, anchor_z + r_z
+    for ai, bi in zip(a, b):
+        if ai > 0.0:
+            hi = min(hi, bi / ai)
+        elif ai < 0.0:
+            lo = max(lo, bi / ai)
+    return max(lo, floor), hi
+
+
+@pytest.mark.parametrize("edit", ["none", "zero_binding_row", "zero_violated_row"])
+def test_altitude_interval_matches_the_row_loop(monkeypatch, edit):
+    # the backhaul row binds: it asks for z >= ~91 m inside the 85-115 m range
+    sc, inputs = relay_inputs([(350.0, 0.0, 0.0)], (250.0, 0.0, 100.0),
+                              n_subchannels=2, thresholds=SnrThresholds(5.0, 5.0, 120.0))
+    rows, sets = [], []
+    original_rows, original_solve = trajectory._altitude_rows, trajectory.maximize_concave
+
+    def edited_rows(ctx, stage_inputs):
+        a, b = (v.copy() for v in original_rows(ctx, stage_inputs))
+        if edit != "none":
+            # a == 0 bounds nothing in z, but still counts at the incumbent
+            a[1], b[1] = 0.0, (1.0 if edit == "zero_binding_row" else -1.0)
+        rows.append((a, b))
+        return a, b
+
+    def recorded_solve(objective, fset, x0, **kwargs):
+        sets.append(fset)
+        return original_solve(objective, fset, x0, **kwargs)
+
+    monkeypatch.setattr(trajectory, "_altitude_rows", edited_rows)
+    monkeypatch.setattr(trajectory, "maximize_concave", recorded_solve)
+    start = (250.0, 0.0, 100.0)
+    anchor = (247.0, 4.0, 100.0)
+    r_eff = move_radius(sc.d_max, sc.e_max, sc.slot_len, sc.propulsion)
+    r_z = math.sqrt(r_eff ** 2 - 25.0)
+    audit, log = solve_altitude(_audit(start, inputs), anchor, inputs)
+    if edit == "zero_violated_row":
+        assert not sets and "excludes" in log.reason
+        assert audit.position[2] == 100.0
+        return
+    assert sets and log.accepted >= 1
+    # a blocked pass ends the stage, so only the last build may lack a solve
+    for (a, b), fset in zip(rows, sets):
+        assert fset.interval == interval_by_row_loop(a, b, 100.0, r_z, sc.bs_height + 1.0)
+    lo = sets[0].interval[0]
+    if edit == "none":
+        assert 90.0 < lo < 100.0  # the row, not the move range
+    else:
+        assert lo == 100.0 - r_z
+
+
+def test_altitude_full_move_radius_blocks_on_the_move_range():
+    """After a horizontal pass that used the whole move radius, the
+    altitude room r_z is 0; an incumbent a hair off the anchor altitude
+    stops the stage on the move range, with every SNR row met."""
+    sc, inputs = relay_inputs([(350.0, 0.0, 0.0)], (250.0, 0.0, 100.0), n_subchannels=2)
+    r_eff = move_radius(sc.d_max, sc.e_max, sc.slot_len, sc.propulsion)
+    anchor = (250.0 - r_eff, 0.0, 100.0)
+    start = _audit((250.0, 0.0, 100.0 + 1e-8), inputs)
+    a, b = trajectory._altitude_rows(altitude_surrogate(inputs, start), inputs)
+    assert np.max(a * start.position[2] - b) <= 1e-9
+    audit, log = solve_altitude(start, anchor, inputs)
+    assert log.reason == "move range leaves no altitude room at the incumbent"
+    assert audit is start
 
 
 # ---------------------------------------------------------------------------
