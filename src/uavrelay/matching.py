@@ -1,98 +1,40 @@
 """Mode selection and subchannel allocation as a many-to-one matching game.
 
-Each subchannel holds at most one (UE, mode) pair; a virtual VACANT entry
-lets assignments move around.  The game evaluates utilities under equal-split
-provisional powers: every active pair divides the UE budget evenly over its
-matched subchannels and the relay budget is divided evenly over relay-matched
-subchannels.  Swaps preserve those counts, so the split is fixed for a whole
-run, which is what makes the brute-force oracle and the algorithm agree on
-what a profitable swap is.
+A matching is the package's own `(beta, alloc)` pair: each UE holds one
+mode, `beta[n]` (cellular or relay), and the subchannels of row n of
+`alloc`; a subchannel has at most one owner, or none (vacant).  One mode
+per UE holds by construction.  The game evaluates utilities under
+equal-split provisional powers: every UE divides its budget evenly over
+its subchannels and the relay budget is divided evenly over the relayed
+subchannels.  A swap exchanges the owners of two subchannels, which keeps
+those counts, so the split is fixed for a whole run.
 
 Swap approval is one array pass: `swap_approvals` reads a (K, K) table
-whose row j scores the pair on subchannel j on every subchannel, and
-tests every subchannel pair at once.  Mode consistency needs no per-swap
-check: a swap keeps the multiset of pairs, so whether a UE holds one mode
-only is the same before and after it.
+whose row j scores the owner of subchannel j on every subchannel, and
+tests every subchannel pair at once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import link_rate as lr
 from .channel import ChannelGains
-from .scenario import SnrThresholds
-
-VACANT = None
+from .scenario import Scenario
 
 CELLULAR, RELAY = 0, 1
-
-
-@dataclass(frozen=True)
-class McPair:
-    ue: int
-    mode: int  # 0 cellular, 1 relay
-
-
-@dataclass
-class Matching:
-    """Subchannel -> McPair-or-VACANT assignment."""
-
-    assign: list[McPair | None]
-
-    def copy(self) -> "Matching":
-        return Matching(list(self.assign))
-
-    def swapped(self, k1: int, k2: int) -> "Matching":
-        out = self.copy()
-        out.assign[k1], out.assign[k2] = out.assign[k2], out.assign[k1]
-        return out
-
-    def counts(self) -> dict[McPair, int]:
-        out: dict[McPair, int] = {}
-        for pair in self.assign:
-            if pair is not VACANT:
-                out[pair] = out.get(pair, 0) + 1
-        return out
-
-    def relay_total(self) -> int:
-        return sum(1 for p in self.assign if p is not VACANT and p.mode == RELAY)
-
-    def mode_consistent(self) -> bool:
-        modes: dict[int, int] = {}
-        for pair in self.assign:
-            if pair is VACANT:
-                continue
-            if modes.setdefault(pair.ue, pair.mode) != pair.mode:
-                return False
-        return True
-
-    def to_beta_alloc(self, n_ues: int) -> tuple[np.ndarray, np.ndarray]:
-        n_sub = len(self.assign)
-        beta = np.zeros(n_ues, dtype=int)
-        alloc = np.zeros((n_ues, n_sub), dtype=int)
-        for k, pair in enumerate(self.assign):
-            if pair is VACANT:
-                continue
-            alloc[pair.ue, k] = 1
-            beta[pair.ue] = pair.mode
-        return beta, alloc
 
 
 @dataclass(frozen=True)
 class MatchingContext:
     """Slot inputs the game scores against."""
 
-    weights: np.ndarray
+    scenario: Scenario
     gains: ChannelGains
-    sigma2: float
-    ici: float
-    thresholds: SnrThresholds
-    p_ue_max: float
-    p_uav_max: float
+    weights: np.ndarray
 
     @property
     def n_ues(self) -> int:
@@ -102,250 +44,189 @@ class MatchingContext:
     def n_subchannels(self) -> int:
         return self.gains.h_ue_bs.shape[1]
 
-    def all_pairs(self) -> list[McPair]:
-        return [McPair(n, m) for n in range(self.n_ues) for m in (CELLULAR, RELAY)]
+    @cached_property
+    def full_budget(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted rate and QoS verdict of every UE in each mode on every
+        subchannel at the full UE and relay budgets, indexed [mode, ue, k]."""
+        n, sc = self.n_ues, self.scenario
+        utility, feasible = score_rows(self, np.tile(np.arange(n), 2),
+                                       np.repeat([False, True], n),
+                                       sc.p_ue_max, sc.p_uav_max)
+        shape = (2, n, self.n_subchannels)
+        return utility.reshape(shape), feasible.reshape(shape)
 
 
-def score_rows(ctx: MatchingContext, pairs, ue_power,
+def score_rows(ctx: MatchingContext, ues, relay, ue_power,
                uav_power: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted rate and QoS verdict of every pair on every subchannel,
-    one row per pair, from one link-budget evaluation.  `ue_power` is one
-    UE power per pair, or one for all; `uav_power` is the relay's power
-    per relayed subchannel."""
-    ue = [pair.ue for pair in pairs]
-    g = ctx.gains
-    relay = np.array([pair.mode == RELAY for pair in pairs], dtype=bool)[:, None]
-    link = lr.LinkBudget(relay, np.asarray(ue_power, dtype=float).reshape(-1, 1), uav_power,
-                         g.h_ue_bs[ue], g.h_ue_uav[ue], g.h_uav_bs,
-                         ctx.thresholds, ctx.sigma2, ctx.ici)
-    return ctx.weights[ue, None] * link.rate, link.feasible()
+    """Weighted rate and QoS verdict of UE `ues[i]` in mode `relay[i]` on
+    every subchannel, one row per entry, from one link-budget evaluation.
+    `ue_power` is one UE power per row, or one for all; `uav_power` is
+    the relay's power per relayed subchannel."""
+    g, sc = ctx.gains, ctx.scenario
+    link = lr.LinkBudget(np.asarray(relay, dtype=bool)[:, None],
+                         np.asarray(ue_power, dtype=float).reshape(-1, 1), uav_power,
+                         g.h_ue_bs[ues], g.h_ue_uav[ues], g.h_uav_bs,
+                         sc.snr_thresholds, sc.noise_var, sc.ici_power)
+    return ctx.weights[ues, None] * link.rate, link.feasible()
+
+
+def assignment(modes: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`(beta, alloc)` of a per-subchannel owner array; `beta` keeps the
+    mode of every UE that holds a subchannel and is 0 elsewhere."""
+    alloc = (owner == np.arange(len(modes))[:, None]).astype(int)
+    return np.where(alloc.any(axis=1), modes, CELLULAR), alloc
 
 
 class GameView:
     """Utilities and QoS verdicts of one matching under its equal-split
-    powers: one table row per pair over every subchannel, all scored at
-    once, and a last all-zero, all-feasible row that VACANT reads as row
-    -1.  Valid across swaps because swaps never change any pair's
+    powers: table row n scores UE n in its mode on every subchannel, all
+    UEs at once, and a last all-zero, all-feasible row is read by vacant
+    subchannels as row -1.  `owner` holds the UE on each subchannel of
+    the matching, -1 where it is vacant.  Valid across swaps because swaps never change any UE's
     subchannel count or the relay total."""
 
-    def __init__(self, matching: Matching, ctx: MatchingContext):
-        counts = matching.counts()
-        relay_total = matching.relay_total()
-        uav_power = ctx.p_uav_max / relay_total if relay_total else 0.0
-        pairs = list(counts)
-        self._row = {pair: i for i, pair in enumerate(pairs)}
+    def __init__(self, beta: np.ndarray, alloc: np.ndarray, ctx: MatchingContext):
+        sc = ctx.scenario
+        relay = np.asarray(beta) == RELAY
+        relay_total = int(alloc[relay].sum())
+        uav_power = sc.p_uav_max / relay_total if relay_total else 0.0
         utility, feasible = score_rows(
-            ctx, pairs, [ctx.p_ue_max / counts[p] for p in pairs], uav_power)
+            ctx, np.arange(ctx.n_ues), relay,
+            sc.p_ue_max / np.maximum(alloc.sum(axis=1), 1), uav_power)
         k_sub = ctx.n_subchannels
         self.utility = np.vstack([utility, np.zeros(k_sub)])
         self.feasible = np.vstack([feasible, np.ones(k_sub, dtype=bool)])
+        self.owner = np.where(alloc.any(axis=0), alloc.argmax(axis=0), -1)
 
-    def rows(self, matching: Matching) -> np.ndarray:
-        """Table row of the pair on each subchannel, -1 for VACANT."""
-        return np.array([self._row.get(p, -1) for p in matching.assign], dtype=int)
+    def own(self) -> tuple[np.ndarray, np.ndarray]:
+        """Utility and QoS verdict of each subchannel's owner there."""
+        k = np.arange(self.owner.size)
+        return self.utility[self.owner, k], self.feasible[self.owner, k]
 
-    def own(self, matching: Matching) -> tuple[np.ndarray, np.ndarray]:
-        """Utility and QoS verdict of each subchannel's own pair there."""
-        rows = self.rows(matching)
-        k = np.arange(rows.size)
-        return self.utility[rows, k], self.feasible[rows, k]
-
-    def system_utility(self, matching: Matching) -> float:
-        return sum(self.own(matching)[0].tolist())
+    def system_utility(self) -> float:
+        return sum(self.own()[0].tolist())
 
 
-def _consistent_slots(psi: Matching) -> np.ndarray:
-    """Per subchannel: VACANT, or a pair whose UE holds one mode only.
-    A swap keeps the multiset of pairs, so each UE's consistency after
-    any swap equals its consistency before it."""
-    modes: dict[int, set[int]] = {}
-    for pair in psi.assign:
-        if pair is not VACANT:
-            modes.setdefault(pair.ue, set()).add(pair.mode)
-    return np.array([pair is VACANT or len(modes[pair.ue]) == 1
-                     for pair in psi.assign], dtype=bool)
+def swap_approvals(u: np.ndarray, ok: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """(K, K) mask, true at (k1, k2), k1 < k2, where exchanging the
+    owners of k1 and k2 is approved, from the owner table: row j of
+    `u`/`ok` scores the owner of subchannel j (`owner[j]`, -1 for vacant)
+    on every subchannel, as `GameView.utility[owner]` does.
 
-
-def _approvals(u: np.ndarray, ok: np.ndarray, rows: np.ndarray,
-               consistent: np.ndarray) -> np.ndarray:
-    """Swap approval over every subchannel pair (k1 < k2) from the pair
-    table: row j of `u`/`ok` scores the pair on subchannel j (table row
-    `rows[j]`, -1 for VACANT) on every subchannel."""
+    Approved iff no involved player (either subchannel, either UE) loses
+    utility, at least one real UE strictly gains, the two owners differ,
+    and the swapped matching stays feasible: QoS on the two re-assigned
+    subchannels (the power split, the exclusivity structure and each UE's
+    single mode are unchanged by construction)."""
     own = np.diagonal(u)
     u11, u22, u12, u21 = own[:, None], own[None, :], u, u.T
-    real = rows >= 0
-    # no involved player loses: subchannels k1, k2, then pairs p1, p2
+    real = owner >= 0
+    # no involved player loses: subchannels k1, k2, then UEs n1, n2
     approved = ~((u21 < u11) | (u12 < u22) | (u12 < u11) | (u21 < u22))
-    # some real pair strictly gains
+    # some real UE strictly gains
     approved &= (real[:, None] & (u12 > u11)) | (real[None, :] & (u21 > u22))
-    # QoS on both re-assigned subchannels, two distinct pairs, and modes
-    # that stay consistent
+    # QoS on both re-assigned subchannels, and two distinct owners
     approved &= ok & ok.T
-    approved &= rows[:, None] != rows[None, :]
-    approved &= consistent[:, None] & consistent[None, :]
+    approved &= owner[:, None] != owner[None, :]
     return np.triu(approved, 1)
-
-
-def swap_approvals(psi: Matching, view: GameView) -> np.ndarray:
-    """(K, K) mask, true at (k1, k2), k1 < k2, where exchanging the
-    matches of k1 and k2 is approved; shared by the algorithm, the
-    stability audit and the brute-force oracle.
-
-    Approved iff no involved player (either subchannel, either pair)
-    loses utility, at least one real pair strictly gains, the two pairs
-    differ, and the swapped matching stays feasible: QoS on the two
-    re-assigned subchannels and mode consistency of both UEs (the power
-    split and the exclusivity structure are unchanged by construction)."""
-    rows = view.rows(psi)
-    return _approvals(view.utility[rows], view.feasible[rows], rows,
-                      _consistent_slots(psi))
 
 
 @dataclass
 class MsmaResult:
-    matching: Matching
+    beta: np.ndarray
+    alloc: np.ndarray
     n_swaps: int
     swap_gains: list[float]
     utility_trace: list[float]
     examined_per_round: list[int]
 
 
-def msma_detailed(init: Matching, ctx: MatchingContext) -> MsmaResult:
+def msma_detailed(beta: np.ndarray, alloc: np.ndarray,
+                  ctx: MatchingContext) -> MsmaResult:
     """Run rounds of profitable swaps to pairwise stability.
 
     Deterministic: each round scans the subchannel pairs (k1 < k2) in
     row-major order and executes the first approved swap at or after its
     scan position, then goes on from the next pair, so a round examines
-    all K(K-1)/2 pairs.  The approvals come from one mask over the pair
-    table (row j: the pair on subchannel j, scored on every subchannel);
-    an executed swap exchanges two table rows and the mask is rebuilt.
-    The per-UE mode-consistency verdict is computed once, as no swap
-    changes the multiset of pairs."""
-    psi = init.copy()
-    view = GameView(psi, ctx)
-    rows = view.rows(psi)
-    u, ok = view.utility[rows], view.feasible[rows]
-    consistent = _consistent_slots(psi)
-    trace = [view.system_utility(psi)]
+    all K(K-1)/2 pairs.  The approvals come from one mask over the owner
+    table (row j: the owner of subchannel j, scored on every subchannel);
+    an executed swap exchanges two columns of `alloc`, that is two table
+    rows, and the mask is rebuilt."""
+    view = GameView(beta, alloc, ctx)
+    owner = view.owner.copy()
+    u, ok = view.utility[owner], view.feasible[owner]
+    trace = [view.system_utility()]
     gains: list[float] = []
     examined_per_round: list[int] = []
-    n_sub = rows.size
+    n_sub = owner.size
     changed = True
     while changed:
         changed = False
         at = 0  # scan position, row-major over (k1, k2)
         while True:
-            hits = np.flatnonzero(_approvals(u, ok, rows, consistent).ravel()[at:])
+            hits = np.flatnonzero(swap_approvals(u, ok, owner).ravel()[at:])
             if not hits.size:
                 break
             at += int(hits[0])
             k1, k2 = divmod(at, n_sub)
             gain = float((u[k1, k2] + u[k2, k1]) - (u[k1, k1] + u[k2, k2]))
-            # both slots are consistent, so `consistent` needs no swap
-            for a in (u, ok, rows):
+            for a in (u, ok, owner):
                 a[[k1, k2]] = a[[k2, k1]]
-            psi.assign[k1], psi.assign[k2] = psi.assign[k2], psi.assign[k1]
             gains.append(gain)
             trace.append(trace[-1] + gain)
             changed = True
             at += 1
         examined_per_round.append(n_sub * (n_sub - 1) // 2)
-    return MsmaResult(psi, len(gains), gains, trace, examined_per_round)
-
-
-def is_pairwise_stable(psi: Matching, ctx: MatchingContext) -> bool:
-    return not swap_approvals(psi, GameView(psi, ctx)).any()
-
-
-def matching_feasible(psi: Matching, ctx: MatchingContext) -> bool:
-    """Mode consistency plus per-assignment QoS under the matching's own
-    equal-split powers.  Power caps hold by construction of the split."""
-    return psi.mode_consistent() and bool(GameView(psi, ctx).own(psi)[1].all())
-
-
-def _scored_modes(ctx: MatchingContext) -> dict[int, int]:
-    """Pick each UE's mode by total utility over its QoS-feasible
-    subchannels at full-budget reference powers."""
-    pairs = ctx.all_pairs()
-    utility, feasible = score_rows(ctx, pairs, ctx.p_ue_max, ctx.p_uav_max)
-    score = dict(zip(pairs, np.where(feasible, utility, 0.0).sum(axis=1)))
-    return {n: RELAY if score[McPair(n, RELAY)] > score[McPair(n, CELLULAR)]
-            else CELLULAR for n in range(ctx.n_ues)}
+    return MsmaResult(*assignment(beta, owner), len(gains), gains, trace,
+                      examined_per_round)
 
 
 def init_matching(ctx: MatchingContext,
-                  forced_modes: dict[int, int] | None = None) -> Matching:
-    """Greedy feasible start.
+                  modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy feasible start for UEs held to the given modes.
 
-    Each UE's mode is fixed first by comparing its total relayed vs direct
-    utility over the subchannels where each mode meets QoS at full-budget
-    reference powers (callers can pin modes instead via `forced_modes`).
-    Subchannels then go greedily to the highest-utility feasible pair of
-    the chosen modes, each candidate scored at the equal split it would
-    hold after taking the channel, which is what steers channels away
-    from a single dominant UE once its per-channel budget thins out; a
-    pair's row is re-scored only when that split changes.  A repair pass
-    drops lowest-utility assignments until every survivor meets QoS
-    under the realized equal split; dropping only raises the survivors'
-    powers, so it terminates."""
-    modes = dict(forced_modes) if forced_modes is not None else _scored_modes(ctx)
-    pairs = [McPair(n, modes[n]) for n in range(ctx.n_ues)]
-    counts = [0] * ctx.n_ues
+    Subchannels go greedily to the highest-utility feasible UE, each
+    candidate scored at the equal split it would hold after taking the
+    channel, which is what steers channels away from a single dominant
+    UE once its per-channel budget thins out; a UE's row is re-scored
+    only when that split changes.  A repair pass drops lowest-utility
+    assignments until every survivor meets QoS under the realized equal
+    split; dropping only raises the survivors' powers, so it
+    terminates."""
+    sc = ctx.scenario
+    modes = np.asarray(modes, dtype=int)
+    relay = modes == RELAY
+    counts = np.zeros(ctx.n_ues, dtype=int)
     relay_total = 0
-    rows: list = [None] * ctx.n_ues
+    # value[k, n]: UE n's utility on subchannel k where it meets QoS, else 0
+    value = np.zeros((ctx.n_subchannels, ctx.n_ues))
 
-    def rescore(ues: list[int]) -> None:
+    def rescore(ues: np.ndarray) -> None:
         """Rows at the split each UE would hold after one more subchannel."""
         utility, feasible = score_rows(
-            ctx, [pairs[n] for n in ues], [ctx.p_ue_max / (counts[n] + 1) for n in ues],
-            ctx.p_uav_max / (relay_total + 1))
-        for n, u, ok in zip(ues, utility.tolist(), feasible.tolist()):
-            rows[n] = (u, ok)
+            ctx, ues, relay[ues], sc.p_ue_max / (counts[ues] + 1),
+            sc.p_uav_max / (relay_total + 1))
+        value[:, ues] = np.where(feasible, utility, 0.0).T
 
-    psi = Matching([VACANT] * ctx.n_subchannels)
-    stale = list(range(ctx.n_ues))
+    owner = np.full(ctx.n_subchannels, -1)
+    stale = np.arange(ctx.n_ues)
     for k in range(ctx.n_subchannels):
-        if stale:
+        if stale.size:
             rescore(stale)
-        best, best_u = VACANT, 0.0
-        for pair, (u, ok) in zip(pairs, rows):
-            if ok[k] and u[k] > best_u:
-                best, best_u = pair, u[k]
-        psi.assign[k] = best
-        stale = []
-        if best is not VACANT:
-            counts[best.ue] += 1
-            stale = [best.ue]
-            if best.mode == RELAY:
-                # the relay split thinned for every relayed pair
-                relay_total += 1
-                stale = [n for n, pair in enumerate(pairs) if pair.mode == RELAY]
+        # the first UE of highest positive utility among the feasible ones
+        n = int(value[k].argmax())
+        stale = np.array([], dtype=int)
+        if value[k, n] > 0.0:
+            owner[k] = n
+            counts[n] += 1
+            relay_total += int(relay[n])
+            # a relayed pick thins the relay split for every relayed UE
+            stale = np.flatnonzero(relay) if relay[n] else np.array([n])
 
     while True:
-        utility, feasible = GameView(psi, ctx).own(psi)
-        bad = np.flatnonzero(~feasible)  # VACANT is always feasible
+        beta, alloc = assignment(modes, owner)
+        utility_k, feasible_k = GameView(beta, alloc, ctx).own()
+        bad = np.flatnonzero(~feasible_k)  # vacant is always feasible
         if not bad.size:
-            return psi
-        psi.assign[bad[np.argmin(utility[bad])]] = VACANT
-
-
-def brute_force_stable(ctx: MatchingContext, n_ues: int, n_subchannels: int) -> list[Matching]:
-    """All pairwise-stable matchings by exhaustive enumeration.
-
-    A candidate must be mode-consistent and QoS-feasible under its own
-    equal-split powers; stability re-uses the same approval predicate the
-    algorithm runs, evaluated with the candidate's powers."""
-    options: list[McPair | None] = [VACANT] + [McPair(n, m) for n in range(n_ues)
-                                               for m in (CELLULAR, RELAY)]
-    if len(options) ** n_subchannels > 100_000:
-        raise ValueError("instance too large for brute force")
-    stable = []
-    for combo in itertools.product(options, repeat=n_subchannels):
-        psi = Matching(list(combo))
-        if not psi.mode_consistent():
-            continue
-        if not matching_feasible(psi, ctx):
-            continue
-        if is_pairwise_stable(psi, ctx):
-            stable.append(psi)
-    return stable
+            return beta, alloc
+        owner[bad[np.argmin(utility_k[bad])]] = -1

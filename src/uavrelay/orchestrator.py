@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import ChannelGains, gain_matrices
+from .channel import gain_matrices
 from .link_rate import (LinkBudget, PowerAllocation, jain_index, rate_report,
                         update_weights)
-from .matching import (CELLULAR, RELAY, VACANT, Matching, MatchingContext,
-                       McPair, init_matching, msma_detailed, score_rows)
+from .matching import (CELLULAR, RELAY, MatchingContext, assignment,
+                       init_matching, msma_detailed)
 from .power_alloc import _FLOOR_MARGIN, PowerLayout, scp_power, spread_leftover
 from .scenario import Scenario, UavState
 from .trajectory import SlotInputs, StageLog, to_algorithm
@@ -114,15 +114,7 @@ def validate_solution(sol: SlotSolution, sc: Scenario,
 
 
 # ---------------------------------------------------------------------------
-# Matching stage helpers.
-
-def matching_from(beta: np.ndarray, alloc: np.ndarray) -> Matching:
-    assign: list[McPair | None] = [VACANT] * alloc.shape[1]
-    for n in range(alloc.shape[0]):
-        for k in np.flatnonzero(alloc[n]):
-            assign[k] = McPair(int(n), int(beta[n]))
-    return Matching(assign)
-
+# The matching stage.
 
 def complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
                     weights, sc: Scenario) -> tuple[np.ndarray, PowerAllocation]:
@@ -167,22 +159,24 @@ def complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
     return alloc, powers
 
 
-def _matching_context(sc: Scenario, gains: ChannelGains,
-                      weights: np.ndarray) -> MatchingContext:
-    return MatchingContext(weights, gains, sc.noise_var, sc.ici_power,
-                           sc.snr_thresholds, sc.p_ue_max, sc.p_uav_max)
+def _scored_modes(ctx: MatchingContext) -> np.ndarray:
+    """Pick each UE's mode by total utility over its QoS-feasible
+    subchannels at full-budget reference powers."""
+    utility, feasible = ctx.full_budget
+    score = np.where(feasible, utility, 0.0).sum(axis=2)
+    return np.where(score[RELAY] > score[CELLULAR], RELAY, CELLULAR)
 
 
-def _coverage_modes(ctx: MatchingContext) -> dict[int, int]:
+def _coverage_modes(ctx: MatchingContext) -> np.ndarray:
     """Relay only the UEs with no QoS-feasible direct subchannel at full
     budget; everyone else stays cellular."""
-    _, feasible = score_rows(ctx, [McPair(n, CELLULAR) for n in range(ctx.n_ues)],
-                             ctx.p_ue_max, ctx.p_uav_max)
-    return {n: CELLULAR if feasible[n].any() else RELAY for n in range(ctx.n_ues)}
+    _, feasible = ctx.full_budget
+    return np.where(feasible[CELLULAR].any(axis=1), CELLULAR, RELAY)
 
 
-def _fresh_matchings(ctx: MatchingContext, relay_allowed: bool) -> list[Matching]:
-    """Stable matchings of the fresh greedy starts.
+def _fresh_matchings(ctx: MatchingContext,
+                     relay_allowed: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Stable `(beta, alloc)` matchings of the fresh greedy starts.
 
     Three greedy starts cover the mode spectrum: scored modes (relay
     whenever its utility sum wins), coverage modes (relay only where no
@@ -191,18 +185,19 @@ def _fresh_matchings(ctx: MatchingContext, relay_allowed: bool) -> list[Matching
     weight-dependent; the exact completed objective arbitrates.  The
     starts and their swap runs read only the scenario, the gains and the
     weights, so one channel state needs them once."""
-    all_cellular = {n: CELLULAR for n in range(ctx.n_ues)}
-    starts = [init_matching(ctx, forced_modes=all_cellular)]
+    all_cellular = np.full(ctx.n_ues, CELLULAR)
+    starts = [init_matching(ctx, all_cellular)]
     if relay_allowed:
-        starts.insert(0, init_matching(ctx))
+        starts.insert(0, init_matching(ctx, _scored_modes(ctx)))
         coverage = _coverage_modes(ctx)
-        if coverage != all_cellular:
-            starts.append(init_matching(ctx, forced_modes=coverage))
-    return [msma_detailed(start, ctx).matching for start in starts]
+        if coverage.any():
+            starts.append(init_matching(ctx, coverage))
+    return [(res.beta, res.alloc) for res in
+            (msma_detailed(beta, alloc, ctx) for beta, alloc in starts)]
 
 
-def _matching_stage(sc, ctx: MatchingContext, fresh: list[Matching], beta,
-                    alloc, powers, incumbent_obj):
+def _matching_stage(ctx: MatchingContext, fresh, beta, alloc, powers,
+                    incumbent_obj):
     """Run the swap game from the incumbent, complete its powers and those
     of the fresh starts' stable matchings (`_fresh_matchings`, computed
     once per channel state), and keep the best completed exact objective
@@ -210,12 +205,12 @@ def _matching_stage(sc, ctx: MatchingContext, fresh: list[Matching], beta,
     powers, so it runs on every call."""
     candidates = list(fresh)
     if alloc is not None and alloc.any():
-        candidates.append(msma_detailed(matching_from(beta, alloc), ctx).matching)
+        res = msma_detailed(beta, alloc, ctx)
+        candidates.append((res.beta, res.alloc))
 
-    gains, weights = ctx.gains, ctx.weights
+    sc, gains, weights = ctx.scenario, ctx.gains, ctx.weights
     best = (incumbent_obj, beta, alloc, powers)
-    for psi in candidates:
-        cand_beta, cand_alloc = psi.to_beta_alloc(sc.n_ues)
+    for cand_beta, cand_alloc in candidates:
         cand_alloc, cand_powers = complete_powers(
             beta, alloc, powers, cand_beta, cand_alloc, gains, weights, sc)
         obj = rate_report(cand_beta, cand_alloc, cand_powers, gains, weights,
@@ -252,14 +247,16 @@ def _drift_toward_unserved(sc: Scenario, pos, anchor, per_ue_rate,
 
 def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
                init: SlotSolution | None = None, slot_index: int = 0, *,
-               relay_allowed: bool = True, optimize_trajectory: bool = True,
-               fixed_matching: Matching | None = None) -> SlotSolution:
+               relay_allowed: bool = True,
+               fixed_matching: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> SlotSolution:
     """One slot of the joint algorithm: matching, trajectory, power, cycled
     until the exact objective gain drops below the convergence threshold.
 
-    `fixed_matching` freezes the assignment stage (used by the random
-    baseline); `relay_allowed`/`optimize_trajectory` shape the cellular
-    baseline.  `init` warm-starts from the previous slot's solution."""
+    `fixed_matching`, a `(beta, alloc)` pair, freezes the assignment stage
+    (used by the random baseline); `relay_allowed=False` gives the
+    cellular baseline: no relayed starts and no trajectory stage.  `init`
+    warm-starts from the previous slot's solution."""
     weights = np.asarray(weights, dtype=float)
     pos = np.asarray(state.pos, dtype=float).copy()
     anchor = tuple(float(v) for v in state.prev_pos)
@@ -281,14 +278,14 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
     stage_logs: list[StageLog] = []
     eps = sc.tolerances.bcd
     iterations = 0
-    fresh: list[Matching] | None = None  # valid while `gains` is unchanged
+    ctx = fresh = None  # the fresh starts belong to one channel state
 
     for iterations in range(1, _MAX_BCD + 1):
         cycle_start = obj
 
         if fixed_matching is not None:
             if iterations == 1:
-                cand_beta, cand_alloc = fixed_matching.to_beta_alloc(n_ues)
+                cand_beta, cand_alloc = fixed_matching
                 alloc, powers = complete_powers(beta, None, powers, cand_beta,
                                                 cand_alloc, gains, weights, sc)
                 beta = cand_beta
@@ -296,14 +293,14 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
                                   sc).objective
                 trace.append(("matching", obj))
         else:
-            ctx = _matching_context(sc, gains, weights)
-            if fresh is None:
+            if ctx is None:
+                ctx = MatchingContext(sc, gains, weights)
                 fresh = _fresh_matchings(ctx, relay_allowed)
             obj, beta, alloc, powers = _matching_stage(
-                sc, ctx, fresh, beta, alloc, powers, obj)
+                ctx, fresh, beta, alloc, powers, obj)
             trace.append(("matching", obj))
 
-        if optimize_trajectory:
+        if relay_allowed:
             inputs = SlotInputs(sc, beta, alloc, powers, weights, slot_index)
             new_pos, new_gains = pos, gains
             if inputs.relay_pairs():
@@ -324,7 +321,7 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
                 # a new channel state; the fresh starts belong to the old one
                 gains = (gain_matrices(sc, new_pos, slot_index) if new_gains is None
                          else new_gains)
-                fresh = None
+                ctx = None
             pos = new_pos
             trace.append(("trajectory", obj))
 
@@ -363,26 +360,23 @@ class EpisodeLog:
     n_scheduled_ues: float
 
 
-def _random_matching(sc: Scenario, gains: ChannelGains, weights: np.ndarray,
-                     rng: np.random.Generator) -> Matching:
+def _random_matching(ctx: MatchingContext,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform mode per UE among its QoS-feasible options, then each
     subchannel goes to a uniform pick of the UEs feasible on it."""
-    ctx = _matching_context(sc, gains, weights)
-    pairs = ctx.all_pairs()
-    _, feasible = score_rows(ctx, pairs, sc.p_ue_max, sc.p_uav_max)
-    ok = dict(zip(pairs, feasible.tolist()))
+    _, feasible = ctx.full_budget
     modes: dict[int, int] = {}
-    for n in range(sc.n_ues):
-        options = [m for m in (CELLULAR, RELAY) if any(ok[McPair(n, m)])]
+    for n in range(ctx.n_ues):
+        options = [m for m in (CELLULAR, RELAY) if feasible[m, n].any()]
         if options:
             modes[n] = int(rng.choice(options))
-    assign: list[McPair | None] = [VACANT] * sc.n_subchannels
-    for k in range(sc.n_subchannels):
-        cands = [n for n, m in modes.items() if ok[McPair(n, m)][k]]
+    owner = np.full(ctx.n_subchannels, -1)
+    for k in range(ctx.n_subchannels):
+        cands = [n for n, m in modes.items() if feasible[m, n, k]]
         if cands:
-            n = int(rng.choice(cands))
-            assign[k] = McPair(n, modes[n])
-    return Matching(assign)
+            owner[k] = int(rng.choice(cands))
+    beta = np.array([modes.get(n, CELLULAR) for n in range(ctx.n_ues)])
+    return assignment(beta, owner)
 
 
 def run_episode(scenario: Scenario, algorithm: str = "jmstp") -> EpisodeLog:
@@ -404,13 +398,12 @@ def run_episode(scenario: Scenario, algorithm: str = "jmstp") -> EpisodeLog:
         if algorithm == "jmstp":
             sol = jmstp_slot(sc, state, weights, prev, t)
         elif algorithm == "random":
-            gains = gain_matrices(sc, pos, t)
+            ctx = MatchingContext(sc, gain_matrices(sc, pos, t), weights)
             rng = np.random.default_rng((sc.rng_seed, 11, t))
-            psi = _random_matching(sc, gains, weights, rng)
-            sol = jmstp_slot(sc, state, weights, None, t, fixed_matching=psi)
+            sol = jmstp_slot(sc, state, weights, None, t,
+                             fixed_matching=_random_matching(ctx, rng))
         else:
-            sol = jmstp_slot(sc, state, weights, prev, t, relay_allowed=False,
-                             optimize_trajectory=False)
+            sol = jmstp_slot(sc, state, weights, prev, t, relay_allowed=False)
         slots.append(sol)
         rates[t] = sol.rates
         weights_history[t] = weights
@@ -447,10 +440,13 @@ def sweep(template: Scenario, axis: str, values, n_seeds: int = 10,
           algorithms=ALGORITHMS) -> list[dict]:
     """One row of seed-averaged metrics per (axis value, algorithm).
 
-    The template must not have positions baked in; each seed draws its
-    own topology and fading."""
+    Seed s runs the template with `rng_seed=s`: its fading, and the UE
+    positions and UAV start wherever the template leaves them unset, are
+    drawn per seed; positions the template fixes are kept."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis: {axis}; use one of {SWEEP_AXES}")
+    if n_seeds < 1:
+        raise ValueError(f"need at least one seed, got {n_seeds}")
     rows = []
     for value in values:
         for algorithm in algorithms:

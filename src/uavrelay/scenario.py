@@ -256,7 +256,11 @@ def load_scenario(text: str) -> Scenario:
 
     Missing keys fall back to the defaults above.  Unknown keys,
     duplicate unit variants (e.g. both noise_var_w and noise_var_dbm)
-    and values of the wrong type or shape are rejected.
+    and values of the wrong type or shape are rejected.  UE positions,
+    frequencies and the UAV start that the document leaves out stay
+    unset, to be drawn from the seed an episode runs with
+    (`Scenario.with_positions`); the checks see them as drawn from
+    `rng_seed`.
     """
     try:
         raw = json.loads(text) if text.strip() else {}
@@ -352,8 +356,8 @@ def load_scenario(text: str) -> Scenario:
         n_k = kw.get("n_subchannels", Scenario().n_subchannels)
         kw["subchannel_freqs"] = (doc["freq_hz"],) * n_k
 
-    scenario = Scenario(**kw).with_positions()
-    problems = validate(scenario)
+    scenario = Scenario(**kw)
+    problems = validate(scenario.with_positions())
     if problems:
         raise ValueError("invalid scenario: " + "; ".join(problems))
     return scenario

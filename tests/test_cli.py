@@ -3,9 +3,11 @@ contracts, and exit codes."""
 
 import csv
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from uavrelay import orchestrator
 from uavrelay.cli import EPISODE_COLUMNS, SWEEP_COLUMNS, main
 
 GOOD = '{"n_ues": 2, "n_subchannels": 3, "n_slots": 2, "fading_model": "mixed"}'
@@ -123,6 +125,41 @@ def test_sweep_rejects_empty_values(config, capsys):
     assert main(["sweep", str(config), "--axis", "d_max",
                  "--values", " "]) == 2
     assert "values" in capsys.readouterr().err
+
+
+def test_sweep_rejects_zero_seeds(config, tmp_path, capsys):
+    out = tmp_path / "sw"
+    assert main(["sweep", str(config), "--axis", "d_max", "--values", "10",
+                 "--seeds", "0", "--out", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("fixed", [False, True])
+def test_sweep_draws_unset_positions_per_seed(tmp_path, monkeypatch, fixed):
+    # positions the config leaves unset are drawn per seed; given ones are kept
+    doc = {"n_ues": 2, "n_subchannels": 2, "n_slots": 1}
+    if fixed:
+        doc.update(ue_positions=[[10.0, 20.0], [-30.0, 5.0]],
+                   uav_start=[0.0, 0.0, 120.0])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    seen = []
+
+    def fake_episode(sc, algorithm):
+        seen.append(sc)
+        return SimpleNamespace(sum_rate=0.0, jain=1.0, n_relay_ues=0.0,
+                               n_scheduled_ues=0.0, avg_speed=0.0)
+
+    monkeypatch.setattr(orchestrator, "run_episode", fake_episode)
+    assert main(["sweep", str(path), "--axis", "d_max", "--values", "10",
+                 "--seeds", "3", "--out", str(tmp_path / "sw")]) == 0
+    topologies = {(sc.ue_positions, sc.uav_start) for sc in seen}
+    assert [sc.rng_seed for sc in seen] == [0, 1, 2] * len(orchestrator.ALGORITHMS)
+    if fixed:
+        assert topologies == {(((10.0, 20.0, 0.0), (-30.0, 5.0, 0.0)), (0.0, 0.0, 120.0))}
+    else:
+        assert len(topologies) == 3
 
 
 def test_ici_check_prints_both_ratios(capsys):

@@ -56,6 +56,9 @@ def test_empty_document_gives_pure_defaults():
     t = load_scenario("{}")
     assert s == t
     assert s.n_ues == 5 and s.n_subchannels == 10
+    # what the document leaves out stays unset until an episode draws it
+    assert s.ue_positions == () and s.subchannel_freqs == () and s.uav_start is None
+    s = s.with_positions()
     assert len(s.ue_positions) == 5
     assert all(f == 1e9 for f in s.subchannel_freqs)
     assert s.uav_start is not None and s.uav_start[2] > s.bs_height
