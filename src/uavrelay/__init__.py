@@ -11,8 +11,6 @@ fairness across slots.
 from .orchestrator import (
     EpisodeLog,
     SlotSolution,
-    baseline_cellular,
-    baseline_random,
     cluster_scenario,
     dwell_times,
     jmstp_slot,
@@ -43,8 +41,6 @@ __all__ = [
     "SnrThresholds",
     "Tolerances",
     "UavState",
-    "baseline_cellular",
-    "baseline_random",
     "cluster_scenario",
     "dwell_times",
     "jmstp_slot",

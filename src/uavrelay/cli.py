@@ -8,7 +8,8 @@ prints the interference-to-signal ratios behind the constant ICI term.
 All numeric values in configs and sweep values are SI (watts, meters,
 seconds) unless the key carries a unit suffix; see load_scenario.
 Exit status: 0 on success, 2 when a config cannot be read or fails
-validation.
+validation, or when a sweep value gives a scenario that fails validation
+(checked before the first episode runs, so nothing is written).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .link_rate import (LinkBudget, PowerAllocation, jain_index, rate_report,
 from .matching import (CELLULAR, RELAY, MatchingContext, assignment,
                        init_matching, msma_detailed)
 from .power_alloc import _FLOOR_MARGIN, PowerLayout, scp_power, spread_leftover
-from .scenario import Scenario, UavState
+from .scenario import Scenario, UavState, require_valid
 from .trajectory import SlotInputs, StageLog, to_algorithm
 from .uav_power import flying_power_upper, move_radius
 
@@ -381,10 +381,11 @@ def _random_matching(ctx: MatchingContext,
 
 def run_episode(scenario: Scenario, algorithm: str = "jmstp") -> EpisodeLog:
     """Run all slots under proportional fairness for one algorithm
-    (`jmstp`, `random`, or `cellular`)."""
+    (`jmstp`, `random`, or `cellular`).  Raises ValueError, listing the
+    problems, when the scenario fails `validate`."""
     if algorithm not in ("jmstp", "random", "cellular"):
         raise ValueError(f"unknown algorithm: {algorithm}")
-    sc = scenario.with_positions()
+    sc = require_valid(scenario.with_positions())
     n_slots, n_ues = sc.n_slots, sc.n_ues
     rates = np.zeros((n_slots, n_ues))
     weights_history = np.zeros((n_slots, n_ues))
@@ -421,14 +422,6 @@ def run_episode(scenario: Scenario, algorithm: str = "jmstp") -> EpisodeLog:
         n_scheduled_ues=float(np.mean([len(s.scheduled_ues()) for s in slots])))
 
 
-def baseline_random(scenario: Scenario) -> EpisodeLog:
-    return run_episode(scenario, "random")
-
-
-def baseline_cellular(scenario: Scenario) -> EpisodeLog:
-    return run_episode(scenario, "cellular")
-
-
 # ---------------------------------------------------------------------------
 # Sweeps and cluster metrics.
 
@@ -442,21 +435,23 @@ def sweep(template: Scenario, axis: str, values, n_seeds: int = 10,
 
     Seed s runs the template with `rng_seed=s`: its fading, and the UE
     positions and UAV start wherever the template leaves them unset, are
-    drawn per seed; positions the template fixes are kept."""
+    drawn per seed; positions the template fixes are kept.  Every
+    scenario is validated before the first episode runs."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis: {axis}; use one of {SWEEP_AXES}")
     if n_seeds < 1:
         raise ValueError(f"need at least one seed, got {n_seeds}")
+    values = [float(v) for v in values]
+    panels = [[require_valid(replace(template, rng_seed=seed, **{axis: value})
+                             .with_positions(seed)) for seed in range(n_seeds)]
+              for value in values]
     rows = []
-    for value in values:
+    for value, scenarios in zip(values, panels):
         for algorithm in algorithms:
-            logs = []
-            for seed in range(n_seeds):
-                sc = replace(template, rng_seed=seed, **{axis: float(value)})
-                logs.append(run_episode(sc.with_positions(seed), algorithm))
+            logs = [run_episode(sc, algorithm) for sc in scenarios]
             rows.append({
                 "axis": axis,
-                "value": float(value),
+                "value": value,
                 "algorithm": algorithm,
                 "seeds": n_seeds,
                 "sum_rate": float(np.mean([log.sum_rate for log in logs])),

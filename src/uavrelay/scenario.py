@@ -1,14 +1,21 @@
 """Problem instances: constants, unit handling, loading, validation, sampling.
 
 Everything downstream works in SI units (watts, meters, Hz, linear ratios).
-Config files may use dBm / dB via key suffixes; conversion happens once, here.
+`CONFIG_SCHEMA` is the one reference for config keys: each row gives an SI
+key, the `Scenario` attribute it sets, its converter and, where the document
+may give it in other units (dBm, dB, one frequency for all subchannels), that
+unit variant and its conversion to SI.  `load_scenario`, `serialize` and
+`known_config_keys` all read it; conversion happens once, here.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,16 +31,8 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watts_to_dbm(watts: float) -> float:
-    return 10.0 * math.log10(watts) + 30.0
-
-
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 @dataclass(frozen=True)
@@ -162,12 +161,21 @@ def sample_uav_start(seed: int, radius: float = CELL_RADIUS) -> Point:
 def _number(v) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"expected a number, got {v!r}")
-    return float(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return x
 
 
 def _integer(v) -> int:
     if not _number(v).is_integer():
         raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _seed(v) -> int:
+    if _integer(v) < 0:
+        raise ValueError(f"expected a nonnegative integer, got {v!r}")
     return int(v)
 
 
@@ -187,78 +195,86 @@ def _ue_positions(v) -> tuple[Point, ...]:
                  for p in (_numbers(q, (2, 3)) for q in v))
 
 
-# Config keys.  _PLAIN_KEYS and _LIST_KEYS map each documented key to its
-# converter.  _POWER_KEYS and _ATTEN_KEYS map a base name to its scenario
-# field; their unit variants (W/dBm, linear/dB), all numbers, are generated
-# below.  Booked this way so unknown keys can be rejected with a clear
-# message and dBm/dB duplicates detected.
-_POWER_KEYS = {
-    "p_ue_max": "p_ue_max",
-    "p_uav_max": "p_uav_max",
-    "noise_var": "noise_var",
-    "ici_power": "ici_power",
-}
-_ATTEN_KEYS = {
-    "eta_los": "eta_los",
-    "eta_nlos": "eta_nlos",
-}
-_PLAIN_KEYS = {
-    "n_ues": _integer,
-    "n_subchannels": _integer,
-    "n_slots": _integer,
-    "slot_len": _number,
-    "bs_height_m": _number,
-    "pathloss_exp": _number,
-    "a2g_a": _number,
-    "a2g_b": _number,
-    "d_max_m": _number,
-    "e_max": _number,
-    "snr_min": _number,
-    "snr_min_db": _number,
-    "snr_min_ue_uav": _number,
-    "snr_min_uav_bs": _number,
-    "bcd_eps": _number,
-    "trajectory_eps": _number,
-    "fading_model": str,  # validate() names the models it accepts
-    "rician_k_db": _number,
-    "rng_seed": _integer,
-    "freq_hz": _number,
-    "prop_delta": _number,
-    "prop_omega": _number,
-    "prop_rotor_radius_m": _number,
-    "prop_u_tip": _number,
-    "prop_v0": _number,
-    "prop_d0": _number,
-    "prop_rho": _number,
-    "prop_s": _number,
-    "prop_disc_area": _number,
-    "prop_weight": _number,
-    "prop_k_factor": _number,
-}
-_LIST_KEYS = {
-    "subchannel_freqs_hz": _numbers,
-    "ue_positions": _ue_positions,
-    "uav_start": lambda v: _numbers(v, (3,)),
-}
+class ConfigKey(NamedTuple):
+    """One row of the config schema: an SI key, the `Scenario` attribute it
+    sets ("group.field" inside a parameter group), the converter that checks
+    its JSON value and, optionally, a unit variant the document may give
+    instead (always a number) with its conversion to SI."""
+
+    key: str
+    attr: str
+    convert: Callable = _number
+    variant: str | None = None
+    to_si: Callable[[float], float] | None = None
+
+
+# The config schema, in `serialize` order.
+CONFIG_SCHEMA = (
+    ConfigKey("n_ues", "n_ues", _integer),
+    ConfigKey("n_subchannels", "n_subchannels", _integer),
+    ConfigKey("n_slots", "n_slots", _integer),
+    ConfigKey("slot_len", "slot_len"),
+    ConfigKey("bs_height_m", "bs_height"),
+    ConfigKey("p_ue_max_w", "p_ue_max", variant="p_ue_max_dbm", to_si=dbm_to_watts),
+    ConfigKey("p_uav_max_w", "p_uav_max", variant="p_uav_max_dbm", to_si=dbm_to_watts),
+    ConfigKey("noise_var_w", "noise_var", variant="noise_var_dbm", to_si=dbm_to_watts),
+    ConfigKey("ici_power_w", "ici_power", variant="ici_power_dbm", to_si=dbm_to_watts),
+    ConfigKey("pathloss_exp", "pathloss_exp"),
+    ConfigKey("eta_los", "a2g.eta_los", variant="eta_los_db", to_si=db_to_linear),
+    ConfigKey("eta_nlos", "a2g.eta_nlos", variant="eta_nlos_db", to_si=db_to_linear),
+    ConfigKey("a2g_a", "a2g.a"),
+    ConfigKey("a2g_b", "a2g.b"),
+    ConfigKey("d_max_m", "d_max"),
+    ConfigKey("e_max", "e_max"),
+    ConfigKey("snr_min", "snr_thresholds.direct", variant="snr_min_db", to_si=db_to_linear),
+    ConfigKey("snr_min_ue_uav", "snr_thresholds.ue_uav"),
+    ConfigKey("snr_min_uav_bs", "snr_thresholds.uav_bs"),
+    ConfigKey("bcd_eps", "tolerances.bcd"),
+    ConfigKey("trajectory_eps", "tolerances.trajectory"),
+    ConfigKey("fading_model", "fading_model", str),  # validate() names the models it accepts
+    ConfigKey("rician_k_db", "rician_k_factor"),
+    ConfigKey("rng_seed", "rng_seed", _seed),
+    ConfigKey("subchannel_freqs_hz", "subchannel_freqs", _numbers, variant="freq_hz", to_si=float),
+    ConfigKey("ue_positions", "ue_positions", _ue_positions),
+    ConfigKey("prop_delta", "propulsion.delta"),
+    ConfigKey("prop_omega", "propulsion.omega"),
+    ConfigKey("prop_rotor_radius_m", "propulsion.rotor_radius"),
+    ConfigKey("prop_u_tip", "propulsion.u_tip"),
+    ConfigKey("prop_v0", "propulsion.v0"),
+    ConfigKey("prop_d0", "propulsion.d0"),
+    ConfigKey("prop_rho", "propulsion.rho"),
+    ConfigKey("prop_s", "propulsion.s"),
+    ConfigKey("prop_disc_area", "propulsion.disc_area"),
+    ConfigKey("prop_weight", "propulsion.weight"),
+    ConfigKey("prop_k_factor", "propulsion.k_factor"),
+    ConfigKey("uav_start", "uav_start", lambda v: _numbers(v, (3,))),
+)
+_ROW_OF = {k: row for row in CONFIG_SCHEMA for k in (row.key, row.variant) if k}
 
 
 def known_config_keys() -> set[str]:
-    keys = set(_PLAIN_KEYS) | set(_LIST_KEYS)
-    for base in _POWER_KEYS:
-        keys |= {base + "_w", base + "_dbm"}
-    for base in _ATTEN_KEYS:
-        keys |= {base, base + "_db"}
-    return keys
+    return set(_ROW_OF)
+
+
+def _convert(key: str, convert: Callable, value):
+    try:
+        return convert(value)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"config key {key}: {exc}") from exc
 
 
 def load_scenario(text: str) -> Scenario:
     """Parse a JSON config document into a validated Scenario.
 
-    Missing keys fall back to the defaults above.  Unknown keys,
-    duplicate unit variants (e.g. both noise_var_w and noise_var_dbm)
-    and values of the wrong type or shape are rejected.  UE positions,
-    frequencies and the UAV start that the document leaves out stay
-    unset, to be drawn from the seed an episode runs with
+    Each key is read as `CONFIG_SCHEMA` says; missing keys fall back to
+    the defaults above.  Unknown keys, a key given together with its unit
+    variant (e.g. both noise_var_w and noise_var_dbm), values of the wrong
+    type or shape, and numbers that are not finite (JSON NaN, Infinity,
+    1e400) or overflow in SI units are rejected, naming the key.  Two
+    rules span rows: `snr_min` (or `snr_min_db`) also sets the hop floors
+    the document leaves out, and `freq_hz` fills every subchannel.  UE
+    positions, frequencies and the UAV start that the document leaves out
+    stay unset, to be drawn from the seed an episode runs with
     (`Scenario.with_positions`); the checks see them as drawn from
     `rng_seed`.
     """
@@ -273,105 +289,54 @@ def load_scenario(text: str) -> Scenario:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
-    doc: dict = {}
+    doc = {}
     for key, value in raw.items():
-        convert = _PLAIN_KEYS.get(key) or _LIST_KEYS.get(key) or _number
-        try:
-            doc[key] = convert(value)
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"config key {key}: {exc}") from exc
+        row = _ROW_OF[key]
+        doc[key] = _convert(key, _number if key == row.variant else row.convert, value)
 
     kw: dict = {}
+    for row in CONFIG_SCHEMA:
+        if row.variant in doc:
+            if row.key in doc:
+                # shorter name first: the SI key, but freq_hz before the list
+                first, second = sorted((row.key, row.variant), key=len)
+                raise ValueError(f"give only one of {first} / {second}")
+            kw[row.attr] = _convert(row.variant, row.to_si, doc[row.variant])
+        elif row.key in doc:
+            kw[row.attr] = doc[row.key]
 
-    for base, fname in _POWER_KEYS.items():
-        w_key, dbm_key = base + "_w", base + "_dbm"
-        if w_key in doc and dbm_key in doc:
-            raise ValueError(f"give only one of {w_key} / {dbm_key}")
-        if w_key in doc:
-            kw[fname] = doc[w_key]
-        elif dbm_key in doc:
-            kw[fname] = dbm_to_watts(doc[dbm_key])
+    # snr_min also sets the hop floors the document leaves out
+    if "snr_thresholds.direct" in kw:
+        for hop in ("snr_thresholds.ue_uav", "snr_thresholds.uav_bs"):
+            kw.setdefault(hop, kw["snr_thresholds.direct"])
 
-    a2g_kw: dict = {}
-    for base, fname in _ATTEN_KEYS.items():
-        db_key = base + "_db"
-        if base in doc and db_key in doc:
-            raise ValueError(f"give only one of {base} / {db_key}")
-        if base in doc:
-            a2g_kw[fname] = doc[base]
-        elif db_key in doc:
-            a2g_kw[fname] = db_to_linear(doc[db_key])
-    if "a2g_a" in doc:
-        a2g_kw["a"] = doc["a2g_a"]
-    if "a2g_b" in doc:
-        a2g_kw["b"] = doc["a2g_b"]
-    if a2g_kw:
-        kw["a2g"] = A2GParams(**{**A2GParams().__dict__, **a2g_kw})
+    scenario = Scenario()
+    for attr, value in kw.items():
+        group, _, name = attr.rpartition(".")
+        if group:
+            value = replace(getattr(scenario, group), **{name: value})
+        scenario = replace(scenario, **{group or name: value})
+    if isinstance(scenario.subchannel_freqs, float):  # freq_hz fills every subchannel
+        scenario = replace(scenario, subchannel_freqs=(
+            scenario.subchannel_freqs,) * scenario.n_subchannels)
+    require_valid(scenario.with_positions())
+    return scenario
 
-    prop_kw = {}
-    for key in _PLAIN_KEYS:
-        if key.startswith("prop_") and key in doc:
-            prop_kw[key.removeprefix("prop_").removesuffix("_m")] = doc[key]
-    if prop_kw:
-        kw["propulsion"] = PropulsionParams(**{**PropulsionParams().__dict__, **prop_kw})
 
-    for key, fname in (("n_ues", "n_ues"), ("n_subchannels", "n_subchannels"),
-                       ("n_slots", "n_slots"), ("slot_len", "slot_len"),
-                       ("bs_height_m", "bs_height"), ("pathloss_exp", "pathloss_exp"),
-                       ("d_max_m", "d_max"), ("e_max", "e_max"),
-                       ("fading_model", "fading_model"), ("rician_k_db", "rician_k_factor"),
-                       ("rng_seed", "rng_seed"), ("ue_positions", "ue_positions"),
-                       ("uav_start", "uav_start")):
-        if key in doc:
-            kw[fname] = doc[key]
-
-    if "snr_min" in doc and "snr_min_db" in doc:
-        raise ValueError("give only one of snr_min / snr_min_db")
-    gamma = None
-    if "snr_min" in doc:
-        gamma = doc["snr_min"]
-    elif "snr_min_db" in doc:
-        gamma = db_to_linear(doc["snr_min_db"])
-    if gamma is not None or "snr_min_ue_uav" in doc or "snr_min_uav_bs" in doc:
-        base_thr = SnrThresholds()
-        g = gamma if gamma is not None else base_thr.direct
-        kw["snr_thresholds"] = SnrThresholds(
-            direct=g,
-            ue_uav=doc.get("snr_min_ue_uav", g),
-            uav_bs=doc.get("snr_min_uav_bs", g),
-        )
-
-    if "bcd_eps" in doc or "trajectory_eps" in doc:
-        base_tol = Tolerances()
-        kw["tolerances"] = Tolerances(
-            bcd=doc.get("bcd_eps", base_tol.bcd),
-            trajectory=doc.get("trajectory_eps", base_tol.trajectory),
-        )
-
-    if "subchannel_freqs_hz" in doc and "freq_hz" in doc:
-        raise ValueError("give only one of freq_hz / subchannel_freqs_hz")
-    if "subchannel_freqs_hz" in doc:
-        kw["subchannel_freqs"] = doc["subchannel_freqs_hz"]
-    elif "freq_hz" in doc:
-        n_k = kw.get("n_subchannels", Scenario().n_subchannels)
-        kw["subchannel_freqs"] = (doc["freq_hz"],) * n_k
-
-    scenario = Scenario(**kw)
-    problems = validate(scenario.with_positions())
+def require_valid(s: Scenario) -> Scenario:
+    """Return `s`, or raise ValueError naming every problem `validate` finds."""
+    problems = validate(s)
     if problems:
         raise ValueError("invalid scenario: " + "; ".join(problems))
-    return scenario
+    return s
 
 
 def validate(s: Scenario) -> list[str]:
     """Return a list of violated invariants; empty means the scenario is usable."""
     out: list[str] = []
-    if s.n_ues < 1:
-        out.append("n_ues must be >= 1")
-    if s.n_subchannels < 1:
-        out.append("n_subchannels must be >= 1")
-    if s.n_slots < 1:
-        out.append("n_slots must be >= 1")
+    for name in ("n_ues", "n_subchannels", "n_slots"):
+        if getattr(s, name) < 1:
+            out.append(f"{name} must be >= 1")
     for name in ("slot_len", "bs_height", "p_ue_max", "p_uav_max", "noise_var",
                  "pathloss_exp", "d_max", "e_max"):
         if getattr(s, name) <= 0:
@@ -404,50 +369,30 @@ def validate(s: Scenario) -> list[str]:
         out.append("fading_model must be one of none/rayleigh/rician/mixed")
     if s.uav_start is not None and s.uav_start[2] <= s.bs_height:
         out.append("uav_start altitude must exceed bs_height")
+    out += [f"{name} must be finite" for name in _nonfinite(s)]
+    if not out:  # hover power needs a valid propulsion model
+        from .uav_power import hover_power  # uav_power imports this module
+        hover = hover_power(s.propulsion)
+        if s.e_max / s.slot_len < hover:
+            out.append(f"e_max / slot_len must cover hover power ({hover:.1f} W)")
     return out
 
 
+def _nonfinite(obj, prefix: str = "") -> Iterator[str]:
+    """Names ("group.field" inside a group) of the numeric fields, or number
+    tuples, that hold NaN or an infinity."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _nonfinite(value, f"{prefix}{f.name}.")
+        elif (isinstance(value, (int, float, tuple))
+              and not np.isfinite(np.asarray(value, dtype=float)).all()):
+            yield prefix + f.name
+
+
 def serialize(s: Scenario) -> str:
-    """Inverse of load_scenario, in SI units only."""
-    doc = {
-        "n_ues": s.n_ues,
-        "n_subchannels": s.n_subchannels,
-        "n_slots": s.n_slots,
-        "slot_len": s.slot_len,
-        "bs_height_m": s.bs_height,
-        "p_ue_max_w": s.p_ue_max,
-        "p_uav_max_w": s.p_uav_max,
-        "noise_var_w": s.noise_var,
-        "ici_power_w": s.ici_power,
-        "pathloss_exp": s.pathloss_exp,
-        "eta_los": s.a2g.eta_los,
-        "eta_nlos": s.a2g.eta_nlos,
-        "a2g_a": s.a2g.a,
-        "a2g_b": s.a2g.b,
-        "d_max_m": s.d_max,
-        "e_max": s.e_max,
-        "snr_min": s.snr_thresholds.direct,
-        "snr_min_ue_uav": s.snr_thresholds.ue_uav,
-        "snr_min_uav_bs": s.snr_thresholds.uav_bs,
-        "bcd_eps": s.tolerances.bcd,
-        "trajectory_eps": s.tolerances.trajectory,
-        "fading_model": s.fading_model,
-        "rician_k_db": s.rician_k_factor,
-        "rng_seed": s.rng_seed,
-        "subchannel_freqs_hz": list(s.subchannel_freqs),
-        "ue_positions": [list(p) for p in s.ue_positions],
-        "prop_delta": s.propulsion.delta,
-        "prop_omega": s.propulsion.omega,
-        "prop_rotor_radius_m": s.propulsion.rotor_radius,
-        "prop_u_tip": s.propulsion.u_tip,
-        "prop_v0": s.propulsion.v0,
-        "prop_d0": s.propulsion.d0,
-        "prop_rho": s.propulsion.rho,
-        "prop_s": s.propulsion.s,
-        "prop_disc_area": s.propulsion.disc_area,
-        "prop_weight": s.propulsion.weight,
-        "prop_k_factor": s.propulsion.k_factor,
-    }
-    if s.uav_start is not None:
-        doc["uav_start"] = list(s.uav_start)
+    """Inverse of load_scenario: every SI key of `CONFIG_SCHEMA`, in order;
+    the UAV start only when it is set."""
+    doc = {row.key: value for row in CONFIG_SCHEMA
+           if (value := attrgetter(row.attr)(s)) is not None}
     return json.dumps(doc, indent=2)

@@ -48,6 +48,12 @@ def test_validate_rejects_unknown_keys(tmp_path, capsys):
     ('{"uav_start": [1.0, 2.0]}', "uav_start"),
     ('{"subchannel_freqs_hz": 5}', "subchannel_freqs_hz"),
     (None, "config.json"),  # a directory where the file should be
+    ('{"p_ue_max_dbm": 1e10}', "p_ue_max_dbm"),  # overflows in watts
+    ('{"eta_nlos_db": 5000}', "eta_nlos_db"),
+    ('{"d_max_m": NaN}', "d_max_m"),
+    ('{"slot_len": 1e400}', "slot_len"),  # parses as infinity
+    ('{"e_max": 100}', "e_max"),  # below the 168.5 W hover power
+    ('{"rng_seed": -1}', "rng_seed"),
 ])
 def test_validate_rejects_malformed_configs(tmp_path, capsys, text, named):
     path = tmp_path / "config.json"
@@ -125,6 +131,19 @@ def test_sweep_rejects_empty_values(config, capsys):
     assert main(["sweep", str(config), "--axis", "d_max",
                  "--values", " "]) == 2
     assert "values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, value", [("d_max", "-5"), ("p_ue_max", "-1")])
+def test_sweep_checks_every_value_before_running(config, tmp_path, capsys,
+                                                  monkeypatch, axis, value):
+    ran = []
+    monkeypatch.setattr(orchestrator, "run_episode",
+                        lambda sc, algorithm: ran.append(sc))
+    out = tmp_path / "sw"
+    assert main(["sweep", str(config), "--axis", axis, f"--values=0.1,{value}",
+                 "--seeds", "2", "--out", str(out)]) == 2
+    assert f"{axis} must be positive" in capsys.readouterr().err
+    assert ran == [] and not (out / "sweep.csv").exists()
 
 
 def test_sweep_rejects_zero_seeds(config, tmp_path, capsys):

@@ -243,6 +243,10 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="algorithm"):
             run_episode(tiny_scenario(), "genie")
 
+    def test_rejects_a_scenario_that_fails_validation(self):
+        with pytest.raises(ValueError, match="d_max must be positive; e_max must be finite"):
+            run_episode(tiny_scenario(d_max=-5.0, e_max=float("nan")))
+
     def test_metrics_match_slot_contents(self):
         log = run_episode(tiny_scenario())
         assert np.isclose(log.sum_rate, log.rates.sum(axis=1).mean())
