@@ -21,15 +21,15 @@ import sys
 from pathlib import Path
 
 from .channel import ici_ratio_db, occupancy_sensitivity, reference_ici_context
-from .orchestrator import ALGORITHMS, SWEEP_AXES, EpisodeLog, run_episode, sweep
+from .orchestrator import (ALGORITHMS, SWEEP_AXES, SWEEP_METRICS, EpisodeLog,
+                           run_episode, sweep)
 from .scenario import Scenario, load_scenario
 from .uav_power import flying_power, flying_power_upper
 
 EPISODE_COLUMNS = ("slot", "ue", "mode", "subchannels", "rate", "weight",
                    "objective", "uav_x", "uav_y", "uav_z", "speed",
                    "flying_power")
-SWEEP_COLUMNS = ("axis", "value", "algorithm", "seeds", "sum_rate", "jain",
-                 "n_relay_ues", "n_scheduled_ues", "avg_speed")
+SWEEP_COLUMNS = ("axis", "value", "algorithm", "seeds", *SWEEP_METRICS)
 MODE_NAMES = ("cellular", "relay")
 
 
@@ -109,7 +109,7 @@ def cmd_sweep(args) -> int:
         for row in rows:
             out.writerow([row["axis"], f"{row['value']:.9g}", row["algorithm"],
                           row["seeds"]] +
-                         [f"{row[c]:.9g}" for c in SWEEP_COLUMNS[4:]])
+                         [f"{row[m]:.9g}" for m in SWEEP_METRICS])
     print(f"wrote {len(rows)} rows to {out_path}")
     return 0
 

@@ -12,6 +12,16 @@ those counts, so the split is fixed for a whole run.
 Swap approval is one array pass: `swap_approvals` reads a (K, K) table
 whose row j scores the owner of subchannel j on every subchannel, and
 tests every subchannel pair at once.
+
+Greedy starts read tables too.  A direct UE's row depends only on its own
+subchannel count c (it runs at p_ue_max / c), so `init_matching` scores
+every direct UE at every count it can reach in one link-budget call.  The
+reach ends where the split falls below the UE's lowest floor: past it the
+UE fails QoS on every subchannel and scores zero, so those counts are
+never evaluated.  A relayed UE's row also moves with the relay total, so
+relayed rows are rescored only when a relayed assignment is made or
+dropped.  The start's realized rows are the `GameView` the swap game runs
+on, so a fresh start is scored once.
 """
 
 from __future__ import annotations
@@ -56,17 +66,28 @@ class MatchingContext:
         return utility.reshape(shape), feasible.reshape(shape)
 
 
-def score_rows(ctx: MatchingContext, ues, relay, ue_power,
-               uav_power: float) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted rate and QoS verdict of UE `ues[i]` in mode `relay[i]` on
-    every subchannel, one row per entry, from one link-budget evaluation.
-    `ue_power` is one UE power per row, or one for all; `uav_power` is
-    the relay's power per relayed subchannel."""
+def _links(ctx: MatchingContext, ues, relay, ue_power,
+           uav_power) -> lr.LinkBudget:
+    """Link budget of UE `ues[i]` in mode `relay[i]` on every subchannel,
+    one row per entry; `relay` and both powers are one value per row, or
+    one for all."""
     g, sc = ctx.gains, ctx.scenario
-    link = lr.LinkBudget(np.asarray(relay, dtype=bool)[:, None],
-                         np.asarray(ue_power, dtype=float).reshape(-1, 1), uav_power,
+
+    def column(a, dtype=float):
+        return np.asarray(a, dtype=dtype).reshape(-1, 1)
+
+    return lr.LinkBudget(column(relay, bool), column(ue_power), column(uav_power),
                          g.h_ue_bs[ues], g.h_ue_uav[ues], g.h_uav_bs,
                          sc.snr_thresholds, sc.noise_var, sc.ici_power)
+
+
+def score_rows(ctx: MatchingContext, ues, relay, ue_power,
+               uav_power) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted rate and QoS verdict of UE `ues[i]` in mode `relay[i]` on
+    every subchannel, one row per entry, from one link-budget evaluation.
+    `relay`, `ue_power` and `uav_power` (the relay's power per relayed
+    subchannel) are one value per row, or one for all."""
+    link = _links(ctx, ues, relay, ue_power, uav_power)
     return ctx.weights[ues, None] * link.rate, link.feasible()
 
 
@@ -77,15 +98,24 @@ def assignment(modes: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.where(alloc.any(axis=1), modes, CELLULAR), alloc
 
 
+@dataclass
 class GameView:
     """Utilities and QoS verdicts of one matching under its equal-split
-    powers: table row n scores UE n in its mode on every subchannel, all
-    UEs at once, and a last all-zero, all-feasible row is read by vacant
-    subchannels as row -1.  `owner` holds the UE on each subchannel of
-    the matching, -1 where it is vacant.  Valid across swaps because swaps never change any UE's
+    powers.  `owner` holds the UE on each subchannel, -1 where it is
+    vacant; row n of `utility`/`feasible` scores UE n in its mode
+    (`modes[n]`) on every subchannel, and a last all-zero, all-feasible
+    row is read by vacant subchannels as row -1.  The game reads only the
+    owners' rows.  Valid across swaps because swaps never change any UE's
     subchannel count or the relay total."""
 
-    def __init__(self, beta: np.ndarray, alloc: np.ndarray, ctx: MatchingContext):
+    modes: np.ndarray
+    owner: np.ndarray
+    utility: np.ndarray
+    feasible: np.ndarray
+
+    @classmethod
+    def of(cls, beta: np.ndarray, alloc: np.ndarray, ctx: MatchingContext) -> "GameView":
+        """Score the matching `(beta, alloc)`, every UE in one call."""
         sc = ctx.scenario
         relay = np.asarray(beta) == RELAY
         relay_total = int(alloc[relay].sum())
@@ -94,9 +124,12 @@ class GameView:
             ctx, np.arange(ctx.n_ues), relay,
             sc.p_ue_max / np.maximum(alloc.sum(axis=1), 1), uav_power)
         k_sub = ctx.n_subchannels
-        self.utility = np.vstack([utility, np.zeros(k_sub)])
-        self.feasible = np.vstack([feasible, np.ones(k_sub, dtype=bool)])
-        self.owner = np.where(alloc.any(axis=0), alloc.argmax(axis=0), -1)
+        return cls(np.asarray(beta), np.where(alloc.any(axis=0), alloc.argmax(axis=0), -1),
+                   np.vstack([utility, np.zeros(k_sub)]),
+                   np.vstack([feasible, np.ones(k_sub, dtype=bool)]))
+
+    def assignment(self) -> tuple[np.ndarray, np.ndarray]:
+        return assignment(self.modes, self.owner)
 
     def own(self) -> tuple[np.ndarray, np.ndarray]:
         """Utility and QoS verdict of each subchannel's owner there."""
@@ -141,9 +174,9 @@ class MsmaResult:
     examined_per_round: list[int]
 
 
-def msma_detailed(beta: np.ndarray, alloc: np.ndarray,
-                  ctx: MatchingContext) -> MsmaResult:
-    """Run rounds of profitable swaps to pairwise stability.
+def msma_detailed(view: GameView) -> MsmaResult:
+    """Run rounds of profitable swaps from the view's matching to pairwise
+    stability.
 
     Deterministic: each round scans the subchannel pairs (k1 < k2) in
     row-major order and executes the first approved swap at or after its
@@ -152,7 +185,6 @@ def msma_detailed(beta: np.ndarray, alloc: np.ndarray,
     table (row j: the owner of subchannel j, scored on every subchannel);
     an executed swap exchanges two columns of `alloc`, that is two table
     rows, and the mask is rebuilt."""
-    view = GameView(beta, alloc, ctx)
     owner = view.owner.copy()
     u, ok = view.utility[owner], view.feasible[owner]
     trace = [view.system_utility()]
@@ -177,56 +209,117 @@ def msma_detailed(beta: np.ndarray, alloc: np.ndarray,
             changed = True
             at += 1
         examined_per_round.append(n_sub * (n_sub - 1) // 2)
-    return MsmaResult(*assignment(beta, owner), len(gains), gains, trace,
+    return MsmaResult(*assignment(view.modes, owner), len(gains), gains, trace,
                       examined_per_round)
 
 
-def init_matching(ctx: MatchingContext,
-                  modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy feasible start for UEs held to the given modes.
+def init_matching(ctx: MatchingContext, modes: np.ndarray) -> GameView:
+    """Greedy feasible start for UEs held to the given modes, returned as
+    the view the swap game starts from.
 
-    Subchannels go greedily to the highest-utility feasible UE, each
-    candidate scored at the equal split it would hold after taking the
-    channel, which is what steers channels away from a single dominant
-    UE once its per-channel budget thins out; a UE's row is re-scored
-    only when that split changes.  A repair pass drops lowest-utility
-    assignments until every survivor meets QoS under the realized equal
-    split; dropping only raises the survivors' powers, so it
-    terminates."""
-    sc = ctx.scenario
+    Subchannels go in order to the first UE of highest positive utility
+    among those meeting QoS there, each candidate scored at the equal
+    split it would hold after taking the channel, which is what steers
+    channels away from a single dominant UE once its per-channel budget
+    thins out.  A repair pass then drops lowest-utility assignments until
+    every survivor meets QoS under the realized equal split; dropping only
+    raises the survivors' powers, so it terminates.
+
+    Both passes read tables.  Direct UE n holding c subchannels runs at
+    p_ue_max / c whatever the others hold, so one `score_rows` call scores
+    every direct UE at every count it can reach, together with the relayed
+    UEs' first rows.  The reach ends where the split falls below n's
+    lowest full-budget floor, past which n fails QoS everywhere and reads
+    an all-zero row; one row of slack is scored past it, capped at K.  A
+    relayed UE's row also moves with the relay total, so each relayed pick
+    rescores every relayed row in one call: at the next split, for the
+    greedy pass, and at the split held now, for the repair pass.  In the
+    repair a direct UE's realized row is its table row one count down, so
+    only a relayed drop rescores.  The realized rows become the returned
+    view; rows of UEs holding nothing may be stale, as the game reads only
+    the owners' rows."""
+    sc, n_ues, n_sub = ctx.scenario, ctx.n_ues, ctx.n_subchannels
     modes = np.asarray(modes, dtype=int)
     relay = modes == RELAY
-    counts = np.zeros(ctx.n_ues, dtype=int)
+    direct, relayed = np.flatnonzero(~relay), np.flatnonzero(relay)
+
+    # direct UE n at count c runs at p_ue_max / (c + 1); table row first[n] + c
+    floor = _links(ctx, direct, False, sc.p_ue_max, 0.0).floors()[0].min(axis=1)
+    splits = sc.p_ue_max / np.arange(1, n_sub + 1)
+    reach = np.minimum((splits >= floor[:, None]).sum(axis=1) + 1, n_sub)
+    holder, count = np.nonzero(np.arange(n_sub) < reach[:, None])
+    first, reach_of = np.zeros(n_ues, dtype=int), np.zeros(n_ues, dtype=int)
+    first[direct], reach_of[direct] = np.cumsum(reach) - reach, reach
+    # the relayed UEs' first rows follow the table
+    ues = np.concatenate([direct[holder], relayed])
+    count = np.concatenate([count, np.zeros(relayed.size, dtype=int)])
+    table_u, table_ok = score_rows(ctx, ues, relay[ues], sc.p_ue_max / (count + 1),
+                                   sc.p_uav_max)
+    table = np.where(table_ok, table_u, 0.0)
+
+    counts = np.zeros(n_ues, dtype=int)
     relay_total = 0
-    # value[k, n]: UE n's utility on subchannel k where it meets QoS, else 0
-    value = np.zeros((ctx.n_subchannels, ctx.n_ues))
 
-    def rescore(ues: np.ndarray) -> None:
-        """Rows at the split each UE would hold after one more subchannel."""
+    def score_relayed(shifts):
+        """Rows of every relayed UE with s more subchannels of its own and
+        of the relay, for each s in `shifts`, from one call: (utility,
+        feasible), each indexed [shift, relayed UE, k]."""
+        more = np.asarray(shifts)[:, None]
+        own = np.maximum(counts[relayed] + more, 1)
+        total = np.broadcast_to(relay_total + more, own.shape)
         utility, feasible = score_rows(
-            ctx, ues, relay[ues], sc.p_ue_max / (counts[ues] + 1),
-            sc.p_uav_max / (relay_total + 1))
-        value[:, ues] = np.where(feasible, utility, 0.0).T
+            ctx, np.tile(relayed, len(shifts)), True,
+            sc.p_ue_max / own.ravel(), sc.p_uav_max / total.ravel())
+        shape = (len(shifts), relayed.size, n_sub)
+        return utility.reshape(shape), feasible.reshape(shape)
 
-    owner = np.full(ctx.n_subchannels, -1)
-    stale = np.arange(ctx.n_ues)
-    for k in range(ctx.n_subchannels):
-        if stale.size:
-            rescore(stale)
-        # the first UE of highest positive utility among the feasible ones
-        n = int(value[k].argmax())
-        stale = np.array([], dtype=int)
-        if value[k, n] > 0.0:
-            owner[k] = n
-            counts[n] += 1
-            relay_total += int(relay[n])
+    # cand[n]: UE n's utility where it meets QoS, else 0, at the split it
+    # would hold after one more subchannel
+    cand = np.zeros((n_ues, n_sub))
+    cand[direct], cand[relayed] = table[first[direct]], table[len(holder):]
+    owner = np.full(n_sub, -1)
+    for k in range(n_sub):
+        n = int(cand[:, k].argmax())
+        if cand[n, k] <= 0.0:
+            continue
+        owner[k] = n
+        counts[n] += 1
+        if relay[n]:
             # a relayed pick thins the relay split for every relayed UE
-            stale = np.flatnonzero(relay) if relay[n] else np.array([n])
+            relay_total += 1
+            (next_u, held_u), (next_ok, held_ok) = score_relayed((1, 0))
+            cand[relayed] = np.where(next_ok, next_u, 0.0)
+        elif counts[n] < reach_of[n]:
+            cand[n] = table[first[n] + counts[n]]
+        else:
+            cand[n] = 0.0
 
+    # realized rows, plus the vacant row -1
+    utility = np.zeros((n_ues + 1, n_sub))
+    feasible = np.zeros((n_ues + 1, n_sub), dtype=bool)
+    feasible[-1] = True
+
+    def realize(ues):
+        """Direct UEs' rows at the split they hold (the full budget when
+        they hold nothing): their table rows one count down."""
+        i = first[ues] + np.maximum(counts[ues] - 1, 0)
+        utility[ues], feasible[ues] = table_u[i], table_ok[i]
+
+    realize(direct)
+    if relay_total:
+        utility[relayed], feasible[relayed] = held_u, held_ok
+    k_all = np.arange(n_sub)
     while True:
-        beta, alloc = assignment(modes, owner)
-        utility_k, feasible_k = GameView(beta, alloc, ctx).own()
-        bad = np.flatnonzero(~feasible_k)  # vacant is always feasible
+        bad = np.flatnonzero(~feasible[owner, k_all])  # vacant is always feasible
         if not bad.size:
-            return beta, alloc
-        owner[bad[np.argmin(utility_k[bad])]] = -1
+            return GameView(modes, owner, utility, feasible)
+        k = bad[np.argmin(utility[owner[bad], bad])]
+        n = owner[k]
+        owner[k] = -1
+        counts[n] -= 1
+        if relay[n]:
+            relay_total -= 1
+            if relay_total:
+                (utility[relayed],), (feasible[relayed],) = score_relayed((0,))
+        else:
+            realize(n)

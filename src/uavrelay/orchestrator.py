@@ -18,7 +18,7 @@ import numpy as np
 from .channel import gain_matrices
 from .link_rate import (LinkBudget, PowerAllocation, jain_index, rate_report,
                         update_weights)
-from .matching import (CELLULAR, RELAY, MatchingContext, assignment,
+from .matching import (CELLULAR, RELAY, GameView, MatchingContext, assignment,
                        init_matching, msma_detailed)
 from .power_alloc import _FLOOR_MARGIN, PowerLayout, scp_power, spread_leftover
 from .scenario import Scenario, UavState, require_valid
@@ -184,7 +184,8 @@ def _fresh_matchings(ctx: MatchingContext,
     spectral efficiency for reach, so which mix wins is geometry- and
     weight-dependent; the exact completed objective arbitrates.  The
     starts and their swap runs read only the scenario, the gains and the
-    weights, so one channel state needs them once."""
+    weights, so one channel state needs them once.  Each start hands its
+    scored view to the swap game, which scores nothing again."""
     all_cellular = np.full(ctx.n_ues, CELLULAR)
     starts = [init_matching(ctx, all_cellular)]
     if relay_allowed:
@@ -192,8 +193,7 @@ def _fresh_matchings(ctx: MatchingContext,
         coverage = _coverage_modes(ctx)
         if coverage.any():
             starts.append(init_matching(ctx, coverage))
-    return [(res.beta, res.alloc) for res in
-            (msma_detailed(beta, alloc, ctx) for beta, alloc in starts)]
+    return [(res.beta, res.alloc) for res in map(msma_detailed, starts)]
 
 
 def _matching_stage(ctx: MatchingContext, fresh, beta, alloc, powers,
@@ -205,7 +205,7 @@ def _matching_stage(ctx: MatchingContext, fresh, beta, alloc, powers,
     powers, so it runs on every call."""
     candidates = list(fresh)
     if alloc is not None and alloc.any():
-        res = msma_detailed(beta, alloc, ctx)
+        res = msma_detailed(GameView.of(beta, alloc, ctx))
         candidates.append((res.beta, res.alloc))
 
     sc, gains, weights = ctx.scenario, ctx.gains, ctx.weights
@@ -426,6 +426,8 @@ def run_episode(scenario: Scenario, algorithm: str = "jmstp") -> EpisodeLog:
 # Sweeps and cluster metrics.
 
 SWEEP_AXES = ("p_ue_max", "d_max", "p_uav_max", "e_max")
+# the seed-averaged `EpisodeLog` fields of a sweep row, in sweep.csv order
+SWEEP_METRICS = ("sum_rate", "jain", "n_relay_ues", "n_scheduled_ues", "avg_speed")
 ALGORITHMS = ("jmstp", "random", "cellular")
 
 
@@ -449,17 +451,10 @@ def sweep(template: Scenario, axis: str, values, n_seeds: int = 10,
     for value, scenarios in zip(values, panels):
         for algorithm in algorithms:
             logs = [run_episode(sc, algorithm) for sc in scenarios]
-            rows.append({
-                "axis": axis,
-                "value": value,
-                "algorithm": algorithm,
-                "seeds": n_seeds,
-                "sum_rate": float(np.mean([log.sum_rate for log in logs])),
-                "jain": float(np.mean([log.jain for log in logs])),
-                "n_relay_ues": float(np.mean([log.n_relay_ues for log in logs])),
-                "n_scheduled_ues": float(np.mean([log.n_scheduled_ues for log in logs])),
-                "avg_speed": float(np.mean([log.avg_speed for log in logs])),
-            })
+            rows.append({"axis": axis, "value": value, "algorithm": algorithm,
+                         "seeds": n_seeds} |
+                        {m: float(np.mean([getattr(log, m) for log in logs]))
+                         for m in SWEEP_METRICS})
     return rows
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
@@ -115,7 +116,10 @@ class Scenario:
     uav_start: Point | None = None
 
     def with_positions(self, seed: int | None = None) -> "Scenario":
-        """Fill in any missing UE positions / frequencies / UAV start, seeded."""
+        """Fill in any missing UE positions / frequencies / UAV start, seeded.
+        Raises ValueError, naming the field, when a count is out of range,
+        before anything is drawn."""
+        _raise_problems(_count_problems(self))
         s = self
         if seed is None:
             seed = s.rng_seed
@@ -173,6 +177,12 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _count(v) -> int:
+    if not 1 <= _integer(v) <= sys.maxsize:
+        raise ValueError(f"expected an integer from 1 to {sys.maxsize}, got {v!r}")
+    return int(v)
+
+
 def _seed(v) -> int:
     if _integer(v) < 0:
         raise ValueError(f"expected a nonnegative integer, got {v!r}")
@@ -210,9 +220,9 @@ class ConfigKey(NamedTuple):
 
 # The config schema, in `serialize` order.
 CONFIG_SCHEMA = (
-    ConfigKey("n_ues", "n_ues", _integer),
-    ConfigKey("n_subchannels", "n_subchannels", _integer),
-    ConfigKey("n_slots", "n_slots", _integer),
+    ConfigKey("n_ues", "n_ues", _count),
+    ConfigKey("n_subchannels", "n_subchannels", _count),
+    ConfigKey("n_slots", "n_slots", _count),
     ConfigKey("slot_len", "slot_len"),
     ConfigKey("bs_height_m", "bs_height"),
     ConfigKey("p_ue_max_w", "p_ue_max", variant="p_ue_max_dbm", to_si=dbm_to_watts),
@@ -269,8 +279,9 @@ def load_scenario(text: str) -> Scenario:
     Each key is read as `CONFIG_SCHEMA` says; missing keys fall back to
     the defaults above.  Unknown keys, a key given together with its unit
     variant (e.g. both noise_var_w and noise_var_dbm), values of the wrong
-    type or shape, and numbers that are not finite (JSON NaN, Infinity,
-    1e400) or overflow in SI units are rejected, naming the key.  Two
+    type or shape, counts (`n_ues`, `n_subchannels`, `n_slots`) below 1
+    or above `sys.maxsize`, and numbers that are not finite (JSON NaN,
+    Infinity, 1e400) or overflow in SI units are rejected, naming the key.  Two
     rules span rows: `snr_min` (or `snr_min_db`) also sets the hop floors
     the document leaves out, and `freq_hz` fills every subchannel.  UE
     positions, frequencies and the UAV start that the document leaves out
@@ -325,18 +336,24 @@ def load_scenario(text: str) -> Scenario:
 
 def require_valid(s: Scenario) -> Scenario:
     """Return `s`, or raise ValueError naming every problem `validate` finds."""
-    problems = validate(s)
+    _raise_problems(validate(s))
+    return s
+
+
+def _raise_problems(problems: list[str]) -> None:
     if problems:
         raise ValueError("invalid scenario: " + "; ".join(problems))
-    return s
+
+
+def _count_problems(s: Scenario) -> list[str]:
+    return [f"{name} must be from 1 to {sys.maxsize}"
+            for name in ("n_ues", "n_subchannels", "n_slots")
+            if not 1 <= getattr(s, name) <= sys.maxsize]
 
 
 def validate(s: Scenario) -> list[str]:
     """Return a list of violated invariants; empty means the scenario is usable."""
-    out: list[str] = []
-    for name in ("n_ues", "n_subchannels", "n_slots"):
-        if getattr(s, name) < 1:
-            out.append(f"{name} must be >= 1")
+    out = _count_problems(s)
     for name in ("slot_len", "bs_height", "p_ue_max", "p_uav_max", "noise_var",
                  "pathloss_exp", "d_max", "e_max"):
         if getattr(s, name) <= 0:

@@ -9,6 +9,7 @@ import pytest
 
 from uavrelay import orchestrator
 from uavrelay.cli import EPISODE_COLUMNS, SWEEP_COLUMNS, main
+from uavrelay.scenario import load_scenario
 
 GOOD = '{"n_ues": 2, "n_subchannels": 3, "n_slots": 2, "fading_model": "mixed"}'
 
@@ -54,6 +55,11 @@ def test_validate_rejects_unknown_keys(tmp_path, capsys):
     ('{"slot_len": 1e400}', "slot_len"),  # parses as infinity
     ('{"e_max": 100}', "e_max"),  # below the 168.5 W hover power
     ('{"rng_seed": -1}', "rng_seed"),
+    # counts are checked before any position is drawn
+    ('{"n_subchannels": 1e300}', "n_subchannels"),
+    ('{"n_ues": 0}', "n_ues"),
+    ('{"n_ues": -3}', "n_ues"),
+    ('{"n_ues": 1e300}', "n_ues"),
 ])
 def test_validate_rejects_malformed_configs(tmp_path, capsys, text, named):
     path = tmp_path / "config.json"
@@ -120,6 +126,17 @@ def test_sweep_writes_expected_rows(config, tmp_path):
     assert len(rows) == 2 * 3  # values x algorithms
     assert {r["algorithm"] for r in rows} == {"jmstp", "random", "cellular"}
     assert {float(r["value"]) for r in rows} == {10.0, 20.0}
+
+
+def test_sweep_header_equals_the_keys_of_a_sweep_row(config, tmp_path):
+    out = tmp_path / "sw"
+    assert main(["sweep", str(config), "--axis", "d_max", "--values", "10",
+                 "--seeds", "1", "--out", str(out)]) == 0
+    with (out / "sweep.csv").open() as fh:
+        header = next(csv.reader(fh))
+    row = orchestrator.sweep(load_scenario(GOOD), "d_max", [10.0], n_seeds=1,
+                             algorithms=("cellular",))[0]
+    assert header == list(row)
 
 
 def test_sweep_rejects_unknown_axis(config):

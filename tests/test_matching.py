@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -63,6 +63,11 @@ def holding(n_ues, owner):
     return (np.asarray(owner) == np.arange(n_ues)[:, None]).astype(int)
 
 
+def msma(beta, alloc, ctx):
+    """The swap game run from the matching `(beta, alloc)`."""
+    return mt.msma_detailed(mt.GameView.of(beta, alloc, ctx))
+
+
 def approvals(view):
     """The swap-approval mask of the view's own matching."""
     o = view.owner
@@ -75,11 +80,11 @@ def approvals(view):
 def matching_feasible(beta, alloc, ctx):
     """Per-assignment QoS under the matching's own equal-split powers.
     Power caps hold by construction of the split."""
-    return bool(mt.GameView(beta, alloc, ctx).own()[1].all())
+    return bool(mt.GameView.of(beta, alloc, ctx).own()[1].all())
 
 
 def is_pairwise_stable(beta, alloc, ctx):
-    return not approvals(mt.GameView(beta, alloc, ctx)).any()
+    return not approvals(mt.GameView.of(beta, alloc, ctx)).any()
 
 
 def brute_force_stable(ctx):
@@ -140,20 +145,20 @@ class TestMcPairUtility:
     def test_empty_set(self):
         ctx = random_context(3)
         alloc = np.zeros((ctx.n_ues, ctx.n_subchannels), dtype=int)
-        assert mt.GameView(np.zeros(ctx.n_ues, dtype=int), alloc, ctx).system_utility() == 0.0
+        assert mt.GameView.of(np.zeros(ctx.n_ues, dtype=int), alloc, ctx).system_utility() == 0.0
 
     def test_singleton(self):
         ctx = random_context(4)
         alloc = holding(2, [-1, 1])
         # alone on its subchannel, the UE holds the full budget
-        view = mt.GameView(np.zeros(2, dtype=int), alloc, ctx)
+        view = mt.GameView.of(np.zeros(2, dtype=int), alloc, ctx)
         assert view.system_utility() == row(ctx, 1, mt.CELLULAR)[0][1]
 
     def test_additive_over_disjoint_sets(self):
         ctx = random_context(5, n_ues=2, n_sub=6)
         left, right = [0, 2, 4], [1, 5]
         alloc = holding(2, [0 if k in left + right else -1 for k in range(6)])
-        view = mt.GameView(np.array([mt.RELAY, mt.CELLULAR]), alloc, ctx)
+        view = mt.GameView.of(np.array([mt.RELAY, mt.CELLULAR]), alloc, ctx)
         sc = ctx.scenario
         u, _ = row(ctx, 0, mt.RELAY, sc.p_ue_max / 5, sc.p_uav_max / 5)
         assert view.system_utility() == pytest.approx(
@@ -166,7 +171,7 @@ class TestInitMatching:
         starved = replace(ctx, scenario=replace(ctx.scenario, p_ue_max=1e-15,
                                                 p_uav_max=1e-15))
         for modes in (np.zeros(2, dtype=int), np.ones(2, dtype=int)):
-            beta, alloc = mt.init_matching(starved, modes)
+            beta, alloc = mt.init_matching(starved, modes).assignment()
             assert not alloc.any() and not beta.any()
 
     def test_single_ue_single_channel_prefers_better_mode(self):
@@ -183,19 +188,19 @@ class TestInitMatching:
         r_cell, ok_cell = row(ctx, 0, mt.CELLULAR)
         assert ok_cell[0] and ok_relay[0]
         assert r_relay[0] > r_cell[0]
-        beta, alloc = mt.init_matching(ctx, _scored_modes(ctx))
+        beta, alloc = mt.init_matching(ctx, _scored_modes(ctx)).assignment()
         assert beta.tolist() == [mt.RELAY] and alloc.tolist() == [[1]]
 
     def test_random_instances_feasible_and_consistent(self):
         for seed in range(30):
             ctx = random_context(seed, n_ues=2, n_sub=2)
-            beta, alloc = mt.init_matching(ctx, _scored_modes(ctx))
+            beta, alloc = mt.init_matching(ctx, _scored_modes(ctx)).assignment()
             assert matching_feasible(beta, alloc, ctx)
 
     def test_larger_instances_feasible_and_consistent(self):
         for seed in range(10):
             ctx = random_context(100 + seed, n_ues=5, n_sub=10)
-            beta, alloc = mt.init_matching(ctx, _scored_modes(ctx))
+            beta, alloc = mt.init_matching(ctx, _scored_modes(ctx)).assignment()
             assert matching_feasible(beta, alloc, ctx)
 
 
@@ -212,7 +217,7 @@ def crossing_context():
 
 
 def swap_approved(beta, alloc, k1, k2, ctx):
-    return bool(approvals(mt.GameView(beta, alloc, ctx))[k1, k2])
+    return bool(approvals(mt.GameView.of(beta, alloc, ctx))[k1, k2])
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +254,7 @@ def scalar_msma(beta, alloc, ctx):
     """Rounds of ascending (k1, k2) scans, the first approved swap executing
     at once; returns the result and the swaps executed in each round."""
     owner = [int(np.flatnonzero(col)[0]) if col.any() else -1 for col in alloc.T]
-    utility, feasible = scalar_lookups(mt.GameView(beta, alloc, ctx))
+    utility, feasible = scalar_lookups(mt.GameView.of(beta, alloc, ctx))
     trace = [sum(utility(n, k) for k, n in enumerate(owner))]
     gains, examined, swaps_per_round = [], [], []
     n_sub = len(owner)
@@ -298,7 +303,7 @@ def small_games(draw):
 
 
 def assert_scan_matches_scalar(ctx, beta, alloc):
-    res = mt.msma_detailed(beta, alloc, ctx)
+    res = msma(beta, alloc, ctx)
     ref, _ = scalar_msma(beta, alloc, ctx)
     np.testing.assert_array_equal(res.beta, ref.beta)
     np.testing.assert_array_equal(res.alloc, ref.alloc)
@@ -314,7 +319,7 @@ class TestScalarEquivalence:
     @settings(max_examples=150, deadline=None)
     def test_mask_matches_scalar_predicate(self, game):
         ctx, beta, alloc = game
-        view = mt.GameView(beta, alloc, ctx)
+        view = mt.GameView.of(beta, alloc, ctx)
         mask = approvals(view)
         utility, feasible = scalar_lookups(view)
         owner = [int(np.flatnonzero(col)[0]) if col.any() else -1 for col in alloc.T]
@@ -348,8 +353,8 @@ class TestSwapBlocking:
     def test_crossed_assignment_blocks(self):
         ctx, beta, alloc = crossing_context()
         assert swap_approved(beta, alloc, 0, 1, ctx)
-        before = mt.GameView(beta, alloc, ctx).system_utility()
-        after = mt.GameView(beta, alloc[:, [1, 0]], ctx).system_utility()
+        before = mt.GameView.of(beta, alloc, ctx).system_utility()
+        after = mt.GameView.of(beta, alloc[:, [1, 0]], ctx).system_utility()
         assert after > before
 
     def test_identical_subchannels_rejected(self):
@@ -368,14 +373,14 @@ class TestMsma:
     def test_stable_input_unchanged(self):
         ctx, beta, alloc = crossing_context()
         stable = alloc[:, [1, 0]]
-        res = mt.msma_detailed(beta, stable, ctx)
+        res = msma(beta, stable, ctx)
         assert res.n_swaps == 0
         np.testing.assert_array_equal(res.alloc, stable)
         np.testing.assert_array_equal(res.beta, beta)
 
     def test_executes_profitable_swap(self):
         ctx, beta, alloc = crossing_context()
-        res = mt.msma_detailed(beta, alloc, ctx)
+        res = msma(beta, alloc, ctx)
         assert res.n_swaps == 1
         assert res.alloc.tolist() == [[1, 0], [0, 1]]
         assert res.beta.tolist() == [mt.CELLULAR, mt.CELLULAR]
@@ -383,7 +388,7 @@ class TestMsma:
     def test_output_pairwise_stable_and_gains_positive(self):
         for seed in range(25):
             ctx = random_context(seed, n_ues=3, n_sub=4)
-            res = mt.msma_detailed(*mt.init_matching(ctx, _scored_modes(ctx)), ctx)
+            res = mt.msma_detailed(mt.init_matching(ctx, _scored_modes(ctx)))
             assert is_pairwise_stable(res.beta, res.alloc, ctx)
             assert all(g > 0 for g in res.swap_gains)
             assert res.utility_trace[-1] >= res.utility_trace[0]
@@ -392,9 +397,9 @@ class TestMsma:
         for seed in range(10):
             n, k = 4, 6
             ctx = random_context(seed, n_ues=n, n_sub=k)
-            beta, alloc = mt.init_matching(ctx, _scored_modes(ctx))
+            beta, alloc = mt.init_matching(ctx, _scored_modes(ctx)).assignment()
             alloc[:, ::2] = alloc[:, ::2][:, ::-1]  # give the scan work
-            res = mt.msma_detailed(beta, alloc, ctx)
+            res = msma(beta, alloc, ctx)
             _, swaps_per_round = scalar_msma(beta, alloc, ctx)
             # every round examines each subchannel pair once; every round
             # but the last executes a swap
@@ -404,7 +409,7 @@ class TestMsma:
     def test_projection_shapes(self):
         ctx = random_context(11, n_ues=3, n_sub=5)
         # UE 2 relays but holds nothing, so its mode reads cellular
-        res = mt.msma_detailed(np.array([0, 1, 1]), holding(3, [0, 1, -1, 1, 0]), ctx)
+        res = msma(np.array([0, 1, 1]), holding(3, [0, 1, -1, 1, 0]), ctx)
         assert res.beta.shape == (3,) and res.alloc.shape == (3, 5)
         assert set(np.unique(res.alloc)) <= {0, 1}
         assert np.all(res.alloc.sum(axis=0) <= 1)
@@ -426,8 +431,182 @@ class TestBruteForce:
     def test_msma_lands_in_stable_set(self):
         for seed in range(25):
             ctx = random_context(seed, n_ues=2, n_sub=2)
-            res = mt.msma_detailed(*mt.init_matching(ctx, _scored_modes(ctx)), ctx)
+            res = mt.msma_detailed(mt.init_matching(ctx, _scored_modes(ctx)))
             stable = brute_force_stable(ctx)
             assert stable, "no stable matching found by enumeration"
             assert any(np.array_equal(res.beta, b) and np.array_equal(res.alloc, a)
                        for b, a in stable)
+
+
+# ---------------------------------------------------------------------------
+# The greedy start written out the direct way: the candidates' rows
+# rescored per subchannel, and the repair rebuilding the whole view per
+# drop.  The reference the table-driven `init_matching` is held to.
+
+def reference_greedy(ctx, modes):
+    """Owner of each subchannel after the greedy pass."""
+    sc = ctx.scenario
+    relay = modes == mt.RELAY
+    counts = np.zeros(ctx.n_ues, dtype=int)
+    relay_total = 0
+    # value[k, n]: UE n's utility on subchannel k where it meets QoS, else 0
+    value = np.zeros((ctx.n_subchannels, ctx.n_ues))
+    owner = np.full(ctx.n_subchannels, -1)
+    stale = np.arange(ctx.n_ues)
+    for k in range(ctx.n_subchannels):
+        if stale.size:
+            # rows at the split each UE would hold after one more subchannel
+            utility, feasible = mt.score_rows(
+                ctx, stale, relay[stale], sc.p_ue_max / (counts[stale] + 1),
+                sc.p_uav_max / (relay_total + 1))
+            value[:, stale] = np.where(feasible, utility, 0.0).T
+        n = int(value[k].argmax())
+        stale = np.array([], dtype=int)
+        if value[k, n] > 0.0:
+            owner[k] = n
+            counts[n] += 1
+            relay_total += int(relay[n])
+            stale = np.flatnonzero(relay) if relay[n] else np.array([n])
+    return owner
+
+
+def reference_repair(ctx, modes, owner):
+    """Drop the lowest-utility assignment failing QoS until none fails."""
+    owner = owner.copy()
+    while True:
+        beta, alloc = mt.assignment(modes, owner)
+        utility_k, feasible_k = mt.GameView.of(beta, alloc, ctx).own()
+        bad = np.flatnonzero(~feasible_k)
+        if not bad.size:
+            return beta, alloc
+        owner[bad[np.argmin(utility_k[bad])]] = -1
+
+
+def reference_init_matching(ctx, modes):
+    modes = np.asarray(modes, dtype=int)
+    return reference_repair(ctx, modes, reference_greedy(ctx, modes))
+
+
+MODE_MIXES = ("cellular", "relay", "mixed")
+
+
+def greedy_start(seed, n, k, threshold, budget, mix, tied=True):
+    """A context of N UEs and K subchannels with UE and relay budgets
+    scaled by `budget`, weights that are zero for about a quarter of the
+    UEs, and the modes of `mix`; gains come from few levels when `tied`,
+    so that utilities tie."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        levels = rng.choice(LEVELS, shape)
+        return levels if tied else levels * rng.uniform(0.5, 2.0, shape)
+
+    ctx = synth_context(h_ue_bs=draw((n, k)), h_ue_uav=10 * draw((n, k)),
+                        h_uav_bs=10 * draw(k), weights=rng.choice([0.0, 0.5, 1.0, 2.0], n),
+                        thresholds=SnrThresholds(threshold, threshold, threshold),
+                        p_ue_max=budget * dbm_to_watts(17.0), p_uav_max=budget * 0.3)
+    modes = {"cellular": np.zeros(n, dtype=int), "relay": np.ones(n, dtype=int),
+             "mixed": rng.integers(0, 2, n)}[mix]
+    return ctx, modes
+
+
+@st.composite
+def greedy_starts(draw):
+    """`greedy_start` with N <= 6 UEs and K <= 12 subchannels: thresholds
+    from loose (every UE reaches all K counts) to past every floor, and
+    budgets from starved to ample."""
+    return greedy_start(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 6)),
+                        draw(st.integers(1, 12)), draw(st.sampled_from((1.0, 5.0, 50.0, 200.0))),
+                        draw(st.sampled_from((1e-9, 1.0, 1e3))), draw(st.sampled_from(MODE_MIXES)),
+                        draw(st.booleans()))
+
+
+def assert_same_start(ctx, modes):
+    beta, alloc = mt.init_matching(ctx, modes).assignment()
+    ref_beta, ref_alloc = reference_init_matching(ctx, modes)
+    assert np.array_equal(beta, ref_beta) and np.array_equal(alloc, ref_alloc)
+    return alloc
+
+
+def count_score_rows(monkeypatch):
+    """The `score_rows` calls made from here on, one entry each."""
+    calls = []
+    original = mt.score_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mt, "score_rows", counted)
+    return calls
+
+
+class TestTableGreedyStart:
+    @given(greedy_starts())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference(self, start):
+        assert_same_start(*start)
+
+    @pytest.mark.parametrize("case, args", [
+        ("all cellular", (1, 6, 12, 5.0, 1.0, "cellular")),
+        ("all relayed", (2, 6, 12, 5.0, 1.0, "relay")),
+        ("mixed", (3, 6, 12, 50.0, 1.0, "mixed")),
+        ("budgets below every floor", (4, 6, 12, 5.0, 1e-9, "mixed")),
+        ("every UE reaches all K counts", (5, 6, 12, 1.0, 1e3, "cellular")),
+        ("short reaches", (6, 6, 12, 200.0, 1.0, "cellular")),
+    ])
+    def test_matches_the_reference_on_named_cases(self, case, args):
+        ctx, modes = greedy_start(*args)
+        alloc = assert_same_start(ctx, modes)
+        sc, n_sub = ctx.scenario, ctx.n_subchannels
+        full_reach = [row(ctx, n, mt.CELLULAR, sc.p_ue_max / n_sub)[1].any()
+                      for n in range(ctx.n_ues)]
+        if case == "budgets below every floor":
+            assert not alloc.any()
+        elif case == "every UE reaches all K counts":
+            assert all(full_reach)
+        elif case == "short reaches":
+            assert alloc.any() and not any(full_reach)
+        else:
+            assert alloc.any()
+        if case == "all relayed":
+            assert (ctx.weights == 0).any()  # zero-weight UEs are never picked
+            assert not alloc[ctx.weights == 0].any()
+
+    def test_a_cellular_start_scores_once(self, monkeypatch):
+        calls = count_score_rows(monkeypatch)
+        for seed in range(20):
+            ctx, modes = greedy_start(seed, 6, 12, (1.0, 50.0, 200.0)[seed % 3],
+                                      (1e-9, 1.0)[seed % 2], "cellular")
+            calls.clear()
+            mt.init_matching(ctx, modes)
+            assert len(calls) == 1
+
+    def test_a_relayed_start_rescores_only_on_relayed_picks_and_drops(self, monkeypatch):
+        picked = dropped = 0
+        for seed in range(60):
+            ctx, modes = greedy_start(seed, 6, 12, (5.0, 50.0, 200.0)[seed % 3], 1.0,
+                                      ("relay", "mixed")[seed % 2], tied=False)
+            relay = modes == mt.RELAY
+            greedy = reference_greedy(ctx, modes)
+            picks = int(relay[greedy[greedy >= 0]].sum())
+            _, alloc = reference_init_matching(ctx, modes)
+            drops = picks - int(alloc[relay].sum())
+            calls = count_score_rows(monkeypatch)
+            mt.init_matching(ctx, modes)
+            monkeypatch.undo()
+            assert len(calls) <= 1 + picks + drops
+            picked += picks > 0
+            dropped += drops > 0
+        assert picked >= 40 and dropped >= 3
+
+    @given(greedy_starts())
+    @settings(max_examples=150, deadline=None)
+    def test_the_handed_over_view_plays_like_a_rebuilt_one(self, start):
+        ctx, modes = start
+        view = mt.init_matching(ctx, modes)
+        handed = mt.msma_detailed(view)
+        rebuilt = msma(*view.assignment(), ctx)
+        for f in fields(mt.MsmaResult):
+            a, b = getattr(handed, f.name), getattr(rebuilt, f.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name

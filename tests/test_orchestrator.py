@@ -247,6 +247,13 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="d_max must be positive; e_max must be finite"):
             run_episode(tiny_scenario(d_max=-5.0, e_max=float("nan")))
 
+    @pytest.mark.parametrize("count", [{"n_ues": 0}, {"n_ues": -3}, {"n_ues": 10**30},
+                                       {"n_subchannels": 10**30}],
+                             ids=["n_ues=0", "n_ues=-3", "n_ues=1e30", "n_subchannels=1e30"])
+    def test_rejects_a_bad_count_before_drawing_positions(self, count):
+        with pytest.raises(ValueError, match=f"{next(iter(count))} must be from 1 to"):
+            run_episode(Scenario(**count))
+
     def test_metrics_match_slot_contents(self):
         log = run_episode(tiny_scenario())
         assert np.isclose(log.sum_rate, log.rates.sum(axis=1).mean())

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -113,6 +114,14 @@ def test_validate_flags_zero_noise_and_lifted_ue():
     bad = Scenario(ue_positions=((0.0, 1.0, 5.0),) + Scenario().with_positions().ue_positions[1:])
     msgs = validate(bad)
     assert any("z-coordinate" in m for m in msgs)
+
+
+def test_counts_out_of_range_are_named_before_anything_is_drawn():
+    s = Scenario(n_ues=0, n_subchannels=10**30)
+    assert validate(s)[:2] == [f"n_ues must be from 1 to {sys.maxsize}",
+                               f"n_subchannels must be from 1 to {sys.maxsize}"]
+    with pytest.raises(ValueError, match="n_ues must be from 1 to.*n_subchannels"):
+        s.with_positions()
 
 
 def test_serialize_load_identity():
