@@ -16,11 +16,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import gain_matrices
-from .link_rate import (LinkBudget, PowerAllocation, jain_index, rate_report,
-                        update_weights)
+from .link_rate import PowerAllocation, jain_index, rate_report, update_weights
 from .matching import (CELLULAR, RELAY, GameView, MatchingContext, assignment,
                        init_matching, msma_detailed)
-from .power_alloc import _FLOOR_MARGIN, PowerLayout, scp_power, spread_leftover
+from .power_alloc import restore_feasible, scp_power
 from .scenario import Scenario, UavState, require_valid
 from .trajectory import SlotInputs, StageLog, to_algorithm
 from .uav_power import flying_power_upper, move_radius
@@ -118,44 +117,20 @@ def validate_solution(sol: SlotSolution, sc: Scenario,
 
 def complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
                     weights, sc: Scenario) -> tuple[np.ndarray, PowerAllocation]:
-    """Carry incumbent powers onto retained assignments, fund new ones at
-    their QoS floors from the leftover budgets, best weighted full-power
-    rate first, then spread what remains by weighted marginal rate.
-    Unfundable newcomers are shed from the allocation.
+    """Hold the incumbent's powers on the assignments it keeps on the same
+    subchannel in the same mode, and let `restore_feasible` carry those
+    and fund the rest; unfundable newcomers are shed from the allocation.
 
-    The spread matters: candidates meet the stage comparison with these
-    powers, and at bare floors a relayed link shows roughly half the rate
-    it reaches once the two hop budgets are actually spent."""
-    alloc = alloc.copy()
-    held = alloc != 0
-    retained = np.zeros_like(held)
+    The spread that funding ends with matters: candidates meet the stage
+    comparison with these powers, and at bare floors a relayed link shows
+    roughly half the rate it reaches once the two hop budgets are
+    actually spent."""
+    held = None
     if prev_alloc is not None:  # same subchannel, same mode
-        retained = held & (prev_alloc != 0) & (np.asarray(prev_beta) == beta)[:, None]
-    p_ue = np.where(retained, prev_powers.p_ue, 0.0)
-    relayed = (retained & (np.asarray(beta) != 0)[:, None]).any(axis=0)
-    p_uav = np.where(relayed, prev_powers.p_uav, 0.0)
-    fresh = np.argwhere(held & ~retained)  # row-major
-
-    if fresh.size:
-        # full-budget rates rank the newcomers, best first and ties in
-        # row-major order; their floors fund them
-        full = LinkBudget(np.asarray(beta)[:, None] == 1, sc.p_ue_max, sc.p_uav_max,
-                          gains.h_ue_bs, gains.h_ue_uav, gains.h_uav_bs,
-                          sc.snr_thresholds, sc.noise_var, sc.ici_power)
-        value = weights[:, None] * full.rate
-        floor_ue, floor_uav = (f * (1.0 + _FLOOR_MARGIN) for f in full.floors())
-        order = np.argsort(-value[fresh[:, 0], fresh[:, 1]], kind="stable")
-        for n, k in fresh[order].tolist():
-            fits = p_ue[n].sum() + floor_ue[n, k] <= sc.p_ue_max
-            if beta[n]:
-                fits = fits and p_uav.sum() + floor_uav[n, k] <= sc.p_uav_max
-            if fits:
-                p_ue[n, k] = floor_ue[n, k]
-                p_uav[k] = floor_uav[n, k]
-            else:
-                alloc[n, k] = 0
-    powers = PowerAllocation(p_ue, p_uav)
-    spread_leftover(PowerLayout(beta, alloc, gains, sc), powers, weights)
+        same = (prev_alloc != 0) & (np.asarray(prev_beta) == beta)[:, None]
+        held = PowerAllocation(np.where(same, prev_powers.p_ue, 0.0),
+                               prev_powers.p_uav)
+    alloc, powers, _ = restore_feasible(beta, alloc, gains, weights, sc, held)
     return alloc, powers
 
 

@@ -6,9 +6,10 @@ powers; linearizing the subtracted piece at the current iterate gives a
 concave surrogate that is tight there and never overshoots, so the SCP
 loop is monotone in the exact weighted sum rate.  All constraints are
 linear at fixed gains: one budget block per entity and per-subchannel
-QoS floors.  Infeasible starts are repaired by funding every occupied
-subchannel at its floor and releasing the lowest-value subchannel of
-whichever entity still cannot pay.
+QoS floors.  Every power start comes from one funding rule,
+`restore_feasible`: carried powers stay, every other assignment is funded
+at its floor, best weighted full-budget rate first, and an assignment its
+budgets cannot pay is shed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .scenario import Scenario
 LN2 = math.log(2.0)
 _HALF_LOG2E = 0.5 / LN2  # d/dx of 0.5*log2(x) is this over x
 _FLOOR_MARGIN = 1e-9    # relative headroom when funding a QoS floor
-_CAP_TOL = 1e-9
 
 
 @dataclass
@@ -184,39 +184,53 @@ class PowerProblem(PowerLayout):
 # Feasibility restoration.
 
 def restore_feasible(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
-                     weights: np.ndarray, scenario: Scenario
+                     weights: np.ndarray, sc: Scenario,
+                     held: PowerAllocation | None = None
                      ) -> tuple[np.ndarray, PowerAllocation, list[tuple[int, int]]]:
-    """Floor-fund the allocation, releasing the least valuable subchannel
-    of any entity whose floors alone overflow its budget.  Returns the
-    surviving allocation, floor powers with the leftover budget spread by
-    weighted marginal rate, and the dropped (ue, subchannel) pairs."""
+    """Fund a power start for the allocation, the one funding rule of
+    the package.
+
+    An assignment with a `held` power carries it (with the UAV's `held`
+    power on its subchannel when relayed).  Every other assignment is
+    funded at its QoS floor plus a hair from what its UE and the UAV have
+    left, best weighted full-budget rate first and ties in row-major
+    order; one that either budget cannot pay is shed.  The leftover
+    budgets are then spread by weighted marginal rate.  Returns the
+    surviving allocation, its powers and the shed (ue, subchannel) pairs
+    in funding order."""
     alloc = np.asarray(alloc, dtype=int).copy()
     beta = np.asarray(beta, dtype=int)
     weights = np.asarray(weights, dtype=float)
-    s = scenario
+    relay = beta[:, None] == 1
+    full = LinkBudget(relay, sc.p_ue_max, sc.p_uav_max, gains.h_ue_bs,
+                      gains.h_ue_uav, gains.h_uav_bs, sc.snr_thresholds,
+                      sc.noise_var, sc.ici_power)
+    if held is None:
+        held = PowerAllocation(np.zeros(alloc.shape), np.zeros(alloc.shape[1]))
+    carry = (alloc != 0) & (held.p_ue > 0.0)
+    p_ue = np.where(carry, held.p_ue, 0.0)
+    p_uav = np.where((carry & relay).any(axis=0), held.p_uav, 0.0)
+
+    # full-budget rates rank the rest, best first and ties in row-major
+    # order; their floors fund them
+    floor_ue, floor_uav = (f * (1.0 + _FLOOR_MARGIN) for f in full.floors())
+    fresh = np.argwhere((alloc != 0) & ~carry)
+    value = weights[:, None] * full.rate
+    order = np.argsort(-value[fresh[:, 0], fresh[:, 1]], kind="stable")
     dropped: list[tuple[int, int]] = []
-
-    while True:
-        # fund every occupied subchannel at its QoS floor plus a hair
-        layout = PowerLayout(beta, alloc, gains, s)
-        powers = layout.unpack(layout.qos_floors() * (1.0 + _FLOOR_MARGIN))
-        ue_over = np.flatnonzero(powers.p_ue.sum(axis=1) > s.p_ue_max * (1.0 + _CAP_TOL))
-        if ue_over.size:
-            owned = np.zeros_like(alloc)
-            owned[ue_over[0]] = alloc[ue_over[0]]
-        elif powers.p_uav.sum() > s.p_uav_max * (1.0 + _CAP_TOL):
-            owned = alloc * beta[:, None]
+    for n, k in fresh[order].tolist():
+        fits = p_ue[n].sum() + floor_ue[n, k] <= sc.p_ue_max
+        if beta[n]:
+            fits = fits and p_uav.sum() + floor_uav[n, k] <= sc.p_uav_max
+        if fits:
+            p_ue[n, k] = floor_ue[n, k]
+            p_uav[k] = floor_uav[n, k]
         else:
-            break
-        # release the entity's least valuable subchannel at floor powers
-        value = weights[:, None] * rate_report(beta, alloc, powers, gains,
-                                               weights, s).per_subchannel_rate
-        cands = np.argwhere(owned)
-        n, k = cands[np.argmin(value[owned == 1])]
-        alloc[n, k] = 0
-        dropped.append((int(n), int(k)))
+            alloc[n, k] = 0
+            dropped.append((n, k))
 
-    spread_leftover(layout, powers, weights)
+    powers = PowerAllocation(p_ue, p_uav)
+    spread_leftover(PowerLayout(beta, alloc, gains, sc), powers, weights)
     return alloc, powers, dropped
 
 
@@ -271,9 +285,9 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
               init: PowerAllocation | None = None) -> PowerResult:
     """Maximize the weighted sum rate over transmit powers.
 
-    `init` is used as the starting point when it already satisfies the
-    caps and QoS floors; otherwise the restoration rule rebuilds one,
-    possibly shedding assignments (reported in `dropped`)."""
+    `init` is the starting point when a projection onto the caps and QoS
+    floors repairs it; otherwise `restore_feasible` funds a start from
+    scratch, possibly shedding assignments (reported in `dropped`)."""
     s = scenario
     alloc = np.asarray(alloc, dtype=int)
     dropped: list[tuple[int, int]] = []

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavrelay.channel import gain_matrices
-from uavrelay.link_rate import PowerAllocation, rate_report
-from uavrelay.power_alloc import (PowerLayout, PowerProblem, restore_feasible,
-                                  scp_power)
+from uavrelay.link_rate import LinkBudget, PowerAllocation, rate_report
+from uavrelay.power_alloc import (_FLOOR_MARGIN, PowerLayout, PowerProblem,
+                                  restore_feasible, scp_power, spread_leftover)
 from uavrelay.scenario import Scenario, SnrThresholds, dbm_to_watts
 
 
@@ -267,3 +269,103 @@ class TestRestoration:
         x = prob.pack(powers)
         assert np.all(x >= prob.qos_floors())
         assert prob.feasible_set().linear_violation(x) <= 1e-9
+
+
+CAP_TOL = 1e-9
+
+
+def reference_restore_feasible(beta, alloc, gains, weights, sc):
+    """The drop-loop restoration that floor funding by value order
+    replaced: fund every assignment at its floor plus a hair, and while an
+    entity's floors overflow its budget by more than `CAP_TOL` (the first
+    UE over, else the UAV), release its subchannel of least weighted rate
+    at floor powers; then spread the leftover budgets."""
+    alloc = np.asarray(alloc, dtype=int).copy()
+    beta = np.asarray(beta, dtype=int)
+    dropped = []
+    while True:
+        layout = PowerLayout(beta, alloc, gains, sc)
+        powers = layout.unpack(layout.qos_floors() * (1.0 + _FLOOR_MARGIN))
+        ue_over = np.flatnonzero(powers.p_ue.sum(axis=1) > sc.p_ue_max * (1.0 + CAP_TOL))
+        if ue_over.size:
+            owned = np.zeros_like(alloc)
+            owned[ue_over[0]] = alloc[ue_over[0]]
+        elif powers.p_uav.sum() > sc.p_uav_max * (1.0 + CAP_TOL):
+            owned = alloc * beta[:, None]
+        else:
+            break
+        value = weights[:, None] * rate_report(beta, alloc, powers, gains,
+                                               weights, sc).per_subchannel_rate
+        n, k = np.argwhere(owned)[np.argmin(value[owned == 1])]
+        alloc[n, k] = 0
+        dropped.append((int(n), int(k)))
+    spread_leftover(layout, powers, weights)
+    return alloc, powers, dropped
+
+
+def full_budget_floors(sc, gains, beta):
+    return LinkBudget(beta[:, None] == 1, sc.p_ue_max, sc.p_uav_max, gains.h_ue_bs,
+                      gains.h_ue_uav, gains.h_uav_bs, sc.snr_thresholds,
+                      sc.noise_var, sc.ici_power).floors()
+
+
+@st.composite
+def funding_instances(draw):
+    """Up to 4 UEs on up to 6 subchannels in mixed modes, with each
+    budget a fraction from 0.2 to 1.5 of the largest floor total that
+    entity would have to fund."""
+    n, k, seed = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(0, 99))
+    base = Scenario(n_ues=n, n_subchannels=k, fading_model="mixed",
+                    rng_seed=seed).with_positions(seed)
+    gains = gain_matrices(base, base.uav_start, draw(st.integers(0, 3)))
+    beta = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    owner = np.array(draw(st.lists(st.integers(-1, n - 1), min_size=k, max_size=k)))
+    alloc = (owner == np.arange(n)[:, None]).astype(int)
+    weights = np.array(draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+                                     min_size=n, max_size=n)))
+    floor_ue, floor_uav = full_budget_floors(base, gains, beta)
+    ue_need = (floor_ue * alloc).sum(axis=1).max()
+    uav_need = (floor_uav * alloc).sum()
+    budget = st.floats(0.2, 1.5)
+    sc = replace(base, p_ue_max=draw(budget) * ue_need if ue_need else base.p_ue_max,
+                 p_uav_max=draw(budget) * uav_need if uav_need else base.p_uav_max)
+    return sc, gains, beta, alloc, weights
+
+
+class TestFundingRule:
+    """`restore_feasible` against the drop-loop reference it replaced."""
+
+    @given(funding_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_against_the_drop_loop(self, instance):
+        sc, gains, beta, alloc, weights = instance
+        got_alloc, got, dropped = restore_feasible(beta, alloc, gains, weights, sc)
+
+        # where the reference drops nothing and its floors leave room in
+        # every budget, funding by value order funds the same start; in
+        # the reference's tolerance band above a budget it overruns it
+        want_alloc, want, want_dropped = reference_restore_feasible(
+            beta, alloc, gains, weights, sc)
+        floor_ue, floor_uav = full_budget_floors(sc, gains, beta)
+        funded = 1.0 + _FLOOR_MARGIN
+        room = ((floor_ue * alloc).sum(axis=1).max() * funded
+                <= sc.p_ue_max * (1.0 - 1e-12)
+                and (floor_uav * alloc).sum() * funded <= sc.p_uav_max * (1.0 - 1e-12))
+        if not want_dropped and room:
+            assert dropped == []
+            np.testing.assert_array_equal(got_alloc, want_alloc)
+            np.testing.assert_array_equal(got.p_ue, want.p_ue)
+            np.testing.assert_array_equal(got.p_uav, want.p_uav)
+
+        # survivors meet their floors and every budget holds
+        kept = got_alloc == 1
+        assert np.all(got.p_ue[kept] >= floor_ue[kept])
+        assert np.all(np.broadcast_to(got.p_uav, alloc.shape)[kept] >= floor_uav[kept])
+        assert not got.p_ue[~kept].any()
+        assert np.all(got.p_ue.sum(axis=1) <= sc.p_ue_max * (1.0 + 1e-9))
+        assert got.p_uav.sum() <= sc.p_uav_max * (1.0 + 1e-9)
+
+        # `dropped` lists exactly the removed pairs, once each
+        removed = sorted(map(tuple, np.argwhere((alloc == 1) & ~kept).tolist()))
+        assert sorted(dropped) == removed
+        assert len(set(dropped)) == len(dropped)
