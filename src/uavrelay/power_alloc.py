@@ -190,14 +190,16 @@ def restore_feasible(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
     """Fund a power start for the allocation, the one funding rule of
     the package.
 
-    An assignment with a `held` power carries it (with the UAV's `held`
-    power on its subchannel when relayed).  Every other assignment is
-    funded at its QoS floor plus a hair from what its UE and the UAV have
-    left, best weighted full-budget rate first and ties in row-major
-    order; one that either budget cannot pay is shed.  The leftover
-    budgets are then spread by weighted marginal rate.  Returns the
-    surviving allocation, its powers and the shed (ue, subchannel) pairs
-    in funding order."""
+    An assignment whose `held` powers (its own, and the UAV's on its
+    subchannel when relayed) still meet this slot's QoS floors carries
+    them, so a warm start funded on last slot's channel is re-funded
+    wherever the new channel has raised a floor past it.  Every other
+    assignment is funded at its floor plus a hair from what its UE and
+    the UAV have left, best weighted full-budget rate first and ties in
+    row-major order; one that either budget cannot pay is shed.  The
+    leftover budgets are then spread by weighted marginal rate.  Returns
+    the surviving allocation, its powers and the shed (ue, subchannel)
+    pairs in funding order."""
     alloc = np.asarray(alloc, dtype=int).copy()
     beta = np.asarray(beta, dtype=int)
     weights = np.asarray(weights, dtype=float)
@@ -205,15 +207,17 @@ def restore_feasible(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
     full = LinkBudget(relay, sc.p_ue_max, sc.p_uav_max, gains.h_ue_bs,
                       gains.h_ue_uav, gains.h_uav_bs, sc.snr_thresholds,
                       sc.noise_var, sc.ici_power)
+    floors = full.floors()
     if held is None:
         held = PowerAllocation(np.zeros(alloc.shape), np.zeros(alloc.shape[1]))
-    carry = (alloc != 0) & (held.p_ue > 0.0)
+    # the channel may have moved since `held` was funded
+    carry = (alloc != 0) & (held.p_ue >= floors[0]) & (held.p_uav >= floors[1])
     p_ue = np.where(carry, held.p_ue, 0.0)
     p_uav = np.where((carry & relay).any(axis=0), held.p_uav, 0.0)
 
     # full-budget rates rank the rest, best first and ties in row-major
     # order; their floors fund them
-    floor_ue, floor_uav = (f * (1.0 + _FLOOR_MARGIN) for f in full.floors())
+    floor_ue, floor_uav = (f * (1.0 + _FLOOR_MARGIN) for f in floors)
     fresh = np.argwhere((alloc != 0) & ~carry)
     value = weights[:, None] * full.rate
     order = np.argsort(-value[fresh[:, 0], fresh[:, 1]], kind="stable")

@@ -120,24 +120,28 @@ class TestJmstpSlot:
 
 def loop_complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
                          weights, sc):
-    """`complete_powers` written out per assignment: carry, then fund the
-    newcomers best full-budget value first (a stable sort)."""
+    """`complete_powers` written out per assignment: carry the held powers
+    that meet this slot's floors, then fund the rest best full-budget
+    value first (a stable sort)."""
     alloc = alloc.copy()
+    full = LinkBudget(beta[:, None] == 1, sc.p_ue_max, sc.p_uav_max, gains.h_ue_bs,
+                      gains.h_ue_uav, gains.h_uav_bs, sc.snr_thresholds,
+                      sc.noise_var, sc.ici_power)
+    floor_ue, floor_uav = full.floors()
     p_ue, p_uav = np.zeros(alloc.shape), np.zeros(alloc.shape[1])
     fresh = []
     for n in range(alloc.shape[0]):
         for k in np.flatnonzero(alloc[n]):
-            if prev_alloc is not None and prev_alloc[n, k] and prev_beta[n] == beta[n]:
+            if (prev_alloc is not None and prev_alloc[n, k] and prev_beta[n] == beta[n]
+                    and prev_powers.p_ue[n, k] >= floor_ue[n, k]
+                    and (not beta[n] or prev_powers.p_uav[k] >= floor_uav[n, k])):
                 p_ue[n, k] = prev_powers.p_ue[n, k]
                 if beta[n]:
                     p_uav[k] = prev_powers.p_uav[k]
             else:
                 fresh.append((n, int(k)))
-    full = LinkBudget(beta[:, None] == 1, sc.p_ue_max, sc.p_uav_max, gains.h_ue_bs,
-                      gains.h_ue_uav, gains.h_uav_bs, sc.snr_thresholds,
-                      sc.noise_var, sc.ici_power)
     value = weights[:, None] * full.rate
-    floor_ue, floor_uav = (f * (1.0 + 1e-9) for f in full.floors())
+    floor_ue, floor_uav = floor_ue * (1.0 + 1e-9), floor_uav * (1.0 + 1e-9)
     for n, k in sorted(fresh, key=lambda nk: value[nk], reverse=True):
         fits = p_ue[n].sum() + floor_ue[n, k] <= sc.p_ue_max
         if beta[n]:
@@ -220,6 +224,23 @@ class TestChannelStateReuse:
         assert not sol.beta.any()
         assert len(evals) == 2
         assert len(inits) == 3 * len(evals)
+
+
+class TestEpisodeValidity:
+    """Every slot an episode returns passes the validator, warm starts
+    included: fading is redrawn each slot, so powers carried from the
+    last slot can fall below this slot's QoS floors."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("fading", ["mixed", "rayleigh"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_slot_is_validator_clean(self, algorithm, fading, seed):
+        sc = Scenario(n_ues=5, n_subchannels=10, n_slots=10, d_max=25.0,
+                      fading_model=fading, rng_seed=seed).with_positions(seed)
+        log = run_episode(sc, algorithm)
+        problems = {t: found for t, sol in enumerate(log.slots)
+                    if (found := validate_solution(sol, log.scenario, t))}
+        assert problems == {}
 
 
 class TestRunEpisode:

@@ -313,7 +313,7 @@ def full_budget_floors(sc, gains, beta):
 def funding_instances(draw):
     """Up to 4 UEs on up to 6 subchannels in mixed modes, with each
     budget a fraction from 0.2 to 1.5 of the largest floor total that
-    entity would have to fund."""
+    entity would have to fund, and half the time powers held over."""
     n, k, seed = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(0, 99))
     base = Scenario(n_ues=n, n_subchannels=k, fading_model="mixed",
                     rng_seed=seed).with_positions(seed)
@@ -329,7 +329,17 @@ def funding_instances(draw):
     budget = st.floats(0.2, 1.5)
     sc = replace(base, p_ue_max=draw(budget) * ue_need if ue_need else base.p_ue_max,
                  p_uav_max=draw(budget) * uav_need if uav_need else base.p_uav_max)
-    return sc, gains, beta, alloc, weights
+    held = None
+    if draw(st.booleans()):
+        # powers held from another channel: from none to twice the floors
+        # here, scaled into the budgets (which can sink them below floors)
+        scale = st.lists(st.floats(0.0, 2.0), min_size=n * k, max_size=n * k)
+        p_ue = floor_ue * alloc * np.reshape(draw(scale), (n, k))
+        p_ue *= np.minimum(1.0, sc.p_ue_max / np.maximum(p_ue.sum(axis=1), 1e-300))[:, None]
+        p_uav = (floor_uav * alloc).sum(axis=0) * draw(scale)[:k]
+        p_uav *= min(1.0, sc.p_uav_max / max(p_uav.sum(), 1e-300))
+        held = PowerAllocation(p_ue, p_uav)
+    return sc, gains, beta, alloc, weights, held
 
 
 class TestFundingRule:
@@ -338,8 +348,9 @@ class TestFundingRule:
     @given(funding_instances())
     @settings(max_examples=300, deadline=None)
     def test_against_the_drop_loop(self, instance):
-        sc, gains, beta, alloc, weights = instance
-        got_alloc, got, dropped = restore_feasible(beta, alloc, gains, weights, sc)
+        sc, gains, beta, alloc, weights, held = instance
+        got_alloc, got, dropped = restore_feasible(beta, alloc, gains, weights, sc,
+                                                   held)
 
         # where the reference drops nothing and its floors leave room in
         # every budget, funding by value order funds the same start; in
@@ -351,13 +362,14 @@ class TestFundingRule:
         room = ((floor_ue * alloc).sum(axis=1).max() * funded
                 <= sc.p_ue_max * (1.0 - 1e-12)
                 and (floor_uav * alloc).sum() * funded <= sc.p_uav_max * (1.0 - 1e-12))
-        if not want_dropped and room:
+        if held is None and not want_dropped and room:
             assert dropped == []
             np.testing.assert_array_equal(got_alloc, want_alloc)
             np.testing.assert_array_equal(got.p_ue, want.p_ue)
             np.testing.assert_array_equal(got.p_uav, want.p_uav)
 
-        # survivors meet their floors and every budget holds
+        # survivors meet their floors, held powers included, and every
+        # budget holds
         kept = got_alloc == 1
         assert np.all(got.p_ue[kept] >= floor_ue[kept])
         assert np.all(np.broadcast_to(got.p_uav, alloc.shape)[kept] >= floor_uav[kept])
