@@ -118,10 +118,9 @@ def validate_solution(sol: SlotSolution, sc: Scenario,
 def complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
                     weights, sc: Scenario) -> tuple[np.ndarray, PowerAllocation]:
     """Hold the incumbent's powers on the assignments it keeps on the same
-    subchannel in the same mode, and let `restore_feasible` fund the
-    start: held powers that still meet this slot's QoS floors are
-    carried, the rest are funded on this slot's channel, and what the
-    budgets cannot pay is shed from the allocation.
+    subchannel in the same mode; `restore_feasible` carries those that
+    still meet this slot's QoS floors, funds the rest and sheds from the
+    allocation what the budgets cannot pay.
 
     The spread that funding ends with matters: candidates meet the stage
     comparison with these powers, and at bare floors a relayed link shows
@@ -233,10 +232,9 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
     `fixed_matching`, a `(beta, alloc)` pair, freezes the assignment stage
     (used by the random baseline); `relay_allowed=False` gives the
     cellular baseline: no relayed starts and no trajectory stage.  `init`
-    warm-starts from the previous slot's solution: its assignments, with
-    their powers where these still meet this slot's QoS floors, and
-    `restore_feasible` re-funds the rest on this slot's channel (shedding
-    what the budgets cannot pay) before the incumbent competes."""
+    warm-starts from the previous slot's solution, whose powers
+    `restore_feasible` re-funds against this slot's QoS floors before it
+    competes."""
     weights = np.asarray(weights, dtype=float)
     pos = np.asarray(state.pos, dtype=float).copy()
     anchor = tuple(float(v) for v in state.prev_pos)

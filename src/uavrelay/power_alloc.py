@@ -181,25 +181,23 @@ class PowerProblem(PowerLayout):
 
 
 # ---------------------------------------------------------------------------
-# Feasibility restoration.
+# Funding power starts.
 
 def restore_feasible(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
                      weights: np.ndarray, sc: Scenario,
                      held: PowerAllocation | None = None
                      ) -> tuple[np.ndarray, PowerAllocation, list[tuple[int, int]]]:
-    """Fund a power start for the allocation, the one funding rule of
-    the package.
+    """Fund a power start for the allocation: the one funding rule.
 
-    An assignment whose `held` powers (its own, and the UAV's on its
-    subchannel when relayed) still meet this slot's QoS floors carries
-    them, so a warm start funded on last slot's channel is re-funded
-    wherever the new channel has raised a floor past it.  Every other
-    assignment is funded at its floor plus a hair from what its UE and
-    the UAV have left, best weighted full-budget rate first and ties in
-    row-major order; one that either budget cannot pay is shed.  The
-    leftover budgets are then spread by weighted marginal rate.  Returns
-    the surviving allocation, its powers and the shed (ue, subchannel)
-    pairs in funding order."""
+    An assignment carries its `held` powers (its own, and the UAV's on its
+    subchannel when relayed) where they still meet this slot's QoS floors,
+    so a warm start funded on last slot's channel is re-funded wherever a
+    floor has risen past it.  Every other assignment is funded at its
+    floor plus a hair from what its UE and the UAV have left, best
+    weighted full-budget rate first, ties in row-major order; one that
+    either budget cannot pay is shed.  The leftover budgets are then
+    spread by weighted marginal rate.  Returns the surviving allocation,
+    its powers and the shed (ue, subchannel) pairs in funding order."""
     alloc = np.asarray(alloc, dtype=int).copy()
     beta = np.asarray(beta, dtype=int)
     weights = np.asarray(weights, dtype=float)

@@ -25,8 +25,9 @@ def test_every_hook_target_exists():
 
 
 def test_every_hook_fires_on_a_short_episode():
-    # restoration runs only for a power start that is missing or cannot be
-    # repaired, which three slots of this scenario never have
+    # the hook sees only `scp_power`'s fallback (`complete_powers` holds its
+    # own reference), which runs for a power start that is missing or
+    # cannot be repaired, and three slots of this scenario never have one
     quiet = {"power_alloc.restore_feasible"}
     sc = replace(workloads.scenario(workloads.WORKLOADS["relay_mixed"], 0), n_slots=3)
     t = tracer.Tracer()

@@ -2,11 +2,14 @@
 convergence, the constraint validator on everything emitted, baseline
 behaviors, sweep plumbing, and the dwell-time metric."""
 
+import json
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from uavrelay import orchestrator, trajectory
 from uavrelay.channel import gain_matrices
@@ -23,7 +26,9 @@ from uavrelay.orchestrator import (
     validate_solution,
 )
 from uavrelay.power_alloc import PowerLayout, spread_leftover
-from uavrelay.scenario import Scenario, SnrThresholds, UavState
+from uavrelay.scenario import Scenario, SnrThresholds, UavState, load_scenario
+
+from test_scenario import documents
 
 warnings.filterwarnings("ignore", message="move radius")
 
@@ -241,6 +246,19 @@ class TestEpisodeValidity:
         problems = {t: found for t, sol in enumerate(log.slots)
                     if (found := validate_solution(sol, log.scenario, t))}
         assert problems == {}
+
+    @pytest.mark.filterwarnings("ignore:move radius")
+    @given(documents())
+    @settings(max_examples=50, deadline=None)
+    def test_every_loadable_config_gives_clean_warm_started_slots(self, doc):
+        sc = load_scenario(json.dumps(dict(doc, n_slots=2)))
+        for algorithm in ALGORITHMS:
+            log = run_episode(sc, algorithm)
+            for t, sol in enumerate(log.slots):
+                assert validate_solution(sol, log.scenario, t) == [], (algorithm, t)
+                assert np.all(np.isfinite(sol.rates)) and math.isfinite(sol.objective)
+                objs = [obj for _, obj in sol.stage_trace]
+                assert all(b >= a for a, b in zip(objs, objs[1:])), (algorithm, t)
 
 
 class TestRunEpisode:
