@@ -5,9 +5,12 @@ pass for smooth nonlinear constraints.
 The horizontal trajectory stage moves inside a disc, the altitude stage
 inside an interval, and the power stage over budget blocks with
 per-variable floors.  Each region has a closed-form projection, so the
-engine projects exactly and spends its effort on a backtracking line
-search with a sufficient-increase test and a three-decade barrier
-schedule with warm starts.
+engine projects exactly.  The trajectory stages spend their effort on a
+backtracking line search with a sufficient-increase test and a
+three-decade barrier schedule with warm starts.  The power stage starts
+the engine at its surrogate's exact maximiser, so there the engine only
+certifies that point: its projected-gradient test passes at the first
+iteration.
 """
 
 from __future__ import annotations

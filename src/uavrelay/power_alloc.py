@@ -6,7 +6,10 @@ powers; linearizing the subtracted piece at the current iterate gives a
 concave surrogate that is tight there and never overshoots, so the SCP
 loop is monotone in the exact weighted sum rate.  All constraints are
 linear at fixed gains: one budget block per entity and per-subchannel
-QoS floors.  Every power start comes from one funding rule,
+QoS floors.  The surrogate is separable, so each SCP step maximises it
+in closed form by multi-level water-filling (`surrogate_argmax`), and
+`maximize_concave` only certifies that point with one projected-gradient
+test.  Every power start comes from one funding rule,
 `restore_feasible`: carried powers stay, every other assignment is funded
 at its floor, best weighted full-budget rate first, and an assignment its
 budgets cannot pay is shed.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .scenario import Scenario
 LN2 = math.log(2.0)
 _HALF_LOG2E = 0.5 / LN2  # d/dx of 0.5*log2(x) is this over x
 _FLOOR_MARGIN = 1e-9    # relative headroom when funding a QoS floor
+_NEWTON_STEPS = 100     # a guard: the water levels settle within about ten
 
 
 @dataclass
@@ -163,14 +168,21 @@ class PowerProblem(PowerLayout):
                              self.weights, self.sc)
         return report.objective
 
-    def surrogate(self, x0: np.ndarray):
-        """Concave minorant of the exact objective, tight at x0: the
-        subtracted pieces are replaced by their tangents there."""
+    def m_tangent(self, x0: np.ndarray) -> tuple[float, np.ndarray]:
+        """The weighted subtracted piece M at x0 and its slope there, one
+        entry per variable: the tangent the surrogate keeps of M."""
         anchor = self.dc_terms(x0)
+        return (float(self.weights[self.ue_n[self.relay]] @ anchor.m),
+                self.weights[self.owner] * anchor.m_grad)
+
+    def surrogate(self, x0: np.ndarray,
+                  tangent: tuple[float, np.ndarray] | None = None):
+        """Concave minorant of the exact objective, tight at x0: the
+        subtracted pieces are replaced by their tangents there.
+        `tangent` is `m_tangent(x0)` when the caller already holds it."""
+        m0, m_slope = self.m_tangent(x0) if tangent is None else tangent
         w_k = self.weights[self.ue_n]
         w_var = self.weights[self.owner]
-        m0 = float(self.weights[self.ue_n[self.relay]] @ anchor.m)
-        m_slope = w_var * anchor.m_grad
 
         def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
             terms = self.dc_terms(x, with_m=False)
@@ -178,6 +190,76 @@ class PowerProblem(PowerLayout):
             return value, w_var * terms.k_grad - m_slope
 
         return objective
+
+    @cached_property
+    def _log_terms(self) -> tuple[np.ndarray, ...]:
+        """Each variable's part of K as c*ln(y) + c2*ln(y + d) in
+        y = x + b, as the arrays (c, c2, d, b): a direct UE power has two
+        logs, one per phase, d apart; a relayed UE power (its access hop)
+        and a UAV power (its backhaul hop) have one, c2 = d = 0."""
+        c = _HALF_LOG2E * self.weights[self.owner]
+        direct = np.concatenate((self._direct, np.zeros(self.uav_k.size)))
+        h = np.concatenate((self.h_hop1, self.h_hop2))
+        noise = np.concatenate((np.full(self.n_ue_vars, self.sigma2),
+                                np.full(self.uav_k.size, self._c_sigma2)))
+        return c, c * direct, direct * self.ici / h, noise / h
+
+    def surrogate_argmax(self, x0: np.ndarray, fset: FeasibleSet,
+                         tangent: tuple[float, np.ndarray] | None = None) -> np.ndarray:
+        """The exact maximiser of `surrogate(x0)` over `fset` (as built by
+        `feasible_set`): multi-level water-filling (Palomar & Fonollosa,
+        IEEE TSP 2005; Boyd & Vandenberghe §5.5.3).
+
+        The surrogate is separable.  With s the slope of M's tangent and
+        lam its block's multiplier, variable i sits where its marginal
+        c/y + c2/(y + d) equals mu = s + lam, at the larger root of
+        mu*y^2 + (mu*d - c - c2)*y - c*d = 0, clipped at its floor.  A
+        block that fits its budget at lam = 0 keeps lam = 0.  Otherwise
+        Newton's method solves sum_i x_i(lam) = budget; the sum is convex
+        and decreasing in lam, and the start is left of the root, so no
+        step overshoots.  A zero-weight variable sits at its floor."""
+        _, slope = self.m_tangent(x0) if tangent is None else tangent
+        c, c2, d, b = self._log_terms
+        block, budgets = fset.blocks
+        floors = fset.floors
+        n = budgets.size
+        tol = 1e-15 * budgets
+
+        def levels(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """The clipped powers at the block multipliers `lam`, each
+            block's excess over its budget and that excess's slope."""
+            mu = slope + lam[block]
+            lin = mu * d - c - c2
+            root = np.sqrt(lin * lin + 4.0 * mu * c * d)
+            # the cancellation-free form where the linear coefficient is positive
+            y = np.where(lin > 0.0, 2.0 * c * d / (lin + root), (root - lin) / (2.0 * mu))
+            # mu = 0 gives y = inf (c > 0) or nan (c = 0); fmax keeps the floor over nan
+            x = np.fmax(y - b, floors)
+            dy = np.where(y - b > floors, -1.0 / (c / (y * y) + c2 / ((y + d) * (y + d))), 0.0)
+            return x, np.bincount(block, x, n) - budgets, np.bincount(block, dy, n)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.zeros(n)
+            x, excess, _ = levels(lam)
+            live = excess > tol
+            if not live.any():
+                return x
+            # the largest lam (at least 0) at which one variable alone takes
+            # its block's budget less the other floors: every other variable
+            # is then at or above its floor, so a block over budget stays
+            # over, and a block within it gets 0
+            y = budgets[block] - np.bincount(block, floors, n)[block] + floors + b
+            np.maximum.at(lam, block, c / y + c2 / (y + d) - slope)
+            for _ in range(_NEWTON_STEPS):
+                x, excess, slope_sum = levels(lam)
+                live &= (excess > tol) & (slope_sum < 0.0)
+                if not live.any():
+                    break
+                step = np.where(live, lam - excess / slope_sum, lam)
+                # a step that rounding stalls ends the block
+                live &= step > lam
+                lam = step
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +369,14 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
               init: PowerAllocation | None = None) -> PowerResult:
     """Maximize the weighted sum rate over transmit powers.
 
+    Each SCP step maximises the surrogate at the current powers exactly
+    (`PowerProblem.surrogate_argmax`) and hands that point to
+    `maximize_concave`, whose projected-gradient test certifies it (and
+    which would climb from it if it were ever off).  The loop stops when
+    the exact objective gains less than a tenth of the BCD tolerance,
+    when it drops by rounding (both `converged`), at `_MAX_OUTER` steps,
+    or when the inner solve finds no feasible point (neither converged).
+
     `init` is the starting point when a projection onto the caps and QoS
     floors repairs it; otherwise `restore_feasible` funds a start from
     scratch, possibly shedding assignments (reported in `dropped`)."""
@@ -319,9 +409,15 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
     converged = False
     it = 0
     for it in range(1, _MAX_OUTER + 1):
-        res = maximize_concave(prob.surrogate(x), fset, x, max_iters=_INNER_ITERS)
+        tangent = prob.m_tangent(x)
+        # the surrogate's exact maximiser, which the ascent only certifies
+        best = prob.surrogate_argmax(x, fset, tangent)
+        res = maximize_concave(prob.surrogate(x, tangent), fset, best,
+                               max_iters=_INNER_ITERS)
+        if not res.feasible:
+            break
         new_obj = prob.true_objective(res.x)
-        if not res.feasible or new_obj < obj - 1e-9 * max(1.0, abs(obj)):
+        if new_obj < obj - 1e-9 * max(1.0, abs(obj)):
             converged = True
             break
         trace.append(new_obj)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavrelay import power_alloc, run_episode
 from uavrelay.channel import gain_matrices
+from uavrelay.convex_core import Diagnostics, SolveResult, maximize_concave
 from uavrelay.link_rate import LinkBudget, PowerAllocation, rate_report
 from uavrelay.power_alloc import (_FLOOR_MARGIN, PowerLayout, PowerProblem,
                                   restore_feasible, scp_power, spread_leftover)
@@ -143,6 +145,106 @@ class TestSurrogate:
             assert x.size == prob.n_vars == prob.alloc.sum() + prob.alloc[prob.beta == 1].sum()
 
 
+ARGMAX_CASES = ("zero_weight", "no_ici", "floors_fill_budget", "slack_block",
+                "single_variables")
+
+
+@st.composite
+def argmax_instances(draw, case):
+    """A surrogate and its feasible set on up to 4 UEs and 6 subchannels
+    in mixed modes, with budgets from 1 to 4 times the largest floor total
+    an entity funds, and a start between the floors and twice them.
+    `case` forces one shape: UE 0 weightless; no ICI; the budgets equal
+    that largest floor total; UE 0 relayed under budgets 1e6 times it,
+    so its block has slack; or one variable per block."""
+    n, seed = draw(st.integers(1, 4)), draw(st.integers(0, 99))
+    k = n if case == "single_variables" else draw(st.integers(n, 6))
+    base = Scenario(n_ues=n, n_subchannels=k, fading_model="mixed",
+                    rng_seed=seed).with_positions(seed)
+    if case == "no_ici":
+        base = replace(base, ici_power=0.0)
+    gains = gain_matrices(base, base.uav_start, draw(st.integers(0, 3)))
+    if case == "single_variables":
+        owner = np.array(draw(st.permutations(range(n))))
+        beta = (np.arange(n) == draw(st.integers(-1, n - 1))).astype(int)
+    else:
+        owner = np.array(draw(st.lists(st.integers(-1, n - 1), min_size=k, max_size=k)))
+        owner[0] = 0
+        beta = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    alloc = (owner == np.arange(n)[:, None]).astype(int)
+    weights = np.array(draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+                                     min_size=n, max_size=n)))
+    if case == "zero_weight":
+        weights[0] = 0.0
+    if case == "slack_block":
+        beta[0] = 1
+
+    layout = PowerLayout(beta, alloc, gains, base)
+    floors = layout.qos_floors()
+    u = layout.n_ue_vars
+    ue_need = np.bincount(layout.ue_n, floors[:u]).max()
+    uav_need = np.bincount(np.zeros(floors.size - u, dtype=int), floors[u:]).max(initial=0.0)
+    factor = {"floors_fill_budget": 1.0, "slack_block": 1e6}.get(case) \
+        or draw(st.floats(1.0, 4.0))
+    sc = replace(base, p_ue_max=factor * ue_need,
+                 p_uav_max=factor * uav_need if uav_need else base.p_uav_max)
+    prob = PowerProblem(beta, alloc, gains, weights, sc)
+    fset = prob.feasible_set()
+    x0 = fset.project(floors * (1.0 + draw(st.floats(0.0, 1.0))))
+    return prob, fset, x0
+
+
+class TestSurrogateArgmax:
+    """`surrogate_argmax` against the KKT conditions and against the
+    projected-gradient ascent from the same start."""
+
+    @pytest.mark.parametrize("case", ARGMAX_CASES)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_maximiser(self, case, data):
+        prob, fset, x0 = data.draw(argmax_instances(case))
+        block, budgets = fset.blocks
+        n = budgets.size
+        x = prob.surrogate_argmax(x0, fset)
+        objective = prob.surrogate(x0)
+
+        # feasible: every floor met, every block within its budget
+        assert np.all(x >= fset.floors)
+        sums = np.bincount(block, x, n)
+        assert np.all(sums <= budgets * (1.0 + 1e-12))
+
+        # no lower than the ascent from the same start, once the ascent's
+        # point is pulled back inside the budgets that its projections
+        # overrun by rounding (about an ulp of the trial point's size)
+        value, grad = objective(x)
+        spg = maximize_concave(objective, fset, x0).x
+        spare = budgets - np.bincount(block, fset.floors, n)
+        above = np.bincount(block, spg - fset.floors, n)
+        shrink = np.divide(spare, above, out=np.ones(n), where=above > spare)
+        spg_value = objective(fset.floors + (spg - fset.floors) * shrink[block])[0]
+        assert value >= spg_value - 1e-12 * max(abs(spg_value), 1.0)
+
+        # KKT: the interior variables of a block share one marginal, zero
+        # where the budget has slack, and its variables at their floors
+        # have none higher
+        _, slope = prob.m_tangent(x0)
+        scale = np.abs(grad + slope)  # the marginal of K alone
+        for b in range(n):
+            mine = block == b
+            inside = mine & (x > fset.floors)
+            binding = sums[b] >= budgets[b] * (1.0 - 1e-12)
+            level = grad[inside].max() if inside.any() else np.inf if binding else 0.0
+            tol = 1e-9 * scale[mine].max()
+            assert np.all(np.abs(grad[inside] - level) <= tol), b
+            assert np.all(grad[mine & ~inside] <= level + tol), b
+            if not binding:
+                assert abs(level) <= tol, b
+        if case == "slack_block":
+            assert sums[0] < budgets[0]
+        if case == "floors_fill_budget":
+            assert np.any(np.isclose(sums, budgets, rtol=1e-12))
+
+
 class TestScpPower:
     def test_single_cellular_ue_gets_full_budget(self):
         sc = Scenario(n_ues=1, n_subchannels=2,
@@ -209,6 +311,19 @@ class TestScpPower:
         assert prob.feasible_set().linear_violation(prob.pack(res.powers)) <= 1e-9
         assert res.converged
 
+    def test_infeasible_inner_solve_is_not_converged(self, monkeypatch):
+        def infeasible(objective, fset, x0, max_iters=500):
+            return SolveResult(x0, -np.inf, False,
+                               Diagnostics(reason="no feasible start derivable"))
+
+        monkeypatch.setattr(power_alloc, "maximize_concave", infeasible)
+        sc, gains, beta, alloc, weights = mixed_instance()
+        _, restored, _ = restore_feasible(beta, alloc, gains, weights, sc)
+        res = scp_power(beta, alloc, gains, weights, sc, init=restored)
+        assert not res.converged
+        assert res.iterations == 1
+        np.testing.assert_array_equal(res.powers.p_ue, restored.p_ue)
+
     def test_empty_allocation(self):
         sc = Scenario(n_ues=2, n_subchannels=4).with_positions(0)
         gains = gain_matrices(sc, (100.0, 0.0, 120.0))
@@ -216,6 +331,32 @@ class TestScpPower:
                         gains, np.ones(2), sc)
         assert res.objective == 0.0
         assert not res.powers.p_ue.any() and not res.powers.p_uav.any()
+
+
+class TestPowerSolveCensus:
+    """Each inner power solve starts at the surrogate's exact maximiser,
+    so the ascent certifies it at once: on warm-started mixed-fading
+    episodes every solve ends on the projected-gradient test at its first
+    iteration, never at the iteration cap or on a stalled line search."""
+
+    @pytest.mark.filterwarnings("ignore:move radius")
+    @pytest.mark.parametrize("algorithm", ["jmstp", "random"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_solve_is_certified_at_the_first_iteration(self, monkeypatch,
+                                                             algorithm, seed):
+        stops = []
+
+        def recorded(*args, **kwargs):
+            res = maximize_concave(*args, **kwargs)
+            stops.append((res.diagnostics.reason, res.diagnostics.iterations))
+            return res
+
+        monkeypatch.setattr(power_alloc, "maximize_concave", recorded)
+        sc = Scenario(n_ues=5, n_subchannels=10, n_slots=3, d_max=25.0,
+                      fading_model="mixed", rng_seed=seed).with_positions(seed)
+        run_episode(sc, algorithm)
+        assert stops
+        assert set(stops) == {("projected gradient below tolerance", 1)}
 
 
 class TestRestoration:
