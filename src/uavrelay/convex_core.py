@@ -1,16 +1,15 @@
 """Small projected-gradient engine for concave maximization over the
-three feasible regions this package builds, with an optional log-barrier
+two feasible regions this package builds, with an optional log-barrier
 pass for smooth nonlinear constraints.
 
-The horizontal trajectory stage moves inside a disc, the altitude stage
-inside an interval, and the power stage over budget blocks with
-per-variable floors.  Each region has a closed-form projection, so the
-engine projects exactly.  The trajectory stages spend their effort on a
-backtracking line search with a sufficient-increase test and a
-three-decade barrier schedule with warm starts.  The power stage starts
-the engine at its surrogate's exact maximiser, so there the engine only
-certifies that point: its projected-gradient test passes at the first
-iteration.
+The horizontal trajectory stage moves inside a disc; the power stage
+moves over budget blocks with per-variable floors.  Each region has a
+closed-form projection, so the engine projects exactly.  The trajectory
+stage spends its effort on a backtracking line search with a
+sufficient-increase test and a three-decade barrier schedule with warm
+starts.  The power stage starts the engine at its surrogate's exact
+maximiser, so there the engine only certifies that point: its
+projected-gradient test passes at the first iteration.
 """
 
 from __future__ import annotations
@@ -43,12 +42,10 @@ class BarrierTerm:
 
 @dataclass
 class FeasibleSet:
-    """Convex feasible region in one of three shapes, each projected
+    """Convex feasible region in one of two shapes, each projected
     exactly:
 
     - `ball=(center, radius)`: a disc;
-    - `interval=(lo, hi)`: one variable in [lo, hi]; an empty interval
-      clips to `hi`, which `linear_violation` then reports;
     - `blocks=(block, budgets)` with `floors`: variable i belongs to block
       `block[i]` (ids 0 .. B-1, none empty), x >= floors, and each block
       sums to at most its entry of `budgets`.
@@ -57,7 +54,6 @@ class FeasibleSet:
     term, which carries every row and takes no part in projection."""
 
     ball: tuple[np.ndarray, float] | None = None
-    interval: tuple[float, float] | None = None
     blocks: tuple[np.ndarray, np.ndarray] | None = None
     floors: np.ndarray | None = None
     barrier: BarrierTerm | None = None
@@ -70,9 +66,6 @@ class FeasibleSet:
     def _projector(self) -> Callable[[np.ndarray], np.ndarray]:
         if self.ball is not None:
             return self._project_ball
-        if self.interval is not None:
-            lo, hi = self.interval
-            return lambda x: np.array([min(max(float(x[0]), lo), hi)])
         return self._block_projector()
 
     def _project_ball(self, x: np.ndarray) -> np.ndarray:
@@ -123,9 +116,6 @@ class FeasibleSet:
         if self.ball is not None:
             center, radius = self.ball
             return max(0.0, float(np.linalg.norm(x - center)) - radius)
-        if self.interval is not None:
-            lo, hi = self.interval
-            return max(0.0, lo - float(x[0]), float(x[0]) - hi)
         block, budgets = self.blocks
         over = np.bincount(block, x, len(budgets)) - budgets
         return max(0.0, float(np.max(over)), float(np.max(self.floors - x)))

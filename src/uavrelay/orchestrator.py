@@ -465,9 +465,9 @@ def cluster_scenario(n_a: int, n_b: int, seed: int = 0, spread: float = 60.0,
 
 def paired_bootstrap_lower(diffs, n_resamples: int = 10_000,
                            alpha: float = 0.05, seed: int = 0) -> float:
-    """Lower edge of the (1 - alpha) bootstrap interval for the mean of
-    paired per-seed differences.  A positive return means the first arm
-    beats the second with that confidence."""
+    """Lower edge of the two-sided (1 - alpha) bootstrap confidence range
+    for the mean of paired per-seed differences.  A positive return means
+    the first arm beats the second with that confidence."""
     diffs = np.asarray(diffs, dtype=float)
     rng = np.random.default_rng((seed, 17))
     idx = rng.integers(0, diffs.size, size=(n_resamples, diffs.size))

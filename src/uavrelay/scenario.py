@@ -113,6 +113,7 @@ class Scenario:
     fading_model: str = "none"  # none | rayleigh | rician | mixed (Rayleigh ground, Rician air)
     rician_k_factor: float = 10.0  # dB, used by the rician/mixed models
     rng_seed: int = 0
+    # drawn by `with_positions` when None; its altitude is held for the whole episode
     uav_start: Point | None = None
 
     def with_positions(self, seed: int | None = None) -> "Scenario":

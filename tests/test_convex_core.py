@@ -49,17 +49,18 @@ class TestProjection:
         assert fs.project(np.array([1.0, 1.0])) == pytest.approx([0.5, 0.5])
 
     def test_idempotent(self):
-        # one set per shape: a disc, an interval, and budget blocks with floors
+        # one set per shape: a disc, a segment (the 1-D ball [1.8, 4.0]),
+        # and budget blocks with floors
         lo = np.array([0.1, 0.0, 0.2, 0.05, -1.0])
         shapes = {
             "ball": FeasibleSet(ball=(np.array([1.0, 0.0]), 2.0)),
-            "interval": FeasibleSet(interval=(1.8, 4.0)),
+            "segment": FeasibleSet(ball=(np.array([2.9]), 1.1)),
             "blocks": FeasibleSet(blocks=(np.array([0, 1, 0, 1, 2]), np.array([1.0, 0.5, 0.0])),
                                   floors=lo),
         }
         rng = np.random.default_rng(3)
         for name, fs in shapes.items():
-            dim = 1 if name == "interval" else 2 if name == "ball" else lo.size
+            dim = lo.size if fs.ball is None else fs.ball[0].size
             for _ in range(20):
                 p = fs.project(rng.normal(0, 3, dim))
                 assert fs.project(p) == pytest.approx(p, abs=1e-12), name
@@ -94,23 +95,11 @@ class TestProjection:
         assert not res.feasible
         assert res.diagnostics.reason == "no feasible start derivable"
 
-    def test_interval_clips_to_the_tightest_bounds(self):
-        # the altitude stage intersects its bounds into [lo, hi] itself
-        # (test_trajectory::test_altitude_interval_matches_the_row_loop)
-        fs = FeasibleSet(interval=(1.8, 4.0))
-        assert fs.project(np.array([9.0])) == pytest.approx([4.0])
-        assert fs.project(np.array([-9.0])) == pytest.approx([1.8])
-        assert fs.project(np.array([2.5])) == pytest.approx([2.5])
-        assert fs.linear_violation(np.array([1.5])) == pytest.approx(0.3)
-        # an empty interval clips to its upper end and reports the gap
-        empty = FeasibleSet(interval=(3.0, 2.0))
-        assert empty.project(np.array([2.5])) == pytest.approx([2.0])
-        assert empty.linear_violation(empty.project(np.array([2.5]))) == pytest.approx(1.0)
-
 
 class TestMaximizeConcave:
     def test_scalar_quadratic_over_interval(self):
-        fs = FeasibleSet(interval=(0.0, 3.0))
+        # [0, 3] as a 1-D ball
+        fs = FeasibleSet(ball=(np.array([1.5]), 1.5))
         res = maximize_concave(quadratic_around([1.0]), fs, np.array([2.5]))
         assert res.feasible
         assert res.x == pytest.approx([1.0], abs=1e-7)
@@ -139,8 +128,8 @@ class TestMaximizeConcave:
         assert res.diagnostics.converged
 
     def test_infeasible_start_unrecoverable(self):
-        # x <= -1 and x >= 1: an empty interval
-        fs = FeasibleSet(interval=(1.0, -1.0))
+        # x >= 1 and x <= -1: one block whose floor exceeds its budget
+        fs = FeasibleSet(blocks=(np.array([0]), np.array([-1.0])), floors=np.array([1.0]))
         assert fs.linear_violation(fs.project(np.array([0.0]))) > 1e-9
         res = maximize_concave(quadratic_around([0.0]), fs, np.array([0.0]))
         assert not res.feasible
@@ -185,7 +174,9 @@ class TestMaximizeConcave:
         def g(x):
             return -1.0, np.zeros(1)  # always violated
 
-        fs = FeasibleSet(interval=(0.0, math.inf), barrier=BarrierTerm(g))
+        # x >= 0 as one block with a floor and no budget
+        fs = FeasibleSet(blocks=(np.array([0]), np.array([math.inf])), floors=np.zeros(1),
+                         barrier=BarrierTerm(g))
         res = maximize_concave(quadratic_around([1.0]), fs, np.array([0.5]))
         assert not res.feasible
 

@@ -4,7 +4,6 @@ behaviors, sweep plumbing, and the dwell-time metric."""
 
 import json
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,8 +28,6 @@ from uavrelay.power_alloc import PowerLayout, spread_leftover
 from uavrelay.scenario import Scenario, SnrThresholds, UavState, load_scenario
 
 from test_scenario import documents
-
-warnings.filterwarnings("ignore", message="move radius")
 
 BLOCKED = SnrThresholds(1e18, 1e18, 1e18)
 
@@ -246,8 +243,10 @@ class TestEpisodeValidity:
         problems = {t: found for t, sol in enumerate(log.slots)
                     if (found := validate_solution(sol, log.scenario, t))}
         assert problems == {}
+        # the altitude is held from the start for the whole episode
+        held = log.scenario.uav_start[2]
+        assert [sol.position[2] for sol in log.slots] == [held] * len(log.slots)
 
-    @pytest.mark.filterwarnings("ignore:move radius")
     @given(documents())
     @settings(max_examples=50, deadline=None)
     def test_every_loadable_config_gives_clean_warm_started_slots(self, doc):
@@ -256,6 +255,7 @@ class TestEpisodeValidity:
             log = run_episode(sc, algorithm)
             for t, sol in enumerate(log.slots):
                 assert validate_solution(sol, log.scenario, t) == [], (algorithm, t)
+                assert sol.position[2] == log.scenario.uav_start[2], (algorithm, t)
                 assert np.all(np.isfinite(sol.rates)) and math.isfinite(sol.objective)
                 objs = [obj for _, obj in sol.stage_trace]
                 assert all(b >= a for a, b in zip(objs, objs[1:])), (algorithm, t)

@@ -339,7 +339,6 @@ class TestPowerSolveCensus:
     episodes every solve ends on the projected-gradient test at its first
     iteration, never at the iteration cap or on a stalled line search."""
 
-    @pytest.mark.filterwarnings("ignore:move radius")
     @pytest.mark.parametrize("algorithm", ["jmstp", "random"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_solve_is_certified_at_the_first_iteration(self, monkeypatch,

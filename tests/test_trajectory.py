@@ -11,19 +11,16 @@ import pytest
 from gradcheck import grad_check
 
 from uavrelay import trajectory
-from uavrelay.channel import gain_matrices, los_probability, slot_channel
+from uavrelay.channel import gain_matrices, slot_channel
 from uavrelay.link_rate import LinkBudget, PowerAllocation, rate_report
-from uavrelay.scenario import (A2GParams, Scenario, SnrThresholds, UavState,
-                               dbm_to_watts)
+from uavrelay.scenario import Scenario, SnrThresholds, UavState, dbm_to_watts
 from uavrelay.trajectory import (
     SlotInputs,
     _audit,
     _horizontal_barrier,
     _stage_objective,
     _surrogate_rates,
-    altitude_surrogate,
     horizontal_surrogate,
-    los_linearization,
     solve_altitude,
     solve_horizontal,
     to_algorithm,
@@ -102,11 +99,6 @@ def true_gains(sc, xy, z=130.0):
 def run_horizontal(start, inputs):
     audit, log = solve_horizontal(_audit(start, inputs), start, inputs)
     return audit.position[:2], log
-
-
-def run_altitude(start, inputs):
-    audit, log = solve_altitude(_audit(start, inputs), start, inputs)
-    return float(audit.position[2]), log
 
 
 def relayed_rate(sc, p_ue, p_uav, h_ue_uav, h_uav_bs):
@@ -217,14 +209,6 @@ def test_horizontal_objective_gradient(two_ue):
         assert grad_check(objective, point) <= 1e-6
 
 
-def test_altitude_objective_gradient(two_ue):
-    _, inputs, _ = two_ue
-    ctx = altitude_surrogate(inputs, _audit((200.0, 0.0, 130.0), inputs))
-    objective = _stage_objective(ctx, inputs)
-    for z in (130.0, 136.0, 124.0):
-        assert grad_check(objective, np.array([z])) <= 1e-6
-
-
 @pytest.fixture(scope="module")
 def three_pairs():
     """Two relayed UEs on three subchannels, UE 0 on two of them, and a
@@ -258,13 +242,6 @@ def test_horizontal_gradients_over_pairs(three_pairs, shift):
     for i in range(values.size):
         assert grad_check(lambda x, i=i: (rows(x)[0][i], rows(x)[1][i]), point,
                           step=1e-4) <= 1e-6
-
-
-@pytest.mark.parametrize("z", [130.0, 137.0, 121.0])
-def test_altitude_gradient_over_pairs(three_pairs, z):
-    _, inputs = three_pairs
-    ctx = altitude_surrogate(inputs, _audit((200.0, 0.0, 130.0), inputs))
-    assert grad_check(_stage_objective(ctx, inputs), np.array([z])) <= 1e-6
 
 
 def test_barrier_rows_match_each_hop_floor(three_pairs):
@@ -348,134 +325,15 @@ def test_solve_horizontal_zero_radius_keeps_position(two_ue):
 
 
 # ---------------------------------------------------------------------------
-# Linearized LoS probability and the altitude stage.
+# Altitude.
 
-def test_linearized_los_exact_at_anchor():
-    params = A2GParams()
-    for peer in ((90.0, 0.0, 30.0), (150.0, -40.0, 0.0)):
-        lin = los_linearization(peer, (0.0, 0.0), 130.0, params)
-        dz = 130.0 - peer[2]
-        d = math.hypot(math.hypot(peer[0], peer[1]), dz)
-        exact = los_probability(math.degrees(math.asin(dz / d)), params.a, params.b)
-        assert abs(lin.at(130.0) - exact) <= 1e-12 * exact
-        assert lin.slope > 0.0
-
-
-def test_linearized_los_small_move_error():
-    params = A2GParams()
-    z0 = 130.0
-    for pz in (30.0, 0.0):
-        for rho in (30.0, 60.0, 90.0, 120.0, 150.0):
-            lin = los_linearization((rho, 0.0, pz), (0.0, 0.0), z0, params)
-            for z in np.linspace(z0 - 15.0, z0 + 15.0, 121):
-                dz = z - pz
-                d = math.hypot(rho, dz)
-                exact = los_probability(math.degrees(math.asin(dz / d)),
-                                        params.a, params.b)
-                assert abs(lin.at(z) - exact) <= 0.02 * exact
-
-
-def test_solve_altitude_rises_when_helpful():
-    _, inputs = relay_inputs([(350.0, 0.0, 0.0)], (250.0, 0.0, 100.0),
-                             n_subchannels=2)
-    start = (250.0, 0.0, 100.0)
-    z, log = run_altitude(start, inputs)
-    assert z > 100.0
-    objs = [row[4] for row in log.rows]
-    assert objs[-1] > exact_objective(start, inputs)
-    assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
-
-
-def test_solve_altitude_never_descends_within_slot():
-    _, inputs = relay_inputs([(350.0, 0.0, 0.0)], (300.0, 0.0, 190.0),
-                             n_subchannels=2)
-    start = (300.0, 0.0, 190.0)
-    z, _ = run_altitude(start, inputs)
-    assert z >= 190.0 - 1e-9
-
-
-def test_solve_altitude_no_relay_and_infeasible_keep_altitude():
-    sc, inputs = relay_inputs([(350.0, 0.0, 0.0)], (250.0, 0.0, 100.0),
-                              n_subchannels=2)
-    start = (250.0, 0.0, 100.0)
-    quiet = SlotInputs(sc, np.zeros(1, dtype=int), inputs.alloc, inputs.powers,
-                       inputs.weights, 0)
-    z, _ = run_altitude(start, quiet)
-    assert z == 100.0
-    _, hard = relay_inputs([(350.0, 0.0, 0.0)], (250.0, 0.0, 100.0),
-                           n_subchannels=2,
-                           thresholds=SnrThresholds(1e8, 1e8, 1e8))
-    z, log = run_altitude(start, hard)
-    assert z == 100.0 and "excludes" in log.reason
-
-
-def interval_by_row_loop(a, b, anchor_z, r_z, floor):
-    """The altitude interval as the one-variable halfspace loop builds it:
-    the move range, each row a*z <= b with a != 0, then the floor."""
-    lo, hi = anchor_z - r_z, anchor_z + r_z
-    for ai, bi in zip(a, b):
-        if ai > 0.0:
-            hi = min(hi, bi / ai)
-        elif ai < 0.0:
-            lo = max(lo, bi / ai)
-    return max(lo, floor), hi
-
-
-@pytest.mark.parametrize("edit", ["none", "zero_binding_row", "zero_violated_row"])
-def test_altitude_interval_matches_the_row_loop(monkeypatch, edit):
-    # the backhaul row binds: it asks for z >= ~91 m inside the 85-115 m range
-    sc, inputs = relay_inputs([(350.0, 0.0, 0.0)], (250.0, 0.0, 100.0),
-                              n_subchannels=2, thresholds=SnrThresholds(5.0, 5.0, 120.0))
-    rows, sets = [], []
-    original_rows, original_solve = trajectory._altitude_rows, trajectory.maximize_concave
-
-    def edited_rows(ctx, stage_inputs):
-        a, b = (v.copy() for v in original_rows(ctx, stage_inputs))
-        if edit != "none":
-            # a == 0 bounds nothing in z, but still counts at the incumbent
-            a[1], b[1] = 0.0, (1.0 if edit == "zero_binding_row" else -1.0)
-        rows.append((a, b))
-        return a, b
-
-    def recorded_solve(objective, fset, x0, **kwargs):
-        sets.append(fset)
-        return original_solve(objective, fset, x0, **kwargs)
-
-    monkeypatch.setattr(trajectory, "_altitude_rows", edited_rows)
-    monkeypatch.setattr(trajectory, "maximize_concave", recorded_solve)
-    start = (250.0, 0.0, 100.0)
-    anchor = (247.0, 4.0, 100.0)
-    r_eff = move_radius(sc.d_max, sc.e_max, sc.slot_len, sc.propulsion)
-    r_z = math.sqrt(r_eff ** 2 - 25.0)
-    audit, log = solve_altitude(_audit(start, inputs), anchor, inputs)
-    if edit == "zero_violated_row":
-        assert not sets and "excludes" in log.reason
-        assert audit.position[2] == 100.0
-        return
-    assert sets and log.accepted >= 1
-    # a blocked pass ends the stage, so only the last build may lack a solve
-    for (a, b), fset in zip(rows, sets):
-        assert fset.interval == interval_by_row_loop(a, b, 100.0, r_z, sc.bs_height + 1.0)
-    lo = sets[0].interval[0]
-    if edit == "none":
-        assert 90.0 < lo < 100.0  # the row, not the move range
-    else:
-        assert lo == 100.0 - r_z
-
-
-def test_altitude_full_move_radius_blocks_on_the_move_range():
-    """After a horizontal pass that used the whole move radius, the
-    altitude room r_z is 0; an incumbent a hair off the anchor altitude
-    stops the stage on the move range, with every SNR row met."""
-    sc, inputs = relay_inputs([(350.0, 0.0, 0.0)], (250.0, 0.0, 100.0), n_subchannels=2)
-    r_eff = move_radius(sc.d_max, sc.e_max, sc.slot_len, sc.propulsion)
-    anchor = (250.0 - r_eff, 0.0, 100.0)
-    start = _audit((250.0, 0.0, 100.0 + 1e-8), inputs)
-    a, b = trajectory._altitude_rows(altitude_surrogate(inputs, start), inputs)
-    assert np.max(a * start.position[2] - b) <= 1e-9
-    audit, log = solve_altitude(start, anchor, inputs)
-    assert log.reason == "move range leaves no altitude room at the incumbent"
+def test_solve_altitude_holds_the_start():
+    _, inputs = relay_inputs([(350.0, 0.0, 0.0)], (250.0, 0.0, 100.0), n_subchannels=2)
+    start = _audit((250.0, 0.0, 100.0), inputs)
+    audit, log = solve_altitude(start, (247.0, 4.0, 100.0), inputs)
     assert audit is start
+    assert (log.stage, log.objective, log.reason) == ("altitude", start.objective,
+                                                      "altitude held")
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +369,7 @@ def test_to_algorithm_constraint_and_monotonicity_audit(seed):
     disp = float(np.linalg.norm(res.position - np.array(start)))
     r_eff = move_radius(sc.d_max, sc.e_max, sc.slot_len, sc.propulsion)
     assert disp <= r_eff + 1e-6
-    assert res.position[2] >= sc.bs_height + 1.0 - 1e-9
+    assert res.position[2] == start[2]
     assert flying_power_upper(disp / sc.slot_len, sc.propulsion) * sc.slot_len \
         <= sc.e_max + 1e-9
     stage_objs = [before.objective] + [log.objective for log in res.logs]
@@ -555,7 +413,8 @@ def test_stage_trace_csv_round_trip(tmp_path, two_ue):
     res = to_algorithm(UavState(start, start), inputs)
     path = tmp_path / "trace.csv"
     write_stage_trace(res.logs, path)
-    rows = list(csv.reader(open(path)))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["stage", "iteration", "x", "y", "z", "objective", "snr_surplus"]
     assert len(rows) - 1 == sum(len(log.rows) for log in res.logs)
-    assert all(r[0] in {"horizontal", "altitude"} for r in rows[1:])
+    assert all(r[0] == "horizontal" for r in rows[1:])
