@@ -3,9 +3,11 @@ baselines, sweeps, and the derived metrics.
 
 Per slot the driver cycles matching -> trajectory -> power and accepts a
 stage's output only when the exact weighted sum rate does not fall, so
-the per-slot objective trace is nondecreasing by construction.  Episodes
-chain slots under proportional-fairness weights; each algorithm earns
-its own weight history from its own achieved rates.
+the per-slot objective trace is nondecreasing by construction.  That
+cycle is the only place a stage is repeated: the matching stage plays
+the swap game once per fresh greedy start, never from the incumbent.
+Episodes chain slots under proportional-fairness weights; each
+algorithm earns its own weight history from its own achieved rates.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .channel import gain_matrices
 from .link_rate import PowerAllocation, jain_index, rate_report, update_weights
-from .matching import (CELLULAR, RELAY, GameView, MatchingContext, assignment,
+from .matching import (CELLULAR, RELAY, MatchingContext, assignment,
                        init_matching, msma_detailed)
 from .power_alloc import restore_feasible, scp_power
 from .scenario import Scenario, UavState, require_valid
@@ -160,8 +162,9 @@ def _fresh_matchings(ctx: MatchingContext,
     spectral efficiency for reach, so which mix wins is geometry- and
     weight-dependent; the exact completed objective arbitrates.  The
     starts and their swap runs read only the scenario, the gains and the
-    weights, so one channel state needs them once.  Each start hands its
-    scored view to the swap game, which scores nothing again."""
+    weights, so one channel state needs them once; they are the matching
+    stage's only swap runs.  Each start hands its scored view to the swap
+    game, which scores nothing again."""
     all_cellular = np.full(ctx.n_ues, CELLULAR)
     starts = [init_matching(ctx, all_cellular)]
     if relay_allowed:
@@ -174,19 +177,16 @@ def _fresh_matchings(ctx: MatchingContext,
 
 def _matching_stage(ctx: MatchingContext, fresh, beta, alloc, powers,
                     incumbent_obj):
-    """Run the swap game from the incumbent, complete its powers and those
-    of the fresh starts' stable matchings (`_fresh_matchings`, computed
-    once per channel state), and keep the best completed exact objective
-    (never below the incumbent).  Completion carries the incumbent's
-    powers, so it runs on every call."""
-    candidates = list(fresh)
-    if alloc is not None and alloc.any():
-        res = msma_detailed(GameView.of(beta, alloc, ctx))
-        candidates.append((res.beta, res.alloc))
-
+    """Complete the powers of the fresh starts' stable matchings
+    (`_fresh_matchings`, computed once per channel state) against the
+    incumbent's and keep the best completed exact objective, or the
+    incumbent when no candidate beats it.  Completion carries the
+    incumbent's powers, so it runs on every call; the incumbent itself
+    plays no swap game, since the block-coordinate loop already returns
+    to this stage after every trajectory and power move."""
     sc, gains, weights = ctx.scenario, ctx.gains, ctx.weights
     best = (incumbent_obj, beta, alloc, powers)
-    for cand_beta, cand_alloc in candidates:
+    for cand_beta, cand_alloc in fresh:
         cand_alloc, cand_powers = complete_powers(
             beta, alloc, powers, cand_beta, cand_alloc, gains, weights, sc)
         obj = rate_report(cand_beta, cand_alloc, cand_powers, gains, weights,

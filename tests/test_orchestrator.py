@@ -227,6 +227,29 @@ class TestChannelStateReuse:
         assert len(evals) == 2
         assert len(inits) == 3 * len(evals)
 
+    @pytest.mark.parametrize("algorithm, size, seed", [
+        ("jmstp", (5, 10), 0), ("jmstp", (5, 10), 1), ("jmstp", (5, 10), 2),
+        ("cellular", (20, 40), 0)])
+    def test_one_swap_run_per_greedy_start(self, monkeypatch, algorithm, size, seed):
+        # the incumbent plays no swap game: every run starts from a fresh
+        # greedy start, and each start is played exactly once
+        starts = []
+        init = orchestrator.init_matching
+
+        def recorded_init(*args):
+            starts.append(init(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(orchestrator, "init_matching", recorded_init)
+        played = record_calls(monkeypatch, orchestrator, "msma_detailed")
+        n_ues, n_sub = size
+        sc = Scenario(n_ues=n_ues, n_subchannels=n_sub, n_slots=3,
+                      fading_model="mixed", rng_seed=seed).with_positions(seed)
+        log = run_episode(sc, algorithm)
+        assert all(sol.alloc.any() for sol in log.slots)
+        assert len(starts) >= sc.n_slots
+        assert sorted(id(args[0]) for args in played) == sorted(map(id, starts))
+
 
 class TestEpisodeValidity:
     """Every slot an episode returns passes the validator, warm starts
