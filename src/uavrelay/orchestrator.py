@@ -5,9 +5,10 @@ Per slot the driver cycles matching -> trajectory -> power and accepts a
 stage's output only when the exact weighted sum rate does not fall, so
 the per-slot objective trace is nondecreasing by construction.  That
 cycle is the only place a stage is repeated: the matching stage plays
-the swap game once per fresh greedy start, never from the incumbent.
-Episodes chain slots under proportional-fairness weights; each
-algorithm earns its own weight history from its own achieved rates.
+the swap game once per fresh greedy start, never from the incumbent,
+and the trajectory stage makes one horizontal run.  Episodes chain
+slots under proportional-fairness weights; each algorithm earns its own
+weight history from its own achieved rates.
 """
 
 from __future__ import annotations

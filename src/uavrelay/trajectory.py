@@ -14,8 +14,8 @@ The stage works on arrays over the P relayed (UE, subchannel) pairs:
 one evaluation of the gain bounds gives every pair's two hop gains and
 their gradients at a point, shared by the objective and by the one
 barrier term that carries all 2P hop floors.  Each position is audited
-on the exact channel once per `to_algorithm` call: a pass starts from
-the audit that ended the previous one.
+on the exact channel once per `to_algorithm` call, which makes one
+horizontal run; the slot's block-coordinate loop repeats it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ _QOS_CHECK_TOL = 1e-6   # relative tolerance when re-auditing exact SNRs
 _ACCEPT_SLACK = 1e-12   # relative slack when comparing exact objectives
 _EXP_CAP = 500.0        # caps exponents where a loose tangent runs wild
 _NUDGE = 0.1            # m, horizontal shift applied over a degenerate peer
-_MAX_PASSES = 12
 _MAX_STAGE_ITERS = 50
 _INNER_ITERS = 150
 _BACKTRACK_STEPS = 11   # step fractions 1, 1/2, ..., 2**-10
@@ -328,8 +327,12 @@ def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, S
     """SCP over (x, y) at the altitude of the audited position `start`,
     within the move radius around `anchor`.  Each iteration maximizes the
     tangent surrogate around the incumbent and keeps the step that
-    `_backtrack` accepts.  Returns the audit of the final position and
-    the stage log."""
+    `_backtrack` accepts, and stops once an iterate raises the exact
+    objective by less than the trajectory tolerance, read relative to
+    the relayed share of the objective: cellular terms are constant in
+    the position, so folding them into the denominator would silence
+    real gains on the movable links.  Returns the audit of the final
+    position and the stage log."""
     s = inputs.scenario
     log = StageLog("horizontal", objective=start.objective)
     if not inputs.relay_pairs():
@@ -387,53 +390,30 @@ def solve_altitude(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, Sta
 
 
 # ---------------------------------------------------------------------------
-# Outer alternation.
+# The trajectory stage.
 
 @dataclass
 class TrajectoryResult:
     position: np.ndarray
     gains: ChannelGains  # the exact channel at `position`
-    objective: float
-    passes: int
-    improved: bool
+    objective: float     # the exact slot objective at `position`
+    passes: int          # horizontal runs: 1, or 0 without relayed pairs
     logs: list[StageLog]
 
 
 def to_algorithm(state: UavState, inputs: SlotInputs,
                  gains: ChannelGains | None = None) -> TrajectoryResult:
-    """Repeat passes until one raises the exact slot objective by less
-    than the trajectory tolerance.  A pass is a horizontal SCP run, which
-    stops on the same tolerance per iterate, then `solve_altitude`, which
-    holds the altitude.  `gains`, when given, is the exact channel at
-    `state.pos`.
-
-    The tolerance is read relative to the relayed share of the objective:
-    cellular terms are constant in the position, so folding them into the
-    denominator would silence real gains on the movable links."""
-    s = inputs.scenario
+    """Audit the start, make one horizontal SCP run from it, then
+    `solve_altitude`, which holds the altitude, and return the final
+    audit's own position, gains and objective.  `gains`, when given, is
+    the exact channel at `state.pos`."""
     anchor = tuple(float(v) for v in state.prev_pos)
-    start = cur = _audit(state.pos, inputs, gains)
-    obj = start.objective
+    cur = _audit(state.pos, inputs, gains)
     if not inputs.relay_pairs():
-        return TrajectoryResult(start.position, start.gains, obj, 0, False, [])
-
-    logs: list[StageLog] = []
-    improved = False
-    passes = 0
-    eps = s.tolerances.trajectory
-    for _ in range(_MAX_PASSES):
-        passes += 1
-        cur, hlog = solve_horizontal(cur, anchor, inputs)
-        cur, alog = solve_altitude(cur, anchor, inputs)
-        logs += [hlog, alog]
-        new_obj = alog.objective
-        if new_obj > obj:
-            improved = True
-        rel = (new_obj - obj) / max(obj - start.fixed, 1e-9)
-        obj = max(obj, new_obj)
-        if rel < eps:
-            break
-    return TrajectoryResult(cur.position, cur.gains, obj, passes, improved, logs)
+        return TrajectoryResult(cur.position, cur.gains, cur.objective, 0, [])
+    cur, hlog = solve_horizontal(cur, anchor, inputs)
+    cur, alog = solve_altitude(cur, anchor, inputs)
+    return TrajectoryResult(cur.position, cur.gains, cur.objective, 1, [hlog, alog])
 
 
 def write_stage_trace(logs: list[StageLog], path) -> None:

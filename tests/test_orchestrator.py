@@ -227,10 +227,11 @@ class TestChannelStateReuse:
         assert len(evals) == 2
         assert len(inits) == 3 * len(evals)
 
-    @pytest.mark.parametrize("algorithm, size, seed", [
-        ("jmstp", (5, 10), 0), ("jmstp", (5, 10), 1), ("jmstp", (5, 10), 2),
-        ("cellular", (20, 40), 0)])
-    def test_one_swap_run_per_greedy_start(self, monkeypatch, algorithm, size, seed):
+    @pytest.mark.parametrize("algorithm, n_ues, n_sub, seed", [
+        ("jmstp", 5, 10, 0), ("jmstp", 5, 10, 1), ("jmstp", 5, 10, 2),
+        ("cellular", 20, 40, 0)])
+    def test_one_swap_run_per_greedy_start(self, monkeypatch, algorithm, n_ues, n_sub,
+                                           seed):
         # the incumbent plays no swap game: every run starts from a fresh
         # greedy start, and each start is played exactly once
         starts = []
@@ -242,7 +243,6 @@ class TestChannelStateReuse:
 
         monkeypatch.setattr(orchestrator, "init_matching", recorded_init)
         played = record_calls(monkeypatch, orchestrator, "msma_detailed")
-        n_ues, n_sub = size
         sc = Scenario(n_ues=n_ues, n_subchannels=n_sub, n_slots=3,
                       fading_model="mixed", rng_seed=seed).with_positions(seed)
         log = run_episode(sc, algorithm)
