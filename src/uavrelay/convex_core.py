@@ -71,7 +71,7 @@ class FeasibleSet:
     def _project_ball(self, x: np.ndarray) -> np.ndarray:
         center, radius = self.ball
         d = x - center
-        norm = np.linalg.norm(d)
+        norm = math.sqrt(float(d @ d))
         if norm <= radius:
             return x
         return center + d * (radius / norm)
@@ -164,7 +164,7 @@ def _ascend(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
         d = trial - x
         # h(t)/min(t,1) upper-bounds the unit-step residual for any t, so
         # stopping on it never stops earlier than the true criterion would
-        pg_norm = float(np.linalg.norm(d)) / min(step, 1.0)
+        pg_norm = math.sqrt(float(d @ d)) / min(step, 1.0)
         if pg_norm < _PG_TOL:
             diag.converged = True
             diag.reason = "projected gradient below tolerance"

@@ -97,8 +97,9 @@ def _audit(pos, inputs: SlotInputs, gains: ChannelGains | None = None) -> Audit:
 
 # ---------------------------------------------------------------------------
 # Surrogate rates.  A surrogate context exposes the expansion point `x0`,
-# each pair's UE `ue` and subchannel `sub`, and `bounds(x)`, which returns
-# every pair's hop gains and their gradients, (h1, g1, h2, g2) of shapes
+# each pair's UE `ue` and subchannel `sub`, `stacked(x)`, which returns
+# the 2P hop gains and their gradients, shapes (2P,) and (2P, d), access
+# hops first, and `bounds(x)`, the same as (h1, g1, h2, g2) of shapes
 # (P,), (P, d), (P,), (P, d).
 
 
@@ -115,20 +116,25 @@ def _surrogate_rates(ctx, inputs: SlotInputs):
     sigma2, c = s.noise_var, s.noise_plus_ici_scale
     p1 = inputs.powers.p_ue[ctx.ue, ctx.sub]
     p2 = inputs.powers.p_uav[ctx.sub]
-    k1, k2 = (0.5 / LN2) * p1, (0.5 / LN2) * p2
+    n = p1.size
+    # both hops of every pair, stacked as the context's bounds are
+    pp = np.concatenate([p1, p2])
+    noise = np.concatenate([np.full(n, sigma2), np.full(n, c * sigma2)])
+    kk = (0.5 / LN2) * pp
+    k1, k2 = kk[:n], kk[n:]
     h1, g1, h2, g2 = ctx.bounds(ctx.x0)
     x = c * p1 * h1 + p2 * h2 + c * sigma2
     i0 = 0.5 * np.log2(sigma2 * x)
     gi0 = (c * k1[:, None] * g1 + k2[:, None] * g2) / x[:, None]
 
     def rates(xv: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        h1, g1, h2, g2 = ctx.bounds(xv)
-        a1 = p1 * h1 + sigma2
-        a2 = p2 * h2 + c * sigma2
-        if (a1 <= 0.0).any() or (a2 <= 0.0).any():
+        h, gj = ctx.stacked(xv)
+        a = pp * h + noise
+        if (a <= 0.0).any():
             return None
-        val = 0.5 * np.log2(a1 * a2) - i0 - gi0 @ (xv - ctx.x0)
-        return val, (k1 / a1)[:, None] * g1 + (k2 / a2)[:, None] * g2 - gi0
+        val = 0.5 * np.log2(a[:n] * a[n:]) - i0 - gi0 @ (xv - ctx.x0)
+        q = (kk / a)[:, None] * gj
+        return val, q[:n] + q[n:] - gi0
 
     return rates
 
@@ -229,28 +235,39 @@ def _nudged_expansion(xy, peers_xy) -> tuple[np.ndarray, bool]:
 class SurrogateContext:
     """Tangent gain bounds for one horizontal expansion point.
 
-    The peer cores are the geometry (rows: the N UEs, then the BS); each
-    pair's hop scales fold the carrier frequency and the slot's fading
-    draw of its (peer, subchannel) link."""
+    The peer cores are the geometry (the N UEs, then the BS).  The 2P hops
+    are stacked, every pair's access hop and then every backhaul hop:
+    `rows` picks each hop's peer core and `scale` folds the carrier
+    frequency and the slot's fading draw of its (peer, subchannel) link."""
 
     x0: np.ndarray          # (2,) expansion point
     ue: np.ndarray          # (P,)
     sub: np.ndarray         # (P,)
     cores: _PeerCores
-    scale1: np.ndarray      # (P,) access-hop scales
-    scale2: np.ndarray      # (P,) backhaul-hop scales
+    rows: np.ndarray        # (2P,) peer core of each hop
+    scale: np.ndarray       # (2P,) hop scales
     nudged: bool
     # the bounds at the last point asked for: an inner solve evaluates the
     # objective and the barrier at each point, one after the other
-    _last: list = field(default_factory=lambda: [None, None], repr=False, compare=False)
+    _last: list = field(default_factory=lambda: [None, None, None], repr=False,
+                        compare=False)
 
-    def bounds(self, xy: np.ndarray):
+    def _at(self, xy: np.ndarray) -> list:
         key = xy.tobytes()
         if key != self._last[0]:
             v, g = self.cores.value_grad(xy)
-            self._last[:] = key, (self.scale1 * v[self.ue], self.scale1[:, None] * g[self.ue],
-                                  self.scale2 * v[-1], self.scale2[:, None] * g[-1])
-        return self._last[1]
+            h, gj = self.scale * v[self.rows], self.scale[:, None] * g[self.rows]
+            n = self.ue.size
+            self._last[:] = key, (h, gj), (h[:n], gj[:n], h[n:], gj[n:])
+        return self._last
+
+    def stacked(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """All 2P hop gain bounds (2P,) and gradients (2P, d) at `xy`."""
+        return self._at(xy)[1]
+
+    def bounds(self, xy: np.ndarray):
+        """Views of `stacked(xy)` per hop: (h1, g1, h2, g2)."""
+        return self._at(xy)[2]
 
 
 def horizontal_surrogate(inputs: SlotInputs, position) -> SurrogateContext:
@@ -265,8 +282,9 @@ def horizontal_surrogate(inputs: SlotInputs, position) -> SurrogateContext:
     pairs = inputs.relay_pairs()
     ue = np.array([n for n, _ in pairs], dtype=int)
     sub = np.array([k for _, k in pairs], dtype=int)
-    return SurrogateContext(exp_xy, ue, sub, cores,
-                            chan.air_scale[ue, sub], chan.air_scale[-1, sub], nudged)
+    rows = np.concatenate([ue, np.full(ue.size, len(peers_xy) - 1)])
+    scale = np.concatenate([chan.air_scale[ue, sub], chan.air_scale[-1, sub]])
+    return SurrogateContext(exp_xy, ue, sub, cores, rows, scale, nudged)
 
 
 def _horizontal_barrier(ctx: SurrogateContext, inputs: SlotInputs) -> BarrierTerm:
@@ -281,9 +299,8 @@ def _horizontal_barrier(ctx: SurrogateContext, inputs: SlotInputs) -> BarrierTer
     inv = 1.0 / np.concatenate([t1, t2])
 
     def rows(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h1, g1, h2, g2 = ctx.bounds(xy)
-        return (np.concatenate([h1, h2]) * inv - 1.0 + _QOS_SLACK,
-                np.concatenate([g1, g2]) * inv[:, None])
+        h, gj = ctx.stacked(xy)
+        return h * inv - 1.0 + _QOS_SLACK, gj * inv[:, None]
 
     return BarrierTerm(rows)
 
