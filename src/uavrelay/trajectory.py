@@ -3,12 +3,17 @@
 Only the relayed links depend on where the UAV sits.  The horizontal
 stage runs SCP in (x, y) at the held altitude: each iteration maximizes
 a concave surrogate of the weighted relayed rate, built from tangent
-lower bounds on the air gains around the current iterate.  A proposed
-move is kept only if the exact slot objective did not drop, with
-step-halving toward the incumbent, so the outer trace is nondecreasing
-regardless of surrogate quality.  Whenever the approximated SNR set
-turns out empty the stage returns the incumbent unchanged.  The altitude
-is held for the whole episode (`solve_altitude`).
+lower bounds on the air gains around the current iterate.  The step
+from the incumbent toward the surrogate's maximizer is then searched on
+the exact slot objective in both directions: halved toward the
+incumbent until the objective does not drop, or, when the full step is
+kept, doubled (and projected onto the move disc) while the objective
+keeps rising.  The outer trace is thus nondecreasing regardless of
+surrogate quality, and a tangent bound that is too cautious far from
+its expansion point does not cost one stage iteration, and so one
+block-coordinate cycle, per short step.  Whenever the approximated SNR
+set turns out empty the stage returns the incumbent unchanged.  The
+altitude is held for the whole episode (`solve_altitude`).
 
 The stage works on arrays over the P relayed (UE, subchannel) pairs:
 one evaluation of the gain bounds gives every pair's two hop gains and
@@ -42,6 +47,7 @@ _NUDGE = 0.1            # m, horizontal shift applied over a degenerate peer
 _MAX_STAGE_ITERS = 50
 _INNER_ITERS = 150
 _BACKTRACK_STEPS = 11   # step fractions 1, 1/2, ..., 2**-10
+_EXTEND_STEPS = 6       # step multiples 2, 4, ..., 2**6 past an accepted full step
 
 
 @dataclass(frozen=True)
@@ -322,34 +328,65 @@ class StageLog:
     rows: list = field(default_factory=list)
 
 
-def _backtrack(incumbent: Audit, xy_cand: np.ndarray, inputs: SlotInputs) -> Audit | None:
-    """Walk the horizontal candidate back toward the incumbent, at its
-    altitude, until the exact objective stops dropping and the relayed
-    SNRs still clear their floors; None if no step does.  A trial that
-    lands on the incumbent reuses its audit."""
+def _step_search(incumbent: Audit, xy_cand: np.ndarray, project,
+                 inputs: SlotInputs) -> Audit | None:
+    """The step, at the incumbent's altitude, along the direction from the
+    incumbent to the horizontal candidate: None if no step is kept.
+
+    The step fraction tau walks down from the full step, 1, 1/2, ...,
+    until the exact objective stops dropping and the relayed SNRs still
+    clear their floors.  When the full step is kept it walks up instead,
+    2, 4, ..., each trial projected onto the move disc by `project`, and
+    keeps the last trial that strictly raises the exact objective with
+    the SNRs clear; it stops at the first trial that does not, or whose
+    projection returns the kept position.  The surrogate's tangent bounds
+    are tight only at the incumbent, so its maximizer can fall short of
+    the exact objective's rise along the same direction; over-relaxing
+    the bound step (Salakhutdinov & Roweis, "Adaptive Overrelaxed Bound
+    Optimization Methods", ICML 2003) takes that rise in one stage
+    iteration.  No position is audited twice: a trial that lands on the
+    incumbent reuses its audit."""
     floor = incumbent.objective - _ACCEPT_SLACK * max(1.0, abs(incumbent.objective))
     xy_inc, z = incumbent.position[:2], incumbent.position[2]
+    step = xy_cand - xy_inc
+
+    def audit(xy) -> Audit:
+        pos = (xy[0], xy[1], z)
+        return incumbent if np.array_equal(pos, incumbent.position) else _audit(pos, inputs)
+
     tau = 1.0
     for _ in range(_BACKTRACK_STEPS):
-        xy = xy_inc + tau * (xy_cand - xy_inc)
-        pos = (xy[0], xy[1], z)
-        audit = incumbent if np.array_equal(pos, incumbent.position) else _audit(pos, inputs)
-        if audit.objective >= floor and audit.surplus >= -_QOS_CHECK_TOL:
-            return audit
+        kept = audit(xy_inc + tau * step)
+        if kept.objective >= floor and kept.surplus >= -_QOS_CHECK_TOL:
+            break
         tau *= 0.5
-    return None
+    else:
+        return None
+    if tau < 1.0:
+        return kept
+    for _ in range(_EXTEND_STEPS):
+        tau *= 2.0
+        xy = project(xy_inc + tau * step)
+        if np.array_equal(xy, kept.position[:2]):
+            break
+        trial = audit(xy)
+        if not (trial.objective > kept.objective and trial.surplus >= -_QOS_CHECK_TOL):
+            break
+        kept = trial
+    return kept
 
 
 def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, StageLog]:
     """SCP over (x, y) at the altitude of the audited position `start`,
     within the move radius around `anchor`.  Each iteration maximizes the
     tangent surrogate around the incumbent and keeps the step that
-    `_backtrack` accepts, and stops once an iterate raises the exact
-    objective by less than the trajectory tolerance, read relative to
-    the relayed share of the objective: cellular terms are constant in
-    the position, so folding them into the denominator would silence
-    real gains on the movable links.  Returns the audit of the final
-    position and the stage log."""
+    `_step_search` finds along it: shortened while the exact objective
+    drops, lengthened while it keeps rising.  It stops once an iterate
+    raises the exact objective by less than the trajectory tolerance,
+    read relative to the relayed share of the objective: cellular terms
+    are constant in the position, so folding them into the denominator
+    would silence real gains on the movable links.  Returns the audit of
+    the final position and the stage log."""
     s = inputs.scenario
     log = StageLog("horizontal", objective=start.objective)
     if not inputs.relay_pairs():
@@ -368,13 +405,13 @@ def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, S
         if np.any(barrier.fn(xy)[0] <= 0.0):
             log.reason = "approximated SNR set leaves no room at the incumbent"
             break
-        res = maximize_concave(_stage_objective(ctx, inputs),
-                               FeasibleSet(ball=(anchor[:2], r_h), barrier=barrier), xy,
+        fset = FeasibleSet(ball=(anchor[:2], r_h), barrier=barrier)
+        res = maximize_concave(_stage_objective(ctx, inputs), fset, xy,
                                max_iters=_INNER_ITERS)
         if not res.feasible:
             log.reason = f"inner solve unusable: {res.diagnostics.reason}"
             break
-        new = _backtrack(cur, res.x, inputs)
+        new = _step_search(cur, res.x, fset.project, inputs)
         if new is None:
             log.reason = "no step kept the exact objective from dropping"
             break

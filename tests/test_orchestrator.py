@@ -257,7 +257,7 @@ class TestEpisodeValidity:
     last slot can fall below this slot's QoS floors."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("fading", ["mixed", "rayleigh"])
+    @pytest.mark.parametrize("fading", ["none", "rician", "mixed", "rayleigh"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_slot_is_validator_clean(self, algorithm, fading, seed):
         sc = Scenario(n_ues=5, n_subchannels=10, n_slots=10, d_max=25.0,

@@ -305,6 +305,40 @@ def test_solve_horizontal_moves_toward_far_ue_axis(two_ue):
     assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
 
 
+def test_step_search_extends_a_short_surrogate_step(two_ue, monkeypatch):
+    # from here the surrogate's maximizer lies 2.7 m off, well inside the
+    # 15 m move disc, while the exact objective keeps rising beyond it
+    _, inputs, _ = two_ue
+    start = (170.0, 20.0, 130.0)
+    solved = []
+    original = trajectory.maximize_concave
+
+    def recorded(*args, **kwargs):
+        res = original(*args, **kwargs)
+        solved.append(res.x)
+        return res
+
+    monkeypatch.setattr(trajectory, "maximize_concave", recorded)
+    _, log = run_horizontal(start, inputs)
+    row = log.rows[0]
+    xy0, xy = np.array(start[:2]), np.array(row[1:3])
+    assert np.linalg.norm(xy - xy0) >= 2.0 * np.linalg.norm(solved[0] - xy0)
+    assert row[4] >= exact_objective((*solved[0], start[2]), inputs)
+
+
+def test_step_search_stays_in_a_small_move_disc(two_ue):
+    sc, inputs, _ = two_ue
+    small = replace(inputs, scenario=replace(sc, d_max=5.0))
+    start = (170.0, 20.0, 130.0)
+    audit, _ = solve_horizontal(_audit(start, small), start, small)
+    r_eff = move_radius(5.0, sc.e_max, sc.slot_len, sc.propulsion)
+    dist = float(np.linalg.norm(audit.position - np.array(start)))
+    # the doubled trials are projected onto the disc: they reach its edge
+    # (the surrogate's own step is 2.7 m) and never leave it
+    assert r_eff - 1e-9 <= dist <= r_eff + 1e-9
+    assert _audit(audit.position, small).surplus >= -1e-6
+
+
 def test_solve_horizontal_infeasible_set_keeps_position():
     _, inputs = relay_inputs([(350.0, 0.0, 0.0)], (250.0, 0.0, 100.0),
                              n_subchannels=2,
