@@ -6,7 +6,10 @@ stage's output only when the exact weighted sum rate does not fall, so
 the per-slot objective trace is nondecreasing by construction.  That
 cycle is the only place a stage is repeated: the matching stage plays
 the swap game once per fresh greedy start, never from the incumbent,
-and the trajectory stage makes one horizontal run.  Episodes chain
+and the trajectory stage makes one horizontal SCP step.  The cycle
+stops once it gains less than the scenario's one tolerance,
+`tolerances.bcd`, the same absolute test on which the power stage's
+own SCP loop stops.  Episodes chain
 slots under proportional-fairness weights; each algorithm earns its own
 weight history from its own achieved rates.
 """
@@ -24,7 +27,7 @@ from .matching import (CELLULAR, RELAY, MatchingContext, assignment,
                        init_matching, msma_detailed)
 from .power_alloc import restore_feasible, scp_power
 from .scenario import Scenario, UavState, require_valid
-from .trajectory import SlotInputs, StageLog, to_algorithm
+from .trajectory import SlotInputs, to_algorithm
 from .uav_power import flying_power_upper, move_radius
 
 _STAGE_TOL = 1e-9
@@ -46,7 +49,6 @@ class SlotSolution:
     iterations: int
     stage_trace: list[tuple[str, float]] = field(default_factory=list)
     dropped: list[tuple[int, int]] = field(default_factory=list)
-    stage_logs: list[StageLog] = field(default_factory=list)
 
     @property
     def speed(self) -> float:
@@ -254,7 +256,6 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
 
     trace: list[tuple[str, float]] = []
     dropped: list[tuple[int, int]] = []
-    stage_logs: list[StageLog] = []
     eps = sc.tolerances.bcd
     iterations = 0
     ctx = fresh = None  # the fresh starts belong to one channel state
@@ -287,7 +288,6 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
                 if result.objective >= obj - _STAGE_TOL * max(1.0, abs(obj)):
                     new_pos, new_gains = result.position, result.gains
                     obj = max(obj, result.objective)
-                    stage_logs.extend(result.logs)
             else:
                 # the objective is flat in the position, so close in on
                 # the UEs nothing currently reaches; later slots then see
@@ -317,8 +317,7 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
     report = rate_report(beta, alloc, powers, gains, weights, sc)
     return SlotSolution(beta, alloc, powers, pos,
                         np.asarray(anchor, dtype=float), report.per_ue_rate,
-                        weights, report.objective, iterations, trace, dropped,
-                        stage_logs)
+                        weights, report.objective, iterations, trace, dropped)
 
 
 # ---------------------------------------------------------------------------

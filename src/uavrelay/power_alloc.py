@@ -373,9 +373,11 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
     (`PowerProblem.surrogate_argmax`) and hands that point to
     `maximize_concave`, whose projected-gradient test certifies it (and
     which would climb from it if it were ever off).  The loop stops when
-    the exact objective gains less than a tenth of the BCD tolerance,
-    when it drops by rounding (both `converged`), at `_MAX_OUTER` steps,
-    or when the inner solve finds no feasible point (neither converged).
+    a step gains less than the BCD tolerance in absolute terms, the test
+    on which `orchestrator.jmstp_slot`'s loop stops, or when a step drops
+    the exact objective by rounding (both `converged`), at `_MAX_OUTER`
+    steps, or when the inner solve finds no feasible point (neither
+    converged).
 
     `init` is the starting point when a projection onto the caps and QoS
     floors repairs it; otherwise `restore_feasible` funds a start from
@@ -402,7 +404,7 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
         fset = prob.feasible_set()
         start = prob.pack(powers)
 
-    eps = s.tolerances.bcd / 10.0
+    eps = s.tolerances.bcd
     x = start
     obj = prob.true_objective(x)
     trace = [obj]
@@ -421,9 +423,9 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
             converged = True
             break
         trace.append(new_obj)
-        rel = (new_obj - obj) / max(abs(obj), 1e-12)
+        gain = new_obj - obj
         x, obj = res.x, new_obj
-        if rel < eps:
+        if gain < eps:
             converged = True
             break
 

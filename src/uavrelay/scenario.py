@@ -75,8 +75,11 @@ class SnrThresholds:
 
 @dataclass(frozen=True)
 class Tolerances:
-    bcd: float = 1e-3         # outer loop stops when the objective gain drops below this
-    trajectory: float = 0.01  # trajectory stage stop
+    """The slot's one stopping tolerance: the block-coordinate loop, and
+    the power stage's SCP loop inside it, stop once a step raises the
+    slot objective by less than `bcd` (absolute)."""
+
+    bcd: float = 1e-3
 
 
 @dataclass
@@ -241,7 +244,6 @@ CONFIG_SCHEMA = (
     ConfigKey("snr_min_ue_uav", "snr_thresholds.ue_uav"),
     ConfigKey("snr_min_uav_bs", "snr_thresholds.uav_bs"),
     ConfigKey("bcd_eps", "tolerances.bcd"),
-    ConfigKey("trajectory_eps", "tolerances.trajectory"),
     ConfigKey("fading_model", "fading_model", str),  # validate() names the models it accepts
     ConfigKey("rician_k_db", "rician_k_factor"),
     ConfigKey("rng_seed", "rng_seed", _seed),
@@ -374,7 +376,7 @@ def validate(s: Scenario) -> list[str]:
     thr = s.snr_thresholds
     if thr.direct <= 0 or thr.ue_uav <= 0 or thr.uav_bs <= 0:
         out.append("snr thresholds must be positive")
-    if s.tolerances.bcd <= 0 or s.tolerances.trajectory <= 0:
+    if s.tolerances.bcd <= 0:
         out.append("tolerances must be positive")
     if not (1.0 <= s.a2g.eta_los <= s.a2g.eta_nlos):
         out.append("need eta_nlos >= eta_los >= 1 (linear)")

@@ -1,26 +1,27 @@
 """Per-slot UAV position refinement.
 
 Only the relayed links depend on where the UAV sits.  The horizontal
-stage runs SCP in (x, y) at the held altitude: each iteration maximizes
-a concave surrogate of the weighted relayed rate, built from tangent
-lower bounds on the air gains around the current iterate.  The step
-from the incumbent toward the surrogate's maximizer is then searched on
-the exact slot objective in both directions: halved toward the
-incumbent until the objective does not drop, or, when the full step is
-kept, doubled (and projected onto the move disc) while the objective
-keeps rising.  The outer trace is thus nondecreasing regardless of
-surrogate quality, and a tangent bound that is too cautious far from
-its expansion point does not cost one stage iteration, and so one
-block-coordinate cycle, per short step.  Whenever the approximated SNR
-set turns out empty the stage returns the incumbent unchanged.  The
-altitude is held for the whole episode (`solve_altitude`).
+stage makes one SCP step in (x, y) at the held altitude: it maximizes a
+concave surrogate of the weighted relayed rate, built from tangent
+lower bounds on the air gains around the incumbent.  The step from the
+incumbent toward the surrogate's maximizer is then searched on the
+exact slot objective in both directions: halved toward the incumbent
+until the objective does not drop, or, when the full step is kept,
+doubled (and projected onto the move disc) while the objective keeps
+rising.  The objective thus never drops regardless of surrogate
+quality, and a tangent bound that is too cautious far from its
+expansion point does not cost one block-coordinate cycle per short
+step.  Whenever the approximated SNR set turns out empty the stage
+returns the incumbent unchanged.  The altitude is held for the whole
+episode (`solve_altitude`).
 
 The stage works on arrays over the P relayed (UE, subchannel) pairs:
 one evaluation of the gain bounds gives every pair's two hop gains and
 their gradients at a point, shared by the objective and by the one
 barrier term that carries all 2P hop floors.  Each position is audited
 on the exact channel once per `to_algorithm` call, which makes one
-horizontal run; the slot's block-coordinate loop repeats it.
+horizontal step; the slot's block-coordinate loop is the only loop that
+repeats it, and it stops on the slot's one tolerance.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ _QOS_CHECK_TOL = 1e-6   # relative tolerance when re-auditing exact SNRs
 _ACCEPT_SLACK = 1e-12   # relative slack when comparing exact objectives
 _EXP_CAP = 500.0        # caps exponents where a loose tangent runs wild
 _NUDGE = 0.1            # m, horizontal shift applied over a degenerate peer
-_MAX_STAGE_ITERS = 50
 _INNER_ITERS = 150
 _BACKTRACK_STEPS = 11   # step fractions 1, 1/2, ..., 2**-10
 _EXTEND_STEPS = 6       # step multiples 2, 4, ..., 2**6 past an accepted full step
@@ -77,10 +77,6 @@ class Audit:
     gains: ChannelGains   # the exact channel at the position
     objective: float      # weighted sum rate
     surplus: float        # worst normalized SNR surplus over relayed assignments
-    # weighted rate of the cellular UEs: their links never touch the UAV,
-    # so this share of the objective is constant in the position, and
-    # stage stop rules measure progress against the remainder
-    fixed: float
 
 
 def _audit(pos, inputs: SlotInputs, gains: ChannelGains | None = None) -> Audit:
@@ -92,13 +88,10 @@ def _audit(pos, inputs: SlotInputs, gains: ChannelGains | None = None) -> Audit:
         gains = gain_matrices(s, pos, inputs.slot_index)
     report = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
                          inputs.weights, s)
-    beta = np.asarray(inputs.beta)
-    relayed = (np.asarray(inputs.alloc) * beta[:, None]) == 1
+    relayed = (np.asarray(inputs.alloc) * np.asarray(inputs.beta)[:, None]) == 1
     surplus = min((g / t)[relayed].min(initial=math.inf)
                   for g, t in zip(report.link.snr, report.link.thresholds())) - 1.0
-    cellular = beta == 0
-    fixed = float(np.dot(inputs.weights[cellular], report.per_ue_rate[cellular]))
-    return Audit(pos, gains, report.objective, surplus, fixed)
+    return Audit(pos, gains, report.objective, surplus)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +305,17 @@ def _horizontal_barrier(ctx: SurrogateContext, inputs: SlotInputs) -> BarrierTer
 
 
 # ---------------------------------------------------------------------------
-# The stage log, and the horizontal SCP loop.
+# The stage log, and the horizontal SCP step.
 
 @dataclass
 class StageLog:
-    """Per-stage trace: one row per accepted SCP iterate,
-    (iteration, x, y, z, exact objective, worst SNR surplus)."""
+    """Per-stage trace.  `iterations` counts the SCP steps made (the
+    horizontal stage makes at most one per call) and `accepted` those
+    kept; `capped` says the step's inner solve stopped at its iteration
+    cap (`_INNER_ITERS`) rather than on its own test; `reason` names why
+    a step was not kept and is empty when one was.  `rows` holds one row
+    per kept step: (iteration, x, y, z, exact objective, worst SNR
+    surplus)."""
 
     stage: str
     objective: float = math.nan
@@ -343,8 +341,8 @@ def _step_search(incumbent: Audit, xy_cand: np.ndarray, project,
     are tight only at the incumbent, so its maximizer can fall short of
     the exact objective's rise along the same direction; over-relaxing
     the bound step (Salakhutdinov & Roweis, "Adaptive Overrelaxed Bound
-    Optimization Methods", ICML 2003) takes that rise in one stage
-    iteration.  No position is audited twice: a trial that lands on the
+    Optimization Methods", ICML 2003) takes that rise in one step.  No
+    position is audited twice: a trial that lands on the
     incumbent reuses its audit."""
     floor = incumbent.objective - _ACCEPT_SLACK * max(1.0, abs(incumbent.objective))
     xy_inc, z = incumbent.position[:2], incumbent.position[2]
@@ -377,16 +375,16 @@ def _step_search(incumbent: Audit, xy_cand: np.ndarray, project,
 
 
 def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, StageLog]:
-    """SCP over (x, y) at the altitude of the audited position `start`,
-    within the move radius around `anchor`.  Each iteration maximizes the
-    tangent surrogate around the incumbent and keeps the step that
-    `_step_search` finds along it: shortened while the exact objective
-    drops, lengthened while it keeps rising.  It stops once an iterate
-    raises the exact objective by less than the trajectory tolerance,
-    read relative to the relayed share of the objective: cellular terms
-    are constant in the position, so folding them into the denominator
-    would silence real gains on the movable links.  Returns the audit of
-    the final position and the stage log."""
+    """One SCP step over (x, y) at the altitude of the audited position
+    `start`, within the move radius around `anchor`: maximize the tangent
+    surrogate around `start` and keep the step that `_step_search` finds
+    along it, shortened while the exact objective drops, lengthened while
+    it keeps rising.  The slot's block-coordinate loop is what repeats
+    the step, and it stops on the one tolerance of the slot; one
+    surrogate step per block per cycle is enough for that loop to
+    converge (BSUM: Razaviyayn, Hong & Luo, SIAM J. Optim. 2013).
+    Returns the audit of the kept position, or `start` itself when no
+    step is kept, and the stage log."""
     s = inputs.scenario
     log = StageLog("horizontal", objective=start.objective)
     if not inputs.relay_pairs():
@@ -395,36 +393,28 @@ def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, S
     anchor = np.asarray(anchor, dtype=float)
     r_eff = move_radius(s.d_max, s.e_max, s.slot_len, s.propulsion)
     r_h = math.sqrt(max(r_eff * r_eff - (start.position[2] - anchor[2]) ** 2, 0.0))
-    eps = s.tolerances.trajectory
-    cur = start
-    for it in range(1, _MAX_STAGE_ITERS + 1):
-        log.iterations = it
-        xy = cur.position[:2].copy()
-        ctx = horizontal_surrogate(inputs, cur.position)
-        barrier = _horizontal_barrier(ctx, inputs)
-        if np.any(barrier.fn(xy)[0] <= 0.0):
-            log.reason = "approximated SNR set leaves no room at the incumbent"
-            break
-        fset = FeasibleSet(ball=(anchor[:2], r_h), barrier=barrier)
-        res = maximize_concave(_stage_objective(ctx, inputs), fset, xy,
-                               max_iters=_INNER_ITERS)
-        if not res.feasible:
-            log.reason = f"inner solve unusable: {res.diagnostics.reason}"
-            break
-        new = _step_search(cur, res.x, fset.project, inputs)
-        if new is None:
-            log.reason = "no step kept the exact objective from dropping"
-            break
-        log.accepted += 1
-        log.rows.append((it, *new.position, new.objective, new.surplus))
-        rel = (new.objective - cur.objective) / max(cur.objective - start.fixed, 1e-9)
-        cur = new
-        if rel < eps:
-            break
-    else:
-        log.capped = True
-    log.objective = cur.objective
-    return cur, log
+    log.iterations = 1
+    xy = start.position[:2].copy()
+    ctx = horizontal_surrogate(inputs, start.position)
+    barrier = _horizontal_barrier(ctx, inputs)
+    if np.any(barrier.fn(xy)[0] <= 0.0):
+        log.reason = "approximated SNR set leaves no room at the incumbent"
+        return start, log
+    fset = FeasibleSet(ball=(anchor[:2], r_h), barrier=barrier)
+    res = maximize_concave(_stage_objective(ctx, inputs), fset, xy,
+                           max_iters=_INNER_ITERS)
+    log.capped = res.diagnostics.reason == "iteration cap"
+    if not res.feasible:
+        log.reason = f"inner solve unusable: {res.diagnostics.reason}"
+        return start, log
+    new = _step_search(start, res.x, fset.project, inputs)
+    if new is None:
+        log.reason = "no step kept the exact objective from dropping"
+        return start, log
+    log.accepted = 1
+    log.objective = new.objective
+    log.rows.append((1, *new.position, new.objective, new.surplus))
+    return new, log
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +441,13 @@ class TrajectoryResult:
     position: np.ndarray
     gains: ChannelGains  # the exact channel at `position`
     objective: float     # the exact slot objective at `position`
-    passes: int          # horizontal runs: 1, or 0 without relayed pairs
+    passes: int          # horizontal steps: 1, or 0 without relayed pairs
     logs: list[StageLog]
 
 
 def to_algorithm(state: UavState, inputs: SlotInputs,
                  gains: ChannelGains | None = None) -> TrajectoryResult:
-    """Audit the start, make one horizontal SCP run from it, then
+    """Audit the start, make one horizontal SCP step from it, then
     `solve_altitude`, which holds the altitude, and return the final
     audit's own position, gains and objective.  `gains`, when given, is
     the exact channel at `state.pos`."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uavrelay import power_alloc, run_episode
+from uavrelay import orchestrator, power_alloc, run_episode
 from uavrelay.channel import gain_matrices
 from uavrelay.convex_core import Diagnostics, SolveResult, maximize_concave
 from uavrelay.link_rate import LinkBudget, PowerAllocation, rate_report
@@ -323,6 +323,29 @@ class TestScpPower:
         assert not res.converged
         assert res.iterations == 1
         np.testing.assert_array_equal(res.powers.p_ue, restored.p_ue)
+
+    def test_stops_on_the_slot_loops_absolute_tolerance(self, monkeypatch):
+        # a stop looser than the slot loop's hands that loop power gains it
+        # counts as progress: every converged stop ends on a step that
+        # gains less than `tolerances.bcd`, or on a step that dropped and
+        # so is not in the trace
+        results = []
+
+        def recorded(*args, **kwargs):
+            res = scp_power(*args, **kwargs)
+            results.append(res)
+            return res
+
+        monkeypatch.setattr(orchestrator, "scp_power", recorded)
+        sc = Scenario(n_ues=20, n_subchannels=40, n_slots=2, d_max=25.0,
+                      fading_model="mixed", rng_seed=1).with_positions(1)
+        log = run_episode(sc, "cellular")
+        assert min(sol.objective for sol in log.slots) > 10.0
+        stops = [res for res in results if res.converged and res.iterations]
+        assert stops
+        for res in stops:
+            on_drop = len(res.trace) == res.iterations
+            assert on_drop or res.trace[-1] - res.trace[-2] < sc.tolerances.bcd
 
     def test_empty_allocation(self):
         sc = Scenario(n_ues=2, n_subchannels=4).with_positions(0)

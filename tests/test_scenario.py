@@ -42,7 +42,6 @@ def test_defaults_match_reference_table():
     assert s.a2g.b == 0.28
     assert s.snr_thresholds.direct == 300.0
     assert s.tolerances.bcd == 1e-3
-    assert s.tolerances.trajectory == 0.01
     # the reference table leaves the UE budget open (it is the swept axis
     # of the power experiments); the default sits inside that sweep range
     assert s.p_ue_max == pytest.approx(dbm_to_watts(6.0))
@@ -72,7 +71,7 @@ def test_explicit_table_document_round_trips():
         "bs_height_m": 30.0, "d_max_m": 15.0, "p_uav_max_w": 0.3,
         "noise_var_dbm": -96.0, "eta_los_db": 1.0, "eta_nlos_db": 20.0,
         "a2g_a": 9.6, "a2g_b": 0.28, "freq_hz": 1e9,
-        "ici_power_dbm": -110.0, "bcd_eps": 0.001, "trajectory_eps": 0.01,
+        "ici_power_dbm": -110.0, "bcd_eps": 0.001,
         "snr_min_db": 20.0, "snr_min_uav_bs": 50.0,
     }
     s = load_scenario(json.dumps(doc))
@@ -92,6 +91,13 @@ def test_negative_d_max_rejected_by_name():
 def test_unknown_key_rejected():
     with pytest.raises(ValueError, match="nonsense"):
         load_scenario('{"nonsense": 1}')
+
+
+def test_trajectory_eps_is_not_a_key():
+    # every loop in a slot stops on `bcd_eps`; the trajectory stage makes
+    # one step per call and has no tolerance of its own
+    with pytest.raises(ValueError, match="trajectory_eps"):
+        load_scenario('{"trajectory_eps": 0.01}')
 
 
 def test_duplicate_unit_variants_rejected():
@@ -237,7 +243,6 @@ _ENTRIES = [
     _either("snr_min_ue_uav", st.floats(1.0, 1e3)),
     _either("snr_min_uav_bs", st.floats(1.0, 1e3)),
     _either("bcd_eps", st.floats(1e-5, 1e-2)),
-    _either("trajectory_eps", st.floats(1e-3, 0.1)),
     _either("fading_model", st.sampled_from(["none", "rayleigh", "rician", "mixed"])),
     _either("rician_k_db", st.floats(-5.0, 15.0)),
     _either("rng_seed", st.integers(0, 2**32)),

@@ -305,6 +305,33 @@ def test_solve_horizontal_moves_toward_far_ue_axis(two_ue):
     assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
 
 
+def test_solve_horizontal_makes_one_scp_step(two_ue, monkeypatch):
+    # from here the first step gains more than 1% of the relayed
+    # objective, so a stage with a stop of its own would step again; the
+    # slot's block-coordinate loop, not the stage, is what repeats it
+    _, inputs, _ = two_ue
+    start = (170.0, -40.0, 130.0)
+    solves = []
+    original = trajectory.maximize_concave
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trajectory, "maximize_concave", counted)
+    _, log = run_horizontal(start, inputs)
+    assert len(solves) == 1
+    assert (log.iterations, log.accepted, len(log.rows)) == (1, 1, 1)
+    assert log.rows[0][4] > exact_objective(start, inputs)
+
+
+def test_solve_horizontal_records_the_inner_iteration_cap(two_ue, monkeypatch):
+    _, inputs, _ = two_ue
+    monkeypatch.setattr(trajectory, "_INNER_ITERS", 1)
+    _, log = run_horizontal((170.0, -40.0, 130.0), inputs)
+    assert log.capped
+
+
 def test_step_search_extends_a_short_surrogate_step(two_ue, monkeypatch):
     # from here the surrogate's maximizer lies 2.7 m off, well inside the
     # 15 m move disc, while the exact objective keeps rising beyond it
