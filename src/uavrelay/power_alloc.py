@@ -37,7 +37,7 @@ _NEWTON_STEPS = 100     # a guard: the water levels settle within about ten
 @dataclass
 class DcTerms:
     """Both concave pieces of every rate term at one power vector, laid
-    out over a `PowerLayout`'s variables.
+    out over a `PowerProblem`'s variables.
 
     `k` holds each assigned subchannel's term of K (UE-variable order),
     `m` each relayed subchannel's term of M (UAV-variable order; direct
@@ -51,22 +51,26 @@ class DcTerms:
     m_grad: np.ndarray | None
 
 
-class PowerLayout:
-    """The active powers of one slot flattened into a vector: first the
-    UE power of every assigned (ue, subchannel) in row-major order, then
-    the UAV power of every relayed subchannel in the same order.  Index
-    arrays and per-variable gains are built once; `dc_terms` evaluates
-    the DC split of every rate term in one array pass, and `qos_floors`
-    gives each variable's QoS floor.
+class PowerProblem:
+    """One slot's power allocation: the exact objective, the tight concave
+    surrogate, and the linear feasible set.
+
+    The active powers are flattened into a vector: first the UE power of
+    every assigned (ue, subchannel) in row-major order, then the UAV power
+    of every relayed subchannel in the same order.  Index arrays and
+    per-variable gains are built once; `dc_terms` evaluates the DC split
+    of every rate term in one array pass, and `qos_floors` gives each
+    variable's QoS floor.
 
     A subchannel serves at most one UE, so each UAV variable belongs to
     exactly one relayed UE variable."""
 
     def __init__(self, beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
-                 scenario: Scenario):
+                 weights: np.ndarray, scenario: Scenario):
         self.beta = np.asarray(beta, dtype=int)
         self.alloc = np.asarray(alloc, dtype=int)
         self.gains = gains
+        self.weights = np.asarray(weights, dtype=float)
         self.sc = scenario
         self.sigma2 = sigma2 = scenario.noise_var
         self.ici = ici = scenario.ici_power
@@ -140,19 +144,6 @@ class PowerLayout:
         m_grad[self._relay_idx] = self._c_h1 * (_HALF_LOG2E / mixed)
         m_grad[u:] = self._dk_hop2 / mixed
         return DcTerms(k, m, k_grad, m_grad)
-
-
-# ---------------------------------------------------------------------------
-# The power problem and its surrogate.
-
-class PowerProblem(PowerLayout):
-    """One slot's power allocation over a `PowerLayout`: the exact
-    objective, the tight concave surrogate, and the linear feasible set."""
-
-    def __init__(self, beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
-                 weights: np.ndarray, scenario: Scenario):
-        super().__init__(beta, alloc, gains, scenario)
-        self.weights = np.asarray(weights, dtype=float)
 
     def feasible_set(self) -> FeasibleSet:
         """One budget block per UE with variables, then the UAV's."""
@@ -314,31 +305,31 @@ def restore_feasible(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
             dropped.append((n, k))
 
     powers = PowerAllocation(p_ue, p_uav)
-    spread_leftover(PowerLayout(beta, alloc, gains, sc), powers, weights)
+    spread_leftover(PowerProblem(beta, alloc, gains, weights, sc), powers)
     return alloc, powers, dropped
 
 
-def spread_leftover(layout: PowerLayout, powers: PowerAllocation, weights) -> None:
+def spread_leftover(prob: PowerProblem, powers: PowerAllocation) -> None:
     """Hand each entity's remaining budget to its subchannels in
-    proportion to the weighted marginal rate at the current powers
-    (evenly when no subchannel gains).  UE budgets are spread first; the
-    UAV's marginals are then taken at the raised UE powers.  `powers`
-    must be laid out as `layout`."""
-    s = layout.sc
-    weights = np.asarray(weights, dtype=float)
-    u = layout.n_ue_vars
+    proportion to the marginal rate, weighted by `prob.weights`, at the
+    current powers (evenly when no subchannel gains).  UE budgets are
+    spread first; the UAV's marginals are then taken at the raised UE
+    powers.  `powers` must be laid out as `prob`."""
+    s = prob.sc
+    weights = prob.weights
+    u = prob.n_ue_vars
     # (variables, budget owner of each, budget, power array, its indices)
-    parts = ((slice(0, u), layout.ue_n, s.p_ue_max, powers.p_ue,
-              (layout.ue_n, layout.ue_k)),
-             (slice(u, None), np.zeros(layout.n_vars - u, dtype=int), s.p_uav_max,
-              powers.p_uav, layout.uav_k))
+    parts = ((slice(0, u), prob.ue_n, s.p_ue_max, powers.p_ue,
+              (prob.ue_n, prob.ue_k)),
+             (slice(u, None), np.zeros(prob.n_vars - u, dtype=int), s.p_uav_max,
+              powers.p_uav, prob.uav_k))
     for part, entity, budget, p, idx in parts:
         n = int(entity.max(initial=-1)) + 1
         leftover = (budget - np.bincount(entity, p[idx], n))[entity]
         if not np.any(leftover > 0.0):
             continue
-        terms = layout.dc_terms(layout.pack(powers))
-        marginal = weights[layout.owner[part]] * np.maximum(
+        terms = prob.dc_terms(prob.pack(powers))
+        marginal = weights[prob.owner[part]] * np.maximum(
             terms.k_grad[part] - terms.m_grad[part], 0.0)
         total = np.bincount(entity, marginal, n)[entity]
         even = 1.0 / np.bincount(entity, minlength=n)[entity]

@@ -24,7 +24,7 @@ from uavrelay.orchestrator import (
     sweep,
     validate_solution,
 )
-from uavrelay.power_alloc import PowerLayout, spread_leftover
+from uavrelay.power_alloc import PowerProblem, spread_leftover
 from uavrelay.scenario import Scenario, SnrThresholds, UavState, load_scenario
 
 from test_scenario import documents
@@ -153,7 +153,7 @@ def loop_complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
         else:
             alloc[n, k] = 0
     powers = PowerAllocation(p_ue, p_uav)
-    spread_leftover(PowerLayout(beta, alloc, gains, sc), powers, weights)
+    spread_leftover(PowerProblem(beta, alloc, gains, weights, sc), powers)
     return alloc, powers
 
 

@@ -9,8 +9,8 @@ from uavrelay import orchestrator, power_alloc, run_episode
 from uavrelay.channel import gain_matrices
 from uavrelay.convex_core import Diagnostics, SolveResult, maximize_concave
 from uavrelay.link_rate import LinkBudget, PowerAllocation, rate_report
-from uavrelay.power_alloc import (_FLOOR_MARGIN, PowerLayout, PowerProblem,
-                                  restore_feasible, scp_power, spread_leftover)
+from uavrelay.power_alloc import (_FLOOR_MARGIN, PowerProblem, restore_feasible,
+                                  scp_power, spread_leftover)
 from uavrelay.scenario import Scenario, SnrThresholds, dbm_to_watts
 
 
@@ -35,12 +35,12 @@ def random_powers(rng, alloc, beta, sc):
     return PowerAllocation(p_ue, p_uav)
 
 
-def dc_by_ue(layout, x):
+def dc_by_ue(prob, x):
     """`dc_terms` at `x` summed per UE: (K_n, M_n) arrays and the terms."""
-    terms = layout.dc_terms(x)
-    n = layout.alloc.shape[0]
-    return (np.bincount(layout.ue_n, terms.k, n),
-            np.bincount(layout.ue_n[layout.relay], terms.m, n), terms)
+    terms = prob.dc_terms(x)
+    n = prob.alloc.shape[0]
+    return (np.bincount(prob.ue_n, terms.k, n),
+            np.bincount(prob.ue_n[prob.relay], terms.m, n), terms)
 
 
 def exact_rates(sc, gains, beta, alloc, powers):
@@ -49,37 +49,37 @@ def exact_rates(sc, gains, beta, alloc, powers):
 
 class TestDcSplit:
     def test_identity_random_powers(self):
-        sc, gains, beta, alloc, _ = mixed_instance()
-        layout = PowerLayout(beta, alloc, gains, sc)
+        sc, gains, beta, alloc, weights = mixed_instance()
+        prob = PowerProblem(beta, alloc, gains, weights, sc)
         rng = np.random.default_rng(0)
         for _ in range(100):
             powers = random_powers(rng, alloc, beta, sc)
-            k, m, _ = dc_by_ue(layout, layout.pack(powers))
+            k, m, _ = dc_by_ue(prob, prob.pack(powers))
             np.testing.assert_allclose(k - m, exact_rates(sc, gains, beta, alloc, powers),
                                        rtol=1e-10)
 
     def test_cellular_only_has_no_subtracted_part(self):
-        sc, gains, beta, alloc, _ = mixed_instance()
-        layout = PowerLayout(beta, alloc, gains, sc)
+        sc, gains, beta, alloc, weights = mixed_instance()
+        prob = PowerProblem(beta, alloc, gains, weights, sc)
         powers = random_powers(np.random.default_rng(1), alloc, beta, sc)
-        k, m, terms = dc_by_ue(layout, layout.pack(powers))
+        k, m, terms = dc_by_ue(prob, prob.pack(powers))
         rates = exact_rates(sc, gains, beta, alloc, powers)
         for n in (1, 2):
             assert m[n] == 0.0
-            assert not terms.m_grad[layout.owner == n].any()
+            assert not terms.m_grad[prob.owner == n].any()
             assert k[n] == pytest.approx(rates[n], rel=1e-12)
 
     def test_gradients_match_central_differences(self):
-        sc, gains, beta, alloc, _ = mixed_instance()
-        layout = PowerLayout(beta, alloc, gains, sc)
-        x0 = layout.pack(random_powers(np.random.default_rng(2), alloc, beta, sc))
-        base = layout.dc_terms(x0)
-        for i, n in enumerate(layout.owner):
+        sc, gains, beta, alloc, weights = mixed_instance()
+        prob = PowerProblem(beta, alloc, gains, weights, sc)
+        x0 = prob.pack(random_powers(np.random.default_rng(2), alloc, beta, sc))
+        base = prob.dc_terms(x0)
+        for i, n in enumerate(prob.owner):
             h = 1e-6 * max(x0[i], 1e-3)
             up, dn = x0.copy(), x0.copy()
             up[i] += h
             dn[i] -= h
-            (k_up, m_up, _), (k_dn, m_dn, _) = dc_by_ue(layout, up), dc_by_ue(layout, dn)
+            (k_up, m_up, _), (k_dn, m_dn, _) = dc_by_ue(prob, up), dc_by_ue(prob, dn)
             assert (k_up[n] - k_dn[n]) / (2 * h) == pytest.approx(
                 base.k_grad[i], rel=1e-4, abs=1e-12)
             assert (m_up[n] - m_dn[n]) / (2 * h) == pytest.approx(
@@ -88,10 +88,10 @@ class TestDcSplit:
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_identity_property(self, draw):
-        sc, gains, beta, alloc, _ = mixed_instance()
-        layout = PowerLayout(beta, alloc, gains, sc)
+        sc, gains, beta, alloc, weights = mixed_instance()
+        prob = PowerProblem(beta, alloc, gains, weights, sc)
         powers = random_powers(np.random.default_rng(draw), alloc, beta, sc)
-        k, m, _ = dc_by_ue(layout, layout.pack(powers))
+        k, m, _ = dc_by_ue(prob, prob.pack(powers))
         np.testing.assert_allclose(k - m, exact_rates(sc, gains, beta, alloc, powers),
                                    rtol=1e-10)
 
@@ -179,10 +179,10 @@ def argmax_instances(draw, case):
     if case == "slack_block":
         beta[0] = 1
 
-    layout = PowerLayout(beta, alloc, gains, base)
-    floors = layout.qos_floors()
-    u = layout.n_ue_vars
-    ue_need = np.bincount(layout.ue_n, floors[:u]).max()
+    unscaled = PowerProblem(beta, alloc, gains, weights, base)
+    floors = unscaled.qos_floors()
+    u = unscaled.n_ue_vars
+    ue_need = np.bincount(unscaled.ue_n, floors[:u]).max()
     uav_need = np.bincount(np.zeros(floors.size - u, dtype=int), floors[u:]).max(initial=0.0)
     factor = {"floors_fill_budget": 1.0, "slack_block": 1e6}.get(case) \
         or draw(st.floats(1.0, 4.0))
@@ -447,8 +447,8 @@ def reference_restore_feasible(beta, alloc, gains, weights, sc):
     beta = np.asarray(beta, dtype=int)
     dropped = []
     while True:
-        layout = PowerLayout(beta, alloc, gains, sc)
-        powers = layout.unpack(layout.qos_floors() * (1.0 + _FLOOR_MARGIN))
+        prob = PowerProblem(beta, alloc, gains, weights, sc)
+        powers = prob.unpack(prob.qos_floors() * (1.0 + _FLOOR_MARGIN))
         ue_over = np.flatnonzero(powers.p_ue.sum(axis=1) > sc.p_ue_max * (1.0 + CAP_TOL))
         if ue_over.size:
             owned = np.zeros_like(alloc)
@@ -462,7 +462,7 @@ def reference_restore_feasible(beta, alloc, gains, weights, sc):
         n, k = np.argwhere(owned)[np.argmin(value[owned == 1])]
         alloc[n, k] = 0
         dropped.append((int(n), int(k)))
-    spread_leftover(layout, powers, weights)
+    spread_leftover(prob, powers)
     return alloc, powers, dropped
 
 
