@@ -23,19 +23,63 @@ UAV powers a link can run on.
 `LinkBudget` evaluates all of this elementwise over broadcastable arrays
 and is the only place the exact link model is written out: `rate_report`
 sums it over a slot, and the matching, trajectory and power stages call
-it on their own batches of links.  (The power and trajectory stages'
-concave surrogates split the same rates into difference-of-concave
-pieces of their own.)
+it on their own batches of links.
+
+The power and trajectory stages' concave surrogates share one
+difference-of-concave split of every rate, R = K - M, in the received
+signals s1 = p h1 and s2 (a direct link's second phase hears s1 again),
+with c = 1 + I / sigma2:
+
+    K = 1/2 log2((s1 + sigma2) (s2 + sigma2 + I))
+    M = 1/2 log2(sigma2 (c s1 + s2 + sigma2 + I)), at s = 0 on a direct link
+
+Each surrogate keeps K and the tangent of M.  `dc_k` and `dc_m` give
+both with their partials in s, and `floor_signals` the QoS floors in s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelGains
 from .scenario import Scenario, SnrThresholds
+
+HALF_LOG2E = 0.5 / math.log(2.0)  # d/dx of 0.5*log2(x) is this over x
+
+
+def dc_k(s: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """K = 1/2 log2(a1 a2), a = s + noise, of P links and dK/ds, shapes
+    (P,) and (2P,), over the hops stacked: the P hop-1 signals, then the
+    P hop-2 signals, with `noise` sigma2 on hop 1 and sigma2 + I on hop
+    2.  None where a signal plus noise is not positive."""
+    a = s + noise
+    if (a <= 0.0).any():
+        return None
+    n = a.size // 2
+    return 0.5 * np.log2(a[:n] * a[n:]), HALF_LOG2E / a
+
+
+def dc_m(s: np.ndarray, relay, sigma2: float, ici: float) -> tuple[np.ndarray, np.ndarray]:
+    """M = 1/2 log2(sigma2 (c s1 + s2 + sigma2 + I)), c = 1 + I / sigma2,
+    of P links and dM/ds over `dc_k`'s stacked signals; a direct link's M
+    is the constant at s = 0."""
+    n = s.size // 2
+    c = 1.0 + ici / sigma2
+    x = np.where(relay, c * s[:n] + s[n:], 0.0) + (sigma2 + ici)
+    slope = np.where(relay, HALF_LOG2E / x, 0.0)
+    return 0.5 * np.log2(sigma2 * x), np.concatenate((c * slope, slope))
+
+
+def floor_signals(relay, thr: SnrThresholds, sigma2: float,
+                  ici: float) -> tuple[np.ndarray, np.ndarray]:
+    """The smallest (UE, UAV) signals p h meeting each link's hop floors,
+    threshold times noise; a direct link's interfered phase binds, and it
+    needs no UAV signal."""
+    hop2 = np.where(relay, thr.uav_bs, thr.direct) * (sigma2 + ici)
+    return np.where(relay, thr.ue_uav * sigma2, hop2), np.where(relay, hop2, 0.0)
 
 
 class LinkBudget:
@@ -48,11 +92,11 @@ class LinkBudget:
                  thresholds: SnrThresholds, sigma2: float, ici: float):
         self.relay = relay = np.asarray(relay, dtype=bool)
         self.p_ue, self.p_uav, self.h_uav_bs = p_ue, p_uav, h_uav_bs
-        self.thr, self.sigma2 = thresholds, sigma2
-        self.noise2 = sigma2 + ici  # noise plus interference at the BS
+        self.thr, self.sigma2, self.ici = thresholds, sigma2, ici
         self.h_hop1 = np.where(relay, h_ue_uav, h_ue_bs)
         g1 = p_ue * self.h_hop1 / sigma2
-        g2 = np.where(relay, p_uav * h_uav_bs, p_ue * h_ue_bs) / self.noise2
+        # the BS hears noise plus interference
+        g2 = np.where(relay, p_uav * h_uav_bs, p_ue * h_ue_bs) / (sigma2 + ici)
         self.snr = (g1, g2)
         # relayed: the AF end-to-end SNR over one half slot; direct: each
         # phase's SNR over a half slot
@@ -67,12 +111,10 @@ class LinkBudget:
                 np.where(self.relay, thr.uav_bs, thr.direct))
 
     def floors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Smallest (UE, UAV) powers meeting both hop floors; a direct
-        link needs no UAV power, and its interfered phase binds."""
-        t1, t2 = self.thresholds()
-        hop2 = t2 * self.noise2
-        return (np.where(self.relay, t1 * self.sigma2, hop2) / self.h_hop1,
-                np.where(self.relay, hop2, 0.0) / self.h_uav_bs)
+        """Smallest (UE, UAV) powers meeting both hop floors: the
+        `floor_signals` over each power's gain."""
+        ue, uav = floor_signals(self.relay, self.thr, self.sigma2, self.ici)
+        return ue / self.h_hop1, uav / self.h_uav_bs
 
     def feasible(self) -> np.ndarray:
         """Both powers at or above their floors (boundary included)."""

@@ -1,10 +1,11 @@
 """Per-slot transmit power optimization at fixed modes, allocation, and
 UAV position.
 
-Each UE's rate splits into a difference of two concave pieces in the
-powers; linearizing the subtracted piece at the current iterate gives a
-concave surrogate that is tight there and never overshoots, so the SCP
-loop is monotone in the exact weighted sum rate.  All constraints are
+Each rate is `link_rate`'s difference-of-concave split K - M in the
+received signals, chained here through the gains into the powers;
+linearizing M at the current iterate gives a concave surrogate that is
+tight there and never overshoots, so the SCP loop is monotone in the
+exact weighted sum rate.  All constraints are
 linear at fixed gains: one budget block per entity and per-subchannel
 QoS floors.  The surrogate is separable, so each SCP step maximises it
 in closed form by multi-level water-filling (`surrogate_argmax`), and
@@ -17,7 +18,6 @@ budgets cannot pay is shed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,25 +25,24 @@ import numpy as np
 
 from .channel import ChannelGains
 from .convex_core import FeasibleSet, maximize_concave
-from .link_rate import LinkBudget, PowerAllocation, rate_report
+from .link_rate import (HALF_LOG2E, LinkBudget, PowerAllocation, dc_k, dc_m,
+                        floor_signals, rate_report)
 from .scenario import Scenario
 
-LN2 = math.log(2.0)
-_HALF_LOG2E = 0.5 / LN2  # d/dx of 0.5*log2(x) is this over x
 _FLOOR_MARGIN = 1e-9    # relative headroom when funding a QoS floor
 _NEWTON_STEPS = 100     # a guard: the water levels settle within about ten
 
 
 @dataclass
 class DcTerms:
-    """Both concave pieces of every rate term at one power vector, laid
-    out over a `PowerProblem`'s variables.
+    """Both concave pieces of `link_rate`'s split of every rate term at
+    one power vector, laid out over a `PowerProblem`'s variables.
 
-    `k` holds each assigned subchannel's term of K (UE-variable order),
-    `m` each relayed subchannel's term of M (UAV-variable order; direct
-    subchannels have none).  Every variable feeds exactly one UE's rate,
-    so one gradient entry per variable suffices: `k_grad[i]` and
-    `m_grad[i]` differentiate the K and M of the UE that owns variable i."""
+    `k` and `m` hold each assigned subchannel's K and M (UE-variable
+    order; a direct subchannel's M is a constant).  Every variable feeds
+    exactly one UE's rate, so one gradient entry per variable suffices:
+    `k_grad[i]` and `m_grad[i]` differentiate the K and M of the UE that
+    owns variable i."""
 
     k: np.ndarray
     m: np.ndarray | None
@@ -53,17 +52,13 @@ class DcTerms:
 
 class PowerProblem:
     """One slot's power allocation: the exact objective, the tight concave
-    surrogate, and the linear feasible set.
+    surrogate, the linear feasible set and each variable's QoS floor.
 
     The active powers are flattened into a vector: first the UE power of
     every assigned (ue, subchannel) in row-major order, then the UAV power
-    of every relayed subchannel in the same order.  Index arrays and
-    per-variable gains are built once; `dc_terms` evaluates the DC split
-    of every rate term in one array pass, and `qos_floors` gives each
-    variable's QoS floor.
-
-    A subchannel serves at most one UE, so each UAV variable belongs to
-    exactly one relayed UE variable."""
+    of every relayed subchannel in the same order.  A subchannel serves at
+    most one UE, so each UAV variable belongs to exactly one relayed UE
+    variable."""
 
     def __init__(self, beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
                  weights: np.ndarray, scenario: Scenario):
@@ -82,30 +77,23 @@ class PowerProblem:
         # the UE whose rate each variable feeds
         self.owner = np.concatenate((self.ue_n, self.ue_n[self.relay]))
 
-        # first-phase gain of each UE variable: to the UAV when relayed,
-        # to the BS when direct; the second phase adds the ICI on direct
-        # links and is the UAV's hop on relayed ones
-        self.h_hop1 = np.where(self.relay, gains.h_ue_uav[self.ue_n, self.ue_k],
-                               gains.h_ue_bs[self.ue_n, self.ue_k])
-        self.h_hop2 = gains.h_uav_bs[self.uav_k]
-        c = 1.0 + ici / sigma2
-        self._relay_idx = np.flatnonzero(self.relay)
-        self._direct = (~self.relay).astype(float)
-        self._c_sigma2 = c * sigma2
-        self._c_h1 = c * self.h_hop1[self._relay_idx]
-        self._dk_hop1 = _HALF_LOG2E * self.h_hop1
-        self._dk_hop2 = _HALF_LOG2E * self.h_hop2
-        # direct K is normalized by both phases' noise floors, relayed K is not
-        self._k_offset = np.where(self.relay, 0.0,
-                                  -0.5 * math.log2(sigma2 * (sigma2 + ici)))
+        # each variable's gain: a UE power's hop 1, then a UAV power's hop 2
+        self.h = np.concatenate((
+            np.where(self.relay, gains.h_ue_uav[self.ue_n, self.ue_k],
+                     gains.h_ue_bs[self.ue_n, self.ue_k]),
+            gains.h_uav_bs[self.uav_k]))
+        # the variable behind each signal, hops stacked as `dc_k` takes
+        # them: a direct link's hop 2 hears its UE again, a relayed one the UAV
+        hop2 = np.arange(self.n_ue_vars)
+        hop2[self.relay] = np.arange(self.n_ue_vars, self.n_vars)
+        self._stack = np.concatenate((np.arange(self.n_ue_vars), hop2))
+        self._noise = np.repeat((sigma2, sigma2 + ici), self.n_ue_vars)
 
     def qos_floors(self) -> np.ndarray:
         """Per-variable QoS lower bounds at the fixed gains."""
-        g, n, k = self.gains, self.ue_n, self.ue_k
-        floor_ue, floor_uav = LinkBudget(
-            self.relay, 0.0, 0.0, g.h_ue_bs[n, k], g.h_ue_uav[n, k], g.h_uav_bs[k],
-            self.sc.snr_thresholds, self.sigma2, self.ici).floors()
-        return np.concatenate((floor_ue, floor_uav[self.relay]))
+        floor_ue, floor_uav = floor_signals(self.relay, self.sc.snr_thresholds,
+                                            self.sigma2, self.ici)
+        return np.concatenate((floor_ue, floor_uav[self.relay])) / self.h
 
     def pack(self, powers: PowerAllocation) -> np.ndarray:
         return np.concatenate((powers.p_ue[self.ue_n, self.ue_k],
@@ -119,31 +107,17 @@ class PowerProblem:
         return PowerAllocation(p_ue, p_uav)
 
     def dc_terms(self, x: np.ndarray, with_m: bool = True) -> DcTerms:
-        """Split every rate term as K - M at the packed powers `x`.
-
-        Relayed subchannels contribute to both pieces, direct ones only
-        to K, which keeps K - M equal to the exact rate.  `with_m=False`
-        skips M (left as None), which a surrogate holding M's tangent
-        never reads."""
-        u = self.n_ue_vars
-        p, pu = x[:u], x[u:]
-        first = p * self.h_hop1 + self.sigma2
-        second = first + self.ici
-        received = pu * self.h_hop2
-        hop2 = received + self._c_sigma2
-        second[self._relay_idx] = hop2
-        k = 0.5 * np.log2(first * second) + self._k_offset
-        k_grad = np.concatenate((self._dk_hop1 * (1.0 / first + self._direct / second),
-                                 self._dk_hop2 / hop2))
+        """Split every rate term as K - M (`link_rate.dc_k`, `dc_m`) at
+        the packed powers `x`, the partials chained through the gains.
+        `with_m=False` skips M (left as None), which a surrogate holding
+        M's tangent never reads."""
+        s = (x * self.h)[self._stack]
+        k, dk = dc_k(s, self._noise)
+        k_grad = self.h * np.bincount(self._stack, dk, self.n_vars)
         if not with_m:
             return DcTerms(k, None, k_grad, None)
-
-        mixed = p[self._relay_idx] * self._c_h1 + received + self._c_sigma2
-        m = 0.5 * np.log2(self.sigma2 * mixed)
-        m_grad = np.zeros(self.n_vars)
-        m_grad[self._relay_idx] = self._c_h1 * (_HALF_LOG2E / mixed)
-        m_grad[u:] = self._dk_hop2 / mixed
-        return DcTerms(k, m, k_grad, m_grad)
+        m, dm = dc_m(s, self.relay, self.sigma2, self.ici)
+        return DcTerms(k, m, k_grad, self.h * np.bincount(self._stack, dm, self.n_vars))
 
     def feasible_set(self) -> FeasibleSet:
         """One budget block per UE with variables, then the UAV's."""
@@ -163,7 +137,7 @@ class PowerProblem:
         """The weighted subtracted piece M at x0 and its slope there, one
         entry per variable: the tangent the surrogate keeps of M."""
         anchor = self.dc_terms(x0)
-        return (float(self.weights[self.ue_n[self.relay]] @ anchor.m),
+        return (float(self.weights[self.ue_n] @ anchor.m),
                 self.weights[self.owner] * anchor.m_grad)
 
     def surrogate(self, x0: np.ndarray,
@@ -188,12 +162,11 @@ class PowerProblem:
         y = x + b, as the arrays (c, c2, d, b): a direct UE power has two
         logs, one per phase, d apart; a relayed UE power (its access hop)
         and a UAV power (its backhaul hop) have one, c2 = d = 0."""
-        c = _HALF_LOG2E * self.weights[self.owner]
-        direct = np.concatenate((self._direct, np.zeros(self.uav_k.size)))
-        h = np.concatenate((self.h_hop1, self.h_hop2))
-        noise = np.concatenate((np.full(self.n_ue_vars, self.sigma2),
-                                np.full(self.uav_k.size, self._c_sigma2)))
-        return c, c * direct, direct * self.ici / h, noise / h
+        c = HALF_LOG2E * self.weights[self.owner]
+        ue_var = np.arange(self.n_vars) < self.n_ue_vars
+        direct = np.concatenate((~self.relay, np.zeros(self.uav_k.size, dtype=bool)))
+        noise = np.where(ue_var, self.sigma2, self.sigma2 + self.ici)
+        return c, c * direct, direct * self.ici / self.h, noise / self.h
 
     def surrogate_argmax(self, x0: np.ndarray, fset: FeasibleSet,
                          tangent: tuple[float, np.ndarray] | None = None) -> np.ndarray:
@@ -316,7 +289,6 @@ def spread_leftover(prob: PowerProblem, powers: PowerAllocation) -> None:
     spread first; the UAV's marginals are then taken at the raised UE
     powers.  `powers` must be laid out as `prob`."""
     s = prob.sc
-    weights = prob.weights
     u = prob.n_ue_vars
     # (variables, budget owner of each, budget, power array, its indices)
     parts = ((slice(0, u), prob.ue_n, s.p_ue_max, powers.p_ue,
@@ -329,7 +301,7 @@ def spread_leftover(prob: PowerProblem, powers: PowerAllocation) -> None:
         if not np.any(leftover > 0.0):
             continue
         terms = prob.dc_terms(prob.pack(powers))
-        marginal = weights[prob.owner[part]] * np.maximum(
+        marginal = prob.weights[prob.owner[part]] * np.maximum(
             terms.k_grad[part] - terms.m_grad[part], 0.0)
         total = np.bincount(entity, marginal, n)[entity]
         even = 1.0 / np.bincount(entity, minlength=n)[entity]

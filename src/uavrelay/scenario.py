@@ -136,11 +136,6 @@ class Scenario:
             s = replace(s, uav_start=sample_uav_start(seed + 1, CELL_RADIUS))
         return s
 
-    @property
-    def noise_plus_ici_scale(self) -> float:
-        """c = 1 + |I|^2 / sigma^2, the ICI inflation factor on noise."""
-        return 1.0 + self.ici_power / self.noise_var
-
 
 def sample_positions(seed: int, radius: float, n: int) -> list[Point]:
     """n points uniform over the disc of the given radius, z = 0."""

@@ -34,11 +34,9 @@ import numpy as np
 
 from .channel import ChannelGains, gain_matrices, slot_channel
 from .convex_core import BarrierTerm, FeasibleSet, maximize_concave
-from .link_rate import PowerAllocation, rate_report
+from .link_rate import PowerAllocation, dc_k, dc_m, floor_signals, rate_report
 from .scenario import A2GParams, Scenario, UavState
 from .uav_power import move_radius
-
-LN2 = math.log(2.0)
 
 _QOS_SLACK = 1e-9       # relative relaxation of the approximated SNR floors
 _QOS_CHECK_TOL = 1e-6   # relative tolerance when re-auditing exact SNRs
@@ -96,10 +94,9 @@ def _audit(pos, inputs: SlotInputs, gains: ChannelGains | None = None) -> Audit:
 
 # ---------------------------------------------------------------------------
 # Surrogate rates.  A surrogate context exposes the expansion point `x0`,
-# each pair's UE `ue` and subchannel `sub`, `stacked(x)`, which returns
-# the 2P hop gains and their gradients, shapes (2P,) and (2P, d), access
-# hops first, and `bounds(x)`, the same as (h1, g1, h2, g2) of shapes
-# (P,), (P, d), (P,), (P, d).
+# each pair's UE `ue` and subchannel `sub`, and `stacked(x)`, which
+# returns the 2P hop gains and their gradients, shapes (2P,) and (2P, d),
+# access hops first.
 
 
 def _surrogate_rates(ctx, inputs: SlotInputs):
@@ -107,33 +104,29 @@ def _surrogate_rates(ctx, inputs: SlotInputs):
     expansion point, as a function x -> (rates (P,), jacobian (P, d)),
     or None where a bound drives a hop's signal-plus-noise to zero.
 
-    The AF rate is 0.5 log2(a1 a2) - 0.5 log2(sigma2 * x) with a1, a2 and
-    x affine in the hop gains; the last, interference, log is replaced by
-    its tangent at the expansion point, so each rate is concave in the
-    gain bounds and tight at the expansion."""
+    Each rate is the split K - M of `link_rate` in the hop signals p h,
+    chained through the powers into the gain bounds.  M is replaced by
+    its tangent at the expansion point, taken once here, so each rate is
+    concave in the gain bounds and tight at the expansion."""
     s = inputs.scenario
-    sigma2, c = s.noise_var, s.noise_plus_ici_scale
-    p1 = inputs.powers.p_ue[ctx.ue, ctx.sub]
-    p2 = inputs.powers.p_uav[ctx.sub]
-    n = p1.size
-    # both hops of every pair, stacked as the context's bounds are
-    pp = np.concatenate([p1, p2])
-    noise = np.concatenate([np.full(n, sigma2), np.full(n, c * sigma2)])
-    kk = (0.5 / LN2) * pp
-    k1, k2 = kk[:n], kk[n:]
-    h1, g1, h2, g2 = ctx.bounds(ctx.x0)
-    x = c * p1 * h1 + p2 * h2 + c * sigma2
-    i0 = 0.5 * np.log2(sigma2 * x)
-    gi0 = (c * k1[:, None] * g1 + k2[:, None] * g2) / x[:, None]
+    # both hops' powers, stacked as the context's gains are
+    pp = np.concatenate([inputs.powers.p_ue[ctx.ue, ctx.sub], inputs.powers.p_uav[ctx.sub]])
+    n = ctx.ue.size
+    noise = np.repeat((s.noise_var, s.noise_var + s.ici_power), n)
+    h0, g0 = ctx.stacked(ctx.x0)
+    m0, dm = dc_m(pp * h0, True, s.noise_var, s.ici_power)
+    # each partial in a signal p h, times p, times the gain's gradient
+    q0 = (dm * pp)[:, None] * g0
+    m_slope = q0[:n] + q0[n:]
 
     def rates(xv: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         h, gj = ctx.stacked(xv)
-        a = pp * h + noise
-        if (a <= 0.0).any():
+        split = dc_k(pp * h, noise)
+        if split is None:
             return None
-        val = 0.5 * np.log2(a[:n] * a[n:]) - i0 - gi0 @ (xv - ctx.x0)
-        q = (kk / a)[:, None] * gj
-        return val, q[:n] + q[n:] - gi0
+        k, dk = split
+        q = (dk * pp)[:, None] * gj
+        return k - m0 - m_slope @ (xv - ctx.x0), q[:n] + q[n:] - m_slope
 
     return rates
 
@@ -248,25 +241,17 @@ class SurrogateContext:
     nudged: bool
     # the bounds at the last point asked for: an inner solve evaluates the
     # objective and the barrier at each point, one after the other
-    _last: list = field(default_factory=lambda: [None, None, None], repr=False,
+    _last: list = field(default_factory=lambda: [None, None], repr=False,
                         compare=False)
-
-    def _at(self, xy: np.ndarray) -> list:
-        key = xy.tobytes()
-        if key != self._last[0]:
-            v, g = self.cores.value_grad(xy)
-            h, gj = self.scale * v[self.rows], self.scale[:, None] * g[self.rows]
-            n = self.ue.size
-            self._last[:] = key, (h, gj), (h[:n], gj[:n], h[n:], gj[n:])
-        return self._last
 
     def stacked(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All 2P hop gain bounds (2P,) and gradients (2P, d) at `xy`."""
-        return self._at(xy)[1]
-
-    def bounds(self, xy: np.ndarray):
-        """Views of `stacked(xy)` per hop: (h1, g1, h2, g2)."""
-        return self._at(xy)[2]
+        key = xy.tobytes()
+        if key != self._last[0]:
+            v, g = self.cores.value_grad(xy)
+            self._last[:] = key, (self.scale * v[self.rows],
+                                  self.scale[:, None] * g[self.rows])
+        return self._last[1]
 
 
 def horizontal_surrogate(inputs: SlotInputs, position) -> SurrogateContext:
@@ -291,11 +276,10 @@ def _horizontal_barrier(ctx: SurrogateContext, inputs: SlotInputs) -> BarrierTer
     backhaul hop), normalized and slightly relaxed so an incumbent funded
     exactly at the floor stays strictly interior."""
     s = inputs.scenario
-    thr = s.snr_thresholds
-    # the gains at which each hop sits exactly on its SNR floor
-    t1 = s.noise_var * thr.ue_uav / inputs.powers.p_ue[ctx.ue, ctx.sub]
-    t2 = (s.noise_var + s.ici_power) * thr.uav_bs / inputs.powers.p_uav[ctx.sub]
-    inv = 1.0 / np.concatenate([t1, t2])
+    pp = np.concatenate([inputs.powers.p_ue[ctx.ue, ctx.sub], inputs.powers.p_uav[ctx.sub]])
+    floors = floor_signals(True, s.snr_thresholds, s.noise_var, s.ici_power)
+    # one over the gain at which each hop sits exactly on its SNR floor
+    inv = 1.0 / (np.repeat(floors, ctx.ue.size) / pp)
 
     def rows(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h, gj = ctx.stacked(xy)

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from gradcheck import grad_check
 from hypothesis import strategies as st
 
 from uavrelay import link_rate as lr
@@ -331,6 +333,85 @@ class TestLinkBudget:
         assert link.snr[0] == pytest.approx(np.broadcast_to(hop1, alloc.shape), rel=1e-12)
         assert link.snr[1] == pytest.approx(
             np.broadcast_to(link.thresholds()[1], alloc.shape), rel=1e-12)
+
+
+def split_batch(seed, n=12):
+    """A batch of n links in mixed modes, hop SNRs from 0.1 to 1e6: the
+    link budget and the split's stacked signals and noise."""
+    rng = np.random.default_rng(seed)
+    relay = rng.integers(0, 2, n) == 1
+    relay[:2] = True, False
+    h_ue_bs, h_ue_uav, h_uav_bs = 10.0 ** rng.uniform(-12, -4, (3, n))
+    snr1, snr2 = 10.0 ** rng.uniform(-1, 6, (2, n))
+    h1 = np.where(relay, h_ue_uav, h_ue_bs)
+    p_ue = snr1 * SIGMA2 / h1
+    p_uav = snr2 * (SIGMA2 + ICI) / h_uav_bs
+    link = lr.LinkBudget(relay, p_ue, p_uav, h_ue_bs, h_ue_uav, h_uav_bs, THR, SIGMA2, ICI)
+    s1 = p_ue * h1
+    s = np.concatenate((s1, np.where(relay, p_uav * h_uav_bs, s1)))
+    return link, s, np.repeat((SIGMA2, SIGMA2 + ICI), n)
+
+
+class TestDcSplit:
+    """`dc_k` and `dc_m`: K - M is the exact rate, and their partials."""
+
+    @staticmethod
+    def assert_exact(seed):
+        link, s, noise = split_batch(seed)
+        k, _ = lr.dc_k(s, noise)
+        m, _ = lr.dc_m(s, link.relay, SIGMA2, ICI)
+        np.testing.assert_allclose(k - m, link.rate, rtol=1e-10)
+
+    def test_k_minus_m_is_the_rate(self):
+        self.assert_exact(3)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_k_minus_m_is_the_rate_property(self, seed):
+        self.assert_exact(seed)
+
+    def test_partials_match_central_differences(self):
+        # unit noise, so that central differences resolve the signals
+        rng = np.random.default_rng(5)
+        relay = np.array([True, False, True, False, True])
+        sigma2, ici = 1.0, 0.3
+        s0 = rng.uniform(0.5, 50.0, 10)
+        w = np.tile(rng.uniform(0.5, 2.0, 5), 2)  # a weight per link, on both hops
+
+        def k_sum(s):
+            k, dk = lr.dc_k(s, np.repeat((sigma2, sigma2 + ici), 5))
+            return float(w[:5] @ k), w * dk
+
+        def m_sum(s):
+            m, dm = lr.dc_m(s, relay, sigma2, ici)
+            return float(w[:5] @ m), w * dm
+
+        assert grad_check(k_sum, s0) <= 1e-7
+        assert grad_check(m_sum, s0) <= 1e-7
+        # a direct link's M is the constant at zero signal
+        m, dm = lr.dc_m(s0, relay, sigma2, ici)
+        assert not dm[np.tile(~relay, 2)].any()
+        np.testing.assert_allclose(m[~relay], 0.5 * math.log2(sigma2 * (sigma2 + ici)),
+                                   rtol=1e-15)
+
+    def test_nonpositive_signal_plus_noise_is_none(self):
+        noise = np.array([1.0, 1.0, 2.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lr.dc_k(np.array([1.0, -1.0, 0.5, 0.5]), noise) is None
+            assert lr.dc_k(np.array([1.0, 1.0, -3.0, 0.5]), noise) is None
+
+    @given(layouts())
+    @settings(max_examples=100, deadline=None)
+    def test_floor_signals_over_gains_are_the_floors(self, layout):
+        beta, _, _, gains, thr = layout
+        relay = beta[:, None] == 1
+        floor_ue, floor_uav = lr.LinkBudget(
+            relay, 0.0, 0.0, gains.h_ue_bs, gains.h_ue_uav, gains.h_uav_bs,
+            thr, SIGMA2, ICI).floors()
+        ue, uav = lr.floor_signals(relay, thr, SIGMA2, ICI)
+        assert np.array_equal(ue / np.where(relay, gains.h_ue_uav, gains.h_ue_bs), floor_ue)
+        assert np.array_equal(uav / gains.h_uav_bs, floor_uav)
 
 
 class TestWeightsAndFairness:

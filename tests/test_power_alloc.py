@@ -40,7 +40,7 @@ def dc_by_ue(prob, x):
     terms = prob.dc_terms(x)
     n = prob.alloc.shape[0]
     return (np.bincount(prob.ue_n, terms.k, n),
-            np.bincount(prob.ue_n[prob.relay], terms.m, n), terms)
+            np.bincount(prob.ue_n, terms.m, n), terms)
 
 
 def exact_rates(sc, gains, beta, alloc, powers):
@@ -59,15 +59,16 @@ class TestDcSplit:
                                        rtol=1e-10)
 
     def test_cellular_only_has_no_subtracted_part(self):
+        # a direct link's M is its value at zero signal, a constant with no
+        # slope, and K - M is still the exact rate
         sc, gains, beta, alloc, weights = mixed_instance()
         prob = PowerProblem(beta, alloc, gains, weights, sc)
         powers = random_powers(np.random.default_rng(1), alloc, beta, sc)
         k, m, terms = dc_by_ue(prob, prob.pack(powers))
         rates = exact_rates(sc, gains, beta, alloc, powers)
         for n in (1, 2):
-            assert m[n] == 0.0
             assert not terms.m_grad[prob.owner == n].any()
-            assert k[n] == pytest.approx(rates[n], rel=1e-12)
+            assert k[n] - m[n] == pytest.approx(rates[n], rel=1e-10)
 
     def test_gradients_match_central_differences(self):
         sc, gains, beta, alloc, weights = mixed_instance()

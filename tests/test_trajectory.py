@@ -116,8 +116,8 @@ def test_gain_bound_tight_at_expansion(two_ue):
     hu, hb = peer_bounds(ctx, inputs, pos[:2])
     assert np.all(np.abs(hb - gains.h_uav_bs) <= 1e-10 * gains.h_uav_bs)
     assert np.all(np.abs(hu - gains.h_ue_uav) <= 1e-10 * gains.h_ue_uav)
-    # the pair view reads the same bounds
-    h1, _, h2, _ = ctx.bounds(pos[:2])
+    # the stacked hops read the same bounds, access hops first
+    h1, h2 = np.split(ctx.stacked(pos[:2])[0], 2)
     assert np.array_equal(h1, hu[ctx.ue, ctx.sub])
     assert np.array_equal(h2, hb[ctx.sub])
 
@@ -160,7 +160,7 @@ def test_surrogate_rate_dominated_by_bound_rate(two_ue):
     sc, inputs, ctx = two_ue
     for p in ball_points(np.array([200.0, 0.0]), sc.d_max, 1000, seed=7):
         r_hat = surrogate_rate(p, ctx, inputs)
-        h1, _, h2, _ = ctx.bounds(p)
+        h1, h2 = np.split(ctx.stacked(p)[0], 2)
         hu, hb = h1[0], h2[0]
         if hu <= 0.0 or hb <= 0.0:
             continue
