@@ -12,8 +12,8 @@ the UAV position and the output check's findings to JSON:
 The package and perfbench/workloads.py are imported from CHECKOUT (its
 src/ and perfbench/ directories); workloads.py is only read.  Diff mode
 compares two dumps and prints, per workload, the slot count, the slots
-whose beta/alloc or findings differ, the largest relative objective move
-and the largest UAV position move in metres:
+whose beta/alloc or findings differ, the largest objective move relative
+to max(|A|, 1) and the largest UAV position move in metres:
 
     python3 scripts/parity.py --diff parent.json change.json
 
@@ -93,7 +93,9 @@ def diff(path_a: Path, path_b: Path) -> int:
         row["slots"] += 1
         row["assign"] += ra["beta"] != rb["beta"] or ra["alloc"] != rb["alloc"]
         row["findings"] += ra["problems"] != rb["problems"]
-        scale = max(abs(ra["objective"]), 1e-300)
+        # the package's own max(1, |objective|) scale: a slot that serves
+        # no one in A (objective 0) reports its move in absolute terms
+        scale = max(abs(ra["objective"]), 1.0)
         row["objective"] = max(row["objective"],
                                abs(ra["objective"] - rb["objective"]) / scale)
         row["position"] = max(row["position"], math.dist(ra["position"], rb["position"]))

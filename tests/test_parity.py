@@ -40,3 +40,14 @@ def test_new_finding_exits_one(tmp_path):
                    dump(tmp_path / "b.json", problems=["relay exceeds its power budget"]))
     assert out.returncode == 1
     assert "verdict: DIFFER" in out.stdout
+
+
+def test_move_from_an_unserved_slot_is_scaled_by_at_least_one(tmp_path):
+    # a slot that serves no one in A (objective 0) reports the move over
+    # max(|A|, 1), not over zero; the verdict is unchanged
+    out = run_diff(dump(tmp_path / "a.json", objective=0.0),
+                   dump(tmp_path / "b.json", objective=41.67))
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "verdict: SAME" in out.stdout
+    row = next(line for line in out.stdout.splitlines() if line.startswith("relay_mixed"))
+    assert row.split()[4] == "4.17e+01"
