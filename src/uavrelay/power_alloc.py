@@ -5,15 +5,14 @@ Each rate is `link_rate`'s difference-of-concave split K - M in the
 received signals, chained here through the gains into the powers;
 linearizing M at the current iterate gives a concave surrogate that is
 tight there and never overshoots, so the SCP loop is monotone in the
-exact weighted sum rate.  All constraints are
-linear at fixed gains: one budget block per entity and per-subchannel
-QoS floors.  The surrogate is separable, so each SCP step maximises it
-in closed form by multi-level water-filling (`surrogate_argmax`), and
-`maximize_concave` only certifies that point with one projected-gradient
-test.  Every power start comes from one funding rule,
-`restore_feasible`: carried powers stay, every other assignment is funded
-at its floor, best weighted full-budget rate first, and an assignment its
-budgets cannot pay is shed.
+exact weighted sum rate.  All constraints are linear at fixed gains:
+one budget block per entity and per-subchannel QoS floors.  The
+surrogate is separable, so each SCP step maximises it in closed form by
+multi-level water-filling (`surrogate_argmax`), and `maximize_concave`
+only certifies that point with one projected-gradient test.  Every power
+start comes from one funding rule, `restore_feasible`: carried powers
+stay, every other assignment is funded at its floor, best weighted
+full-budget rate first, and an assignment its budgets cannot pay is shed.
 """
 
 from __future__ import annotations
