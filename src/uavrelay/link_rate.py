@@ -48,6 +48,7 @@ from .channel import ChannelGains
 from .scenario import Scenario, SnrThresholds
 
 HALF_LOG2E = 0.5 / math.log(2.0)  # d/dx of 0.5*log2(x) is this over x
+QOS_TOL = 1e-6  # relative SNR shortfall tolerated on an audited hop
 
 
 def dc_k(s: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -83,10 +84,11 @@ def floor_signals(relay, thr: SnrThresholds, sigma2: float,
 
 
 class LinkBudget:
-    """Hop SNRs and rates of a batch of links, and on request their
-    per-hop thresholds, floor powers and QoS verdicts.  Every argument
-    broadcasts: `relay` flags relayed links, powers are watts and gains
-    linear."""
+    """Hop SNRs and rates of a batch of links, and on request their QoS
+    margins (which the trajectory audit and the validator hold to
+    -`QOS_TOL`), floor powers and QoS verdicts (`feasible`, exact at the
+    floor, as funding and matching need).  Every argument broadcasts:
+    `relay` flags relayed links, powers are watts and gains linear."""
 
     def __init__(self, relay, p_ue, p_uav, h_ue_bs, h_ue_uav, h_uav_bs,
                  thresholds: SnrThresholds, sigma2: float, ici: float):
@@ -104,11 +106,12 @@ class LinkBudget:
         second = np.where(relay, 0.0, g2)
         self.rate = 0.5 * np.log2(1.0 + first) + 0.5 * np.log2(1.0 + second)
 
-    def thresholds(self) -> tuple[np.ndarray, np.ndarray]:
-        """(hop 1, hop 2) SNR floors."""
-        thr = self.thr
-        return (np.where(self.relay, thr.ue_uav, thr.direct),
-                np.where(self.relay, thr.uav_bs, thr.direct))
+    def margins(self) -> tuple[np.ndarray, np.ndarray]:
+        """(hop 1, hop 2) QoS margins, SNR / threshold - 1; a direct
+        link's interfered phase binds, so its clean phase reads inf."""
+        thr, (g1, g2) = self.thr, self.snr
+        return (np.where(self.relay, g1 / thr.ue_uav - 1.0, math.inf),
+                g2 / np.where(self.relay, thr.uav_bs, thr.direct) - 1.0)
 
     def floors(self) -> tuple[np.ndarray, np.ndarray]:
         """Smallest (UE, UAV) powers meeting both hop floors: the
@@ -135,22 +138,20 @@ class PowerAllocation:
 
 @dataclass
 class RateReport:
-    per_ue_rate: np.ndarray         # (N,)
-    per_subchannel_rate: np.ndarray  # (N, K), zero where unassigned
-    objective: float                # weights dot per_ue_rate
-    link: LinkBudget                # every (UE, subchannel) under the UE's mode
+    per_ue_rate: np.ndarray  # (N,)
+    objective: float         # weights dot per_ue_rate
+    link: LinkBudget         # every (UE, subchannel) under the UE's mode
 
 
 def rate_report(beta: np.ndarray, alloc: np.ndarray, powers: PowerAllocation,
                 gains: ChannelGains, weights: np.ndarray, sc: Scenario) -> RateReport:
-    """Rates of one slot's assignments, per subchannel, per UE and
-    weighted, with the link budget they came from."""
+    """Rates of one slot's assignments, per UE and weighted, with the
+    link budget they came from."""
     link = LinkBudget(np.asarray(beta)[:, None] == 1, powers.p_ue, powers.p_uav,
                       gains.h_ue_bs, gains.h_ue_uav, gains.h_uav_bs,
                       sc.snr_thresholds, sc.noise_var, sc.ici_power)
-    per_sub = np.where(alloc, link.rate, 0.0)
-    per_ue = per_sub.sum(axis=1)
-    return RateReport(per_ue, per_sub, float(np.dot(weights, per_ue)), link)
+    per_ue = np.where(alloc, link.rate, 0.0).sum(axis=1)
+    return RateReport(per_ue, float(np.dot(weights, per_ue)), link)
 
 
 def update_weights(prev_avg_rates) -> np.ndarray:

@@ -136,9 +136,6 @@ class GameView:
         k = np.arange(self.owner.size)
         return self.utility[self.owner, k], self.feasible[self.owner, k]
 
-    def system_utility(self) -> float:
-        return sum(self.own()[0].tolist())
-
 
 def swap_approvals(u: np.ndarray, ok: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """(K, K) mask, true at (k1, k2), k1 < k2, where exchanging the
@@ -169,8 +166,6 @@ class MsmaResult:
     beta: np.ndarray
     alloc: np.ndarray
     n_swaps: int
-    swap_gains: list[float]
-    utility_trace: list[float]
     examined_per_round: list[int]
 
 
@@ -187,8 +182,7 @@ def msma_detailed(view: GameView) -> MsmaResult:
     rows, and the mask is rebuilt."""
     owner = view.owner.copy()
     u, ok = view.utility[owner], view.feasible[owner]
-    trace = [view.system_utility()]
-    gains: list[float] = []
+    n_swaps = 0
     examined_per_round: list[int] = []
     n_sub = owner.size
     changed = True
@@ -201,16 +195,13 @@ def msma_detailed(view: GameView) -> MsmaResult:
                 break
             at += int(hits[0])
             k1, k2 = divmod(at, n_sub)
-            gain = float((u[k1, k2] + u[k2, k1]) - (u[k1, k1] + u[k2, k2]))
             for a in (u, ok, owner):
                 a[[k1, k2]] = a[[k2, k1]]
-            gains.append(gain)
-            trace.append(trace[-1] + gain)
+            n_swaps += 1
             changed = True
             at += 1
         examined_per_round.append(n_sub * (n_sub - 1) // 2)
-    return MsmaResult(*assignment(view.modes, owner), len(gains), gains, trace,
-                      examined_per_round)
+    return MsmaResult(*assignment(view.modes, owner), n_swaps, examined_per_round)
 
 
 def init_matching(ctx: MatchingContext, modes: np.ndarray) -> GameView:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import gain_matrices
-from .link_rate import PowerAllocation, jain_index, rate_report, update_weights
+from .link_rate import QOS_TOL, PowerAllocation, jain_index, rate_report, update_weights
 from .matching import (CELLULAR, RELAY, MatchingContext, assignment,
                        init_matching, msma_detailed)
 from .power_alloc import restore_feasible, scp_power
@@ -32,6 +32,9 @@ from .uav_power import flying_power_upper, move_radius
 
 _STAGE_TOL = 1e-9
 _MAX_BCD = 100
+# each hop's name in the validator's findings, indexed [beta][hop]; a
+# direct link's clean phase never binds
+_HOP_NAMES = (("direct", "direct"), ("access-hop", "backhaul-hop"))
 
 
 @dataclass
@@ -67,8 +70,9 @@ def validate_solution(sol: SlotSolution, sc: Scenario,
     """Audit every slot constraint; returns human-readable problems.
 
     Linear residuals (budgets, exclusivity, altitude, displacement,
-    energy) are held to 1e-9 absolute; SNR floors to 1e-6 normalized,
-    matching the trajectory stage's acceptance slack."""
+    energy) are held to 1e-9 absolute.  A hop misses its SNR floor when
+    its `LinkBudget.margins()` margin is below -`QOS_TOL`, the test the
+    trajectory stage accepts a position on."""
     out: list[str] = []
     beta, alloc, powers = sol.beta, sol.alloc, sol.powers
 
@@ -90,16 +94,9 @@ def validate_solution(sol: SlotSolution, sc: Scenario,
 
     gains = gain_matrices(sc, sol.position, slot_index)
     report = rate_report(beta, alloc, powers, gains, sol.weights, sc)
-    snr, thr = report.link.snr, report.link.thresholds()
-    low1, low2 = (g < t * (1 - 1e-6) for g, t in zip(snr, thr))
-    for n, k in np.argwhere(alloc):
-        if beta[n]:
-            if low1[n, k]:
-                out.append(f"ue {n} subchannel {k}: access-hop SNR below floor")
-            if low2[n, k]:
-                out.append(f"ue {n} subchannel {k}: backhaul-hop SNR below floor")
-        elif low2[n, k]:  # the interfered phase binds a direct link
-            out.append(f"ue {n} subchannel {k}: direct SNR below floor")
+    low = np.stack(report.link.margins(), axis=-1) < -QOS_TOL
+    for n, k, hop in np.argwhere(low & (alloc != 0)[..., None]):
+        out.append(f"ue {n} subchannel {k}: {_HOP_NAMES[beta[n]][hop]} SNR below floor")
 
     if sol.position[2] <= sc.bs_height:
         out.append("UAV not above the BS antenna height")

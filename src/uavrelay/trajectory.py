@@ -26,7 +26,6 @@ repeats it, and it stops on the slot's one tolerance.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -34,12 +33,11 @@ import numpy as np
 
 from .channel import ChannelGains, gain_matrices, slot_channel
 from .convex_core import BarrierTerm, FeasibleSet, maximize_concave
-from .link_rate import PowerAllocation, dc_k, dc_m, floor_signals, rate_report
+from .link_rate import QOS_TOL, PowerAllocation, dc_k, dc_m, floor_signals, rate_report
 from .scenario import A2GParams, Scenario, UavState
 from .uav_power import move_radius
 
 _QOS_SLACK = 1e-9       # relative relaxation of the approximated SNR floors
-_QOS_CHECK_TOL = 1e-6   # relative tolerance when re-auditing exact SNRs
 _ACCEPT_SLACK = 1e-12   # relative slack when comparing exact objectives
 _EXP_CAP = 500.0        # caps exponents where a loose tangent runs wild
 _NUDGE = 0.1            # m, horizontal shift applied over a degenerate peer
@@ -74,7 +72,7 @@ class Audit:
     position: np.ndarray  # (3,)
     gains: ChannelGains   # the exact channel at the position
     objective: float      # weighted sum rate
-    surplus: float        # worst normalized SNR surplus over relayed assignments
+    surplus: float        # worst QoS margin over relayed assignments
 
 
 def _audit(pos, inputs: SlotInputs, gains: ChannelGains | None = None) -> Audit:
@@ -87,8 +85,7 @@ def _audit(pos, inputs: SlotInputs, gains: ChannelGains | None = None) -> Audit:
     report = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
                          inputs.weights, s)
     relayed = (np.asarray(inputs.alloc) * np.asarray(inputs.beta)[:, None]) == 1
-    surplus = min((g / t)[relayed].min(initial=math.inf)
-                  for g, t in zip(report.link.snr, report.link.thresholds())) - 1.0
+    surplus = min(m[relayed].min(initial=math.inf) for m in report.link.margins())
     return Audit(pos, gains, report.objective, surplus)
 
 
@@ -206,21 +203,19 @@ class _PeerCores:
         return self.two_over_shape0 - d2 * mix * self.inv_shape0_sq, -coef[:, None] * diff
 
 
-def _nudged_expansion(xy, peers_xy) -> tuple[np.ndarray, bool]:
+def _nudged_expansion(xy, peers_xy) -> np.ndarray:
     """Shift the expansion point off any peer it hovers over."""
     exp = np.asarray(xy, dtype=float).copy()
-    moved = False
     for _ in range(5):
         for peer in peers_xy:
             d = exp - peer
             r = float(np.linalg.norm(d))
             if r < _NUDGE:
                 exp = exp + (_NUDGE * d / r if r > 0.0 else np.array([_NUDGE, 0.0]))
-                moved = True
                 break
         else:
-            return exp, moved
-    return exp, moved
+            return exp
+    return exp
 
 
 @dataclass(frozen=True)
@@ -238,7 +233,6 @@ class SurrogateContext:
     cores: _PeerCores
     rows: np.ndarray        # (2P,) peer core of each hop
     scale: np.ndarray       # (2P,) hop scales
-    nudged: bool
     # the bounds at the last point asked for: an inner solve evaluates the
     # objective and the barrier at each point, one after the other
     _last: list = field(default_factory=lambda: [None, None], repr=False,
@@ -261,14 +255,14 @@ def horizontal_surrogate(inputs: SlotInputs, position) -> SurrogateContext:
     chan = slot_channel(s, inputs.slot_index)
     z = float(position[2])
     peers_xy = chan.peers[:, :2]
-    exp_xy, nudged = _nudged_expansion(np.asarray(position[:2], dtype=float), peers_xy)
+    exp_xy = _nudged_expansion(np.asarray(position[:2], dtype=float), peers_xy)
     cores = _PeerCores(peers_xy, z - chan.peers[:, 2], s.a2g, exp_xy)
     pairs = inputs.relay_pairs()
     ue = np.array([n for n, _ in pairs], dtype=int)
     sub = np.array([k for _, k in pairs], dtype=int)
     rows = np.concatenate([ue, np.full(ue.size, len(peers_xy) - 1)])
     scale = np.concatenate([chan.air_scale[ue, sub], chan.air_scale[-1, sub]])
-    return SurrogateContext(exp_xy, ue, sub, cores, rows, scale, nudged)
+    return SurrogateContext(exp_xy, ue, sub, cores, rows, scale)
 
 
 def _horizontal_barrier(ctx: SurrogateContext, inputs: SlotInputs) -> BarrierTerm:
@@ -297,17 +291,14 @@ class StageLog:
     horizontal stage makes at most one per call) and `accepted` those
     kept; `capped` says the step's inner solve stopped at its iteration
     cap (`_INNER_ITERS`) rather than on its own test; `reason` names why
-    a step was not kept and is empty when one was.  `rows` holds one row
-    per kept step: (iteration, x, y, z, exact objective, worst SNR
-    surplus)."""
+    a step was not kept and is empty when one was.  The stage's position
+    and objective are those of the `Audit` it returns."""
 
     stage: str
-    objective: float = math.nan
     iterations: int = 0
     accepted: int = 0
     capped: bool = False
     reason: str = ""
-    rows: list = field(default_factory=list)
 
 
 def _step_search(incumbent: Audit, xy_cand: np.ndarray, project,
@@ -339,7 +330,7 @@ def _step_search(incumbent: Audit, xy_cand: np.ndarray, project,
     tau = 1.0
     for _ in range(_BACKTRACK_STEPS):
         kept = audit(xy_inc + tau * step)
-        if kept.objective >= floor and kept.surplus >= -_QOS_CHECK_TOL:
+        if kept.objective >= floor and kept.surplus >= -QOS_TOL:
             break
         tau *= 0.5
     else:
@@ -352,7 +343,7 @@ def _step_search(incumbent: Audit, xy_cand: np.ndarray, project,
         if np.array_equal(xy, kept.position[:2]):
             break
         trial = audit(xy)
-        if not (trial.objective > kept.objective and trial.surplus >= -_QOS_CHECK_TOL):
+        if not (trial.objective > kept.objective and trial.surplus >= -QOS_TOL):
             break
         kept = trial
     return kept
@@ -370,7 +361,7 @@ def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, S
     Returns the audit of the kept position, or `start` itself when no
     step is kept, and the stage log."""
     s = inputs.scenario
-    log = StageLog("horizontal", objective=start.objective)
+    log = StageLog("horizontal")
     if not inputs.relay_pairs():
         log.reason = "no relayed assignments; objective does not depend on position"
         return start, log
@@ -396,8 +387,6 @@ def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, S
         log.reason = "no step kept the exact objective from dropping"
         return start, log
     log.accepted = 1
-    log.objective = new.objective
-    log.rows.append((1, *new.position, new.objective, new.surplus))
     return new, log
 
 
@@ -414,7 +403,7 @@ def solve_altitude(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, Sta
     search on the audited objective lowered the random baseline's
     episode objective by 4% and tripled jmstp's 90th-percentile slot
     time."""
-    return start, StageLog("altitude", objective=start.objective, reason="altitude held")
+    return start, StageLog("altitude", reason="altitude held")
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +431,3 @@ def to_algorithm(state: UavState, inputs: SlotInputs,
     cur, hlog = solve_horizontal(cur, anchor, inputs)
     cur, alog = solve_altitude(cur, anchor, inputs)
     return TrajectoryResult(cur.position, cur.gains, cur.objective, 1, [hlog, alog])
-
-
-def write_stage_trace(logs: list[StageLog], path) -> None:
-    """Dump accepted iterates of each stage as CSV for debugging."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["stage", "iteration", "x", "y", "z", "objective", "snr_surplus"])
-        for log in logs:
-            for row in log.rows:
-                out.writerow([log.stage, *row])

@@ -144,6 +144,17 @@ def _funded_slot(scale=1.0 + 1e-6):
 class TestQos:
     thr = SnrThresholds()
 
+    def test_margins_read_each_hops_threshold(self):
+        # distinct thresholds, so each hop shows which one it read
+        thr = SnrThresholds(direct=300.0, ue_uav=40.0, uav_bs=70.0)
+        link = lr.LinkBudget(np.array([True, False]), 0.05, 0.03, 1e-8, 1e-7, 1e-8,
+                             thr, SIGMA2, ICI)
+        (relay1, direct1), (relay2, direct2) = link.margins()
+        (g1, _), (g2, g2_direct) = link.snr
+        assert (relay1, relay2) == (g1 / 40.0 - 1.0, g2 / 70.0 - 1.0)
+        # a direct link's interfered phase binds; its clean phase reads inf
+        assert (direct1, direct2) == (math.inf, g2_direct / 300.0 - 1.0)
+
     def test_unoccupied_passes(self):
         # vacant and unassigned entries carry no power, so as links they
         # would miss their floors; the audit never asks them to
@@ -239,7 +250,7 @@ class TestRateReport:
         rep = lr.rate_report(beta, alloc, powers, gains, w, SC)
         assert rep.objective == pytest.approx(float(np.dot(w, rep.per_ue_rate)), rel=1e-12)
         assert np.all(rep.per_ue_rate >= 0)
-        assert rep.per_ue_rate == pytest.approx(rep.per_subchannel_rate.sum(axis=1))
+        assert rep.per_ue_rate == pytest.approx(np.where(alloc, rep.link.rate, 0.0).sum(axis=1))
 
     def test_report_consistent_with_ue_rate(self):
         # the (N, K) reduction agrees with the kernel on one link at a time
@@ -294,7 +305,7 @@ class TestLinkBudget:
         beta, alloc, powers, gains, thr = layout
         sc = Scenario(snr_thresholds=thr)
         rep = lr.rate_report(beta, alloc, powers, gains, np.ones(len(beta)), sc)
-        for (n, k), rate in np.ndenumerate(rep.per_subchannel_rate):
+        for (n, k), rate in np.ndenumerate(np.where(alloc, rep.link.rate, 0.0)):
             if not alloc[n, k]:
                 assert rate == 0.0
                 continue
@@ -331,8 +342,7 @@ class TestLinkBudget:
         link = at(1.0, 1.0)
         hop1 = np.where(relay, thr.ue_uav, thr.direct * (1.0 + ICI / SIGMA2))
         assert link.snr[0] == pytest.approx(np.broadcast_to(hop1, alloc.shape), rel=1e-12)
-        assert link.snr[1] == pytest.approx(
-            np.broadcast_to(link.thresholds()[1], alloc.shape), rel=1e-12)
+        assert link.margins()[1] == pytest.approx(np.zeros(alloc.shape), abs=1e-12)
 
 
 def split_batch(seed, n=12):

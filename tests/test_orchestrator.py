@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 from uavrelay import orchestrator, trajectory
 from uavrelay.channel import gain_matrices
-from uavrelay.link_rate import LinkBudget, PowerAllocation, update_weights
+from uavrelay.link_rate import QOS_TOL, LinkBudget, PowerAllocation, update_weights
 from uavrelay.orchestrator import (
     ALGORITHMS,
     SWEEP_AXES,
@@ -27,6 +27,7 @@ from uavrelay.orchestrator import (
 from uavrelay.power_alloc import PowerProblem, spread_leftover
 from uavrelay.scenario import Scenario, SnrThresholds, UavState, load_scenario
 
+from test_link_rate import _funded_slot, _slot
 from test_scenario import documents
 
 BLOCKED = SnrThresholds(1e18, 1e18, 1e18)
@@ -249,6 +250,28 @@ class TestChannelStateReuse:
         assert all(sol.alloc.any() for sol in log.slots)
         assert len(starts) >= sc.n_slots
         assert sorted(id(args[0]) for args in played) == sorted(map(id, starts))
+
+
+def margin_slot(hop, margin):
+    """`_funded_slot`'s direct UE 0 and relayed UE 1, every hop at twice
+    its floor but `hop`, whose margin is set to `margin`; returns the
+    validator's arguments."""
+    _, _, sol = _funded_slot(2.0)
+    p_ue, p_uav = sol.powers.p_ue.copy(), sol.powers.p_uav.copy()
+    power, at = {"direct": (p_ue, (0, 0)), "access-hop": (p_ue, (1, 1)),
+                 "backhaul-hop": (p_uav, 1)}[hop]
+    power[at] *= (1.0 + margin) / 2.0
+    sc, _, sol = _slot(sol.beta, sol.alloc, p_ue, p_uav)
+    return sol, sc
+
+
+class TestQosMargin:
+    @pytest.mark.parametrize("hop, ue", [("direct", 0), ("access-hop", 1),
+                                         ("backhaul-hop", 1)])
+    def test_flags_a_hop_past_the_tolerance_only(self, hop, ue):
+        assert validate_solution(*margin_slot(hop, -1.01 * QOS_TOL)) == [
+            f"ue {ue} subchannel {ue}: {hop} SNR below floor"]
+        assert validate_solution(*margin_slot(hop, -0.99 * QOS_TOL)) == []
 
 
 class TestEpisodeValidity:

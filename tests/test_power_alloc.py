@@ -458,8 +458,8 @@ def reference_restore_feasible(beta, alloc, gains, weights, sc):
             owned = alloc * beta[:, None]
         else:
             break
-        value = weights[:, None] * rate_report(beta, alloc, powers, gains,
-                                               weights, sc).per_subchannel_rate
+        link = rate_report(beta, alloc, powers, gains, weights, sc).link
+        value = weights[:, None] * np.where(alloc, link.rate, 0.0)
         n, k = np.argwhere(owned)[np.argmin(value[owned == 1])]
         alloc[n, k] = 0
         dropped.append((int(n), int(k)))

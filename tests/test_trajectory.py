@@ -2,7 +2,6 @@
 properties, stage solver contracts, and `to_algorithm`'s constraint
 and monotonicity audits."""
 
-import csv
 import math
 from dataclasses import replace
 
@@ -24,7 +23,6 @@ from uavrelay.trajectory import (
     solve_altitude,
     solve_horizontal,
     to_algorithm,
-    write_stage_trace,
 )
 from uavrelay.uav_power import flying_power_upper, move_radius
 
@@ -97,8 +95,7 @@ def true_gains(sc, xy, z=130.0):
 
 
 def run_horizontal(start, inputs):
-    audit, log = solve_horizontal(_audit(start, inputs), start, inputs)
-    return audit.position[:2], log
+    return solve_horizontal(_audit(start, inputs), start, inputs)
 
 
 def relayed_rate(sc, p_ue, p_uav, h_ue_uav, h_uav_bs):
@@ -151,7 +148,7 @@ def test_surrogate_rate_tight_at_expansion(two_ue):
     pos = np.array([200.0, 0.0, 130.0])
     gains = gain_matrices(sc, pos, 0)
     want = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
-                       inputs.weights, sc).per_subchannel_rate[ctx.ue, ctx.sub]
+                       inputs.weights, sc).link.rate[ctx.ue, ctx.sub]
     got = _surrogate_rates(ctx, inputs)(pos[:2])[0]
     assert np.all(np.abs(got - want) <= 1e-10 * want)
 
@@ -191,7 +188,7 @@ def test_nudged_expansion_above_peer():
                               n_subchannels=2)
     pos = np.array([300.0, 40.0, 130.0])
     ctx = horizontal_surrogate(inputs, pos)
-    assert ctx.nudged
+    assert not np.array_equal(ctx.x0, pos[:2])
     for p in ball_points(pos[:2], sc.d_max, 300, seed=11):
         h = peer_bounds(ctx, inputs, p)[0][0, 0]
         true = true_gains(sc, p)[0][0, 0]
@@ -272,8 +269,7 @@ def test_one_channel_evaluation_per_audited_position(three_pairs, monkeypatch):
     res = to_algorithm(UavState(start, start), inputs)
     assert len(calls) > 2
     assert len(calls) == len(set(calls))
-    accepted = {tuple(float(v) for v in row[1:4]) for log in res.logs for row in log.rows}
-    assert accepted <= set(calls)
+    assert tuple(float(v) for v in res.position) in calls
     assert calls[0] == start
 
 
@@ -284,15 +280,16 @@ def test_solve_horizontal_no_relay_keeps_position(two_ue):
     sc, inputs, _ = two_ue
     quiet = SlotInputs(sc, np.zeros(2, dtype=int), inputs.alloc, inputs.powers,
                        inputs.weights, 0)
-    xy, log = run_horizontal((170.0, -40.0, 130.0), quiet)
-    assert np.allclose(xy, (170.0, -40.0))
+    audit, log = run_horizontal((170.0, -40.0, 130.0), quiet)
+    assert np.allclose(audit.position[:2], (170.0, -40.0))
     assert log.iterations == 0
 
 
 def test_solve_horizontal_moves_toward_far_ue_axis(two_ue):
     sc, inputs, _ = two_ue
     start = (170.0, -40.0, 130.0)
-    xy, log = run_horizontal(start, inputs)
+    audit, log = run_horizontal(start, inputs)
+    xy = audit.position[:2]
     axis = np.array(sc.ue_positions[0][:2])
     axis /= np.linalg.norm(axis)
 
@@ -300,9 +297,8 @@ def test_solve_horizontal_moves_toward_far_ue_axis(two_ue):
         return float(np.linalg.norm(p - (p @ axis) * axis))
 
     assert axis_dist(xy) < axis_dist(np.array(start[:2]))
-    objs = [row[4] for row in log.rows]
-    assert objs[-1] > exact_objective(start, inputs)
-    assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
+    assert log.accepted == 1
+    assert audit.objective > exact_objective(start, inputs)
 
 
 def test_solve_horizontal_makes_one_scp_step(two_ue, monkeypatch):
@@ -319,10 +315,10 @@ def test_solve_horizontal_makes_one_scp_step(two_ue, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(trajectory, "maximize_concave", counted)
-    _, log = run_horizontal(start, inputs)
+    audit, log = run_horizontal(start, inputs)
     assert len(solves) == 1
-    assert (log.iterations, log.accepted, len(log.rows)) == (1, 1, 1)
-    assert log.rows[0][4] > exact_objective(start, inputs)
+    assert (log.iterations, log.accepted) == (1, 1)
+    assert audit.objective > exact_objective(start, inputs)
 
 
 def test_solve_horizontal_records_the_inner_iteration_cap(two_ue, monkeypatch):
@@ -346,11 +342,11 @@ def test_step_search_extends_a_short_surrogate_step(two_ue, monkeypatch):
         return res
 
     monkeypatch.setattr(trajectory, "maximize_concave", recorded)
-    _, log = run_horizontal(start, inputs)
-    row = log.rows[0]
-    xy0, xy = np.array(start[:2]), np.array(row[1:3])
+    audit, log = run_horizontal(start, inputs)
+    assert log.accepted == 1
+    xy0, xy = np.array(start[:2]), audit.position[:2]
     assert np.linalg.norm(xy - xy0) >= 2.0 * np.linalg.norm(solved[0] - xy0)
-    assert row[4] >= exact_objective((*solved[0], start[2]), inputs)
+    assert audit.objective >= exact_objective((*solved[0], start[2]), inputs)
 
 
 def test_step_search_stays_in_a_small_move_disc(two_ue):
@@ -371,8 +367,8 @@ def test_solve_horizontal_infeasible_set_keeps_position():
                              n_subchannels=2,
                              thresholds=SnrThresholds(1e8, 1e8, 1e8))
     start = (250.0, 0.0, 100.0)
-    xy, log = run_horizontal(start, inputs)
-    assert np.allclose(xy, start[:2])
+    audit, log = run_horizontal(start, inputs)
+    assert np.allclose(audit.position[:2], start[:2])
     assert "no room" in log.reason
 
 
@@ -381,8 +377,8 @@ def test_solve_horizontal_zero_radius_keeps_position(two_ue):
     pinned = SlotInputs(replace(sc, d_max=0.0), inputs.beta, inputs.alloc,
                         inputs.powers, inputs.weights, 0)
     start = (170.0, -40.0, 130.0)
-    xy, _ = run_horizontal(start, pinned)
-    assert np.allclose(xy, start[:2])
+    audit, _ = run_horizontal(start, pinned)
+    assert np.allclose(audit.position[:2], start[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +389,7 @@ def test_solve_altitude_holds_the_start():
     start = _audit((250.0, 0.0, 100.0), inputs)
     audit, log = solve_altitude(start, (247.0, 4.0, 100.0), inputs)
     assert audit is start
-    assert (log.stage, log.objective, log.reason) == ("altitude", start.objective,
-                                                      "altitude held")
+    assert (log.stage, log.reason) == ("altitude", "altitude held")
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +428,6 @@ def test_to_algorithm_constraint_and_monotonicity_audit(seed):
     assert res.position[2] == start[2]
     assert flying_power_upper(disp / sc.slot_len, sc.propulsion) * sc.slot_len \
         <= sc.e_max + 1e-9
-    stage_objs = [before.objective] + [log.objective for log in res.logs]
-    assert all(b >= a - 1e-9 for a, b in zip(stage_objs, stage_objs[1:]))
     assert res.objective >= before.objective - 1e-9
     assert _audit(res.position, inputs).surplus >= -1e-6
 
@@ -486,15 +479,3 @@ def test_to_algorithm_no_relay_is_a_no_op(two_ue):
     assert np.allclose(res.position, start)
     assert res.passes == 0
 
-
-def test_stage_trace_csv_round_trip(tmp_path, two_ue):
-    _, inputs, _ = two_ue
-    start = (170.0, -40.0, 130.0)
-    res = to_algorithm(UavState(start, start), inputs)
-    path = tmp_path / "trace.csv"
-    write_stage_trace(res.logs, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["stage", "iteration", "x", "y", "z", "objective", "snr_surplus"]
-    assert len(rows) - 1 == sum(len(log.rows) for log in res.logs)
-    assert all(r[0] == "horizontal" for r in rows[1:])
