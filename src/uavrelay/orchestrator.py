@@ -9,9 +9,12 @@ the swap game once per fresh greedy start, never from the incumbent,
 and the trajectory stage makes one horizontal SCP step.  The cycle
 stops once it gains less than the scenario's one tolerance,
 `tolerances.bcd`, the same absolute test on which the power stage's
-own SCP loop stops.  Episodes chain
-slots under proportional-fairness weights; each algorithm earns its own
-weight history from its own achieved rates.
+own SCP loop stops.  So the power stage is not re-run on the inputs its
+last converged run returned (the matching stage kept the incumbent and
+the UAV stayed put): that run already stopped on a step worth less than
+the tolerance, which is all the cycle's own stop gives up.  Episodes
+chain slots under proportional-fairness weights; each algorithm earns
+its own weight history from its own achieved rates.
 """
 
 from __future__ import annotations
@@ -234,7 +237,11 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
     cellular baseline: no relayed starts and no trajectory stage.  `init`
     warm-starts from the previous slot's solution, whose powers
     `restore_feasible` re-funds against this slot's QoS floors before it
-    competes."""
+    competes.
+
+    A cycle skips `scp_power` when its modes, allocation, position and
+    powers equal what the last accepted, converged power run returned;
+    the cycle still logs its `("power", objective)` entry."""
     weights = np.asarray(weights, dtype=float)
     pos = np.asarray(state.pos, dtype=float).copy()
     anchor = tuple(float(v) for v in state.prev_pos)
@@ -256,6 +263,7 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
     eps = sc.tolerances.bcd
     iterations = 0
     ctx = fresh = None  # the fresh starts belong to one channel state
+    settled = None  # the inputs a converged power run last returned
 
     for iterations in range(1, _MAX_BCD + 1):
         cycle_start = obj
@@ -301,11 +309,17 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
             pos = new_pos
             trace.append(("trajectory", obj))
 
-        res = scp_power(beta, alloc, gains, weights, sc, init=powers)
-        if res.objective >= obj - _STAGE_TOL * max(1.0, abs(obj)):
-            powers, alloc = res.powers, res.alloc
-            obj = max(obj, res.objective)
-            dropped.extend(res.dropped)
+        # a converged run re-run on its own answer would step on from a
+        # point where its last step gained less than eps
+        if settled is None or not all(map(np.array_equal, settled, (
+                beta, alloc, pos, powers.p_ue, powers.p_uav))):
+            res = scp_power(beta, alloc, gains, weights, sc, init=powers)
+            if res.objective >= obj - _STAGE_TOL * max(1.0, abs(obj)):
+                powers, alloc = res.powers, res.alloc
+                obj = max(obj, res.objective)
+                dropped.extend(res.dropped)
+                if res.converged:
+                    settled = (beta, alloc, pos, powers.p_ue, powers.p_uav)
         trace.append(("power", obj))
 
         if obj - cycle_start < eps:
@@ -326,7 +340,6 @@ class EpisodeLog:
     algorithm: str
     slots: list[SlotSolution]
     rates: np.ndarray            # (T, N)
-    weights_history: np.ndarray  # (T, N)
     avg_rates: np.ndarray        # (N,)
     sum_rate: float              # mean per-slot sum of UE rates
     jain: float
@@ -363,7 +376,6 @@ def run_episode(scenario: Scenario, algorithm: str = "jmstp") -> EpisodeLog:
     sc = require_valid(scenario.with_positions())
     n_slots, n_ues = sc.n_slots, sc.n_ues
     rates = np.zeros((n_slots, n_ues))
-    weights_history = np.zeros((n_slots, n_ues))
     slots: list[SlotSolution] = []
     pos = np.asarray(sc.uav_start, dtype=float)
     prev: SlotSolution | None = None
@@ -382,15 +394,13 @@ def run_episode(scenario: Scenario, algorithm: str = "jmstp") -> EpisodeLog:
             sol = jmstp_slot(sc, state, weights, prev, t, relay_allowed=False)
         slots.append(sol)
         rates[t] = sol.rates
-        weights_history[t] = weights
         pos = sol.position
         prev = sol
 
     avg_rates = rates.mean(axis=0)
     return EpisodeLog(
         scenario=sc, algorithm=algorithm, slots=slots, rates=rates,
-        weights_history=weights_history, avg_rates=avg_rates,
-        sum_rate=float(rates.sum(axis=1).mean()),
+        avg_rates=avg_rates, sum_rate=float(rates.sum(axis=1).mean()),
         jain=jain_index(avg_rates) if avg_rates.any() else 1.0,
         avg_speed=float(np.mean([s.speed for s in slots])) / sc.slot_len,
         n_relay_ues=float(np.mean([len(s.relay_ues()) for s in slots])),

@@ -9,7 +9,9 @@ exact weighted sum rate.  All constraints are linear at fixed gains:
 one budget block per entity and per-subchannel QoS floors.  The
 surrogate is separable, so each SCP step maximises it in closed form by
 multi-level water-filling (`surrogate_argmax`), and `maximize_concave`
-only certifies that point with one projected-gradient test.  Every power
+only certifies that point with one projected-gradient test.  With nothing
+relayed, every M is a constant, the surrogate is the exact objective and
+its maximiser is the answer, so the loop stops after one step.  Every power
 start comes from one funding rule, `restore_feasible`: carried powers
 stay, every other assignment is funded at its floor, best weighted
 full-budget rate first, and an assignment its budgets cannot pay is shed.
@@ -339,7 +341,11 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
     on which `orchestrator.jmstp_slot`'s loop stops, or when a step drops
     the exact objective by rounding (both `converged`), at `_MAX_OUTER`
     steps, or when the inner solve finds no feasible point (neither
-    converged).
+    converged).  A problem with no relayed variable stops converged after
+    its first kept step: each direct M is a constant, so the tangent's
+    slope is 0, the surrogate equals the exact objective, and its exact
+    maximiser does not depend on the expansion point; a second step
+    would return the same powers bit for bit.
 
     `init` is the starting point when a projection onto the caps and QoS
     floors repairs it; otherwise `restore_feasible` funds a start from
@@ -367,6 +373,7 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
         start = prob.pack(powers)
 
     eps = s.tolerances.bcd
+    exact = not prob.relay.any()  # one step is the optimum (see above)
     x = start
     obj = prob.true_objective(x)
     trace = [obj]
@@ -387,7 +394,7 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
         trace.append(new_obj)
         gain = new_obj - obj
         x, obj = res.x, new_obj
-        if gain < eps:
+        if gain < eps or exact:
             converged = True
             break
 

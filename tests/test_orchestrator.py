@@ -12,7 +12,8 @@ from hypothesis import given, settings
 
 from uavrelay import orchestrator, trajectory
 from uavrelay.channel import gain_matrices
-from uavrelay.link_rate import QOS_TOL, LinkBudget, PowerAllocation, update_weights
+from uavrelay.link_rate import (QOS_TOL, LinkBudget, PowerAllocation, rate_report,
+                               update_weights)
 from uavrelay.orchestrator import (
     ALGORITHMS,
     SWEEP_AXES,
@@ -252,6 +253,77 @@ class TestChannelStateReuse:
         assert sorted(id(args[0]) for args in played) == sorted(map(id, starts))
 
 
+def same_gains(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("h_ue_bs", "h_ue_uav", "h_uav_bs"))
+
+
+class TestSettledPowerStage:
+    """A cycle runs `scp_power` unless the power stage's inputs are what a
+    converged run last returned: the matching stage kept the incumbent
+    and the UAV stayed put."""
+
+    def test_cellular_slot_solves_its_powers_once(self, monkeypatch):
+        calls = record_calls(monkeypatch, orchestrator, "scp_power")
+        sc = Scenario(n_ues=20, n_subchannels=40, n_slots=3,
+                      fading_model="mixed", rng_seed=1).with_positions(1)
+        log = run_episode(sc, "cellular")
+        assert [sol.iterations for sol in log.slots] == [2] * sc.n_slots
+        assert len(calls) == sc.n_slots
+        for sol in log.slots:
+            stages = [stage for stage, _ in sol.stage_trace]
+            assert stages == ["matching", "power"] * sol.iterations
+
+    def test_every_cycle_with_new_inputs_solves(self, monkeypatch):
+        # each cycle's power inputs, recorded apart from the skip: the
+        # matching stage's arguments are the last cycle's power output and
+        # its result this cycle's power input; its channel is the one at
+        # the cycle's start, and the next cycle's (or the slot's final
+        # position) the one the power stage sees.  The stage keeps the
+        # incumbent after a slot's first cycle here, so the last slot has
+        # its second cycle's powers nudged down to change them
+        slots = []  # each slot's cycles
+        slot, matching, power = (orchestrator.jmstp_slot, orchestrator._matching_stage,
+                                 orchestrator.scp_power)
+
+        def recorded_slot(*args, **kwargs):
+            slots.append([])
+            return slot(*args, **kwargs)
+
+        def recorded_matching(ctx, fresh, beta, alloc, powers, obj):
+            out = matching(ctx, fresh, beta, alloc, powers, obj)
+            if len(slots) == sc.n_slots and len(slots[-1]) == 1:
+                nudged = PowerAllocation(0.999 * out[3].p_ue, 0.999 * out[3].p_uav)
+                out = (rate_report(out[1], out[2], nudged, ctx.gains, ctx.weights,
+                                   ctx.scenario).objective, out[1], out[2], nudged)
+            kept = all(map(np.array_equal, (beta, alloc, powers.p_ue, powers.p_uav),
+                           (out[1], out[2], out[3].p_ue, out[3].p_uav)))
+            slots[-1].append({"gains": ctx.gains, "kept": kept, "solved": False})
+            return out
+
+        def recorded_power(*args, **kwargs):
+            slots[-1][-1]["solved"] = True
+            return power(*args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "jmstp_slot", recorded_slot)
+        monkeypatch.setattr(orchestrator, "_matching_stage", recorded_matching)
+        monkeypatch.setattr(orchestrator, "scp_power", recorded_power)
+        sc = Scenario(n_ues=5, n_subchannels=10, n_slots=4, d_max=25.0,
+                      fading_model="mixed", rng_seed=2).with_positions(2)
+        log = run_episode(sc, "jmstp")
+        changed = skipped = 0
+        for t, (cycles, sol) in enumerate(zip(slots, log.slots)):
+            assert len(cycles) == sol.iterations
+            seen = [c["gains"] for c in cycles[1:]] + [
+                gain_matrices(log.scenario, sol.position, t)]
+            for c, (cycle, gains) in enumerate(zip(cycles, seen)):
+                new = c == 0 or not cycle["kept"] or not same_gains(cycle["gains"], gains)
+                assert cycle["solved"] or not new, (t, c)
+                changed += c > 0 and new
+                skipped += not cycle["solved"]
+        assert changed and skipped
+
+
 def margin_slot(hop, margin):
     """`_funded_slot`'s direct UE 0 and relayed UE 1, every hop at twice
     its floor but `hop`, whose margin is set to `margin`; returns the
@@ -310,13 +382,13 @@ class TestEpisodeValidity:
 class TestRunEpisode:
     def test_single_slot_cold_start_weights(self):
         log = run_episode(tiny_scenario(n_slots=1))
-        assert np.allclose(log.weights_history, 10.0)
+        assert np.allclose(log.slots[0].weights, 10.0)
 
     def test_weights_follow_the_update_recurrence(self):
         log = run_episode(tiny_scenario(), "jmstp")
         for t in range(log.rates.shape[0]):
             avg = log.rates[:t].mean(axis=0) if t else np.zeros(log.rates.shape[1])
-            assert np.allclose(log.weights_history[t], update_weights(avg))
+            assert np.allclose(log.slots[t].weights, update_weights(avg))
 
     def test_uav_stays_above_bs(self):
         sc = tiny_scenario()

@@ -5,8 +5,11 @@ be named in the code of `src/`, `scripts/` or `perfbench/` more often
 than it is defined there.  Code means identifiers, plus string literals
 that are one identifier (what `getattr` and perfbench's hooks look up),
 not comments or docstrings: prose that mentions a name keeps nothing
-alive.  The check is by name, so a definition shares its uses with
-every other name spelled the same."""
+alive.  That check is by name, so a definition shares its uses with
+every other name spelled the same.  A second check holds dataclass
+fields to reads: each must be read as an attribute (`obj.field` in load
+context, or a one-identifier string for `getattr`), so a local or a
+keyword argument that shares its name keeps no field alive."""
 
 import ast
 import io
@@ -26,6 +29,25 @@ ALLOWED = {
           "game's tests build their games with it, the package through "
           "init_matching",
 }
+# Class.field: why it stays although nothing reads it as an attribute
+ALLOWED_FIELDS = {
+    "StageLog.stage": "names the stage a log belongs to; solve_altitude, which "
+                      "perfbench's trajectory.altitude hook binds, builds one, "
+                      "and ROADMAP item 8's per-stage record would read it",
+}
+
+
+def sources(users):
+    return (path for user in users for path in (ROOT / user).rglob("*.py"))
+
+
+def fields(path):
+    """(class, field) of every dataclass field defined in `path`."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            yield from ((node.name, s.target.id) for s in node.body
+                        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name))
 
 
 def definitions(path):
@@ -33,10 +55,7 @@ def definitions(path):
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name
-        if isinstance(node, ast.ClassDef) and any(
-                "dataclass" in ast.unparse(d) for d in node.decorator_list):
-            yield from (s.target.id for s in node.body
-                        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name))
+    yield from (name for _, name in fields(path))
 
 
 def code_names(path):
@@ -48,14 +67,31 @@ def code_names(path):
             yield tok.string[1:-1]
 
 
+def attribute_reads(path):
+    """Attributes read in `path`, and string constants that are one
+    identifier."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[A-Za-z_]\w*", node.value)):
+            yield node.value
+
+
 def unused() -> set[str]:
     """Defined names that the code names no more often than it defines them."""
-    defined = Counter(name for path in (ROOT / "src" / "uavrelay").glob("*.py")
+    defined = Counter(name for path in sources(["src/uavrelay"])
                       for name in definitions(path))
-    named = Counter(name for user in USERS for path in (ROOT / user).rglob("*.py")
-                    for name in code_names(path))
+    named = Counter(name for path in sources(USERS) for name in code_names(path))
     return {name for name, count in defined.items()
             if named[name] <= count and not re.fullmatch(r"__\w+__", name)}
+
+
+def unread_fields() -> set[str]:
+    """`Class.field` of the dataclass fields no code reads as an attribute."""
+    read = {name for path in sources(USERS) for name in attribute_reads(path)}
+    return {f"{cls}.{name}" for path in sources(["src/uavrelay"])
+            for cls, name in fields(path) if name not in read}
 
 
 def test_every_definition_is_used_outside_tests():
@@ -64,3 +100,11 @@ def test_every_definition_is_used_outside_tests():
 
 def test_every_allowed_name_is_still_test_only():
     assert sorted(ALLOWED.keys() - unused()) == []
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    assert sorted(unread_fields() - ALLOWED_FIELDS.keys()) == []
+
+
+def test_every_allowed_field_is_still_unread():
+    assert sorted(ALLOWED_FIELDS.keys() - unread_fields()) == []

@@ -130,6 +130,22 @@ class TestSurrogate:
                 exact = prob.true_objective(z)
                 assert surrogate(z)[0] <= exact + 1e-12 * max(1.0, abs(exact)), name
 
+    def test_direct_only_surrogate_is_the_exact_objective(self):
+        # nothing relayed: M is a constant, its tangent is flat, and the
+        # surrogate equals the objective everywhere, so one step is exact
+        rng = np.random.default_rng(11)
+        prob, restored = next((prob, restored) for name, prob, restored
+                              in layout_problems() if name == "direct")
+        fset = prob.feasible_set()
+        lo, hi = prob.qos_floors(), prob.pack(restored)
+        x0 = fset.project(0.5 * (lo + hi))
+        _, slope = prob.m_tangent(x0)
+        assert slope.shape == (prob.n_vars,) and not slope.any()
+        surrogate = prob.surrogate(x0)
+        for _ in range(100):
+            z = fset.project(lo + rng.uniform(0, 1, prob.n_vars) * (hi - lo + 0.05))
+            assert surrogate(z)[0] == pytest.approx(prob.true_objective(z), rel=1e-12)
+
     def test_surrogate_gradient(self):
         from gradcheck import grad_check
         for name, prob, restored in layout_problems():
@@ -327,26 +343,39 @@ class TestScpPower:
 
     def test_stops_on_the_slot_loops_absolute_tolerance(self, monkeypatch):
         # a stop looser than the slot loop's hands that loop power gains it
-        # counts as progress: every converged stop ends on a step that
-        # gains less than `tolerances.bcd`, or on a step that dropped and
-        # so is not in the trace
-        results = []
+        # counts as progress: every converged stop with a relayed variable
+        # ends on a step that gains less than `tolerances.bcd`, or on a
+        # step that dropped and so is not in the trace.  A direct-only
+        # stop takes one exact step, and a run from its answer gains nothing
+        calls = []
 
         def recorded(*args, **kwargs):
             res = scp_power(*args, **kwargs)
-            results.append(res)
+            calls.append((args, res))
             return res
 
         monkeypatch.setattr(orchestrator, "scp_power", recorded)
-        sc = Scenario(n_ues=20, n_subchannels=40, n_slots=2, d_max=25.0,
-                      fading_model="mixed", rng_seed=1).with_positions(1)
-        log = run_episode(sc, "cellular")
-        assert min(sol.objective for sol in log.slots) > 10.0
-        stops = [res for res in results if res.converged and res.iterations]
-        assert stops
-        for res in stops:
+        stops = {True: [], False: []}
+        for algorithm, n_ues, n_sub, least in (("cellular", 20, 40, 10.0),
+                                               ("jmstp", 5, 10, 1.0)):
+            sc = Scenario(n_ues=n_ues, n_subchannels=n_sub, n_slots=2, d_max=25.0,
+                          fading_model="mixed", rng_seed=1).with_positions(1)
+            log = run_episode(sc, algorithm)
+            assert min(sol.objective for sol in log.slots) > least
+            for args, res in calls:
+                if res.converged and res.iterations:
+                    stops[bool(res.alloc[args[0] == 1].any())].append((args, res))
+            calls.clear()
+        assert stops[True] and stops[False]
+        for _, res in stops[True]:
             on_drop = len(res.trace) == res.iterations
             assert on_drop or res.trace[-1] - res.trace[-2] < sc.tolerances.bcd
+        for (beta, _, gains, weights, sc), res in stops[False]:
+            assert res.iterations == 1
+            again = scp_power(beta, res.alloc, gains, weights, sc, init=res.powers)
+            assert again.objective - res.objective == 0.0
+            np.testing.assert_array_equal(again.powers.p_ue, res.powers.p_ue)
+            np.testing.assert_array_equal(again.powers.p_uav, res.powers.p_uav)
 
     def test_empty_allocation(self):
         sc = Scenario(n_ues=2, n_subchannels=4).with_positions(0)
