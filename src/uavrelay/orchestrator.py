@@ -1,25 +1,37 @@
 """Slot-level driver tying the three stages together, plus episodes,
 baselines, sweeps, and the derived metrics.
 
-Per slot the driver cycles matching -> trajectory -> power and accepts a
-stage's output only when the exact weighted sum rate does not fall, so
-the per-slot objective trace is nondecreasing by construction.  That
-cycle is the only place a stage is repeated: the matching stage plays
-the swap game once per fresh greedy start, never from the incumbent,
-and the trajectory stage makes one horizontal SCP step.  The cycle
-stops once it gains less than the scenario's one tolerance,
-`tolerances.bcd`, the same absolute test on which the power stage's
-own SCP loop stops.  So the power stage is not re-run on the inputs its
-last converged run returned (the matching stage kept the incumbent and
-the UAV stayed put): that run already stopped on a step worth less than
-the tolerance, which is all the cycle's own stop gives up.  Episodes
-chain slots under proportional-fairness weights; each algorithm earns
-its own weight history from its own achieved rates.
+All three algorithms run one per-slot loop, which cycles matching ->
+trajectory -> power, and differ only in their stages:
+
+- jmstp: the matching stage keeps the best of the fresh greedy starts
+  (scored, coverage and all-cellular modes) or the incumbent, then the
+  trajectory and power stages run;
+- cellular: the matching stage has only the all-cellular start, and
+  there is no trajectory stage, so the UAV never moves;
+- random: the first cycle draws a random matching from the slot's own
+  channel and funds it cold; later cycles run only trajectory and power.
+
+The trajectory and power stages are kept by one test, an exact weighted
+sum rate within `_STAGE_TOL` of the incumbent's, and the matching stage
+replaces the incumbent only with a candidate that beats it, so the
+per-slot objective trace is nondecreasing by construction.  That cycle is
+the only place a stage is repeated: the matching stage plays the swap
+game once per fresh greedy start, never from the incumbent, and the
+trajectory stage makes one horizontal SCP step, or drifts toward the
+unserved UEs when nothing is relayed.  The cycle stops once it gains
+less than the scenario's one tolerance, `tolerances.bcd`, the same
+absolute test on which the power stage's own SCP loop stops.  So the
+power stage is not re-run on the inputs its last converged run returned
+(the matching stage kept the incumbent and the UAV stayed put): that run
+already stopped on a step worth less than the tolerance, which is all
+the cycle's own stop gives up.  Episodes chain slots under
+proportional-fairness weights; each algorithm earns its own weight
+history from its own achieved rates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,8 +43,11 @@ from .matching import (CELLULAR, RELAY, MatchingContext, assignment,
 from .power_alloc import restore_feasible, scp_power
 from .scenario import Scenario, UavState, require_valid
 from .trajectory import SlotInputs, to_algorithm
-from .uav_power import flying_power_upper, move_radius
+from .uav_power import flying_power_upper
+# bound here only for perfbench's `uav_power.move_radius` hook
+from .uav_power import move_radius  # noqa: F401
 
+ALGORITHMS = ("jmstp", "random", "cellular")
 _STAGE_TOL = 1e-9
 _MAX_BCD = 100
 # each hop's name in the validator's findings, indexed [beta][hop]; a
@@ -54,7 +69,6 @@ class SlotSolution:
     objective: float
     iterations: int
     stage_trace: list[tuple[str, float]] = field(default_factory=list)
-    dropped: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def speed(self) -> float:
@@ -156,21 +170,22 @@ def _coverage_modes(ctx: MatchingContext) -> np.ndarray:
 
 
 def _fresh_matchings(ctx: MatchingContext,
-                     relay_allowed: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+                     relay: bool) -> list[tuple[np.ndarray, np.ndarray]]:
     """Stable `(beta, alloc)` matchings of the fresh greedy starts.
 
     Three greedy starts cover the mode spectrum: scored modes (relay
     whenever its utility sum wins), coverage modes (relay only where no
     direct link passes QoS), and all-cellular.  Relaying pays half the
     spectral efficiency for reach, so which mix wins is geometry- and
-    weight-dependent; the exact completed objective arbitrates.  The
-    starts and their swap runs read only the scenario, the gains and the
-    weights, so one channel state needs them once; they are the matching
-    stage's only swap runs.  Each start hands its scored view to the swap
-    game, which scores nothing again."""
+    weight-dependent; the exact completed objective arbitrates.  Without
+    `relay` only the all-cellular start runs.  The starts and their swap
+    runs read only the scenario, the gains and the weights, so one
+    channel state needs them once; they are the matching stage's only
+    swap runs.  Each start hands its scored view to the swap game, which
+    scores nothing again."""
     all_cellular = np.full(ctx.n_ues, CELLULAR)
     starts = [init_matching(ctx, all_cellular)]
-    if relay_allowed:
+    if relay:
         starts.insert(0, init_matching(ctx, _scored_modes(ctx)))
         coverage = _coverage_modes(ctx)
         if coverage.any():
@@ -199,155 +214,6 @@ def _matching_stage(ctx: MatchingContext, fresh, beta, alloc, powers,
     return best
 
 
-def _drift_toward_unserved(sc: Scenario, pos, anchor, per_ue_rate,
-                           weights) -> np.ndarray:
-    """Horizontal move from the slot anchor toward the weight-averaged
-    position of the UEs earning nothing, spending the remaining move
-    budget.  Without relayed assignments the slot objective ignores the
-    position entirely, and a UAV parked out of QoS reach of the starved
-    UEs would otherwise never form the pair that lets the trajectory
-    stage engage; returns `pos` unchanged when everyone is served."""
-    starved = np.flatnonzero(np.asarray(per_ue_rate) <= 0.0)
-    if starved.size == 0:
-        return np.asarray(pos, dtype=float)
-    ues = np.asarray(sc.ue_positions, dtype=float)[starved, :2]
-    target = np.average(ues, axis=0, weights=np.asarray(weights)[starved])
-    anchor = np.asarray(anchor, dtype=float)
-    r_eff = move_radius(sc.d_max, sc.e_max, sc.slot_len, sc.propulsion)
-    r_h = math.sqrt(max(r_eff * r_eff - (float(pos[2]) - anchor[2]) ** 2, 0.0))
-    step = target - anchor[:2]
-    dist = float(np.linalg.norm(step))
-    xy = target if dist <= r_h else anchor[:2] + step * (r_h / dist)
-    return np.array([xy[0], xy[1], float(pos[2])])
-
-
-# ---------------------------------------------------------------------------
-# The per-slot block-coordinate loop.
-
-def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
-               init: SlotSolution | None = None, slot_index: int = 0, *,
-               relay_allowed: bool = True,
-               fixed_matching: tuple[np.ndarray, np.ndarray] | None = None
-               ) -> SlotSolution:
-    """One slot of the joint algorithm: matching, trajectory, power, cycled
-    until the exact objective gain drops below the convergence threshold.
-
-    `fixed_matching`, a `(beta, alloc)` pair, freezes the assignment stage
-    (used by the random baseline); `relay_allowed=False` gives the
-    cellular baseline: no relayed starts and no trajectory stage.  `init`
-    warm-starts from the previous slot's solution, whose powers
-    `restore_feasible` re-funds against this slot's QoS floors before it
-    competes.
-
-    A cycle skips `scp_power` when its modes, allocation, position and
-    powers equal what the last accepted, converged power run returned;
-    the cycle still logs its `("power", objective)` entry."""
-    weights = np.asarray(weights, dtype=float)
-    pos = np.asarray(state.pos, dtype=float).copy()
-    anchor = tuple(float(v) for v in state.prev_pos)
-    n_ues, k_sub = sc.n_ues, sc.n_subchannels
-
-    gains = gain_matrices(sc, pos, slot_index)
-    if init is not None and init.alloc.any():
-        beta = init.beta.copy()
-        alloc, powers = complete_powers(init.beta, init.alloc, init.powers,
-                                        init.beta, init.alloc, gains, weights, sc)
-    else:
-        beta = np.zeros(n_ues, dtype=int)
-        alloc = np.zeros((n_ues, k_sub), dtype=int)
-        powers = PowerAllocation(np.zeros((n_ues, k_sub)), np.zeros(k_sub))
-    obj = rate_report(beta, alloc, powers, gains, weights, sc).objective
-
-    trace: list[tuple[str, float]] = []
-    dropped: list[tuple[int, int]] = []
-    eps = sc.tolerances.bcd
-    iterations = 0
-    ctx = fresh = None  # the fresh starts belong to one channel state
-    settled = None  # the inputs a converged power run last returned
-
-    for iterations in range(1, _MAX_BCD + 1):
-        cycle_start = obj
-
-        if fixed_matching is not None:
-            if iterations == 1:
-                cand_beta, cand_alloc = fixed_matching
-                alloc, powers = complete_powers(beta, None, powers, cand_beta,
-                                                cand_alloc, gains, weights, sc)
-                beta = cand_beta
-                obj = rate_report(beta, alloc, powers, gains, weights,
-                                  sc).objective
-                trace.append(("matching", obj))
-        else:
-            if ctx is None:
-                ctx = MatchingContext(sc, gains, weights)
-                fresh = _fresh_matchings(ctx, relay_allowed)
-            obj, beta, alloc, powers = _matching_stage(
-                ctx, fresh, beta, alloc, powers, obj)
-            trace.append(("matching", obj))
-
-        if relay_allowed:
-            inputs = SlotInputs(sc, beta, alloc, powers, weights, slot_index)
-            new_pos, new_gains = pos, gains
-            if inputs.relay_pairs():
-                result = to_algorithm(UavState(tuple(pos), anchor), inputs, gains)
-                if result.objective >= obj - _STAGE_TOL * max(1.0, abs(obj)):
-                    new_pos, new_gains = result.position, result.gains
-                    obj = max(obj, result.objective)
-            else:
-                # the objective is flat in the position, so close in on
-                # the UEs nothing currently reaches; later slots then see
-                # relayable geometry instead of a parked UAV
-                rates = rate_report(beta, alloc, powers, gains, weights,
-                                    sc).per_ue_rate
-                new_pos = _drift_toward_unserved(sc, pos, anchor, rates, weights)
-                new_gains = None
-            if not np.array_equal(new_pos, pos):
-                # a new channel state; the fresh starts belong to the old one
-                gains = (gain_matrices(sc, new_pos, slot_index) if new_gains is None
-                         else new_gains)
-                ctx = None
-            pos = new_pos
-            trace.append(("trajectory", obj))
-
-        # a converged run re-run on its own answer would step on from a
-        # point where its last step gained less than eps
-        if settled is None or not all(map(np.array_equal, settled, (
-                beta, alloc, pos, powers.p_ue, powers.p_uav))):
-            res = scp_power(beta, alloc, gains, weights, sc, init=powers)
-            if res.objective >= obj - _STAGE_TOL * max(1.0, abs(obj)):
-                powers, alloc = res.powers, res.alloc
-                obj = max(obj, res.objective)
-                dropped.extend(res.dropped)
-                if res.converged:
-                    settled = (beta, alloc, pos, powers.p_ue, powers.p_uav)
-        trace.append(("power", obj))
-
-        if obj - cycle_start < eps:
-            break
-
-    report = rate_report(beta, alloc, powers, gains, weights, sc)
-    return SlotSolution(beta, alloc, powers, pos,
-                        np.asarray(anchor, dtype=float), report.per_ue_rate,
-                        weights, report.objective, iterations, trace, dropped)
-
-
-# ---------------------------------------------------------------------------
-# Episodes.
-
-@dataclass
-class EpisodeLog:
-    scenario: Scenario
-    algorithm: str
-    slots: list[SlotSolution]
-    rates: np.ndarray            # (T, N)
-    avg_rates: np.ndarray        # (N,)
-    sum_rate: float              # mean per-slot sum of UE rates
-    jain: float
-    avg_speed: float
-    n_relay_ues: float           # per-slot means
-    n_scheduled_ues: float
-
-
 def _random_matching(ctx: MatchingContext,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform mode per UE among its QoS-feasible options, then each
@@ -367,12 +233,138 @@ def _random_matching(ctx: MatchingContext,
     return assignment(beta, owner)
 
 
+# ---------------------------------------------------------------------------
+# The per-slot block-coordinate loop.
+
+def _require_algorithm(algorithm: str) -> None:
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm: {algorithm}; use one of {ALGORITHMS}")
+
+
+def _holds(candidate: float, incumbent: float) -> bool:
+    """The trajectory and power stages' acceptance: the candidate's exact
+    objective is within `_STAGE_TOL` of the incumbent's."""
+    return candidate >= incumbent - _STAGE_TOL * max(1.0, abs(incumbent))
+
+
+def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
+               init: SlotSolution | None = None, slot_index: int = 0,
+               algorithm: str = "jmstp") -> SlotSolution:
+    """One slot of `algorithm`, one of `ALGORITHMS`: its stages cycled
+    until the exact objective gain drops below the convergence threshold.
+
+    - jmstp: matching over the fresh greedy starts, trajectory, power;
+    - cellular: matching over the all-cellular start, then power; the UAV
+      stays at `state.pos`;
+    - random: in the first cycle only, `_random_matching` drawn from the
+      slot's channel with the slot's own generator and funded cold by
+      `complete_powers`; then trajectory and power in every cycle.
+
+    `init` warm-starts from the previous slot's solution, whose powers
+    `restore_feasible` re-funds against this slot's QoS floors before it
+    competes; random's first-cycle draw replaces it.  Raises ValueError
+    on an unknown algorithm.
+
+    A cycle skips `scp_power` when its modes, allocation, position and
+    powers equal what the last accepted, converged power run returned;
+    the cycle still logs its `("power", objective)` entry."""
+    _require_algorithm(algorithm)
+    weights = np.asarray(weights, dtype=float)
+    pos = np.asarray(state.pos, dtype=float).copy()
+    anchor = tuple(float(v) for v in state.prev_pos)
+    n_ues, k_sub = sc.n_ues, sc.n_subchannels
+
+    gains = gain_matrices(sc, pos, slot_index)
+    if init is not None and init.alloc.any():
+        beta = init.beta.copy()
+        alloc, powers = complete_powers(init.beta, init.alloc, init.powers,
+                                        init.beta, init.alloc, gains, weights, sc)
+    else:
+        beta = np.zeros(n_ues, dtype=int)
+        alloc = np.zeros((n_ues, k_sub), dtype=int)
+        powers = PowerAllocation(np.zeros((n_ues, k_sub)), np.zeros(k_sub))
+    obj = rate_report(beta, alloc, powers, gains, weights, sc).objective
+
+    trace: list[tuple[str, float]] = []
+    eps = sc.tolerances.bcd
+    iterations = 0
+    ctx = fresh = None  # the fresh starts belong to one channel state
+    settled = None  # the inputs a converged power run last returned
+
+    for iterations in range(1, _MAX_BCD + 1):
+        cycle_start = obj
+
+        if algorithm != "random":
+            if ctx is None:
+                ctx = MatchingContext(sc, gains, weights)
+                fresh = _fresh_matchings(ctx, relay=algorithm == "jmstp")
+            obj, beta, alloc, powers = _matching_stage(
+                ctx, fresh, beta, alloc, powers, obj)
+            trace.append(("matching", obj))
+        elif iterations == 1:
+            rng = np.random.default_rng((sc.rng_seed, 11, slot_index))
+            beta, cand_alloc = _random_matching(MatchingContext(sc, gains, weights), rng)
+            alloc, powers = complete_powers(beta, None, powers, beta, cand_alloc,
+                                            gains, weights, sc)
+            obj = rate_report(beta, alloc, powers, gains, weights, sc).objective
+            trace.append(("matching", obj))
+
+        if algorithm != "cellular":
+            result = to_algorithm(
+                UavState(tuple(pos), anchor),
+                SlotInputs(sc, beta, alloc, powers, weights, slot_index), gains)
+            if _holds(result.objective, obj):
+                if not np.array_equal(result.position, pos):
+                    # a new channel state; the fresh starts belong to the old one
+                    ctx = None
+                pos, gains = result.position, result.gains
+                obj = max(obj, result.objective)
+            trace.append(("trajectory", obj))
+
+        # a converged run re-run on its own answer would step on from a
+        # point where its last step gained less than eps
+        if settled is None or not all(map(np.array_equal, settled, (
+                beta, alloc, pos, powers.p_ue, powers.p_uav))):
+            res = scp_power(beta, alloc, gains, weights, sc, init=powers)
+            if _holds(res.objective, obj):
+                powers, alloc = res.powers, res.alloc
+                obj = max(obj, res.objective)
+                if res.converged:
+                    settled = (beta, alloc, pos, powers.p_ue, powers.p_uav)
+        trace.append(("power", obj))
+
+        if obj - cycle_start < eps:
+            break
+
+    report = rate_report(beta, alloc, powers, gains, weights, sc)
+    return SlotSolution(beta, alloc, powers, pos,
+                        np.asarray(anchor, dtype=float), report.per_ue_rate,
+                        weights, report.objective, iterations, trace)
+
+
+# ---------------------------------------------------------------------------
+# Episodes.
+
+@dataclass
+class EpisodeLog:
+    scenario: Scenario
+    algorithm: str
+    slots: list[SlotSolution]
+    rates: np.ndarray            # (T, N)
+    avg_rates: np.ndarray        # (N,)
+    sum_rate: float              # mean per-slot sum of UE rates
+    jain: float
+    avg_speed: float
+    n_relay_ues: float           # per-slot means
+    n_scheduled_ues: float
+
+
 def run_episode(scenario: Scenario, algorithm: str = "jmstp") -> EpisodeLog:
     """Run all slots under proportional fairness for one algorithm
     (`jmstp`, `random`, or `cellular`).  Raises ValueError, listing the
-    problems, when the scenario fails `validate`."""
-    if algorithm not in ("jmstp", "random", "cellular"):
-        raise ValueError(f"unknown algorithm: {algorithm}")
+    problems, when the scenario fails `validate`, and on an unknown
+    algorithm.  The random baseline starts every slot cold."""
+    _require_algorithm(algorithm)
     sc = require_valid(scenario.with_positions())
     n_slots, n_ues = sc.n_slots, sc.n_ues
     rates = np.zeros((n_slots, n_ues))
@@ -382,16 +374,8 @@ def run_episode(scenario: Scenario, algorithm: str = "jmstp") -> EpisodeLog:
 
     for t in range(n_slots):
         weights = update_weights(rates[:t].mean(axis=0) if t else np.zeros(n_ues))
-        state = UavState(tuple(pos), tuple(pos))
-        if algorithm == "jmstp":
-            sol = jmstp_slot(sc, state, weights, prev, t)
-        elif algorithm == "random":
-            ctx = MatchingContext(sc, gain_matrices(sc, pos, t), weights)
-            rng = np.random.default_rng((sc.rng_seed, 11, t))
-            sol = jmstp_slot(sc, state, weights, None, t,
-                             fixed_matching=_random_matching(ctx, rng))
-        else:
-            sol = jmstp_slot(sc, state, weights, prev, t, relay_allowed=False)
+        sol = jmstp_slot(sc, UavState(tuple(pos), tuple(pos)), weights,
+                         None if algorithm == "random" else prev, t, algorithm)
         slots.append(sol)
         rates[t] = sol.rates
         pos = sol.position
@@ -413,7 +397,6 @@ def run_episode(scenario: Scenario, algorithm: str = "jmstp") -> EpisodeLog:
 SWEEP_AXES = ("p_ue_max", "d_max", "p_uav_max", "e_max")
 # the seed-averaged `EpisodeLog` fields of a sweep row, in sweep.csv order
 SWEEP_METRICS = ("sum_rate", "jain", "n_relay_ues", "n_scheduled_ues", "avg_speed")
-ALGORITHMS = ("jmstp", "random", "cellular")
 
 
 def sweep(template: Scenario, axis: str, values, n_seeds: int = 10,

@@ -15,6 +15,14 @@ step.  Whenever the approximated SNR set turns out empty the stage
 returns the incumbent unchanged.  The altitude is held for the whole
 episode (`solve_altitude`).
 
+Without relayed assignments the slot objective does not depend on the
+position, and a UAV parked out of QoS reach of the UEs that earn nothing
+would never form the pair that lets the step engage.  So the stage then
+drifts instead: it moves horizontally from the slot's anchor toward the
+weight-averaged position of the starved UEs, spending the move radius,
+and keeps the objective it started with.  The drift and the step share
+one move disc (`_move_disc_radius`).
+
 The stage works on arrays over the P relayed (UE, subchannel) pairs:
 one evaluation of the gain bounds gives every pair's two hop gains and
 their gradients at a point, shared by the objective and by the one
@@ -72,6 +80,7 @@ class Audit:
     position: np.ndarray  # (3,)
     gains: ChannelGains   # the exact channel at the position
     objective: float      # weighted sum rate
+    rates: np.ndarray     # (N,) each UE's rate
     surplus: float        # worst QoS margin over relayed assignments
 
 
@@ -86,7 +95,14 @@ def _audit(pos, inputs: SlotInputs, gains: ChannelGains | None = None) -> Audit:
                          inputs.weights, s)
     relayed = (np.asarray(inputs.alloc) * np.asarray(inputs.beta)[:, None]) == 1
     surplus = min(m[relayed].min(initial=math.inf) for m in report.link.margins())
-    return Audit(pos, gains, report.objective, surplus)
+    return Audit(pos, gains, report.objective, report.per_ue_rate, surplus)
+
+
+def _move_disc_radius(s: Scenario, z: float, anchor: np.ndarray) -> float:
+    """Radius of the horizontal disc around `anchor` that a UAV held at
+    altitude `z` can reach within the slot's move radius."""
+    r_eff = move_radius(s.d_max, s.e_max, s.slot_len, s.propulsion)
+    return math.sqrt(max(r_eff * r_eff - (z - anchor[2]) ** 2, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +382,7 @@ def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, S
         log.reason = "no relayed assignments; objective does not depend on position"
         return start, log
     anchor = np.asarray(anchor, dtype=float)
-    r_eff = move_radius(s.d_max, s.e_max, s.slot_len, s.propulsion)
-    r_h = math.sqrt(max(r_eff * r_eff - (start.position[2] - anchor[2]) ** 2, 0.0))
+    r_h = _move_disc_radius(s, start.position[2], anchor)
     log.iterations = 1
     xy = start.position[:2].copy()
     ctx = horizontal_surrogate(inputs, start.position)
@@ -418,16 +433,42 @@ class TrajectoryResult:
     logs: list[StageLog]
 
 
+def _drift_toward_unserved(start: Audit, anchor: np.ndarray,
+                           inputs: SlotInputs) -> TrajectoryResult:
+    """Horizontal move from the slot anchor toward the weight-averaged
+    position of the UEs earning nothing at `start`, spending the
+    remaining move radius; `start` unchanged when everyone is served.
+    The objective is `start`'s, which the move cannot change without
+    relayed assignments, and the gains are evaluated again only when the
+    UAV moves."""
+    s = inputs.scenario
+    pos, gains = start.position, start.gains
+    starved = np.flatnonzero(start.rates <= 0.0)
+    if starved.size:
+        ues = np.asarray(s.ue_positions, dtype=float)[starved, :2]
+        target = np.average(ues, axis=0, weights=inputs.weights[starved])
+        r_h = _move_disc_radius(s, pos[2], anchor)
+        step = target - anchor[:2]
+        dist = float(np.linalg.norm(step))
+        xy = target if dist <= r_h else anchor[:2] + step * (r_h / dist)
+        new = np.array([xy[0], xy[1], pos[2]])
+        if not np.array_equal(new, pos):
+            pos, gains = new, gain_matrices(s, new, inputs.slot_index)
+    return TrajectoryResult(pos, gains, start.objective, 0, [])
+
+
 def to_algorithm(state: UavState, inputs: SlotInputs,
                  gains: ChannelGains | None = None) -> TrajectoryResult:
     """Audit the start, make one horizontal SCP step from it, then
     `solve_altitude`, which holds the altitude, and return the final
-    audit's own position, gains and objective.  `gains`, when given, is
-    the exact channel at `state.pos`."""
-    anchor = tuple(float(v) for v in state.prev_pos)
+    audit's own position, gains and objective.  Without relayed
+    assignments it drifts instead (`_drift_toward_unserved`): toward the
+    UEs earning nothing, with the start's objective and no step.
+    `gains`, when given, is the exact channel at `state.pos`."""
+    anchor = np.asarray(state.prev_pos, dtype=float)
     cur = _audit(state.pos, inputs, gains)
     if not inputs.relay_pairs():
-        return TrajectoryResult(cur.position, cur.gains, cur.objective, 0, [])
+        return _drift_toward_unserved(cur, anchor, inputs)
     cur, hlog = solve_horizontal(cur, anchor, inputs)
     cur, alog = solve_altitude(cur, anchor, inputs)
     return TrajectoryResult(cur.position, cur.gains, cur.objective, 1, [hlog, alog])

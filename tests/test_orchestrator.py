@@ -21,6 +21,7 @@ from uavrelay.orchestrator import (
     complete_powers,
     dwell_times,
     jmstp_slot,
+    paired_bootstrap_lower,
     run_episode,
     sweep,
     validate_solution,
@@ -60,6 +61,10 @@ class TestJmstpSlot:
         assert np.all(sol.rates == 0.0)
         assert sol.objective == 0.0
         assert sol.iterations == 1
+
+    def test_rejects_unknown_algorithm(self):
+        with pytest.raises(ValueError, match="unknown algorithm: genie"):
+            cold_slot(tiny_scenario(), algorithm="genie")
 
     def test_trace_monotone_and_validator_clean(self):
         sc = tiny_scenario()
@@ -222,12 +227,15 @@ class TestChannelStateReuse:
     def test_fresh_starts_rebuilt_after_a_move(self, monkeypatch):
         # no relayed pair forms, so each drift move is a new channel state,
         # and each state gets the scored, all-cellular and coverage starts
+        # (the slot's start on the orchestrator's binding, the drift's
+        # move on the trajectory stage's)
         inits = record_calls(monkeypatch, orchestrator, "init_matching")
-        evals = record_calls(monkeypatch, orchestrator, "gain_matrices")
+        evals = [record_calls(monkeypatch, module, "gain_matrices")
+                 for module in (orchestrator, trajectory)]
         sol = cold_slot(tiny_scenario())
         assert not sol.beta.any()
-        assert len(evals) == 2
-        assert len(inits) == 3 * len(evals)
+        assert sum(map(len, evals)) == 2
+        assert len(inits) == 3 * sum(map(len, evals))
 
     @pytest.mark.parametrize("algorithm, n_ues, n_sub, seed", [
         ("jmstp", 5, 10, 0), ("jmstp", 5, 10, 1), ("jmstp", 5, 10, 2),
@@ -460,6 +468,28 @@ class TestBaselines:
         log = run_episode(sc, "cellular")
         assert log.avg_rates[2] == 0.0
         assert all(2 not in sol.scheduled_ues() for sol in log.slots)
+
+
+class TestPaperClaim:
+    """The abstract's claim: the joint algorithm outperforms the random
+    algorithm and the cellular scheme.  Judged per seed, paired, on the
+    sum rate and on the utility that the fairness weights ascend,
+    U = sum_n log(avg rate_n + 0.1) (`update_weights` sets each weight to
+    its gradient); Jain's index against random is too close to call."""
+
+    def test_jmstp_beats_both_baselines(self):
+        metrics = {algorithm: [] for algorithm in ALGORITHMS}
+        for seed in range(10):
+            sc = Scenario(rng_seed=seed, d_max=25.0, fading_model="mixed")
+            for algorithm in ALGORITHMS:
+                log = run_episode(sc, algorithm)
+                metrics[algorithm].append(
+                    (log.sum_rate, float(np.log(log.avg_rates + 0.1).sum())))
+        joint = np.array(metrics["jmstp"])
+        for rival in ("random", "cellular"):
+            gaps = joint - np.array(metrics[rival])
+            for name, column in zip(("sum rate", "utility"), gaps.T):
+                assert paired_bootstrap_lower(column) > 0.0, (rival, name)
 
 
 class TestSweep:

@@ -1,6 +1,6 @@
 """Trajectory stage tests: tangent bound quality, surrogate rate
-properties, stage solver contracts, and `to_algorithm`'s constraint
-and monotonicity audits."""
+properties, stage solver contracts, `to_algorithm`'s constraint and
+monotonicity audits, and its drift when nothing is relayed."""
 
 import math
 from dataclasses import replace
@@ -25,6 +25,8 @@ from uavrelay.trajectory import (
     to_algorithm,
 )
 from uavrelay.uav_power import flying_power_upper, move_radius
+
+from test_orchestrator import same_gains
 
 EASY = SnrThresholds(5.0, 5.0, 5.0)
 
@@ -470,12 +472,44 @@ def test_to_algorithm_is_one_horizontal_run(request, case):
     assert res.passes == 1
 
 
-def test_to_algorithm_no_relay_is_a_no_op(two_ue):
+def direct_inputs(two_ue, starve_ue=None):
+    """`two_ue`'s assignments with every UE direct; `starve_ue`, when
+    given, loses its subchannels and powers."""
     sc, inputs, _ = two_ue
-    quiet = SlotInputs(sc, np.zeros(2, dtype=int), inputs.alloc, inputs.powers,
-                       inputs.weights, 0)
-    start = (170.0, -40.0, 130.0)
-    res = to_algorithm(UavState(start, start), quiet)
-    assert np.allclose(res.position, start)
-    assert res.passes == 0
+    alloc, p_ue = inputs.alloc.copy(), inputs.powers.p_ue.copy()
+    if starve_ue is not None:
+        alloc[starve_ue] = 0
+        p_ue[starve_ue] = 0.0
+    return SlotInputs(sc, np.zeros(2, dtype=int), alloc,
+                      PowerAllocation(p_ue, inputs.powers.p_uav), inputs.weights, 0)
 
+
+def test_to_algorithm_without_relay_drifts_toward_a_starved_ue(two_ue):
+    sc, _, _ = two_ue
+    inputs = direct_inputs(two_ue, starve_ue=1)
+    start = (230.0, 10.0, 130.0)
+    before = _audit(start, inputs)
+    assert before.rates[0] > 0.0 and before.rates[1] == 0.0
+    res = to_algorithm(UavState(start, start), inputs)
+    # the whole move radius along the line to the starved UE
+    r_eff = move_radius(sc.d_max, sc.e_max, sc.slot_len, sc.propulsion)
+    step = res.position - np.array(start)
+    toward = np.array([*sc.ue_positions[1][:2], start[2]]) - np.array(start)
+    assert np.linalg.norm(step) == pytest.approx(r_eff, rel=1e-12)
+    assert step @ toward == pytest.approx(np.linalg.norm(step) * np.linalg.norm(toward),
+                                          rel=1e-12)
+    assert same_gains(res.gains, gain_matrices(sc, res.position, 0))
+    assert res.objective == before.objective
+    assert res.passes == 0 and res.logs == []
+
+
+def test_to_algorithm_without_relay_holds_when_every_ue_is_served(two_ue):
+    inputs = direct_inputs(two_ue)
+    start = (230.0, 10.0, 130.0)
+    before = _audit(start, inputs)
+    assert np.all(before.rates > 0.0)
+    res = to_algorithm(UavState(start, start), inputs, before.gains)
+    assert np.array_equal(res.position, start)
+    assert res.gains is before.gains
+    assert res.objective == before.objective
+    assert res.passes == 0
