@@ -1,15 +1,28 @@
-"""Small projected-gradient engine for concave maximization over the
-two feasible regions this package builds, with an optional log-barrier
-pass for smooth nonlinear constraints.
+"""Small ascent engine for concave maximization over the two feasible
+regions this package builds, with an optional log-barrier term for
+smooth nonlinear constraints.
 
 The horizontal trajectory stage moves inside a disc; the power stage
-moves over budget blocks with per-variable floors.  Each region has a
-closed-form projection, so the engine projects exactly.  The trajectory
-stage spends its effort on a backtracking line search with a
-sufficient-increase test and a three-decade barrier schedule with warm
-starts.  The power stage starts the engine at its surrogate's exact
-maximiser, so there the engine only certifies that point: its
-projected-gradient test passes at the first iteration.
+moves over budget blocks with per-variable floors.  Every iteration
+maximizes a quadratic model of the objective over the region, then
+searches the segment toward that trial point with a sufficient-increase
+test.  The model's curvature decides the trial point:
+
+- an objective that returns its Hessian gets Newton's model.  On the
+  disc its maximizer is an exact trust-region step (Moré & Sorensen,
+  "Computing a trust region step", SIAM J. Sci. Stat. Comput. 1983), so
+  the disc needs no barrier row, and the ascent stops when the model
+  promises less than `_DECREMENT_TOL` (the Newton decrement; Boyd &
+  Vandenberghe, *Convex Optimization*, §9.5).  The trajectory stage
+  takes this path, its hop floors in one log barrier of the fixed
+  weight `BARRIER_WEIGHT`;
+- an objective without one gets the scalar curvature -1/alpha, alpha a
+  Barzilai–Borwein step, whose model maximizer is the projected
+  gradient step `project(x + alpha grad)` (spectral projected
+  gradient).  Each region has a closed-form projection.  The power
+  stage takes this path and starts the engine at its surrogate's exact
+  maximiser, so there the engine only certifies that point: its
+  projected-gradient test passes at the first iteration.
 """
 
 from __future__ import annotations
@@ -21,12 +34,16 @@ from typing import Callable
 
 import numpy as np
 
-Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# x -> (value, gradient), or (value, gradient, Hessian) where the set is a ball
+Objective = Callable[[np.ndarray], tuple]
 
 # residual allowed on every barrier row when the final point is validated:
 # barriers stop strictly inside, but a caller may seed exactly on the boundary
 _BARRIER_TOL = 1e-9
 _PG_TOL = 1e-8
+_DECREMENT_TOL = 1e-12  # absolute increase a Newton model must promise to go on
+_TR_ITERS = 50          # cap on the secular-equation iterations of one step
+_TR_RTOL = 1e-12        # relative radius error at which a boundary step is kept
 
 
 @dataclass
@@ -34,10 +51,12 @@ class BarrierTerm:
     """Smooth concave constraints g_i(x) >= 0 entering through a log barrier.
 
     `fn` returns the values of its m constraint rows and their Jacobian,
-    shapes (m,) and (m, d); a scalar value with a gradient of shape (d,)
-    is the one-row case.  The barrier adds mu * sum_i log g_i(x)."""
+    shapes (m,) and (m, d), and optionally the rows' Hessians (m, d, d);
+    a scalar value with a gradient of shape (d,) is the one-row case
+    without Hessians.  The barrier adds `BARRIER_WEIGHT` * sum_i log
+    g_i(x)."""
 
-    fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    fn: Callable[[np.ndarray], tuple]
 
 
 @dataclass
@@ -124,35 +143,68 @@ class FeasibleSet:
         """Largest residual over the barrier's rows, beyond `_BARRIER_TOL`."""
         if self.barrier is None:
             return 0.0
-        val, _ = self.barrier.fn(x)
+        val = self.barrier.fn(x)[0]
         return max(0.0, -(float(np.min(val)) + _BARRIER_TOL))
 
 
 @dataclass
 class Diagnostics:
     iterations: int = 0
-    converged: bool = False
     reason: str = ""
 
 
 @dataclass
 class SolveResult:
     x: np.ndarray
-    value: float
     feasible: bool
     diagnostics: Diagnostics
 
 
-BARRIER_WEIGHTS = (1e-2, 1e-4, 1e-6)
+BARRIER_WEIGHT = 1e-6
 _MAX_STEP = 1e8
+
+
+def _trust_region_point(center: np.ndarray, radius: float, x: np.ndarray,
+                        grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, float]:
+    """Maximizer z of the model grad.(z - x) + (z - x).hess.(z - x) / 2
+    over the ball |z - center| <= radius, and its multiplier lam >= 0.
+
+    With A = -hess and y = z - center, the point solves (A + lam I) y =
+    grad + A (x - center), with lam = 0 when that Newton point lies in
+    the ball.  Otherwise lam is the root of 1/|y(lam)| = 1/radius, which
+    is concave and increasing in lam over A's eigenbasis, so Newton's
+    method approaches it monotonically from below (Moré & Sorensen 1983),
+    from the lower bound max_i |b_i| / radius - a_i.  Curvature that
+    rounding makes positive is dropped, so the model stays concave."""
+    if radius <= 0.0:
+        return center.copy(), 0.0
+    a, q = np.linalg.eigh(-hess)
+    a = np.maximum(a, 0.0)
+    b = q.T @ grad + a * (q.T @ (x - center))
+    lam = max(0.0, float(np.max(np.abs(b) / radius - a)))
+    for _ in range(_TR_ITERS):
+        den = a + lam
+        # a flat direction with no pull stays at the centre's coordinate
+        y = np.divide(b, den, out=np.zeros_like(b), where=den > 0.0)
+        norm = math.sqrt(float(y @ y))
+        if norm <= radius * (1.0 + _TR_RTOL):
+            break
+        dy = np.divide(y, den, out=np.zeros_like(y), where=den > 0.0)
+        lam += (norm - radius) / radius * norm * norm / float(y @ dy)
+    if lam > 0.0:
+        y *= radius / norm
+    return center + q @ y, lam
 
 
 def _ascend(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
             max_iters: int) -> tuple[np.ndarray, float, Diagnostics]:
-    """Spectral projected gradient ascent with a monotone Armijo search
-    along the feasible segment toward the projected trial point."""
+    """Monotone ascent: each iteration moves toward the maximizer over
+    the set of a quadratic model of the objective, with an Armijo search
+    along that segment.  The model is Newton's where the objective
+    returns a Hessian (`_trust_region_point`), else the projected
+    gradient step of a Barzilai–Borwein length."""
     x = fset.project(np.asarray(x0, dtype=float))
-    val, grad = objective(x)
+    val, grad, *hess = objective(x)
     diag = Diagnostics()
     if not math.isfinite(val):
         diag.reason = "start outside objective domain"
@@ -160,35 +212,39 @@ def _ascend(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
     step = 1.0
     for it in range(1, max_iters + 1):
         diag.iterations = it
-        trial = fset.project(x + step * grad)
-        d = trial - x
-        # h(t)/min(t,1) upper-bounds the unit-step residual for any t, so
-        # stopping on it never stops earlier than the true criterion would
-        pg_norm = math.sqrt(float(d @ d)) / min(step, 1.0)
-        if pg_norm < _PG_TOL:
-            diag.converged = True
-            diag.reason = "projected gradient below tolerance"
-            break
-        slope = float(np.dot(grad, d))
+        if hess:
+            d = _trust_region_point(*fset.ball, x, grad, hess[0])[0] - x
+            slope = float(np.dot(grad, d))
+            if slope + 0.5 * float(d @ hess[0] @ d) < _DECREMENT_TOL:
+                diag.reason = "Newton decrement below tolerance"
+                break
+        else:
+            d = fset.project(x + step * grad) - x
+            # h(t)/min(t,1) upper-bounds the unit-step residual for any t, so
+            # stopping on it never stops earlier than the true criterion would
+            if math.sqrt(float(d @ d)) / min(step, 1.0) < _PG_TOL:
+                diag.reason = "projected gradient below tolerance"
+                break
+            slope = float(np.dot(grad, d))
         lam, accepted = 1.0, False
         cand_val = -math.inf
         while lam > 1e-13:
             cand = x + lam * d
-            cand_val, cand_grad = objective(cand)
+            cand_val, cand_grad, *cand_hess = objective(cand)
             if math.isfinite(cand_val) and cand_val >= val + 1e-4 * lam * slope:
                 accepted = True
                 break
             lam *= 0.5
         if not accepted or cand_val <= val + 1e-14 * (abs(val) + 1.0):
-            diag.converged = True
             diag.reason = "line search stalled"
             break
-        s = cand - x
-        y = grad - cand_grad  # curvature direction for a concave objective
-        sy = float(np.dot(s, y))
-        step = min(max(float(np.dot(s, s)) / sy, 1e-12), _MAX_STEP) if sy > 1e-300 \
-            else min(step * 2.0, _MAX_STEP)
-        x, val, grad = cand, cand_val, cand_grad
+        if not hess:
+            s = cand - x
+            y = grad - cand_grad  # curvature direction for a concave objective
+            sy = float(np.dot(s, y))
+            step = min(max(float(np.dot(s, s)) / sy, 1e-12), _MAX_STEP) if sy > 1e-300 \
+                else min(step * 2.0, _MAX_STEP)
+        x, val, grad, hess = cand, cand_val, cand_grad, cand_hess
     else:
         diag.reason = "iteration cap"
     return x, val, diag
@@ -198,38 +254,37 @@ def maximize_concave(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
                      max_iters: int = 500) -> SolveResult:
     """Maximize a concave objective over the feasible set.
 
-    The barrier term, if any, is folded in through a decreasing-weight
-    log-barrier, warm-starting each stage.  The reported value is the plain
-    objective at the final point."""
+    The barrier term, if any, enters as a log barrier of weight
+    `BARRIER_WEIGHT`, with its Hessian where both the objective and the
+    rows supply theirs.  The result is feasible when the final point
+    meets every barrier row within `_BARRIER_TOL`."""
     x0 = fset.project(np.asarray(x0, dtype=float))
     if fset.linear_violation(x0) > 1e-9:
-        return SolveResult(x0, -math.inf, False,
-                           Diagnostics(reason="no feasible start derivable"))
+        return SolveResult(x0, False, Diagnostics(reason="no feasible start derivable"))
 
     barrier = fset.barrier
     if barrier is None:
-        x, val, diag = _ascend(objective, fset, x0, max_iters)
-        return SolveResult(x, val, True, diag)
+        x, _, diag = _ascend(objective, fset, x0, max_iters)
+        return SolveResult(x, True, diag)
 
-    def barrier_objective(mu: float) -> Objective:
-        def f(x: np.ndarray) -> tuple[float, np.ndarray]:
-            val, grad = objective(x)
-            if not math.isfinite(val):
-                return -math.inf, grad
-            g_val, g_jac = barrier.fn(x)
-            g_val = np.asarray(g_val)
-            if (g_val <= 0.0).any():
-                return -math.inf, grad
-            return val + mu * float(np.log(g_val).sum()), grad + np.dot(mu / g_val, g_jac)
-        return f
+    def with_barrier(x: np.ndarray) -> tuple:
+        val, grad, *hess = objective(x)
+        if not math.isfinite(val):
+            return -math.inf, grad, *hess
+        g_val, g_jac, *g_hess = barrier.fn(x)
+        g_val = np.asarray(g_val)
+        if (g_val <= 0.0).any():
+            return -math.inf, grad, *hess
+        inv = BARRIER_WEIGHT / g_val
+        val += BARRIER_WEIGHT * float(np.log(g_val).sum())
+        grad = grad + np.dot(inv, g_jac)
+        if not (hess and g_hess):
+            return val, grad
+        return val, grad, (hess[0] + np.tensordot(inv, g_hess[0], 1)
+                           - (g_jac.T * (inv / g_val)) @ g_jac)
 
-    x = x0
-    diag = Diagnostics()
-    for mu in BARRIER_WEIGHTS:
-        x, _, diag = _ascend(barrier_objective(mu), fset, x, max_iters)
-    val, _ = objective(x)
+    x, val, diag = _ascend(with_barrier, fset, x0, max_iters)
     if not math.isfinite(val) or fset.barrier_violation(x) > 0.0:
-        return SolveResult(x, val, False,
+        return SolveResult(x, False,
                            Diagnostics(reason="barrier stage left constraints violated"))
-    return SolveResult(x, val, True, diag)
-
+    return SolveResult(x, True, diag)

@@ -51,16 +51,19 @@ HALF_LOG2E = 0.5 / math.log(2.0)  # d/dx of 0.5*log2(x) is this over x
 QOS_TOL = 1e-6  # relative SNR shortfall tolerated on an audited hop
 
 
-def dc_k(s: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def dc_k(s: np.ndarray, noise: np.ndarray, second: bool = False) -> tuple | None:
     """K = 1/2 log2(a1 a2), a = s + noise, of P links and dK/ds, shapes
     (P,) and (2P,), over the hops stacked: the P hop-1 signals, then the
     P hop-2 signals, with `noise` sigma2 on hop 1 and sigma2 + I on hop
-    2.  None where a signal plus noise is not positive."""
+    2; with `second`, also d2K/ds2 per hop (2P,), K being a sum over
+    hops.  None where a signal plus noise is not positive."""
     a = s + noise
     if (a <= 0.0).any():
         return None
     n = a.size // 2
-    return 0.5 * np.log2(a[:n] * a[n:]), HALF_LOG2E / a
+    dk = HALF_LOG2E / a
+    k = 0.5 * np.log2(a[:n] * a[n:])
+    return (k, dk, -dk / a) if second else (k, dk)
 
 
 def dc_m(s: np.ndarray, relay, sigma2: float, ici: float) -> tuple[np.ndarray, np.ndarray]:

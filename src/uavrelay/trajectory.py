@@ -3,14 +3,19 @@
 Only the relayed links depend on where the UAV sits.  The horizontal
 stage makes one SCP step in (x, y) at the held altitude: it maximizes a
 concave surrogate of the weighted relayed rate, built from tangent
-lower bounds on the air gains around the incumbent.  The step from the
-incumbent toward the surrogate's maximizer is then searched on the
-exact slot objective in both directions: halved toward the incumbent
-until the objective does not drop, or, when the full step is kept,
-doubled (and projected onto the move disc) while the objective keeps
-rising.  The objective thus never drops regardless of surrogate
-quality, and a tangent bound that is too cautious far from its
-expansion point does not cost one block-coordinate cycle per short
+lower bounds on the air gains around the incumbent.  The surrogate
+comes with its exact 2x2 Hessian, so `convex_core` maximizes it by
+damped Newton steps, each an exact trust-region step on the move disc,
+with the hop floors in one log barrier, and stops on the Newton
+decrement.  The disc is not a barrier row: as one, it held Newton to
+millimetre steps along its edge, where a third of the solves start and
+more end.  The step from the incumbent toward the surrogate's maximizer
+is then searched on the exact slot objective in both directions: halved
+toward the incumbent until the objective does not drop, or, when the
+full step is kept, doubled (and projected onto the move disc) while the
+objective keeps rising.  The objective thus never drops regardless of
+surrogate quality, and a tangent bound that is too cautious far from
+its expansion point does not cost one block-coordinate cycle per short
 step.  Whenever the approximated SNR set turns out empty the stage
 returns the incumbent unchanged.  The altitude is held for the whole
 episode (`solve_altitude`).
@@ -24,12 +29,13 @@ and keeps the objective it started with.  The drift and the step share
 one move disc (`_move_disc_radius`).
 
 The stage works on arrays over the P relayed (UE, subchannel) pairs:
-one evaluation of the gain bounds gives every pair's two hop gains and
-their gradients at a point, shared by the objective and by the one
-barrier term that carries all 2P hop floors.  Each position is audited
-on the exact channel once per `to_algorithm` call, which makes one
-horizontal step; the slot's block-coordinate loop is the only loop that
-repeats it, and it stops on the slot's one tolerance.
+one evaluation of the gain bounds gives every pair's two hop gains,
+their gradients and their Hessians at a point, shared by the objective
+and by the one barrier term that carries all 2P hop floors.  Each
+position is audited on the exact channel once per `to_algorithm` call,
+which makes one horizontal step; the slot's block-coordinate loop is
+the only loop that repeats it, and it stops on the slot's one
+tolerance.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ _QOS_SLACK = 1e-9       # relative relaxation of the approximated SNR floors
 _ACCEPT_SLACK = 1e-12   # relative slack when comparing exact objectives
 _EXP_CAP = 500.0        # caps exponents where a loose tangent runs wild
 _NUDGE = 0.1            # m, horizontal shift applied over a degenerate peer
-_INNER_ITERS = 150
+_INNER_ITERS = 50
 _BACKTRACK_STEPS = 11   # step fractions 1, 1/2, ..., 2**-10
 _EXTEND_STEPS = 6       # step multiples 2, 4, ..., 2**6 past an accepted full step
 
@@ -108,52 +114,58 @@ def _move_disc_radius(s: Scenario, z: float, anchor: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Surrogate rates.  A surrogate context exposes the expansion point `x0`,
 # each pair's UE `ue` and subchannel `sub`, and `stacked(x)`, which
-# returns the 2P hop gains and their gradients, shapes (2P,) and (2P, d),
-# access hops first.
+# returns the 2P hop gains, their gradients and their Hessians, shapes
+# (2P,), (2P, d) and (2P, d, d), access hops first.
 
 
 def _surrogate_rates(ctx, inputs: SlotInputs):
     """Per-pair concave lower bounds on the relayed rates around the
-    expansion point, as a function x -> (rates (P,), jacobian (P, d)),
-    or None where a bound drives a hop's signal-plus-noise to zero.
+    expansion point, as a function x -> (rates (P,), jacobian (P, d),
+    Hessians (P, d, d)), or None where a bound drives a hop's
+    signal-plus-noise to zero.
 
     Each rate is the split K - M of `link_rate` in the hop signals p h,
     chained through the powers into the gain bounds.  M is replaced by
     its tangent at the expansion point, taken once here, so each rate is
-    concave in the gain bounds and tight at the expansion."""
+    concave in the gain bounds and tight at the expansion.  The tangent
+    is linear, so only K has curvature: per hop, dK/ds p times the gain's
+    Hessian plus d2K/ds2 p^2 times its gradient's outer product."""
     s = inputs.scenario
     # both hops' powers, stacked as the context's gains are
     pp = np.concatenate([inputs.powers.p_ue[ctx.ue, ctx.sub], inputs.powers.p_uav[ctx.sub]])
     n = ctx.ue.size
     noise = np.repeat((s.noise_var, s.noise_var + s.ici_power), n)
-    h0, g0 = ctx.stacked(ctx.x0)
+    h0, g0, _ = ctx.stacked(ctx.x0)
     m0, dm = dc_m(pp * h0, True, s.noise_var, s.ici_power)
     # each partial in a signal p h, times p, times the gain's gradient
     q0 = (dm * pp)[:, None] * g0
     m_slope = q0[:n] + q0[n:]
 
-    def rates(xv: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        h, gj = ctx.stacked(xv)
-        split = dc_k(pp * h, noise)
+    def rates(xv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        h, gj, hj = ctx.stacked(xv)
+        split = dc_k(pp * h, noise, second=True)
         if split is None:
             return None
-        k, dk = split
+        k, dk, d2k = split
         q = (dk * pp)[:, None] * gj
-        return k - m0 - m_slope @ (xv - ctx.x0), q[:n] + q[n:] - m_slope
+        c = (dk * pp)[:, None, None] * hj \
+            + (d2k * pp * pp)[:, None, None] * gj[:, :, None] * gj[:, None, :]
+        return k - m0 - m_slope @ (xv - ctx.x0), q[:n] + q[n:] - m_slope, c[:n] + c[n:]
 
     return rates
 
 
 def _stage_objective(ctx, inputs: SlotInputs):
-    """The weighted sum of the surrogate rates and its gradient."""
+    """The weighted sum of the surrogate rates, its gradient and its
+    Hessian."""
     rates = _surrogate_rates(ctx, inputs)
     w = inputs.weights[ctx.ue]
 
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         out = rates(x)
         if out is None:
-            return -math.inf, np.zeros(x.size)
-        return float(w @ out[0]), w @ out[1]
+            return -math.inf, np.zeros(x.size), np.zeros((x.size, x.size))
+        return float(w @ out[0]), w @ out[1], np.tensordot(w, out[2], 1)
 
     return objective
 
@@ -162,9 +174,10 @@ def _stage_objective(ctx, inputs: SlotInputs):
 # Horizontal stage: concave tangent bounds on the air gains in (x, y).
 
 class _PeerCores:
-    """Concave lower bounds, and their gradients, on the frequency-free
-    reciprocal pathloss 1 / (d^2 * mixture) toward each ground peer, as
-    functions of the UAV's horizontal position at fixed altitude.
+    """Concave lower bounds, with their gradients and Hessians, on the
+    frequency-free reciprocal pathloss 1 / (d^2 * mixture) toward each
+    ground peer, as functions of the UAV's horizontal position at fixed
+    altitude.
 
     Built per peer from three tangents taken at the expansion point: the
     elevation angle in the slant ratio, the logistic LoS probability in
@@ -210,13 +223,22 @@ class _PeerCores:
         e = self.a * np.exp(np.minimum(self.exp_slope * slant + self.exp_shift, _EXP_CAP))
         return diff, slant, e, r2 + self.dz2, self.m0 - self.m1 * e
 
-    def value_grad(self, xy) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds (N + 1,) and gradients (N + 1, 2) at `xy`: the tangent
-        of the reciprocal at shape0, 2/shape0 - shape/shape0^2, of the
-        convex pathloss shape d^2 * mixture."""
+    def value_grad(self, xy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bounds (N + 1,), gradients (N + 1, 2) and Hessians (N + 1, 2, 2)
+        at `xy`: the tangent of the reciprocal at shape0, 2/shape0 -
+        shape/shape0^2, of the convex pathloss shape d^2 * mixture.  With
+        u = e / slant, the gradient is -coef diff / shape0^2, coef = 2 mix
+        + d^2 u dmix, and the gradient of coef is c2 diff."""
         diff, slant, e, d2, mix = self._terms(xy)
-        coef = (2.0 * mix + d2 * e * self.dmix / slant) * self.inv_shape0_sq
-        return self.two_over_shape0 - d2 * mix * self.inv_shape0_sq, -coef[:, None] * diff
+        u = e / slant
+        coef = 2.0 * mix + d2 * u * self.dmix
+        c2 = self.dmix * u * (4.0 + d2 * (self.exp_slope * slant - 1.0)
+                              * self.inv_dz2 / (slant * slant))
+        outer = diff[:, :, None] * diff[:, None, :]
+        hess = -self.inv_shape0_sq[:, None, None] * (coef[:, None, None] * np.eye(2)
+                                                      + c2[:, None, None] * outer)
+        return (self.two_over_shape0 - d2 * mix * self.inv_shape0_sq,
+                -(coef * self.inv_shape0_sq)[:, None] * diff, hess)
 
 
 def _nudged_expansion(xy, peers_xy) -> np.ndarray:
@@ -254,13 +276,15 @@ class SurrogateContext:
     _last: list = field(default_factory=lambda: [None, None], repr=False,
                         compare=False)
 
-    def stacked(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """All 2P hop gain bounds (2P,) and gradients (2P, d) at `xy`."""
+    def stacked(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All 2P hop gain bounds (2P,), gradients (2P, d) and Hessians
+        (2P, d, d) at `xy`."""
         key = xy.tobytes()
         if key != self._last[0]:
-            v, g = self.cores.value_grad(xy)
+            v, g, h = self.cores.value_grad(xy)
             self._last[:] = key, (self.scale * v[self.rows],
-                                  self.scale[:, None] * g[self.rows])
+                                  self.scale[:, None] * g[self.rows],
+                                  self.scale[:, None, None] * h[self.rows])
         return self._last[1]
 
 
@@ -291,9 +315,9 @@ def _horizontal_barrier(ctx: SurrogateContext, inputs: SlotInputs) -> BarrierTer
     # one over the gain at which each hop sits exactly on its SNR floor
     inv = 1.0 / (np.repeat(floors, ctx.ue.size) / pp)
 
-    def rows(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h, gj = ctx.stacked(xy)
-        return h * inv - 1.0 + _QOS_SLACK, gj * inv[:, None]
+    def rows(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        h, gj, hj = ctx.stacked(xy)
+        return h * inv - 1.0 + _QOS_SLACK, gj * inv[:, None], hj * inv[:, None, None]
 
     return BarrierTerm(rows)
 
@@ -374,13 +398,11 @@ def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, S
     the step, and it stops on the one tolerance of the slot; one
     surrogate step per block per cycle is enough for that loop to
     converge (BSUM: Razaviyayn, Hong & Luo, SIAM J. Optim. 2013).
-    Returns the audit of the kept position, or `start` itself when no
-    step is kept, and the stage log."""
+    `inputs` holds relayed assignments: without them `to_algorithm`
+    drifts instead.  Returns the audit of the kept position, or `start`
+    itself when no step is kept, and the stage log."""
     s = inputs.scenario
     log = StageLog("horizontal")
-    if not inputs.relay_pairs():
-        log.reason = "no relayed assignments; objective does not depend on position"
-        return start, log
     anchor = np.asarray(anchor, dtype=float)
     r_h = _move_disc_radius(s, start.position[2], anchor)
     log.iterations = 1

@@ -1,4 +1,6 @@
-"""Finite-difference check of analytic gradients, shared by the tests."""
+"""Finite-difference checks of analytic gradients and Hessians, shared
+by the tests.  An objective returns (value, gradient), or (value,
+gradient, Hessian)."""
 
 import numpy as np
 
@@ -9,13 +11,28 @@ def grad_check(objective, point, step: float = 1e-6) -> float:
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(point, dtype=float)
-    _, analytic = objective(x)
+    analytic = objective(x)[1]
     numeric = np.zeros_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = step
-        up, _ = objective(x + e)
-        down, _ = objective(x - e)
-        numeric[i] = (up - down) / (2.0 * step)
+        numeric[i] = (objective(x + e)[0] - objective(x - e)[0]) / (2.0 * step)
     scale = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(numeric)), 1e-12)
+    return float(np.max(np.abs(analytic - numeric)) / scale)
+
+
+def hess_check(objective, point, step: float = 1e-6) -> float:
+    """Max relative deviation between the analytic Hessian and central
+    finite differences of the analytic gradient, normalized by the larger
+    Hessian norm."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    x = np.asarray(point, dtype=float)
+    analytic = objective(x)[2]
+    numeric = np.zeros_like(analytic)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = step
+        numeric[:, i] = (objective(x + e)[1] - objective(x - e)[1]) / (2.0 * step)
+    scale = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(numeric)), 1e-300)
     return float(np.max(np.abs(analytic - numeric)) / scale)

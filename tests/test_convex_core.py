@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from gradcheck import grad_check
+from gradcheck import grad_check, hess_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,9 +107,10 @@ class TestMaximizeConcave:
     def test_quadratic_over_offset_ball(self):
         # maximize -‖x‖² over ball((2,0),1): optimum at the near boundary point
         fs = FeasibleSet(ball=(np.array([2.0, 0.0]), 1.0))
-        res = maximize_concave(quadratic_around([0.0, 0.0]), fs, np.array([2.0, 0.5]))
+        objective = quadratic_around([0.0, 0.0])
+        res = maximize_concave(objective, fs, np.array([2.0, 0.5]))
         assert res.x == pytest.approx([1.0, 0.0], abs=1e-6)
-        assert res.value == pytest.approx(-1.0, abs=1e-6)
+        assert objective(res.x)[0] == pytest.approx(-1.0, abs=1e-6)
 
     def test_linear_over_ball_hits_support_point(self):
         c = np.array([3.0, 4.0])
@@ -125,7 +126,7 @@ class TestMaximizeConcave:
         fs = FeasibleSet(ball=(np.zeros(2), 10.0))
         res = maximize_concave(quadratic_around([0.3, -0.7]), fs, np.array([5.0, 5.0]))
         assert res.x == pytest.approx([0.3, -0.7], abs=1e-7)
-        assert res.diagnostics.converged
+        assert res.diagnostics.reason == "projected gradient below tolerance"
 
     def test_infeasible_start_unrecoverable(self):
         # x >= 1 and x <= -1: one block whose floor exceeds its budget
@@ -183,32 +184,40 @@ class TestMaximizeConcave:
 
 def three_rows(x):
     """Three concave constraints on the plane: a disc, a halfplane and a
-    parabola, as values (3,) and Jacobian (3, 2)."""
+    parabola, as values (3,), Jacobian (3, 2) and Hessians (3, 2, 2)."""
     values = np.array([1.0 - float(np.dot(x, x)), 0.6 - x[0] + 0.2 * x[1],
                        0.8 - x[1] - x[0] ** 2])
     jac = np.array([-2.0 * x, [-1.0, 0.2], [-2.0 * x[0], -1.0]])
-    return values, jac
+    hess = np.array([-2.0 * np.eye(2), np.zeros((2, 2)), [[-2.0, 0.0], [0.0, 0.0]]])
+    return values, jac, hess
+
+
+def newton_quadratic_around(target):
+    """`quadratic_around` with its Hessian, which makes the ascent take
+    Newton steps."""
+    f = quadratic_around(target)
+    return lambda x: (*f(x), -2.0 * np.eye(len(target)))
 
 
 def scalar_barrier_objective(objective, rows, mu):
     """The barrier objective written out as the plain objective plus one
     scalar log-barrier per constraint row."""
     def f(x):
-        val, grad = objective(x)
-        values, jac = rows(x)
-        for g, dg in zip(values, jac):
+        val, grad, hess = objective(x)
+        for g, dg, h in zip(*rows(x)):
             if g <= 0.0:
-                return -math.inf, grad
+                return -math.inf, grad, hess
             val += mu * math.log(g)
             grad = grad + (mu / g) * dg
-        return val, grad
+            hess = hess + (mu / g) * h - (mu / g ** 2) * np.outer(dg, dg)
+        return val, grad, hess
     return f
 
 
 class TestVectorBarrier:
     def barrier_objectives(self, fset, monkeypatch):
         """The barrier objectives maximize_concave hands to the inner
-        ascent, one per barrier weight."""
+        ascent."""
         seen = []
         original = convex_core._ascend
 
@@ -217,32 +226,31 @@ class TestVectorBarrier:
             return original(objective, *args, **kwargs)
 
         monkeypatch.setattr(convex_core, "_ascend", spy)
-        res = maximize_concave(quadratic_around([1.0, 1.0]), fset, np.zeros(2))
+        res = maximize_concave(newton_quadratic_around([1.0, 1.0]), fset, np.zeros(2))
         monkeypatch.undo()
         return res, seen
 
     def test_rows_equal_scalar_terms(self, monkeypatch):
         fset = FeasibleSet(ball=(np.zeros(2), 2.0), barrier=BarrierTerm(three_rows))
         res, seen = self.barrier_objectives(fset, monkeypatch)
-        objective = quadratic_around([1.0, 1.0])
-        written = [scalar_barrier_objective(objective, three_rows, mu)
-                   for mu in convex_core.BARRIER_WEIGHTS]
-        assert len(seen) == len(written) == 3
+        objective = newton_quadratic_around([1.0, 1.0])
+        written = [scalar_barrier_objective(objective, three_rows,
+                                            convex_core.BARRIER_WEIGHT)]
+        assert len(seen) == len(written) == 1
         pts = np.random.default_rng(2).uniform(-0.5, 0.5, (50, 2))
         for fv, fs in zip(seen, written):
             for p in pts:
-                (val_v, grad_v), (val_s, grad_s) = fv(p), fs(p)
+                (val_v, grad_v, hess_v), (val_s, grad_s, hess_s) = fv(p), fs(p)
                 assert val_v == pytest.approx(val_s, rel=1e-13, abs=1e-15)
                 assert np.allclose(grad_v, grad_s, rtol=1e-13, atol=1e-15)
-        # the same weight schedule, warm-started, on the written-out sums
-        x = np.zeros(2)
-        for f in written:
-            x, _, diag = convex_core._ascend(f, fset, x, 500)
+                assert np.allclose(hess_v, hess_s, rtol=1e-13, atol=1e-15)
+        # the same ascent on the written-out sums
+        x, _, diag = convex_core._ascend(written[0], fset, np.zeros(2), 500)
         assert res.feasible and diag.reason == res.diagnostics.reason
-        # both stop on a stalled line search near the same barrier optimum;
+        assert diag.reason == "Newton decrement below tolerance"
         # summation order alone moves the stopping point
-        assert np.allclose(res.x, x, rtol=0.0, atol=1e-4)
-        assert res.value == pytest.approx(objective(x)[0], rel=1e-8)
+        assert np.allclose(res.x, x, rtol=0.0, atol=1e-6)
+        assert objective(res.x)[0] == pytest.approx(objective(x)[0], rel=1e-8)
         assert np.all(three_rows(res.x)[0] > 0.0)
 
     def test_violation_reads_the_worst_row(self):
@@ -261,16 +269,112 @@ class TestVectorBarrier:
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_violated_row_fails_cleanly(self, bad):
         def rows(x):
-            values, jac = three_rows(x)
+            values, jac, hess = three_rows(x)
             values[bad] = -1.0  # always violated
             jac[bad] = 0.0
-            return values, jac
+            return values, jac, hess
 
         fs = FeasibleSet(ball=(np.zeros(2), 2.0), barrier=BarrierTerm(rows))
         res = maximize_concave(quadratic_around([1.0, 1.0]), fs, np.zeros(2))
         assert not res.feasible
         assert np.all(np.isfinite(res.x))
         assert "violated" in res.diagnostics.reason
+
+
+def concave_model(seed, dim=2):
+    """A random concave quadratic model: gradient and negative definite
+    Hessian."""
+    rng = np.random.default_rng(seed)
+    root = rng.normal(size=(dim, dim))
+    return rng.normal(size=dim), -(root @ root.T + 0.1 * np.eye(dim))
+
+
+class TestTrustRegion:
+    """The Newton trial point on a ball, held to the KKT conditions of
+    max g.(z - x) + (z - x).H.(z - x) / 2 over |z - c| <= r: stationarity
+    g + H (z - x) = lam (z - c), lam >= 0, |z - c| <= r and complementarity
+    lam (r - |z - c|) = 0; on a concave model they certify the maximum."""
+
+    def assert_kkt(self, center, radius, x, grad, hess, z, lam):
+        y = z - center
+        norm = float(np.linalg.norm(y))
+        scale = float(np.linalg.norm(grad)) + float(np.linalg.norm(hess)) * radius
+        assert lam >= 0.0
+        assert norm <= radius * (1.0 + 1e-12)
+        assert lam * (radius - norm) <= 1e-9 * scale * radius
+        assert np.linalg.norm(grad + hess @ (z - x) - lam * y) <= 1e-9 * scale
+
+        def model(p):
+            return float(grad @ (p - x) + 0.5 * (p - x) @ hess @ (p - x))
+
+        # and no point of the ball does better
+        for p in ball_samples(center, radius, 200):
+            assert model(p) <= model(z) + 1e-12 * scale * radius
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_newton_point_inside_the_disc(self, seed):
+        grad, hess = concave_model(seed)
+        center, x = np.array([1.0, -2.0]), np.array([1.5, -1.5])
+        newton = x - np.linalg.solve(hess, grad)
+        radius = 2.0 * float(np.linalg.norm(newton - center)) + 1.0
+        z, lam = convex_core._trust_region_point(center, radius, x, grad, hess)
+        assert lam == 0.0
+        assert z == pytest.approx(newton, rel=1e-12, abs=1e-12)
+        self.assert_kkt(center, radius, x, grad, hess, z, lam)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_newton_point_outside_the_disc(self, seed):
+        grad, hess = concave_model(seed)
+        center = np.array([1.0, -2.0])
+        newton = center - np.linalg.solve(hess, grad)  # from x = center
+        radius = 0.3 * float(np.linalg.norm(newton - center))
+        x = center + np.array([0.2, -0.1]) * radius  # a start off the centre
+        z, lam = convex_core._trust_region_point(center, radius, x, grad, hess)
+        assert lam > 0.0
+        assert np.linalg.norm(z - center) == pytest.approx(radius, rel=1e-12)
+        self.assert_kkt(center, radius, x, grad, hess, z, lam)
+
+    def test_flat_model_reaches_the_support_point(self):
+        # no curvature: the Newton point is unbounded and lam = |g| / r
+        grad, center = np.array([3.0, 4.0]), np.array([1.0, 1.0])
+        z, lam = convex_core._trust_region_point(center, 2.0, center, grad, np.zeros((2, 2)))
+        assert z == pytest.approx([2.2, 2.6], rel=1e-12)
+        assert lam == pytest.approx(2.5, rel=1e-12)
+        self.assert_kkt(center, 2.0, center, grad, np.zeros((2, 2)), z, lam)
+
+    def test_zero_radius_is_a_zero_step(self, monkeypatch):
+        grad, hess = concave_model(0)
+        center = np.array([4.0, 5.0])
+
+        def no_search(*args):
+            raise AssertionError("a zero radius needs no eigen-decomposition")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_search)
+        z, lam = convex_core._trust_region_point(center, 0.0, center, grad, hess)
+        assert np.array_equal(z, center) and lam == 0.0
+
+        def objective(x):
+            return float(grad @ x + 0.5 * x @ hess @ x), grad + hess @ x, hess
+
+        x, _, diag = convex_core._ascend(objective, FeasibleSet(ball=(center, 0.0)),
+                                         np.array([4.5, 5.5]), 50)
+        assert np.array_equal(x, center)
+        assert (diag.iterations, diag.reason) == (1, "Newton decrement below tolerance")
+
+    def test_newton_ascent_stops_on_the_decrement(self):
+        # a concave quadratic in one Newton step, then the certificate
+        res = maximize_concave(newton_quadratic_around([0.3, -0.7]),
+                               FeasibleSet(ball=(np.zeros(2), 10.0)), np.array([5.0, 5.0]))
+        assert res.x == pytest.approx([0.3, -0.7], abs=1e-12)
+        assert (res.diagnostics.iterations, res.diagnostics.reason) == \
+            (2, "Newton decrement below tolerance")
+
+
+def ball_samples(center, radius, count):
+    rng = np.random.default_rng(7)
+    ang = rng.uniform(0.0, 2.0 * math.pi, count)
+    rad = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
+    return center + np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
 
 
 class TestGradCheck:
@@ -287,3 +391,15 @@ class TestGradCheck:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             grad_check(quadratic_around([0.0]), [1.0], step=0.0)
+
+    def test_hessian_check(self):
+        objective = newton_quadratic_around([1.0, -2.0])
+        assert hess_check(objective, [0.2, 0.4]) < 1e-8
+
+        def bad(x):
+            val, grad, hess = objective(x)
+            return val, grad, hess * 1.05
+
+        assert hess_check(bad, [0.2, 0.4]) > 1e-2
+        with pytest.raises(ValueError):
+            hess_check(objective, [1.0, 1.0], step=0.0)

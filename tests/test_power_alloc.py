@@ -330,8 +330,7 @@ class TestScpPower:
 
     def test_infeasible_inner_solve_is_not_converged(self, monkeypatch):
         def infeasible(objective, fset, x0, max_iters=500):
-            return SolveResult(x0, -np.inf, False,
-                               Diagnostics(reason="no feasible start derivable"))
+            return SolveResult(x0, False, Diagnostics(reason="no feasible start derivable"))
 
         monkeypatch.setattr(power_alloc, "maximize_concave", infeasible)
         sc, gains, beta, alloc, weights = mixed_instance()

@@ -7,11 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from gradcheck import grad_check
+from gradcheck import grad_check, hess_check
 
-from uavrelay import trajectory
+from uavrelay import run_episode, trajectory
 from uavrelay.channel import gain_matrices, slot_channel
-from uavrelay.link_rate import LinkBudget, PowerAllocation, rate_report
+from uavrelay.link_rate import LinkBudget, PowerAllocation, dc_k, rate_report
 from uavrelay.scenario import Scenario, SnrThresholds, UavState, dbm_to_watts
 from uavrelay.trajectory import (
     SlotInputs,
@@ -235,18 +235,46 @@ def test_horizontal_gradients_over_pairs(three_pairs, shift):
     point = ctx.x0 + np.array(shift)
     assert grad_check(_stage_objective(ctx, inputs), point) <= 1e-6
     rows = _horizontal_barrier(ctx, inputs).fn
-    values, jac = rows(point)
-    assert values.shape == (6,) and jac.shape == (6, 2)
+    values, jac, hess = rows(point)
+    assert values.shape == (6,) and jac.shape == (6, 2) and hess.shape == (6, 2, 2)
     # rows are in the hundreds here, so a 1e-6 m difference step loses digits
     for i in range(values.size):
         assert grad_check(lambda x, i=i: (rows(x)[0][i], rows(x)[1][i]), point,
                           step=1e-4) <= 1e-6
 
 
+@pytest.mark.parametrize("fixture", ["two_ue", "three_pairs"])
+@pytest.mark.parametrize("shift", [[0.0, 0.0], [5.0, -4.0], [-8.0, 9.0]])
+def test_horizontal_hessians(request, fixture, shift):
+    # positions are in metres, so a 1e-4 m difference step keeps the digits
+    inputs = request.getfixturevalue(fixture)[1]
+    ctx = horizontal_surrogate(inputs, (200.0, 0.0, 130.0))
+    point = ctx.x0 + np.array(shift)
+    assert hess_check(_stage_objective(ctx, inputs), point, step=1e-4) <= 1e-6
+    rows = _horizontal_barrier(ctx, inputs).fn
+    for i in range(rows(point)[0].size):
+        assert hess_check(lambda x, i=i: [part[i] for part in rows(x)], point,
+                          step=1e-4) <= 1e-6
+    for i in range(len(inputs.scenario.ue_positions) + 1):
+        assert hess_check(lambda x, i=i: [part[i] for part in ctx.cores.value_grad(x)],
+                          point, step=1e-4) <= 1e-6
+    # dc_k's second partials, at the hop signals of the bounds at `point`
+    sc = inputs.scenario
+    pp = np.concatenate([inputs.powers.p_ue[ctx.ue, ctx.sub], inputs.powers.p_uav[ctx.sub]])
+    s0 = pp * ctx.stacked(point)[0]
+    noise = np.repeat((sc.noise_var, sc.noise_var + sc.ici_power), ctx.ue.size)
+
+    def k_sum(s):
+        k, dk, d2k = dc_k(s, noise, second=True)
+        return k.sum(), dk, np.diag(d2k)
+
+    assert hess_check(k_sum, s0, step=1e-3 * float(np.min(s0 + noise))) <= 1e-6
+
+
 def test_barrier_rows_match_each_hop_floor(three_pairs):
     sc, inputs = three_pairs
     ctx = horizontal_surrogate(inputs, (200.0, 0.0, 130.0))
-    values, _ = _horizontal_barrier(ctx, inputs).fn(ctx.x0)
+    values = _horizontal_barrier(ctx, inputs).fn(ctx.x0)[0]
     gains = gain_matrices(sc, (200.0, 0.0, 130.0), inputs.slot_index)
     thr = sc.snr_thresholds
     p_ue, p_uav = inputs.powers.p_ue, inputs.powers.p_uav
@@ -277,15 +305,6 @@ def test_one_channel_evaluation_per_audited_position(three_pairs, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # Horizontal stage.
-
-def test_solve_horizontal_no_relay_keeps_position(two_ue):
-    sc, inputs, _ = two_ue
-    quiet = SlotInputs(sc, np.zeros(2, dtype=int), inputs.alloc, inputs.powers,
-                       inputs.weights, 0)
-    audit, log = run_horizontal((170.0, -40.0, 130.0), quiet)
-    assert np.allclose(audit.position[:2], (170.0, -40.0))
-    assert log.iterations == 0
-
 
 def test_solve_horizontal_moves_toward_far_ue_axis(two_ue):
     sc, inputs, _ = two_ue
@@ -381,6 +400,28 @@ def test_solve_horizontal_zero_radius_keeps_position(two_ue):
     start = (170.0, -40.0, 130.0)
     audit, _ = run_horizontal(start, pinned)
     assert np.allclose(audit.position[:2], start[:2])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_inner_solve_ends_on_a_certificate_or_the_cap(monkeypatch, seed):
+    # relay_mixed's first two benchmark episodes: each horizontal solve
+    # stops on the Newton decrement or, crawling along a curved hop
+    # floor, at `_INNER_ITERS`; never on a stalled line search
+    stops = []
+    original = trajectory.maximize_concave
+
+    def recorded(*args, **kwargs):
+        res = original(*args, **kwargs)
+        stops.append(res.diagnostics.reason)
+        return res
+
+    monkeypatch.setattr(trajectory, "maximize_concave", recorded)
+    sc = Scenario(n_ues=5, n_subchannels=10, n_slots=10, d_max=25.0,
+                  fading_model="mixed", rng_seed=seed).with_positions(seed)
+    run_episode(sc, "jmstp")
+    assert stops
+    assert set(stops) <= {"Newton decrement below tolerance", "iteration cap"}
+    assert stops.count("iteration cap") <= 0.05 * len(stops)
 
 
 # ---------------------------------------------------------------------------
