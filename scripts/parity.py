@@ -17,9 +17,11 @@ to max(|A|, 1) and the largest UAV position move in metres:
 
     python3 scripts/parity.py --diff parent.json change.json
 
-and ends with a verdict line; it exits 1 when any slot's beta/alloc or
-findings differ (or the two dumps hold different slots), 0 otherwise, so
-that an exact-answer change can gate on the exit status.
+and ends with a verdict line: DIFFER when any slot's beta/alloc or
+findings differ (or the two dumps hold different slots), else "SAME,
+bit-identical" when every objective and position is exactly equal, else
+SAME.  It exits 1 on DIFFER, 0 otherwise, so that an exact-answer change
+can gate on the exit status.
 """
 
 import os
@@ -105,8 +107,10 @@ def diff(path_a: Path, path_b: Path) -> int:
         print(f"{name:<18} {row['slots']:>5} {row['assign']:>10} {row['findings']:>8} "
               f"{row['objective']:>12.2e} {row['position']:>10.2e}")
     differ = sum(bool(r["assign"] or r["findings"]) for r in rows.values())
-    print(f"verdict: {'DIFFER' if differ else 'SAME'} beta/alloc and findings "
-          f"({differ} of {len(rows)} workloads differ)")
+    moved = any(r["objective"] or r["position"] for r in rows.values())
+    verdict = ("DIFFER beta/alloc and findings" if differ
+               else "SAME beta/alloc and findings" if moved else "SAME, bit-identical")
+    print(f"verdict: {verdict} ({differ} of {len(rows)} workloads differ)")
     return int(differ > 0)
 
 

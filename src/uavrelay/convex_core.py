@@ -1,6 +1,5 @@
 """Small ascent engine for concave maximization over the two feasible
-regions this package builds, with an optional log-barrier term for
-smooth nonlinear constraints.
+regions this package builds.
 
 The horizontal trajectory stage moves inside a disc; the power stage
 moves over budget blocks with per-variable floors.  Every iteration
@@ -10,12 +9,12 @@ test.  The model's curvature decides the trial point:
 
 - an objective that returns its Hessian gets Newton's model.  On the
   disc its maximizer is an exact trust-region step (Moré & Sorensen,
-  "Computing a trust region step", SIAM J. Sci. Stat. Comput. 1983), so
-  the disc needs no barrier row, and the ascent stops when the model
-  promises less than `_DECREMENT_TOL` (the Newton decrement; Boyd &
+  "Computing a trust region step", SIAM J. Sci. Stat. Comput. 1983),
+  over the closed-form eigensystem of the 2x2 Hessian, so the disc
+  needs no barrier row, and the ascent stops when the model promises
+  less than `_DECREMENT_TOL` (the Newton decrement; Boyd &
   Vandenberghe, *Convex Optimization*, §9.5).  The trajectory stage
-  takes this path, its hop floors in one log barrier of the fixed
-  weight `BARRIER_WEIGHT`;
+  takes this path;
 - an objective without one gets the scalar curvature -1/alpha, alpha a
   Barzilai–Borwein step, whose model maximizer is the projected
   gradient step `project(x + alpha grad)` (spectral projected
@@ -23,6 +22,10 @@ test.  The model's curvature decides the trial point:
   stage takes this path and starts the engine at its surrogate's exact
   maximiser, so there the engine only certifies that point: its
   projected-gradient test passes at the first iteration.
+
+Smooth nonlinear constraints are the objective's own: it returns -inf
+outside its domain, as the trajectory's log barrier on its hop floors
+does, and the search never accepts such a point.
 """
 
 from __future__ import annotations
@@ -34,29 +37,14 @@ from typing import Callable
 
 import numpy as np
 
-# x -> (value, gradient), or (value, gradient, Hessian) where the set is a ball
+# x -> (value, gradient), or (value, gradient, Hessian) where the set is a
+# disc; the value is -inf outside the objective's domain
 Objective = Callable[[np.ndarray], tuple]
 
-# residual allowed on every barrier row when the final point is validated:
-# barriers stop strictly inside, but a caller may seed exactly on the boundary
-_BARRIER_TOL = 1e-9
 _PG_TOL = 1e-8
 _DECREMENT_TOL = 1e-12  # absolute increase a Newton model must promise to go on
 _TR_ITERS = 50          # cap on the secular-equation iterations of one step
 _TR_RTOL = 1e-12        # relative radius error at which a boundary step is kept
-
-
-@dataclass
-class BarrierTerm:
-    """Smooth concave constraints g_i(x) >= 0 entering through a log barrier.
-
-    `fn` returns the values of its m constraint rows and their Jacobian,
-    shapes (m,) and (m, d), and optionally the rows' Hessians (m, d, d);
-    a scalar value with a gradient of shape (d,) is the one-row case
-    without Hessians.  The barrier adds `BARRIER_WEIGHT` * sum_i log
-    g_i(x)."""
-
-    fn: Callable[[np.ndarray], tuple]
 
 
 @dataclass
@@ -67,18 +55,14 @@ class FeasibleSet:
     - `ball=(center, radius)`: a disc;
     - `blocks=(block, budgets)` with `floors`: variable i belongs to block
       `block[i]` (ids 0 .. B-1, none empty), x >= floors, and each block
-      sums to at most its entry of `budgets`.
-
-    Smooth nonlinear constraints ride along as one optional `barrier`
-    term, which carries every row and takes no part in projection."""
+      sums to at most its entry of `budgets`."""
 
     ball: tuple[np.ndarray, float] | None = None
     blocks: tuple[np.ndarray, np.ndarray] | None = None
     floors: np.ndarray | None = None
-    barrier: BarrierTerm | None = None
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean projection onto the linear part of the set."""
+        """Euclidean projection onto the set."""
         return self._projector(np.asarray(x, dtype=float))
 
     @cached_property
@@ -139,13 +123,6 @@ class FeasibleSet:
         over = np.bincount(block, x, len(budgets)) - budgets
         return max(0.0, float(np.max(over)), float(np.max(self.floors - x)))
 
-    def barrier_violation(self, x: np.ndarray) -> float:
-        """Largest residual over the barrier's rows, beyond `_BARRIER_TOL`."""
-        if self.barrier is None:
-            return 0.0
-        val = self.barrier.fn(x)[0]
-        return max(0.0, -(float(np.min(val)) + _BARRIER_TOL))
-
 
 @dataclass
 class Diagnostics:
@@ -160,25 +137,45 @@ class SolveResult:
     diagnostics: Diagnostics
 
 
-BARRIER_WEIGHT = 1e-6
 _MAX_STEP = 1e8
+
+
+def _eigh2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of the
+    symmetric 2x2 matrix m = [[p, r], [r, t]], in closed form.
+
+    The eigenvector of the smaller eigenvalue lo solves the row of m - lo I
+    whose diagonal entry is the larger in size, -(|p - t| / 2 + rad), so
+    no entry of it cancels: (r, lo - p) when p > t, else (lo - t, r).
+    The other is its normal."""
+    p, r, t = float(m[0, 0]), float(m[0, 1]), float(m[1, 1])
+    mean = 0.5 * (p + t)
+    rad = math.hypot(0.5 * (p - t), r)
+    lo = mean - rad
+    u, v = (r, lo - p) if p > t else (lo - t, r)
+    norm = math.hypot(u, v)
+    if norm == 0.0:  # a multiple of the identity: every vector is an eigenvector
+        return np.array([lo, lo]), np.eye(2)
+    u, v = u / norm, v / norm
+    return np.array([lo, mean + rad]), np.array([[u, -v], [v, u]])
 
 
 def _trust_region_point(center: np.ndarray, radius: float, x: np.ndarray,
                         grad: np.ndarray, hess: np.ndarray) -> tuple[np.ndarray, float]:
     """Maximizer z of the model grad.(z - x) + (z - x).hess.(z - x) / 2
-    over the ball |z - center| <= radius, and its multiplier lam >= 0.
+    over the disc |z - center| <= radius, and its multiplier lam >= 0.
 
     With A = -hess and y = z - center, the point solves (A + lam I) y =
     grad + A (x - center), with lam = 0 when that Newton point lies in
-    the ball.  Otherwise lam is the root of 1/|y(lam)| = 1/radius, which
-    is concave and increasing in lam over A's eigenbasis, so Newton's
-    method approaches it monotonically from below (Moré & Sorensen 1983),
-    from the lower bound max_i |b_i| / radius - a_i.  Curvature that
-    rounding makes positive is dropped, so the model stays concave."""
+    the disc.  Otherwise lam is the root of 1/|y(lam)| = 1/radius, which
+    is concave and increasing in lam over A's eigenbasis (`_eigh2`), so
+    Newton's method approaches it monotonically from below (Moré &
+    Sorensen 1983), from the lower bound max_i |b_i| / radius - a_i.
+    Curvature that rounding makes positive is dropped, so the model
+    stays concave."""
     if radius <= 0.0:
         return center.copy(), 0.0
-    a, q = np.linalg.eigh(-hess)
+    a, q = _eigh2(-hess)
     a = np.maximum(a, 0.0)
     b = q.T @ grad + a * (q.T @ (x - center))
     lam = max(0.0, float(np.max(np.abs(b) / radius - a)))
@@ -252,39 +249,11 @@ def _ascend(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
 
 def maximize_concave(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
                      max_iters: int = 500) -> SolveResult:
-    """Maximize a concave objective over the feasible set.
-
-    The barrier term, if any, enters as a log barrier of weight
-    `BARRIER_WEIGHT`, with its Hessian where both the objective and the
-    rows supply theirs.  The result is feasible when the final point
-    meets every barrier row within `_BARRIER_TOL`."""
+    """Maximize a concave objective over the feasible set.  The result is
+    infeasible when no start lies in the set, or when the final value is
+    not finite: the start lay outside the objective's domain."""
     x0 = fset.project(np.asarray(x0, dtype=float))
     if fset.linear_violation(x0) > 1e-9:
         return SolveResult(x0, False, Diagnostics(reason="no feasible start derivable"))
-
-    barrier = fset.barrier
-    if barrier is None:
-        x, _, diag = _ascend(objective, fset, x0, max_iters)
-        return SolveResult(x, True, diag)
-
-    def with_barrier(x: np.ndarray) -> tuple:
-        val, grad, *hess = objective(x)
-        if not math.isfinite(val):
-            return -math.inf, grad, *hess
-        g_val, g_jac, *g_hess = barrier.fn(x)
-        g_val = np.asarray(g_val)
-        if (g_val <= 0.0).any():
-            return -math.inf, grad, *hess
-        inv = BARRIER_WEIGHT / g_val
-        val += BARRIER_WEIGHT * float(np.log(g_val).sum())
-        grad = grad + np.dot(inv, g_jac)
-        if not (hess and g_hess):
-            return val, grad
-        return val, grad, (hess[0] + np.tensordot(inv, g_hess[0], 1)
-                           - (g_jac.T * (inv / g_val)) @ g_jac)
-
-    x, val, diag = _ascend(with_barrier, fset, x0, max_iters)
-    if not math.isfinite(val) or fset.barrier_violation(x) > 0.0:
-        return SolveResult(x, False,
-                           Diagnostics(reason="barrier stage left constraints violated"))
-    return SolveResult(x, True, diag)
+    x, val, diag = _ascend(objective, fset, x0, max_iters)
+    return SolveResult(x, math.isfinite(val), diag)

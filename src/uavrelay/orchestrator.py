@@ -182,7 +182,9 @@ def _fresh_matchings(ctx: MatchingContext,
     runs read only the scenario, the gains and the weights, so one
     channel state needs them once; they are the matching stage's only
     swap runs.  Each start hands its scored view to the swap game, which
-    scores nothing again."""
+    scores nothing again.  A matching that an earlier start already
+    reached is dropped: completing it again would only repeat that
+    candidate's objective, which never beats the best so far."""
     all_cellular = np.full(ctx.n_ues, CELLULAR)
     starts = [init_matching(ctx, all_cellular)]
     if relay:
@@ -190,12 +192,17 @@ def _fresh_matchings(ctx: MatchingContext,
         coverage = _coverage_modes(ctx)
         if coverage.any():
             starts.append(init_matching(ctx, coverage))
-    return [(res.beta, res.alloc) for res in map(msma_detailed, starts)]
+    distinct: list[tuple[np.ndarray, np.ndarray]] = []
+    for res in map(msma_detailed, starts):
+        if not any(np.array_equal(res.beta, beta) and np.array_equal(res.alloc, alloc)
+                   for beta, alloc in distinct):
+            distinct.append((res.beta, res.alloc))
+    return distinct
 
 
 def _matching_stage(ctx: MatchingContext, fresh, beta, alloc, powers,
                     incumbent_obj):
-    """Complete the powers of the fresh starts' stable matchings
+    """Complete the powers of the fresh starts' distinct stable matchings
     (`_fresh_matchings`, computed once per channel state) against the
     incumbent's and keep the best completed exact objective, or the
     incumbent when no candidate beats it.  Completion carries the

@@ -4,9 +4,9 @@ Only the relayed links depend on where the UAV sits.  The horizontal
 stage makes one SCP step in (x, y) at the held altitude: it maximizes a
 concave surrogate of the weighted relayed rate, built from tangent
 lower bounds on the air gains around the incumbent.  The surrogate
-comes with its exact 2x2 Hessian, so `convex_core` maximizes it by
-damped Newton steps, each an exact trust-region step on the move disc,
-with the hop floors in one log barrier, and stops on the Newton
+and a log barrier on the hop floors are one objective with its exact
+2x2 Hessian, so `convex_core` maximizes it by damped Newton steps, each
+an exact trust-region step on the move disc, and stops on the Newton
 decrement.  The disc is not a barrier row: as one, it held Newton to
 millimetre steps along its edge, where a third of the solves start and
 more end.  The step from the incumbent toward the surrogate's maximizer
@@ -28,30 +28,32 @@ weight-averaged position of the starved UEs, spending the move radius,
 and keeps the objective it started with.  The drift and the step share
 one move disc (`_move_disc_radius`).
 
-The stage works on arrays over the P relayed (UE, subchannel) pairs:
-one evaluation of the gain bounds gives every pair's two hop gains,
-their gradients and their Hessians at a point, shared by the objective
-and by the one barrier term that carries all 2P hop floors.  Each
-position is audited on the exact channel once per `to_algorithm` call,
-which makes one horizontal step; the slot's block-coordinate loop is
-the only loop that repeats it, and it stops on the slot's one
-tolerance.
+The stage's objective is a sum over the 2P hops of the P relayed (UE,
+subchannel) pairs, each hop a function of one of the N + 1 ground
+peers' gain bounds.  So one evaluation (`_horizontal_objective`) takes
+each peer's bound, gradient and Hessian once, weighs them by the
+derivatives of its hops' rate and floor terms summed per peer, and
+forms no per-hop gradient or Hessian.  Each position is audited on the
+exact channel once per `to_algorithm` call, which makes one horizontal
+step; the slot's block-coordinate loop is the only loop that repeats
+it, and it stops on the slot's one tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelGains, gain_matrices, slot_channel
-from .convex_core import BarrierTerm, FeasibleSet, maximize_concave
+from .convex_core import FeasibleSet, maximize_concave
 from .link_rate import QOS_TOL, PowerAllocation, dc_k, dc_m, floor_signals, rate_report
 from .scenario import A2GParams, Scenario, UavState
 from .uav_power import move_radius
 
 _QOS_SLACK = 1e-9       # relative relaxation of the approximated SNR floors
+BARRIER_WEIGHT = 1e-6   # weight of the log barrier on the approximated SNR floors
 _ACCEPT_SLACK = 1e-12   # relative slack when comparing exact objectives
 _EXP_CAP = 500.0        # caps exponents where a loose tangent runs wild
 _NUDGE = 0.1            # m, horizontal shift applied over a degenerate peer
@@ -112,65 +114,6 @@ def _move_disc_radius(s: Scenario, z: float, anchor: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Surrogate rates.  A surrogate context exposes the expansion point `x0`,
-# each pair's UE `ue` and subchannel `sub`, and `stacked(x)`, which
-# returns the 2P hop gains, their gradients and their Hessians, shapes
-# (2P,), (2P, d) and (2P, d, d), access hops first.
-
-
-def _surrogate_rates(ctx, inputs: SlotInputs):
-    """Per-pair concave lower bounds on the relayed rates around the
-    expansion point, as a function x -> (rates (P,), jacobian (P, d),
-    Hessians (P, d, d)), or None where a bound drives a hop's
-    signal-plus-noise to zero.
-
-    Each rate is the split K - M of `link_rate` in the hop signals p h,
-    chained through the powers into the gain bounds.  M is replaced by
-    its tangent at the expansion point, taken once here, so each rate is
-    concave in the gain bounds and tight at the expansion.  The tangent
-    is linear, so only K has curvature: per hop, dK/ds p times the gain's
-    Hessian plus d2K/ds2 p^2 times its gradient's outer product."""
-    s = inputs.scenario
-    # both hops' powers, stacked as the context's gains are
-    pp = np.concatenate([inputs.powers.p_ue[ctx.ue, ctx.sub], inputs.powers.p_uav[ctx.sub]])
-    n = ctx.ue.size
-    noise = np.repeat((s.noise_var, s.noise_var + s.ici_power), n)
-    h0, g0, _ = ctx.stacked(ctx.x0)
-    m0, dm = dc_m(pp * h0, True, s.noise_var, s.ici_power)
-    # each partial in a signal p h, times p, times the gain's gradient
-    q0 = (dm * pp)[:, None] * g0
-    m_slope = q0[:n] + q0[n:]
-
-    def rates(xv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        h, gj, hj = ctx.stacked(xv)
-        split = dc_k(pp * h, noise, second=True)
-        if split is None:
-            return None
-        k, dk, d2k = split
-        q = (dk * pp)[:, None] * gj
-        c = (dk * pp)[:, None, None] * hj \
-            + (d2k * pp * pp)[:, None, None] * gj[:, :, None] * gj[:, None, :]
-        return k - m0 - m_slope @ (xv - ctx.x0), q[:n] + q[n:] - m_slope, c[:n] + c[n:]
-
-    return rates
-
-
-def _stage_objective(ctx, inputs: SlotInputs):
-    """The weighted sum of the surrogate rates, its gradient and its
-    Hessian."""
-    rates = _surrogate_rates(ctx, inputs)
-    w = inputs.weights[ctx.ue]
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        out = rates(x)
-        if out is None:
-            return -math.inf, np.zeros(x.size), np.zeros((x.size, x.size))
-        return float(w @ out[0]), w @ out[1], np.tensordot(w, out[2], 1)
-
-    return objective
-
-
-# ---------------------------------------------------------------------------
 # Horizontal stage: concave tangent bounds on the air gains in (x, y).
 
 class _PeerCores:
@@ -223,22 +166,22 @@ class _PeerCores:
         e = self.a * np.exp(np.minimum(self.exp_slope * slant + self.exp_shift, _EXP_CAP))
         return diff, slant, e, r2 + self.dz2, self.m0 - self.m1 * e
 
-    def value_grad(self, xy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bounds (N + 1,), gradients (N + 1, 2) and Hessians (N + 1, 2, 2)
-        at `xy`: the tangent of the reciprocal at shape0, 2/shape0 -
+    def value_grad(self, xy) -> tuple[np.ndarray, ...]:
+        """Bounds (N + 1,) and gradients (N + 1, 2) at `xy`, and the
+        offsets diff = xy - peer (N + 1, 2) with two weights (N + 1,) each
+        that give the Hessians, -(iso I + aniso diff diff^T).  The bound
+        is the tangent of the reciprocal at shape0, 2/shape0 -
         shape/shape0^2, of the convex pathloss shape d^2 * mixture.  With
         u = e / slant, the gradient is -coef diff / shape0^2, coef = 2 mix
-        + d^2 u dmix, and the gradient of coef is c2 diff."""
+        + d^2 u dmix, and the gradient of coef is c2 diff: iso is coef /
+        shape0^2 and aniso c2 / shape0^2."""
         diff, slant, e, d2, mix = self._terms(xy)
         u = e / slant
-        coef = 2.0 * mix + d2 * u * self.dmix
-        c2 = self.dmix * u * (4.0 + d2 * (self.exp_slope * slant - 1.0)
-                              * self.inv_dz2 / (slant * slant))
-        outer = diff[:, :, None] * diff[:, None, :]
-        hess = -self.inv_shape0_sq[:, None, None] * (coef[:, None, None] * np.eye(2)
-                                                      + c2[:, None, None] * outer)
+        iso = (2.0 * mix + d2 * u * self.dmix) * self.inv_shape0_sq
+        aniso = self.dmix * u * (4.0 + d2 * (self.exp_slope * slant - 1.0)
+                                 * self.inv_dz2 / (slant * slant)) * self.inv_shape0_sq
         return (self.two_over_shape0 - d2 * mix * self.inv_shape0_sq,
-                -(coef * self.inv_shape0_sq)[:, None] * diff, hess)
+                -iso[:, None] * diff, diff, iso, aniso)
 
 
 def _nudged_expansion(xy, peers_xy) -> np.ndarray:
@@ -260,10 +203,12 @@ def _nudged_expansion(xy, peers_xy) -> np.ndarray:
 class SurrogateContext:
     """Tangent gain bounds for one horizontal expansion point.
 
-    The peer cores are the geometry (the N UEs, then the BS).  The 2P hops
-    are stacked, every pair's access hop and then every backhaul hop:
-    `rows` picks each hop's peer core and `scale` folds the carrier
-    frequency and the slot's fading draw of its (peer, subchannel) link."""
+    The peer cores are the geometry (the N UEs, then the BS).  Each of
+    the P relayed pairs crosses two hops, every pair's access hop and
+    then every backhaul hop: `rows` picks each hop's peer core and
+    `scale` folds the carrier frequency and the slot's fading draw of
+    its (peer, subchannel) link, so hop j's gain bound is scale[j]
+    times the bound of peer core rows[j]."""
 
     x0: np.ndarray          # (2,) expansion point
     ue: np.ndarray          # (P,)
@@ -271,21 +216,6 @@ class SurrogateContext:
     cores: _PeerCores
     rows: np.ndarray        # (2P,) peer core of each hop
     scale: np.ndarray       # (2P,) hop scales
-    # the bounds at the last point asked for: an inner solve evaluates the
-    # objective and the barrier at each point, one after the other
-    _last: list = field(default_factory=lambda: [None, None], repr=False,
-                        compare=False)
-
-    def stacked(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All 2P hop gain bounds (2P,), gradients (2P, d) and Hessians
-        (2P, d, d) at `xy`."""
-        key = xy.tobytes()
-        if key != self._last[0]:
-            v, g, h = self.cores.value_grad(xy)
-            self._last[:] = key, (self.scale * v[self.rows],
-                                  self.scale[:, None] * g[self.rows],
-                                  self.scale[:, None, None] * h[self.rows])
-        return self._last[1]
 
 
 def horizontal_surrogate(inputs: SlotInputs, position) -> SurrogateContext:
@@ -305,21 +235,62 @@ def horizontal_surrogate(inputs: SlotInputs, position) -> SurrogateContext:
     return SurrogateContext(exp_xy, ue, sub, cores, rows, scale)
 
 
-def _horizontal_barrier(ctx: SurrogateContext, inputs: SlotInputs) -> BarrierTerm:
-    """All 2P approximated hop floors (every pair's access hop, then every
-    backhaul hop), normalized and slightly relaxed so an incumbent funded
-    exactly at the floor stays strictly interior."""
+def _horizontal_objective(ctx: SurrogateContext, inputs: SlotInputs):
+    """The stage's objective over (x, y), x -> (value, gradient,
+    Hessian): the weighted sum of the surrogate rates plus
+    `BARRIER_WEIGHT` times the sum of the logs of the 2P floor rows, and
+    -inf where a row is not positive.
+
+    Each rate is the split K - M of `link_rate` in the hop signals p h,
+    chained through the powers into the gain bounds.  M is replaced by
+    its tangent at the expansion point, taken once here, so each rate is
+    concave in the gain bounds and tight at the expansion.  Each floor
+    row is a hop's approximated SNR over its floor, minus one, slightly
+    relaxed so an incumbent funded exactly at the floor stays strictly
+    interior.  Rates and rows are sums over hops, each a function of its
+    peer core's bound alone, so one pass over the N + 1 cores serves
+    both: per hop, the first and second derivatives of its rate and log
+    row terms in the core bound (alpha, beta), summed per core, weigh
+    the cores' gradients and Hessians once."""
     s = inputs.scenario
+    n, rows, scale = ctx.ue.size, ctx.rows, ctx.scale
+    peers = len(ctx.cores.peers_xy)
     pp = np.concatenate([inputs.powers.p_ue[ctx.ue, ctx.sub], inputs.powers.p_uav[ctx.sub]])
+    noise = np.repeat((s.noise_var, s.noise_var + s.ici_power), n)
     floors = floor_signals(True, s.snr_thresholds, s.noise_var, s.ici_power)
     # one over the gain at which each hop sits exactly on its SNR floor
-    inv = 1.0 / (np.repeat(floors, ctx.ue.size) / pp)
+    inv = 1.0 / (np.repeat(floors, n) / pp)
+    w = inputs.weights[ctx.ue]
+    # per hop, the weighted rate term's first and second derivatives in
+    # its core's bound over dK/ds and d2K/ds2, and the floor row's slope
+    w_scale = np.concatenate((w, w)) * pp * scale
+    w_scale2 = w_scale * pp * scale
+    row_scale = inv * scale
+    v0, g0 = ctx.cores.value_grad(ctx.x0)[:2]
+    m0, dm = dc_m(pp * (scale * v0[rows]), True, s.noise_var, s.ici_power)
+    # each partial in a signal p h, times p, times the gain's gradient
+    q0 = (dm * pp)[:, None] * (scale[:, None] * g0[rows])
+    m_slope = q0[:n] + q0[n:]
+    slope = w @ m_slope
 
-    def rows(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        h, gj, hj = ctx.stacked(xy)
-        return h * inv - 1.0 + _QOS_SLACK, gj * inv[:, None], hj * inv[:, None, None]
+    def objective(xy: np.ndarray) -> tuple:
+        v, grad, diff, iso, aniso = ctx.cores.value_grad(xy)
+        h = scale * v[rows]
+        row = h * inv - 1.0 + _QOS_SLACK
+        if (row <= 0.0).any():
+            return -math.inf, None, None
+        k, dk, d2k = dc_k(pp * h, noise, second=True)
+        t = row_scale / row  # d log(row) / d(core bound)
+        alpha = np.bincount(rows, w_scale * dk + BARRIER_WEIGHT * t, peers)
+        beta = np.bincount(rows, w_scale2 * d2k - BARRIER_WEIGHT * t * t, peers)
+        value = float(w @ (k - m0 - m_slope @ (xy - ctx.x0))) \
+            + BARRIER_WEIGHT * float(np.log(row).sum())
+        # sum_i alpha_i H_i + beta_i g_i g_i^T, with H_i = -(iso_i I + aniso_i
+        # d_i d_i^T) and g_i = -iso_i d_i
+        hess = (diff.T * (beta * iso * iso - alpha * aniso)) @ diff - (alpha @ iso) * np.eye(2)
+        return value, alpha @ grad - slope, hess
 
-    return BarrierTerm(rows)
+    return objective
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +379,12 @@ def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, S
     log.iterations = 1
     xy = start.position[:2].copy()
     ctx = horizontal_surrogate(inputs, start.position)
-    barrier = _horizontal_barrier(ctx, inputs)
-    if np.any(barrier.fn(xy)[0] <= 0.0):
+    objective = _horizontal_objective(ctx, inputs)
+    if not math.isfinite(objective(xy)[0]):
         log.reason = "approximated SNR set leaves no room at the incumbent"
         return start, log
-    fset = FeasibleSet(ball=(anchor[:2], r_h), barrier=barrier)
-    res = maximize_concave(_stage_objective(ctx, inputs), fset, xy,
-                           max_iters=_INNER_ITERS)
+    fset = FeasibleSet(ball=(anchor[:2], r_h))
+    res = maximize_concave(objective, fset, xy, max_iters=_INNER_ITERS)
     log.capped = res.diagnostics.reason == "iteration cap"
     if not res.feasible:
         log.reason = f"inner solve unusable: {res.diagnostics.reason}"

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavrelay import convex_core
-from uavrelay.convex_core import BarrierTerm, FeasibleSet, maximize_concave
+from uavrelay.convex_core import FeasibleSet, maximize_concave
+
+MU = 1e-6  # the weight of the log barriers that the objectives below carry
 
 
 def quadratic_around(target, scale=1.0):
@@ -156,15 +158,15 @@ class TestMaximizeConcave:
         assert accepted[-1] == pytest.approx(max(values), abs=1e-12)
 
     def test_barrier_respects_nonlinear_constraint(self):
-        # maximize x + y subject to x² + y² <= 1 written as a barrier term
-        def ring(x):
-            return 1.0 - float(np.dot(x, x)), -2.0 * x
-
-        fs = FeasibleSet(ball=(np.zeros(2), 5.0), barrier=BarrierTerm(ring))
-
+        # maximize x + y subject to x² + y² <= 1, which the objective
+        # carries as its own log barrier, -inf outside
         def f(x):
-            return float(x.sum()), np.ones(2)
+            room = 1.0 - float(np.dot(x, x))
+            if room <= 0.0:
+                return -math.inf, np.zeros(2)
+            return float(x.sum()) + MU * math.log(room), np.ones(2) - (2.0 * MU / room) * x
 
+        fs = FeasibleSet(ball=(np.zeros(2), 5.0))
         res = maximize_concave(f, fs, np.array([0.0, 0.0]))
         assert res.feasible
         root_half = math.sqrt(0.5)
@@ -172,14 +174,16 @@ class TestMaximizeConcave:
         assert float(np.dot(res.x, res.x)) <= 1.0 + 1e-9
 
     def test_barrier_start_on_boundary_fails_cleanly(self):
-        def g(x):
-            return -1.0, np.zeros(1)  # always violated
+        # a barrier row that is always violated: no point of the set lies
+        # in the objective's domain, so no final value is finite
+        def f(x):
+            return -math.inf, np.zeros(1)
 
         # x >= 0 as one block with a floor and no budget
-        fs = FeasibleSet(blocks=(np.array([0]), np.array([math.inf])), floors=np.zeros(1),
-                         barrier=BarrierTerm(g))
-        res = maximize_concave(quadratic_around([1.0]), fs, np.array([0.5]))
+        fs = FeasibleSet(blocks=(np.array([0]), np.array([math.inf])), floors=np.zeros(1))
+        res = maximize_concave(f, fs, np.array([0.5]))
         assert not res.feasible
+        assert res.diagnostics.reason == "start outside objective domain"
 
 
 def three_rows(x):
@@ -215,56 +219,19 @@ def scalar_barrier_objective(objective, rows, mu):
 
 
 class TestVectorBarrier:
-    def barrier_objectives(self, fset, monkeypatch):
-        """The barrier objectives maximize_concave hands to the inner
-        ascent."""
-        seen = []
-        original = convex_core._ascend
+    """Objectives that carry constraint rows as their own log barrier,
+    -inf where a row is not positive."""
 
-        def spy(objective, *args, **kwargs):
-            seen.append(objective)
-            return original(objective, *args, **kwargs)
-
-        monkeypatch.setattr(convex_core, "_ascend", spy)
-        res = maximize_concave(newton_quadratic_around([1.0, 1.0]), fset, np.zeros(2))
-        monkeypatch.undo()
-        return res, seen
-
-    def test_rows_equal_scalar_terms(self, monkeypatch):
-        fset = FeasibleSet(ball=(np.zeros(2), 2.0), barrier=BarrierTerm(three_rows))
-        res, seen = self.barrier_objectives(fset, monkeypatch)
-        objective = newton_quadratic_around([1.0, 1.0])
-        written = [scalar_barrier_objective(objective, three_rows,
-                                            convex_core.BARRIER_WEIGHT)]
-        assert len(seen) == len(written) == 1
-        pts = np.random.default_rng(2).uniform(-0.5, 0.5, (50, 2))
-        for fv, fs in zip(seen, written):
-            for p in pts:
-                (val_v, grad_v, hess_v), (val_s, grad_s, hess_s) = fv(p), fs(p)
-                assert val_v == pytest.approx(val_s, rel=1e-13, abs=1e-15)
-                assert np.allclose(grad_v, grad_s, rtol=1e-13, atol=1e-15)
-                assert np.allclose(hess_v, hess_s, rtol=1e-13, atol=1e-15)
-        # the same ascent on the written-out sums
-        x, _, diag = convex_core._ascend(written[0], fset, np.zeros(2), 500)
-        assert res.feasible and diag.reason == res.diagnostics.reason
-        assert diag.reason == "Newton decrement below tolerance"
-        # summation order alone moves the stopping point
-        assert np.allclose(res.x, x, rtol=0.0, atol=1e-6)
-        assert objective(res.x)[0] == pytest.approx(objective(x)[0], rel=1e-8)
+    def test_newton_ascent_keeps_every_row_positive(self):
+        objective = scalar_barrier_objective(newton_quadratic_around([1.0, 1.0]),
+                                             three_rows, MU)
+        res = maximize_concave(objective, FeasibleSet(ball=(np.zeros(2), 2.0)), np.zeros(2))
+        assert res.feasible
+        assert res.diagnostics.reason == "Newton decrement below tolerance"
         assert np.all(three_rows(res.x)[0] > 0.0)
-
-    def test_violation_reads_the_worst_row(self):
-        def rows(x):
-            return np.array([0.5, -0.3, -0.1]), np.zeros((3, 1))
-
-        fs = FeasibleSet(barrier=BarrierTerm(rows))
-        assert fs.barrier_violation(np.zeros(1)) == pytest.approx(0.3 - 1e-9, rel=1e-15)
-        fine = FeasibleSet(barrier=BarrierTerm(three_rows))
-        assert fine.barrier_violation(np.zeros(2)) == 0.0
-        # a row on the boundary passes within the validation tolerance
-        edge = FeasibleSet(barrier=BarrierTerm(lambda x: (np.array([0.5, -5e-10]),
-                                                          np.zeros((2, 1)))))
-        assert edge.barrier_violation(np.zeros(1)) == 0.0
+        # the unconstrained maximizer (1, 1) lies beyond the parabola row,
+        # so the answer presses on that row, short of it by about MU
+        assert 0.0 < three_rows(res.x)[0][2] <= 1e-5
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_violated_row_fails_cleanly(self, bad):
@@ -274,11 +241,11 @@ class TestVectorBarrier:
             jac[bad] = 0.0
             return values, jac, hess
 
-        fs = FeasibleSet(ball=(np.zeros(2), 2.0), barrier=BarrierTerm(rows))
-        res = maximize_concave(quadratic_around([1.0, 1.0]), fs, np.zeros(2))
+        objective = scalar_barrier_objective(newton_quadratic_around([1.0, 1.0]), rows, MU)
+        res = maximize_concave(objective, FeasibleSet(ball=(np.zeros(2), 2.0)), np.zeros(2))
         assert not res.feasible
         assert np.all(np.isfinite(res.x))
-        assert "violated" in res.diagnostics.reason
+        assert res.diagnostics.reason == "start outside objective domain"
 
 
 def concave_model(seed, dim=2):
@@ -368,6 +335,64 @@ class TestTrustRegion:
         assert res.x == pytest.approx([0.3, -0.7], abs=1e-12)
         assert (res.diagnostics.iterations, res.diagnostics.reason) == \
             (2, "Newton decrement below tolerance")
+
+
+class TestClosedFormEigensystem:
+    """`_eigh2` against LAPACK's `eigh`: eigenvalues within 1e-12 of the
+    matrix norm (both are accurate to a few rounding errors of the norm,
+    not of a small eigenvalue), residuals |A v - lam v| within 1e-14 of
+    it, and an orthonormal basis."""
+
+    def assert_eigensystem(self, m):
+        lam, q = convex_core._eigh2(m)
+        ref = np.linalg.eigh(m)[0]
+        norm = max(float(np.max(np.abs(ref))), 1e-300)
+        assert np.all(np.abs(lam - ref) <= 1e-12 * norm), (m, lam, ref)
+        for i in range(2):
+            assert np.linalg.norm(m @ q[:, i] - lam[i] * q[:, i]) <= 1e-14 * norm, (m, i)
+        assert np.allclose(q.T @ q, np.eye(2), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_symmetric(self, seed):
+        root = np.random.default_rng(seed).normal(size=(2, 2)) * 10.0 ** (seed % 7 - 3)
+        self.assert_eigensystem(root + root.T)
+
+    @pytest.mark.parametrize("diag", [(3.0, -2.0), (-2.0, 3.0), (1e-9, 4e3), (4e3, 1e-9)])
+    def test_diagonal_in_either_order(self, diag):
+        self.assert_eigensystem(np.diag(diag))
+
+    @pytest.mark.parametrize("value", [0.0, 2.5, -7.0])
+    def test_repeated_eigenvalue(self, value):
+        self.assert_eigensystem(value * np.eye(2))
+
+    @pytest.mark.parametrize("p, t", [(3.0, 1.0), (1.0, 3.0), (-1e4, 2.0), (2.0, -1e4)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_near_diagonal(self, p, t, sign):
+        r = sign * 1e-12 * abs(p - t)
+        self.assert_eigensystem(np.array([[p, r], [r, t]]))
+
+    def test_relay_episode_needs_no_lapack_eigensystem(self, monkeypatch):
+        # one relay_mixed episode: every trust-region step it takes is
+        # solved in closed form
+        from uavrelay import run_episode
+        from uavrelay.scenario import Scenario
+
+        steps = []
+        original = convex_core._trust_region_point
+
+        def counted(*args):
+            steps.append(1)
+            return original(*args)
+
+        def no_lapack(*args):
+            raise AssertionError("the 2x2 eigensystem is closed-form")
+
+        monkeypatch.setattr(convex_core, "_trust_region_point", counted)
+        monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+        sc = Scenario(n_ues=5, n_subchannels=10, n_slots=10, d_max=25.0,
+                      fading_model="mixed", rng_seed=0).with_positions(0)
+        run_episode(sc, "jmstp")
+        assert len(steps) > 50
 
 
 def ball_samples(center, radius, count):

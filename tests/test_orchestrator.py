@@ -260,6 +260,48 @@ class TestChannelStateReuse:
         assert len(starts) >= sc.n_slots
         assert sorted(id(args[0]) for args in played) == sorted(map(id, starts))
 
+    def test_each_distinct_matching_completed_once_per_stage_call(self, monkeypatch):
+        # greedy starts often reach the same stable matching; a stage call
+        # completes each distinct one of its channel state's starts once
+        groups, stage_calls = [], []  # swap results per channel state; per call
+        last, inside = [None], [False]
+        wrapped = {name: getattr(orchestrator, name)
+                   for name in ("msma_detailed", "_matching_stage", "complete_powers")}
+
+        def key(beta, alloc):
+            return beta.tobytes() + alloc.tobytes()
+
+        def swap(*args):
+            res = wrapped["msma_detailed"](*args)
+            if last[0] != "swap":  # the first start of a channel state
+                groups.append([])
+            groups[-1].append(key(res.beta, res.alloc))
+            last[0] = "swap"
+            return res
+
+        def stage(*args):
+            last[0], inside[0] = "stage", True
+            stage_calls.append((list(dict.fromkeys(groups[-1])), []))
+            try:
+                return wrapped["_matching_stage"](*args)
+            finally:
+                inside[0] = False
+
+        def complete(*args):
+            if inside[0]:
+                stage_calls[-1][1].append(key(args[3], args[4]))
+            return wrapped["complete_powers"](*args)
+
+        for name, fn in (("msma_detailed", swap), ("_matching_stage", stage),
+                         ("complete_powers", complete)):
+            monkeypatch.setattr(orchestrator, name, fn)
+        sc = Scenario(n_ues=5, n_subchannels=10, n_slots=4, d_max=25.0,
+                      fading_model="mixed", rng_seed=0).with_positions(0)
+        run_episode(sc, "jmstp")
+        assert stage_calls and any(len(g) > len(set(g)) for g in groups)
+        for distinct, completed in stage_calls:
+            assert completed == distinct
+
 
 def same_gains(a, b):
     return all(np.array_equal(getattr(a, f), getattr(b, f))

@@ -26,7 +26,18 @@ def test_same_answers_exit_zero(tmp_path):
     # an objective move alone is reported, not a verdict
     out = run_diff(dump(tmp_path / "a.json"), dump(tmp_path / "b.json", objective=1.5))
     assert out.returncode == 0, out.stdout + out.stderr
-    assert "verdict: SAME" in out.stdout
+    assert "verdict: SAME beta/alloc and findings" in out.stdout
+
+
+def test_equal_answers_read_bit_identical(tmp_path):
+    out = run_diff(dump(tmp_path / "a.json"), dump(tmp_path / "b.json"))
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "verdict: SAME, bit-identical" in out.stdout
+    # an objective moved by one ulp is no longer bit-identical
+    out = run_diff(dump(tmp_path / "a.json"),
+                   dump(tmp_path / "b.json", objective=1.0000000000000002))
+    assert out.returncode == 0
+    assert "verdict: SAME beta/alloc" in out.stdout
 
 
 def test_moved_assignment_exits_one(tmp_path):

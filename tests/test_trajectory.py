@@ -11,14 +11,14 @@ from gradcheck import grad_check, hess_check
 
 from uavrelay import run_episode, trajectory
 from uavrelay.channel import gain_matrices, slot_channel
-from uavrelay.link_rate import LinkBudget, PowerAllocation, dc_k, rate_report
+from uavrelay.link_rate import HALF_LOG2E, LinkBudget, PowerAllocation, dc_k, rate_report
 from uavrelay.scenario import Scenario, SnrThresholds, UavState, dbm_to_watts
 from uavrelay.trajectory import (
+    BARRIER_WEIGHT,
     SlotInputs,
+    _QOS_SLACK,
     _audit,
-    _horizontal_barrier,
-    _stage_objective,
-    _surrogate_rates,
+    _horizontal_objective,
     horizontal_surrogate,
     solve_altitude,
     solve_horizontal,
@@ -84,11 +84,64 @@ def peer_bounds(ctx, inputs, xy):
     return bound[:-1], bound[-1]
 
 
-def surrogate_rate(xy, ctx, inputs, pair=0):
-    """The horizontal stage's concave bound on the relayed rate of one
-    pair at `xy`, linearized at the context's expansion point."""
-    out = _surrogate_rates(ctx, inputs)(np.asarray(xy, dtype=float))
-    return -math.inf if out is None else out[0][pair]
+def surrogate_rate(xy, ctx, inputs, ue=0):
+    """The horizontal stage's concave bound on the relayed rate of UE `ue`
+    at `xy`, summed over its pairs and linearized at the context's
+    expansion point: the stage objective is linear in the weights, and
+    its barrier does not depend on them, so the bound is the objective
+    with weight 1 on the UE less the objective with every weight 0."""
+    xy = np.asarray(xy, dtype=float)
+    weights = np.zeros_like(inputs.weights)
+    without = _horizontal_objective(ctx, replace(inputs, weights=weights))(xy)[0]
+    weights[ue] = 1.0
+    with_ue = _horizontal_objective(ctx, replace(inputs, weights=weights))(xy)[0]
+    return with_ue - without if math.isfinite(without) else -math.inf
+
+
+def written_out_objective(ctx, inputs):
+    """The stage objective written out pair by pair and hop by hop from the
+    peer cores: the weighted K of each pair's two hop signals, less M's
+    tangent at the expansion point, plus the weighted log of each hop's
+    floor row, the hop's SNR over its floor less one, relaxed by
+    `_QOS_SLACK`."""
+    sc = inputs.scenario
+    scale = slot_channel(sc, inputs.slot_index).air_scale
+    thr, sigma2, ici = sc.snr_thresholds, sc.noise_var, sc.ici_power
+    bs = len(sc.ue_positions)
+    v0, g0 = ctx.cores.value_grad(ctx.x0)[:2]
+
+    def hops(n, k):
+        """(power times scale, peer, noise, floor signal) of both hops."""
+        return ((inputs.powers.p_ue[n, k] * scale[n, k], n, sigma2, thr.ue_uav * sigma2),
+                (inputs.powers.p_uav[k] * scale[-1, k], bs, sigma2 + ici,
+                 thr.uav_bs * (sigma2 + ici)))
+
+    def objective(xy):
+        v, g, diff, iso, aniso = ctx.cores.value_grad(xy)
+        val, grad, hess = 0.0, np.zeros(2), np.zeros((2, 2))
+        for n, k in zip(ctx.ue, ctx.sub):
+            w = inputs.weights[n]
+            (c1, n1, _, _), (c2, n2, _, _) = hops(n, k)
+            inner = (1.0 + ici / sigma2) * c1 * v0[n1] + c2 * v0[n2] + sigma2 + ici
+            m_slope = HALF_LOG2E / inner * ((1.0 + ici / sigma2) * c1 * g0[n1] + c2 * g0[n2])
+            val -= w * (0.5 * math.log2(sigma2 * inner) + m_slope @ (xy - ctx.x0))
+            grad -= w * m_slope
+            for c, peer, noise, floor in hops(n, k):
+                h_peer = -(iso[peer] * np.eye(2) + aniso[peer] * np.outer(diff[peer], diff[peer]))
+                outer = np.outer(g[peer], g[peer])
+                a = c * v[peer] + noise
+                val += w * 0.5 * math.log2(a)
+                grad += w * HALF_LOG2E / a * c * g[peer]
+                hess += w * HALF_LOG2E / a * (c * h_peer - c * c / a * outer)
+                row = c * v[peer] / floor - 1.0 + _QOS_SLACK
+                if row <= 0.0:
+                    return -math.inf, None, None
+                val += BARRIER_WEIGHT * math.log(row)
+                grad += BARRIER_WEIGHT / row * c / floor * g[peer]
+                hess += BARRIER_WEIGHT / row * c / floor * (h_peer - c / floor / row * outer)
+        return val, grad, hess
+
+    return objective
 
 
 def true_gains(sc, xy, z=130.0):
@@ -115,8 +168,9 @@ def test_gain_bound_tight_at_expansion(two_ue):
     hu, hb = peer_bounds(ctx, inputs, pos[:2])
     assert np.all(np.abs(hb - gains.h_uav_bs) <= 1e-10 * gains.h_uav_bs)
     assert np.all(np.abs(hu - gains.h_ue_uav) <= 1e-10 * gains.h_ue_uav)
-    # the stacked hops read the same bounds, access hops first
-    h1, h2 = np.split(ctx.stacked(pos[:2])[0], 2)
+    # the hops read the same bounds, access hops first
+    v = ctx.cores.value_grad(pos[:2])[0]
+    h1, h2 = np.split(ctx.scale * v[ctx.rows], 2)
     assert np.array_equal(h1, hu[ctx.ue, ctx.sub])
     assert np.array_equal(h2, hb[ctx.sub])
 
@@ -146,43 +200,60 @@ def test_gain_bound_midpoint_concavity(two_ue):
 # Surrogate relayed rate.
 
 def test_surrogate_rate_tight_at_expansion(two_ue):
+    # two_ue relays UE 0 alone, so its pairs are all of the context's
     sc, inputs, ctx = two_ue
     pos = np.array([200.0, 0.0, 130.0])
     gains = gain_matrices(sc, pos, 0)
     want = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
-                       inputs.weights, sc).link.rate[ctx.ue, ctx.sub]
-    got = _surrogate_rates(ctx, inputs)(pos[:2])[0]
-    assert np.all(np.abs(got - want) <= 1e-10 * want)
+                       inputs.weights, sc).link.rate[ctx.ue, ctx.sub].sum()
+    got = surrogate_rate(pos[:2], ctx, inputs)
+    assert abs(got - want) <= 1e-10 * want
 
 
 def test_surrogate_rate_dominated_by_bound_rate(two_ue):
     sc, inputs, ctx = two_ue
+    checked = 0
     for p in ball_points(np.array([200.0, 0.0]), sc.d_max, 1000, seed=7):
         r_hat = surrogate_rate(p, ctx, inputs)
-        h1, h2 = np.split(ctx.stacked(p)[0], 2)
-        hu, hb = h1[0], h2[0]
-        if hu <= 0.0 or hb <= 0.0:
+        if r_hat == -math.inf:  # a hop below its floor
             continue
-        bound_rate = relayed_rate(sc, inputs.powers.p_ue[0, 0], inputs.powers.p_uav[0],
-                                  hu, hb)
+        hu, hb = peer_bounds(ctx, inputs, p)
+        bound_rate = sum(relayed_rate(sc, inputs.powers.p_ue[n, k], inputs.powers.p_uav[k],
+                                      hu[n, k], hb[k]) for n, k in zip(ctx.ue, ctx.sub))
         assert r_hat <= bound_rate + 1e-12
+        checked += 1
+    assert checked >= 900
 
 
 def test_surrogate_rate_midpoint_concavity(two_ue):
     sc, inputs, ctx = two_ue
+    objective = _horizontal_objective(ctx, inputs)
     pts = ball_points(np.array([200.0, 0.0]), sc.d_max, 400, seed=9)
     for p, q in zip(pts[::2], pts[1::2]):
         mid = surrogate_rate(0.5 * (p + q), ctx, inputs)
         avg = 0.5 * (surrogate_rate(p, ctx, inputs) + surrogate_rate(q, ctx, inputs))
         assert avg - mid <= 1e-9
+        # and with the barrier, which is concave too
+        mid = objective(0.5 * (p + q))[0]
+        avg = 0.5 * (objective(p)[0] + objective(q)[0])
+        assert avg - mid <= 1e-9
 
 
-def test_surrogate_rate_zero_power_is_zero(two_ue):
+def test_starved_hop_leaves_no_room(two_ue):
+    # a hop funded far below its floor cannot meet it: the objective has
+    # no domain at the incumbent, and the stage keeps it
     sc, inputs, ctx = two_ue
-    powers = inputs.powers.copy()
-    powers.p_ue[0, 0] = 0.0
-    got = surrogate_rate(ctx.x0, ctx, replace(inputs, powers=powers))
-    assert abs(got) <= 1e-12
+    for hop in ("access", "backhaul"):
+        powers = inputs.powers.copy()
+        if hop == "access":
+            powers.p_ue[0, 0] *= 1e-12
+        else:
+            powers.p_uav[0] *= 1e-12
+        starved = replace(inputs, powers=powers)
+        assert _horizontal_objective(ctx, starved)(ctx.x0)[0] == -math.inf
+        audit, log = run_horizontal((200.0, 0.0, 130.0), starved)
+        assert "no room" in log.reason
+        assert np.array_equal(audit.position, (200.0, 0.0, 130.0))
 
 
 def test_nudged_expansion_above_peer():
@@ -198,11 +269,11 @@ def test_nudged_expansion_above_peer():
 
 
 # ---------------------------------------------------------------------------
-# Stage objective and barrier gradients.
+# The stage objective: surrogate rates and hop floors in one pass.
 
 def test_horizontal_objective_gradient(two_ue):
     _, inputs, ctx = two_ue
-    objective = _stage_objective(ctx, inputs)
+    objective = _horizontal_objective(ctx, inputs)
     for shift in ([0.0, 0.0], [4.0, -3.0], [-7.0, 6.0]):
         point = np.array([200.0, 0.0]) + np.array(shift)
         assert grad_check(objective, point) <= 1e-6
@@ -233,14 +304,19 @@ def test_horizontal_gradients_over_pairs(three_pairs, shift):
     _, inputs = three_pairs
     ctx = horizontal_surrogate(inputs, (200.0, 0.0, 130.0))
     point = ctx.x0 + np.array(shift)
-    assert grad_check(_stage_objective(ctx, inputs), point) <= 1e-6
-    rows = _horizontal_barrier(ctx, inputs).fn
-    values, jac, hess = rows(point)
-    assert values.shape == (6,) and jac.shape == (6, 2) and hess.shape == (6, 2, 2)
-    # rows are in the hundreds here, so a 1e-6 m difference step loses digits
-    for i in range(values.size):
-        assert grad_check(lambda x, i=i: (rows(x)[0][i], rows(x)[1][i]), point,
-                          step=1e-4) <= 1e-6
+    assert grad_check(_horizontal_objective(ctx, inputs), point) <= 1e-6
+    # each peer core's bound, whose gradient the pass weighs per core
+    for i in range(len(inputs.scenario.ue_positions) + 1):
+        assert grad_check(lambda x, i=i: [part[i] for part in ctx.cores.value_grad(x)[:2]],
+                          point) <= 1e-6
+
+
+def core_hessians(cores, xy):
+    """Each peer core's bound, gradient and Hessian, (N + 1,), (N + 1, 2)
+    and (N + 1, 2, 2), from the Hessian weights `value_grad` returns."""
+    v, g, diff, iso, aniso = cores.value_grad(xy)
+    return v, g, -(iso[:, None, None] * np.eye(2)
+                   + aniso[:, None, None] * diff[:, :, None] * diff[:, None, :])
 
 
 @pytest.mark.parametrize("fixture", ["two_ue", "three_pairs"])
@@ -250,18 +326,14 @@ def test_horizontal_hessians(request, fixture, shift):
     inputs = request.getfixturevalue(fixture)[1]
     ctx = horizontal_surrogate(inputs, (200.0, 0.0, 130.0))
     point = ctx.x0 + np.array(shift)
-    assert hess_check(_stage_objective(ctx, inputs), point, step=1e-4) <= 1e-6
-    rows = _horizontal_barrier(ctx, inputs).fn
-    for i in range(rows(point)[0].size):
-        assert hess_check(lambda x, i=i: [part[i] for part in rows(x)], point,
-                          step=1e-4) <= 1e-6
+    assert hess_check(_horizontal_objective(ctx, inputs), point, step=1e-4) <= 1e-6
     for i in range(len(inputs.scenario.ue_positions) + 1):
-        assert hess_check(lambda x, i=i: [part[i] for part in ctx.cores.value_grad(x)],
+        assert hess_check(lambda x, i=i: [part[i] for part in core_hessians(ctx.cores, x)],
                           point, step=1e-4) <= 1e-6
     # dc_k's second partials, at the hop signals of the bounds at `point`
     sc = inputs.scenario
     pp = np.concatenate([inputs.powers.p_ue[ctx.ue, ctx.sub], inputs.powers.p_uav[ctx.sub]])
-    s0 = pp * ctx.stacked(point)[0]
+    s0 = pp * ctx.scale * ctx.cores.value_grad(point)[0][ctx.rows]
     noise = np.repeat((sc.noise_var, sc.noise_var + sc.ici_power), ctx.ue.size)
 
     def k_sum(s):
@@ -271,18 +343,40 @@ def test_horizontal_hessians(request, fixture, shift):
     assert hess_check(k_sum, s0, step=1e-3 * float(np.min(s0 + noise))) <= 1e-6
 
 
+@pytest.mark.parametrize("fixture", ["two_ue", "three_pairs"])
+def test_fused_objective_matches_written_out_hops(request, fixture):
+    sc, inputs = request.getfixturevalue(fixture)[:2]
+    ctx = horizontal_surrogate(inputs, (200.0, 0.0, 130.0))
+    fused, written = _horizontal_objective(ctx, inputs), written_out_objective(ctx, inputs)
+    for p in ball_points(ctx.x0, sc.d_max, 50, seed=13):
+        (val, grad, hess), (val_w, grad_w, hess_w) = fused(p), written(p)
+        if val_w == -math.inf:
+            assert val == -math.inf
+            continue
+        assert val == pytest.approx(val_w, rel=1e-12)
+        assert np.linalg.norm(grad - grad_w) <= 1e-12 * np.linalg.norm(grad_w)
+        assert np.linalg.norm(hess - hess_w) <= 1e-12 * np.linalg.norm(hess_w)
+
+
 def test_barrier_rows_match_each_hop_floor(three_pairs):
+    # each floor row is its hop's SNR over its floor, less one, relaxed by
+    # _QOS_SLACK: a hop funded at its floor keeps the objective finite at
+    # the expansion point, one funded 2 _QOS_SLACK below it leaves no room
     sc, inputs = three_pairs
     ctx = horizontal_surrogate(inputs, (200.0, 0.0, 130.0))
-    values = _horizontal_barrier(ctx, inputs).fn(ctx.x0)[0]
     gains = gain_matrices(sc, (200.0, 0.0, 130.0), inputs.slot_index)
     thr = sc.snr_thresholds
-    p_ue, p_uav = inputs.powers.p_ue, inputs.powers.p_uav
-    want = [p_ue[n, k] * gains.h_ue_uav[n, k] / (sc.noise_var * thr.ue_uav)
-            for n, k in inputs.relay_pairs()]
-    want += [p_uav[k] * gains.h_uav_bs[k] / ((sc.noise_var + sc.ici_power) * thr.uav_bs)
-             for _, k in inputs.relay_pairs()]
-    assert np.allclose(values + 1.0, want, rtol=1e-10, atol=0.0)
+    for n, k in inputs.relay_pairs():
+        for hop in ("access", "backhaul"):
+            for factor, finite in ((1.0, True), (1.0 - 2.0 * _QOS_SLACK, False)):
+                powers = inputs.powers.copy()
+                if hop == "access":
+                    powers.p_ue[n, k] = factor * thr.ue_uav * sc.noise_var / gains.h_ue_uav[n, k]
+                else:
+                    powers.p_uav[k] = factor * thr.uav_bs * (sc.noise_var + sc.ici_power) \
+                        / gains.h_uav_bs[k]
+                value = _horizontal_objective(ctx, replace(inputs, powers=powers))(ctx.x0)[0]
+                assert math.isfinite(value) == finite, (n, k, hop, factor)
 
 
 def test_one_channel_evaluation_per_audited_position(three_pairs, monkeypatch):
@@ -349,6 +443,22 @@ def test_solve_horizontal_records_the_inner_iteration_cap(two_ue, monkeypatch):
     assert log.capped
 
 
+def test_solve_horizontal_reports_an_unusable_inner_solve(two_ue, monkeypatch):
+    # an inner solve whose every point lies outside the objective's domain
+    # ends on no finite value: the stage names it and keeps the incumbent
+    _, inputs, _ = two_ue
+    original = trajectory.maximize_concave
+
+    def outside(objective, *args, **kwargs):
+        return original(lambda x: (-math.inf, None, None), *args, **kwargs)
+
+    monkeypatch.setattr(trajectory, "maximize_concave", outside)
+    start = (170.0, -40.0, 130.0)
+    audit, log = run_horizontal(start, inputs)
+    assert log.reason == "inner solve unusable: start outside objective domain"
+    assert (log.accepted, audit.position.tolist()) == (0, list(start))
+
+
 def test_step_search_extends_a_short_surrogate_step(two_ue, monkeypatch):
     # from here the surrogate's maximizer lies 2.7 m off, well inside the
     # 15 m move disc, while the exact objective keeps rising beyond it
@@ -406,13 +516,15 @@ def test_solve_horizontal_zero_radius_keeps_position(two_ue):
 def test_every_inner_solve_ends_on_a_certificate_or_the_cap(monkeypatch, seed):
     # relay_mixed's first two benchmark episodes: each horizontal solve
     # stops on the Newton decrement or, crawling along a curved hop
-    # floor, at `_INNER_ITERS`; never on a stalled line search
+    # floor, at `_INNER_ITERS`; never on a stalled line search.  Every
+    # answer lies inside the objective's domain: each floor row positive
     stops = []
     original = trajectory.maximize_concave
 
-    def recorded(*args, **kwargs):
-        res = original(*args, **kwargs)
+    def recorded(objective, *args, **kwargs):
+        res = original(objective, *args, **kwargs)
         stops.append(res.diagnostics.reason)
+        assert res.feasible and math.isfinite(objective(res.x)[0])
         return res
 
     monkeypatch.setattr(trajectory, "maximize_concave", recorded)
