@@ -12,7 +12,8 @@ per-subchannel free-space factors and the ground peers' coordinates -- is
 built once per (scenario, slot) by `slot_channel` and cached.  Those
 arrays are shared by every caller, so they are checked once when built
 and returned read-only; `gain_matrices` adds the geometric part, one
-vectorized pass over the N UEs and the BS per UAV position.
+vectorized pass over the N UEs and the BS per UAV position or per stack
+of positions.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ def fading_draws(model: str, shape, rng: np.random.Generator, k_db: float = 10.0
 @dataclass
 class ChannelGains:
     """Linear power gains for one slot: (N, K) UE-to-BS, (N, K) UE-to-UAV,
-    (K,) UAV-to-BS."""
+    (K,) UAV-to-BS; for a stack of T UAV positions, (T, N, K) UE-to-UAV
+    and (T, 1, K) UAV-to-BS."""
 
     h_ue_bs: np.ndarray
     h_ue_uav: np.ndarray
@@ -118,23 +120,30 @@ def slot_channel(scenario: Scenario, slot_index: int = 0) -> SlotChannel:
 
 
 def gain_matrices(scenario: Scenario, uav_pos, slot_index: int = 0) -> ChannelGains:
-    """All link gains for one UAV position: the slot's cached terrestrial
-    gains (shared and read-only) and the air gains of this position."""
+    """All link gains for one UAV position (3,), or for each position of
+    a stack (T, 3) in one pass: the slot's cached terrestrial gains
+    (shared and read-only) and the air gains of the position.  A stack's
+    air gains lead with its T axis, and its UAV-to-BS gains keep a unit
+    UE axis, (T, 1, K), so that they broadcast against the (N, K) links;
+    each position's gains are bit-identical to its own call's."""
     chan = slot_channel(scenario, slot_index)
-    diff = chan.peers - np.asarray(uav_pos, dtype=float)
-    d2 = np.einsum("ij,ij->i", diff, diff)
+    pos = np.asarray(uav_pos, dtype=float)
+    diff = chan.peers - pos[..., None, :]
+    d2 = np.einsum("...j,...j->...", diff, diff)
     if not np.isfinite(d2).all():
         raise ValueError("UAV position must be finite")
     if (d2 == 0.0).any():
         raise ValueError("coincident endpoints")
-    dz = np.abs(diff[:, 2])
+    dz = np.abs(diff[..., 2])
     if (dz <= 0.0).any():
         raise ValueError("air link endpoints must differ in height")
     p = scenario.a2g
     elev = np.degrees(np.arcsin(dz / np.sqrt(d2)))
     pr_los = 1.0 / (1.0 + p.a * np.exp(-p.b * (elev - p.a)))
-    air = chan.air_scale / (d2 * (pr_los * p.eta_los + (1.0 - pr_los) * p.eta_nlos))[:, None]
-    return ChannelGains(chan.h_ue_bs, air[:-1], air[-1])
+    air = chan.air_scale / (d2 * (pr_los * p.eta_los + (1.0 - pr_los) * p.eta_nlos))[..., None]
+    if pos.ndim == 1:
+        return ChannelGains(chan.h_ue_bs, air[:-1], air[-1])
+    return ChannelGains(chan.h_ue_bs, air[:, :-1], air[:, -1:])
 
 
 # ---------------------------------------------------------------------------

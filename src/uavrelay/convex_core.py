@@ -10,11 +10,11 @@ test.  The model's curvature decides the trial point:
 - an objective that returns its Hessian gets Newton's model.  On the
   disc its maximizer is an exact trust-region step (Moré & Sorensen,
   "Computing a trust region step", SIAM J. Sci. Stat. Comput. 1983),
-  over the closed-form eigensystem of the 2x2 Hessian, so the disc
-  needs no barrier row, and the ascent stops when the model promises
-  less than `_DECREMENT_TOL` (the Newton decrement; Boyd &
-  Vandenberghe, *Convex Optimization*, §9.5).  The trajectory stage
-  takes this path;
+  solved on scalars in the closed-form eigenbasis of the 2x2 Hessian
+  (`_eigh2`), so the disc needs no barrier row, and the ascent stops
+  when the model promises less than `_DECREMENT_TOL` (the Newton
+  decrement; Boyd & Vandenberghe, *Convex Optimization*, §9.5).  The
+  trajectory stage takes this path;
 - an objective without one gets the scalar curvature -1/alpha, alpha a
   Barzilai–Borwein step, whose model maximizer is the projected
   gradient step `project(x + alpha grad)` (spectral projected
@@ -140,24 +140,22 @@ class SolveResult:
 _MAX_STEP = 1e8
 
 
-def _eigh2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors (columns) of the
-    symmetric 2x2 matrix m = [[p, r], [r, t]], in closed form.
+def _eigh2(p: float, r: float, t: float) -> tuple[float, float, float, float]:
+    """Eigensystem of the symmetric 2x2 matrix [[p, r], [r, t]] in closed
+    form: its eigenvalues lo <= hi, and the unit eigenvector (u, v) of lo;
+    (-v, u) is hi's.
 
-    The eigenvector of the smaller eigenvalue lo solves the row of m - lo I
-    whose diagonal entry is the larger in size, -(|p - t| / 2 + rad), so
-    no entry of it cancels: (r, lo - p) when p > t, else (lo - t, r).
-    The other is its normal."""
-    p, r, t = float(m[0, 0]), float(m[0, 1]), float(m[1, 1])
+    The eigenvector of lo solves the row of m - lo I whose diagonal entry
+    is the larger in size, -(|p - t| / 2 + rad), so no entry of it
+    cancels: (r, lo - p) when p > t, else (lo - t, r)."""
     mean = 0.5 * (p + t)
     rad = math.hypot(0.5 * (p - t), r)
     lo = mean - rad
     u, v = (r, lo - p) if p > t else (lo - t, r)
     norm = math.hypot(u, v)
     if norm == 0.0:  # a multiple of the identity: every vector is an eigenvector
-        return np.array([lo, lo]), np.eye(2)
-    u, v = u / norm, v / norm
-    return np.array([lo, mean + rad]), np.array([[u, -v], [v, u]])
+        return lo, lo, 1.0, 0.0
+    return lo, mean + rad, u / norm, v / norm
 
 
 def _trust_region_point(center: np.ndarray, radius: float, x: np.ndarray,
@@ -172,25 +170,32 @@ def _trust_region_point(center: np.ndarray, radius: float, x: np.ndarray,
     Newton's method approaches it monotonically from below (Moré &
     Sorensen 1983), from the lower bound max_i |b_i| / radius - a_i.
     Curvature that rounding makes positive is dropped, so the model
-    stays concave."""
+    stays concave.  Everything is done on scalars in that eigenbasis."""
     if radius <= 0.0:
         return center.copy(), 0.0
-    a, q = _eigh2(-hess)
-    a = np.maximum(a, 0.0)
-    b = q.T @ grad + a * (q.T @ (x - center))
-    lam = max(0.0, float(np.max(np.abs(b) / radius - a)))
+    a1, a2, u, v = _eigh2(-float(hess[0, 0]), -float(hess[0, 1]), -float(hess[1, 1]))
+    a1, a2 = max(a1, 0.0), max(a2, 0.0)
+    g0, g1 = float(grad[0]), float(grad[1])
+    d0, d1 = float(x[0] - center[0]), float(x[1] - center[1])
+    # grad + A (x - center) in the basis q1 = (u, v), q2 = (-v, u)
+    b1 = u * g0 + v * g1 + a1 * (u * d0 + v * d1)
+    b2 = u * g1 - v * g0 + a2 * (u * d1 - v * d0)
+    lam = max(0.0, abs(b1) / radius - a1, abs(b2) / radius - a2)
     for _ in range(_TR_ITERS):
-        den = a + lam
+        den1, den2 = a1 + lam, a2 + lam
         # a flat direction with no pull stays at the centre's coordinate
-        y = np.divide(b, den, out=np.zeros_like(b), where=den > 0.0)
-        norm = math.sqrt(float(y @ y))
+        y1 = b1 / den1 if den1 > 0.0 else 0.0
+        y2 = b2 / den2 if den2 > 0.0 else 0.0
+        norm = math.hypot(y1, y2)
         if norm <= radius * (1.0 + _TR_RTOL):
             break
-        dy = np.divide(y, den, out=np.zeros_like(y), where=den > 0.0)
-        lam += (norm - radius) / radius * norm * norm / float(y @ dy)
+        # -y . dy/dlam, as dy/dlam = -y / den
+        slope = (y1 * y1 / den1 if den1 > 0.0 else 0.0) \
+            + (y2 * y2 / den2 if den2 > 0.0 else 0.0)
+        lam += (norm - radius) / radius * norm * norm / slope
     if lam > 0.0:
-        y *= radius / norm
-    return center + q @ y, lam
+        y1, y2 = y1 * (radius / norm), y2 * (radius / norm)
+    return center + np.array((u * y1 - v * y2, v * y1 + u * y2)), lam
 
 
 def _ascend(objective: Objective, fset: FeasibleSet, x0: np.ndarray,

@@ -141,20 +141,25 @@ class PowerAllocation:
 
 @dataclass
 class RateReport:
-    per_ue_rate: np.ndarray  # (N,)
-    objective: float         # weights dot per_ue_rate
-    link: LinkBudget         # every (UE, subchannel) under the UE's mode
+    per_ue_rate: np.ndarray         # (N,), or (T, N) over a stack of positions
+    objective: float | np.ndarray  # weights dot per_ue_rate, or (T,) of them
+    link: LinkBudget                # every (UE, subchannel) under the UE's mode
 
 
 def rate_report(beta: np.ndarray, alloc: np.ndarray, powers: PowerAllocation,
                 gains: ChannelGains, weights: np.ndarray, sc: Scenario) -> RateReport:
     """Rates of one slot's assignments, per UE and weighted, with the
-    link budget they came from."""
+    link budget they came from.  The gains of a stack of T UAV positions
+    give rates (T, N) and objectives (T,), each bit-identical to its
+    position's own report."""
     link = LinkBudget(np.asarray(beta)[:, None] == 1, powers.p_ue, powers.p_uav,
                       gains.h_ue_bs, gains.h_ue_uav, gains.h_uav_bs,
                       sc.snr_thresholds, sc.noise_var, sc.ici_power)
-    per_ue = np.where(alloc, link.rate, 0.0).sum(axis=1)
-    return RateReport(per_ue, float(np.dot(weights, per_ue)), link)
+    per_ue = np.where(alloc, link.rate, 0.0).sum(axis=-1)
+    if per_ue.ndim == 1:
+        return RateReport(per_ue, float(np.dot(weights, per_ue)), link)
+    # one dot per position, which a matrix product would not round alike
+    return RateReport(per_ue, np.array([np.dot(weights, r) for r in per_ue]), link)
 
 
 def update_weights(prev_avg_rates) -> np.ndarray:

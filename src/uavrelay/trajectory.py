@@ -33,10 +33,13 @@ subchannel) pairs, each hop a function of one of the N + 1 ground
 peers' gain bounds.  So one evaluation (`_horizontal_objective`) takes
 each peer's bound, gradient and Hessian once, weighs them by the
 derivatives of its hops' rate and floor terms summed per peer, and
-forms no per-hop gradient or Hessian.  Each position is audited on the
-exact channel once per `to_algorithm` call, which makes one horizontal
-step; the slot's block-coordinate loop is the only loop that repeats
-it, and it stops on the slot's one tolerance.
+forms no per-hop gradient or Hessian.  The inner solve starts at the
+incumbent, and its first evaluation there is the test for an empty
+approximated SNR set.  The step search audits its trials on the exact
+channel in at most two passes over a stack of positions (`_audits`),
+and no position is audited twice in one `to_algorithm` call, which
+makes one horizontal step; the slot's block-coordinate loop is the only
+loop that repeats it, and it stops on the slot's one tolerance.
 """
 
 from __future__ import annotations
@@ -92,18 +95,36 @@ class Audit:
     surplus: float        # worst QoS margin over relayed assignments
 
 
+def _report(inputs: SlotInputs, gains: ChannelGains):
+    """The exact rate report on `gains`, of one position or a stack, and
+    each position's worst QoS margin over the relayed assignments."""
+    report = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
+                         inputs.weights, inputs.scenario)
+    relayed = (np.asarray(inputs.alloc) * np.asarray(inputs.beta)[:, None]) == 1
+    hop1, hop2 = (m[..., relayed].min(axis=-1, initial=math.inf)
+                  for m in report.link.margins())
+    return report, np.minimum(hop1, hop2)
+
+
 def _audit(pos, inputs: SlotInputs, gains: ChannelGains | None = None) -> Audit:
     """The slot at UAV position `pos`, from one channel evaluation, or
     none when the caller holds the exact `gains` at `pos`."""
-    s = inputs.scenario
     pos = np.array(pos, dtype=float)
     if gains is None:
-        gains = gain_matrices(s, pos, inputs.slot_index)
-    report = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
-                         inputs.weights, s)
-    relayed = (np.asarray(inputs.alloc) * np.asarray(inputs.beta)[:, None]) == 1
-    surplus = min(m[relayed].min(initial=math.inf) for m in report.link.margins())
-    return Audit(pos, gains, report.objective, report.per_ue_rate, surplus)
+        gains = gain_matrices(inputs.scenario, pos, inputs.slot_index)
+    report, surplus = _report(inputs, gains)
+    return Audit(pos, gains, report.objective, report.per_ue_rate, float(surplus))
+
+
+def _audits(positions: np.ndarray, inputs: SlotInputs) -> list[Audit]:
+    """The slot at each UAV position of the stack `positions` (T, 3),
+    from one channel and one rate evaluation over the stack; each audit
+    is bit-identical to its position's own `_audit`."""
+    stack = gain_matrices(inputs.scenario, positions, inputs.slot_index)
+    report, surplus = _report(inputs, stack)
+    return [Audit(pos, ChannelGains(stack.h_ue_bs, stack.h_ue_uav[t], stack.h_uav_bs[t, 0]),
+                  float(report.objective[t]), report.per_ue_rate[t], float(surplus[t]))
+            for t, pos in enumerate(positions)]
 
 
 def _move_disc_radius(s: Scenario, z: float, anchor: np.ndarray) -> float:
@@ -327,37 +348,43 @@ def _step_search(incumbent: Audit, xy_cand: np.ndarray, project,
     are tight only at the incumbent, so its maximizer can fall short of
     the exact objective's rise along the same direction; over-relaxing
     the bound step (Salakhutdinov & Roweis, "Adaptive Overrelaxed Bound
-    Optimization Methods", ICML 2003) takes that rise in one step.  No
-    position is audited twice: a trial that lands on the
-    incumbent reuses its audit."""
+    Optimization Methods", ICML 2003) takes that rise in one step.
+
+    The trials are audited in at most two passes (`_audits`): the full
+    step and its doublings, then, only when the full step is refused,
+    the halvings.  The walk over each pass is the one above, so the kept
+    position and its audit are those of one audit per trial in turn.
+    No position is audited twice: a trial that lands on the incumbent
+    reuses its audit."""
     floor = incumbent.objective - _ACCEPT_SLACK * max(1.0, abs(incumbent.objective))
     xy_inc, z = incumbent.position[:2], incumbent.position[2]
     step = xy_cand - xy_inc
 
-    def audit(xy) -> Audit:
-        pos = (xy[0], xy[1], z)
-        return incumbent if np.array_equal(pos, incumbent.position) else _audit(pos, inputs)
+    def audited(points: list[np.ndarray]) -> list[Audit]:
+        pos = np.array([(xy[0], xy[1], z) for xy in points])
+        fresh = (pos != incumbent.position).any(axis=1)
+        audits = iter(_audits(pos[fresh], inputs) if fresh.any() else ())
+        return [next(audits) if f else incumbent for f in fresh]
 
-    tau = 1.0
-    for _ in range(_BACKTRACK_STEPS):
-        kept = audit(xy_inc + tau * step)
-        if kept.objective >= floor and kept.surplus >= -QOS_TOL:
-            break
-        tau *= 0.5
-    else:
-        return None
-    if tau < 1.0:
-        return kept
-    for _ in range(_EXTEND_STEPS):
-        tau *= 2.0
+    # the doublings stop where a projection returns the trial before it
+    points = [xy_inc + step]
+    for tau in 2.0 ** np.arange(1, _EXTEND_STEPS + 1):
         xy = project(xy_inc + tau * step)
-        if np.array_equal(xy, kept.position[:2]):
+        if np.array_equal(xy, points[-1]):
             break
-        trial = audit(xy)
-        if not (trial.objective > kept.objective and trial.surplus >= -QOS_TOL):
-            break
-        kept = trial
-    return kept
+        points.append(xy)
+    kept, *longer = audited(points)
+    if kept.objective >= floor and kept.surplus >= -QOS_TOL:
+        for trial in longer:
+            if not (trial.objective > kept.objective and trial.surplus >= -QOS_TOL):
+                break
+            kept = trial
+        return kept
+    halvings = [xy_inc + tau * step for tau in 0.5 ** np.arange(1, _BACKTRACK_STEPS)]
+    for trial in audited(halvings):
+        if trial.objective >= floor and trial.surplus >= -QOS_TOL:
+            return trial
+    return None
 
 
 def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, StageLog]:
@@ -377,17 +404,17 @@ def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, S
     anchor = np.asarray(anchor, dtype=float)
     r_h = _move_disc_radius(s, start.position[2], anchor)
     log.iterations = 1
-    xy = start.position[:2].copy()
     ctx = horizontal_surrogate(inputs, start.position)
-    objective = _horizontal_objective(ctx, inputs)
-    if not math.isfinite(objective(xy)[0]):
-        log.reason = "approximated SNR set leaves no room at the incumbent"
-        return start, log
     fset = FeasibleSet(ball=(anchor[:2], r_h))
-    res = maximize_concave(objective, fset, xy, max_iters=_INNER_ITERS)
+    res = maximize_concave(_horizontal_objective(ctx, inputs), fset, start.position[:2],
+                           max_iters=_INNER_ITERS)
     log.capped = res.diagnostics.reason == "iteration cap"
     if not res.feasible:
-        log.reason = f"inner solve unusable: {res.diagnostics.reason}"
+        # the solve's start is the incumbent, where a floor row that is not
+        # positive leaves the objective no domain
+        log.reason = ("approximated SNR set leaves no room at the incumbent"
+                      if res.diagnostics.reason == "start outside objective domain"
+                      else f"inner solve unusable: {res.diagnostics.reason}")
         return start, log
     new = _step_search(start, res.x, fset.project, inputs)
     if new is None:

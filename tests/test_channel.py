@@ -218,6 +218,21 @@ class TestGainMatrices:
                      rician_k_factor=float(rng.uniform(0.0, 15.0))).with_positions(seed)
         assert_matches_reference(s, uav, slot)
 
+    @pytest.mark.parametrize("n, k, seed", [(1, 1, 0), (5, 10, 1), (20, 40, 2)])
+    def test_stack_matches_each_position(self, n, k, seed):
+        # one pass over a stack gives each position's own gains bit for bit
+        s = Scenario(n_ues=n, n_subchannels=k, fading_model="mixed",
+                     rng_seed=seed).with_positions(seed)
+        rng = np.random.default_rng(seed)
+        stack = np.column_stack([rng.uniform(-300.0, 300.0, (7, 2)), np.full(7, 120.0)])
+        gains = ch.gain_matrices(s, stack, 3)
+        assert gains.h_ue_uav.shape == (7, n, k) and gains.h_uav_bs.shape == (7, 1, k)
+        for t, pos in enumerate(stack):
+            one = ch.gain_matrices(s, pos, 3)
+            assert gains.h_ue_bs is one.h_ue_bs
+            assert np.array_equal(gains.h_ue_uav[t], one.h_ue_uav)
+            assert np.array_equal(gains.h_uav_bs[t, 0], one.h_uav_bs)
+
     def test_fading_seeded_per_slot(self):
         s = Scenario(fading_model="rayleigh").with_positions(seed=3)
         a = ch.gain_matrices(s, s.uav_start, slot_index=0)

@@ -337,6 +337,89 @@ class TestTrustRegion:
             (2, "Newton decrement below tolerance")
 
 
+def numpy_trust_region_point(center, radius, x, grad, hess):
+    """The trust-region step on numpy 2-vectors, as the package took it
+    before its scalar `_trust_region_point`: the reference for that one.
+    Both take the closed-form eigensystem, which `TestClosedFormEigensystem`
+    holds to LAPACK's; a near-zero eigenvalue's rounding moves a
+    boundary step by more than 1e-12 where lam is small."""
+    if radius <= 0.0:
+        return center.copy(), 0.0
+    lo, hi, u, v = convex_core._eigh2(-float(hess[0, 0]), -float(hess[0, 1]),
+                                      -float(hess[1, 1]))
+    a, q = np.array([lo, hi]), np.array([[u, -v], [v, u]])
+    a = np.maximum(a, 0.0)
+    b = q.T @ grad + a * (q.T @ (x - center))
+    lam = max(0.0, float(np.max(np.abs(b) / radius - a)))
+    for _ in range(convex_core._TR_ITERS):
+        den = a + lam
+        y = np.divide(b, den, out=np.zeros_like(b), where=den > 0.0)
+        norm = math.sqrt(float(y @ y))
+        if norm <= radius * (1.0 + convex_core._TR_RTOL):
+            break
+        dy = np.divide(y, den, out=np.zeros_like(y), where=den > 0.0)
+        lam += (norm - radius) / radius * norm * norm / float(y @ dy)
+    if lam > 0.0:
+        y *= radius / norm
+    return center + q @ y, lam
+
+
+class TestTrustRegionReference:
+    """The scalar trust-region step against `numpy_trust_region_point`
+    on random 2x2 models whose curvature spans 7 decades: the model
+    values agree to 1e-12 of the model's size over the disc, and the
+    point stays in the disc to `_TR_RTOL`."""
+
+    KINDS = {
+        # eigenvalues of -hess, before scaling
+        "definite, interior": lambda rng: rng.uniform(0.1, 10.0, 2),
+        "definite, boundary": lambda rng: rng.uniform(0.1, 10.0, 2),
+        "one zero eigenvalue": lambda rng: np.array([0.0, rng.uniform(0.1, 10.0)]),
+        "positive by rounding": lambda rng: np.array([-1e-17, rng.uniform(0.1, 10.0)]),
+    }
+
+    @staticmethod
+    def model_value(grad, hess, x, z):
+        d = z - x
+        return float(grad @ d + 0.5 * d @ hess @ d)
+
+    @pytest.mark.parametrize("kind", list(KINDS))
+    @pytest.mark.parametrize("decade", range(-3, 4))
+    def test_matches_the_numpy_reference(self, kind, decade):
+        rng = np.random.default_rng([decade + 3, list(self.KINDS).index(kind)])
+        for _ in range(20):
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            q = np.array([[math.cos(angle), -math.sin(angle)],
+                          [math.sin(angle), math.cos(angle)]])
+            hess = -(q * self.KINDS[kind](rng)) @ q.T * 10.0 ** decade
+            hess = 0.5 * (hess + hess.T)
+            grad = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 4.0)
+            newton = float(np.linalg.norm(np.linalg.pinv(hess) @ grad))
+            radius = {"definite, interior": 3.0 * newton,
+                      "definite, boundary": 0.3 * newton}.get(kind, rng.uniform(0.1, 10.0))
+            # coordinates of the radius' size, as the move disc's are
+            center = rng.normal(size=2) * radius
+            x = center + rng.uniform(-0.3, 0.3, 2) * radius
+            z, lam = convex_core._trust_region_point(center, radius, x, grad, hess)
+            z_ref, lam_ref = numpy_trust_region_point(center, radius, x, grad, hess)
+            assert (lam == 0.0) == (lam_ref == 0.0)
+            assert (lam == 0.0) == (kind == "definite, interior")
+            got, want = self.model_value(grad, hess, x, z), self.model_value(grad, hess, x, z_ref)
+            # relative to the model's size over the disc, which bounds the
+            # rounding of its two terms
+            size = np.linalg.norm(grad) * 2.0 * radius + np.linalg.norm(hess) * 2.0 * radius ** 2
+            assert abs(got - want) <= 1e-12 * size, (kind, got, want)
+            assert np.linalg.norm(z - center) <= radius * (1.0 + convex_core._TR_RTOL)
+
+    @pytest.mark.parametrize("decade", range(-3, 4))
+    def test_zero_radius_stays_at_the_centre(self, decade):
+        grad, hess = concave_model(decade + 3)
+        center = np.array([4.0, 5.0])
+        z, lam = convex_core._trust_region_point(center, 0.0, center + 1.0,
+                                                 grad * 10.0 ** decade, hess * 10.0 ** decade)
+        assert np.array_equal(z, center) and lam == 0.0
+
+
 class TestClosedFormEigensystem:
     """`_eigh2` against LAPACK's `eigh`: eigenvalues within 1e-12 of the
     matrix norm (both are accurate to a few rounding errors of the norm,
@@ -344,7 +427,8 @@ class TestClosedFormEigensystem:
     it, and an orthonormal basis."""
 
     def assert_eigensystem(self, m):
-        lam, q = convex_core._eigh2(m)
+        lo, hi, u, v = convex_core._eigh2(float(m[0, 0]), float(m[0, 1]), float(m[1, 1]))
+        lam, q = np.array([lo, hi]), np.array([[u, -v], [v, u]])
         ref = np.linalg.eigh(m)[0]
         norm = max(float(np.max(np.abs(ref))), 1e-300)
         assert np.all(np.abs(lam - ref) <= 1e-12 * norm), (m, lam, ref)

@@ -252,6 +252,27 @@ class TestRateReport:
         assert np.all(rep.per_ue_rate >= 0)
         assert rep.per_ue_rate == pytest.approx(np.where(alloc, rep.link.rate, 0.0).sum(axis=1))
 
+    def test_stack_matches_each_position(self):
+        # the gains of a stack of UAV positions give each position's own
+        # report bit for bit
+        sc = Scenario(fading_model="mixed", rng_seed=4).with_positions(4)
+        rng = np.random.default_rng(4)
+        beta = np.array([1, 0, 1, 1, 0])
+        alloc = np.zeros((5, 10), dtype=int)
+        alloc[rng.permutation(10) % 5, np.arange(10)] = 1
+        powers = lr.PowerAllocation(alloc * rng.uniform(0.01, 0.05, (5, 10)),
+                                    rng.uniform(0.05, 0.2, 10))
+        w = rng.uniform(0.5, 2.0, 5)
+        stack = np.column_stack([rng.uniform(-200.0, 200.0, (6, 2)), np.full(6, 110.0)])
+        rep = lr.rate_report(beta, alloc, powers, gain_matrices(sc, stack, 1), w, sc)
+        assert rep.per_ue_rate.shape == (6, 5) and rep.objective.shape == (6,)
+        for t, pos in enumerate(stack):
+            one = lr.rate_report(beta, alloc, powers, gain_matrices(sc, pos, 1), w, sc)
+            assert rep.objective[t] == one.objective
+            assert np.array_equal(rep.per_ue_rate[t], one.per_ue_rate)
+            for got, want in zip(rep.link.margins(), one.link.margins()):
+                assert np.array_equal(got[t], want)
+
     def test_report_consistent_with_ue_rate(self):
         # the (N, K) reduction agrees with the kernel on one link at a time
         beta, alloc, powers, gains = _tiny_setup()

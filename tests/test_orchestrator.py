@@ -209,13 +209,27 @@ class TestChannelStateReuse:
 
     @pytest.mark.parametrize("fading, seed", [("none", 0), ("mixed", 5), ("mixed", 7)])
     def test_no_position_evaluated_twice(self, monkeypatch, fading, seed):
-        # drift moves (fading none), accepted trajectory moves (mixed)
+        # drift moves (fading none), accepted trajectory moves (mixed); the
+        # step search evaluates its trials in at most two passes, each a
+        # stack of positions
         calls = [record_calls(monkeypatch, module, "gain_matrices")
                  for module in (orchestrator, trajectory)]
+        passes = []
+        search = trajectory._step_search
+
+        def counted_search(*args):
+            before = len(calls[1])
+            out = search(*args)
+            passes.append(len(calls[1]) - before)
+            return out
+
+        monkeypatch.setattr(trajectory, "_step_search", counted_search)
         sol = cold_slot(tiny_scenario(fading_model=fading, rng_seed=seed))
-        positions = [tuple(np.asarray(args[1], dtype=float)) for c in calls for args in c]
+        positions = [tuple(row) for c in calls for args in c
+                     for row in np.atleast_2d(np.asarray(args[1], dtype=float))]
         assert sol.iterations >= 2 and len(positions) >= 2
         assert len(set(positions)) == len(positions)
+        assert all(n <= 2 for n in passes) and (fading == "none" or passes)
 
     def test_cellular_greedy_start_built_once_per_slot(self, monkeypatch):
         sc = tiny_scenario(n_slots=4, rng_seed=1, fading_model="mixed")

@@ -11,7 +11,15 @@ from gradcheck import grad_check, hess_check
 
 from uavrelay import run_episode, trajectory
 from uavrelay.channel import gain_matrices, slot_channel
-from uavrelay.link_rate import HALF_LOG2E, LinkBudget, PowerAllocation, dc_k, rate_report
+from uavrelay.convex_core import Diagnostics, FeasibleSet, SolveResult
+from uavrelay.link_rate import (
+    HALF_LOG2E,
+    QOS_TOL,
+    LinkBudget,
+    PowerAllocation,
+    dc_k,
+    rate_report,
+)
 from uavrelay.scenario import Scenario, SnrThresholds, UavState, dbm_to_watts
 from uavrelay.trajectory import (
     BARRIER_WEIGHT,
@@ -379,22 +387,42 @@ def test_barrier_rows_match_each_hop_floor(three_pairs):
                 assert math.isfinite(value) == finite, (n, k, hop, factor)
 
 
-def test_one_channel_evaluation_per_audited_position(three_pairs, monkeypatch):
-    _, inputs = three_pairs
-    calls = []
-    original = trajectory.gain_matrices
+def record_channel_passes(monkeypatch):
+    """Every UAV position the trajectory stage evaluates the channel at,
+    as one list per `gain_matrices` call (a pass over a stack of
+    positions, or a lone position), and the number of those passes that
+    each `_step_search` call made."""
+    passes, per_search = [], []
+    original, search = trajectory.gain_matrices, trajectory._step_search
 
     def counted(scenario, pos, slot_index=0):
-        calls.append(tuple(float(v) for v in pos))
+        rows = np.atleast_2d(np.asarray(pos, dtype=float))
+        passes.append([tuple(float(v) for v in row) for row in rows])
         return original(scenario, pos, slot_index)
 
+    def counted_search(*args):
+        before = len(passes)
+        out = search(*args)
+        per_search.append(len(passes) - before)
+        return out
+
     monkeypatch.setattr(trajectory, "gain_matrices", counted)
+    monkeypatch.setattr(trajectory, "_step_search", counted_search)
+    return passes, per_search
+
+
+def test_one_channel_evaluation_per_audited_position(three_pairs, monkeypatch):
+    # every trial position is evaluated once, in at most two passes
+    _, inputs = three_pairs
+    passes, per_search = record_channel_passes(monkeypatch)
     start = (170.0, -40.0, 130.0)
     res = to_algorithm(UavState(start, start), inputs)
-    assert len(calls) > 2
-    assert len(calls) == len(set(calls))
-    assert tuple(float(v) for v in res.position) in calls
-    assert calls[0] == start
+    positions = [pos for batch in passes for pos in batch]
+    assert len(positions) > 2
+    assert len(positions) == len(set(positions))
+    assert tuple(float(v) for v in res.position) in positions
+    assert passes[0] == [start]
+    assert per_search == [len(passes) - 1] and 1 <= per_search[0] <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +473,8 @@ def test_solve_horizontal_records_the_inner_iteration_cap(two_ue, monkeypatch):
 
 def test_solve_horizontal_reports_an_unusable_inner_solve(two_ue, monkeypatch):
     # an inner solve whose every point lies outside the objective's domain
-    # ends on no finite value: the stage names it and keeps the incumbent
+    # ends on no finite value at its start, the incumbent: the stage names
+    # the empty approximated SNR set and keeps the incumbent
     _, inputs, _ = two_ue
     original = trajectory.maximize_concave
 
@@ -455,8 +484,48 @@ def test_solve_horizontal_reports_an_unusable_inner_solve(two_ue, monkeypatch):
     monkeypatch.setattr(trajectory, "maximize_concave", outside)
     start = (170.0, -40.0, 130.0)
     audit, log = run_horizontal(start, inputs)
-    assert log.reason == "inner solve unusable: start outside objective domain"
+    assert log.reason == "approximated SNR set leaves no room at the incumbent"
     assert (log.accepted, audit.position.tolist()) == (0, list(start))
+
+
+def test_solve_horizontal_names_any_other_unusable_solve(two_ue, monkeypatch):
+    _, inputs, _ = two_ue
+
+    def lost(objective, fset, x0, **kwargs):
+        return SolveResult(x0, False, Diagnostics(reason="no feasible start derivable"))
+
+    monkeypatch.setattr(trajectory, "maximize_concave", lost)
+    start = (170.0, -40.0, 130.0)
+    audit, log = run_horizontal(start, inputs)
+    assert log.reason == "inner solve unusable: no feasible start derivable"
+    assert (log.accepted, audit.position.tolist()) == (0, list(start))
+
+
+@pytest.mark.parametrize("starve", [False, True])
+def test_objective_evaluated_once_at_the_incumbent(two_ue, monkeypatch, starve):
+    # the inner solve's own start is the test for an empty SNR set
+    _, inputs, _ = two_ue
+    if starve:
+        powers = inputs.powers.copy()
+        powers.p_ue[0, 0] *= 1e-12
+        inputs = replace(inputs, powers=powers)
+    start = (170.0, -40.0, 130.0)
+    points = []
+    build = trajectory._horizontal_objective
+
+    def recorded(ctx, inputs):
+        objective = build(ctx, inputs)
+
+        def evaluate(xy):
+            points.append(tuple(float(v) for v in xy))
+            return objective(xy)
+        return evaluate
+
+    monkeypatch.setattr(trajectory, "_horizontal_objective", recorded)
+    _, log = run_horizontal(start, inputs)
+    assert points.count(start[:2]) == 1
+    assert ("no room" in log.reason) == starve
+    assert len(points) == 1 if starve else len(points) > 1
 
 
 def test_step_search_extends_a_short_surrogate_step(two_ue, monkeypatch):
@@ -491,6 +560,128 @@ def test_step_search_stays_in_a_small_move_disc(two_ue):
     # (the surrogate's own step is 2.7 m) and never leave it
     assert r_eff - 1e-9 <= dist <= r_eff + 1e-9
     assert _audit(audit.position, small).surplus >= -1e-6
+
+
+# ---------------------------------------------------------------------------
+# The step search against its sequential reference: one `_audit` per trial.
+
+def sequential_step_search(incumbent, xy_cand, project, inputs):
+    """`_step_search` written out trial by trial, one `_audit` each: the
+    full step, then halvings until a trial keeps the objective and the
+    SNRs, or, when the full step is kept, projected doublings while they
+    strictly raise the objective."""
+    floor = incumbent.objective - trajectory._ACCEPT_SLACK * max(1.0, abs(incumbent.objective))
+    xy_inc, z = incumbent.position[:2], incumbent.position[2]
+    step = xy_cand - xy_inc
+
+    def audit(xy):
+        pos = (xy[0], xy[1], z)
+        return incumbent if np.array_equal(pos, incumbent.position) else _audit(pos, inputs)
+
+    tau = 1.0
+    for _ in range(trajectory._BACKTRACK_STEPS):
+        kept = audit(xy_inc + tau * step)
+        if kept.objective >= floor and kept.surplus >= -QOS_TOL:
+            break
+        tau *= 0.5
+    else:
+        return None
+    if tau < 1.0:
+        return kept
+    for _ in range(trajectory._EXTEND_STEPS):
+        tau *= 2.0
+        xy = project(xy_inc + tau * step)
+        if np.array_equal(xy, kept.position[:2]):
+            break
+        trial = audit(xy)
+        if not (trial.objective > kept.objective and trial.surplus >= -QOS_TOL):
+            break
+        kept = trial
+    return kept
+
+
+def assert_same_step(got, want):
+    """Bit-identical kept positions, objectives, surpluses and gains."""
+    if want is None:
+        assert got is None
+        return
+    assert np.array_equal(got.position, want.position)
+    assert (got.objective, got.surplus) == (want.objective, want.surplus)
+    assert np.array_equal(got.rates, want.rates)
+    assert same_gains(got.gains, want.gains)
+
+
+def check_against_reference(monkeypatch):
+    """Spy on `_step_search`: every call also runs the reference, and the
+    two must agree bit for bit.  Returns the list of the calls' answers."""
+    checked = []
+    search = trajectory._step_search
+
+    def spied(incumbent, xy_cand, project, inputs):
+        got = search(incumbent, xy_cand, project, inputs)
+        assert_same_step(got, sequential_step_search(incumbent, xy_cand, project, inputs))
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(trajectory, "_step_search", spied)
+    return checked
+
+
+@pytest.mark.parametrize("fixture", ["two_ue", "three_pairs"])
+@pytest.mark.parametrize("start", [(170.0, 20.0, 130.0), (170.0, -40.0, 130.0)])
+def test_step_search_matches_its_reference(request, monkeypatch, fixture, start):
+    inputs = request.getfixturevalue(fixture)[1]
+    checked = check_against_reference(monkeypatch)
+    audit, _ = run_horizontal(start, inputs)
+    assert len(checked) == 1 and checked[0] is audit
+
+
+@pytest.mark.parametrize("fixture", ["two_ue", "three_pairs"])
+@pytest.mark.parametrize("length, kept", [(-12.0, False), (300.0, True)])
+def test_step_search_matches_its_reference_on_a_refused_full_step(request, monkeypatch,
+                                                                fixture, length, kept):
+    # a candidate `length` m along the surrogate's own step: 12 m against
+    # it, where no halving keeps the objective, or 300 m along it, which
+    # overshoots; either way the full step drops the exact objective, so
+    # the halvings make a second pass
+    sc, inputs = request.getfixturevalue(fixture)[:2]
+    start = np.array([170.0, -40.0, 130.0])
+    incumbent = _audit(start, inputs)
+    fset = FeasibleSet(ball=(start[:2], 15.0))
+    solved = run_horizontal(tuple(start), inputs)[0].position[:2]
+    cand = start[:2] + length * (solved - start[:2]) / np.linalg.norm(solved - start[:2])
+    assert _audit((*cand, start[2]), inputs).objective < incumbent.objective
+    passes, _ = record_channel_passes(monkeypatch)
+    got = trajectory._step_search(incumbent, cand, fset.project, inputs)
+    assert len(passes) == 2 and len(passes[1]) == trajectory._BACKTRACK_STEPS - 1
+    assert (got is not None) == kept
+    assert_same_step(got, sequential_step_search(incumbent, cand, fset.project, inputs))
+
+
+def test_step_search_matches_its_reference_on_the_disc_edge(two_ue, monkeypatch):
+    # the doublings are projected onto a 5 m disc and stop on its edge
+    sc, inputs, _ = two_ue
+    small = replace(inputs, scenario=replace(sc, d_max=5.0))
+    checked = check_against_reference(monkeypatch)
+    start = (170.0, 20.0, 130.0)
+    audit, _ = solve_horizontal(_audit(start, small), start, small)
+    r_eff = move_radius(5.0, sc.e_max, sc.slot_len, sc.propulsion)
+    assert float(np.linalg.norm(audit.position - np.array(start))) == \
+        pytest.approx(r_eff, abs=1e-9)
+    assert len(checked) == 1 and checked[0] is audit
+
+
+@pytest.mark.parametrize("algorithm", ["jmstp", "random"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_step_search_matches_its_reference_over_panel_episodes(monkeypatch, algorithm,
+                                                               seed):
+    # relay_mixed's (jmstp) and random_cold's (random) first two benchmark
+    # episodes: every step search their slots make
+    checked = check_against_reference(monkeypatch)
+    sc = Scenario(n_ues=5, n_subchannels=10, n_slots=10, d_max=25.0,
+                  fading_model="mixed", rng_seed=seed).with_positions(seed)
+    run_episode(sc, algorithm)
+    assert len(checked) >= 10
 
 
 def test_solve_horizontal_infeasible_set_keeps_position():
