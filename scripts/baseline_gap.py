@@ -2,11 +2,13 @@
 """Paired comparison of the joint algorithm against the random and
 all-cellular baselines over seeded topologies.
 
-Per seed all three algorithms run the same scenario; the paired per-seed
-differences feed a bootstrap, and the gap is declared significant when the
-95% interval's lower edge is positive.  Each algorithm's line also counts
-the slots that fail `validate_solution`, since a gap is only as good as the
-slots behind it."""
+Per seed all three algorithms run the same scenario, scored by the sum
+rate, Jain's index and the PF utility U = sum_n log(avg rate_n + 0.1)
+that the fairness weights ascend; the paired per-seed differences feed a
+bootstrap, and the gap is declared significant when the 95% interval's
+lower edge is positive.  Each algorithm's line also counts the slots that
+fail `validate_solution`, since a gap is only as good as the slots behind
+it."""
 
 import argparse
 import time
@@ -35,23 +37,25 @@ def main() -> None:
     t0 = time.time()
     metrics: dict[str, dict[str, list[float]]] = {}
     for algorithm in ("jmstp", "random", "cellular"):
-        sums, jains = [], []
+        sums, jains, utilities = [], [], []
         invalid = slots = 0
         for seed in range(args.seeds):
             sc = Scenario(rng_seed=seed, **kw).with_positions(seed)
             log = run_episode(sc, algorithm)
             sums.append(log.sum_rate)
             jains.append(log.jain)
+            utilities.append(log.pf_utility)
             slots += len(log.slots)
             invalid += sum(bool(validate_solution(sol, log.scenario, t))
                            for t, sol in enumerate(log.slots))
-        metrics[algorithm] = {"sum": sums, "jain": jains}
+        metrics[algorithm] = {"sum": sums, "jain": jains, "U": utilities}
         print(f"{algorithm:>9}: sum rate {np.mean(sums):7.3f}"
-              f"  jain {np.mean(jains):.4f}  invalid slots {invalid}/{slots}"
+              f"  jain {np.mean(jains):.4f}  pf utility {np.mean(utilities):8.3f}"
+              f"  invalid slots {invalid}/{slots}"
               f"  ({time.time() - t0:.0f}s)")
 
     for rival in ("random", "cellular"):
-        for name in ("sum", "jain"):
+        for name in ("sum", "jain", "U"):
             d = np.asarray(metrics["jmstp"][name]) - metrics[rival][name]
             lo = paired_bootstrap_lower(d)
             verdict = "significant" if lo > 0 else "NOT significant"

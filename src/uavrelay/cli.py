@@ -72,6 +72,7 @@ def episode_summary(log: EpisodeLog) -> dict:
         "n_slots": sc.n_slots,
         "sum_rate": log.sum_rate,
         "jain": log.jain,
+        "pf_utility": log.pf_utility,
         "avg_speed": log.avg_speed,
         "n_relay_ues": log.n_relay_ues,
         "n_scheduled_ues": log.n_scheduled_ues,
@@ -91,7 +92,8 @@ def cmd_run(args) -> int:
     (out_dir / "summary.json").write_text(
         json.dumps(episode_summary(log), indent=2) + "\n")
     print(f"{args.algorithm}: sum rate {log.sum_rate:.4f}, "
-          f"jain {log.jain:.4f}, wrote {out_dir / 'episode.csv'}")
+          f"jain {log.jain:.4f}, pf utility {log.pf_utility:.4f}, "
+          f"wrote {out_dir / 'episode.csv'}")
     return 0
 
 

@@ -162,13 +162,24 @@ def rate_report(beta: np.ndarray, alloc: np.ndarray, powers: PowerAllocation,
     return RateReport(per_ue, np.array([np.dot(weights, r) for r in per_ue]), link)
 
 
+_PF_OFFSET = 0.1  # keeps a never-served UE's weight and utility finite
+
+
 def update_weights(prev_avg_rates) -> np.ndarray:
     """Proportional-fairness weights: inverse average rate, floored by the
-    +0.1 regularizer so never-served UEs get weight 10, not infinity."""
+    +0.1 regularizer so never-served UEs get weight 10, not infinity.
+    They are the gradient of `pf_utility`."""
     avg = np.asarray(prev_avg_rates, dtype=float)
     if np.any(avg < 0):
         raise ValueError("average rates must be nonnegative")
-    return 1.0 / (avg + 0.1)
+    return 1.0 / (avg + _PF_OFFSET)
+
+
+def pf_utility(avg_rates) -> float:
+    """U = sum_n log(avg rate_n + 0.1), the utility proportional fairness
+    ascends: each slot's weighted sum rate under `update_weights` is one
+    gradient step on it (Kushner & Whiting 2004)."""
+    return float(np.log(np.asarray(avg_rates, dtype=float) + _PF_OFFSET).sum())
 
 
 def jain_index(avg_rates) -> float:

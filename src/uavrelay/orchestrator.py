@@ -5,8 +5,10 @@ All three algorithms run one per-slot loop, which cycles matching ->
 trajectory -> power, and differ only in their stages:
 
 - jmstp: the matching stage keeps the best of the fresh greedy starts
-  (scored, coverage and all-cellular modes) or the incumbent, then the
-  trajectory and power stages run;
+  (scored, all-cellular and coverage modes) or the incumbent, then the
+  trajectory and power stages run.  The starts are played lazily: one
+  whose exact full-budget ceiling cannot beat the best so far is not
+  played, and a stable matching whose ceiling cannot is not completed;
 - cellular: the matching stage has only the all-cellular start, and
   there is no trajectory stage, so the UAV never moves;
 - random: the first cycle draws a random matching from the slot's own
@@ -17,17 +19,17 @@ sum rate within `_STAGE_TOL` of the incumbent's, and the matching stage
 replaces the incumbent only with a candidate that beats it, so the
 per-slot objective trace is nondecreasing by construction.  That cycle is
 the only place a stage is repeated: the matching stage plays the swap
-game once per fresh greedy start, never from the incumbent, and the
-trajectory stage makes one horizontal SCP step, or drifts toward the
-unserved UEs when nothing is relayed.  The cycle stops once it gains
-less than the scenario's one tolerance, `tolerances.bcd`, the same
-absolute test on which the power stage's own SCP loop stops.  So the
-power stage is not re-run on the inputs its last converged run returned
-(the matching stage kept the incumbent and the UAV stayed put): that run
-already stopped on a step worth less than the tolerance, which is all
-the cycle's own stop gives up.  Episodes chain slots under
-proportional-fairness weights; each algorithm earns its own weight
-history from its own achieved rates.
+game at most once per fresh greedy start and channel state, never from
+the incumbent, and the trajectory stage makes one horizontal SCP step,
+or drifts toward the unserved UEs when nothing is relayed.  The cycle
+stops once it gains less than the scenario's one tolerance,
+`tolerances.bcd`, the same absolute test on which the power stage's own
+SCP loop stops.  So the power stage is not re-run on the inputs its last
+converged run returned (the matching stage kept the incumbent and the
+UAV stayed put): that run already stopped on a step worth less than the
+tolerance, which is all the cycle's own stop gives up.  Episodes chain
+slots under proportional-fairness weights; each algorithm earns its own
+weight history from its own achieved rates.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import gain_matrices
-from .link_rate import QOS_TOL, PowerAllocation, jain_index, rate_report, update_weights
+from .link_rate import (QOS_TOL, PowerAllocation, jain_index, pf_utility, rate_report,
+                        update_weights)
 from .matching import (CELLULAR, RELAY, MatchingContext, assignment,
                        init_matching, msma_detailed)
 from .power_alloc import restore_feasible, scp_power
@@ -49,6 +52,9 @@ from .uav_power import move_radius  # noqa: F401
 
 ALGORITHMS = ("jmstp", "random", "cellular")
 _STAGE_TOL = 1e-9
+# the matching stage's ceilings' relative slack: they sum in another
+# order what `rate_report` sums
+_CEILING_RTOL = 1e-12
 _MAX_BCD = 100
 # each hop's name in the validator's findings, indexed [beta][hop]; a
 # direct link's clean phase never binds
@@ -169,54 +175,89 @@ def _coverage_modes(ctx: MatchingContext) -> np.ndarray:
     return np.where(feasible[CELLULAR].any(axis=1), CELLULAR, RELAY)
 
 
-def _fresh_matchings(ctx: MatchingContext,
-                     relay: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Stable `(beta, alloc)` matchings of the fresh greedy starts.
+@dataclass
+class _FreshStarts:
+    """The matching stage's memory of one channel state: whether its
+    greedy starts relay (jmstp) or are only the all-cellular one
+    (cellular), and the stable `(beta, alloc)` of each start played so
+    far, keyed by its modes."""
 
-    Three greedy starts cover the mode spectrum: scored modes (relay
-    whenever its utility sum wins), coverage modes (relay only where no
-    direct link passes QoS), and all-cellular.  Relaying pays half the
-    spectral efficiency for reach, so which mix wins is geometry- and
-    weight-dependent; the exact completed objective arbitrates.  Without
-    `relay` only the all-cellular start runs.  The starts and their swap
-    runs read only the scenario, the gains and the weights, so one
-    channel state needs them once; they are the matching stage's only
-    swap runs.  Each start hands its scored view to the swap game, which
-    scores nothing again.  A matching that an earlier start already
-    reached is dropped: completing it again would only repeat that
-    candidate's objective, which never beats the best so far."""
-    all_cellular = np.full(ctx.n_ues, CELLULAR)
-    starts = [init_matching(ctx, all_cellular)]
-    if relay:
-        starts.insert(0, init_matching(ctx, _scored_modes(ctx)))
-        coverage = _coverage_modes(ctx)
-        if coverage.any():
-            starts.append(init_matching(ctx, coverage))
-    distinct: list[tuple[np.ndarray, np.ndarray]] = []
-    for res in map(msma_detailed, starts):
-        if not any(np.array_equal(res.beta, beta) and np.array_equal(res.alloc, alloc)
-                   for beta, alloc in distinct):
-            distinct.append((res.beta, res.alloc))
-    return distinct
+    relay: bool
+    stable: dict[bytes, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
-def _matching_stage(ctx: MatchingContext, fresh, beta, alloc, powers,
-                    incumbent_obj):
-    """Complete the powers of the fresh starts' distinct stable matchings
-    (`_fresh_matchings`, computed once per channel state) against the
-    incumbent's and keep the best completed exact objective, or the
-    incumbent when no candidate beats it.  Completion carries the
-    incumbent's powers, so it runs on every call; the incumbent itself
+def _beats(candidate: float, incumbent: float) -> bool:
+    """The matching stage's acceptance: the candidate's exact objective
+    beats the incumbent's by more than `_STAGE_TOL`."""
+    return candidate > incumbent + _STAGE_TOL * max(1.0, abs(incumbent))
+
+
+def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, beta, alloc,
+                    powers, incumbent_obj):
+    """Keep the best completed exact objective among the fresh greedy
+    starts' stable matchings, or the incumbent when no candidate beats it.
+
+    Three greedy starts cover the mode spectrum, in this order: scored
+    modes (relay whenever its utility sum wins), all-cellular, and
+    coverage modes (relay only where no direct link passes QoS).
+    Relaying pays half the spectral efficiency for reach, so which mix
+    wins is geometry- and weight-dependent; the exact completed objective
+    arbitrates.  Without `fresh.relay` only the all-cellular start runs.
+    A start and its swap run read only the scenario, the gains and the
+    weights, so each is played at most once per channel state (`fresh`);
+    they are the matching stage's only swap runs.  Completion carries the
+    incumbent's powers, so it runs per call, and each distinct matching
+    is completed at most once per call: a repeat would only repeat its
+    objective, which never beats the best so far.  The incumbent itself
     plays no swap game, since the block-coordinate loop already returns
-    to this stage after every trajectory and power move."""
+    to this stage after every trajectory and power move.
+
+    With relay starts the loop is lazy.  A completed link runs at or
+    below the full UE and relay budgets, so it earns at most its entry of
+    `where(feasible, utility, 0)` (`ctx.full_budget`).  The sum of those
+    entries over a matching's links is its ceiling; a start's ceiling sums
+    each subchannel's largest entry over the UEs in their start modes, and
+    bounds every matching the start can reach.  A start is played, and a
+    matching completed, only while its ceiling, inflated by
+    `_CEILING_RTOL` for summation order, beats the running best, which
+    starts at the incumbent and never falls.  A skipped candidate could
+    never have won, so the answer is the one every start completed would
+    give.  The cellular stage builds no table and prunes nothing."""
     sc, gains, weights = ctx.scenario, ctx.gains, ctx.weights
     best = (incumbent_obj, beta, alloc, powers)
-    for cand_beta, cand_alloc in fresh:
+    starts, table = [np.full(ctx.n_ues, CELLULAR)], None
+    if fresh.relay:
+        utility, feasible = ctx.full_budget
+        table = np.where(feasible, utility, 0.0)
+        starts.insert(0, _scored_modes(ctx))
+        coverage = _coverage_modes(ctx)
+        if coverage.any():
+            starts.append(coverage)
+
+    def out_of_reach(ceiling):
+        return not _beats(ceiling * (1.0 + _CEILING_RTOL), best[0])
+
+    completed = set()
+    for modes in starts:
+        if table is not None:
+            rows = table[modes, np.arange(ctx.n_ues)]
+            if out_of_reach(rows.max(axis=0).sum()):
+                continue
+        key = modes.tobytes()
+        if key not in fresh.stable:
+            res = msma_detailed(init_matching(ctx, modes))
+            fresh.stable[key] = res.beta, res.alloc
+        cand_beta, cand_alloc = fresh.stable[key]
+        cand = cand_beta.tobytes() + cand_alloc.tobytes()
+        if cand in completed or (table is not None
+                                 and out_of_reach(rows[cand_alloc != 0].sum())):
+            continue
+        completed.add(cand)
         cand_alloc, cand_powers = complete_powers(
             beta, alloc, powers, cand_beta, cand_alloc, gains, weights, sc)
         obj = rate_report(cand_beta, cand_alloc, cand_powers, gains, weights,
                           sc).objective
-        if obj > best[0] + _STAGE_TOL * max(1.0, abs(best[0])):
+        if _beats(obj, best[0]):
             best = (obj, cand_beta, cand_alloc, cand_powers)
     return best
 
@@ -304,7 +345,7 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
         if algorithm != "random":
             if ctx is None:
                 ctx = MatchingContext(sc, gains, weights)
-                fresh = _fresh_matchings(ctx, relay=algorithm == "jmstp")
+                fresh = _FreshStarts(relay=algorithm == "jmstp")
             obj, beta, alloc, powers = _matching_stage(
                 ctx, fresh, beta, alloc, powers, obj)
             trace.append(("matching", obj))
@@ -361,6 +402,7 @@ class EpisodeLog:
     avg_rates: np.ndarray        # (N,)
     sum_rate: float              # mean per-slot sum of UE rates
     jain: float
+    pf_utility: float            # sum_n log(avg_rates_n + 0.1)
     avg_speed: float
     n_relay_ues: float           # per-slot means
     n_scheduled_ues: float
@@ -393,6 +435,7 @@ def run_episode(scenario: Scenario, algorithm: str = "jmstp") -> EpisodeLog:
         scenario=sc, algorithm=algorithm, slots=slots, rates=rates,
         avg_rates=avg_rates, sum_rate=float(rates.sum(axis=1).mean()),
         jain=jain_index(avg_rates) if avg_rates.any() else 1.0,
+        pf_utility=pf_utility(avg_rates),
         avg_speed=float(np.mean([s.speed for s in slots])) / sc.slot_len,
         n_relay_ues=float(np.mean([len(s.relay_ues()) for s in slots])),
         n_scheduled_ues=float(np.mean([len(s.scheduled_ues()) for s in slots])))

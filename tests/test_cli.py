@@ -3,6 +3,7 @@ contracts, and exit codes."""
 
 import csv
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -76,7 +77,7 @@ def test_missing_config_file_fails_cleanly(tmp_path, capsys):
     assert "invalid" in capsys.readouterr().err
 
 
-def test_run_writes_episode_and_summary(config, tmp_path):
+def test_run_writes_episode_and_summary(config, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(config), "--out", str(out)]) == 0
 
@@ -96,6 +97,9 @@ def test_run_writes_episode_and_summary(config, tmp_path):
     assert summary["n_slots"] == 2
     assert len(summary["per_ue_avg_rate"]) == 2
     assert summary["jain"] >= 0.0
+    assert summary["pf_utility"] == pytest.approx(
+        sum(math.log(r + 0.1) for r in summary["per_ue_avg_rate"]), rel=1e-12)
+    assert f"pf utility {summary['pf_utility']:.4f}," in capsys.readouterr().out
     # the exact propulsion curve never exceeds its convex bound
     assert 0.0 < summary["flying_energy_exact"] <= summary["flying_energy"]
 

@@ -459,6 +459,14 @@ class TestWeightsAndFairness:
         order = np.argsort(avgs)
         assert np.all(np.diff(w[order]) <= 1e-15)
 
+    def test_weights_are_the_gradient_of_the_pf_utility(self):
+        avg, h = np.array([0.0, 0.4, 3.0, 25.0]), 1e-6
+        for n, w in enumerate(lr.update_weights(avg)):
+            step = h * (np.arange(avg.size) == n)
+            slope = (lr.pf_utility(avg + step) - lr.pf_utility(avg - step)) / (2 * h)
+            assert slope == pytest.approx(w, rel=1e-6)
+        assert lr.pf_utility([0.9, 0.0]) == pytest.approx(math.log(0.1), abs=1e-15)
+
     def test_jain_equal_rates(self):
         assert lr.jain_index([3.0, 3.0, 3.0]) == pytest.approx(1.0)
 

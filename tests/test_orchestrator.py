@@ -5,6 +5,7 @@ behaviors, sweep plumbing, and the dwell-time metric."""
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from uavrelay import orchestrator, trajectory
 from uavrelay.channel import gain_matrices
 from uavrelay.link_rate import (QOS_TOL, LinkBudget, PowerAllocation, rate_report,
                                update_weights)
+from uavrelay.matching import CELLULAR, RELAY, MatchingContext, init_matching, msma_detailed
 from uavrelay.orchestrator import (
     ALGORITHMS,
     SWEEP_AXES,
@@ -239,17 +241,22 @@ class TestChannelStateReuse:
         assert len(calls) == sc.n_slots
 
     def test_fresh_starts_rebuilt_after_a_move(self, monkeypatch):
-        # no relayed pair forms, so each drift move is a new channel state,
-        # and each state gets the scored, all-cellular and coverage starts
+        # no relayed pair forms, so each drift move is a new channel state
         # (the slot's start on the orchestrator's binding, the drift's
-        # move on the trajectory stage's)
-        inits = record_calls(monkeypatch, orchestrator, "init_matching")
+        # move on the trajectory stage's); each state builds exactly the
+        # starts whose ceiling beats the running best when the stage
+        # reaches them, each once
+        calls = spy_stages(monkeypatch, relay=True)
         evals = [record_calls(monkeypatch, module, "gain_matrices")
                  for module in (orchestrator, trajectory)]
         sol = cold_slot(tiny_scenario())
         assert not sol.beta.any()
         assert sum(map(len, evals)) == 2
-        assert len(inits) == 3 * sum(map(len, evals))
+        assert len({id(call.ctx) for call in calls}) == 2
+        built = [[modes.tobytes() for modes in call.built] for call in calls]
+        assert built == expected_builds(calls)
+        # some starts are built and some are not
+        assert 0 < sum(map(len, built)) < sum(len(call.log) for call in calls)
 
     @pytest.mark.parametrize("algorithm, n_ues, n_sub, seed", [
         ("jmstp", 5, 10, 0), ("jmstp", 5, 10, 1), ("jmstp", 5, 10, 2),
@@ -276,45 +283,227 @@ class TestChannelStateReuse:
 
     def test_each_distinct_matching_completed_once_per_stage_call(self, monkeypatch):
         # greedy starts often reach the same stable matching; a stage call
-        # completes each distinct one of its channel state's starts once
-        groups, stage_calls = [], []  # swap results per channel state; per call
-        last, inside = [None], [False]
-        wrapped = {name: getattr(orchestrator, name)
-                   for name in ("msma_detailed", "_matching_stage", "complete_powers")}
-
-        def key(beta, alloc):
-            return beta.tobytes() + alloc.tobytes()
-
-        def swap(*args):
-            res = wrapped["msma_detailed"](*args)
-            if last[0] != "swap":  # the first start of a channel state
-                groups.append([])
-            groups[-1].append(key(res.beta, res.alloc))
-            last[0] = "swap"
-            return res
-
-        def stage(*args):
-            last[0], inside[0] = "stage", True
-            stage_calls.append((list(dict.fromkeys(groups[-1])), []))
-            try:
-                return wrapped["_matching_stage"](*args)
-            finally:
-                inside[0] = False
-
-        def complete(*args):
-            if inside[0]:
-                stage_calls[-1][1].append(key(args[3], args[4]))
-            return wrapped["complete_powers"](*args)
-
-        for name, fn in (("msma_detailed", swap), ("_matching_stage", stage),
-                         ("complete_powers", complete)):
-            monkeypatch.setattr(orchestrator, name, fn)
+        # completes exactly the distinct matchings whose ceiling beats the
+        # running best, each once
+        calls = spy_stages(monkeypatch, relay=True)
         sc = Scenario(n_ues=5, n_subchannels=10, n_slots=4, d_max=25.0,
                       fading_model="mixed", rng_seed=0).with_positions(0)
         run_episode(sc, "jmstp")
-        assert stage_calls and any(len(g) > len(set(g)) for g in groups)
-        for distinct, completed in stage_calls:
-            assert completed == distinct
+        assert calls and any(entry.repeat for call in calls for entry in call.log)
+        completed = [call.completed for call in calls]
+        assert completed == expected_completions(calls)
+        assert all(len(keys) == len(set(keys)) for keys in completed)
+        assert 0 < sum(map(len, completed)) < sum(
+            len({entry.key for entry in call.log}) for call in calls)
+
+
+def start_modes(ctx, relay):
+    """The fresh greedy starts' modes in the stage's order: scored (relay
+    where its feasible full-budget utility sums higher), all-cellular,
+    then coverage (relay where no direct link passes QoS), if it relays
+    anyone; only all-cellular without `relay`."""
+    all_cellular = np.full(ctx.n_ues, CELLULAR)
+    if not relay:
+        return [all_cellular]
+    utility, feasible = ctx.full_budget
+    score = np.where(feasible, utility, 0.0).sum(axis=2)
+    starts = [np.where(score[RELAY] > score[CELLULAR], RELAY, CELLULAR), all_cellular]
+    coverage = np.where(feasible[CELLULAR].any(axis=1), CELLULAR, RELAY)
+    return starts + [coverage] if coverage.any() else starts
+
+
+def exhaustive_stage(ctx, relay, beta, alloc, powers, incumbent_obj):
+    """The matching stage without ceilings: every fresh greedy start is
+    played, every distinct stable matching is completed in start order,
+    and the best one is kept where it beats the running best by the
+    stage's tolerance.  Returns that answer and one entry per start: its
+    modes, the running best before it, its stable matching (and that
+    matching's key), the matching's completed objective, and whether an
+    earlier start reached the same matching."""
+    sc, gains, weights = ctx.scenario, ctx.gains, ctx.weights
+    best = (incumbent_obj, beta, alloc, powers)
+    log, done = [], {}
+    for modes in start_modes(ctx, relay):
+        before = best[0]
+        res = msma_detailed(init_matching(ctx, modes))
+        key = res.beta.tobytes() + res.alloc.tobytes()
+        repeat = key in done
+        if not repeat:
+            cand_alloc, cand_powers = complete_powers(
+                beta, alloc, powers, res.beta, res.alloc, gains, weights, sc)
+            obj = rate_report(res.beta, cand_alloc, cand_powers, gains, weights,
+                              sc).objective
+            done[key] = obj
+            if obj > best[0] + orchestrator._STAGE_TOL * max(1.0, abs(best[0])):
+                best = (obj, res.beta, cand_alloc, cand_powers)
+        log.append(SimpleNamespace(modes=modes, best=before, beta=res.beta, alloc=res.alloc,
+                                   key=key, objective=done[key], repeat=repeat))
+    return best, log
+
+
+def ceiling_table(ctx):
+    """Each UE's weighted full-budget rate in each mode on each subchannel
+    where it passes QoS there, else 0, indexed [mode, ue, k]."""
+    utility, feasible = ctx.full_budget
+    return np.where(feasible, utility, 0.0)
+
+
+def mode_ceiling(table, modes):
+    """Sum over subchannels of the largest entry over UEs in `modes`."""
+    return table[modes, np.arange(modes.size)].max(axis=0).sum()
+
+
+def matching_ceiling(table, beta, alloc):
+    """Sum of the entries of the matching's links."""
+    return table[beta, np.arange(beta.size)][alloc != 0].sum()
+
+
+def reaches(ceiling, best):
+    """A ceiling that beats the running best: the stage's acceptance, with
+    the ceiling's slack for summation order."""
+    return ceiling * (1.0 + 1e-12) > best + orchestrator._STAGE_TOL * max(1.0, abs(best))
+
+
+def spy_stages(monkeypatch, relay):
+    """Run `exhaustive_stage` on the inputs of every matching-stage call
+    before the stage itself; returns one record per call: its channel
+    state (`ctx`), the reference's answer (`want`) and per-start log, the
+    stage's answer (`got`), and the start modes the stage built and the
+    matchings it completed, in order."""
+    calls, inside = [], [False]
+    stage, init, complete = (orchestrator._matching_stage, orchestrator.init_matching,
+                             orchestrator.complete_powers)
+
+    def spied_stage(ctx, fresh, beta, alloc, powers, obj):
+        want, log = exhaustive_stage(ctx, relay, beta, alloc, powers, obj)
+        calls.append(SimpleNamespace(ctx=ctx, want=want, log=log, built=[], completed=[]))
+        inside[0] = True
+        try:
+            calls[-1].got = stage(ctx, fresh, beta, alloc, powers, obj)
+        finally:
+            inside[0] = False
+        return calls[-1].got
+
+    def spied_init(ctx, modes):
+        if inside[0]:
+            calls[-1].built.append(np.array(modes))
+        return init(ctx, modes)
+
+    def spied_complete(*args):
+        if inside[0]:
+            calls[-1].completed.append(args[3].tobytes() + args[4].tobytes())
+        return complete(*args)
+
+    for name, fn in (("_matching_stage", spied_stage), ("init_matching", spied_init),
+                     ("complete_powers", spied_complete)):
+        monkeypatch.setattr(orchestrator, name, fn)
+    return calls
+
+
+def expected_builds(calls):
+    """Per stage call, the start modes a lazy stage builds: those whose
+    mode ceiling beats the running best, unless built earlier on the same
+    channel state."""
+    built: dict[int, set] = {}
+    out = []
+    for call in calls:
+        table, done, keys = ceiling_table(call.ctx), built.setdefault(id(call.ctx), set()), []
+        for entry in call.log:
+            key = entry.modes.tobytes()
+            if key not in done and reaches(mode_ceiling(table, entry.modes), entry.best):
+                done.add(key)
+                keys.append(key)
+        out.append(keys)
+    return out
+
+
+def expected_completions(calls):
+    """Per stage call, the matchings a lazy stage completes: the first
+    reach of each distinct one, when both its start's ceiling and its own
+    beat the running best."""
+    out = []
+    for call in calls:
+        table, keys = ceiling_table(call.ctx), []
+        for entry in call.log:
+            if (entry.key not in keys
+                    and reaches(mode_ceiling(table, entry.modes), entry.best)
+                    and reaches(matching_ceiling(table, entry.beta, entry.alloc), entry.best)):
+                keys.append(entry.key)
+        out.append(keys)
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def relay_panel(seed, fading="mixed", n_slots=10):
+    """perfbench's relay_mixed scenario `seed`, under `fading`."""
+    return Scenario(n_ues=5, n_subchannels=10, n_slots=n_slots, d_max=25.0,
+                    fading_model=fading, rng_seed=seed).with_positions(seed)
+
+
+class TestMatchingCeilings:
+    """The lazy matching stage skips a greedy start, or a stable
+    matching's completion, only where its full-budget ceiling shows it
+    cannot beat the running best, so it answers as the exhaustive stage
+    that completes every distinct fresh start does."""
+
+    @pytest.mark.parametrize("fading, seed", [("mixed", 0), ("mixed", 1), ("rayleigh", 0)])
+    def test_answers_equal_the_exhaustive_stage_bit_for_bit(self, monkeypatch, fading,
+                                                            seed):
+        calls = spy_stages(monkeypatch, relay=True)
+        run_episode(relay_panel(seed, fading), "jmstp")
+        assert calls
+        for i, call in enumerate(calls):
+            (want_obj, *want), (got_obj, *got) = call.want, call.got
+            assert got_obj == want_obj, i
+            for a, b in zip(got[:2] + [got[2].p_ue, got[2].p_uav],
+                            want[:2] + [want[2].p_ue, want[2].p_uav]):
+                assert same_bits(a, b), i
+        built = [[modes.tobytes() for modes in call.built] for call in calls]
+        assert built == expected_builds(calls)
+        assert [call.completed for call in calls] == expected_completions(calls)
+        # the ceilings skipped some of the exhaustive stage's work: starts
+        # that no earlier call built, and distinct matchings
+        states = {id(call.ctx): set() for call in calls}
+        for call in calls:
+            states[id(call.ctx)].update(entry.modes.tobytes() for entry in call.log)
+        assert sum(map(len, built)) < sum(map(len, states.values()))
+        assert sum(len(call.completed) for call in calls) < sum(
+            len({entry.key for entry in call.log}) for call in calls)
+
+    @pytest.mark.parametrize("fading", ["none", "rician", "mixed", "rayleigh"])
+    def test_ceilings_bound_every_completed_candidate(self, monkeypatch, fading):
+        calls = spy_stages(monkeypatch, relay=True)
+        for seed in (0, 1):
+            run_episode(relay_panel(seed, fading, n_slots=4), "jmstp")
+        entries = [(call, entry) for call in calls for entry in call.log]
+        assert entries
+        for call, entry in entries:
+            table = ceiling_table(call.ctx)
+            ceiling = matching_ceiling(table, entry.beta, entry.alloc)
+            # written out link by link, in another order than the stage's
+            by_link = sum(table[entry.beta[n], n, k] for n, k in np.argwhere(entry.alloc))
+            assert ceiling == pytest.approx(by_link, rel=1e-13, abs=0.0)
+            assert entry.objective <= ceiling * (1.0 + 1e-12)
+            assert ceiling <= mode_ceiling(table, entry.modes) * (1.0 + 1e-12)
+
+    def test_cellular_builds_no_full_budget_table(self, monkeypatch):
+        evaluated = []
+        full_budget = MatchingContext.full_budget
+
+        def counted(ctx):
+            evaluated.append(ctx)
+            return full_budget.func(ctx)
+
+        monkeypatch.setattr(MatchingContext, "full_budget", property(counted))
+        sc = relay_panel(0, n_slots=3)
+        run_episode(sc, "cellular")
+        assert evaluated == []
+        run_episode(sc, "jmstp")
+        assert evaluated
 
 
 def same_gains(a, b):
@@ -481,6 +670,7 @@ class TestRunEpisode:
         assert np.allclose(log.avg_rates, log.rates.mean(axis=0))
         r = log.avg_rates
         assert np.isclose(log.jain, r.sum() ** 2 / (r.size * (r ** 2).sum()))
+        assert np.isclose(log.pf_utility, np.log(r + 0.1).sum())
 
 
 class TestBaselines:
@@ -539,8 +729,7 @@ class TestPaperClaim:
             sc = Scenario(rng_seed=seed, d_max=25.0, fading_model="mixed")
             for algorithm in ALGORITHMS:
                 log = run_episode(sc, algorithm)
-                metrics[algorithm].append(
-                    (log.sum_rate, float(np.log(log.avg_rates + 0.1).sum())))
+                metrics[algorithm].append((log.sum_rate, log.pf_utility))
         joint = np.array(metrics["jmstp"])
         for rival in ("random", "cellular"):
             gaps = joint - np.array(metrics[rival])
