@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Sweep the UE power budget and compare algorithms on sum rate, fairness,
-and scheduling counts.  Writes one CSV row per (power, algorithm)."""
+proportional-fair utility and scheduling counts.  Writes one CSV row per
+(power, algorithm)."""
 
 import argparse
 import csv
@@ -31,13 +32,13 @@ def main() -> None:
         w.writeheader()
         w.writerows(rows)
 
-    print(f"{'dBm':>6} {'algorithm':>10} {'sum_rate':>9} {'jain':>7}"
+    print(f"{'dBm':>6} {'algorithm':>10} {'sum_rate':>9} {'jain':>7} {'pf_utility':>10}"
           f" {'scheduled':>9} {'relay':>6}")
     for dbm_s, value in zip(args.dbm.split(","), values):
         for row in rows:
             if row["value"] == value:
                 print(f"{float(dbm_s):6.1f} {row['algorithm']:>10}"
-                      f" {row['sum_rate']:9.3f} {row['jain']:7.4f}"
+                      f" {row['sum_rate']:9.3f} {row['jain']:7.4f} {row['pf_utility']:10.3f}"
                       f" {row['n_scheduled_ues']:9.3f} {row['n_relay_ues']:6.3f}")
     print(f"wrote {args.out}")
 

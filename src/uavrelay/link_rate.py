@@ -23,7 +23,9 @@ UAV powers a link can run on.
 `LinkBudget` evaluates all of this elementwise over broadcastable arrays
 and is the only place the exact link model is written out: `rate_report`
 sums it over a slot, and the matching, trajectory and power stages call
-it on their own batches of links.
+it on their own batches of links.  `relayed_links` is its lean relayed
+case, for callers that hold the gains and floors of many evaluations;
+both read the AF SNR from `af_snr` and the floors from `floor_signals`.
 
 The power and trajectory stages' concave surrogates share one
 difference-of-concave split of every rate, R = K - M, in the received
@@ -86,6 +88,22 @@ def floor_signals(relay, thr: SnrThresholds, sigma2: float,
     return np.where(relay, thr.ue_uav * sigma2, hop2), np.where(relay, hop2, 0.0)
 
 
+def af_snr(g1, g2):
+    """The AF end-to-end SNR of hop SNRs g1 and g2."""
+    return g1 * g2 / (g1 + g2 + 1.0)
+
+
+def relayed_links(p_ue, p_uav, h_ue_uav, h_uav_bs, floor_ue, floor_uav,
+                  sigma2: float, ici: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rate and QoS verdict of relayed links, bit for bit the `rate` and
+    `feasible()` of `LinkBudget(True, ...)` on the same arguments, from
+    floors that the caller holds: `floor_signals` over `h_ue_uav` and
+    `h_uav_bs`.  Every argument broadcasts."""
+    g1 = p_ue * h_ue_uav / sigma2
+    g2 = p_uav * h_uav_bs / (sigma2 + ici)
+    return 0.5 * np.log2(1.0 + af_snr(g1, g2)), (p_ue >= floor_ue) & (p_uav >= floor_uav)
+
+
 class LinkBudget:
     """Hop SNRs and rates of a batch of links, and on request their QoS
     margins (which the trajectory audit and the validator hold to
@@ -105,7 +123,7 @@ class LinkBudget:
         self.snr = (g1, g2)
         # relayed: the AF end-to-end SNR over one half slot; direct: each
         # phase's SNR over a half slot
-        first = np.where(relay, g1 * g2 / (g1 + g2 + 1.0), g1)
+        first = np.where(relay, af_snr(g1, g2), g1)
         second = np.where(relay, 0.0, g2)
         self.rate = 0.5 * np.log2(1.0 + first) + 0.5 * np.log2(1.0 + second)
 

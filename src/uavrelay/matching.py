@@ -13,15 +13,19 @@ Swap approval is one array pass: `swap_approvals` reads a (K, K) table
 whose row j scores the owner of subchannel j on every subchannel, and
 tests every subchannel pair at once.
 
-Greedy starts read tables too.  A direct UE's row depends only on its own
-subchannel count c (it runs at p_ue_max / c), so `init_matching` scores
-every direct UE at every count it can reach in one link-budget call.  The
-reach ends where the split falls below the UE's lowest floor: past it the
-UE fails QoS on every subchannel and scores zero, so those counts are
-never evaluated.  A relayed UE's row also moves with the relay total, so
-relayed rows are rescored only when a relayed assignment is made or
-dropped.  The start's realized rows are the `GameView` the swap game runs
-on, so a fresh start is scored once.
+Greedy starts read tables too, each built once for the inputs it reads
+(`MatchingContext`).  A direct UE's row depends only on its own
+subchannel count c (it runs at p_ue_max / c), the direct gains, the
+weights and the scenario, so every UE's direct rows at every count it can
+reach are built in one link-budget call once per slot: a UAV move leaves
+them as they are.  The reach ends where the split falls below the UE's
+lowest floor: past it the UE fails QoS on every subchannel and scores
+zero, so those counts are never evaluated.  A relayed UE's row also moves
+with the relay total and the air gains, so it is scored by
+`link_rate.relayed_links` from the relay-hop floors, which are built once
+per channel state, whenever a relayed assignment is made or dropped.  The
+start's realized rows are the `GameView` the swap game runs on, so a
+fresh start is scored once.
 """
 
 from __future__ import annotations
@@ -39,8 +43,41 @@ CELLULAR, RELAY = 0, 1
 
 
 @dataclass(frozen=True)
+class DirectRows:
+    """Every UE's direct rows at every count it can reach, in one table:
+    row `first[n] + c` scores UE n holding c + 1 subchannels (at p_ue_max
+    / (c + 1)) for c below `reach[n]`.  `value` is `where(feasible,
+    utility, 0)`, what the greedy pass compares."""
+
+    utility: np.ndarray
+    feasible: np.ndarray
+    value: np.ndarray
+    first: np.ndarray
+    reach: np.ndarray
+
+
+def _direct_rows(ctx: "MatchingContext") -> DirectRows:
+    """Build `DirectRows`.  A UE's reach ends where its split falls below
+    its lowest direct floor, past which it fails QoS everywhere and reads
+    an all-zero row; one row of slack is scored past it, capped at K."""
+    sc, n_sub = ctx.scenario, ctx.n_subchannels
+    floor_ue, _ = lr.floor_signals(False, sc.snr_thresholds, sc.noise_var, sc.ici_power)
+    floor = (floor_ue / ctx.gains.h_ue_bs).min(axis=1)
+    splits = sc.p_ue_max / np.arange(1, n_sub + 1)
+    reach = np.minimum((splits >= floor[:, None]).sum(axis=1) + 1, n_sub)
+    holder, count = np.nonzero(np.arange(n_sub) < reach[:, None])
+    utility, feasible = score_rows(ctx, holder, False, sc.p_ue_max / (count + 1), 0.0)
+    return DirectRows(utility, feasible, np.where(feasible, utility, 0.0),
+                      np.cumsum(reach) - reach, reach)
+
+
+@dataclass(frozen=True)
 class MatchingContext:
-    """Slot inputs the game scores against."""
+    """Slot inputs the game scores against, and the tables its greedy
+    starts read, each built on first use: the full-budget table, the
+    relay-hop floors and the start modes per channel state, and the direct
+    rows per slot (`moved` carries them to the slot's next channel
+    state)."""
 
     scenario: Scenario
     gains: ChannelGains
@@ -54,6 +91,14 @@ class MatchingContext:
     def n_subchannels(self) -> int:
         return self.gains.h_ue_bs.shape[1]
 
+    def moved(self, gains: ChannelGains) -> "MatchingContext":
+        """The context of this slot at the UAV's next channel state.  A move
+        changes only the air gains, so the direct rows carry over."""
+        ctx = MatchingContext(self.scenario, gains, self.weights)
+        if "direct" in vars(self):
+            vars(ctx)["direct"] = self.direct
+        return ctx
+
     @cached_property
     def full_budget(self) -> tuple[np.ndarray, np.ndarray]:
         """Weighted rate and QoS verdict of every UE in each mode on every
@@ -65,20 +110,38 @@ class MatchingContext:
         shape = (2, n, self.n_subchannels)
         return utility.reshape(shape), feasible.reshape(shape)
 
+    @cached_property
+    def direct(self) -> DirectRows:
+        """Every UE's direct rows, which read no air gain."""
+        return _direct_rows(self)
 
-def _links(ctx: MatchingContext, ues, relay, ue_power,
-           uav_power) -> lr.LinkBudget:
-    """Link budget of UE `ues[i]` in mode `relay[i]` on every subchannel,
-    one row per entry; `relay` and both powers are one value per row, or
-    one for all."""
-    g, sc = ctx.gains, ctx.scenario
+    @cached_property
+    def relay_floors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The smallest UE power (N, K) and relay power (K,) that meet each
+        relayed link's hop floors."""
+        sc, g = self.scenario, self.gains
+        ue, uav = lr.floor_signals(True, sc.snr_thresholds, sc.noise_var, sc.ici_power)
+        return ue / g.h_ue_uav, uav / g.h_uav_bs
 
-    def column(a, dtype=float):
-        return np.asarray(a, dtype=dtype).reshape(-1, 1)
-
-    return lr.LinkBudget(column(relay, bool), column(ue_power), column(uav_power),
-                         g.h_ue_bs[ues], g.h_ue_uav[ues], g.h_uav_bs,
-                         sc.snr_thresholds, sc.noise_var, sc.ici_power)
+    @cached_property
+    def starts(self) -> list[tuple[np.ndarray, np.ndarray, float]]:
+        """The relaying matching stage's greedy starts in play order, each
+        as (modes, rows, ceiling): scored modes (relay where its
+        QoS-feasible full-budget utility sums higher), all-cellular, and
+        coverage modes (relay only the UEs with no QoS-feasible direct
+        subchannel) if they relay anyone.  Row n holds UE n's entries of
+        `where(feasible, utility, 0)` at full budget in its start mode, and
+        the ceiling sums each subchannel's largest entry."""
+        utility, feasible = self.full_budget
+        table = np.where(feasible, utility, 0.0)
+        score = table.sum(axis=2)
+        modes = [np.where(score[RELAY] > score[CELLULAR], RELAY, CELLULAR),
+                 np.full(self.n_ues, CELLULAR)]
+        coverage = np.where(feasible[CELLULAR].any(axis=1), CELLULAR, RELAY)
+        if coverage.any():
+            modes.append(coverage)
+        rows = [table[m, np.arange(self.n_ues)] for m in modes]
+        return [(m, r, r.max(axis=0).sum()) for m, r in zip(modes, rows)]
 
 
 def score_rows(ctx: MatchingContext, ues, relay, ue_power,
@@ -87,7 +150,14 @@ def score_rows(ctx: MatchingContext, ues, relay, ue_power,
     every subchannel, one row per entry, from one link-budget evaluation.
     `relay`, `ue_power` and `uav_power` (the relay's power per relayed
     subchannel) are one value per row, or one for all."""
-    link = _links(ctx, ues, relay, ue_power, uav_power)
+    g, sc = ctx.gains, ctx.scenario
+
+    def column(a, dtype=float):
+        return np.asarray(a, dtype=dtype).reshape(-1, 1)
+
+    link = lr.LinkBudget(column(relay, bool), column(ue_power), column(uav_power),
+                         g.h_ue_bs[ues], g.h_ue_uav[ues], g.h_uav_bs,
+                         sc.snr_thresholds, sc.noise_var, sc.ici_power)
     return ctx.weights[ues, None] * link.rate, link.feasible()
 
 
@@ -217,57 +287,47 @@ def init_matching(ctx: MatchingContext, modes: np.ndarray) -> GameView:
     raises the survivors' powers, so it terminates.
 
     Both passes read tables.  Direct UE n holding c subchannels runs at
-    p_ue_max / c whatever the others hold, so one `score_rows` call scores
-    every direct UE at every count it can reach, together with the relayed
-    UEs' first rows.  The reach ends where the split falls below n's
-    lowest full-budget floor, past which n fails QoS everywhere and reads
-    an all-zero row; one row of slack is scored past it, capped at K.  A
-    relayed UE's row also moves with the relay total, so each relayed pick
-    rescores every relayed row in one call: at the next split, for the
-    greedy pass, and at the split held now, for the repair pass.  In the
-    repair a direct UE's realized row is its table row one count down, so
-    only a relayed drop rescores.  The realized rows become the returned
-    view; rows of UEs holding nothing may be stale, as the game reads only
-    the owners' rows."""
-    sc, n_ues, n_sub = ctx.scenario, ctx.n_ues, ctx.n_subchannels
+    p_ue_max / c whatever the others hold, so its rows are `ctx.direct`'s,
+    built once per slot; in the repair its realized row is its table row
+    one count down.  A relayed UE's row also moves with the relay total,
+    so `link_rate.relayed_links` scores every relayed row in this call,
+    from the relay-hop floors built once per channel state: once at the
+    full budgets, once after each relayed pick at the next split (for the
+    greedy pass), once at the split held after the pass, and once after
+    each relayed drop (for the repair).  The realized rows become the returned view; rows of UEs
+    holding nothing may be stale, as the game reads only the owners'
+    rows."""
+    sc, g, n_ues, n_sub = ctx.scenario, ctx.gains, ctx.n_ues, ctx.n_subchannels
     modes = np.asarray(modes, dtype=int)
     relay = modes == RELAY
     direct, relayed = np.flatnonzero(~relay), np.flatnonzero(relay)
-
-    # direct UE n at count c runs at p_ue_max / (c + 1); table row first[n] + c
-    floor = _links(ctx, direct, False, sc.p_ue_max, 0.0).floors()[0].min(axis=1)
-    splits = sc.p_ue_max / np.arange(1, n_sub + 1)
-    reach = np.minimum((splits >= floor[:, None]).sum(axis=1) + 1, n_sub)
-    holder, count = np.nonzero(np.arange(n_sub) < reach[:, None])
-    first, reach_of = np.zeros(n_ues, dtype=int), np.zeros(n_ues, dtype=int)
-    first[direct], reach_of[direct] = np.cumsum(reach) - reach, reach
-    # the relayed UEs' first rows follow the table
-    ues = np.concatenate([direct[holder], relayed])
-    count = np.concatenate([count, np.zeros(relayed.size, dtype=int)])
-    table_u, table_ok = score_rows(ctx, ues, relay[ues], sc.p_ue_max / (count + 1),
-                                   sc.p_uav_max)
-    table = np.where(table_ok, table_u, 0.0)
-
+    rows = ctx.direct
     counts = np.zeros(n_ues, dtype=int)
     relay_total = 0
 
-    def score_relayed(shifts):
-        """Rows of every relayed UE with s more subchannels of its own and
-        of the relay, for each s in `shifts`, from one call: (utility,
-        feasible), each indexed [shift, relayed UE, k]."""
-        more = np.asarray(shifts)[:, None]
+    if relayed.size:
+        floor_ue, floor_uav = ctx.relay_floors
+        floor_ue, h1, w = floor_ue[relayed], g.h_ue_uav[relayed], ctx.weights[relayed, None]
+
+    def relayed_rows(more):
+        """(utility, feasible) of every relayed UE with `more` subchannels
+        of its own (at least one) and of the relay beyond those held."""
         own = np.maximum(counts[relayed] + more, 1)
-        total = np.broadcast_to(relay_total + more, own.shape)
-        utility, feasible = score_rows(
-            ctx, np.tile(relayed, len(shifts)), True,
-            sc.p_ue_max / own.ravel(), sc.p_uav_max / total.ravel())
-        shape = (len(shifts), relayed.size, n_sub)
-        return utility.reshape(shape), feasible.reshape(shape)
+        rate, ok = lr.relayed_links(sc.p_ue_max / own[:, None],
+                                    sc.p_uav_max / (relay_total + more), h1, g.h_uav_bs,
+                                    floor_ue, floor_uav, sc.noise_var, sc.ici_power)
+        return w * rate, ok
+
+    def relayed_cand():
+        utility, ok = relayed_rows(1)
+        return np.where(ok, utility, 0.0)
 
     # cand[n]: UE n's utility where it meets QoS, else 0, at the split it
     # would hold after one more subchannel
     cand = np.zeros((n_ues, n_sub))
-    cand[direct], cand[relayed] = table[first[direct]], table[len(holder):]
+    cand[direct] = rows.value[rows.first[direct]]
+    if relayed.size:
+        cand[relayed] = relayed_cand()
     owner = np.full(n_sub, -1)
     for k in range(n_sub):
         n = int(cand[:, k].argmax())
@@ -278,10 +338,9 @@ def init_matching(ctx: MatchingContext, modes: np.ndarray) -> GameView:
         if relay[n]:
             # a relayed pick thins the relay split for every relayed UE
             relay_total += 1
-            (next_u, held_u), (next_ok, held_ok) = score_relayed((1, 0))
-            cand[relayed] = np.where(next_ok, next_u, 0.0)
-        elif counts[n] < reach_of[n]:
-            cand[n] = table[first[n] + counts[n]]
+            cand[relayed] = relayed_cand()
+        elif counts[n] < rows.reach[n]:
+            cand[n] = rows.value[rows.first[n] + counts[n]]
         else:
             cand[n] = 0.0
 
@@ -293,12 +352,12 @@ def init_matching(ctx: MatchingContext, modes: np.ndarray) -> GameView:
     def realize(ues):
         """Direct UEs' rows at the split they hold (the full budget when
         they hold nothing): their table rows one count down."""
-        i = first[ues] + np.maximum(counts[ues] - 1, 0)
-        utility[ues], feasible[ues] = table_u[i], table_ok[i]
+        i = rows.first[ues] + np.maximum(counts[ues] - 1, 0)
+        utility[ues], feasible[ues] = rows.utility[i], rows.feasible[i]
 
     realize(direct)
     if relay_total:
-        utility[relayed], feasible[relayed] = held_u, held_ok
+        utility[relayed], feasible[relayed] = relayed_rows(0)
     k_all = np.arange(n_sub)
     while True:
         bad = np.flatnonzero(~feasible[owner, k_all])  # vacant is always feasible
@@ -311,6 +370,6 @@ def init_matching(ctx: MatchingContext, modes: np.ndarray) -> GameView:
         if relay[n]:
             relay_total -= 1
             if relay_total:
-                (utility[relayed],), (feasible[relayed],) = score_relayed((0,))
+                utility[relayed], feasible[relayed] = relayed_rows(0)
         else:
             realize(n)

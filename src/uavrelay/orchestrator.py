@@ -8,7 +8,9 @@ trajectory -> power, and differ only in their stages:
   (scored, all-cellular and coverage modes) or the incumbent, then the
   trajectory and power stages run.  The starts are played lazily: one
   whose exact full-budget ceiling cannot beat the best so far is not
-  played, and a stable matching whose ceiling cannot is not completed;
+  played, and a stable matching whose ceiling cannot is not completed.
+  A start is played at most once per channel state, and one that relays
+  nobody at most once per slot, since it reads no air gain;
 - cellular: the matching stage has only the all-cellular start, and
   there is no trajectory stage, so the UAV never moves;
 - random: the first cycle draws a random matching from the slot's own
@@ -20,16 +22,18 @@ replaces the incumbent only with a candidate that beats it, so the
 per-slot objective trace is nondecreasing by construction.  That cycle is
 the only place a stage is repeated: the matching stage plays the swap
 game at most once per fresh greedy start and channel state, never from
-the incumbent, and the trajectory stage makes one horizontal SCP step,
-or drifts toward the unserved UEs when nothing is relayed.  The cycle
-stops once it gains less than the scenario's one tolerance,
-`tolerances.bcd`, the same absolute test on which the power stage's own
-SCP loop stops.  So the power stage is not re-run on the inputs its last
-converged run returned (the matching stage kept the incumbent and the
-UAV stayed put): that run already stopped on a step worth less than the
-tolerance, which is all the cycle's own stop gives up.  Episodes chain
-slots under proportional-fairness weights; each algorithm earns its own
-weight history from its own achieved rates.
+the incumbent, and completes its candidates per call, while the tables
+its starts read are built once per channel state or, for the direct
+rows, once per slot (`_matching_stage`).  The trajectory stage makes one
+horizontal SCP step, or drifts toward the unserved UEs when nothing is
+relayed.  The cycle stops once it gains less than the scenario's one
+tolerance, `tolerances.bcd`, the same absolute test on which the power
+stage's own SCP loop stops.  So the power stage is not re-run on the
+inputs its last converged run returned (the matching stage kept the
+incumbent and the UAV stayed put): that run already stopped on a step
+worth less than the tolerance, which is all the cycle's own stop gives
+up.  Episodes chain slots under proportional-fairness weights; each
+algorithm earns its own weight history from its own achieved rates.
 """
 
 from __future__ import annotations
@@ -160,30 +164,21 @@ def complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
     return alloc, powers
 
 
-def _scored_modes(ctx: MatchingContext) -> np.ndarray:
-    """Pick each UE's mode by total utility over its QoS-feasible
-    subchannels at full-budget reference powers."""
-    utility, feasible = ctx.full_budget
-    score = np.where(feasible, utility, 0.0).sum(axis=2)
-    return np.where(score[RELAY] > score[CELLULAR], RELAY, CELLULAR)
-
-
-def _coverage_modes(ctx: MatchingContext) -> np.ndarray:
-    """Relay only the UEs with no QoS-feasible direct subchannel at full
-    budget; everyone else stays cellular."""
-    _, feasible = ctx.full_budget
-    return np.where(feasible[CELLULAR].any(axis=1), CELLULAR, RELAY)
-
-
 @dataclass
 class _FreshStarts:
-    """The matching stage's memory of one channel state: whether its
-    greedy starts relay (jmstp) or are only the all-cellular one
-    (cellular), and the stable `(beta, alloc)` of each start played so
-    far, keyed by its modes."""
+    """The matching stage's memory of one slot: whether its greedy starts
+    relay (jmstp) or are only the all-cellular one (cellular), and the
+    stable `(beta, alloc)` of each start played so far, keyed by its
+    modes.  A start that relays nobody reads only the direct gains, the
+    weights and the scenario, which a UAV move leaves as they are, so its
+    entry outlives the channel state; `moved` drops the others."""
 
     relay: bool
     stable: dict[bytes, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    def moved(self) -> None:
+        # a start that relays nobody has an all-zero key
+        self.stable = {key: v for key, v in self.stable.items() if not any(key)}
 
 
 def _beats(candidate: float, incumbent: float) -> bool:
@@ -197,20 +192,29 @@ def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, beta, alloc,
     """Keep the best completed exact objective among the fresh greedy
     starts' stable matchings, or the incumbent when no candidate beats it.
 
-    Three greedy starts cover the mode spectrum, in this order: scored
-    modes (relay whenever its utility sum wins), all-cellular, and
-    coverage modes (relay only where no direct link passes QoS).
-    Relaying pays half the spectral efficiency for reach, so which mix
-    wins is geometry- and weight-dependent; the exact completed objective
-    arbitrates.  Without `fresh.relay` only the all-cellular start runs.
-    A start and its swap run read only the scenario, the gains and the
-    weights, so each is played at most once per channel state (`fresh`);
-    they are the matching stage's only swap runs.  Completion carries the
-    incumbent's powers, so it runs per call, and each distinct matching
-    is completed at most once per call: a repeat would only repeat its
-    objective, which never beats the best so far.  The incumbent itself
-    plays no swap game, since the block-coordinate loop already returns
-    to this stage after every trajectory and power move.
+    Three greedy starts cover the mode spectrum, in this order
+    (`ctx.starts`): scored modes (relay whenever its utility sum wins),
+    all-cellular, and coverage modes (relay only where no direct link
+    passes QoS).  Relaying pays half the spectral efficiency for reach,
+    so which mix wins is geometry- and weight-dependent; the exact
+    completed objective arbitrates.  Without `fresh.relay` only the
+    all-cellular start runs.
+
+    What is built when:
+    - per slot: the direct rows every greedy start reads (`ctx.direct`),
+      and the stable matching of a start that relays nobody, which reads
+      no air gain (`fresh`);
+    - per channel state: the full-budget table, the start modes with
+      their ceilings (`ctx.starts`), the relay-hop floors, and the stable
+      matching of each start that relays (`fresh`).  These starts and
+      their swap runs are the matching stage's only swap runs;
+    - per call: the completions.  Completion carries the incumbent's
+      powers, and each distinct matching is completed at most once per
+      call: a repeat would only repeat its objective, which never beats
+      the best so far.
+    The incumbent itself plays no swap game, since the block-coordinate
+    loop already returns to this stage after every trajectory and power
+    move.
 
     With relay starts the loop is lazy.  A completed link runs at or
     below the full UE and relay budgets, so it earns at most its entry of
@@ -225,31 +229,22 @@ def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, beta, alloc,
     give.  The cellular stage builds no table and prunes nothing."""
     sc, gains, weights = ctx.scenario, ctx.gains, ctx.weights
     best = (incumbent_obj, beta, alloc, powers)
-    starts, table = [np.full(ctx.n_ues, CELLULAR)], None
-    if fresh.relay:
-        utility, feasible = ctx.full_budget
-        table = np.where(feasible, utility, 0.0)
-        starts.insert(0, _scored_modes(ctx))
-        coverage = _coverage_modes(ctx)
-        if coverage.any():
-            starts.append(coverage)
+    starts = ctx.starts if fresh.relay else [(np.full(ctx.n_ues, CELLULAR), None, None)]
 
     def out_of_reach(ceiling):
         return not _beats(ceiling * (1.0 + _CEILING_RTOL), best[0])
 
     completed = set()
-    for modes in starts:
-        if table is not None:
-            rows = table[modes, np.arange(ctx.n_ues)]
-            if out_of_reach(rows.max(axis=0).sum()):
-                continue
+    for modes, rows, ceiling in starts:
+        if rows is not None and out_of_reach(ceiling):
+            continue
         key = modes.tobytes()
         if key not in fresh.stable:
             res = msma_detailed(init_matching(ctx, modes))
             fresh.stable[key] = res.beta, res.alloc
         cand_beta, cand_alloc = fresh.stable[key]
         cand = cand_beta.tobytes() + cand_alloc.tobytes()
-        if cand in completed or (table is not None
+        if cand in completed or (rows is not None
                                  and out_of_reach(rows[cand_alloc != 0].sum())):
             continue
         completed.add(cand)
@@ -336,7 +331,7 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
     trace: list[tuple[str, float]] = []
     eps = sc.tolerances.bcd
     iterations = 0
-    ctx = fresh = None  # the fresh starts belong to one channel state
+    ctx = fresh = None  # built by the first matching stage, kept for the slot
     settled = None  # the inputs a converged power run last returned
 
     for iterations in range(1, _MAX_BCD + 1):
@@ -362,9 +357,10 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
                 UavState(tuple(pos), anchor),
                 SlotInputs(sc, beta, alloc, powers, weights, slot_index), gains)
             if _holds(result.objective, obj):
-                if not np.array_equal(result.position, pos):
-                    # a new channel state; the fresh starts belong to the old one
-                    ctx = None
+                if ctx is not None and not np.array_equal(result.position, pos):
+                    # a new channel state of the same slot
+                    ctx = ctx.moved(result.gains)
+                    fresh.moved()
                 pos, gains = result.position, result.gains
                 obj = max(obj, result.objective)
             trace.append(("trajectory", obj))
@@ -446,7 +442,8 @@ def run_episode(scenario: Scenario, algorithm: str = "jmstp") -> EpisodeLog:
 
 SWEEP_AXES = ("p_ue_max", "d_max", "p_uav_max", "e_max")
 # the seed-averaged `EpisodeLog` fields of a sweep row, in sweep.csv order
-SWEEP_METRICS = ("sum_rate", "jain", "n_relay_ues", "n_scheduled_ues", "avg_speed")
+SWEEP_METRICS = ("sum_rate", "jain", "pf_utility", "n_relay_ues", "n_scheduled_ues",
+                 "avg_speed")
 
 
 def sweep(template: Scenario, axis: str, values, n_seeds: int = 10,

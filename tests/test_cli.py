@@ -188,8 +188,7 @@ def test_sweep_draws_unset_positions_per_seed(tmp_path, monkeypatch, fixed):
 
     def fake_episode(sc, algorithm):
         seen.append(sc)
-        return SimpleNamespace(sum_rate=0.0, jain=1.0, n_relay_ues=0.0,
-                               n_scheduled_ues=0.0, avg_speed=0.0)
+        return SimpleNamespace(**dict.fromkeys(orchestrator.SWEEP_METRICS, 0.0))
 
     monkeypatch.setattr(orchestrator, "run_episode", fake_episode)
     assert main(["sweep", str(path), "--axis", "d_max", "--values", "10",

@@ -366,6 +366,41 @@ class TestLinkBudget:
         assert link.margins()[1] == pytest.approx(np.zeros(alloc.shape), abs=1e-12)
 
 
+@st.composite
+def relayed_batches(draw):
+    """Relayed links of R UEs on K subchannels as a greedy start scores
+    them, at p_ue_max / own and p_uav_max / total for own counts and relay
+    totals 1..K+1, with random gains and thresholds: either as a column of
+    UE powers and one relay power, or with some powers exactly at their
+    floors.  Returns the powers, the gains, the thresholds and the floors."""
+    r, k = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h_ue_uav, h_uav_bs = 10.0 ** rng.uniform(-12, -4, (r, k)), 10.0 ** rng.uniform(-12, -4, k)
+    thr = SnrThresholds(*(10.0 ** rng.uniform(-1, 3, 3)))
+    floor_ue, floor_uav = lr.floor_signals(True, thr, SIGMA2, ICI)
+    floor_ue, floor_uav = floor_ue / h_ue_uav, floor_uav / h_uav_bs
+    p_ue = 10.0 ** rng.uniform(-4, 0) / rng.integers(1, k + 2, (r, 1))
+    p_uav = 10.0 ** rng.uniform(-4, 0) / int(rng.integers(1, k + 2))
+    if draw(st.booleans()):
+        p_ue = np.where(rng.random((r, k)) < 0.3, floor_ue, p_ue)
+        p_uav = np.where(rng.random(k) < 0.3, floor_uav, p_uav)
+    return p_ue, p_uav, h_ue_uav, h_uav_bs, thr, floor_ue, floor_uav
+
+
+class TestRelayedLinks:
+    @given(relayed_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_the_link_budget_bit_for_bit(self, batch):
+        p_ue, p_uav, h_ue_uav, h_uav_bs, thr, floor_ue, floor_uav = batch
+        rate, ok = lr.relayed_links(p_ue, p_uav, h_ue_uav, h_uav_bs, floor_ue, floor_uav,
+                                    SIGMA2, ICI)
+        link = lr.LinkBudget(True, p_ue, p_uav, 1.0, h_ue_uav, h_uav_bs, thr, SIGMA2, ICI)
+        assert rate.shape == link.rate.shape and rate.tobytes() == link.rate.tobytes()
+        assert np.array_equal(ok, link.feasible())
+        # a power exactly at its floor meets it
+        assert ok[(p_ue == floor_ue) & (p_uav == floor_uav)].all()
+
+
 def split_batch(seed, n=12):
     """A batch of n links in mixed modes, hop SNRs from 0.1 to 1e6: the
     link budget and the split's stacked signals and noise."""

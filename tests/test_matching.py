@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavrelay import link_rate as lr
 from uavrelay import matching as mt
+from uavrelay import orchestrator
 from uavrelay.channel import ChannelGains, gain_matrices
-from uavrelay.orchestrator import _scored_modes
 from uavrelay.scenario import Scenario, SnrThresholds, dbm_to_watts
 
 SIGMA2 = dbm_to_watts(-96.0)
@@ -26,6 +27,12 @@ def synth_context(h_ue_bs, h_ue_uav, h_uav_bs, weights=None, thresholds=None,
                   p_ue_max=p_ue_max, p_uav_max=p_uav_max)
     return mt.MatchingContext(
         sc, gains, np.ones(n) if weights is None else np.asarray(weights, dtype=float))
+
+
+def scored_modes(ctx):
+    """The scored start's modes: relay where the UE's QoS-feasible
+    full-budget utility sums higher."""
+    return ctx.starts[0][0]
 
 
 def random_context(seed, n_ues=2, n_sub=2, thresholds=None):
@@ -188,19 +195,19 @@ class TestInitMatching:
         r_cell, ok_cell = row(ctx, 0, mt.CELLULAR)
         assert ok_cell[0] and ok_relay[0]
         assert r_relay[0] > r_cell[0]
-        beta, alloc = mt.init_matching(ctx, _scored_modes(ctx)).assignment()
+        beta, alloc = mt.init_matching(ctx, scored_modes(ctx)).assignment()
         assert beta.tolist() == [mt.RELAY] and alloc.tolist() == [[1]]
 
     def test_random_instances_feasible_and_consistent(self):
         for seed in range(30):
             ctx = random_context(seed, n_ues=2, n_sub=2)
-            beta, alloc = mt.init_matching(ctx, _scored_modes(ctx)).assignment()
+            beta, alloc = mt.init_matching(ctx, scored_modes(ctx)).assignment()
             assert matching_feasible(beta, alloc, ctx)
 
     def test_larger_instances_feasible_and_consistent(self):
         for seed in range(10):
             ctx = random_context(100 + seed, n_ues=5, n_sub=10)
-            beta, alloc = mt.init_matching(ctx, _scored_modes(ctx)).assignment()
+            beta, alloc = mt.init_matching(ctx, scored_modes(ctx)).assignment()
             assert matching_feasible(beta, alloc, ctx)
 
 
@@ -380,7 +387,7 @@ class TestMsma:
     def test_output_pairwise_stable_and_gains_positive(self):
         for seed in range(25):
             ctx = random_context(seed, n_ues=3, n_sub=4)
-            view = mt.init_matching(ctx, _scored_modes(ctx))
+            view = mt.init_matching(ctx, scored_modes(ctx))
             res = mt.msma_detailed(view)
             assert is_pairwise_stable(res.beta, res.alloc, ctx)
             # no player loses and one gains, so every swap raises the sum
@@ -392,7 +399,7 @@ class TestMsma:
         for seed in range(10):
             n, k = 4, 6
             ctx = random_context(seed, n_ues=n, n_sub=k)
-            beta, alloc = mt.init_matching(ctx, _scored_modes(ctx)).assignment()
+            beta, alloc = mt.init_matching(ctx, scored_modes(ctx)).assignment()
             alloc[:, ::2] = alloc[:, ::2][:, ::-1]  # give the scan work
             res = msma(beta, alloc, ctx)
             _, swaps_per_round = scalar_msma(beta, alloc, ctx)
@@ -426,7 +433,7 @@ class TestBruteForce:
     def test_msma_lands_in_stable_set(self):
         for seed in range(25):
             ctx = random_context(seed, n_ues=2, n_sub=2)
-            res = mt.msma_detailed(mt.init_matching(ctx, _scored_modes(ctx)))
+            res = mt.msma_detailed(mt.init_matching(ctx, scored_modes(ctx)))
             stable = brute_force_stable(ctx)
             assert stable, "no stable matching found by enumeration"
             assert any(np.array_equal(res.beta, b) and np.array_equal(res.alloc, a)
@@ -536,6 +543,19 @@ def count_score_rows(monkeypatch):
     return calls
 
 
+def count_relayed_links(monkeypatch):
+    """The relayed-row kernel's calls made from here on, one entry each."""
+    calls = []
+    original = lr.relayed_links
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lr, "relayed_links", counted)
+    return calls
+
+
 class TestTableGreedyStart:
     @given(greedy_starts())
     @settings(max_examples=300, deadline=None)
@@ -569,13 +589,41 @@ class TestTableGreedyStart:
             assert not alloc[ctx.weights == 0].any()
 
     def test_a_cellular_start_scores_once(self, monkeypatch):
-        calls = count_score_rows(monkeypatch)
+        # the direct rows are built once per slot, whatever the slot's
+        # starts and channel states, and a cellular start scores nothing
+        # else
         for seed in range(20):
             ctx, modes = greedy_start(seed, 6, 12, (1.0, 50.0, 200.0)[seed % 3],
                                       (1e-9, 1.0)[seed % 2], "cellular")
-            calls.clear()
+            calls, kernel = count_score_rows(monkeypatch), count_relayed_links(monkeypatch)
             mt.init_matching(ctx, modes)
-            assert len(calls) == 1
+            mt.init_matching(ctx.moved(ctx.gains), modes)
+            monkeypatch.undo()
+            assert len(calls) == 1 and kernel == []
+        slots = []  # per slot: [direct-row builds, greedy starts]
+        build, init, slot = mt._direct_rows, orchestrator.init_matching, orchestrator.jmstp_slot
+
+        def counted_build(ctx):
+            slots[-1][0] += 1
+            return build(ctx)
+
+        def counted_init(ctx, modes):
+            slots[-1][1] += 1
+            return init(ctx, modes)
+
+        def new_slot(*args):
+            slots.append([0, 0])
+            return slot(*args)
+
+        monkeypatch.setattr(mt, "_direct_rows", counted_build)
+        monkeypatch.setattr(orchestrator, "init_matching", counted_init)
+        monkeypatch.setattr(orchestrator, "jmstp_slot", new_slot)
+        for seed in range(3):
+            orchestrator.run_episode(Scenario(
+                n_ues=5, n_subchannels=10, n_slots=10, d_max=25.0, fading_model="mixed",
+                rng_seed=seed).with_positions(seed), "jmstp")
+        assert all(builds == (starts > 0) for builds, starts in slots)
+        assert sum(starts for _, starts in slots) > 2 * sum(builds for builds, _ in slots)
 
     def test_a_relayed_start_rescores_only_on_relayed_picks_and_drops(self, monkeypatch):
         picked = dropped = 0
@@ -587,10 +635,12 @@ class TestTableGreedyStart:
             picks = int(relay[greedy[greedy >= 0]].sum())
             _, alloc = reference_init_matching(ctx, modes)
             drops = picks - int(alloc[relay].sum())
-            calls = count_score_rows(monkeypatch)
+            calls = count_relayed_links(monkeypatch)
             mt.init_matching(ctx, modes)
             monkeypatch.undo()
-            assert len(calls) <= 1 + picks + drops
+            # the full-budget rows, one per pick, the rows held after the
+            # greedy pass, and one per drop
+            assert len(calls) <= relay.any() + picks + (picks > 0) + drops
             picked += picks > 0
             dropped += drops > 0
         assert picked >= 40 and dropped >= 3

@@ -240,6 +240,24 @@ class TestChannelStateReuse:
         assert sum(sol.iterations >= 2 for sol in log.slots) >= 2
         assert len(calls) == sc.n_slots
 
+    def test_all_cellular_start_built_at_most_once_per_slot(self, monkeypatch):
+        # the all-cellular start reads no air gain, so a UAV move keeps it
+        slots, init, slot = [], orchestrator.init_matching, orchestrator.jmstp_slot
+
+        def new_slot(*args):
+            slots.append(0)
+            return slot(*args)
+
+        def counted_init(ctx, modes):
+            slots[-1] += not np.any(modes)
+            return init(ctx, modes)
+
+        monkeypatch.setattr(orchestrator, "jmstp_slot", new_slot)
+        monkeypatch.setattr(orchestrator, "init_matching", counted_init)
+        for seed in range(10):
+            run_episode(relay_panel(seed), "jmstp")
+        assert len(slots) == 100 and max(slots) == 1
+
     def test_fresh_starts_rebuilt_after_a_move(self, monkeypatch):
         # no relayed pair forms, so each drift move is a new channel state
         # (the slot's start on the orchestrator's binding, the drift's
@@ -367,16 +385,17 @@ def reaches(ceiling, best):
 def spy_stages(monkeypatch, relay):
     """Run `exhaustive_stage` on the inputs of every matching-stage call
     before the stage itself; returns one record per call: its channel
-    state (`ctx`), the reference's answer (`want`) and per-start log, the
-    stage's answer (`got`), and the start modes the stage built and the
-    matchings it completed, in order."""
+    state (`ctx`), its slot's memory (`fresh`), the reference's answer
+    (`want`) and per-start log, the stage's answer (`got`), and the start
+    modes the stage built and the matchings it completed, in order."""
     calls, inside = [], [False]
     stage, init, complete = (orchestrator._matching_stage, orchestrator.init_matching,
                              orchestrator.complete_powers)
 
     def spied_stage(ctx, fresh, beta, alloc, powers, obj):
         want, log = exhaustive_stage(ctx, relay, beta, alloc, powers, obj)
-        calls.append(SimpleNamespace(ctx=ctx, want=want, log=log, built=[], completed=[]))
+        calls.append(SimpleNamespace(ctx=ctx, fresh=fresh, want=want, log=log, built=[],
+                                     completed=[]))
         inside[0] = True
         try:
             calls[-1].got = stage(ctx, fresh, beta, alloc, powers, obj)
@@ -403,13 +422,15 @@ def spy_stages(monkeypatch, relay):
 def expected_builds(calls):
     """Per stage call, the start modes a lazy stage builds: those whose
     mode ceiling beats the running best, unless built earlier on the same
-    channel state."""
+    channel state or, for a start that relays nobody (it reads no air
+    gain), earlier in the same slot."""
     built: dict[int, set] = {}
     out = []
     for call in calls:
-        table, done, keys = ceiling_table(call.ctx), built.setdefault(id(call.ctx), set()), []
+        table, keys = ceiling_table(call.ctx), []
         for entry in call.log:
             key = entry.modes.tobytes()
+            done = built.setdefault(id(call.ctx if entry.modes.any() else call.fresh), set())
             if key not in done and reaches(mode_ceiling(table, entry.modes), entry.best):
                 done.add(key)
                 keys.append(key)
@@ -753,6 +774,7 @@ class TestSweep:
                 for s in range(2)]
         assert np.isclose(rows[0]["sum_rate"], np.mean([l.sum_rate for l in logs]))
         assert np.isclose(rows[0]["jain"], np.mean([l.jain for l in logs]))
+        assert np.isclose(rows[0]["pf_utility"], np.mean([l.pf_utility for l in logs]))
 
     def test_rows_cover_every_value_algorithm_pair(self):
         template = Scenario(n_ues=2, n_subchannels=2, n_slots=1)
@@ -761,7 +783,7 @@ class TestSweep:
         assert {r["value"] for r in rows} == {0.1, 0.3}
         for row in rows:
             assert row["axis"] == "p_uav_max"
-            assert set(row) >= {"sum_rate", "jain", "n_relay_ues",
+            assert set(row) >= {"sum_rate", "jain", "pf_utility", "n_relay_ues",
                                 "n_scheduled_ues", "avg_speed", "seeds"}
 
     def test_axes_tuple_matches_contract(self):
