@@ -11,10 +11,13 @@ both sides alike.  It prints every end-to-end metric of every pair, then
 per metric each side's quartiles (25th, 50th and 75th percentiles,
 linear interpolation), HEAD's wins and ties over the pairs (the direction
 of "better" comes from HEAD's BENCHMARK.json), and the verdict on a gain:
-GAIN when HEAD wins at least 9 in 10 of all pairs run, ties counting for
+"equal" with the value when every run of both sides reads the same, to
+the last digit; WORSE when HEAD's median is worse than BASE's by more
+than the metric's BENCHMARK.json `bound`, relative to BASE's median; GAIN
+when HEAD wins at least 9 in 10 of all pairs run, ties counting for
 neither, and the two medians differ in HEAD's favour by more than BASE's
-interquartile range; "equal" with the value when every run of both sides
-reads the same, to the last digit; otherwise "no gain".
+interquartile range; otherwise "no gain".  It exits 1 when any metric is
+WORSE.
 """
 
 import argparse
@@ -43,17 +46,27 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, f
     return {name: m["value"] for name, m in out["metrics"].items()}
 
 
-def verdict(base, head, lower_is_better: bool):
-    """(wins, ties, gap, iqr, gain) of HEAD over BASE on one metric's
-    paired samples; `gap` is the median improvement, in the metric's units."""
+def verdict(base, head, lower_is_better: bool, bound: float):
+    """(wins, ties, gap, iqr, said) of HEAD over BASE on one metric's
+    paired samples: `gap` is the median improvement, in the metric's
+    units, and `said` the verdict, which `bound` (a share of BASE's
+    median) parts into WORSE and the rest."""
     base, head = np.asarray(base, dtype=float), np.asarray(head, dtype=float)
     sign = -1.0 if lower_is_better else 1.0
     diff = sign * (head - base)
     wins, ties = int((diff > 0).sum()), int((diff == 0).sum())
-    gap = sign * (np.median(head) - np.median(base))
+    gap = float(sign * (np.median(head) - np.median(base)))
     q1, q3 = np.percentile(base, [25, 75])
     iqr = float(q3 - q1)
-    return wins, ties, float(gap), iqr, wins >= WIN_SHARE * base.size and gap > iqr
+    if np.all(base == base[0]) and np.all(head == base[0]):
+        said = f"equal {float(base[0])!r}"
+    elif -gap > bound * abs(np.median(base)):
+        said = "WORSE"
+    elif wins >= WIN_SHARE * base.size and gap > iqr:
+        said = "GAIN"
+    else:
+        said = "no gain"
+    return wins, ties, gap, iqr, said
 
 
 def main() -> int:
@@ -71,6 +84,7 @@ def main() -> int:
 
     spec = json.loads((args.head / "BENCHMARK.json").read_text())["end_to_end"]
     lower = {m["name"]: m["better"] == "lower" for m in spec}
+    bound = {m["name"]: m["bound"] for m in spec}
     sides = {"base": [], "head": []}
     for i in range(args.pairs):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -87,17 +101,17 @@ def main() -> int:
     print(f"\n{args.workload}, {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s runs")
     print(f"{'metric':18s} {'base q1/median/q3':>36s} {'head q1/median/q3':>36s}"
           f" {'wins':>5s} {'ties':>5s} {'gap':>11s} {'base iqr':>10s}  verdict")
+    worse = False
     for name, lower_is_better in lower.items():
         base = [r[name] for r in sides["base"]]
         head = [r[name] for r in sides["head"]]
-        wins, ties, gap, iqr, gain = verdict(base, head, lower_is_better)
+        wins, ties, gap, iqr, said = verdict(base, head, lower_is_better, bound[name])
+        worse |= said == "WORSE"
         quart = {side: "/".join(f"{q:.5g}" for q in np.percentile(v, [25, 50, 75]))
                  for side, v in (("base", base), ("head", head))}
-        said = ("GAIN" if gain else f"equal {base[0]!r}" if len(set(base + head)) == 1
-                else "no gain")
         print(f"{name:18s} {quart['base']:>36s} {quart['head']:>36s} {wins:5d} {ties:5d}"
               f" {gap:11.4g} {iqr:10.4g}  {said}")
-    return 0
+    return 1 if worse else 0
 
 
 if __name__ == "__main__":

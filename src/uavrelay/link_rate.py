@@ -22,10 +22,11 @@ UAV powers a link can run on.
 
 `LinkBudget` evaluates all of this elementwise over broadcastable arrays
 and is the only place the exact link model is written out: `rate_report`
-sums it over a slot, and the matching, trajectory and power stages call
-it on their own batches of links.  `relayed_links` is its lean relayed
-case, for callers that hold the gains and floors of many evaluations;
-both read the AF SNR from `af_snr` and the floors from `floor_signals`.
+sums it over the assigned links of a slot, and the matching, trajectory
+and power stages call it on their own batches of links.  `relayed_links`
+is its lean relayed case, for callers that hold the gains and floors of
+many evaluations; both read the AF SNR from `af_snr` and the floors from
+`floor_signals`.
 
 The power and trajectory stages' concave surrogates share one
 difference-of-concave split of every rate, R = K - M, in the received
@@ -159,25 +160,39 @@ class PowerAllocation:
 
 @dataclass
 class RateReport:
+    """Rates of one slot's assigned links, per UE and weighted, with the
+    link budget they came from."""
+
     per_ue_rate: np.ndarray         # (N,), or (T, N) over a stack of positions
     objective: float | np.ndarray  # weights dot per_ue_rate, or (T,) of them
-    link: LinkBudget                # every (UE, subchannel) under the UE's mode
+    link: LinkBudget                # the P assigned links, (P,) or (T, P) arrays
+    pairs: tuple[np.ndarray, np.ndarray]  # (ue, subchannel) of each, row-major
 
 
 def rate_report(beta: np.ndarray, alloc: np.ndarray, powers: PowerAllocation,
                 gains: ChannelGains, weights: np.ndarray, sc: Scenario) -> RateReport:
     """Rates of one slot's assignments, per UE and weighted, with the
-    link budget they came from.  The gains of a stack of T UAV positions
+    link budget of the assigned links, in `np.nonzero(alloc)` order.  The
+    rates are scattered into a zero (N, K) grid and summed along its
+    rows, so each UE's rate is bit-identical to summing the whole grid's
+    links under the allocation.  The gains of a stack of T UAV positions
     give rates (T, N) and objectives (T,), each bit-identical to its
     position's own report."""
-    link = LinkBudget(np.asarray(beta)[:, None] == 1, powers.p_ue, powers.p_uav,
-                      gains.h_ue_bs, gains.h_ue_uav, gains.h_uav_bs,
+    alloc = np.asarray(alloc)
+    ue, sub = pairs = alloc.nonzero()
+    h_ue_uav = gains.h_ue_uav[..., ue, sub]
+    link = LinkBudget(np.asarray(beta)[ue] == 1, powers.p_ue[ue, sub], powers.p_uav[sub],
+                      gains.h_ue_bs[ue, sub], h_ue_uav,
+                      # a stack's (T, 1, P) backhaul gains as (T, P)
+                      gains.h_uav_bs[..., sub].reshape(h_ue_uav.shape),
                       sc.snr_thresholds, sc.noise_var, sc.ici_power)
-    per_ue = np.where(alloc, link.rate, 0.0).sum(axis=-1)
+    grid = np.zeros(h_ue_uav.shape[:-1] + alloc.shape)
+    grid[..., ue, sub] = link.rate
+    per_ue = grid.sum(axis=-1)
     if per_ue.ndim == 1:
-        return RateReport(per_ue, float(np.dot(weights, per_ue)), link)
+        return RateReport(per_ue, float(np.dot(weights, per_ue)), link, pairs)
     # one dot per position, which a matrix product would not round alike
-    return RateReport(per_ue, np.array([np.dot(weights, r) for r in per_ue]), link)
+    return RateReport(per_ue, np.array([np.dot(weights, r) for r in per_ue]), link, pairs)
 
 
 _PF_OFFSET = 0.1  # keeps a never-served UE's weight and utility finite

@@ -121,8 +121,10 @@ def validate_solution(sol: SlotSolution, sc: Scenario,
 
     gains = gain_matrices(sc, sol.position, slot_index)
     report = rate_report(beta, alloc, powers, gains, sol.weights, sc)
+    ue, sub = report.pairs
     low = np.stack(report.link.margins(), axis=-1) < -QOS_TOL
-    for n, k, hop in np.argwhere(low & (alloc != 0)[..., None]):
+    for i, hop in np.argwhere(low):
+        n, k = ue[i], sub[i]
         out.append(f"ue {n} subchannel {k}: {_HOP_NAMES[beta[n]][hop]} SNR below floor")
 
     if sol.position[2] <= sc.bs_height:

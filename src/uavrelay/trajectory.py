@@ -100,8 +100,7 @@ def _report(inputs: SlotInputs, gains: ChannelGains):
     each position's worst QoS margin over the relayed assignments."""
     report = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
                          inputs.weights, inputs.scenario)
-    relayed = (np.asarray(inputs.alloc) * np.asarray(inputs.beta)[:, None]) == 1
-    hop1, hop2 = (m[..., relayed].min(axis=-1, initial=math.inf)
+    hop1, hop2 = (m[..., report.link.relay].min(axis=-1, initial=math.inf)
                   for m in report.link.margins())
     return report, np.minimum(hop1, hop2)
 

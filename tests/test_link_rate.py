@@ -250,7 +250,9 @@ class TestRateReport:
         rep = lr.rate_report(beta, alloc, powers, gains, w, SC)
         assert rep.objective == pytest.approx(float(np.dot(w, rep.per_ue_rate)), rel=1e-12)
         assert np.all(rep.per_ue_rate >= 0)
-        assert rep.per_ue_rate == pytest.approx(np.where(alloc, rep.link.rate, 0.0).sum(axis=1))
+        rate = np.zeros(alloc.shape)
+        rate[rep.pairs] = rep.link.rate
+        assert rep.per_ue_rate == pytest.approx(rate.sum(axis=1))
 
     def test_stack_matches_each_position(self):
         # the gains of a stack of UAV positions give each position's own
@@ -270,6 +272,7 @@ class TestRateReport:
             one = lr.rate_report(beta, alloc, powers, gain_matrices(sc, pos, 1), w, sc)
             assert rep.objective[t] == one.objective
             assert np.array_equal(rep.per_ue_rate[t], one.per_ue_rate)
+            assert all(map(np.array_equal, rep.pairs, one.pairs))
             for got, want in zip(rep.link.margins(), one.link.margins()):
                 assert np.array_equal(got[t], want)
 
@@ -326,7 +329,9 @@ class TestLinkBudget:
         beta, alloc, powers, gains, thr = layout
         sc = Scenario(snr_thresholds=thr)
         rep = lr.rate_report(beta, alloc, powers, gains, np.ones(len(beta)), sc)
-        for (n, k), rate in np.ndenumerate(np.where(alloc, rep.link.rate, 0.0)):
+        rates = np.zeros(alloc.shape)
+        rates[rep.pairs] = rep.link.rate
+        for (n, k), rate in np.ndenumerate(rates):
             if not alloc[n, k]:
                 assert rate == 0.0
                 continue
@@ -364,6 +369,89 @@ class TestLinkBudget:
         hop1 = np.where(relay, thr.ue_uav, thr.direct * (1.0 + ICI / SIGMA2))
         assert link.snr[0] == pytest.approx(np.broadcast_to(hop1, alloc.shape), rel=1e-12)
         assert link.margins()[1] == pytest.approx(np.zeros(alloc.shape), abs=1e-12)
+
+
+def grid_report(beta, alloc, powers, gains, weights, sc):
+    """The report written out over the whole (N, K) grid: every link
+    priced, the rates masked to the allocation and summed per UE."""
+    link = lr.LinkBudget(np.asarray(beta)[:, None] == 1, powers.p_ue, powers.p_uav,
+                         gains.h_ue_bs, gains.h_ue_uav, gains.h_uav_bs,
+                         sc.snr_thresholds, sc.noise_var, sc.ici_power)
+    per_ue = np.where(alloc, link.rate, 0.0).sum(-1)
+    objective = (float(np.dot(weights, per_ue)) if per_ue.ndim == 1
+                 else np.array([np.dot(weights, r) for r in per_ue]))
+    return link, per_ue, objective
+
+
+def stacked(gains, t, seed):
+    """The gains of t UAV positions: the air gains scaled per position."""
+    rng = np.random.default_rng(seed)
+    n, k = gains.h_ue_uav.shape
+    return ChannelGains(gains.h_ue_bs, gains.h_ue_uav * 10.0 ** rng.uniform(-1, 1, (t, n, k)),
+                        gains.h_uav_bs * 10.0 ** rng.uniform(-1, 1, (t, 1, k)))
+
+
+class TestGatheredReport:
+    """`rate_report` prices only the assigned links, yet equals the
+    whole grid's report bit for bit, and its budget holds each assigned
+    link's entries of the grid's."""
+
+    def check(self, beta, alloc, powers, gains, thr):
+        sc = Scenario(snr_thresholds=thr)
+        weights = np.linspace(0.5, 2.0, len(beta))
+        rep = lr.rate_report(beta, alloc, powers, gains, weights, sc)
+        link, per_ue, objective = grid_report(beta, alloc, powers, gains, weights, sc)
+        assert rep.per_ue_rate.tobytes() == per_ue.tobytes()
+        assert np.array_equal(rep.objective, objective)
+        assert all(map(np.array_equal, rep.pairs, np.nonzero(alloc)))
+        ue, sub = rep.pairs
+        assert np.array_equal(rep.link.rate, link.rate[..., ue, sub])
+        for got, want in zip(rep.link.margins(), link.margins()):
+            assert np.array_equal(got, np.broadcast_to(want, link.rate.shape)[..., ue, sub])
+        return rep
+
+    @given(layouts(), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_grid(self, layout, t):
+        # t = 0: one position; else a stack of t
+        beta, alloc, powers, gains, thr = layout
+        self.check(beta, alloc, powers, stacked(gains, t, t) if t else gains, thr)
+
+    @pytest.mark.parametrize("t", [0, 3])
+    def test_empty_allocation(self, t):
+        beta, alloc, powers, gains = _tiny_setup()
+        rep = self.check(beta, 0 * alloc, powers, stacked(gains, t, 1) if t else gains, THR)
+        assert rep.link.rate.size == 0 and not rep.per_ue_rate.any()
+
+    @pytest.mark.parametrize("t", [0, 3])
+    def test_all_relayed(self, t):
+        _, alloc, powers, gains = _tiny_setup()
+        # every subchannel is assigned, now each through the UAV
+        rep = self.check(np.ones(3, dtype=int), alloc, powers,
+                         stacked(gains, t, 2) if t else gains, THR)
+        assert rep.link.relay.all() and rep.link.rate.shape == ((t, 4) if t else (4,))
+
+    def test_validator_findings_keep_their_order(self):
+        # UE 0 direct on subchannels 0 and 2, UE 1 relayed on 1; below its
+        # floors are UE 0 on 0 and both hops of UE 1, UE 0 on 2 above
+        beta = np.array([0, 1])
+        alloc = np.array([[1, 0, 1], [0, 1, 0]])
+        sc, gains, _ = _slot(beta, alloc, np.zeros((2, 3)), np.zeros(3))
+        floor_ue, floor_uav = lr.LinkBudget(
+            beta[:, None] == 1, 0.0, 0.0, gains.h_ue_bs, gains.h_ue_uav, gains.h_uav_bs,
+            sc.snr_thresholds, sc.noise_var, sc.ici_power).floors()
+        scale = np.array([[0.5, 1.0, 2.0], [1.0, 0.5, 1.0]])
+        _, _, sol = _slot(beta, alloc, scale * floor_ue * alloc, 0.5 * floor_uav[1] * alloc[1])
+        got = [f for f in validate_solution(sol, sc) if "SNR below floor" in f]
+        assert got == ["ue 0 subchannel 0: direct SNR below floor",
+                       "ue 1 subchannel 1: access-hop SNR below floor",
+                       "ue 1 subchannel 1: backhaul-hop SNR below floor"]
+        # the whole grid's margins, read in row-major order, say the same
+        link = grid_report(beta, alloc, sol.powers, gains, sol.weights, sc)[0]
+        low = np.stack(link.margins(), axis=-1) < -lr.QOS_TOL
+        names = (("direct", "direct"), ("access-hop", "backhaul-hop"))
+        assert got == [f"ue {n} subchannel {k}: {names[beta[n]][hop]} SNR below floor"
+                       for n, k, hop in np.argwhere(low & (alloc != 0)[..., None])]
 
 
 @st.composite

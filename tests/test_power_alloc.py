@@ -262,6 +262,30 @@ class TestSurrogateArgmax:
             assert np.any(np.isclose(sums, budgets, rtol=1e-12))
 
 
+class TestWaterStart:
+    """Each block's starting multiplier is finite and at or left of its
+    root: 0, or a multiplier at which the block is still over its budget
+    (up to the water-filling's stop tolerance), so Newton climbs to the
+    root without overshooting."""
+
+    @pytest.mark.parametrize("case", ARGMAX_CASES)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_start_is_left_of_the_root(self, case, data):
+        prob, fset, x0 = data.draw(argmax_instances(case))
+        block, budgets = fset.blocks
+        _, slope = prob.m_tangent(x0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = prob._water_start(slope, fset)
+            _, excess, _ = prob._levels(lam, slope, fset)
+        assert np.all(np.isfinite(lam)) and np.all(lam >= 0.0)
+        assert np.all((lam == 0.0) | (excess >= -1e-15 * budgets))
+        if case == "zero_weight":
+            # UE 0's block holds weight nowhere, so the Cauchy-Schwarz
+            # bound is 0/0 there; its start is the per-variable one
+            assert not prob.weights[prob.owner[block == 0]].any()
+
+
 class TestScpPower:
     def test_single_cellular_ue_gets_full_budget(self):
         sc = Scenario(n_ues=1, n_subchannels=2,
@@ -486,8 +510,9 @@ def reference_restore_feasible(beta, alloc, gains, weights, sc):
             owned = alloc * beta[:, None]
         else:
             break
-        link = rate_report(beta, alloc, powers, gains, weights, sc).link
-        value = weights[:, None] * np.where(alloc, link.rate, 0.0)
+        report = rate_report(beta, alloc, powers, gains, weights, sc)
+        value = np.zeros(alloc.shape)
+        value[report.pairs] = weights[report.pairs[0]] * report.link.rate
         n, k = np.argwhere(owned)[np.argmin(value[owned == 1])]
         alloc[n, k] = 0
         dropped.append((int(n), int(k)))

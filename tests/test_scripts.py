@@ -1,7 +1,9 @@
 """Smoke test of the experiment scripts: each imports the package names it
 uses and parses its arguments, so a rename in the package shows up here.
-The baseline gap, which runs every algorithm, also runs end to end."""
+The baseline gap, which runs every algorithm, also runs end to end, and
+the paired benchmark's verdict is checked on synthetic samples."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -34,3 +36,36 @@ def test_baseline_gap_runs_every_algorithm_clean():
     assert done.returncode == 0, done.stderr
     for algorithm in ("jmstp", "random", "cellular"):
         assert re.search(rf"{algorithm}: .* invalid slots 0/20 ", done.stdout), done.stdout
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("base, head, lower, said", [
+    # HEAD wins all ten pairs by far more than BASE's spread
+    ([1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0], [0.8] * 10, True, "GAIN"),
+    # higher is better: the same samples read the other way round
+    ([0.8] * 10, [1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0], False, "GAIN"),
+    # a rounding move: HEAD a hair worse, far inside the bound
+    ([2.0] * 10, [2.0 - 1e-12] * 10, False, "no gain"),
+    # HEAD better in the median by less than BASE's spread
+    ([1.0, 1.2, 0.8, 1.0, 1.1, 0.9, 1.0, 1.0, 1.0, 1.0], [0.99] * 10, True, "no gain"),
+    ([0.5] * 10, [0.5] * 10, True, "equal 0.5"),
+    # 30% slower against a 25% bound
+    ([1.0] * 10, [1.3] * 10, True, "WORSE"),
+    ([1.0] * 10, [0.7] * 10, False, "WORSE"),
+])
+def test_paired_bench_verdict(base, head, lower, said):
+    assert load_script("paired_bench").verdict(base, head, lower, 0.25)[4] == said
+
+
+def test_paired_bench_verdict_holds_within_the_bound():
+    # 20% slower is no gain, not WORSE, under a 25% bound, and WORSE under 10%
+    verdict = load_script("paired_bench").verdict
+    wins, ties, gap, _, said = verdict([1.0] * 10, [1.2] * 10, True, 0.25)
+    assert (wins, ties, said) == (0, 0, "no gain") and gap == pytest.approx(-0.2)
+    assert verdict([1.0] * 10, [1.2] * 10, True, 0.1)[4] == "WORSE"

@@ -212,8 +212,10 @@ def test_surrogate_rate_tight_at_expansion(two_ue):
     sc, inputs, ctx = two_ue
     pos = np.array([200.0, 0.0, 130.0])
     gains = gain_matrices(sc, pos, 0)
-    want = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
-                       inputs.weights, sc).link.rate[ctx.ue, ctx.sub].sum()
+    report = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains, inputs.weights, sc)
+    rate = np.zeros(np.shape(inputs.alloc))
+    rate[report.pairs] = report.link.rate
+    want = rate[ctx.ue, ctx.sub].sum()
     got = surrogate_rate(pos[:2], ctx, inputs)
     assert abs(got - want) <= 1e-10 * want
 
