@@ -13,7 +13,10 @@ The package and perfbench/workloads.py are imported from CHECKOUT (its
 src/ and perfbench/ directories); workloads.py is only read.  Diff mode
 compares two dumps and prints, per workload, the slot count, the slots
 whose beta/alloc or findings differ, the largest objective move relative
-to max(|A|, 1) and the largest UAV position move in metres:
+to max(|A|, 1), the largest UAV position move in metres, how many slots'
+objectives rose and how many fell from A to B, each by more than
+`SIGNED_TOL` relative to max(|A|, 1), and the summed signed objective
+change B - A, so that a change that moves answers shows which way:
 
     python3 scripts/parity.py --diff parent.json change.json
 
@@ -41,6 +44,7 @@ from pathlib import Path  # noqa: E402
 EXTRA_SEEDS = 4
 EXTRA_FADING = ("none", "rayleigh")
 ALGORITHMS = ("jmstp", "random", "cellular")
+SIGNED_TOL = 1e-12  # a smaller objective move counts as neither a rise nor a fall
 
 
 def episodes(workloads):
@@ -89,7 +93,8 @@ def diff(path_a: Path, path_b: Path) -> int:
         print("verdict: DIFFER slot sets")
         return 1
     rows = defaultdict(lambda: {"slots": 0, "assign": 0, "findings": 0,
-                                "objective": 0.0, "position": 0.0})
+                                "objective": 0.0, "position": 0.0,
+                                "rose": 0, "fell": 0, "change": 0.0})
     for key, ra in a.items():
         rb, row = b[key], rows[key[0]]
         row["slots"] += 1
@@ -98,14 +103,18 @@ def diff(path_a: Path, path_b: Path) -> int:
         # the package's own max(1, |objective|) scale: a slot that serves
         # no one in A (objective 0) reports its move in absolute terms
         scale = max(abs(ra["objective"]), 1.0)
-        row["objective"] = max(row["objective"],
-                               abs(ra["objective"] - rb["objective"]) / scale)
+        change = rb["objective"] - ra["objective"]
+        row["objective"] = max(row["objective"], abs(change) / scale)
         row["position"] = max(row["position"], math.dist(ra["position"], rb["position"]))
+        row["rose"] += change > SIGNED_TOL * scale
+        row["fell"] += change < -SIGNED_TOL * scale
+        row["change"] += change
     print(f"{'workload':<18} {'slots':>5} {'beta/alloc':>10} {'findings':>8} "
-          f"{'max rel obj':>12} {'max pos m':>10}")
+          f"{'max rel obj':>12} {'max pos m':>10} {'rose':>5} {'fell':>5} {'sum obj B-A':>12}")
     for name, row in rows.items():
         print(f"{name:<18} {row['slots']:>5} {row['assign']:>10} {row['findings']:>8} "
-              f"{row['objective']:>12.2e} {row['position']:>10.2e}")
+              f"{row['objective']:>12.2e} {row['position']:>10.2e} "
+              f"{row['rose']:>5} {row['fell']:>5} {row['change']:>+12.4e}")
     differ = sum(bool(r["assign"] or r["findings"]) for r in rows.values())
     moved = any(r["objective"] or r["position"] for r in rows.values())
     verdict = ("DIFFER beta/alloc and findings" if differ

@@ -1,10 +1,13 @@
 """scripts/parity.py --diff: the exit status is the verdict on two dumps,
-1 when any slot's modes, allocation or output-check findings differ."""
+1 when any slot's modes, allocation or output-check findings differ, and
+the signed columns count the slots whose objectives rose and fell."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "parity.py"
 
@@ -15,6 +18,20 @@ def dump(path, objective=1.0, alloc=(1, 0), problems=()):
             "position": [0.0, 0.0, 100.0], "problems": list(problems)}
     path.write_text(json.dumps({"checkout": "any", "slots": [slot]}))
     return path
+
+
+def dump_slots(path, objectives):
+    """A dump of one relay_mixed episode whose slot t has objective
+    `objectives[t]`, every other field equal."""
+    slots = [{"workload": "relay_mixed", "episode": 0, "slot": t, "beta": [0],
+              "alloc": [[1, 0]], "objective": obj, "position": [0.0, 0.0, 100.0],
+              "problems": []} for t, obj in enumerate(objectives)]
+    path.write_text(json.dumps({"checkout": "any", "slots": slots}))
+    return path
+
+
+def row_of(stdout, workload="relay_mixed"):
+    return next(line for line in stdout.splitlines() if line.startswith(workload)).split()
 
 
 def run_diff(a, b):
@@ -60,5 +77,34 @@ def test_move_from_an_unserved_slot_is_scaled_by_at_least_one(tmp_path):
                    dump(tmp_path / "b.json", objective=41.67))
     assert out.returncode == 0, out.stdout + out.stderr
     assert "verdict: SAME" in out.stdout
-    row = next(line for line in out.stdout.splitlines() if line.startswith("relay_mixed"))
-    assert row.split()[4] == "4.17e+01"
+    assert row_of(out.stdout)[4] == "4.17e+01"
+
+
+def test_signed_columns_count_rises_and_falls(tmp_path):
+    # slot 0 rises, slot 1 falls, slot 2 moves by 1e-13 relative (neither),
+    # slot 3 does not move; the sum is signed, B - A
+    out = run_diff(dump_slots(tmp_path / "a.json", [1.0, 2.0, 3.0, 50.0]),
+                   dump_slots(tmp_path / "b.json", [1.5, 1.75, 3.0 * (1 + 1e-13), 50.0]))
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "verdict: SAME beta/alloc and findings" in out.stdout
+    row = row_of(out.stdout)
+    assert row[6:8] == ["1", "1"]
+    assert float(row[8]) == pytest.approx(0.25, rel=1e-3)
+
+
+def test_signed_change_falls_below_zero(tmp_path):
+    # a move from an unserved slot is judged over max(|A|, 1): 1e-13 from
+    # objective 0 is neither; the fall of the other slot makes the sum negative
+    out = run_diff(dump_slots(tmp_path / "a.json", [0.0, 10.0]),
+                   dump_slots(tmp_path / "b.json", [1e-13, 9.0]))
+    assert out.returncode == 0, out.stdout + out.stderr
+    row = row_of(out.stdout)
+    assert row[6:8] == ["0", "1"]
+    assert float(row[8]) == pytest.approx(-1.0, rel=1e-9)
+
+
+def test_equal_dumps_have_no_signed_moves(tmp_path):
+    out = run_diff(dump_slots(tmp_path / "a.json", [1.0, 2.0]),
+                   dump_slots(tmp_path / "b.json", [1.0, 2.0]))
+    assert "verdict: SAME, bit-identical" in out.stdout
+    assert row_of(out.stdout)[6:] == ["0", "0", "+0.0000e+00"]

@@ -1,4 +1,7 @@
+import copy
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +10,14 @@ from hypothesis import strategies as st
 
 from uavrelay import orchestrator, power_alloc, run_episode
 from uavrelay.channel import gain_matrices
-from uavrelay.convex_core import Diagnostics, SolveResult, maximize_concave
+from uavrelay.convex_core import Diagnostics, FeasibleSet, SolveResult, maximize_concave
 from uavrelay.link_rate import LinkBudget, PowerAllocation, rate_report
-from uavrelay.power_alloc import (_FLOOR_MARGIN, PowerProblem, restore_feasible,
-                                  scp_power, spread_leftover)
+from uavrelay.power_alloc import (_FLOOR_MARGIN, PowerProblem, PowerResult,
+                                  restore_feasible, scp_power, spread_leftover)
 from uavrelay.scenario import Scenario, SnrThresholds, dbm_to_watts
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def mixed_instance():
@@ -407,6 +413,207 @@ class TestScpPower:
                         gains, np.ones(2), sc)
         assert res.objective == 0.0
         assert not res.powers.p_ue.any() and not res.powers.p_uav.any()
+
+
+def reference_scp_power(beta, alloc, gains, weights, sc, init=None):
+    """`scp_power` written out: the plain SCP loop, each step the
+    certified water-filling point, and after each kept step that gains
+    eps on a problem with a relayed variable, the walk x + tau*(x+ - x),
+    tau = 2, 4, ..., 64, one projection and one exact objective per
+    trial, kept while the objective strictly rises and cut where a
+    projection repeats the last kept point.  Returns the result, the
+    problem with its feasible set, and every kept point."""
+    alloc = np.asarray(alloc, dtype=int)
+    dropped = []
+    start = None
+    if init is not None:
+        prob = PowerProblem(beta, alloc, gains, weights, sc)
+        if prob.n_vars:
+            fset = prob.feasible_set()
+            x = fset.project(prob.pack(init))
+            if fset.linear_violation(x) <= 1e-9:
+                start = x
+    if start is None:
+        alloc, powers, dropped = restore_feasible(beta, alloc, gains, weights, sc)
+        prob = PowerProblem(beta, alloc, gains, weights, sc)
+        if prob.n_vars == 0:
+            empty = PowerResult(prob.unpack(np.zeros(0)), alloc, dropped, 0.0, 0, True)
+            return empty, prob, None, []
+        fset = prob.feasible_set()
+        start = prob.pack(powers)
+
+    eps = sc.tolerances.bcd
+    relayed = bool(prob.relay.any())
+    x, obj = start, prob.true_objective(start)
+    trace, kept = [obj], []
+    converged, it = False, 0
+    for it in range(1, power_alloc._MAX_OUTER + 1):
+        tangent = prob.m_tangent(x)
+        res = maximize_concave(prob.surrogate(x, tangent), fset,
+                               prob.surrogate_argmax(x, fset, tangent),
+                               max_iters=power_alloc._INNER_ITERS)
+        if not res.feasible:
+            break
+        plain = prob.true_objective(res.x)
+        if plain < obj - 1e-9 * max(1.0, abs(obj)):
+            converged = True
+            break
+        point, value = res.x, plain
+        if relayed and plain - obj >= eps:
+            for k in range(1, 7):
+                trial = fset.project(x + 2.0 ** k * (res.x - x))
+                if np.array_equal(trial, point):
+                    break
+                trial_value = prob.true_objective(trial)
+                if trial_value <= value:
+                    break
+                point, value = trial, trial_value
+        trace.append(value)
+        kept.append(point)
+        gain = value - obj
+        x, obj = point, value
+        if gain < eps or not relayed:
+            converged = True
+            break
+    result = PowerResult(prob.unpack(x), alloc, dropped, obj, it, converged, trace)
+    return result, prob, fset, kept
+
+
+def counted_objective(monkeypatch):
+    """Count every exact objective that any `PowerProblem` prices."""
+    calls = []
+    priced = PowerProblem.true_objective
+
+    def counted(self, x):
+        calls.append(1)
+        return priced(self, x)
+
+    monkeypatch.setattr(PowerProblem, "true_objective", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def panel_power_solves():
+    """Every `scp_power` call over perfbench's relay_mixed (jmstp) and
+    random_cold (random) panels, episodes 0-9: (workload, episode, args,
+    kwargs, result), the inputs copied as they were passed."""
+    solves = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("relay_mixed", "random_cold"):
+            w = workloads.WORKLOADS[name]
+            for episode, sc in enumerate(workloads.panel(w)):
+                def recorded(*args, **kwargs):
+                    inputs = copy.deepcopy((args, kwargs))
+                    res = scp_power(*args, **kwargs)
+                    solves.append((name, episode, *inputs, res))
+                    return res
+
+                mp.setattr(orchestrator, "scp_power", recorded)
+                run_episode(sc, w.algorithm)
+    return solves
+
+
+def assert_same_result(got, want):
+    for a, b in ((got.powers.p_ue, want.powers.p_ue), (got.powers.p_uav, want.powers.p_uav),
+                 (got.alloc, want.alloc)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got.dropped == want.dropped
+    assert got.objective == want.objective
+    assert got.trace == want.trace
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+
+class TestOverrelaxedStep:
+    """Each kept step that gains eps on a problem with a relayed variable
+    is walked on through its doublings while the exact objective strictly
+    rises; `scp_power` answers bit for bit as the loop written out in
+    `reference_scp_power`, with the same exact objectives priced."""
+
+    @staticmethod
+    def check(calls, args, kwargs):
+        """Run both on the inputs, `calls` counting the exact objectives
+        priced (`counted_objective`); return the result and its count."""
+        before = len(calls)
+        got = scp_power(*args, **kwargs)
+        priced = len(calls) - before
+        want, prob, fset, kept = reference_scp_power(*args, **kwargs)
+        assert len(calls) - before == 2 * priced
+        assert_same_result(got, want)
+        floors = prob.qos_floors()
+        for x in kept:
+            assert fset.linear_violation(x) <= 1e-9
+            assert np.all(x >= floors)
+        return got, priced
+
+    def test_mixed_instance(self, monkeypatch):
+        sc, gains, beta, alloc, weights = mixed_instance()
+        args = (beta, alloc, gains, weights, sc)
+        calls = counted_objective(monkeypatch)
+        self.check(calls, args, {})
+        # from the QoS floors the steps gain eps, and the walk prices trials
+        prob = PowerProblem(beta, alloc, gains, weights, sc)
+        got, priced = self.check(calls, args, {"init": prob.unpack(prob.qos_floors())})
+        assert got.converged and got.iterations > 1
+        assert priced > got.iterations + 1
+
+    def test_a_repeated_projection_ends_the_walk_unpriced(self, monkeypatch):
+        # one relayed link, each power alone in its budget block, where the
+        # projection is the clip onto [floor, budget] and exact: doublings
+        # past both budgets project onto the same point, which ends the walk
+        def clip(fset, x):
+            block, budgets = fset.blocks
+            assert np.all(np.bincount(block) == 1)
+            return np.clip(x, fset.floors, budgets[block])
+
+        monkeypatch.setattr(FeasibleSet, "project", clip)
+        sc, gains, beta, alloc, weights = mixed_instance()
+        alloc = np.zeros_like(alloc)
+        alloc[0, 0] = 1
+        prob = PowerProblem(beta, alloc, gains, weights, sc)
+        got, _ = self.check(counted_objective(monkeypatch), (beta, alloc, gains, weights, sc),
+                            {"init": prob.unpack(prob.qos_floors())})
+        np.testing.assert_array_equal(prob.pack(got.powers), [sc.p_ue_max, sc.p_uav_max])
+
+    def test_panel_solves(self, monkeypatch, panel_power_solves):
+        solves = [s for s in panel_power_solves if s[1] < 2]
+        assert {s[0] for s in solves} == {"relay_mixed", "random_cold"}
+        calls = counted_objective(monkeypatch)
+        for _, _, args, kwargs, _ in solves:
+            self.check(calls, args, kwargs)
+
+    def test_plateau_ends_the_walk(self, monkeypatch):
+        # an exact objective with flat runs: a trial that only ties the
+        # kept point ends the walk
+        priced = PowerProblem.true_objective
+        monkeypatch.setattr(PowerProblem, "true_objective",
+                            lambda self, x: round(priced(self, x), 1))
+        sc, gains, beta, alloc, weights = mixed_instance()
+        self.check(counted_objective(monkeypatch), (beta, alloc, gains, weights, sc), {})
+
+    def test_direct_only_problem_never_extends(self, monkeypatch):
+        # its one step gains eps, yet only the start and that step are priced
+        sc, gains, _, alloc, weights = mixed_instance()
+        beta = np.zeros(4, dtype=int)
+        prob = PowerProblem(beta, alloc, gains, weights, sc)
+        start = prob.unpack(prob.qos_floors())
+        calls = counted_objective(monkeypatch)
+        res = scp_power(beta, alloc, gains, weights, sc, init=start)
+        assert res.iterations == 1 and res.converged
+        assert res.trace[1] - res.trace[0] >= sc.tolerances.bcd
+        assert len(calls) == 2
+
+
+class TestNoSilentOuterCap:
+    """Aim 3: no power solve of the relay_mixed or random_cold panels
+    stops at `_MAX_OUTER`; every one ends converged below it."""
+
+    def test_every_panel_solve_converges_below_the_cap(self, panel_power_solves):
+        assert {(s[0], s[1]) for s in panel_power_solves} == {
+            (name, episode) for name in ("relay_mixed", "random_cold") for episode in range(10)}
+        capped = [(name, episode, res.iterations)
+                  for name, episode, _, _, res in panel_power_solves
+                  if not res.converged or res.iterations >= power_alloc._MAX_OUTER]
+        assert capped == []
 
 
 class TestPowerSolveCensus:
