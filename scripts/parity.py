@@ -2,10 +2,12 @@
 """Slot-by-slot answer parity between two checkouts of the package.
 
 Dump mode runs every slot of the three benchmark panels (perfbench's
-relay_mixed, dense_cellular and random_cold) plus relay_mixed's first four
+relay_mixed, dense_cellular and random_cold), relay_mixed's first four
 scenarios under fading "none" and "rayleigh" with each of the three
-algorithms, and writes per slot the modes, the allocation, the objective,
-the UAV position and the output check's findings to JSON:
+algorithms, and relay_mixed's whole panel at a UE budget of 20 dBm under
+jmstp and cellular, where the powers a candidate carries from the
+incumbent matter most.  It writes per slot the modes, the allocation,
+the objective, the UAV position and the output check's findings to JSON:
 
     python3 scripts/parity.py CHECKOUT --out parity.json
 
@@ -44,12 +46,16 @@ from pathlib import Path  # noqa: E402
 EXTRA_SEEDS = 4
 EXTRA_FADING = ("none", "rayleigh")
 ALGORITHMS = ("jmstp", "random", "cellular")
+HIGH_DBM = 20.0
+HIGH_ALGORITHMS = ("jmstp", "cellular")
 SIGNED_TOL = 1e-12  # a smaller objective move counts as neither a rise nor a fall
 
 
 def episodes(workloads):
     """(workload label, episode label, scenario, algorithm) for every
     episode that the dump runs."""
+    from uavrelay.scenario import dbm_to_watts  # the checkout's, on the path
+
     for name, w in workloads.WORKLOADS.items():
         for i, sc in enumerate(workloads.panel(w)):
             yield name, i, sc, w.algorithm
@@ -59,6 +65,10 @@ def episodes(workloads):
             for i in range(EXTRA_SEEDS):
                 sc = replace(workloads.scenario(relay, i), fading_model=fading)
                 yield f"{fading}:{algorithm}", i, sc, algorithm
+    for algorithm in HIGH_ALGORITHMS:
+        for i, sc in enumerate(workloads.panel(relay)):
+            sc = replace(sc, p_ue_max=dbm_to_watts(HIGH_DBM))
+            yield f"{HIGH_DBM:g}dBm:{algorithm}", i, sc, algorithm
 
 
 def dump(checkout: Path, out: Path) -> None:

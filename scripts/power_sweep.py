@@ -1,18 +1,31 @@
 #!/usr/bin/env python3
 """Sweep the UE power budget and compare algorithms on sum rate, fairness,
 proportional-fair utility and scheduling counts.  Writes one CSV row per
-(power, algorithm)."""
+(power, algorithm), the seed means that `sweep` would give.
+
+Per power, every algorithm runs the same seeded scenarios, so the script
+also prints the paired per-seed gaps jmstp - random and jmstp - cellular
+on the sum rate and the PF utility: the mean gap and the 95% bootstrap
+lower edge, as `baseline_gap.py` reports them at one power."""
 
 import argparse
 import csv
+from dataclasses import replace
 from pathlib import Path
 
-from uavrelay.orchestrator import ALGORITHMS, sweep
-from uavrelay.scenario import Scenario, dbm_to_watts
+import numpy as np
+
+from uavrelay.orchestrator import (ALGORITHMS, SWEEP_METRICS, paired_bootstrap_lower,
+                                  run_episode)
+from uavrelay.scenario import Scenario, dbm_to_watts, require_valid
+
+RIVALS = ("random", "cellular")
+GAP_METRICS = ("sum_rate", "pf_utility")
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--dbm", default="5,8,11,14,17,20",
                     help="comma-separated budgets in dBm")
     ap.add_argument("--seeds", type=int, default=50)
@@ -23,10 +36,20 @@ def main() -> None:
     args = ap.parse_args()
 
     template = Scenario(d_max=args.d_max, fading_model=args.fading)
-    values = [dbm_to_watts(float(v)) for v in args.dbm.split(",")]
-    rows = sweep(template, "p_ue_max", values, n_seeds=args.seeds,
-                 algorithms=ALGORITHMS)
+    dbms = [float(v) for v in args.dbm.split(",")]
+    # seed s runs the template with rng_seed=s, as in `sweep`; every
+    # scenario is validated before the first episode runs
+    panels = [[require_valid(replace(template, rng_seed=seed, p_ue_max=dbm_to_watts(dbm))
+                             .with_positions(seed)) for seed in range(args.seeds)]
+              for dbm in dbms]
+    logs = [{algorithm: [run_episode(sc, algorithm) for sc in scenarios]
+             for algorithm in ALGORITHMS} for scenarios in panels]
 
+    rows = [{"axis": "p_ue_max", "value": dbm_to_watts(dbm), "algorithm": algorithm,
+             "seeds": args.seeds} |
+            {m: float(np.mean([getattr(log, m) for log in by_algorithm[algorithm]]))
+             for m in SWEEP_METRICS}
+            for dbm, by_algorithm in zip(dbms, logs) for algorithm in ALGORITHMS]
     with Path(args.out).open("w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
@@ -34,12 +57,19 @@ def main() -> None:
 
     print(f"{'dBm':>6} {'algorithm':>10} {'sum_rate':>9} {'jain':>7} {'pf_utility':>10}"
           f" {'scheduled':>9} {'relay':>6}")
-    for dbm_s, value in zip(args.dbm.split(","), values):
-        for row in rows:
-            if row["value"] == value:
-                print(f"{float(dbm_s):6.1f} {row['algorithm']:>10}"
-                      f" {row['sum_rate']:9.3f} {row['jain']:7.4f} {row['pf_utility']:10.3f}"
-                      f" {row['n_scheduled_ues']:9.3f} {row['n_relay_ues']:6.3f}")
+    for dbm, row in zip(np.repeat(dbms, len(ALGORITHMS)), rows):
+        print(f"{dbm:6.1f} {row['algorithm']:>10}"
+              f" {row['sum_rate']:9.3f} {row['jain']:7.4f} {row['pf_utility']:10.3f}"
+              f" {row['n_scheduled_ues']:9.3f} {row['n_relay_ues']:6.3f}")
+
+    print(f"\n{'dBm':>6} {'gap':>15} {'metric':>10} {'mean':>9} {'lower':>9}")
+    for dbm, by_algorithm in zip(dbms, logs):
+        for rival in RIVALS:
+            for m in GAP_METRICS:
+                d = np.array([getattr(a, m) - getattr(b, m) for a, b in
+                              zip(by_algorithm["jmstp"], by_algorithm[rival])])
+                print(f"{dbm:6.1f} {'jmstp-' + rival:>15} {m:>10}"
+                      f" {d.mean():+9.4f} {paired_bootstrap_lower(d):+9.4f}")
     print(f"wrote {args.out}")
 
 

@@ -22,11 +22,12 @@ replaces the incumbent only with a candidate that beats it, so the
 per-slot objective trace is nondecreasing by construction.  That cycle is
 the only place a stage is repeated: the matching stage plays the swap
 game at most once per fresh greedy start and channel state, never from
-the incumbent, and completes its candidates per call, while the tables
-its starts read are built once per channel state or, for the direct
-rows, once per slot (`_matching_stage`).  The trajectory stage makes one
-horizontal SCP step, or drifts toward the unserved UEs when nothing is
-relayed.  The cycle stops once it gains less than the scenario's one
+the incumbent, and completes its candidates per call, but never the
+incumbent's own matching or the one whose completion won it on this
+channel state, while the tables its starts read are built once per
+channel state or, for the direct rows, once per slot
+(`_matching_stage`).  The trajectory stage makes one horizontal SCP
+step, or drifts toward the unserved UEs when nothing is relayed.  The cycle stops once it gains less than the scenario's one
 tolerance, `tolerances.bcd`, the same absolute test on which the power
 stage's own SCP loop stops.  So the power stage is not re-run on the
 inputs its last converged run returned (the matching stage kept the
@@ -169,18 +170,22 @@ def complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
 @dataclass
 class _FreshStarts:
     """The matching stage's memory of one slot: whether its greedy starts
-    relay (jmstp) or are only the all-cellular one (cellular), and the
-    stable `(beta, alloc)` of each start played so far, keyed by its
-    modes.  A start that relays nobody reads only the direct gains, the
-    weights and the scenario, which a UAV move leaves as they are, so its
-    entry outlives the channel state; `moved` drops the others."""
+    relay (jmstp) or are only the all-cellular one (cellular), the stable
+    `(beta, alloc)` of each start played so far, keyed by its modes, and
+    the key of the stable matching whose completion last won the stage on
+    this channel state (`source`).  A start that relays nobody reads only
+    the direct gains, the weights and the scenario, which a UAV move
+    leaves as they are, so its entry outlives the channel state; `moved`
+    drops the others and the source."""
 
     relay: bool
     stable: dict[bytes, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    source: bytes | None = None
 
     def moved(self) -> None:
         # a start that relays nobody has an all-zero key
         self.stable = {key: v for key, v in self.stable.items() if not any(key)}
+        self.source = None
 
 
 def _beats(candidate: float, incumbent: float) -> bool:
@@ -213,7 +218,15 @@ def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, beta, alloc,
     - per call: the completions.  Completion carries the incumbent's
       powers, and each distinct matching is completed at most once per
       call: a repeat would only repeat its objective, which never beats
-      the best so far.
+      the best so far.  Two matchings are not completed at all: the
+      incumbent's own, and the stable matching whose completion won the
+      stage earlier on this channel state (`fresh.source`), since the
+      incumbent is that completion, less what funding shed, with powers
+      the power stage has solved since.  Completing either only re-funds
+      the incumbent from its own carried powers, and bettering those
+      powers is the power stage's work, not this stage's.  Any other
+      matching completed on an earlier call is completed again, since
+      the powers it carries have changed.
     The incumbent itself plays no swap game, since the block-coordinate
     loop already returns to this stage after every trajectory and power
     move.
@@ -236,7 +249,7 @@ def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, beta, alloc,
     def out_of_reach(ceiling):
         return not _beats(ceiling * (1.0 + _CEILING_RTOL), best[0])
 
-    completed = set()
+    completed = {beta.tobytes() + alloc.tobytes(), fresh.source}
     for modes, rows, ceiling in starts:
         if rows is not None and out_of_reach(ceiling):
             continue
@@ -256,6 +269,7 @@ def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, beta, alloc,
                           sc).objective
         if _beats(obj, best[0]):
             best = (obj, cand_beta, cand_alloc, cand_powers)
+            fresh.source = cand
     return best
 
 

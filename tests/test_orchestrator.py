@@ -29,7 +29,8 @@ from uavrelay.orchestrator import (
     validate_solution,
 )
 from uavrelay.power_alloc import PowerProblem, spread_leftover
-from uavrelay.scenario import Scenario, SnrThresholds, UavState, load_scenario
+from uavrelay.scenario import (Scenario, SnrThresholds, UavState, dbm_to_watts,
+                               load_scenario)
 
 from test_link_rate import _funded_slot, _slot
 from test_scenario import documents
@@ -299,10 +300,11 @@ class TestChannelStateReuse:
         assert len(starts) >= sc.n_slots
         assert sorted(id(args[0]) for args in played) == sorted(map(id, starts))
 
-    def test_each_distinct_matching_completed_once_per_stage_call(self, monkeypatch):
+    def test_skips_incumbent_and_source_completes_rest_once(self, monkeypatch):
         # greedy starts often reach the same stable matching; a stage call
         # completes exactly the distinct matchings whose ceiling beats the
-        # running best, each once
+        # running best, each once, but neither the incumbent's own matching
+        # nor the one whose completion won earlier on the channel state
         calls = spy_stages(monkeypatch, relay=True)
         sc = Scenario(n_ues=5, n_subchannels=10, n_slots=4, d_max=25.0,
                       fading_model="mixed", rng_seed=0).with_positions(0)
@@ -313,6 +315,15 @@ class TestChannelStateReuse:
         assert all(len(keys) == len(set(keys)) for keys in completed)
         assert 0 < sum(map(len, completed)) < sum(
             len({entry.key for entry in call.log}) for call in calls)
+
+    def test_incumbent_matching_never_completed(self, monkeypatch):
+        # completing the incumbent's own matching, or the one it came from,
+        # would only re-fund the incumbent from its own powers
+        calls = spy_stages(monkeypatch, relay=True)
+        for seed in range(10):
+            run_episode(relay_panel(seed), "jmstp")
+        assert sum(len(call.completed) for call in calls) > 0
+        assert not any(call.incumbent in call.completed for call in calls)
 
 
 def start_modes(ctx, relay):
@@ -352,7 +363,7 @@ def exhaustive_stage(ctx, relay, beta, alloc, powers, incumbent_obj):
             obj = rate_report(res.beta, cand_alloc, cand_powers, gains, weights,
                               sc).objective
             done[key] = obj
-            if obj > best[0] + orchestrator._STAGE_TOL * max(1.0, abs(best[0])):
+            if beats(obj, best[0]):
                 best = (obj, res.beta, cand_alloc, cand_powers)
         log.append(SimpleNamespace(modes=modes, best=before, beta=res.beta, alloc=res.alloc,
                                    key=key, objective=done[key], repeat=repeat))
@@ -376,18 +387,24 @@ def matching_ceiling(table, beta, alloc):
     return table[beta, np.arange(beta.size)][alloc != 0].sum()
 
 
+def beats(objective, best):
+    """The stage's acceptance: beats the running best by its tolerance."""
+    return objective > best + orchestrator._STAGE_TOL * max(1.0, abs(best))
+
+
 def reaches(ceiling, best):
     """A ceiling that beats the running best: the stage's acceptance, with
     the ceiling's slack for summation order."""
-    return ceiling * (1.0 + 1e-12) > best + orchestrator._STAGE_TOL * max(1.0, abs(best))
+    return beats(ceiling * (1.0 + 1e-12), best)
 
 
 def spy_stages(monkeypatch, relay):
     """Run `exhaustive_stage` on the inputs of every matching-stage call
     before the stage itself; returns one record per call: its channel
     state (`ctx`), its slot's memory (`fresh`), the reference's answer
-    (`want`) and per-start log, the stage's answer (`got`), and the start
-    modes the stage built and the matchings it completed, in order."""
+    (`want`) and per-start log, the stage's answer (`got`), the
+    incumbent's key, and the start modes the stage built and the matchings
+    it completed, in order."""
     calls, inside = [], [False]
     stage, init, complete = (orchestrator._matching_stage, orchestrator.init_matching,
                              orchestrator.complete_powers)
@@ -395,6 +412,7 @@ def spy_stages(monkeypatch, relay):
     def spied_stage(ctx, fresh, beta, alloc, powers, obj):
         want, log = exhaustive_stage(ctx, relay, beta, alloc, powers, obj)
         calls.append(SimpleNamespace(ctx=ctx, fresh=fresh, want=want, log=log, built=[],
+                                     incumbent=beta.tobytes() + alloc.tobytes(),
                                      completed=[]))
         inside[0] = True
         try:
@@ -441,15 +459,21 @@ def expected_builds(calls):
 def expected_completions(calls):
     """Per stage call, the matchings a lazy stage completes: the first
     reach of each distinct one, when both its start's ceiling and its own
-    beat the running best."""
-    out = []
+    beat the running best, except the incumbent's own matching and the
+    source, the matching whose completion last won a call on the same
+    channel state (the reference's winner, which the stage's answers
+    equal)."""
+    out, sources = [], {}
     for call in calls:
         table, keys = ceiling_table(call.ctx), []
+        skip = {call.incumbent, sources.get(id(call.ctx))}
         for entry in call.log:
-            if (entry.key not in keys
+            if (entry.key not in keys and entry.key not in skip
                     and reaches(mode_ceiling(table, entry.modes), entry.best)
                     and reaches(matching_ceiling(table, entry.beta, entry.alloc), entry.best)):
                 keys.append(entry.key)
+            if not entry.repeat and beats(entry.objective, entry.best):
+                sources[id(call.ctx)] = entry.key
         out.append(keys)
     return out
 
@@ -459,10 +483,23 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def relay_panel(seed, fading="mixed", n_slots=10):
-    """perfbench's relay_mixed scenario `seed`, under `fading`."""
+def relay_panel(seed, fading="mixed", n_slots=10, dbm=6.0):
+    """perfbench's relay_mixed scenario `seed`, under `fading`, at a UE
+    budget of `dbm`."""
     return Scenario(n_ues=5, n_subchannels=10, n_slots=n_slots, d_max=25.0,
-                    fading_model=fading, rng_seed=seed).with_positions(seed)
+                    fading_model=fading, p_ue_max=dbm_to_watts(dbm),
+                    rng_seed=seed).with_positions(seed)
+
+
+def assert_answers_equal_the_reference(calls):
+    """Every stage call answered as `exhaustive_stage` did, bit for bit."""
+    assert calls
+    for i, call in enumerate(calls):
+        (want_obj, *want), (got_obj, *got) = call.want, call.got
+        assert got_obj == want_obj, i
+        for a, b in zip(got[:2] + [got[2].p_ue, got[2].p_uav],
+                        want[:2] + [want[2].p_ue, want[2].p_uav]):
+            assert same_bits(a, b), i
 
 
 class TestMatchingCeilings:
@@ -471,18 +508,18 @@ class TestMatchingCeilings:
     cannot beat the running best, so it answers as the exhaustive stage
     that completes every distinct fresh start does."""
 
-    @pytest.mark.parametrize("fading, seed", [("mixed", 0), ("mixed", 1), ("rayleigh", 0)])
+    # at 20 dBm, carried powers matter: there, completing each matching
+    # only once per channel state moves answers on (mixed, 8) and
+    # (rayleigh, 2)
+    @pytest.mark.parametrize("fading, seed, dbm", [
+        ("mixed", 0, 6.0), ("mixed", 1, 6.0), ("rayleigh", 0, 6.0),
+        ("mixed", 8, 20.0), ("rayleigh", 2, 20.0)],
+        ids=["mixed-0", "mixed-1", "rayleigh-0", "mixed-8-20dBm", "rayleigh-2-20dBm"])
     def test_answers_equal_the_exhaustive_stage_bit_for_bit(self, monkeypatch, fading,
-                                                            seed):
+                                                            seed, dbm):
         calls = spy_stages(monkeypatch, relay=True)
-        run_episode(relay_panel(seed, fading), "jmstp")
-        assert calls
-        for i, call in enumerate(calls):
-            (want_obj, *want), (got_obj, *got) = call.want, call.got
-            assert got_obj == want_obj, i
-            for a, b in zip(got[:2] + [got[2].p_ue, got[2].p_uav],
-                            want[:2] + [want[2].p_ue, want[2].p_uav]):
-                assert same_bits(a, b), i
+        run_episode(relay_panel(seed, fading, dbm=dbm), "jmstp")
+        assert_answers_equal_the_reference(calls)
         built = [[modes.tobytes() for modes in call.built] for call in calls]
         assert built == expected_builds(calls)
         assert [call.completed for call in calls] == expected_completions(calls)
@@ -494,6 +531,26 @@ class TestMatchingCeilings:
         assert sum(map(len, built)) < sum(map(len, states.values()))
         assert sum(len(call.completed) for call in calls) < sum(
             len({entry.key for entry in call.log}) for call in calls)
+
+    @pytest.mark.parametrize("dbm", [6.0, 20.0])
+    def test_cellular_answers_equal_the_exhaustive_stage_bit_for_bit(self, monkeypatch,
+                                                                     dbm):
+        # the cellular stage prunes nothing by ceiling; it skips only the
+        # incumbent's own matching and the one it came from.  The UAV never
+        # moves, so a slot's second call holds the first call's channel
+        # state, and its one start reaches the matching that call completed
+        calls = spy_stages(monkeypatch, relay=False)
+        sc = Scenario(n_ues=20, n_subchannels=40, n_slots=10, d_max=25.0,
+                      fading_model="mixed", p_ue_max=dbm_to_watts(dbm),
+                      rng_seed=0).with_positions(0)
+        run_episode(sc, "cellular")
+        assert_answers_equal_the_reference(calls)
+        slots: dict[int, list] = {}
+        for call in calls:
+            slots.setdefault(id(call.fresh), []).append(call.completed)
+        assert all(completed[0] for completed in slots.values())
+        seconds = [completed[1] for completed in slots.values() if len(completed) > 1]
+        assert len(seconds) >= 5 and not any(seconds)
 
     @pytest.mark.parametrize("fading", ["none", "rician", "mixed", "rayleigh"])
     def test_ceilings_bound_every_completed_candidate(self, monkeypatch, fading):

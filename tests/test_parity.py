@@ -1,15 +1,24 @@
 """scripts/parity.py --diff: the exit status is the verdict on two dumps,
 1 when any slot's modes, allocation or output-check findings differ, and
-the signed columns count the slots whose objectives rose and fell."""
+the signed columns count the slots whose objectives rose and fell.  The
+dump's episode list is checked without running it."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "parity.py"
+from uavrelay.scenario import dbm_to_watts
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "parity.py"
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def dump(path, objective=1.0, alloc=(1, 0), problems=()):
@@ -108,3 +117,24 @@ def test_equal_dumps_have_no_signed_moves(tmp_path):
                    dump_slots(tmp_path / "b.json", [1.0, 2.0]))
     assert "verdict: SAME, bit-identical" in out.stdout
     assert row_of(out.stdout)[6:] == ["0", "0", "+0.0000e+00"]
+
+
+def test_dump_covers_the_panels_and_relay_mixed_at_20_dbm():
+    spec = importlib.util.spec_from_file_location("parity", SCRIPT)
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    episodes = list(parity.episodes(workloads))
+    slots = Counter()
+    for label, _, sc, _ in episodes:
+        slots[label] += sc.n_slots
+    assert len(slots) == 11
+    assert [slots[w] for w in ("relay_mixed", "dense_cellular", "random_cold")] == [100, 260, 100]
+    relay = workloads.panel(workloads.WORKLOADS["relay_mixed"])
+    for algorithm in ("jmstp", "cellular"):
+        high = [(i, sc) for label, i, sc, a in episodes
+                if label == f"20dBm:{algorithm}" and a == algorithm]
+        assert [i for i, _ in high] == list(range(10))
+        # relay_mixed's panel scenario, bar the UE budget
+        assert all(sc.p_ue_max == dbm_to_watts(20.0) != panel.p_ue_max and
+                   sc == replace(panel, p_ue_max=sc.p_ue_max)
+                   for (_, sc), panel in zip(high, relay))

@@ -1,8 +1,10 @@
 """Smoke test of the experiment scripts: each imports the package names it
 uses and parses its arguments, so a rename in the package shows up here.
-The baseline gap, which runs every algorithm, also runs end to end, and
-the paired benchmark's verdict is checked on synthetic samples."""
+The baseline gap and the power sweep, which run every algorithm, also run
+end to end, and the paired benchmark's verdict is checked on synthetic
+samples."""
 
+import csv
 import importlib.util
 import os
 import re
@@ -69,3 +71,24 @@ def test_paired_bench_verdict_holds_within_the_bound():
     wins, ties, gap, _, said = verdict([1.0] * 10, [1.2] * 10, True, 0.25)
     assert (wins, ties, said) == (0, 0, "no gain") and gap == pytest.approx(-0.2)
     assert verdict([1.0] * 10, [1.2] * 10, True, 0.1)[4] == "WORSE"
+
+
+def test_power_sweep_prints_paired_gaps_per_power(tmp_path):
+    out = tmp_path / "sweep.csv"
+    done = run_script(ROOT / "scripts" / "power_sweep.py", "--seeds", "2", "--dbm", "0,20",
+                      "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["algorithm"], row["seeds"]) for row in rows] == [
+        (algorithm, "2") for _ in range(2) for algorithm in ("jmstp", "random", "cellular")]
+    gaps = {tuple(line.split()[:3]): line.split()[3:] for line in done.stdout.splitlines()
+            if "jmstp-" in line}
+    assert len(gaps) == 2 * 2 * 2
+    # the mean of the paired gaps is the gap between the rows' seed means
+    for power, at in (("0.0", rows[:3]), ("20.0", rows[3:])):
+        for rival, row in (("random", at[1]), ("cellular", at[2])):
+            for metric in ("sum_rate", "pf_utility"):
+                mean, lower = map(float, gaps[power, f"jmstp-{rival}", metric])
+                want = float(at[0][metric]) - float(row[metric])
+                assert mean == pytest.approx(want, abs=1e-4) and lower <= mean + 1e-12
