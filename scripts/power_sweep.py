@@ -10,14 +10,12 @@ lower edge, as `baseline_gap.py` reports them at one power."""
 
 import argparse
 import csv
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from uavrelay.orchestrator import (ALGORITHMS, SWEEP_METRICS, paired_bootstrap_lower,
-                                  run_episode)
-from uavrelay.scenario import Scenario, dbm_to_watts, require_valid
+from uavrelay.orchestrator import ALGORITHMS, paired_bootstrap_lower, sweep_logs, sweep_row
+from uavrelay.scenario import Scenario, dbm_to_watts
 
 RIVALS = ("random", "cellular")
 GAP_METRICS = ("sum_rate", "pf_utility")
@@ -37,19 +35,11 @@ def main() -> None:
 
     template = Scenario(d_max=args.d_max, fading_model=args.fading)
     dbms = [float(v) for v in args.dbm.split(",")]
-    # seed s runs the template with rng_seed=s, as in `sweep`; every
-    # scenario is validated before the first episode runs
-    panels = [[require_valid(replace(template, rng_seed=seed, p_ue_max=dbm_to_watts(dbm))
-                             .with_positions(seed)) for seed in range(args.seeds)]
-              for dbm in dbms]
-    logs = [{algorithm: [run_episode(sc, algorithm) for sc in scenarios]
-             for algorithm in ALGORITHMS} for scenarios in panels]
-
-    rows = [{"axis": "p_ue_max", "value": dbm_to_watts(dbm), "algorithm": algorithm,
-             "seeds": args.seeds} |
-            {m: float(np.mean([getattr(log, m) for log in by_algorithm[algorithm]]))
-             for m in SWEEP_METRICS}
-            for dbm, by_algorithm in zip(dbms, logs) for algorithm in ALGORITHMS]
+    # seed s runs the template with rng_seed=s: the episodes of `sweep`
+    runs = sweep_logs(template, "p_ue_max", [dbm_to_watts(dbm) for dbm in dbms], args.seeds)
+    rows = [sweep_row("p_ue_max", value, algorithm, logs)
+            for value, by_algorithm in runs for algorithm, logs in by_algorithm.items()]
+    logs = [by_algorithm for _, by_algorithm in runs]
     with Path(args.out).open("w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()

@@ -462,9 +462,11 @@ SWEEP_METRICS = ("sum_rate", "jain", "pf_utility", "n_relay_ues", "n_scheduled_u
                  "avg_speed")
 
 
-def sweep(template: Scenario, axis: str, values, n_seeds: int = 10,
-          algorithms=ALGORITHMS) -> list[dict]:
-    """One row of seed-averaged metrics per (axis value, algorithm).
+def sweep_logs(template: Scenario, axis: str, values, n_seeds: int = 10,
+               algorithms=ALGORITHMS) -> list[tuple[float, dict[str, list[EpisodeLog]]]]:
+    """Per axis value, in order, the value and each algorithm's episode
+    logs over seeds 0, ..., n_seeds - 1: the episodes that `sweep`
+    averages, for a caller that also needs them per seed.
 
     Seed s runs the template with `rng_seed=s`: its fading, and the UE
     positions and UAV start wherever the template leaves them unset, are
@@ -478,15 +480,25 @@ def sweep(template: Scenario, axis: str, values, n_seeds: int = 10,
     panels = [[require_valid(replace(template, rng_seed=seed, **{axis: value})
                              .with_positions(seed)) for seed in range(n_seeds)]
               for value in values]
-    rows = []
-    for value, scenarios in zip(values, panels):
-        for algorithm in algorithms:
-            logs = [run_episode(sc, algorithm) for sc in scenarios]
-            rows.append({"axis": axis, "value": value, "algorithm": algorithm,
-                         "seeds": n_seeds} |
-                        {m: float(np.mean([getattr(log, m) for log in logs]))
-                         for m in SWEEP_METRICS})
-    return rows
+    return [(value, {algorithm: [run_episode(sc, algorithm) for sc in scenarios]
+                     for algorithm in algorithms})
+            for value, scenarios in zip(values, panels)]
+
+
+def sweep_row(axis: str, value: float, algorithm: str, logs: list[EpisodeLog]) -> dict:
+    """The sweep row of one (axis value, algorithm): `SWEEP_METRICS`
+    averaged over the episode logs of its seeds."""
+    return {"axis": axis, "value": value, "algorithm": algorithm, "seeds": len(logs)} | \
+        {m: float(np.mean([getattr(log, m) for log in logs])) for m in SWEEP_METRICS}
+
+
+def sweep(template: Scenario, axis: str, values, n_seeds: int = 10,
+          algorithms=ALGORITHMS) -> list[dict]:
+    """One row of seed-averaged metrics per (axis value, algorithm), over
+    the episodes of `sweep_logs`."""
+    return [sweep_row(axis, value, algorithm, logs)
+            for value, by_algorithm in sweep_logs(template, axis, values, n_seeds, algorithms)
+            for algorithm, logs in by_algorithm.items()]
 
 
 def dwell_times(log: EpisodeLog, centroids) -> np.ndarray:

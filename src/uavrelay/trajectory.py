@@ -33,7 +33,15 @@ subchannel) pairs, each hop a function of one of the N + 1 ground
 peers' gain bounds.  So one evaluation (`_horizontal_objective`) takes
 each peer's bound, gradient and Hessian once, weighs them by the
 derivatives of its hops' rate and floor terms summed per peer, and
-forms no per-hop gradient or Hessian.  The inner solve starts at the
+forms no per-hop gradient or Hessian.  It runs on Python floats and
+`math`: one pass over the peers that carry a hop (`_PeerCores.at`),
+one over the hops for the rates, the floor rows and the per-peer
+weights, and the 2x2 gradient and Hessian summed from those.  With a
+handful of peers and 2 to 8 hops, numpy's per-call overhead, not the
+arithmetic, was an evaluation's cost: its numpy form made about 80
+calls, and over relay_mixed's panel solves it took 85 us an evaluation
+against 15 us for the float passes (best of 7 runs; 2-vCPU Xeon VM,
+Python 3.11.7, numpy 2.4.6).  The inner solve starts at the
 incumbent, and its first evaluation there is the test for an empty
 approximated SNR set.  The step search audits its trials on the exact
 channel in at most two passes over a stack of positions (`_audits`),
@@ -51,7 +59,8 @@ import numpy as np
 
 from .channel import ChannelGains, gain_matrices, slot_channel
 from .convex_core import FeasibleSet, maximize_concave
-from .link_rate import QOS_TOL, PowerAllocation, dc_k, dc_m, floor_signals, rate_report
+from .link_rate import (HALF_LOG2E, QOS_TOL, PowerAllocation, dc_m, floor_signals,
+                        rate_report)
 from .scenario import A2GParams, Scenario, UavState
 from .uav_power import move_radius
 
@@ -146,77 +155,80 @@ class _PeerCores:
     elevation angle in the slant ratio, the logistic LoS probability in
     the angle, and the reciprocal in the resulting pathloss.  Each tangent
     is global, so each composite is a global lower bound, tight at the
-    expansion."""
+    expansion.  Each peer's constants are kept as one tuple of floats
+    (`peers`), which `at` evaluates on floats and `math`, peer by peer:
+    over a handful of peers a numpy call costs more than its arithmetic.
+    `_EXP_CAP` bounds the logistic's exponent, where a loose tangent far
+    from the expansion runs wild and `math.exp` would overflow."""
 
     def __init__(self, peers_xy: np.ndarray, dz: np.ndarray, params: A2GParams,
                  exp_xy: np.ndarray):
         if np.any(dz <= 0.0):
             raise ValueError("peer must sit below the UAV")
         p = params
-        self.peers_xy = peers_xy
-        self.dz2 = dz * dz
-        self.inv_dz2 = 1.0 / self.dz2
-        r = np.sqrt(np.sum((exp_xy - peers_xy) ** 2, axis=1))
-        if np.any(r < _NUDGE * 0.5):
-            raise ValueError("expansion point degenerate; nudge it first")
-        slant = np.sqrt(1.0 + (r / dz) ** 2)  # 3-d distance over height
-        theta0 = np.degrees(np.arcsin(1.0 / slant))
-        theta_slope = -math.degrees(1.0) / (slant * np.sqrt(slant * slant - 1.0))
-        d0 = 1.0 + p.a * np.exp(-p.b * (theta0 - p.a))
-        # the tangent angle theta0 + theta_slope * (s - slant) enters the
-        # logistic as e = a * exp(exp_slope * s + exp_shift), and the
-        # tangent of 1/u at u = d0, taken at u = 1 + e, turns the mixture
-        # into m0 - m1 * e
-        self.a = p.a
-        self.exp_slope = -p.b * theta_slope
-        self.exp_shift = -p.b * (theta0 - theta_slope * slant - p.a)
-        self.m0 = p.eta_nlos + (p.eta_los - p.eta_nlos) * (2.0 / d0 - 1.0 / (d0 * d0))
-        self.m1 = (p.eta_los - p.eta_nlos) / (d0 * d0)
-        # d(mixture)/d(xy) = e * dmix * diff / slant
-        self.dmix = self.m1 * p.b * theta_slope * self.inv_dz2
-        _, _, _, d2, mix = self._terms(exp_xy)
-        shape0 = d2 * mix
-        self.two_over_shape0 = 2.0 / shape0
-        self.inv_shape0_sq = 1.0 / (shape0 * shape0)
+        x0, y0 = exp_xy.tolist()
+        self.a, self.peers = p.a, []
+        for (px, py), h in zip(peers_xy.tolist(), dz.tolist()):
+            r = math.hypot(x0 - px, y0 - py)
+            if r < _NUDGE * 0.5:
+                raise ValueError("expansion point degenerate; nudge it first")
+            slant = math.sqrt(1.0 + (r / h) ** 2)  # 3-d distance over height
+            theta0 = math.degrees(math.asin(1.0 / slant))
+            theta_slope = -math.degrees(1.0) / (slant * math.sqrt(slant * slant - 1.0))
+            d0 = 1.0 + p.a * math.exp(-p.b * (theta0 - p.a))
+            # the tangent angle theta0 + theta_slope * (s - slant) enters the
+            # logistic as e = a * exp(exp_slope * s + exp_shift), and the
+            # tangent of 1/u at u = d0, taken at u = 1 + e, turns the mixture
+            # into m0 - m1 * e
+            exp_slope = -p.b * theta_slope
+            exp_shift = -p.b * (theta0 - theta_slope * slant - p.a)
+            m0 = p.eta_nlos + (p.eta_los - p.eta_nlos) * (2.0 / d0 - 1.0 / (d0 * d0))
+            m1 = (p.eta_los - p.eta_nlos) / (d0 * d0)
+            # d(mixture)/d(xy) = e * dmix * diff / slant
+            dmix = m1 * p.b * theta_slope / (h * h)
+            # the pathloss shape d^2 * mixture at the expansion, LoS probability 1 / d0
+            shape0 = (r * r + h * h) * (p.eta_nlos + (p.eta_los - p.eta_nlos) / d0)
+            self.peers.append((px, py, h * h, 1.0 / (h * h), exp_slope, exp_shift, m0, m1,
+                               dmix, 2.0 / shape0, 1.0 / (shape0 * shape0)))
 
-    def _terms(self, xy):
-        diff = xy - self.peers_xy
-        r2 = np.einsum("ij,ij->i", diff, diff)
-        slant = np.sqrt(1.0 + r2 * self.inv_dz2)
-        e = self.a * np.exp(np.minimum(self.exp_slope * slant + self.exp_shift, _EXP_CAP))
-        return diff, slant, e, r2 + self.dz2, self.m0 - self.m1 * e
-
-    def value_grad(self, xy) -> tuple[np.ndarray, ...]:
-        """Bounds (N + 1,) and gradients (N + 1, 2) at `xy`, and the
-        offsets diff = xy - peer (N + 1, 2) with two weights (N + 1,) each
-        that give the Hessians, -(iso I + aniso diff diff^T).  The bound
-        is the tangent of the reciprocal at shape0, 2/shape0 -
-        shape/shape0^2, of the convex pathloss shape d^2 * mixture.  With
-        u = e / slant, the gradient is -coef diff / shape0^2, coef = 2 mix
-        + d^2 u dmix, and the gradient of coef is c2 diff: iso is coef /
-        shape0^2 and aniso c2 / shape0^2."""
-        diff, slant, e, d2, mix = self._terms(xy)
-        u = e / slant
-        iso = (2.0 * mix + d2 * u * self.dmix) * self.inv_shape0_sq
-        aniso = self.dmix * u * (4.0 + d2 * (self.exp_slope * slant - 1.0)
-                                 * self.inv_dz2 / (slant * slant)) * self.inv_shape0_sq
-        return (self.two_over_shape0 - d2 * mix * self.inv_shape0_sq,
-                -iso[:, None] * diff, diff, iso, aniso)
+    def at(self, x: float, y: float, which) -> list[tuple[float, ...]]:
+        """(bound, dx, dy, iso, aniso) of each peer core indexed in `which`
+        at (x, y), with (dx, dy) = (x, y) - peer and the Hessian -(iso I +
+        aniso diff diff^T).  The bound is the tangent of the reciprocal at
+        shape0, 2/shape0 - shape/shape0^2, of the convex pathloss shape
+        d^2 * mixture.  With u = e / slant, the gradient is -coef diff /
+        shape0^2, coef = 2 mix + d^2 u dmix, and the gradient of coef is
+        c2 diff: iso is coef / shape0^2 and aniso c2 / shape0^2, and the
+        gradient is -iso diff."""
+        a, out = self.a, []
+        for i in which:
+            px, py, dz2, inv_dz2, slope, shift, m0, m1, dmix, two0, inv0_sq = self.peers[i]
+            dx, dy = x - px, y - py
+            r2 = dx * dx + dy * dy
+            slant = math.sqrt(1.0 + r2 * inv_dz2)
+            e = a * math.exp(min(slope * slant + shift, _EXP_CAP))
+            d2, mix, u = r2 + dz2, m0 - m1 * e, e / slant
+            iso = (2.0 * mix + d2 * u * dmix) * inv0_sq
+            aniso = dmix * u * (4.0 + d2 * (slope * slant - 1.0) * inv_dz2 / (slant * slant)) \
+                * inv0_sq
+            out.append((two0 - d2 * mix * inv0_sq, dx, dy, iso, aniso))
+        return out
 
 
 def _nudged_expansion(xy, peers_xy) -> np.ndarray:
     """Shift the expansion point off any peer it hovers over."""
-    exp = np.asarray(xy, dtype=float).copy()
+    x, y = map(float, xy)
+    peers = peers_xy.tolist()
     for _ in range(5):
-        for peer in peers_xy:
-            d = exp - peer
-            r = float(np.linalg.norm(d))
+        for px, py in peers:
+            dx, dy = x - px, y - py
+            r = math.hypot(dx, dy)
             if r < _NUDGE:
-                exp = exp + (_NUDGE * d / r if r > 0.0 else np.array([_NUDGE, 0.0]))
+                x, y = (x + _NUDGE * dx / r, y + _NUDGE * dy / r) if r > 0.0 else (x + _NUDGE, y)
                 break
         else:
-            return exp
-    return exp
+            break
+    return np.array((x, y))
 
 
 @dataclass(frozen=True)
@@ -268,47 +280,77 @@ def _horizontal_objective(ctx: SurrogateContext, inputs: SlotInputs):
     row is a hop's approximated SNR over its floor, minus one, slightly
     relaxed so an incumbent funded exactly at the floor stays strictly
     interior.  Rates and rows are sums over hops, each a function of its
-    peer core's bound alone, so one pass over the N + 1 cores serves
-    both: per hop, the first and second derivatives of its rate and log
-    row terms in the core bound (alpha, beta), summed per core, weigh
-    the cores' gradients and Hessians once."""
+    peer core's bound alone, so one pass over the cores that carry a hop
+    serves both: per hop, the first and second derivatives of its rate
+    and log row terms in the core bound (alpha, beta), summed per core,
+    weigh the cores' gradients and Hessians once.  Setup and evaluation
+    run on Python floats (the module docstring says why).  The value
+    keeps M's tangent as M0 plus a slope times xy - x0, a small term
+    near the expansion, not as a constant less slope . xy, which would
+    cancel."""
     s = inputs.scenario
-    n, rows, scale = ctx.ue.size, ctx.rows, ctx.scale
-    peers = len(ctx.cores.peers_xy)
+    n = ctx.ue.size
+    rows = ctx.rows.tolist()
+    peers = sorted(set(rows))  # the cores that carry a hop; the rest weigh nothing
+    x0, y0 = ctx.x0.tolist()
+    cores0 = ctx.cores.at(x0, y0, peers)
     pp = np.concatenate([inputs.powers.p_ue[ctx.ue, ctx.sub], inputs.powers.p_uav[ctx.sub]])
-    noise = np.repeat((s.noise_var, s.noise_var + s.ici_power), n)
-    floors = floor_signals(True, s.snr_thresholds, s.noise_var, s.ici_power)
-    # one over the gain at which each hop sits exactly on its SNR floor
-    inv = 1.0 / (np.repeat(floors, n) / pp)
-    w = inputs.weights[ctx.ue]
-    # per hop, the weighted rate term's first and second derivatives in
-    # its core's bound over dK/ds and d2K/ds2, and the floor row's slope
-    w_scale = np.concatenate((w, w)) * pp * scale
-    w_scale2 = w_scale * pp * scale
-    row_scale = inv * scale
-    v0, g0 = ctx.cores.value_grad(ctx.x0)[:2]
-    m0, dm = dc_m(pp * (scale * v0[rows]), True, s.noise_var, s.ici_power)
-    # each partial in a signal p h, times p, times the gain's gradient
-    q0 = (dm * pp)[:, None] * (scale[:, None] * g0[rows])
-    m_slope = q0[:n] + q0[n:]
-    slope = w @ m_slope
+    w = inputs.weights[ctx.ue].tolist() * 2  # per hop: access hops, then backhaul hops
+    floors = [float(f) for f in floor_signals(True, s.snr_thresholds, s.noise_var, s.ici_power)]
+    noise = (s.noise_var, s.noise_var + s.ici_power)
+    # per hop: its core, scale and power, one over the gain at which it
+    # sits exactly on its SNR floor, its noise, the floor row's slope, and
+    # the weighted rate term's first and second derivatives in its core's
+    # bound over dK/ds and d2K/ds2
+    hops = []
+    for j, (i, c, p, wj) in enumerate(zip(rows, ctx.scale.tolist(), pp.tolist(), w)):
+        inv = 1.0 / (floors[j // n] / p)
+        hops.append((peers.index(i), c, p, inv, noise[j // n], inv * c, wj * p * c,
+                     wj * p * c * p * c))
+    m0, dm = dc_m(pp * [c * cores0[k][0] for k, c, *_ in hops], True, s.noise_var, s.ici_power)
+    # M's tangent slope per pair: each partial in a signal p h, times p,
+    # times the gain's gradient -iso diff
+    g0 = [(-iso * dx, -iso * dy) for _, dx, dy, iso, _ in cores0]
+    q0 = [(d * p * c * g0[k][0], d * p * c * g0[k][1])
+          for d, (k, c, p, *_) in zip(dm.tolist(), hops)]
+    pairs = [(wn, mn, qa[0] + qb[0], qa[1] + qb[1])
+             for wn, mn, qa, qb in zip(w, m0.tolist(), q0[:n], q0[n:])]
+    slope_x = sum(wn * mx for wn, _, mx, _ in pairs)
+    slope_y = sum(wn * my for wn, _, _, my in pairs)
 
     def objective(xy: np.ndarray) -> tuple:
-        v, grad, diff, iso, aniso = ctx.cores.value_grad(xy)
-        h = scale * v[rows]
-        row = h * inv - 1.0 + _QOS_SLACK
-        if (row <= 0.0).any():
-            return -math.inf, None, None
-        k, dk, d2k = dc_k(pp * h, noise, second=True)
-        t = row_scale / row  # d log(row) / d(core bound)
-        alpha = np.bincount(rows, w_scale * dk + BARRIER_WEIGHT * t, peers)
-        beta = np.bincount(rows, w_scale2 * d2k - BARRIER_WEIGHT * t * t, peers)
-        value = float(w @ (k - m0 - m_slope @ (xy - ctx.x0))) \
-            + BARRIER_WEIGHT * float(np.log(row).sum())
+        x, y = map(float, xy)
+        cores = ctx.cores.at(x, y, peers)
+        alpha, beta = [0.0] * len(peers), [0.0] * len(peers)
+        a, log_rows = [], 0.0
+        for k, c, p, inv, noise_j, row_scale, ws, ws2 in hops:
+            h = c * cores[k][0]
+            row = h * inv - 1.0 + _QOS_SLACK
+            if row <= 0.0:
+                return -math.inf, None, None
+            a_j = p * h + noise_j
+            dk = HALF_LOG2E / a_j
+            t = row_scale / row  # d log(row) / d(core bound)
+            alpha[k] += ws * dk + BARRIER_WEIGHT * t
+            beta[k] += ws2 * (-dk / a_j) - BARRIER_WEIGHT * t * t
+            log_rows += math.log(row)
+            a.append(a_j)
+        dx0, dy0 = x - x0, y - y0
+        value = sum(wn * (0.5 * math.log2(a1 * a2) - mn - (mx * dx0 + my * dy0))
+                    for (wn, mn, mx, my), a1, a2 in zip(pairs, a[:n], a[n:])) \
+            + BARRIER_WEIGHT * log_rows
         # sum_i alpha_i H_i + beta_i g_i g_i^T, with H_i = -(iso_i I + aniso_i
         # d_i d_i^T) and g_i = -iso_i d_i
-        hess = (diff.T * (beta * iso * iso - alpha * aniso)) @ diff - (alpha @ iso) * np.eye(2)
-        return value, alpha @ grad - slope, hess
+        gx, gy, hxx, hxy, hyy, diag = -slope_x, -slope_y, 0.0, 0.0, 0.0, 0.0
+        for (_, dx, dy, iso, aniso), al, be in zip(cores, alpha, beta):
+            gx -= al * iso * dx
+            gy -= al * iso * dy
+            c = be * iso * iso - al * aniso
+            hxx += c * dx * dx
+            hxy += c * dx * dy
+            hyy += c * dy * dy
+            diag += al * iso
+        return value, np.array((gx, gy)), np.array(((hxx - diag, hxy), (hxy, hyy - diag)))
 
     return objective
 

@@ -83,11 +83,34 @@ def exact_objective(pos, inputs):
     return _audit(pos, inputs).objective
 
 
+def reference_cores(cores, xy):
+    """Every peer core's bound (N + 1,) and gradient (N + 1, 2) at `xy`,
+    the offsets diff = xy - peer (N + 1, 2), and two weights (N + 1,)
+    each that give the Hessians, -(iso I + aniso diff diff^T): a
+    vectorized reference, independent of `_PeerCores.at`, on the
+    constants the cores hold per peer.  The bound is the tangent of the
+    reciprocal at shape0, 2/shape0 - shape/shape0^2, of the convex
+    pathloss shape d^2 * mixture.  With u = e / slant, the gradient is
+    -coef diff / shape0^2, coef = 2 mix + d^2 u dmix, and the gradient of
+    coef is c2 diff: iso is coef / shape0^2 and aniso c2 / shape0^2."""
+    px, py, dz2, inv_dz2, exp_slope, exp_shift, m0, m1, dmix, two_over_shape0, \
+        inv_shape0_sq = np.array(cores.peers).T
+    diff = np.asarray(xy, dtype=float) - np.column_stack((px, py))
+    r2 = np.einsum("ij,ij->i", diff, diff)
+    slant = np.sqrt(1.0 + r2 * inv_dz2)
+    e = cores.a * np.exp(np.minimum(exp_slope * slant + exp_shift, trajectory._EXP_CAP))
+    d2, mix, u = r2 + dz2, m0 - m1 * e, e / slant
+    iso = (2.0 * mix + d2 * u * dmix) * inv_shape0_sq
+    aniso = dmix * u * (4.0 + d2 * (exp_slope * slant - 1.0) * inv_dz2 / (slant * slant)) \
+        * inv_shape0_sq
+    return (two_over_shape0 - d2 * mix * inv_shape0_sq, -iso[:, None] * diff, diff, iso, aniso)
+
+
 def peer_bounds(ctx, inputs, xy):
     """The horizontal stage's tangent bounds at `xy` on every air gain:
     (N, K) UE-to-UAV and (K,) UAV-to-BS, from the context's peer cores
     and the slot's position-free scales."""
-    v = ctx.cores.value_grad(np.asarray(xy, dtype=float))[0]
+    v = reference_cores(ctx.cores, xy)[0]
     bound = slot_channel(inputs.scenario, inputs.slot_index).air_scale * v[:, None]
     return bound[:-1], bound[-1]
 
@@ -111,12 +134,15 @@ def written_out_objective(ctx, inputs):
     peer cores: the weighted K of each pair's two hop signals, less M's
     tangent at the expansion point, plus the weighted log of each hop's
     floor row, the hop's SNR over its floor less one, relaxed by
-    `_QOS_SLACK`."""
+    `_QOS_SLACK`.  Each point gives (value, gradient, Hessian), the
+    summed norms of the gradient's terms, the scale of its rounding where
+    the terms cancel, as at the solve's stationary points, and the
+    smallest row."""
     sc = inputs.scenario
     scale = slot_channel(sc, inputs.slot_index).air_scale
     thr, sigma2, ici = sc.snr_thresholds, sc.noise_var, sc.ici_power
     bs = len(sc.ue_positions)
-    v0, g0 = ctx.cores.value_grad(ctx.x0)[:2]
+    v0, g0 = reference_cores(ctx.cores, ctx.x0)[:2]
 
     def hops(n, k):
         """(power times scale, peer, noise, floor signal) of both hops."""
@@ -125,8 +151,8 @@ def written_out_objective(ctx, inputs):
                  thr.uav_bs * (sigma2 + ici)))
 
     def objective(xy):
-        v, g, diff, iso, aniso = ctx.cores.value_grad(xy)
-        val, grad, hess = 0.0, np.zeros(2), np.zeros((2, 2))
+        v, g, diff, iso, aniso = reference_cores(ctx.cores, xy)
+        val, grad, hess, scale_g, min_row = 0.0, np.zeros(2), np.zeros((2, 2)), 0.0, math.inf
         for n, k in zip(ctx.ue, ctx.sub):
             w = inputs.weights[n]
             (c1, n1, _, _), (c2, n2, _, _) = hops(n, k)
@@ -134,20 +160,24 @@ def written_out_objective(ctx, inputs):
             m_slope = HALF_LOG2E / inner * ((1.0 + ici / sigma2) * c1 * g0[n1] + c2 * g0[n2])
             val -= w * (0.5 * math.log2(sigma2 * inner) + m_slope @ (xy - ctx.x0))
             grad -= w * m_slope
+            scale_g += np.linalg.norm(w * m_slope)
             for c, peer, noise, floor in hops(n, k):
+                row = c * v[peer] / floor - 1.0 + _QOS_SLACK
+                if row <= 0.0:
+                    return -math.inf, None, None, None, None
                 h_peer = -(iso[peer] * np.eye(2) + aniso[peer] * np.outer(diff[peer], diff[peer]))
                 outer = np.outer(g[peer], g[peer])
                 a = c * v[peer] + noise
                 val += w * 0.5 * math.log2(a)
                 grad += w * HALF_LOG2E / a * c * g[peer]
+                scale_g += np.linalg.norm(w * HALF_LOG2E / a * c * g[peer])
                 hess += w * HALF_LOG2E / a * (c * h_peer - c * c / a * outer)
-                row = c * v[peer] / floor - 1.0 + _QOS_SLACK
-                if row <= 0.0:
-                    return -math.inf, None, None
+                min_row = min(min_row, row)
                 val += BARRIER_WEIGHT * math.log(row)
                 grad += BARRIER_WEIGHT / row * c / floor * g[peer]
+                scale_g += np.linalg.norm(BARRIER_WEIGHT / row * c / floor * g[peer])
                 hess += BARRIER_WEIGHT / row * c / floor * (h_peer - c / floor / row * outer)
-        return val, grad, hess
+        return val, grad, hess, scale_g, min_row
 
     return objective
 
@@ -177,7 +207,7 @@ def test_gain_bound_tight_at_expansion(two_ue):
     assert np.all(np.abs(hb - gains.h_uav_bs) <= 1e-10 * gains.h_uav_bs)
     assert np.all(np.abs(hu - gains.h_ue_uav) <= 1e-10 * gains.h_ue_uav)
     # the hops read the same bounds, access hops first
-    v = ctx.cores.value_grad(pos[:2])[0]
+    v = reference_cores(ctx.cores, pos[:2])[0]
     h1, h2 = np.split(ctx.scale * v[ctx.rows], 2)
     assert np.array_equal(h1, hu[ctx.ue, ctx.sub])
     assert np.array_equal(h2, hb[ctx.sub])
@@ -317,14 +347,14 @@ def test_horizontal_gradients_over_pairs(three_pairs, shift):
     assert grad_check(_horizontal_objective(ctx, inputs), point) <= 1e-6
     # each peer core's bound, whose gradient the pass weighs per core
     for i in range(len(inputs.scenario.ue_positions) + 1):
-        assert grad_check(lambda x, i=i: [part[i] for part in ctx.cores.value_grad(x)[:2]],
+        assert grad_check(lambda x, i=i: [part[i] for part in reference_cores(ctx.cores, x)[:2]],
                           point) <= 1e-6
 
 
 def core_hessians(cores, xy):
     """Each peer core's bound, gradient and Hessian, (N + 1,), (N + 1, 2)
-    and (N + 1, 2, 2), from the Hessian weights `value_grad` returns."""
-    v, g, diff, iso, aniso = cores.value_grad(xy)
+    and (N + 1, 2, 2), from the Hessian weights `reference_cores` returns."""
+    v, g, diff, iso, aniso = reference_cores(cores, xy)
     return v, g, -(iso[:, None, None] * np.eye(2)
                    + aniso[:, None, None] * diff[:, :, None] * diff[:, None, :])
 
@@ -343,7 +373,7 @@ def test_horizontal_hessians(request, fixture, shift):
     # dc_k's second partials, at the hop signals of the bounds at `point`
     sc = inputs.scenario
     pp = np.concatenate([inputs.powers.p_ue[ctx.ue, ctx.sub], inputs.powers.p_uav[ctx.sub]])
-    s0 = pp * ctx.scale * ctx.cores.value_grad(point)[0][ctx.rows]
+    s0 = pp * ctx.scale * reference_cores(ctx.cores, point)[0][ctx.rows]
     noise = np.repeat((sc.noise_var, sc.noise_var + sc.ici_power), ctx.ue.size)
 
     def k_sum(s):
@@ -359,13 +389,118 @@ def test_fused_objective_matches_written_out_hops(request, fixture):
     ctx = horizontal_surrogate(inputs, (200.0, 0.0, 130.0))
     fused, written = _horizontal_objective(ctx, inputs), written_out_objective(ctx, inputs)
     for p in ball_points(ctx.x0, sc.d_max, 50, seed=13):
-        (val, grad, hess), (val_w, grad_w, hess_w) = fused(p), written(p)
+        (val, grad, hess), (val_w, grad_w, hess_w, *_) = fused(p), written(p)
         if val_w == -math.inf:
             assert val == -math.inf
             continue
         assert val == pytest.approx(val_w, rel=1e-12)
         assert np.linalg.norm(grad - grad_w) <= 1e-12 * np.linalg.norm(grad_w)
         assert np.linalg.norm(hess - hess_w) <= 1e-12 * np.linalg.norm(hess_w)
+
+
+def assert_fused_matches_written_out(ctx, inputs, points) -> int:
+    """The fused objective against `written_out_objective` at each point
+    of a real solve: the value to 1e-12 relative, the gradient to 1e-12
+    of its terms' scale and the Hessian to 1e-12 in norm, and -inf where
+    a row is not positive.  Returns the number of -inf points.
+
+    A solve ends where its gradient's terms cancel, to about 1e-13 from
+    terms of about 1e-3, so the gradient is held to the terms' scale, not
+    its own norm.  A row is its hop's SNR over the floor less one, so each
+    form rounds it to a few ulp of one.  Near 0, as for an incumbent
+    funded at its floor (a row of `_QOS_SLACK`), that is a relative error
+    of a few ulp over the row, which the barrier's terms carry: the
+    tolerance adds 16 ulp over the smallest row, 3.6e-6 at a row of
+    1e-9."""
+    fused, written = _horizontal_objective(ctx, inputs), written_out_objective(ctx, inputs)
+    outside = 0
+    for p in points:
+        (val, grad, hess), (val_w, grad_w, hess_w, scale_g, min_row) = fused(p), written(p)
+        if val_w == -math.inf:
+            assert val == -math.inf
+            outside += 1
+            continue
+        tol = 1e-12 + 16.0 * np.finfo(float).eps / min_row
+        assert val == pytest.approx(val_w, rel=tol)
+        assert np.linalg.norm(grad - grad_w) <= tol * scale_g
+        assert np.linalg.norm(hess - hess_w) <= tol * np.linalg.norm(hess_w)
+    return outside
+
+
+def test_fused_objective_matches_written_out_hops_on_benchmark_slots(monkeypatch):
+    # every point that each horizontal solve evaluates over episodes 0-2 of
+    # the relay_mixed (jmstp) and random_cold (random) benchmark panels,
+    # among them points outside the objective's domain, and over episode 4,
+    # the first where one UE peer carries two access hops
+    solves = []
+    surrogate, solve = trajectory.horizontal_surrogate, trajectory.maximize_concave
+
+    def built(inputs, position):
+        ctx = surrogate(inputs, position)
+        solves.append((ctx, inputs, []))
+        return ctx
+
+    def recorded(objective, *args, **kwargs):
+        points = solves[-1][2]
+
+        def evaluate(xy):
+            points.append(np.array(xy, dtype=float))
+            return objective(xy)
+        return solve(evaluate, *args, **kwargs)
+
+    monkeypatch.setattr(trajectory, "horizontal_surrogate", built)
+    monkeypatch.setattr(trajectory, "maximize_concave", recorded)
+    for algorithm in ("jmstp", "random"):
+        for seed in (0, 1, 2, 4):
+            run_episode(Scenario(n_ues=5, n_subchannels=10, n_slots=10, d_max=25.0,
+                                 fading_model="mixed", rng_seed=seed).with_positions(seed),
+                        algorithm)
+    assert any(np.bincount(ctx.ue).max() >= 2 for ctx, _, _ in solves)
+    outside = sum(assert_fused_matches_written_out(ctx, inputs, points)
+                  for ctx, inputs, points in solves)
+    assert outside >= 1
+
+
+@pytest.mark.parametrize("fixture", ["two_ue", "three_pairs"])
+def test_peer_pass_matches_the_reference(request, fixture):
+    sc, inputs = request.getfixturevalue(fixture)[:2]
+    ctx = horizontal_surrogate(inputs, (200.0, 0.0, 130.0))
+    every = range(len(ctx.cores.peers))
+    for p in ball_points(ctx.x0, sc.d_max, 50, seed=17):
+        got = np.array(ctx.cores.at(*p, every))
+        v, g, diff, iso, aniso = reference_cores(ctx.cores, p)
+        want = np.column_stack((v, diff, iso, aniso))
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        assert np.allclose(-got[:, 3:4] * got[:, 1:3], g, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("fixture", ["two_ue", "three_pairs"])
+def test_exponent_cap_holds_far_outside_the_move_disc(request, fixture):
+    # 20 km from the expansion point the uncapped exponents of the loose
+    # tangents pass the ~709 at which math.exp overflows: the evaluation
+    # caps them at `_EXP_CAP` and agrees with the reference there
+    inputs = request.getfixturevalue(fixture)[1]
+    ctx = horizontal_surrogate(inputs, (200.0, 0.0, 130.0))
+    angles = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    points = ctx.x0 + 20e3 * np.column_stack((np.cos(angles), np.sin(angles)))
+    exponents = [slope * math.sqrt(1.0 + float(np.sum((p - (px, py)) ** 2)) * inv_dz2) + shift
+                 for p in points for px, py, _, inv_dz2, slope, shift, *_ in ctx.cores.peers]
+    assert max(exponents) > math.log(np.finfo(float).max)
+    for p in points:
+        got = np.array(ctx.cores.at(*p, range(len(ctx.cores.peers))))
+        v, _, diff, iso, aniso = reference_cores(ctx.cores, p)
+        assert np.allclose(got, np.column_stack((v, diff, iso, aniso)), rtol=1e-13, atol=0.0)
+    assert assert_fused_matches_written_out(ctx, inputs, points) == len(points)
+
+
+def test_peer_cores_reject_a_peer_above_the_uav_and_a_degenerate_expansion():
+    peers_xy = np.array([[0.0, 0.0], [50.0, 0.0]])
+    params = Scenario().a2g
+    with pytest.raises(ValueError, match="below the UAV"):
+        trajectory._PeerCores(peers_xy, np.array([100.0, 0.0]), params, np.array([10.0, 0.0]))
+    with pytest.raises(ValueError, match="degenerate"):
+        trajectory._PeerCores(peers_xy, np.array([100.0, 100.0]), params,
+                              np.array([50.0, 0.01]))
 
 
 def test_barrier_rows_match_each_hop_floor(three_pairs):
