@@ -26,7 +26,10 @@ and ends with a verdict line: DIFFER when any slot's beta/alloc or
 findings differ (or the two dumps hold different slots), else "SAME,
 bit-identical" when every objective and position is exactly equal, else
 SAME.  It exits 1 on DIFFER, 0 otherwise, so that an exact-answer change
-can gate on the exit status.
+can gate on the exit status.  Findings mode prints every slot of one
+dump whose output check found a problem, and exits 1 when there is one:
+
+    python3 scripts/parity.py --findings change.json
 """
 
 import os
@@ -133,6 +136,16 @@ def diff(path_a: Path, path_b: Path) -> int:
     return int(differ > 0)
 
 
+def findings(path: Path) -> int:
+    slots = json.loads(path.read_text())["slots"]
+    found = [r for r in slots if r["problems"]]
+    for r in found:
+        print(f"{r['workload']} episode {r['episode']} slot {r['slot']}: "
+              + "; ".join(r["problems"]))
+    print(f"{len(found)} of {len(slots)} slots with findings")
+    return int(bool(found))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -141,11 +154,15 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, help="JSON file the dump is written to")
     ap.add_argument("--diff", nargs=2, type=Path, metavar=("A", "B"),
                     help="compare two dumps instead of running one")
+    ap.add_argument("--findings", type=Path, metavar="DUMP",
+                    help="list the slots of one dump whose output check found a problem")
     args = ap.parse_args(argv)
     if args.diff:
         return diff(*args.diff)
+    if args.findings:
+        return findings(args.findings)
     if args.checkout is None or args.out is None:
-        ap.error("give CHECKOUT and --out, or --diff A B")
+        ap.error("give CHECKOUT and --out, --diff A B, or --findings DUMP")
     dump(args.checkout.resolve(), args.out)
     return 0
 

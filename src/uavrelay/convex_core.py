@@ -84,34 +84,47 @@ class FeasibleSet:
 
         A block whose budget binds is projected by sort-and-threshold on
         x - floors (Duchi et al., "Efficient projections onto the l1-ball",
-        ICML 2008), all blocks in one vectorized pass."""
+        ICML 2008), one block at a time on Python floats: the power
+        stage's blocks hold a few variables each, where numpy's per-call
+        overhead costs more than the arithmetic.  Each block's members,
+        floors and spare budget are gathered once per set.  A binding
+        block of one variable lands on its budget exactly, so points past
+        the same budget project to the same point."""
         block, budgets = self.blocks
-        floors = np.asarray(self.floors, dtype=float)
-        idx = np.argsort(block, kind="stable")  # the members of each block, in turn
-        block = np.asarray(block)[idx]
-        counts = np.bincount(block)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        lo = floors[idx]
-        spare = np.asarray(budgets, dtype=float) - np.add.reduceat(lo, starts)
-        rank = np.arange(idx.size) - starts[block] + 1.0
-        ends = starts + counts - 1
+        budgets = np.asarray(budgets, dtype=float)
+        spare = budgets - np.bincount(block, self.floors, budgets.size)
+        floors = np.asarray(self.floors, dtype=float).tolist()
+        members: list[list[int]] = [[] for _ in range(budgets.size)]
+        for i, b in enumerate(np.asarray(block).tolist()):
+            members[b].append(i)
+        layout = [(mine, [floors[i] for i in mine], room, budget)
+                  for mine, room, budget in zip(members, spare.tolist(), budgets.tolist())]
 
         def threshold(x: np.ndarray) -> np.ndarray:
-            out = np.maximum(x, floors)
-            y = x[idx] - lo
-            binding = np.add.reduceat(np.maximum(y, 0.0), starts) > spare
-            if not binding.any():
-                return out
-            u = y[np.lexsort((-y, block))]  # descending within each block
-            run = np.cumsum(u)
-            run -= np.concatenate(([0.0], run[ends[:-1]]))[block]
-            kept = np.add.reduceat(u * rank > run - spare[block], starts)
-            # with no spare budget theta reaches the top entry: the block sits at its floors
-            kept = np.maximum(kept, 1)
-            theta = (run[starts + kept - 1] - spare) / kept
-            inside = binding[block]
-            out[idx[inside]] = lo[inside] + np.maximum(y[inside] - theta[block[inside]], 0.0)
-            return out
+            xs = x.tolist()
+            out = [max(v, f) for v, f in zip(xs, floors)]
+            for mine, lo, room, budget in layout:
+                y = [xs[i] - f for i, f in zip(mine, lo)]
+                above = 0.0
+                for v in y:
+                    if v > 0.0:
+                        above += v
+                if not above > room:
+                    continue
+                if len(mine) == 1:
+                    out[mine[0]] = max(budget, lo[0])
+                    continue
+                run, runs, kept = 0.0, [], 0
+                for k, v in enumerate(sorted(y, reverse=True), 1):
+                    run += v
+                    runs.append(run)
+                    kept += v * k > run - room
+                # with no spare budget theta reaches the top entry: the block sits at its floors
+                kept = max(kept, 1)
+                theta = (runs[kept - 1] - room) / kept
+                for i, f, v in zip(mine, lo, y):
+                    out[i] = f + max(v - theta, 0.0)
+            return np.array(out)
         return threshold
 
     def linear_violation(self, x: np.ndarray) -> float:

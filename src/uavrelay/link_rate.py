@@ -38,6 +38,10 @@ with c = 1 + I / sigma2:
 
 Each surrogate keeps K and the tangent of M.  `dc_k` and `dc_m` give
 both with their partials in s, and `floor_signals` the QoS floors in s.
+The power stage takes K from `dc_k` and writes M's tangent out on
+Python floats (`PowerProblem.m_tangent`); the trajectory stage takes M
+from `dc_m` and writes K and its partials out on floats in its fused
+objective.
 """
 
 from __future__ import annotations
@@ -54,19 +58,16 @@ HALF_LOG2E = 0.5 / math.log(2.0)  # d/dx of 0.5*log2(x) is this over x
 QOS_TOL = 1e-6  # relative SNR shortfall tolerated on an audited hop
 
 
-def dc_k(s: np.ndarray, noise: np.ndarray, second: bool = False) -> tuple | None:
+def dc_k(s: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """K = 1/2 log2(a1 a2), a = s + noise, of P links and dK/ds, shapes
     (P,) and (2P,), over the hops stacked: the P hop-1 signals, then the
     P hop-2 signals, with `noise` sigma2 on hop 1 and sigma2 + I on hop
-    2; with `second`, also d2K/ds2 per hop (2P,), K being a sum over
-    hops.  None where a signal plus noise is not positive."""
+    2.  None where a signal plus noise is not positive."""
     a = s + noise
     if (a <= 0.0).any():
         return None
     n = a.size // 2
-    dk = HALF_LOG2E / a
-    k = 0.5 * np.log2(a[:n] * a[n:])
-    return (k, dk, -dk / a) if second else (k, dk)
+    return 0.5 * np.log2(a[:n] * a[n:]), HALF_LOG2E / a
 
 
 def dc_m(s: np.ndarray, relay, sigma2: float, ici: float) -> tuple[np.ndarray, np.ndarray]:

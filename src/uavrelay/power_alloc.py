@@ -9,7 +9,11 @@ exact weighted sum rate.  All constraints are linear at fixed gains:
 one budget block per entity and per-subchannel QoS floors.  The
 surrogate is separable, so each SCP step maximises it in closed form by
 multi-level water-filling (`surrogate_argmax`), and `maximize_concave`
-only certifies that point with one projected-gradient test.  With nothing
+only certifies that point with one projected-gradient test.  A problem
+holds a few variables, where numpy's per-call overhead costs more than
+the arithmetic, so the step's kernels run on Python floats, one budget
+block at a time: the water-filling, M's tangent (`m_tangent`) and the
+block projection (`convex_core.FeasibleSet`).  With nothing
 relayed, every M is a constant, the surrogate is the exact objective and
 its maximiser is the answer, so the loop stops after one step.  With a
 relayed variable, a step that gains the loop's tolerance is over-relaxed:
@@ -24,6 +28,7 @@ assignment its budgets cannot pay is shed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,17 +46,16 @@ _NEWTON_STEPS = 100     # a guard: the water levels settle in a few passes
 
 @dataclass
 class DcTerms:
-    """Both concave pieces of `link_rate`'s split of every rate term at
-    one power vector, laid out over a `PowerProblem`'s variables.
+    """`link_rate`'s split of every rate term at one power vector, laid
+    out over a `PowerProblem`'s variables: K and the partials of both
+    concave pieces.
 
-    `k` and `m` hold each assigned subchannel's K and M (UE-variable
-    order; a direct subchannel's M is a constant).  Every variable feeds
-    exactly one UE's rate, so one gradient entry per variable suffices:
-    `k_grad[i]` and `m_grad[i]` differentiate the K and M of the UE that
-    owns variable i."""
+    `k` holds each assigned subchannel's K (UE-variable order).  Every
+    variable feeds exactly one UE's rate, so one gradient entry per
+    variable suffices: `k_grad[i]` and `m_grad[i]` differentiate the K
+    and M of the UE that owns variable i."""
 
     k: np.ndarray
-    m: np.ndarray | None
     k_grad: np.ndarray
     m_grad: np.ndarray | None
 
@@ -115,24 +119,24 @@ class PowerProblem:
     def dc_terms(self, x: np.ndarray, with_m: bool = True) -> DcTerms:
         """Split every rate term as K - M (`link_rate.dc_k`, `dc_m`) at
         the packed powers `x`, the partials chained through the gains.
-        `with_m=False` skips M (left as None), which a surrogate holding
-        M's tangent never reads."""
+        `with_m=False` skips M's partials (left as None), which a
+        surrogate holding M's tangent never reads."""
         s = (x * self.h)[self._stack]
         k, dk = dc_k(s, self._noise)
         k_grad = self.h * np.bincount(self._stack, dk, self.n_vars)
         if not with_m:
-            return DcTerms(k, None, k_grad, None)
-        m, dm = dc_m(s, self.relay, self.sigma2, self.ici)
-        return DcTerms(k, m, k_grad, self.h * np.bincount(self._stack, dm, self.n_vars))
+            return DcTerms(k, k_grad, None)
+        _, dm = dc_m(s, self.relay, self.sigma2, self.ici)
+        return DcTerms(k, k_grad, self.h * np.bincount(self._stack, dm, self.n_vars))
 
     def feasible_set(self) -> FeasibleSet:
-        """One budget block per UE with variables, then the UAV's."""
-        ues, block = np.unique(self.ue_n, return_inverse=True)
-        budgets = [self.sc.p_ue_max] * ues.size
-        if self.uav_k.size:
-            budgets.append(self.sc.p_uav_max)
-        block = np.concatenate((block, np.full(self.uav_k.size, ues.size)))
-        return FeasibleSet(blocks=(block, np.array(budgets)), floors=self.qos_floors())
+        """One budget block per UE with variables, then the UAV's: the
+        blocks of `_layout`, which run over the variables in order."""
+        layout = self._layout
+        block = [b for b, (mine, _, _) in enumerate(layout) for _ in mine]
+        return FeasibleSet(blocks=(np.array(block, dtype=int),
+                                   np.array([budget for _, budget, _ in layout])),
+                           floors=np.array([t[-1] for _, _, terms in layout for t in terms]))
 
     def true_objective(self, x: np.ndarray) -> float:
         report = rate_report(self.beta, self.alloc, self.unpack(x), self.gains,
@@ -141,10 +145,26 @@ class PowerProblem:
 
     def m_tangent(self, x0: np.ndarray) -> tuple[float, np.ndarray]:
         """The weighted subtracted piece M at x0 and its slope there, one
-        entry per variable: the tangent the surrogate keeps of M."""
-        anchor = self.dc_terms(x0)
-        return (float(self.weights[self.ue_n] @ anchor.m),
-                self.weights[self.owner] * anchor.m_grad)
+        entry per variable: the tangent the surrogate keeps of M.  This is
+        `link_rate.dc_m` written out per link on Python floats: a relayed
+        link's M is 1/2 log2(sigma2 (c s1 + s2 + sigma2 + I)), c = 1 +
+        I / sigma2, and a direct link's is that constant at s = 0, with no
+        slope."""
+        x, h, w = x0.tolist(), self.h.tolist(), self.weights[self.owner].tolist()
+        sigma2, noise2 = self.sigma2, self.sigma2 + self.ici
+        c = 1.0 + self.ici / sigma2
+        m_direct = 0.5 * math.log2(sigma2 * noise2)
+        m0, slope = 0.0, [0.0] * self.n_vars
+        # each UE variable and the one its hop 2 hears: itself on a direct link
+        for i, j in enumerate(self._stack[self.n_ue_vars:].tolist()):
+            if i == j:
+                m0 += w[i] * m_direct
+                continue
+            v = c * (x[i] * h[i]) + x[j] * h[j] + noise2
+            m0 += w[i] * (0.5 * math.log2(sigma2 * v))
+            dv = HALF_LOG2E / v
+            slope[i], slope[j] = w[i] * (h[i] * (c * dv)), w[j] * (h[j] * dv)
+        return m0, np.array(slope)
 
     def surrogate(self, x0: np.ndarray,
                   tangent: tuple[float, np.ndarray] | None = None):
@@ -163,74 +183,38 @@ class PowerProblem:
         return objective
 
     @cached_property
-    def _log_terms(self) -> tuple[np.ndarray, ...]:
-        """Each variable's part of K as c*ln(y) + c2*ln(y + d) in
-        y = x + b, as the arrays (c, c2, d, b): a direct UE power has two
-        logs, one per phase, d apart; a relayed UE power (its access hop)
-        and a UAV power (its backhaul hop) have one, c2 = d = 0.  Then the
-        constants the water-filling reads on every pass: a = c + c2,
-        2*c*d and d + b."""
-        c = HALF_LOG2E * self.weights[self.owner]
-        ue_var = np.arange(self.n_vars) < self.n_ue_vars
-        direct = np.concatenate((~self.relay, np.zeros(self.uav_k.size, dtype=bool)))
-        noise = np.where(ue_var, self.sigma2, self.sigma2 + self.ici)
-        c2, d, b = c * direct, direct * self.ici / self.h, noise / self.h
-        return c, c2, d, b, c + c2, 2.0 * c * d, d + b
+    def _layout(self) -> list[tuple[list[int], float, list[tuple[float, ...]]]]:
+        """Each budget block as (members, budget, terms) on Python floats,
+        for the water-filling and `feasible_set`: a block per UE with
+        variables, in UE order, then the UAV's.  Per member, `terms` holds
+        its part of K as c*ln(y) + c2*ln(y + d) in y = x + b, as (c, c2,
+        d, b, a, 2*c*d, d + b, floor) with a = c + c2: a direct UE power
+        has two logs, one per phase, d apart; a relayed UE power (its
+        access hop) and a UAV power (its backhaul hop) have one, c2 = d =
+        0.  Built on first use, since `spread_leftover`'s problems never
+        water-fill."""
+        u, relay = self.n_ue_vars, self.relay.tolist()
+        terms = []
+        for i, (h, w, floor) in enumerate(zip(self.h.tolist(), self.weights[self.owner].tolist(),
+                                              self.qos_floors().tolist())):
+            c = HALF_LOG2E * w
+            c2, d = (c, self.ici / h) if i < u and not relay[i] else (0.0, 0.0)
+            b = (self.sigma2 if i < u else self.sigma2 + self.ici) / h
+            terms.append((c, c2, d, b, c + c2, 2.0 * c * d, d + b, floor))
+        blocks: dict[int, list[int]] = {}
+        for i, n in enumerate(self.ue_n.tolist()):  # row-major: UEs ascend
+            blocks.setdefault(n, []).append(i)
+        layout = [(mine, float(self.sc.p_ue_max)) for mine in blocks.values()]
+        if self.uav_k.size:
+            layout.append((list(range(self.n_ue_vars, self.n_vars)), float(self.sc.p_uav_max)))
+        return [(mine, budget, [terms[i] for i in mine]) for mine, budget in layout]
 
-    def _levels(self, lam: np.ndarray, slope: np.ndarray,
-                fset: FeasibleSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The water levels at the block multipliers `lam`: the clipped
-        powers, each block's excess over its budget and that excess's
-        slope in its multiplier."""
-        c, c2, d, b, a, cd2, _ = self._log_terms
-        block, budgets = fset.blocks
-        mu = slope + lam[block]
-        lin = mu * d - a
-        mu2 = 2.0 * mu
-        root = np.sqrt(lin * lin + cd2 * mu2)
-        # the cancellation-free form where the linear coefficient is positive
-        y = np.where(lin > 0.0, cd2 / (lin + root), (root - lin) / mu2)
-        # mu = 0 gives y = inf (c > 0) or nan (c = 0); fmax keeps the floor over nan
-        above = y - b
-        x = np.fmax(above, fset.floors)
-        yd = y + d
-        dy = np.where(above > fset.floors, -1.0 / (c / (y * y) + c2 / (yd * yd)), 0.0)
-        n = budgets.size
-        return x, np.bincount(block, x, n) - budgets, np.bincount(block, dy, n)
-
-    def _water_start(self, slope: np.ndarray, fset: FeasibleSet) -> np.ndarray:
-        """Each block's starting multiplier, at or left of its root and 0
-        for a block that fits its budget at 0: the larger of two lower
-        bounds.
-
-        One is the largest multiplier (at least 0) at which one variable
-        alone takes its block's budget less the other floors; every other
-        variable is then at or above its floor, so the block is still over
-        budget there.  The other holds at the root: each variable's
-        marginal mu = s + lam is at least a / (y + d), so
-        y + d >= a / mu, and the block's powers x >= y - b sum to its
-        budget B, so by Cauchy-Schwarz over the block
-        A^2 / (sum a*s + lam*A) <= sum a / mu <= B + sum (d + b), that is
-        lam >= A / (B + sum (d + b)) - sum a*s / A with A = sum a.  A
-        weightless block (A = 0) has only the first bound."""
-        c, c2, d, b, a, _, db = self._log_terms
-        block, budgets = fset.blocks
-        floors = fset.floors
-        n = budgets.size
-        lam = np.zeros(n)
-        y = budgets[block] - np.bincount(block, floors, n)[block] + floors + b
-        np.maximum.at(lam, block, c / y + c2 / (y + d) - slope)
-        total = np.bincount(block, a, n)
-        spread = total / (budgets + np.bincount(block, db, n)) \
-            - np.bincount(block, a * slope, n) / total
-        # fmax keeps the first bound over a weightless block's 0/0
-        return np.fmax(lam, spread)
-
-    def surrogate_argmax(self, x0: np.ndarray, fset: FeasibleSet,
+    def surrogate_argmax(self, x0: np.ndarray,
                          tangent: tuple[float, np.ndarray] | None = None) -> np.ndarray:
-        """The exact maximiser of `surrogate(x0)` over `fset` (as built by
-        `feasible_set`): multi-level water-filling (Palomar & Fonollosa,
-        IEEE TSP 2005; Boyd & Vandenberghe §5.5.3).
+        """The exact maximiser of `surrogate(x0)` over `feasible_set()`:
+        multi-level water-filling (Palomar & Fonollosa, IEEE TSP 2005;
+        Boyd & Vandenberghe §5.5.3), one budget block at a time on Python
+        floats (`_layout`).
 
         The surrogate is separable.  With s the slope of M's tangent and
         lam its block's multiplier, variable i sits where its marginal
@@ -245,21 +229,79 @@ class PowerProblem:
         panels a solve takes about 3 passes on direct-only problems and
         4 to 5 with relayed variables."""
         _, slope = self.m_tangent(x0) if tangent is None else tangent
-        tol = 1e-15 * fset.blocks[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = self._water_start(slope, fset)
-            live = np.ones(lam.size, dtype=bool)
+        slope = slope.tolist()
+        x = [0.0] * self.n_vars
+        for mine, budget, terms in self._layout:
+            s = [slope[i] for i in mine]
+            lam = _water_start(terms, s, budget)
+            tol = 1e-15 * budget
+            stalled = False
             for _ in range(_NEWTON_STEPS):
-                x, excess, slope_sum = self._levels(lam, slope, fset)
-                live &= (excess > tol) & (slope_sum < 0.0)
-                if not live.any():
+                levels, total, total_slope = _levels(terms, s, lam)
+                excess = total - budget
+                if stalled or not (excess > tol and total_slope < 0.0):
                     break
-                step = np.where(live, lam - excess / slope_sum, lam)
-                # a step that rounding stalls ends the block
-                live &= step > lam
+                step = lam - excess / total_slope
+                # a step that rounding stalls ends the block, at that step
+                stalled = not step > lam
                 lam = step
-        return x
+            for i, v in zip(mine, levels):
+                x[i] = v
+        return np.array(x)
 
+
+def _levels(terms: list[tuple[float, ...]], slope: list[float],
+            lam: float) -> tuple[list[float], float, float]:
+    """One block's water levels at its multiplier `lam`: the clipped
+    powers, their sum and that sum's slope in `lam`.  Sums run in member
+    order with `+=`: `sum()` compensates its rounding from Python 3.12
+    on, so the answers would hinge on the Python version."""
+    x, total, total_slope = [], 0.0, 0.0
+    for (c, c2, d, b, a, cd2, _, floor), s in zip(terms, slope):
+        level = floor
+        if a:  # a weightless variable sits at its floor
+            mu = s + lam
+            lin = mu * d - a
+            mu2 = 2.0 * mu
+            root = math.sqrt(lin * lin + cd2 * mu2)
+            # the cancellation-free form where the linear coefficient is positive
+            y = cd2 / (lin + root) if lin > 0.0 else (root - lin) / mu2
+            if y - b > floor:
+                level = y - b
+                yd = y + d
+                total_slope -= 1.0 / (c / (y * y) + c2 / (yd * yd))
+        x.append(level)
+        total += level
+    return x, total, total_slope
+
+
+def _water_start(terms: list[tuple[float, ...]], slope: list[float], budget: float) -> float:
+    """One block's starting multiplier, at or left of its root and 0 if
+    the block fits its budget at 0: the larger of two lower bounds.
+
+    One is the largest multiplier (at least 0) at which one variable
+    alone takes its block's budget less the other floors; every other
+    variable is then at or above its floor, so the block is still over
+    budget there.  The other holds at the root: each variable's
+    marginal mu = s + lam is at least a / (y + d), so y + d >= a / mu,
+    and the block's powers x >= y - b sum to its budget B, so by
+    Cauchy-Schwarz over the block A^2 / (sum a*s + lam*A) <= sum a / mu
+    <= B + sum (d + b), that is lam >= A / (B + sum (d + b)) - sum a*s / A
+    with A = sum a.  A weightless block (A = 0) has only the first
+    bound."""
+    floors = 0.0
+    for t in terms:
+        floors += t[7]
+    lam = total = spread = weighted = 0.0
+    for (c, c2, d, b, a, _, db, floor), s in zip(terms, slope):
+        y = budget - floors + floor + b
+        lam = max(lam, c / y + c2 / (y + d) - s)
+        total += a
+        spread += db
+        weighted += a * s
+    if not total:
+        return lam
+    return max(lam, total / (budget + spread) - weighted / total)
 
 # ---------------------------------------------------------------------------
 # Funding power starts.
@@ -414,9 +456,10 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
     tolerance and the trace keep their meaning.  Only a step that gains
     the tolerance walks, since the loop goes on after it anyway: walking
     the tiny last steps of warm runs too priced trials that almost never
-    paid, and nearly doubled the time of one-step runs.  Only the plain step is certified by `maximize_concave`; the
-    walk's points are audited by the exact objective alone, which never
-    falls along the walk.
+    paid, and nearly doubled the time of one-step runs.  Only the plain
+    step is certified by `maximize_concave`; the walk's points are
+    audited by the exact objective alone, which never falls along the
+    walk.
 
     `init` is the starting point when a projection onto the caps and QoS
     floors repairs it; otherwise `restore_feasible` funds a start from
@@ -453,7 +496,7 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
     for it in range(1, _MAX_OUTER + 1):
         tangent = prob.m_tangent(x)
         # the surrogate's exact maximiser, which the ascent only certifies
-        best = prob.surrogate_argmax(x, fset, tangent)
+        best = prob.surrogate_argmax(x, tangent)
         res = maximize_concave(prob.surrogate(x, tangent), fset, best,
                                max_iters=_INNER_ITERS)
         if not res.feasible:

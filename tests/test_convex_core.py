@@ -38,6 +38,49 @@ def capped_simplex_projection(y, budget):
     return np.maximum(y - 0.5 * (lo + hi), 0.0)
 
 
+def reference_block_projector(fs):
+    """The block projection with every block in one vectorized pass:
+    sort-and-threshold on x - floors, each block's running sums read off
+    one cumulative sum over all blocks."""
+    block, budgets = fs.blocks
+    floors = np.asarray(fs.floors, dtype=float)
+    idx = np.argsort(block, kind="stable")  # the members of each block, in turn
+    block = np.asarray(block)[idx]
+    counts = np.bincount(block)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    lo = floors[idx]
+    spare = np.asarray(budgets, dtype=float) - np.add.reduceat(lo, starts)
+    rank = np.arange(idx.size) - starts[block] + 1.0
+    ends = starts + counts - 1
+
+    def threshold(x):
+        out = np.maximum(x, floors)
+        y = x[idx] - lo
+        binding = np.add.reduceat(np.maximum(y, 0.0), starts) > spare
+        if not binding.any():
+            return out
+        u = y[np.lexsort((-y, block))]  # descending within each block
+        run = np.cumsum(u)
+        run -= np.concatenate(([0.0], run[ends[:-1]]))[block]
+        kept = np.maximum(np.add.reduceat(u * rank > run - spare[block], starts), 1)
+        theta = (run[starts + kept - 1] - spare) / kept
+        inside = binding[block]
+        out[idx[inside]] = lo[inside] + np.maximum(y[inside] - theta[block[inside]], 0.0)
+        return out
+    return threshold
+
+
+def assert_projects_as_reference(fs, x):
+    """`fs.project(x)` against `reference_block_projector`, to within
+    4 n eps times the sum of |x - floors|, |floors| and the budgets: the
+    reference's running sum of a block is a difference of two prefixes of
+    a sum over all blocks, so its rounding grows with everything summed
+    before the block, and the float form sums each block on its own."""
+    got, want = fs.project(x), reference_block_projector(fs)(x)
+    scale = np.abs(x - fs.floors).sum() + np.abs(fs.floors).sum() + np.abs(fs.blocks[1]).sum()
+    assert np.all(np.abs(got - want) <= 4 * x.size * np.finfo(float).eps * scale)
+
+
 class TestProjection:
     def test_ball_projection(self):
         fs = FeasibleSet(ball=(np.zeros(2), 1.0))
@@ -87,6 +130,17 @@ class TestProjection:
                 y[members] - lo[members], budget - lo[members].sum())
         fs = FeasibleSet(blocks=(block_of, np.array(budgets)), floors=lo)
         assert fs.project(y) == pytest.approx(expected, abs=1e-9)
+        assert_projects_as_reference(fs, y)
+
+    def test_a_binding_single_member_block_lands_on_its_budget(self):
+        # exactly, so that two points past the budget project alike
+        budgets = np.array([0.3, 1.0 / 3.0, 0.7])
+        fs = FeasibleSet(blocks=(np.array([0, 1, 2, 2]), budgets),
+                         floors=np.array([0.1, 0.2, 0.1, 0.1]))
+        for scale in (1.0, 2.0, 64.0):
+            p = fs.project(scale * np.array([0.5, 0.5, 0.4, 0.4]))
+            assert p[:2].tolist() == budgets[:2].tolist()
+            assert p[2:].sum() == pytest.approx(0.7, rel=1e-15)
 
     def test_floors_over_budget_leave_the_set_empty(self):
         fs = FeasibleSet(blocks=(np.array([0, 0, 1]), np.array([0.5, 1.0])),

@@ -1,7 +1,8 @@
 """scripts/parity.py --diff: the exit status is the verdict on two dumps,
 1 when any slot's modes, allocation or output-check findings differ, and
-the signed columns count the slots whose objectives rose and fell.  The
-dump's episode list is checked without running it."""
+the signed columns count the slots whose objectives rose and fell.
+--findings exits 1 when one dump holds a slot with findings.  The dump's
+episode list is checked without running it."""
 
 import importlib.util
 import json
@@ -45,6 +46,11 @@ def row_of(stdout, workload="relay_mixed"):
 
 def run_diff(a, b):
     return subprocess.run([sys.executable, str(SCRIPT), "--diff", str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def run_findings(path):
+    return subprocess.run([sys.executable, str(SCRIPT), "--findings", str(path)],
                           capture_output=True, text=True, timeout=60)
 
 
@@ -117,6 +123,15 @@ def test_equal_dumps_have_no_signed_moves(tmp_path):
                    dump_slots(tmp_path / "b.json", [1.0, 2.0]))
     assert "verdict: SAME, bit-identical" in out.stdout
     assert row_of(out.stdout)[6:] == ["0", "0", "+0.0000e+00"]
+
+
+def test_findings_exit_one_on_any_problem(tmp_path):
+    out = run_findings(dump(tmp_path / "clean.json"))
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "0 of 1 slots with findings" in out.stdout
+    out = run_findings(dump(tmp_path / "found.json", problems=["relay exceeds its power budget"]))
+    assert out.returncode == 1
+    assert "relay_mixed episode 0 slot 0: relay exceeds its power budget" in out.stdout
 
 
 def test_dump_covers_the_panels_and_relay_mixed_at_20_dbm():

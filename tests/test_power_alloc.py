@@ -1,4 +1,5 @@
 import copy
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -10,14 +11,15 @@ from hypothesis import strategies as st
 
 from uavrelay import orchestrator, power_alloc, run_episode
 from uavrelay.channel import gain_matrices
-from uavrelay.convex_core import Diagnostics, FeasibleSet, SolveResult, maximize_concave
-from uavrelay.link_rate import LinkBudget, PowerAllocation, rate_report
+from uavrelay.convex_core import Diagnostics, SolveResult, maximize_concave
+from uavrelay.link_rate import HALF_LOG2E, LinkBudget, PowerAllocation, dc_m, rate_report
 from uavrelay.power_alloc import (_FLOOR_MARGIN, PowerProblem, PowerResult,
                                   restore_feasible, scp_power, spread_leftover)
 from uavrelay.scenario import Scenario, SnrThresholds, dbm_to_watts
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
+from test_convex_core import assert_projects_as_reference  # noqa: E402
 
 
 def mixed_instance():
@@ -42,11 +44,13 @@ def random_powers(rng, alloc, beta, sc):
 
 
 def dc_by_ue(prob, x):
-    """`dc_terms` at `x` summed per UE: (K_n, M_n) arrays and the terms."""
+    """`dc_terms` at `x` with each UE's K and M summed: (K_n, M_n)
+    arrays and the terms, M from `link_rate.dc_m` over the problem's
+    stacked hop signals."""
     terms = prob.dc_terms(x)
+    m, _ = dc_m((x * prob.h)[prob._stack], prob.relay, prob.sigma2, prob.ici)
     n = prob.alloc.shape[0]
-    return (np.bincount(prob.ue_n, terms.k, n),
-            np.bincount(prob.ue_n, terms.m, n), terms)
+    return np.bincount(prob.ue_n, terms.k, n), np.bincount(prob.ue_n, m, n), terms
 
 
 def exact_rates(sc, gains, beta, alloc, powers):
@@ -228,7 +232,7 @@ class TestSurrogateArgmax:
         prob, fset, x0 = data.draw(argmax_instances(case))
         block, budgets = fset.blocks
         n = budgets.size
-        x = prob.surrogate_argmax(x0, fset)
+        x = prob.surrogate_argmax(x0)
         objective = prob.surrogate(x0)
 
         # feasible: every floor met, every block within its budget
@@ -278,18 +282,158 @@ class TestWaterStart:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_start_is_left_of_the_root(self, case, data):
-        prob, fset, x0 = data.draw(argmax_instances(case))
-        block, budgets = fset.blocks
-        _, slope = prob.m_tangent(x0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = prob._water_start(slope, fset)
-            _, excess, _ = prob._levels(lam, slope, fset)
-        assert np.all(np.isfinite(lam)) and np.all(lam >= 0.0)
-        assert np.all((lam == 0.0) | (excess >= -1e-15 * budgets))
+        prob, _, x0 = data.draw(argmax_instances(case))
+        slope = prob.m_tangent(x0)[1].tolist()
+        for mine, budget, terms in prob._layout:
+            s = [slope[i] for i in mine]
+            lam = power_alloc._water_start(terms, s, budget)
+            total = power_alloc._levels(terms, s, lam)[1]
+            assert math.isfinite(lam) and lam >= 0.0
+            assert lam == 0.0 or total - budget >= -1e-15 * budget
         if case == "zero_weight":
             # UE 0's block holds weight nowhere, so the Cauchy-Schwarz
             # bound is 0/0 there; its start is the per-variable one
-            assert not prob.weights[prob.owner[block == 0]].any()
+            mine = prob._layout[0][0]
+            assert not prob.weights[prob.owner[mine]].any()
+
+
+def reference_log_terms(prob):
+    """Each variable's (c, c2, d, b, a, 2*c*d, d + b) as arrays, written
+    out from the problem's weights, gains and noise: the vectorized form
+    of the terms `PowerProblem._layout` holds per block."""
+    c = HALF_LOG2E * prob.weights[prob.owner]
+    direct = np.concatenate((~prob.relay, np.zeros(prob.uav_k.size, dtype=bool)))
+    noise = np.where(np.arange(prob.n_vars) < prob.n_ue_vars, prob.sigma2,
+                     prob.sigma2 + prob.ici)
+    c2, d, b = c * direct, direct * prob.ici / prob.h, noise / prob.h
+    return c, c2, d, b, c + c2, 2.0 * c * d, d + b
+
+
+def reference_levels(terms, lam, slope, fset):
+    """The water levels of every block at once, at the block multipliers
+    `lam`: the clipped powers, each block's excess over its budget and
+    that excess's slope in its multiplier."""
+    c, c2, d, b, a, cd2, _ = terms
+    block, budgets = fset.blocks
+    mu = slope + lam[block]
+    lin = mu * d - a
+    mu2 = 2.0 * mu
+    root = np.sqrt(lin * lin + cd2 * mu2)
+    y = np.where(lin > 0.0, cd2 / (lin + root), (root - lin) / mu2)
+    # mu = 0 gives y = inf (c > 0) or nan (c = 0); fmax keeps the floor over nan
+    above = y - b
+    x = np.fmax(above, fset.floors)
+    yd = y + d
+    dy = np.where(above > fset.floors, -1.0 / (c / (y * y) + c2 / (yd * yd)), 0.0)
+    n = budgets.size
+    return x, np.bincount(block, x, n) - budgets, np.bincount(block, dy, n)
+
+
+def reference_water_start(terms, slope, fset):
+    """Every block's starting multiplier at once: the larger of the
+    per-variable bound and the Cauchy-Schwarz bound."""
+    c, c2, d, b, a, _, db = terms
+    block, budgets = fset.blocks
+    floors = fset.floors
+    n = budgets.size
+    lam = np.zeros(n)
+    y = budgets[block] - np.bincount(block, floors, n)[block] + floors + b
+    np.maximum.at(lam, block, c / y + c2 / (y + d) - slope)
+    total = np.bincount(block, a, n)
+    spread = total / (budgets + np.bincount(block, db, n)) \
+        - np.bincount(block, a * slope, n) / total
+    # fmax keeps the first bound over a weightless block's 0/0
+    return np.fmax(lam, spread)
+
+
+def reference_argmax(prob, slope, fset):
+    """The water-filling with every block's Newton step in one vectorized
+    pass, each block stopping on its own (`surrogate_argmax`'s stops)."""
+    terms = reference_log_terms(prob)
+    tol = 1e-15 * fset.blocks[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = reference_water_start(terms, slope, fset)
+        live = np.ones(lam.size, dtype=bool)
+        for _ in range(power_alloc._NEWTON_STEPS):
+            x, excess, slope_sum = reference_levels(terms, lam, slope, fset)
+            live &= (excess > tol) & (slope_sum < 0.0)
+            if not live.any():
+                break
+            step = np.where(live, lam - excess / slope_sum, lam)
+            live &= step > lam
+            lam = step
+    return x, lam
+
+
+def reference_m_tangent(prob, x0):
+    """M's tangent from `link_rate.dc_m`'s vectorized M and `dc_terms`'
+    partials."""
+    m, _ = dc_m((x0 * prob.h)[prob._stack], prob.relay, prob.sigma2, prob.ici)
+    return (float(prob.weights[prob.ue_n] @ m),
+            prob.weights[prob.owner] * prob.dc_terms(x0).m_grad)
+
+
+def dense_instance():
+    """A 20 x 40 problem on perfbench's dense_cellular channel: every
+    subchannel assigned at random, a third of the UEs relayed, budgets
+    twice the largest floor total an entity funds, and a start at 1.5
+    times the floors."""
+    base = workloads.scenario(workloads.WORKLOADS["dense_cellular"], 0)
+    gains = gain_matrices(base, base.uav_start)
+    rng = np.random.default_rng(5)
+    alloc = np.zeros((base.n_ues, base.n_subchannels), dtype=int)
+    alloc[rng.integers(0, base.n_ues, base.n_subchannels), np.arange(base.n_subchannels)] = 1
+    beta = (np.arange(base.n_ues) % 3 == 0).astype(int)
+    weights = rng.uniform(0.5, 2.0, base.n_ues)
+    unscaled = PowerProblem(beta, alloc, gains, weights, base)
+    floors, u = unscaled.qos_floors(), unscaled.n_ue_vars
+    sc = replace(base, p_ue_max=2.0 * np.bincount(unscaled.ue_n, floors[:u]).max(),
+                 p_uav_max=2.0 * floors[u:].sum())
+    prob = PowerProblem(beta, alloc, gains, weights, sc)
+    fset = prob.feasible_set()
+    return prob, fset, fset.project(1.5 * floors)
+
+
+class TestFloatKernels:
+    """The power stage's float kernels against the vectorized references
+    above: the water-filling and its start bit for bit, M's tangent's
+    slope bit for bit and its value to the rounding of a reordered sum,
+    and the block projection to `assert_projects_as_reference`'s bound."""
+
+    @staticmethod
+    def check(prob, fset, x0):
+        m0, slope = prob.m_tangent(x0)
+        want_m0, want_slope = reference_m_tangent(prob, x0)
+        assert slope.tobytes() == want_slope.tobytes()
+        assert m0 == pytest.approx(want_m0, rel=4 * prob.n_vars * np.finfo(float).eps)
+
+        x, lam = reference_argmax(prob, slope, fset)
+        assert prob.surrogate_argmax(x0).tobytes() == x.tobytes()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            start = reference_water_start(reference_log_terms(prob), slope, fset)
+        s = slope.tolist()
+        for b, (mine, budget, terms) in enumerate(prob._layout):
+            assert mine == np.flatnonzero(fset.blocks[0] == b).tolist()
+            assert budget == fset.blocks[1][b]
+            assert [t[-1] for t in terms] == fset.floors[mine].tolist()
+            mine_s = [s[i] for i in mine]
+            assert power_alloc._water_start(terms, mine_s, budget) == start[b]
+            levels = power_alloc._levels(terms, mine_s, lam[b])[0]
+            assert levels == x[mine].tolist()
+        # the projection of the walk's trials, past the budgets and short of the floors
+        for tau in (-1.0, 2.0, 64.0):
+            assert_projects_as_reference(fset, x0 + tau * (x - x0))
+
+    @pytest.mark.parametrize("case", ARGMAX_CASES)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_argmax_instances(self, case, data):
+        self.check(*data.draw(argmax_instances(case)))
+
+    def test_dense_instance(self):
+        prob, fset, x0 = dense_instance()
+        assert prob.n_vars > 40 and prob.relay.any()
+        self.check(prob, fset, x0)
 
 
 class TestScpPower:
@@ -450,7 +594,7 @@ def reference_scp_power(beta, alloc, gains, weights, sc, init=None):
     for it in range(1, power_alloc._MAX_OUTER + 1):
         tangent = prob.m_tangent(x)
         res = maximize_concave(prob.surrogate(x, tangent), fset,
-                               prob.surrogate_argmax(x, fset, tangent),
+                               prob.surrogate_argmax(x, tangent),
                                max_iters=power_alloc._INNER_ITERS)
         if not res.feasible:
             break
@@ -557,15 +701,9 @@ class TestOverrelaxedStep:
         assert priced > got.iterations + 1
 
     def test_a_repeated_projection_ends_the_walk_unpriced(self, monkeypatch):
-        # one relayed link, each power alone in its budget block, where the
-        # projection is the clip onto [floor, budget] and exact: doublings
-        # past both budgets project onto the same point, which ends the walk
-        def clip(fset, x):
-            block, budgets = fset.blocks
-            assert np.all(np.bincount(block) == 1)
-            return np.clip(x, fset.floors, budgets[block])
-
-        monkeypatch.setattr(FeasibleSet, "project", clip)
+        # one relayed link, each power alone in its budget block, which
+        # the projection sets to its budget exactly: doublings past both
+        # budgets project onto the same point, which ends the walk
         sc, gains, beta, alloc, weights = mixed_instance()
         alloc = np.zeros_like(alloc)
         alloc[0, 0] = 1
@@ -692,6 +830,17 @@ class TestRestoration:
         x = prob.pack(powers)
         assert np.all(x >= prob.qos_floors())
         assert prob.feasible_set().linear_violation(x) <= 1e-9
+
+    def test_funding_never_builds_the_water_filling_layout(self, monkeypatch):
+        # `spread_leftover`'s problem never water-fills, so it pays nothing for it
+        built, layout = [], PowerProblem._layout
+        monkeypatch.setattr(PowerProblem, "_layout",
+                            property(lambda self: built.append(1) or layout.func(self)))
+        sc, gains, beta, alloc, weights = mixed_instance()
+        restore_feasible(beta, alloc, gains, weights, sc)
+        assert built == []
+        scp_power(beta, alloc, gains, weights, sc)
+        assert built
 
 
 CAP_TOL = 1e-9

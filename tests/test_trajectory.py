@@ -370,15 +370,16 @@ def test_horizontal_hessians(request, fixture, shift):
     for i in range(len(inputs.scenario.ue_positions) + 1):
         assert hess_check(lambda x, i=i: [part[i] for part in core_hessians(ctx.cores, x)],
                           point, step=1e-4) <= 1e-6
-    # dc_k's second partials, at the hop signals of the bounds at `point`
+    # dc_k's partials, at the hop signals of the bounds at `point`
     sc = inputs.scenario
     pp = np.concatenate([inputs.powers.p_ue[ctx.ue, ctx.sub], inputs.powers.p_uav[ctx.sub]])
     s0 = pp * ctx.scale * reference_cores(ctx.cores, point)[0][ctx.rows]
     noise = np.repeat((sc.noise_var, sc.noise_var + sc.ici_power), ctx.ue.size)
 
     def k_sum(s):
-        k, dk, d2k = dc_k(s, noise, second=True)
-        return k.sum(), dk, np.diag(d2k)
+        # K is a sum over hops, each term's second partial -dK/ds / a
+        k, dk = dc_k(s, noise)
+        return k.sum(), dk, np.diag(-dk / (s + noise))
 
     assert hess_check(k_sum, s0, step=1e-3 * float(np.min(s0 + noise))) <= 1e-6
 
