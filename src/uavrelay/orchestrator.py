@@ -27,14 +27,32 @@ incumbent's own matching or the one whose completion won it on this
 channel state, while the tables its starts read are built once per
 channel state or, for the direct rows, once per slot
 (`_matching_stage`).  The trajectory stage makes one horizontal SCP
-step, or drifts toward the unserved UEs when nothing is relayed.  The cycle stops once it gains less than the scenario's one
-tolerance, `tolerances.bcd`, the same absolute test on which the power
-stage's own SCP loop stops.  So the power stage is not re-run on the
-inputs its last converged run returned (the matching stage kept the
-incumbent and the UAV stayed put): that run already stopped on a step
-worth less than the tolerance, which is all the cycle's own stop gives
-up.  Episodes chain slots under proportional-fairness weights; each
-algorithm earns its own weight history from its own achieved rates.
+step, or drifts toward the unserved UEs when nothing is relayed.  The
+cycle stops once it gains less than the scenario's one tolerance,
+`tolerances.bcd`, the same absolute test on which the power stage's own
+SCP loop stops.  So the power stage is not re-run on the state its last
+converged run returned (the matching stage kept the incumbent and the
+UAV stayed put): that run already stopped on a step worth less than the
+tolerance, which is all the cycle's own stop gives up.
+
+The loop carries the slot's state as one record, `trajectory.Audit`:
+the modes, allocation, powers, UAV position and gains, with the exact
+objective and per-UE rates there.  Each stage takes the incumbent's
+record and returns one that is exact for what it returns, or the
+incumbent's own when it changes nothing, so each state is priced once,
+where it is made:
+- the slot's start, by one rate report (a cold start, which assigns
+  nothing, by none), and random's first-cycle draw likewise;
+- the matching stage's candidates, each by its completion's report; the
+  winner keeps its own;
+- the trajectory stage's trial positions, by its step search's audits;
+  a drift moves no rate, so it evaluates only the gains;
+- the power stage's steps, inside `scp_power`, which takes the
+  incumbent's objective as its start's price.
+The `SlotSolution` is the final record, with no closing report; only
+`validate_solution` recomputes it, as the independent check.  Episodes
+chain slots under proportional-fairness weights; each algorithm earns
+its own weight history from its own achieved rates.
 """
 
 from __future__ import annotations
@@ -50,7 +68,7 @@ from .matching import (CELLULAR, RELAY, MatchingContext, assignment,
                        init_matching, msma_detailed)
 from .power_alloc import restore_feasible, scp_power
 from .scenario import Scenario, UavState, require_valid
-from .trajectory import SlotInputs, to_algorithm
+from .trajectory import Audit, SlotInputs, to_algorithm
 from .uav_power import flying_power_upper
 # bound here only for perfbench's `uav_power.move_radius` hook
 from .uav_power import move_radius  # noqa: F401
@@ -77,8 +95,10 @@ class SlotSolution:
     start_position: np.ndarray  # position inherited from the previous slot
     rates: np.ndarray
     weights: np.ndarray
-    objective: float
+    objective: float            # exact at the answer, as `rates` are
     iterations: int
+    # the loop's running best after each stage, which `_holds` can leave
+    # above `objective` by up to `_STAGE_TOL` relative
     stage_trace: list[tuple[str, float]] = field(default_factory=list)
 
     @property
@@ -194,10 +214,12 @@ def _beats(candidate: float, incumbent: float) -> bool:
     return candidate > incumbent + _STAGE_TOL * max(1.0, abs(incumbent))
 
 
-def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, beta, alloc,
-                    powers, incumbent_obj):
+def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, incumbent: Audit,
+                    incumbent_obj: float) -> Audit:
     """Keep the best completed exact objective among the fresh greedy
-    starts' stable matchings, or the incumbent when no candidate beats it.
+    starts' stable matchings, or the incumbent state itself when no
+    candidate beats `incumbent_obj`, the running best of the slot.  The
+    winner comes back as a state priced by its own completion's report.
 
     Three greedy starts cover the mode spectrum, in this order
     (`ctx.starts`): scored modes (relay whenever its utility sum wins),
@@ -243,13 +265,14 @@ def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, beta, alloc,
     never have won, so the answer is the one every start completed would
     give.  The cellular stage builds no table and prunes nothing."""
     sc, gains, weights = ctx.scenario, ctx.gains, ctx.weights
-    best = (incumbent_obj, beta, alloc, powers)
+    inputs = incumbent.inputs
+    best = (incumbent_obj, incumbent)
     starts = ctx.starts if fresh.relay else [(np.full(ctx.n_ues, CELLULAR), None, None)]
 
     def out_of_reach(ceiling):
         return not _beats(ceiling * (1.0 + _CEILING_RTOL), best[0])
 
-    completed = {beta.tobytes() + alloc.tobytes(), fresh.source}
+    completed = {inputs.beta.tobytes() + inputs.alloc.tobytes(), fresh.source}
     for modes, rows, ceiling in starts:
         if rows is not None and out_of_reach(ceiling):
             continue
@@ -263,14 +286,14 @@ def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, beta, alloc,
                                  and out_of_reach(rows[cand_alloc != 0].sum())):
             continue
         completed.add(cand)
-        cand_alloc, cand_powers = complete_powers(
-            beta, alloc, powers, cand_beta, cand_alloc, gains, weights, sc)
-        obj = rate_report(cand_beta, cand_alloc, cand_powers, gains, weights,
-                          sc).objective
-        if _beats(obj, best[0]):
-            best = (obj, cand_beta, cand_alloc, cand_powers)
+        cand_alloc, cand_powers = complete_powers(inputs.beta, inputs.alloc, inputs.powers,
+                                                  cand_beta, cand_alloc, gains, weights, sc)
+        report = rate_report(cand_beta, cand_alloc, cand_powers, gains, weights, sc)
+        if _beats(report.objective, best[0]):
+            won = replace(inputs, beta=cand_beta, alloc=cand_alloc, powers=cand_powers)
+            best = (report.objective, Audit.priced(won, incumbent.position, gains, report))
             fresh.source = cand
-    return best
+    return best[1]
 
 
 def _random_matching(ctx: MatchingContext,
@@ -324,14 +347,19 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
     competes; random's first-cycle draw replaces it.  Raises ValueError
     on an unknown algorithm.
 
-    A cycle skips `scp_power` when its modes, allocation, position and
-    powers equal what the last accepted, converged power run returned;
-    the cycle still logs its `("power", objective)` entry."""
+    The loop carries one audited state (`trajectory.Audit`): the modes,
+    allocation, powers, position and gains, with the exact objective and
+    rates there.  Each stage starts from the state the last one returned
+    and returns one priced where it was made (the module docstring says
+    where), or that same state when it changes nothing.  The
+    `SlotSolution` is the final state, with no closing report.  A cycle
+    skips `scp_power` when its state is the one the last accepted,
+    converged power run returned; the cycle still logs its `("power",
+    objective)` entry."""
     _require_algorithm(algorithm)
     weights = np.asarray(weights, dtype=float)
-    pos = np.asarray(state.pos, dtype=float).copy()
-    anchor = tuple(float(v) for v in state.prev_pos)
-    n_ues, k_sub = sc.n_ues, sc.n_subchannels
+    pos = np.array(state.pos, dtype=float)
+    anchor = np.asarray(state.prev_pos, dtype=float)
 
     gains = gain_matrices(sc, pos, slot_index)
     if init is not None and init.alloc.any():
@@ -339,67 +367,73 @@ def jmstp_slot(sc: Scenario, state: UavState, weights: np.ndarray,
         alloc, powers = complete_powers(init.beta, init.alloc, init.powers,
                                         init.beta, init.alloc, gains, weights, sc)
     else:
-        beta = np.zeros(n_ues, dtype=int)
-        alloc = np.zeros((n_ues, k_sub), dtype=int)
-        powers = PowerAllocation(np.zeros((n_ues, k_sub)), np.zeros(k_sub))
-    obj = rate_report(beta, alloc, powers, gains, weights, sc).objective
+        beta = np.zeros(sc.n_ues, dtype=int)
+        alloc = np.zeros((sc.n_ues, sc.n_subchannels), dtype=int)
+        powers = PowerAllocation(np.zeros(alloc.shape), np.zeros(sc.n_subchannels))
+    cur = Audit.priced(SlotInputs(sc, beta, alloc, powers, weights, slot_index), pos, gains)
+    # the running best, which the trace logs and the stop reads; the
+    # stages' `_holds` can leave the state's own objective below it
+    obj = cur.objective
 
     trace: list[tuple[str, float]] = []
     eps = sc.tolerances.bcd
     iterations = 0
     ctx = fresh = None  # built by the first matching stage, kept for the slot
-    settled = None  # the inputs a converged power run last returned
+    settled = None  # the state a converged power run last returned
 
     for iterations in range(1, _MAX_BCD + 1):
         cycle_start = obj
 
         if algorithm != "random":
             if ctx is None:
-                ctx = MatchingContext(sc, gains, weights)
+                ctx = MatchingContext(sc, cur.gains, weights)
                 fresh = _FreshStarts(relay=algorithm == "jmstp")
-            obj, beta, alloc, powers = _matching_stage(
-                ctx, fresh, beta, alloc, powers, obj)
+            cur = _matching_stage(ctx, fresh, cur, obj)
+            obj = max(obj, cur.objective)
             trace.append(("matching", obj))
         elif iterations == 1:
             rng = np.random.default_rng((sc.rng_seed, 11, slot_index))
-            beta, cand_alloc = _random_matching(MatchingContext(sc, gains, weights), rng)
-            alloc, powers = complete_powers(beta, None, powers, beta, cand_alloc,
-                                            gains, weights, sc)
-            obj = rate_report(beta, alloc, powers, gains, weights, sc).objective
+            beta, cand_alloc = _random_matching(MatchingContext(sc, cur.gains, weights), rng)
+            alloc, powers = complete_powers(beta, None, cur.inputs.powers, beta, cand_alloc,
+                                            cur.gains, weights, sc)
+            cur = Audit.priced(replace(cur.inputs, beta=beta, alloc=alloc, powers=powers),
+                               cur.position, cur.gains)
+            obj = cur.objective
             trace.append(("matching", obj))
 
         if algorithm != "cellular":
-            result = to_algorithm(
-                UavState(tuple(pos), anchor),
-                SlotInputs(sc, beta, alloc, powers, weights, slot_index), gains)
-            if _holds(result.objective, obj):
-                if ctx is not None and not np.array_equal(result.position, pos):
+            new = to_algorithm(cur, anchor).audit
+            if _holds(new.objective, obj):
+                if ctx is not None and new is not cur:
                     # a new channel state of the same slot
-                    ctx = ctx.moved(result.gains)
+                    ctx = ctx.moved(new.gains)
                     fresh.moved()
-                pos, gains = result.position, result.gains
-                obj = max(obj, result.objective)
+                cur = new
+                obj = max(obj, cur.objective)
             trace.append(("trajectory", obj))
 
         # a converged run re-run on its own answer would step on from a
         # point where its last step gained less than eps
-        if settled is None or not all(map(np.array_equal, settled, (
-                beta, alloc, pos, powers.p_ue, powers.p_uav))):
-            res = scp_power(beta, alloc, gains, weights, sc, init=powers)
+        if settled is not cur:
+            inputs = cur.inputs
+            res = scp_power(inputs.beta, inputs.alloc, cur.gains, weights, sc,
+                            init=inputs.powers, objective=cur.objective)
             if _holds(res.objective, obj):
-                powers, alloc = res.powers, res.alloc
-                obj = max(obj, res.objective)
+                # a run that priced nothing returned `init` as it was,
+                # unless it shed every assignment
+                if res.report is not None or res.dropped:
+                    cur = Audit.priced(replace(inputs, alloc=res.alloc, powers=res.powers),
+                                       cur.position, cur.gains, res.report)
+                obj = max(obj, cur.objective)
                 if res.converged:
-                    settled = (beta, alloc, pos, powers.p_ue, powers.p_uav)
+                    settled = cur
         trace.append(("power", obj))
 
         if obj - cycle_start < eps:
             break
 
-    report = rate_report(beta, alloc, powers, gains, weights, sc)
-    return SlotSolution(beta, alloc, powers, pos,
-                        np.asarray(anchor, dtype=float), report.per_ue_rate,
-                        weights, report.objective, iterations, trace)
+    return SlotSolution(cur.inputs.beta, cur.inputs.alloc, cur.inputs.powers, cur.position,
+                        anchor, cur.rates, weights, cur.objective, iterations, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ import numpy as np
 
 from .channel import ChannelGains
 from .convex_core import FeasibleSet, maximize_concave
-from .link_rate import (HALF_LOG2E, LinkBudget, PowerAllocation, dc_k, dc_m,
+from .link_rate import (HALF_LOG2E, LinkBudget, PowerAllocation, RateReport, dc_k, dc_m,
                         floor_signals, rate_report)
 from .scenario import Scenario
 
@@ -138,10 +138,10 @@ class PowerProblem:
                                    np.array([budget for _, budget, _ in layout])),
                            floors=np.array([t[-1] for _, _, terms in layout for t in terms]))
 
-    def true_objective(self, x: np.ndarray) -> float:
-        report = rate_report(self.beta, self.alloc, self.unpack(x), self.gains,
-                             self.weights, self.sc)
-        return report.objective
+    def report(self, x: np.ndarray) -> RateReport:
+        """The exact rate report at the packed powers `x`."""
+        return rate_report(self.beta, self.alloc, self.unpack(x), self.gains,
+                           self.weights, self.sc)
 
     def m_tangent(self, x0: np.ndarray) -> tuple[float, np.ndarray]:
         """The weighted subtracted piece M at x0 and its slope there, one
@@ -415,6 +415,10 @@ class PowerResult:
     iterations: int
     converged: bool
     trace: list[float] = field(default_factory=list)
+    # the exact rate report at `powers`, or None when the call priced
+    # nothing there: nothing is assigned, or the powers are `init`'s and
+    # the caller priced them (`scp_power`'s `objective`)
+    report: RateReport | None = None
 
 
 _MAX_OUTER = 30
@@ -424,7 +428,8 @@ _INNER_ITERS = 500
 
 def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
               weights: np.ndarray, scenario: Scenario,
-              init: PowerAllocation | None = None) -> PowerResult:
+              init: PowerAllocation | None = None,
+              objective: float | None = None) -> PowerResult:
     """Maximize the weighted sum rate over transmit powers.
 
     Each SCP step maximises the surrogate at the current powers exactly
@@ -463,21 +468,28 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
 
     `init` is the starting point when a projection onto the caps and QoS
     floors repairs it; otherwise `restore_feasible` funds a start from
-    scratch, possibly shedding assignments (reported in `dropped`)."""
+    scratch, possibly shedding assignments (reported in `dropped`).
+    `objective`, when given with `init`, is the exact objective there,
+    which the caller holds (the slot loop's audited state carries it):
+    the start takes it instead of pricing `init` again when nothing was
+    shed and the start is `init` bit for bit.  Nor is a step priced that
+    returns its start bit for bit.  The result's `report` is the exact
+    rate report at its powers, or None when the call priced nothing
+    there: nothing is assigned, or the powers are `init`'s and the
+    objective is the caller's."""
     s = scenario
     alloc = np.asarray(alloc, dtype=int)
     dropped: list[tuple[int, int]] = []
 
     start = None
-    if init is not None:
-        prob = PowerProblem(beta, alloc, gains, weights, s)
-        if prob.n_vars:
-            # small projections repair stale warm starts without losing
-            # them; structural infeasibility falls through to restoration
-            fset = prob.feasible_set()
-            x = fset.project(prob.pack(init))
-            if fset.linear_violation(x) <= 1e-9:
-                start = x
+    prob = PowerProblem(beta, alloc, gains, weights, s)
+    if init is not None and prob.n_vars:
+        # small projections repair stale warm starts without losing them;
+        # structural infeasibility falls through to restoration
+        fset = prob.feasible_set()
+        x = fset.project(prob.pack(init))
+        if fset.linear_violation(x) <= 1e-9:
+            start = x
     if start is None:
         alloc, powers, dropped = restore_feasible(beta, alloc, gains, weights, s)
         prob = PowerProblem(beta, alloc, gains, weights, s)
@@ -488,11 +500,12 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
 
     eps = s.tolerances.bcd
     exact = not prob.relay.any()  # one step is the optimum (see above)
-    x = start
-    obj = prob.true_objective(x)
+    # the caller's price of `init`, where the start is `init` bit for bit
+    reuse = objective is not None and not dropped and np.array_equal(start, prob.pack(init))
+    report = None if reuse else prob.report(start)
+    x, obj = start, objective if reuse else report.objective
     trace = [obj]
-    converged = False
-    it = 0
+    converged, it = False, 0
     for it in range(1, _MAX_OUTER + 1):
         tangent = prob.m_tangent(x)
         # the surrogate's exact maximiser, which the ascent only certifies
@@ -501,7 +514,10 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
                                max_iters=_INNER_ITERS)
         if not res.feasible:
             break
-        new_x, new_obj = res.x, prob.true_objective(res.x)
+        # a step that returns its start is not priced again
+        new_x, new_report = ((x, report) if np.array_equal(res.x, x)
+                             else (res.x, prob.report(res.x)))
+        new_obj = obj if new_report is report else new_report.objective
         if new_obj < obj - 1e-9 * max(1.0, abs(obj)):
             converged = True
             break
@@ -513,15 +529,15 @@ def scp_power(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
                 trial = fset.project(x + tau * step)
                 if np.array_equal(trial, new_x):
                     break
-                trial_obj = prob.true_objective(trial)
-                if not trial_obj > new_obj:
+                trial_report = prob.report(trial)
+                if not trial_report.objective > new_obj:
                     break
-                new_x, new_obj = trial, trial_obj
+                new_x, new_report, new_obj = trial, trial_report, trial_report.objective
         trace.append(new_obj)
         gain = new_obj - obj
-        x, obj = new_x, new_obj
+        x, obj, report = new_x, new_obj, new_report
         if gain < eps or exact:
             converged = True
             break
 
-    return PowerResult(prob.unpack(x), alloc, dropped, obj, it, converged, trace)
+    return PowerResult(prob.unpack(x), alloc, dropped, obj, it, converged, trace, report)

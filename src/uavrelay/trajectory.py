@@ -43,25 +43,27 @@ calls, and over relay_mixed's panel solves it took 85 us an evaluation
 against 15 us for the float passes (best of 7 runs; 2-vCPU Xeon VM,
 Python 3.11.7, numpy 2.4.6).  The inner solve starts at the
 incumbent, and its first evaluation there is the test for an empty
-approximated SNR set.  The step search audits its trials on the exact
-channel in at most two passes over a stack of positions (`_audits`),
-and no position is audited twice in one `to_algorithm` call, which
-makes one horizontal step; the slot's block-coordinate loop is the only
+approximated SNR set.  The stage starts from the slot's audited state
+(`Audit`), which the block-coordinate loop carries already priced, and
+the step search audits its trials on the exact channel in at most two
+passes over a stack of positions (`_audits`).  So no position is
+audited twice in one `to_algorithm` call, the start included; the call
+makes one horizontal step, the slot's block-coordinate loop is the only
 loop that repeats it, and it stops on the slot's one tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import ChannelGains, gain_matrices, slot_channel
 from .convex_core import FeasibleSet, maximize_concave
-from .link_rate import (HALF_LOG2E, QOS_TOL, PowerAllocation, dc_m, floor_signals,
-                        rate_report)
-from .scenario import A2GParams, Scenario, UavState
+from .link_rate import (HALF_LOG2E, QOS_TOL, PowerAllocation, RateReport, dc_m,
+                        floor_signals, rate_report)
+from .scenario import A2GParams, Scenario
 from .uav_power import move_radius
 
 _QOS_SLACK = 1e-9       # relative relaxation of the approximated SNR floors
@@ -95,44 +97,51 @@ class SlotInputs:
 
 @dataclass(frozen=True)
 class Audit:
-    """The exact slot with the UAV at one position."""
+    """One audited slot state: the modes, allocation, powers and weights
+    of `inputs`, with the UAV at `position`, priced exactly on the
+    channel there.  The slot's block-coordinate loop carries one; each
+    stage takes the incumbent's and returns one that is exact for what it
+    returns, or the incumbent's itself when it changes nothing.  Every
+    state the loop carries clears its QoS floors, within `QOS_TOL` on an
+    SNR: the funding, the power stage's projection and the step search's
+    test (`_audits`) see to it, and `validate_solution` checks the last."""
 
+    inputs: SlotInputs
     position: np.ndarray  # (3,)
     gains: ChannelGains   # the exact channel at the position
     objective: float      # weighted sum rate
     rates: np.ndarray     # (N,) each UE's rate
-    surplus: float        # worst QoS margin over relayed assignments
+
+    @classmethod
+    def priced(cls, inputs: SlotInputs, position: np.ndarray, gains: ChannelGains,
+               report: RateReport | None = None) -> Audit:
+        """The state of `inputs` at `position`, from `report`, their exact
+        rate report on `gains`, or from one made here.  An allocation
+        that assigns nothing earns nothing and misses no QoS floor, so it
+        is not priced: a cold start, a draw that funds nobody, a power
+        run that shed every assignment."""
+        if not inputs.alloc.any():
+            return cls(inputs, position, gains, 0.0, np.zeros(len(inputs.alloc)))
+        report = report or rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
+                                       inputs.weights, inputs.scenario)
+        return cls(inputs, position, gains, report.objective, report.per_ue_rate)
 
 
-def _report(inputs: SlotInputs, gains: ChannelGains):
-    """The exact rate report on `gains`, of one position or a stack, and
-    each position's worst QoS margin over the relayed assignments."""
-    report = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains,
-                         inputs.weights, inputs.scenario)
-    hop1, hop2 = (m[..., report.link.relay].min(axis=-1, initial=math.inf)
-                  for m in report.link.margins())
-    return report, np.minimum(hop1, hop2)
-
-
-def _audit(pos, inputs: SlotInputs, gains: ChannelGains | None = None) -> Audit:
-    """The slot at UAV position `pos`, from one channel evaluation, or
-    none when the caller holds the exact `gains` at `pos`."""
-    pos = np.array(pos, dtype=float)
-    if gains is None:
-        gains = gain_matrices(inputs.scenario, pos, inputs.slot_index)
-    report, surplus = _report(inputs, gains)
-    return Audit(pos, gains, report.objective, report.per_ue_rate, float(surplus))
-
-
-def _audits(positions: np.ndarray, inputs: SlotInputs) -> list[Audit]:
+def _audits(positions: np.ndarray, inputs: SlotInputs) -> list[Audit | None]:
     """The slot at each UAV position of the stack `positions` (T, 3),
-    from one channel and one rate evaluation over the stack; each audit
-    is bit-identical to its position's own `_audit`."""
+    from one channel and one rate evaluation over the stack, or None at a
+    position where a relayed hop misses its QoS floor: its SNR margin
+    (`LinkBudget.margins()`) is below -`QOS_TOL`.  Each audit is
+    bit-identical to pricing its position alone."""
     stack = gain_matrices(inputs.scenario, positions, inputs.slot_index)
-    report, surplus = _report(inputs, stack)
-    return [Audit(pos, ChannelGains(stack.h_ue_bs, stack.h_ue_uav[t], stack.h_uav_bs[t, 0]),
-                  float(report.objective[t]), report.per_ue_rate[t], float(surplus[t]))
-            for t, pos in enumerate(positions)]
+    report = rate_report(inputs.beta, inputs.alloc, inputs.powers, stack, inputs.weights,
+                         inputs.scenario)
+    cleared = np.all([m[..., report.link.relay].min(axis=-1, initial=math.inf) >= -QOS_TOL
+                      for m in report.link.margins()], axis=0)
+    return [Audit(inputs, pos,
+                  ChannelGains(stack.h_ue_bs, stack.h_ue_uav[t], stack.h_uav_bs[t, 0]),
+                  float(report.objective[t]), report.per_ue_rate[t]) if ok else None
+            for t, (pos, ok) in enumerate(zip(positions, cleared))]
 
 
 def _move_disc_radius(s: Scenario, z: float, anchor: np.ndarray) -> float:
@@ -259,9 +268,7 @@ def horizontal_surrogate(inputs: SlotInputs, position) -> SurrogateContext:
     peers_xy = chan.peers[:, :2]
     exp_xy = _nudged_expansion(np.asarray(position[:2], dtype=float), peers_xy)
     cores = _PeerCores(peers_xy, z - chan.peers[:, 2], s.a2g, exp_xy)
-    pairs = inputs.relay_pairs()
-    ue = np.array([n for n, _ in pairs], dtype=int)
-    sub = np.array([k for _, k in pairs], dtype=int)
+    ue, sub = np.array(inputs.relay_pairs(), dtype=int).reshape(-1, 2).T
     rows = np.concatenate([ue, np.full(ue.size, len(peers_xy) - 1)])
     scale = np.concatenate([chan.air_scale[ue, sub], chan.air_scale[-1, sub]])
     return SurrogateContext(exp_xy, ue, sub, cores, rows, scale)
@@ -374,8 +381,7 @@ class StageLog:
     reason: str = ""
 
 
-def _step_search(incumbent: Audit, xy_cand: np.ndarray, project,
-                 inputs: SlotInputs) -> Audit | None:
+def _step_search(incumbent: Audit, xy_cand: np.ndarray, project) -> Audit | None:
     """The step, at the incumbent's altitude, along the direction from the
     incumbent to the horizontal candidate: None if no step is kept.
 
@@ -395,16 +401,16 @@ def _step_search(incumbent: Audit, xy_cand: np.ndarray, project,
     step and its doublings, then, only when the full step is refused,
     the halvings.  The walk over each pass is the one above, so the kept
     position and its audit are those of one audit per trial in turn.
-    No position is audited twice: a trial that lands on the incumbent
-    reuses its audit."""
+    No position is audited twice: a trial that lands on the incumbent is
+    the incumbent, whose SNRs clear their floors (`Audit`)."""
     floor = incumbent.objective - _ACCEPT_SLACK * max(1.0, abs(incumbent.objective))
     xy_inc, z = incumbent.position[:2], incumbent.position[2]
     step = xy_cand - xy_inc
 
-    def audited(points: list[np.ndarray]) -> list[Audit]:
+    def audited(points: list[np.ndarray]) -> list[Audit | None]:
         pos = np.array([(xy[0], xy[1], z) for xy in points])
         fresh = (pos != incumbent.position).any(axis=1)
-        audits = iter(_audits(pos[fresh], inputs) if fresh.any() else ())
+        audits = iter(_audits(pos[fresh], incumbent.inputs) if fresh.any() else ())
         return [next(audits) if f else incumbent for f in fresh]
 
     # the doublings stop where a projection returns the trial before it
@@ -415,20 +421,20 @@ def _step_search(incumbent: Audit, xy_cand: np.ndarray, project,
             break
         points.append(xy)
     kept, *longer = audited(points)
-    if kept.objective >= floor and kept.surplus >= -QOS_TOL:
+    if kept is not None and kept.objective >= floor:
         for trial in longer:
-            if not (trial.objective > kept.objective and trial.surplus >= -QOS_TOL):
+            if trial is None or not trial.objective > kept.objective:
                 break
             kept = trial
         return kept
     halvings = [xy_inc + tau * step for tau in 0.5 ** np.arange(1, _BACKTRACK_STEPS)]
     for trial in audited(halvings):
-        if trial.objective >= floor and trial.surplus >= -QOS_TOL:
+        if trial is not None and trial.objective >= floor:
             return trial
     return None
 
 
-def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, StageLog]:
+def solve_horizontal(start: Audit, anchor) -> tuple[Audit, StageLog]:
     """One SCP step over (x, y) at the altitude of the audited position
     `start`, within the move radius around `anchor`: maximize the tangent
     surrogate around `start` and keep the step that `_step_search` finds
@@ -437,14 +443,13 @@ def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, S
     the step, and it stops on the one tolerance of the slot; one
     surrogate step per block per cycle is enough for that loop to
     converge (BSUM: Razaviyayn, Hong & Luo, SIAM J. Optim. 2013).
-    `inputs` holds relayed assignments: without them `to_algorithm`
+    `start` holds relayed assignments: without them `to_algorithm`
     drifts instead.  Returns the audit of the kept position, or `start`
     itself when no step is kept, and the stage log."""
-    s = inputs.scenario
-    log = StageLog("horizontal")
+    inputs = start.inputs
+    log = StageLog("horizontal", iterations=1)
     anchor = np.asarray(anchor, dtype=float)
-    r_h = _move_disc_radius(s, start.position[2], anchor)
-    log.iterations = 1
+    r_h = _move_disc_radius(inputs.scenario, start.position[2], anchor)
     ctx = horizontal_surrogate(inputs, start.position)
     fset = FeasibleSet(ball=(anchor[:2], r_h))
     res = maximize_concave(_horizontal_objective(ctx, inputs), fset, start.position[:2],
@@ -457,7 +462,7 @@ def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, S
                       if res.diagnostics.reason == "start outside objective domain"
                       else f"inner solve unusable: {res.diagnostics.reason}")
         return start, log
-    new = _step_search(start, res.x, fset.project, inputs)
+    new = _step_search(start, res.x, fset.project)
     if new is None:
         log.reason = "no step kept the exact objective from dropping"
         return start, log
@@ -468,7 +473,7 @@ def solve_horizontal(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, S
 # ---------------------------------------------------------------------------
 # Altitude: held.
 
-def solve_altitude(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, StageLog]:
+def solve_altitude(start: Audit, anchor) -> tuple[Audit, StageLog]:
     """The altitude policy: hold the altitude, returning `start` itself.
 
     A per-slot altitude move did not pay.  An SCP over z, with the LoS
@@ -486,23 +491,19 @@ def solve_altitude(start: Audit, anchor, inputs: SlotInputs) -> tuple[Audit, Sta
 
 @dataclass
 class TrajectoryResult:
-    position: np.ndarray
-    gains: ChannelGains  # the exact channel at `position`
-    objective: float     # the exact slot objective at `position`
+    audit: Audit         # the stage's answer: its start itself when nothing moved
     passes: int          # horizontal steps: 1, or 0 without relayed pairs
     logs: list[StageLog]
 
 
-def _drift_toward_unserved(start: Audit, anchor: np.ndarray,
-                           inputs: SlotInputs) -> TrajectoryResult:
+def _drift_toward_unserved(start: Audit, anchor: np.ndarray) -> TrajectoryResult:
     """Horizontal move from the slot anchor toward the weight-averaged
     position of the UEs earning nothing at `start`, spending the
-    remaining move radius; `start` unchanged when everyone is served.
-    The objective is `start`'s, which the move cannot change without
-    relayed assignments, and the gains are evaluated again only when the
-    UAV moves."""
+    remaining move radius; `start` itself when everyone is served or the
+    UAV stays put.  Without relayed assignments the move changes neither
+    the objective nor a rate, so only the gains are evaluated again."""
+    inputs, pos = start.inputs, start.position
     s = inputs.scenario
-    pos, gains = start.position, start.gains
     starved = np.flatnonzero(start.rates <= 0.0)
     if starved.size:
         ues = np.asarray(s.ue_positions, dtype=float)[starved, :2]
@@ -513,22 +514,20 @@ def _drift_toward_unserved(start: Audit, anchor: np.ndarray,
         xy = target if dist <= r_h else anchor[:2] + step * (r_h / dist)
         new = np.array([xy[0], xy[1], pos[2]])
         if not np.array_equal(new, pos):
-            pos, gains = new, gain_matrices(s, new, inputs.slot_index)
-    return TrajectoryResult(pos, gains, start.objective, 0, [])
+            start = replace(start, position=new, gains=gain_matrices(s, new, inputs.slot_index))
+    return TrajectoryResult(start, 0, [])
 
 
-def to_algorithm(state: UavState, inputs: SlotInputs,
-                 gains: ChannelGains | None = None) -> TrajectoryResult:
-    """Audit the start, make one horizontal SCP step from it, then
-    `solve_altitude`, which holds the altitude, and return the final
-    audit's own position, gains and objective.  Without relayed
-    assignments it drifts instead (`_drift_toward_unserved`): toward the
-    UEs earning nothing, with the start's objective and no step.
-    `gains`, when given, is the exact channel at `state.pos`."""
-    anchor = np.asarray(state.prev_pos, dtype=float)
-    cur = _audit(state.pos, inputs, gains)
-    if not inputs.relay_pairs():
-        return _drift_toward_unserved(cur, anchor, inputs)
-    cur, hlog = solve_horizontal(cur, anchor, inputs)
-    cur, alog = solve_altitude(cur, anchor, inputs)
-    return TrajectoryResult(cur.position, cur.gains, cur.objective, 1, [hlog, alog])
+def to_algorithm(start: Audit, anchor) -> TrajectoryResult:
+    """One horizontal SCP step from the audited state `start` within the
+    move radius around `anchor`, then `solve_altitude`, which holds the
+    altitude; the answer is the kept position's audit, or `start` itself.
+    Without relayed assignments it drifts instead
+    (`_drift_toward_unserved`): toward the UEs earning nothing, with no
+    step.  Nothing is priced at `start`, which the caller holds exact."""
+    anchor = np.asarray(anchor, dtype=float)
+    if not start.inputs.relay_pairs():
+        return _drift_toward_unserved(start, anchor)
+    cur, hlog = solve_horizontal(start, anchor)
+    cur, alog = solve_altitude(cur, anchor)
+    return TrajectoryResult(cur, 1, [hlog, alog])

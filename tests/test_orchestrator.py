@@ -2,6 +2,7 @@
 convergence, the constraint validator on everything emitted, baseline
 behaviors, sweep plumbing, and the dwell-time metric."""
 
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from uavrelay import orchestrator, trajectory
+from uavrelay import orchestrator, power_alloc, trajectory
 from uavrelay.channel import gain_matrices
 from uavrelay.link_rate import (QOS_TOL, LinkBudget, PowerAllocation, rate_report,
                                update_weights)
@@ -31,6 +32,7 @@ from uavrelay.orchestrator import (
 from uavrelay.power_alloc import PowerProblem, spread_leftover
 from uavrelay.scenario import (Scenario, SnrThresholds, UavState, dbm_to_watts,
                                load_scenario)
+from uavrelay.trajectory import Audit
 
 from test_link_rate import _funded_slot, _slot
 from test_scenario import documents
@@ -402,24 +404,29 @@ def spy_stages(monkeypatch, relay):
     """Run `exhaustive_stage` on the inputs of every matching-stage call
     before the stage itself; returns one record per call: its channel
     state (`ctx`), its slot's memory (`fresh`), the reference's answer
-    (`want`) and per-start log, the stage's answer (`got`), the
-    incumbent's key, and the start modes the stage built and the matchings
-    it completed, in order."""
+    (`want`) and per-start log, the stage's answer (`got`) as the
+    reference gives it, with the state it returned (`state`) and the one
+    it took (`start`), the incumbent's key, and the start modes the stage
+    built and the matchings it completed, in order."""
     calls, inside = [], [False]
     stage, init, complete = (orchestrator._matching_stage, orchestrator.init_matching,
                              orchestrator.complete_powers)
 
-    def spied_stage(ctx, fresh, beta, alloc, powers, obj):
+    def spied_stage(ctx, fresh, start, obj):
+        beta, alloc, powers = start.inputs.beta, start.inputs.alloc, start.inputs.powers
         want, log = exhaustive_stage(ctx, relay, beta, alloc, powers, obj)
         calls.append(SimpleNamespace(ctx=ctx, fresh=fresh, want=want, log=log, built=[],
                                      incumbent=beta.tobytes() + alloc.tobytes(),
-                                     completed=[]))
+                                     completed=[], start=start))
         inside[0] = True
         try:
-            calls[-1].got = stage(ctx, fresh, beta, alloc, powers, obj)
+            state = stage(ctx, fresh, start, obj)
         finally:
             inside[0] = False
-        return calls[-1].got
+        got = state.inputs
+        calls[-1].state = state
+        calls[-1].got = (max(obj, state.objective), got.beta, got.alloc, got.powers)
+        return state
 
     def spied_init(ctx, modes):
         if inside[0]:
@@ -492,7 +499,9 @@ def relay_panel(seed, fading="mixed", n_slots=10, dbm=6.0):
 
 
 def assert_answers_equal_the_reference(calls):
-    """Every stage call answered as `exhaustive_stage` did, bit for bit."""
+    """Every stage call answered as `exhaustive_stage` did, bit for bit,
+    with the incumbent's own state when it kept the incumbent and a state
+    priced exactly otherwise."""
     assert calls
     for i, call in enumerate(calls):
         (want_obj, *want), (got_obj, *got) = call.want, call.got
@@ -500,6 +509,14 @@ def assert_answers_equal_the_reference(calls):
         for a, b in zip(got[:2] + [got[2].p_ue, got[2].p_uav],
                         want[:2] + [want[2].p_ue, want[2].p_uav]):
             assert same_bits(a, b), i
+        state = call.state
+        if want[1] is call.start.inputs.alloc:
+            assert state is call.start, i
+            continue
+        report = rate_report(*want, call.ctx.gains, call.ctx.weights, call.ctx.scenario)
+        assert state.objective == report.objective == want_obj, i
+        assert same_bits(state.rates, report.per_ue_rate), i
+        assert state.gains is call.ctx.gains and state.position is call.start.position, i
 
 
 class TestMatchingCeilings:
@@ -621,14 +638,19 @@ class TestSettledPowerStage:
             slots.append([])
             return slot(*args, **kwargs)
 
-        def recorded_matching(ctx, fresh, beta, alloc, powers, obj):
-            out = matching(ctx, fresh, beta, alloc, powers, obj)
+        def recorded_matching(ctx, fresh, start, obj):
+            out = matching(ctx, fresh, start, obj)
             if len(slots) == sc.n_slots and len(slots[-1]) == 1:
-                nudged = PowerAllocation(0.999 * out[3].p_ue, 0.999 * out[3].p_uav)
-                out = (rate_report(out[1], out[2], nudged, ctx.gains, ctx.weights,
-                                   ctx.scenario).objective, out[1], out[2], nudged)
-            kept = all(map(np.array_equal, (beta, alloc, powers.p_ue, powers.p_uav),
-                           (out[1], out[2], out[3].p_ue, out[3].p_uav)))
+                powers = out.inputs.powers
+                inputs = replace(out.inputs, powers=PowerAllocation(0.999 * powers.p_ue,
+                                                                    0.999 * powers.p_uav))
+                out = Audit.priced(inputs, out.position, out.gains, rate_report(
+                    inputs.beta, inputs.alloc, inputs.powers, ctx.gains, ctx.weights,
+                    ctx.scenario))
+            old, new = start.inputs, out.inputs
+            kept = all(map(np.array_equal, (old.beta, old.alloc, old.powers.p_ue,
+                                            old.powers.p_uav),
+                           (new.beta, new.alloc, new.powers.p_ue, new.powers.p_uav)))
             slots[-1].append({"gains": ctx.gains, "kept": kept, "solved": False})
             return out
 
@@ -653,6 +675,67 @@ class TestSettledPowerStage:
                 changed += c > 0 and new
                 skipped += not cycle["solved"]
         assert changed and skipped
+
+
+class TestOnePricePerState:
+    """The slot loop carries its audited state from stage to stage, so no
+    `rate_report` call in a slot evaluates exactly the inputs of an
+    earlier one: not the trajectory stage's start, not the power stage's
+    start or a step that returns it, and no closing report.  The matching
+    stage's completions are the exception: it completes its candidates
+    per call, and a completion may repeat one an earlier call made."""
+
+    @staticmethod
+    def repeats(monkeypatch, sc, algorithm):
+        """Run the episode with every `rate_report` call keyed by the bytes
+        of its inputs, one key per position of a stacked call, the keys
+        forgotten at each slot's start; return the number of calls and
+        (slot, caller) of each call outside the matching stage whose every
+        key an earlier call of its slot made."""
+        seen, inside, calls, repeats, slots = set(), [False], [0], [], [0]
+        slot, stage = orchestrator.jmstp_slot, orchestrator._matching_stage
+
+        def new_slot(*args, **kwargs):
+            seen.clear()
+            slots[0] += 1
+            return slot(*args, **kwargs)
+
+        def spied_stage(*args):
+            inside[0] = True
+            try:
+                return stage(*args)
+            finally:
+                inside[0] = False
+
+        def spied(beta, alloc, powers, gains, weights, scenario):
+            head = b"".join(np.asarray(a).tobytes() for a in (
+                beta, alloc, powers.p_ue, powers.p_uav, weights, gains.h_ue_bs))
+            air = ([(gains.h_ue_uav, gains.h_uav_bs)] if gains.h_ue_uav.ndim == 2
+                   else zip(gains.h_ue_uav, gains.h_uav_bs))
+            keys = {head + a.tobytes() + b.tobytes() for a, b in air}
+            calls[0] += 1
+            if keys <= seen and not inside[0]:
+                repeats.append((slots[0], inspect.stack()[1].function))
+            seen.update(keys)
+            return rate_report(beta, alloc, powers, gains, weights, scenario)
+
+        monkeypatch.setattr(orchestrator, "jmstp_slot", new_slot)
+        monkeypatch.setattr(orchestrator, "_matching_stage", spied_stage)
+        for module in (orchestrator, trajectory, power_alloc):
+            monkeypatch.setattr(module, "rate_report", spied)
+        run_episode(sc, algorithm)
+        return calls[0], repeats
+
+    @pytest.mark.parametrize("algorithm, n_ues, n_sub, seed", [
+        ("jmstp", 5, 10, 0), ("jmstp", 5, 10, 9), ("cellular", 10, 20, 1),
+        ("random", 5, 10, 0), ("random", 5, 10, 9)])
+    def test_no_evaluation_repeats_in_a_slot(self, monkeypatch, algorithm, n_ues, n_sub,
+                                            seed):
+        sc = Scenario(n_ues=n_ues, n_subchannels=n_sub, n_slots=4, d_max=25.0,
+                      fading_model="mixed", rng_seed=seed).with_positions(seed)
+        calls, repeats = self.repeats(monkeypatch, sc, algorithm)
+        assert calls >= sc.n_slots
+        assert repeats == []
 
 
 def margin_slot(hop, margin):

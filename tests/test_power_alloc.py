@@ -132,12 +132,12 @@ class TestSurrogate:
             x0 = fset.project(0.5 * (lo + hi))
             surrogate = prob.surrogate(x0)
 
-            exact = prob.true_objective(x0)
+            exact = prob.report(x0).objective
             assert abs(surrogate(x0)[0] - exact) <= 1e-12 * max(1.0, abs(exact)), name
 
             for _ in range(300):
                 z = fset.project(lo + rng.uniform(0, 1, prob.n_vars) * (hi - lo + 0.05))
-                exact = prob.true_objective(z)
+                exact = prob.report(z).objective
                 assert surrogate(z)[0] <= exact + 1e-12 * max(1.0, abs(exact)), name
 
     def test_direct_only_surrogate_is_the_exact_objective(self):
@@ -154,7 +154,7 @@ class TestSurrogate:
         surrogate = prob.surrogate(x0)
         for _ in range(100):
             z = fset.project(lo + rng.uniform(0, 1, prob.n_vars) * (hi - lo + 0.05))
-            assert surrogate(z)[0] == pytest.approx(prob.true_objective(z), rel=1e-12)
+            assert surrogate(z)[0] == pytest.approx(prob.report(z).objective, rel=1e-12)
 
     def test_surrogate_gradient(self):
         from gradcheck import grad_check
@@ -470,7 +470,7 @@ class TestScpPower:
         x = prob.pack(res.powers)
         assert prob.feasible_set().linear_violation(x) <= 1e-9
         assert np.all(x - prob.qos_floors() >= -1e-12)
-        assert res.objective == pytest.approx(prob.true_objective(x), rel=1e-12)
+        assert res.objective == pytest.approx(prob.report(x).objective, rel=1e-12)
 
     def test_weight_scaling_leaves_argmax_unchanged(self):
         sc, gains, beta, alloc, weights = mixed_instance()
@@ -488,7 +488,7 @@ class TestScpPower:
         init.p_ue *= 0.9
         init.p_uav *= 0.9
         prob = PowerProblem(beta, alloc, gains, weights, sc)
-        start_obj = prob.true_objective(prob.pack(init))
+        start_obj = prob.report(prob.pack(init)).objective
         res = scp_power(beta, alloc, gains, weights, sc, init=init)
         assert res.trace[0] == pytest.approx(start_obj, rel=1e-12)
         assert res.objective >= start_obj - 1e-12
@@ -559,14 +559,17 @@ class TestScpPower:
         assert not res.powers.p_ue.any() and not res.powers.p_uav.any()
 
 
-def reference_scp_power(beta, alloc, gains, weights, sc, init=None):
+def reference_scp_power(beta, alloc, gains, weights, sc, init=None, objective=None):
     """`scp_power` written out: the plain SCP loop, each step the
     certified water-filling point, and after each kept step that gains
     eps on a problem with a relayed variable, the walk x + tau*(x+ - x),
     tau = 2, 4, ..., 64, one projection and one exact objective per
     trial, kept while the objective strictly rises and cut where a
-    projection repeats the last kept point.  Returns the result, the
-    problem with its feasible set, and every kept point."""
+    projection repeats the last kept point.  The start is priced unless
+    it is `init` bit for bit on `alloc` and `objective` is given, which
+    is then its price; a step that returns its start is not priced.
+    Returns the result, the problem with its feasible set, and every
+    kept point."""
     alloc = np.asarray(alloc, dtype=int)
     dropped = []
     start = None
@@ -588,7 +591,9 @@ def reference_scp_power(beta, alloc, gains, weights, sc, init=None):
 
     eps = sc.tolerances.bcd
     relayed = bool(prob.relay.any())
-    x, obj = start, prob.true_objective(start)
+    given = objective is not None and not dropped and np.array_equal(start, prob.pack(init))
+    report = None if given else prob.report(start)
+    x, obj = start, objective if given else report.objective
     trace, kept = [obj], []
     converged, it = False, 0
     for it in range(1, power_alloc._MAX_OUTER + 1):
@@ -598,41 +603,45 @@ def reference_scp_power(beta, alloc, gains, weights, sc, init=None):
                                max_iters=power_alloc._INNER_ITERS)
         if not res.feasible:
             break
-        plain = prob.true_objective(res.x)
+        if np.array_equal(res.x, x):
+            plain_report, plain = report, obj
+        else:
+            plain_report = prob.report(res.x)
+            plain = plain_report.objective
         if plain < obj - 1e-9 * max(1.0, abs(obj)):
             converged = True
             break
-        point, value = res.x, plain
+        point, point_report, value = res.x, plain_report, plain
         if relayed and plain - obj >= eps:
             for k in range(1, 7):
                 trial = fset.project(x + 2.0 ** k * (res.x - x))
                 if np.array_equal(trial, point):
                     break
-                trial_value = prob.true_objective(trial)
-                if trial_value <= value:
+                trial_report = prob.report(trial)
+                if trial_report.objective <= value:
                     break
-                point, value = trial, trial_value
+                point, point_report, value = trial, trial_report, trial_report.objective
         trace.append(value)
         kept.append(point)
         gain = value - obj
-        x, obj = point, value
+        x, obj, report = point, value, point_report
         if gain < eps or not relayed:
             converged = True
             break
-    result = PowerResult(prob.unpack(x), alloc, dropped, obj, it, converged, trace)
+    result = PowerResult(prob.unpack(x), alloc, dropped, obj, it, converged, trace, report)
     return result, prob, fset, kept
 
 
 def counted_objective(monkeypatch):
     """Count every exact objective that any `PowerProblem` prices."""
     calls = []
-    priced = PowerProblem.true_objective
+    priced = PowerProblem.report
 
     def counted(self, x):
         calls.append(1)
         return priced(self, x)
 
-    monkeypatch.setattr(PowerProblem, "true_objective", counted)
+    monkeypatch.setattr(PowerProblem, "report", counted)
     return calls
 
 
@@ -665,6 +674,10 @@ def assert_same_result(got, want):
     assert got.objective == want.objective
     assert got.trace == want.trace
     assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert (got.report is None) == (want.report is None)
+    if want.report is not None:
+        assert got.report.objective == got.objective == want.objective
+        assert got.report.per_ue_rate.tobytes() == want.report.per_ue_rate.tobytes()
 
 
 class TestOverrelaxedStep:
@@ -722,9 +735,13 @@ class TestOverrelaxedStep:
     def test_plateau_ends_the_walk(self, monkeypatch):
         # an exact objective with flat runs: a trial that only ties the
         # kept point ends the walk
-        priced = PowerProblem.true_objective
-        monkeypatch.setattr(PowerProblem, "true_objective",
-                            lambda self, x: round(priced(self, x), 1))
+        priced = PowerProblem.report
+
+        def rounded(self, x):
+            report = priced(self, x)
+            return replace(report, objective=round(report.objective, 1))
+
+        monkeypatch.setattr(PowerProblem, "report", rounded)
         sc, gains, beta, alloc, weights = mixed_instance()
         self.check(counted_objective(monkeypatch), (beta, alloc, gains, weights, sc), {})
 

@@ -92,3 +92,42 @@ def test_power_sweep_prints_paired_gaps_per_power(tmp_path):
                 mean, lower = map(float, gaps[power, f"jmstp-{rival}", metric])
                 want = float(at[0][metric]) - float(row[metric])
                 assert mean == pytest.approx(want, abs=1e-4) and lower <= mean + 1e-12
+
+
+MODULE = '''"""A module docstring,
+over two lines."""
+
+import os  # a trailing comment keeps its line
+
+# a comment line
+
+
+class A:
+    """A class docstring."""
+
+    def f(self):
+        """A function docstring."""
+        s = """a string that is
+not a docstring"""
+        return os.sep + s
+'''
+
+
+def test_code_lines_counts_code_only():
+    # import, class, def, the two lines of the string, return
+    assert load_script("code_lines").code_lines(MODULE) == 6
+
+
+def test_code_lines_diff_prints_both_checkouts_per_module(tmp_path):
+    for side, extra in (("base", ""), ("head", "X = 1\n")):
+        package = tmp_path / side / "src" / "uavrelay"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text(MODULE + extra)
+        if side == "head":
+            (package / "b.py").write_text("Y = 2\n")
+    done = run_script(ROOT / "scripts" / "code_lines.py", "--diff",
+                      str(tmp_path / "base"), str(tmp_path / "head"))
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    assert rows == [["a.py", "6", "7", "+1"], ["b.py", "0", "1", "+1"],
+                    ["total", "6", "8", "+2"]]

@@ -20,12 +20,12 @@ from uavrelay.link_rate import (
     dc_k,
     rate_report,
 )
-from uavrelay.scenario import Scenario, SnrThresholds, UavState, dbm_to_watts
+from uavrelay.scenario import Scenario, SnrThresholds, dbm_to_watts
 from uavrelay.trajectory import (
     BARRIER_WEIGHT,
+    Audit,
     SlotInputs,
     _QOS_SLACK,
-    _audit,
     _horizontal_objective,
     horizontal_surrogate,
     solve_altitude,
@@ -77,6 +77,28 @@ def ball_points(center, radius, count, seed):
     ang = rng.uniform(0.0, 2.0 * math.pi, count)
     rad = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
     return center + np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+
+
+def _audit(pos, inputs, gains=None):
+    """The slot at UAV position `pos` priced alone, from one channel and
+    one rate evaluation, or none of the channel when `gains` is the exact
+    channel at `pos`: `_audits`' sequential reference, and the audited
+    start that a caller of the stage holds."""
+    pos = np.array(pos, dtype=float)
+    if gains is None:
+        gains = gain_matrices(inputs.scenario, pos, inputs.slot_index)
+    report = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains, inputs.weights,
+                         inputs.scenario)
+    return Audit(inputs, pos, gains, report.objective, report.per_ue_rate)
+
+
+def worst_margin(pos, inputs):
+    """The worst SNR margin, SNR / threshold - 1, over the relayed hops
+    with the UAV at `pos`: inf when nothing is relayed."""
+    gains = gain_matrices(inputs.scenario, np.array(pos, dtype=float), inputs.slot_index)
+    link = rate_report(inputs.beta, inputs.alloc, inputs.powers, gains, inputs.weights,
+                       inputs.scenario).link
+    return float(min(m[link.relay].min(initial=math.inf) for m in link.margins()))
 
 
 def exact_objective(pos, inputs):
@@ -188,7 +210,7 @@ def true_gains(sc, xy, z=130.0):
 
 
 def run_horizontal(start, inputs):
-    return solve_horizontal(_audit(start, inputs), start, inputs)
+    return solve_horizontal(_audit(start, inputs), start)
 
 
 def relayed_rate(sc, p_ue, p_uav, h_ue_uav, h_uav_bs):
@@ -549,18 +571,36 @@ def record_channel_passes(monkeypatch):
     return passes, per_search
 
 
-def test_one_channel_evaluation_per_audited_position(three_pairs, monkeypatch):
-    # every trial position is evaluated once, in at most two passes
+def test_stacked_audits_match_their_sequential_reference(three_pairs):
+    # one pass over a stack: each position's audit bit for bit as priced
+    # alone, or None exactly where a relayed hop misses its floor
     _, inputs = three_pairs
-    passes, per_search = record_channel_passes(monkeypatch)
+    positions = np.array([(200.0, 0.0, 130.0), (170.0, -40.0, 130.0), (900.0, 40.0, 130.0),
+                          (-600.0, -500.0, 130.0), (300.0, 40.0, 130.0)])
+    got = trajectory._audits(positions, inputs)
+    clear = [worst_margin(pos, inputs) >= -QOS_TOL for pos in positions]
+    assert any(clear) and not all(clear)
+    assert [audit is not None for audit in got] == clear
+    for audit, pos in zip(got, positions):
+        if audit is not None:
+            assert_same_step(audit, _audit(pos, inputs))
+            assert audit.inputs is inputs
+
+
+def test_one_channel_evaluation_per_audited_position(three_pairs, monkeypatch):
+    # every trial position is evaluated once, in at most two passes, and
+    # the start, which the caller holds audited, not at all
+    _, inputs = three_pairs
     start = (170.0, -40.0, 130.0)
-    res = to_algorithm(UavState(start, start), inputs)
+    audited = _audit(start, inputs)
+    passes, per_search = record_channel_passes(monkeypatch)
+    res = to_algorithm(audited, start)
     positions = [pos for batch in passes for pos in batch]
-    assert len(positions) > 2
+    assert len(positions) >= 2
     assert len(positions) == len(set(positions))
-    assert tuple(float(v) for v in res.position) in positions
-    assert passes[0] == [start]
-    assert per_search == [len(passes) - 1] and 1 <= per_search[0] <= 2
+    assert tuple(float(v) for v in res.audit.position) in positions
+    assert start not in positions
+    assert per_search == [len(passes)] and 1 <= per_search[0] <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -691,35 +731,39 @@ def test_step_search_stays_in_a_small_move_disc(two_ue):
     sc, inputs, _ = two_ue
     small = replace(inputs, scenario=replace(sc, d_max=5.0))
     start = (170.0, 20.0, 130.0)
-    audit, _ = solve_horizontal(_audit(start, small), start, small)
+    audit, _ = solve_horizontal(_audit(start, small), start)
     r_eff = move_radius(5.0, sc.e_max, sc.slot_len, sc.propulsion)
     dist = float(np.linalg.norm(audit.position - np.array(start)))
     # the doubled trials are projected onto the disc: they reach its edge
     # (the surrogate's own step is 2.7 m) and never leave it
     assert r_eff - 1e-9 <= dist <= r_eff + 1e-9
-    assert _audit(audit.position, small).surplus >= -1e-6
+    assert worst_margin(audit.position, small) >= -1e-6
 
 
 # ---------------------------------------------------------------------------
 # The step search against its sequential reference: one `_audit` per trial.
 
-def sequential_step_search(incumbent, xy_cand, project, inputs):
-    """`_step_search` written out trial by trial, one `_audit` each: the
-    full step, then halvings until a trial keeps the objective and the
-    SNRs, or, when the full step is kept, projected doublings while they
-    strictly raise the objective."""
+def sequential_step_search(incumbent, xy_cand, project):
+    """`_step_search` written out trial by trial, one `_audit` and one
+    `worst_margin` each: the full step, then halvings until a trial keeps
+    the objective and the SNRs, or, when the full step is kept, projected
+    doublings while they strictly raise the objective with the SNRs
+    clear.  A trial on the incumbent is the incumbent, which clears its
+    floors."""
     floor = incumbent.objective - trajectory._ACCEPT_SLACK * max(1.0, abs(incumbent.objective))
     xy_inc, z = incumbent.position[:2], incumbent.position[2]
     step = xy_cand - xy_inc
 
     def audit(xy):
         pos = (xy[0], xy[1], z)
-        return incumbent if np.array_equal(pos, incumbent.position) else _audit(pos, inputs)
+        if np.array_equal(pos, incumbent.position):
+            return incumbent, math.inf
+        return _audit(pos, incumbent.inputs), worst_margin(pos, incumbent.inputs)
 
     tau = 1.0
     for _ in range(trajectory._BACKTRACK_STEPS):
-        kept = audit(xy_inc + tau * step)
-        if kept.objective >= floor and kept.surplus >= -QOS_TOL:
+        kept, margin = audit(xy_inc + tau * step)
+        if kept.objective >= floor and margin >= -QOS_TOL:
             break
         tau *= 0.5
     else:
@@ -731,20 +775,20 @@ def sequential_step_search(incumbent, xy_cand, project, inputs):
         xy = project(xy_inc + tau * step)
         if np.array_equal(xy, kept.position[:2]):
             break
-        trial = audit(xy)
-        if not (trial.objective > kept.objective and trial.surplus >= -QOS_TOL):
+        trial, margin = audit(xy)
+        if not (trial.objective > kept.objective and margin >= -QOS_TOL):
             break
         kept = trial
     return kept
 
 
 def assert_same_step(got, want):
-    """Bit-identical kept positions, objectives, surpluses and gains."""
+    """Bit-identical kept positions, objectives, rates and gains."""
     if want is None:
         assert got is None
         return
     assert np.array_equal(got.position, want.position)
-    assert (got.objective, got.surplus) == (want.objective, want.surplus)
+    assert got.objective == want.objective
     assert np.array_equal(got.rates, want.rates)
     assert same_gains(got.gains, want.gains)
 
@@ -755,9 +799,9 @@ def check_against_reference(monkeypatch):
     checked = []
     search = trajectory._step_search
 
-    def spied(incumbent, xy_cand, project, inputs):
-        got = search(incumbent, xy_cand, project, inputs)
-        assert_same_step(got, sequential_step_search(incumbent, xy_cand, project, inputs))
+    def spied(incumbent, xy_cand, project):
+        got = search(incumbent, xy_cand, project)
+        assert_same_step(got, sequential_step_search(incumbent, xy_cand, project))
         checked.append(got)
         return got
 
@@ -790,10 +834,10 @@ def test_step_search_matches_its_reference_on_a_refused_full_step(request, monke
     cand = start[:2] + length * (solved - start[:2]) / np.linalg.norm(solved - start[:2])
     assert _audit((*cand, start[2]), inputs).objective < incumbent.objective
     passes, _ = record_channel_passes(monkeypatch)
-    got = trajectory._step_search(incumbent, cand, fset.project, inputs)
+    got = trajectory._step_search(incumbent, cand, fset.project)
     assert len(passes) == 2 and len(passes[1]) == trajectory._BACKTRACK_STEPS - 1
     assert (got is not None) == kept
-    assert_same_step(got, sequential_step_search(incumbent, cand, fset.project, inputs))
+    assert_same_step(got, sequential_step_search(incumbent, cand, fset.project))
 
 
 def test_step_search_matches_its_reference_on_the_disc_edge(two_ue, monkeypatch):
@@ -802,7 +846,7 @@ def test_step_search_matches_its_reference_on_the_disc_edge(two_ue, monkeypatch)
     small = replace(inputs, scenario=replace(sc, d_max=5.0))
     checked = check_against_reference(monkeypatch)
     start = (170.0, 20.0, 130.0)
-    audit, _ = solve_horizontal(_audit(start, small), start, small)
+    audit, _ = solve_horizontal(_audit(start, small), start)
     r_eff = move_radius(5.0, sc.e_max, sc.slot_len, sc.propulsion)
     assert float(np.linalg.norm(audit.position - np.array(start))) == \
         pytest.approx(r_eff, abs=1e-9)
@@ -871,7 +915,7 @@ def test_every_inner_solve_ends_on_a_certificate_or_the_cap(monkeypatch, seed):
 def test_solve_altitude_holds_the_start():
     _, inputs = relay_inputs([(350.0, 0.0, 0.0)], (250.0, 0.0, 100.0), n_subchannels=2)
     start = _audit((250.0, 0.0, 100.0), inputs)
-    audit, log = solve_altitude(start, (247.0, 4.0, 100.0), inputs)
+    audit, log = solve_altitude(start, (247.0, 4.0, 100.0))
     assert audit is start
     assert (log.stage, log.reason) == ("altitude", "altitude held")
 
@@ -904,8 +948,8 @@ def test_to_algorithm_constraint_and_monotonicity_audit(seed):
     sc, inputs = random_slot(seed)
     start = sc.uav_start
     before = _audit(start, inputs)
-    assert before.surplus >= 0.0
-    res = to_algorithm(UavState(start, start), inputs)
+    assert worst_margin(start, inputs) >= 0.0
+    res = to_algorithm(before, start).audit
     disp = float(np.linalg.norm(res.position - np.array(start)))
     r_eff = move_radius(sc.d_max, sc.e_max, sc.slot_len, sc.propulsion)
     assert disp <= r_eff + 1e-6
@@ -913,7 +957,7 @@ def test_to_algorithm_constraint_and_monotonicity_audit(seed):
     assert flying_power_upper(disp / sc.slot_len, sc.propulsion) * sc.slot_len \
         <= sc.e_max + 1e-9
     assert res.objective >= before.objective - 1e-9
-    assert _audit(res.position, inputs).surplus >= -1e-6
+    assert worst_margin(res.position, inputs) >= -1e-6
 
 
 def test_to_algorithm_stationary_start_stops_in_one_pass():
@@ -929,10 +973,10 @@ def test_to_algorithm_stationary_start_stops_in_one_pass():
                 if o > best:
                     best, bx, bz = o, float(x), float(z)
     start = (bx, 0.0, bz)
-    res = to_algorithm(UavState(start, start), inputs)
+    res = to_algorithm(_audit(start, inputs), start)
     assert res.passes == 1
-    assert float(np.linalg.norm(res.position - np.array(start))) <= 0.5
-    assert res.objective - best <= 1e-4 * best
+    assert float(np.linalg.norm(res.audit.position - np.array(start))) <= 0.5
+    assert res.audit.objective - best <= 1e-4 * best
 
 
 @pytest.mark.parametrize("case", ["two_ue", "far_relay"])
@@ -944,12 +988,12 @@ def test_to_algorithm_is_one_horizontal_run(request, case):
         _, inputs = relay_inputs([(350.0, 0.0, 0.0)], (250.0, 0.0, 100.0),
                                  n_subchannels=2)
         start = (250.0, 0.0, 100.0)
-    res = to_algorithm(UavState(start, start), inputs)
-    run, _ = solve_horizontal(_audit(start, inputs), start, inputs)
-    assert np.array_equal(res.position, run.position)
-    assert res.objective == run.objective
-    # the reported objective is the one its position reaches
-    assert res.objective == exact_objective(res.position, inputs)
+    res = to_algorithm(_audit(start, inputs), start)
+    run, _ = run_horizontal(start, inputs)
+    assert np.array_equal(res.audit.position, run.position)
+    assert res.audit.objective == run.objective
+    # the reported state is the one its position reaches
+    assert_same_step(res.audit, _audit(res.audit.position, inputs))
     assert [log.stage for log in res.logs] == ["horizontal", "altitude"]
     assert res.passes == 1
 
@@ -972,16 +1016,17 @@ def test_to_algorithm_without_relay_drifts_toward_a_starved_ue(two_ue):
     start = (230.0, 10.0, 130.0)
     before = _audit(start, inputs)
     assert before.rates[0] > 0.0 and before.rates[1] == 0.0
-    res = to_algorithm(UavState(start, start), inputs)
+    res = to_algorithm(before, start)
     # the whole move radius along the line to the starved UE
     r_eff = move_radius(sc.d_max, sc.e_max, sc.slot_len, sc.propulsion)
-    step = res.position - np.array(start)
+    step = res.audit.position - np.array(start)
     toward = np.array([*sc.ue_positions[1][:2], start[2]]) - np.array(start)
     assert np.linalg.norm(step) == pytest.approx(r_eff, rel=1e-12)
     assert step @ toward == pytest.approx(np.linalg.norm(step) * np.linalg.norm(toward),
                                           rel=1e-12)
-    assert same_gains(res.gains, gain_matrices(sc, res.position, 0))
-    assert res.objective == before.objective
+    # the moved state is exact: the rates do not depend on the position
+    assert_same_step(res.audit, _audit(res.audit.position, inputs))
+    assert np.array_equal(res.audit.rates, before.rates)
     assert res.passes == 0 and res.logs == []
 
 
@@ -990,8 +1035,6 @@ def test_to_algorithm_without_relay_holds_when_every_ue_is_served(two_ue):
     start = (230.0, 10.0, 130.0)
     before = _audit(start, inputs)
     assert np.all(before.rates > 0.0)
-    res = to_algorithm(UavState(start, start), inputs, before.gains)
-    assert np.array_equal(res.position, start)
-    assert res.gains is before.gains
-    assert res.objective == before.objective
+    res = to_algorithm(before, start)
+    assert res.audit is before
     assert res.passes == 0
