@@ -4,10 +4,13 @@
 Dump mode runs every slot of the three benchmark panels (perfbench's
 relay_mixed, dense_cellular and random_cold), relay_mixed's first four
 scenarios under fading "none" and "rayleigh" with each of the three
-algorithms, and relay_mixed's whole panel at a UE budget of 20 dBm under
+algorithms, relay_mixed's whole panel at a UE budget of 20 dBm under
 jmstp and cellular, where the powers a candidate carries from the
-incumbent matter most.  It writes per slot the modes, the allocation,
-the objective, the UAV position and the output check's findings to JSON:
+incumbent matter most, and relay_dense: jmstp at 20 UEs x 40
+subchannels on seeds 0-9, the size where the relayed matching tables,
+the trajectory's peers and the relay power are largest.  It writes per
+slot the modes, the allocation, the objective, the UAV position and the
+output check's findings to JSON:
 
     python3 scripts/parity.py CHECKOUT --out parity.json
 
@@ -51,6 +54,7 @@ EXTRA_FADING = ("none", "rayleigh")
 ALGORITHMS = ("jmstp", "random", "cellular")
 HIGH_DBM = 20.0
 HIGH_ALGORITHMS = ("jmstp", "cellular")
+DENSE_SEEDS = 10
 SIGNED_TOL = 1e-12  # a smaller objective move counts as neither a rise nor a fall
 
 
@@ -72,6 +76,9 @@ def episodes(workloads):
         for i, sc in enumerate(workloads.panel(relay)):
             sc = replace(sc, p_ue_max=dbm_to_watts(HIGH_DBM))
             yield f"{HIGH_DBM:g}dBm:{algorithm}", i, sc, algorithm
+    dense = workloads.WORKLOADS["dense_cellular"]  # its 20 x 40 scenarios
+    for i in range(DENSE_SEEDS):
+        yield "relay_dense", i, workloads.scenario(dense, i), "jmstp"
 
 
 def dump(checkout: Path, out: Path) -> None:

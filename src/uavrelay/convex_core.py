@@ -23,9 +23,10 @@ test.  The model's curvature decides the trial point:
   maximiser, so there the engine only certifies that point: its
   projected-gradient test passes at the first iteration.
 
-Smooth nonlinear constraints are the objective's own: it returns -inf
-outside its domain, as the trajectory's log barrier on its hop floors
-does, and the search never accepts such a point.
+An objective may return -inf outside its domain, as the trajectory's
+surrogate does where a hop's surrogate signal, the argument of its log,
+is not positive; the search never accepts such a point.  The start must
+lie inside the domain.
 """
 
 from __future__ import annotations
@@ -211,19 +212,17 @@ def _trust_region_point(center: np.ndarray, radius: float, x: np.ndarray,
     return center + np.array((u * y1 - v * y2, v * y1 + u * y2)), lam
 
 
-def _ascend(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
+def _ascend(objective: Objective, fset: FeasibleSet, x: np.ndarray,
             max_iters: int) -> tuple[np.ndarray, float, Diagnostics]:
     """Monotone ascent: each iteration moves toward the maximizer over
     the set of a quadratic model of the objective, with an Armijo search
     along that segment.  The model is Newton's where the objective
     returns a Hessian (`_trust_region_point`), else the projected
-    gradient step of a Barzilai–Borwein length."""
-    x = fset.project(np.asarray(x0, dtype=float))
+    gradient step of a Barzilai–Borwein length.  The start `x` lies in
+    the set, as `maximize_concave` projects it, and in the objective's
+    domain."""
     val, grad, *hess = objective(x)
     diag = Diagnostics()
-    if not math.isfinite(val):
-        diag.reason = "start outside objective domain"
-        return x, val, diag
     step = 1.0
     for it in range(1, max_iters + 1):
         diag.iterations = it
@@ -267,9 +266,10 @@ def _ascend(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
 
 def maximize_concave(objective: Objective, fset: FeasibleSet, x0: np.ndarray,
                      max_iters: int = 500) -> SolveResult:
-    """Maximize a concave objective over the feasible set.  The result is
-    infeasible when no start lies in the set, or when the final value is
-    not finite: the start lay outside the objective's domain."""
+    """Maximize a concave objective over the feasible set from `x0`,
+    projected onto the set, where the objective must be finite.  The
+    result is infeasible when no start lies in the set, or when the final
+    value is not finite."""
     x0 = fset.project(np.asarray(x0, dtype=float))
     if fset.linear_violation(x0) > 1e-9:
         return SolveResult(x0, False, Diagnostics(reason="no feasible start derivable"))

@@ -2,22 +2,25 @@
 
 Only the relayed links depend on where the UAV sits.  The horizontal
 stage makes one SCP step in (x, y) at the held altitude: it maximizes a
-concave surrogate of the weighted relayed rate, built from tangent
-lower bounds on the air gains around the incumbent.  The surrogate
-and a log barrier on the hop floors are one objective with its exact
-2x2 Hessian, so `convex_core` maximizes it by damped Newton steps, each
-an exact trust-region step on the move disc, and stops on the Newton
-decrement.  The disc is not a barrier row: as one, it held Newton to
-millimetre steps along its edge, where a third of the solves start and
-more end.  The step from the incumbent toward the surrogate's maximizer
-is then searched on the exact slot objective in both directions: halved
-toward the incumbent until the objective does not drop, or, when the
-full step is kept, doubled (and projected onto the move disc) while the
-objective keeps rising.  The objective thus never drops regardless of
-surrogate quality, and a tangent bound that is too cautious far from
-its expansion point does not cost one block-coordinate cycle per short
-step.  Whenever the approximated SNR set turns out empty the stage
-returns the incumbent unchanged.  The altitude is held for the whole
+concave surrogate of the weighted relayed rate, built from tangent lower
+bounds on the air gains around the incumbent.  The surrogate is one
+objective with its exact 2x2 Hessian, so `convex_core` maximizes it by
+damped Newton steps, each an exact trust-region step on the move disc,
+and stops on the Newton decrement.  Neither the disc nor the hop floors
+are barrier rows: as one, each held Newton to millimetre steps along its
+edge, and solves that crawled so ran to the iteration cap.  The step
+from the incumbent toward the surrogate's maximizer is then searched on
+the exact slot objective in both directions: halved toward the incumbent
+until the objective does not drop, or, when the full step is kept,
+doubled (and projected onto the move disc) while the objective keeps
+rising.  The objective thus never drops regardless of surrogate quality,
+and a tangent bound that is too cautious far from its expansion point
+does not cost one block-coordinate cycle per short step.  The search
+also holds the hop floors: it keeps no trial whose relayed SNRs miss
+them on the exact channel.  So a kept step is feasible and does not drop
+the exact objective, which is all a BSUM block step needs (Razaviyayn,
+Hong & Luo, SIAM J. Optim. 2013), and the stage returns the incumbent
+unchanged where no step is kept.  The altitude is held for the whole
 episode (`solve_altitude`).
 
 Without relayed assignments the slot objective does not depend on the
@@ -29,27 +32,26 @@ and keeps the objective it started with.  The drift and the step share
 one move disc (`_move_disc_radius`).
 
 The stage's objective is a sum over the 2P hops of the P relayed (UE,
-subchannel) pairs, each hop a function of one of the N + 1 ground
-peers' gain bounds.  So one evaluation (`_horizontal_objective`) takes
-each peer's bound, gradient and Hessian once, weighs them by the
-derivatives of its hops' rate and floor terms summed per peer, and
-forms no per-hop gradient or Hessian.  It runs on Python floats and
-`math`: one pass over the peers that carry a hop (`_PeerCores.at`),
-one over the hops for the rates, the floor rows and the per-peer
-weights, and the 2x2 gradient and Hessian summed from those.  With a
-handful of peers and 2 to 8 hops, numpy's per-call overhead, not the
-arithmetic, was an evaluation's cost: its numpy form made about 80
-calls, and over relay_mixed's panel solves it took 85 us an evaluation
-against 15 us for the float passes (best of 7 runs; 2-vCPU Xeon VM,
-Python 3.11.7, numpy 2.4.6).  The inner solve starts at the
-incumbent, and its first evaluation there is the test for an empty
-approximated SNR set.  The stage starts from the slot's audited state
+subchannel) pairs, each hop a function of one of the N + 1 ground peers'
+gain bounds.  So one evaluation (`_horizontal_objective`) takes each
+peer's bound, gradient and Hessian once, weighs them by the derivatives
+of its hops' rate terms summed per peer, and forms no per-hop gradient
+or Hessian.  It runs on Python floats and `math`: one pass over the
+peers that carry a hop (`_PeerCores.at`), one over the hops for the
+rates and the per-peer weights, and the 2x2 gradient and Hessian summed
+from those.  With a handful of peers and 2 to 8 hops, numpy's per-call
+overhead, not the arithmetic, was an evaluation's cost: its numpy form
+made about 80 calls, and over relay_mixed's panel solves it took 85 us
+an evaluation against 15 us for the float passes (best of 7 runs; 2-vCPU
+Xeon VM, Python 3.11.7, numpy 2.4.6).  The inner solve starts at the
+incumbent, where each gain bound is tight and each hop's surrogate
+signal positive.  The stage starts from the slot's audited state
 (`Audit`), which the block-coordinate loop carries already priced, and
 the step search audits its trials on the exact channel in at most two
-passes over a stack of positions (`_audits`).  So no position is
-audited twice in one `to_algorithm` call, the start included; the call
-makes one horizontal step, the slot's block-coordinate loop is the only
-loop that repeats it, and it stops on the slot's one tolerance.
+passes over a stack of positions (`_audits`).  So no position is audited
+twice in one `to_algorithm` call, the start included; the call makes one
+horizontal step, the slot's block-coordinate loop is the only loop that
+repeats it, and it stops on the slot's one tolerance.
 """
 
 from __future__ import annotations
@@ -61,13 +63,10 @@ import numpy as np
 
 from .channel import ChannelGains, gain_matrices, slot_channel
 from .convex_core import FeasibleSet, maximize_concave
-from .link_rate import (HALF_LOG2E, QOS_TOL, PowerAllocation, RateReport, dc_m,
-                        floor_signals, rate_report)
+from .link_rate import HALF_LOG2E, QOS_TOL, PowerAllocation, RateReport, dc_m, rate_report
 from .scenario import A2GParams, Scenario
 from .uav_power import move_radius
 
-_QOS_SLACK = 1e-9       # relative relaxation of the approximated SNR floors
-BARRIER_WEIGHT = 1e-6   # weight of the log barrier on the approximated SNR floors
 _ACCEPT_SLACK = 1e-12   # relative slack when comparing exact objectives
 _EXP_CAP = 500.0        # caps exponents where a loose tangent runs wild
 _NUDGE = 0.1            # m, horizontal shift applied over a degenerate peer
@@ -276,25 +275,23 @@ def horizontal_surrogate(inputs: SlotInputs, position) -> SurrogateContext:
 
 def _horizontal_objective(ctx: SurrogateContext, inputs: SlotInputs):
     """The stage's objective over (x, y), x -> (value, gradient,
-    Hessian): the weighted sum of the surrogate rates plus
-    `BARRIER_WEIGHT` times the sum of the logs of the 2P floor rows, and
-    -inf where a row is not positive.
+    Hessian): the weighted sum of the surrogate rates, and -inf where a
+    hop's surrogate signal p h + noise is not positive, outside the
+    domain of its log.
 
     Each rate is the split K - M of `link_rate` in the hop signals p h,
     chained through the powers into the gain bounds.  M is replaced by
     its tangent at the expansion point, taken once here, so each rate is
-    concave in the gain bounds and tight at the expansion.  Each floor
-    row is a hop's approximated SNR over its floor, minus one, slightly
-    relaxed so an incumbent funded exactly at the floor stays strictly
-    interior.  Rates and rows are sums over hops, each a function of its
-    peer core's bound alone, so one pass over the cores that carry a hop
-    serves both: per hop, the first and second derivatives of its rate
-    and log row terms in the core bound (alpha, beta), summed per core,
-    weigh the cores' gradients and Hessians once.  Setup and evaluation
-    run on Python floats (the module docstring says why).  The value
-    keeps M's tangent as M0 plus a slope times xy - x0, a small term
-    near the expansion, not as a constant less slope . xy, which would
-    cancel."""
+    concave in the gain bounds and tight at the expansion.  The hop
+    floors are no term of it: the step search holds them on the exact
+    channel (`_step_search`).  Rates are sums over hops, each a function
+    of its peer core's bound alone, so one pass over the cores that carry
+    a hop serves them all: per hop, the first and second derivatives of
+    its rate term in the core bound (alpha, beta), summed per core, weigh
+    the cores' gradients and Hessians once.  Setup and evaluation run on
+    Python floats (the module docstring says why).  The value keeps M's
+    tangent as M0 plus a slope times xy - x0, a small term near the
+    expansion, not as a constant less slope . xy, which would cancel."""
     s = inputs.scenario
     n = ctx.ue.size
     rows = ctx.rows.tolist()
@@ -303,17 +300,12 @@ def _horizontal_objective(ctx: SurrogateContext, inputs: SlotInputs):
     cores0 = ctx.cores.at(x0, y0, peers)
     pp = np.concatenate([inputs.powers.p_ue[ctx.ue, ctx.sub], inputs.powers.p_uav[ctx.sub]])
     w = inputs.weights[ctx.ue].tolist() * 2  # per hop: access hops, then backhaul hops
-    floors = [float(f) for f in floor_signals(True, s.snr_thresholds, s.noise_var, s.ici_power)]
     noise = (s.noise_var, s.noise_var + s.ici_power)
-    # per hop: its core, scale and power, one over the gain at which it
-    # sits exactly on its SNR floor, its noise, the floor row's slope, and
-    # the weighted rate term's first and second derivatives in its core's
-    # bound over dK/ds and d2K/ds2
-    hops = []
-    for j, (i, c, p, wj) in enumerate(zip(rows, ctx.scale.tolist(), pp.tolist(), w)):
-        inv = 1.0 / (floors[j // n] / p)
-        hops.append((peers.index(i), c, p, inv, noise[j // n], inv * c, wj * p * c,
-                     wj * p * c * p * c))
+    # per hop: its core, scale, power and noise, and the weighted rate
+    # term's first and second derivatives in its core's bound over dK/ds
+    # and d2K/ds2
+    hops = [(peers.index(i), c, p, noise[j // n], wj * p * c, wj * p * c * p * c)
+            for j, (i, c, p, wj) in enumerate(zip(rows, ctx.scale.tolist(), pp.tolist(), w))]
     m0, dm = dc_m(pp * [c * cores0[k][0] for k, c, *_ in hops], True, s.noise_var, s.ici_power)
     # M's tangent slope per pair: each partial in a signal p h, times p,
     # times the gain's gradient -iso diff
@@ -329,23 +321,18 @@ def _horizontal_objective(ctx: SurrogateContext, inputs: SlotInputs):
         x, y = map(float, xy)
         cores = ctx.cores.at(x, y, peers)
         alpha, beta = [0.0] * len(peers), [0.0] * len(peers)
-        a, log_rows = [], 0.0
-        for k, c, p, inv, noise_j, row_scale, ws, ws2 in hops:
-            h = c * cores[k][0]
-            row = h * inv - 1.0 + _QOS_SLACK
-            if row <= 0.0:
+        a = []
+        for k, c, p, noise_j, ws, ws2 in hops:
+            a_j = p * (c * cores[k][0]) + noise_j
+            if a_j <= 0.0:
                 return -math.inf, None, None
-            a_j = p * h + noise_j
             dk = HALF_LOG2E / a_j
-            t = row_scale / row  # d log(row) / d(core bound)
-            alpha[k] += ws * dk + BARRIER_WEIGHT * t
-            beta[k] += ws2 * (-dk / a_j) - BARRIER_WEIGHT * t * t
-            log_rows += math.log(row)
+            alpha[k] += ws * dk
+            beta[k] += ws2 * (-dk / a_j)
             a.append(a_j)
         dx0, dy0 = x - x0, y - y0
         value = sum(wn * (0.5 * math.log2(a1 * a2) - mn - (mx * dx0 + my * dy0))
-                    for (wn, mn, mx, my), a1, a2 in zip(pairs, a[:n], a[n:])) \
-            + BARRIER_WEIGHT * log_rows
+                    for (wn, mn, mx, my), a1, a2 in zip(pairs, a[:n], a[n:]))
         # sum_i alpha_i H_i + beta_i g_i g_i^T, with H_i = -(iso_i I + aniso_i
         # d_i d_i^T) and g_i = -iso_i d_i
         gx, gy, hxx, hxy, hyy, diag = -slope_x, -slope_y, 0.0, 0.0, 0.0, 0.0
@@ -389,13 +376,16 @@ def _step_search(incumbent: Audit, xy_cand: np.ndarray, project) -> Audit | None
     until the exact objective stops dropping and the relayed SNRs still
     clear their floors.  When the full step is kept it walks up instead,
     2, 4, ..., each trial projected onto the move disc by `project`, and
-    keeps the last trial that strictly raises the exact objective with
-    the SNRs clear; it stops at the first trial that does not, or whose
-    projection returns the kept position.  The surrogate's tangent bounds
-    are tight only at the incumbent, so its maximizer can fall short of
-    the exact objective's rise along the same direction; over-relaxing
-    the bound step (Salakhutdinov & Roweis, "Adaptive Overrelaxed Bound
-    Optimization Methods", ICML 2003) takes that rise in one step.
+    keeps the last trial that strictly raises the exact objective with the
+    SNRs clear; it stops at the first trial that does not, or whose
+    projection lies within the shortest halving's length, 2**-10 of the
+    full step, of the kept position: on the disc's edge the projections
+    close in on one point, and a trial that close to the last one is not
+    worth its audit.  The surrogate's tangent bounds are tight only at the
+    incumbent, so its maximizer can fall short of the exact objective's
+    rise along the same direction; over-relaxing the bound step
+    (Salakhutdinov & Roweis, "Adaptive Overrelaxed Bound Optimization
+    Methods", ICML 2003) takes that rise in one step.
 
     The trials are audited in at most two passes (`_audits`): the full
     step and its doublings, then, only when the full step is refused,
@@ -413,11 +403,12 @@ def _step_search(incumbent: Audit, xy_cand: np.ndarray, project) -> Audit | None
         audits = iter(_audits(pos[fresh], incumbent.inputs) if fresh.any() else ())
         return [next(audits) if f else incumbent for f in fresh]
 
-    # the doublings stop where a projection returns the trial before it
-    points = [xy_inc + step]
+    # the doublings stop where a projection moves the trial before it by
+    # no more than the shortest halving
+    points, least = [xy_inc + step], math.hypot(*step) * 2.0 ** (1 - _BACKTRACK_STEPS)
     for tau in 2.0 ** np.arange(1, _EXTEND_STEPS + 1):
         xy = project(xy_inc + tau * step)
-        if np.array_equal(xy, points[-1]):
+        if math.dist(xy, points[-1]) <= least:
             break
         points.append(xy)
     kept, *longer = audited(points)
@@ -438,14 +429,16 @@ def solve_horizontal(start: Audit, anchor) -> tuple[Audit, StageLog]:
     """One SCP step over (x, y) at the altitude of the audited position
     `start`, within the move radius around `anchor`: maximize the tangent
     surrogate around `start` and keep the step that `_step_search` finds
-    along it, shortened while the exact objective drops, lengthened while
-    it keeps rising.  The slot's block-coordinate loop is what repeats
-    the step, and it stops on the one tolerance of the slot; one
-    surrogate step per block per cycle is enough for that loop to
-    converge (BSUM: Razaviyayn, Hong & Luo, SIAM J. Optim. 2013).
-    `start` holds relayed assignments: without them `to_algorithm`
-    drifts instead.  Returns the audit of the kept position, or `start`
-    itself when no step is kept, and the stage log."""
+    along it, shortened while the exact objective drops or a hop misses
+    its floor, lengthened while it keeps rising.  The surrogate has no
+    floor term, so the floors bound no solve: where no trial clears them,
+    no step is kept.  The slot's block-coordinate loop is what repeats the
+    step, and it stops on the one tolerance of the slot; one surrogate
+    step per block per cycle is enough for that loop to converge (BSUM:
+    Razaviyayn, Hong & Luo, SIAM J. Optim. 2013).  `start` holds relayed
+    assignments: without them `to_algorithm` drifts instead.  Returns the
+    audit of the kept position, or `start` itself when no step is kept,
+    and the stage log."""
     inputs = start.inputs
     log = StageLog("horizontal", iterations=1)
     anchor = np.asarray(anchor, dtype=float)
@@ -456,11 +449,7 @@ def solve_horizontal(start: Audit, anchor) -> tuple[Audit, StageLog]:
                            max_iters=_INNER_ITERS)
     log.capped = res.diagnostics.reason == "iteration cap"
     if not res.feasible:
-        # the solve's start is the incumbent, where a floor row that is not
-        # positive leaves the objective no domain
-        log.reason = ("approximated SNR set leaves no room at the incumbent"
-                      if res.diagnostics.reason == "start outside objective domain"
-                      else f"inner solve unusable: {res.diagnostics.reason}")
+        log.reason = f"inner solve unusable: {res.diagnostics.reason}"
         return start, log
     new = _step_search(start, res.x, fset.project)
     if new is None:

@@ -142,7 +142,7 @@ def test_dump_covers_the_panels_and_relay_mixed_at_20_dbm():
     slots = Counter()
     for label, _, sc, _ in episodes:
         slots[label] += sc.n_slots
-    assert len(slots) == 11
+    assert len(slots) == 12
     assert [slots[w] for w in ("relay_mixed", "dense_cellular", "random_cold")] == [100, 260, 100]
     relay = workloads.panel(workloads.WORKLOADS["relay_mixed"])
     for algorithm in ("jmstp", "cellular"):
@@ -153,3 +153,8 @@ def test_dump_covers_the_panels_and_relay_mixed_at_20_dbm():
         assert all(sc.p_ue_max == dbm_to_watts(20.0) != panel.p_ue_max and
                    sc == replace(panel, p_ue_max=sc.p_ue_max)
                    for (_, sc), panel in zip(high, relay))
+    # jmstp on perfbench's 20 x 40 scenarios, seeds 0-9
+    dense = [(i, sc, a) for label, i, sc, a in episodes if label == "relay_dense"]
+    dense_cellular = workloads.WORKLOADS["dense_cellular"]
+    assert dense == [(i, workloads.scenario(dense_cellular, i), "jmstp") for i in range(10)]
+    assert all((sc.n_ues, sc.n_subchannels) == (20, 40) for _, sc, _ in dense)
