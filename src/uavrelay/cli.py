@@ -62,8 +62,11 @@ def episode_summary(log: EpisodeLog) -> dict:
     sc = log.scenario
 
     def energy(power) -> float:
-        return sum(power(s.speed / sc.slot_len, sc.propulsion) * sc.slot_len
-                   for s in log.slots)
+        # in slot order with `+=`: `sum()` compensates from Python 3.12 on
+        total = 0.0
+        for s in log.slots:
+            total += power(s.speed / sc.slot_len, sc.propulsion) * sc.slot_len
+        return total
 
     return {
         "algorithm": log.algorithm,

@@ -80,6 +80,21 @@ class FeasibleSet:
             return x
         return center + d * (radius / norm)
 
+    @cached_property
+    def _block_layout(self) -> tuple[list[float], list[tuple]]:
+        """The floors, and each block's members, their floors, its spare
+        budget and its budget, on Python floats: gathered once per set,
+        for the projection and `linear_violation`."""
+        block, budgets = self.blocks
+        budgets = np.asarray(budgets, dtype=float)
+        spare = budgets - np.bincount(block, self.floors, budgets.size)
+        floors = np.asarray(self.floors, dtype=float).tolist()
+        members: list[list[int]] = [[] for _ in range(budgets.size)]
+        for i, b in enumerate(np.asarray(block).tolist()):
+            members[b].append(i)
+        return floors, [(mine, [floors[i] for i in mine], room, budget)
+                        for mine, room, budget in zip(members, spare.tolist(), budgets.tolist())]
+
     def _block_projector(self) -> Callable[[np.ndarray], np.ndarray]:
         """Projection onto the product of blocks {x >= floors, sum(x) <= b}.
 
@@ -91,15 +106,7 @@ class FeasibleSet:
         floors and spare budget are gathered once per set.  A binding
         block of one variable lands on its budget exactly, so points past
         the same budget project to the same point."""
-        block, budgets = self.blocks
-        budgets = np.asarray(budgets, dtype=float)
-        spare = budgets - np.bincount(block, self.floors, budgets.size)
-        floors = np.asarray(self.floors, dtype=float).tolist()
-        members: list[list[int]] = [[] for _ in range(budgets.size)]
-        for i, b in enumerate(np.asarray(block).tolist()):
-            members[b].append(i)
-        layout = [(mine, [floors[i] for i in mine], room, budget)
-                  for mine, room, budget in zip(members, spare.tolist(), budgets.tolist())]
+        floors, layout = self._block_layout
 
         def threshold(x: np.ndarray) -> np.ndarray:
             xs = x.tolist()
@@ -129,13 +136,20 @@ class FeasibleSet:
         return threshold
 
     def linear_violation(self, x: np.ndarray) -> float:
-        """Largest residual of the region's constraints at `x`; 0 inside."""
+        """Largest residual of the region's constraints at `x`; 0 inside,
+        and on an empty set of blocks.  Blocks are summed in member order
+        on Python floats (`_block_layout`)."""
         if self.ball is not None:
             center, radius = self.ball
             return max(0.0, float(np.linalg.norm(x - center)) - radius)
-        block, budgets = self.blocks
-        over = np.bincount(block, x, len(budgets)) - budgets
-        return max(0.0, float(np.max(over)), float(np.max(self.floors - x)))
+        xs, worst = np.asarray(x, dtype=float).tolist(), 0.0
+        for mine, lo, _, budget in self._block_layout[1]:
+            total = 0.0
+            for i, f in zip(mine, lo):
+                total += xs[i]
+                worst = max(worst, f - xs[i])
+            worst = max(worst, total - budget)
+        return worst
 
 
 @dataclass

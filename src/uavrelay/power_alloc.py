@@ -22,8 +22,11 @@ run that would creep in small certified steps takes each rise in one
 step.  Only the plain step is certified; the exact objective audits the
 doublings.  Every power start comes from one funding rule,
 `restore_feasible`: carried powers stay, every other assignment is
-funded at its floor, best weighted full-budget rate first, and an
-assignment its budgets cannot pay is shed.
+funded at its floor, best weighted full-budget rate first, an
+assignment its budgets cannot pay is shed, and what each budget has
+left is spread by weighted marginal rate.  It runs on Python floats
+over the allocation's pairs, after one `LinkBudget` call prices them at
+full budget, and builds no `PowerProblem`.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 
 from .channel import ChannelGains
 from .convex_core import FeasibleSet, maximize_concave
-from .link_rate import (HALF_LOG2E, LinkBudget, PowerAllocation, RateReport, dc_k, dc_m,
+from .link_rate import (HALF_LOG2E, LinkBudget, PowerAllocation, RateReport, dc_k,
                         floor_signals, rate_report)
 from .scenario import Scenario
 
@@ -46,18 +49,16 @@ _NEWTON_STEPS = 100     # a guard: the water levels settle in a few passes
 
 @dataclass
 class DcTerms:
-    """`link_rate`'s split of every rate term at one power vector, laid
-    out over a `PowerProblem`'s variables: K and the partials of both
-    concave pieces.
+    """The K of `link_rate`'s split of every rate term at one power
+    vector, laid out over a `PowerProblem`'s variables, with its partials.
 
     `k` holds each assigned subchannel's K (UE-variable order).  Every
     variable feeds exactly one UE's rate, so one gradient entry per
-    variable suffices: `k_grad[i]` and `m_grad[i]` differentiate the K
-    and M of the UE that owns variable i."""
+    variable suffices: `k_grad[i]` differentiates the K of the UE that
+    owns variable i."""
 
     k: np.ndarray
     k_grad: np.ndarray
-    m_grad: np.ndarray | None
 
 
 class PowerProblem:
@@ -116,18 +117,13 @@ class PowerProblem:
         p_uav[self.uav_k] = x[self.n_ue_vars:]
         return PowerAllocation(p_ue, p_uav)
 
-    def dc_terms(self, x: np.ndarray, with_m: bool = True) -> DcTerms:
-        """Split every rate term as K - M (`link_rate.dc_k`, `dc_m`) at
-        the packed powers `x`, the partials chained through the gains.
-        `with_m=False` skips M's partials (left as None), which a
-        surrogate holding M's tangent never reads."""
+    def dc_terms(self, x: np.ndarray) -> DcTerms:
+        """Every rate term's K (`link_rate.dc_k`) at the packed powers
+        `x`, its partials chained through the gains: what the surrogate,
+        which holds M's tangent, reads of the split."""
         s = (x * self.h)[self._stack]
         k, dk = dc_k(s, self._noise)
-        k_grad = self.h * np.bincount(self._stack, dk, self.n_vars)
-        if not with_m:
-            return DcTerms(k, k_grad, None)
-        _, dm = dc_m(s, self.relay, self.sigma2, self.ici)
-        return DcTerms(k, k_grad, self.h * np.bincount(self._stack, dm, self.n_vars))
+        return DcTerms(k, self.h * np.bincount(self._stack, dk, self.n_vars))
 
     def feasible_set(self) -> FeasibleSet:
         """One budget block per UE with variables, then the UAV's: the
@@ -176,7 +172,7 @@ class PowerProblem:
         w_var = self.weights[self.owner]
 
         def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-            terms = self.dc_terms(x, with_m=False)
+            terms = self.dc_terms(x)
             value = float(w_k @ terms.k) - m0 - float(m_slope @ (x - x0))
             return value, w_var * terms.k_grad - m_slope
 
@@ -191,8 +187,8 @@ class PowerProblem:
         d, b, a, 2*c*d, d + b, floor) with a = c + c2: a direct UE power
         has two logs, one per phase, d apart; a relayed UE power (its
         access hop) and a UAV power (its backhaul hop) have one, c2 = d =
-        0.  Built on first use, since `spread_leftover`'s problems never
-        water-fill."""
+        0.  Built on first use, so a problem that neither water-fills nor
+        projects pays nothing for it."""
         u, relay = self.n_ue_vars, self.relay.tolist()
         terms = []
         for i, (h, w, floor) in enumerate(zip(self.h.tolist(), self.weights[self.owner].tolist(),
@@ -318,89 +314,118 @@ def restore_feasible(beta: np.ndarray, alloc: np.ndarray, gains: ChannelGains,
     floor has risen past it.  Every other assignment is funded at its
     floor plus a hair from what its UE and the UAV have left, best
     weighted full-budget rate first, ties in row-major order; one that
-    either budget cannot pay is shed.  The leftover budgets are then
-    spread by weighted marginal rate.  Returns the surviving allocation,
-    its powers and the shed (ue, subchannel) pairs in funding order.
+    either budget cannot pay is shed.  What each budget has left is then
+    spread over its links by weighted marginal rate (`_spread`): the UE
+    budgets first, then the UAV's, its marginals taken at the raised UE
+    powers.  Returns the surviving allocation, its powers and the shed
+    (ue, subchannel) pairs in funding order.
 
     Only the assigned links are priced: one full-budget `LinkBudget` over
-    the allocation's pairs gives the floors and the ranking, and the
-    funding loop keeps each entity's spend as a running sum."""
+    the allocation's pairs gives the floors and the ranking.  An
+    allocation holds about 5 to 22 pairs, where numpy's per-call overhead
+    costs more than the arithmetic, so the rest runs on Python floats
+    over the pairs: the carry test, the ranking (a stable sort), the
+    funding loop with each entity's spend as a running sum, and the
+    spread, whose marginals are the partials of `link_rate.dc_k`'s K less
+    `dc_m`'s M, written out per link as `PowerProblem.m_tangent` writes
+    M.  Sums run in member order with `+=` (see `_levels`)."""
     alloc = np.asarray(alloc, dtype=int).copy()
-    beta = np.asarray(beta, dtype=int)
-    weights = np.asarray(weights, dtype=float)
     ue, sub = np.nonzero(alloc)
-    relay = beta[ue] == 1
+    relay = np.asarray(beta, dtype=int)[ue] == 1
     full = LinkBudget(relay, sc.p_ue_max, sc.p_uav_max, gains.h_ue_bs[ue, sub],
                       gains.h_ue_uav[ue, sub], gains.h_uav_bs[sub], sc.snr_thresholds,
                       sc.noise_var, sc.ici_power)
-    floor_ue, floor_uav = full.floors()
-    p_ue = np.zeros(alloc.shape)
-    p_uav = np.zeros(alloc.shape[1])
-    carry = np.zeros(ue.size, dtype=bool)
+    floor_ue, floor_uav = (f.tolist() for f in full.floors())
+    ues, subs, relays = ue.tolist(), sub.tolist(), relay.tolist()
+    w = np.asarray(weights, dtype=float)[ue].tolist()
+    # each pair's UE and UAV power, and each entity's spend so far
+    p, q = [0.0] * ue.size, [0.0] * ue.size
+    spent, spent_uav = [0.0] * alloc.shape[0], 0.0
+    fresh = range(ue.size)
     if held is not None:
         # the channel may have moved since `held` was funded
-        carry = (held.p_ue[ue, sub] >= floor_ue) & (held.p_uav[sub] >= floor_uav)
-        kept = ue[carry], sub[carry]
-        p_ue[kept] = held.p_ue[kept]
-        p_uav[sub[carry & relay]] = held.p_uav[sub[carry & relay]]
+        fresh = []
+        for i, (hp, hq) in enumerate(zip(held.p_ue[ue, sub].tolist(),
+                                         held.p_uav[sub].tolist())):
+            if hp >= floor_ue[i] and hq >= floor_uav[i]:
+                p[i] = hp
+                spent[ues[i]] += hp
+                if relays[i]:
+                    q[i] = hq
+                    spent_uav += hq
+            else:
+                fresh.append(i)
 
     # full-budget rates rank the rest, best first and ties in row-major
     # order; their floors fund them
-    fresh = np.flatnonzero(~carry)
-    order = fresh[np.argsort(-(weights[ue] * full.rate)[fresh], kind="stable")]
-    funded_ue, funded_uav = (f * (1.0 + _FLOOR_MARGIN) for f in (floor_ue, floor_uav))
-    # each entity's spend so far, a running sum on Python floats
-    spent = p_ue.sum(axis=1).tolist()
-    spent_uav = float(p_uav.sum())
-    ues, subs, relays = ue.tolist(), sub.tolist(), relay.tolist()
-    cost_ue, cost_uav = funded_ue.tolist(), funded_uav.tolist()
-    paid = np.zeros(ue.size, dtype=bool)
+    rate, funded = full.rate.tolist(), 1.0 + _FLOOR_MARGIN
+    live = [True] * ue.size
     dropped: list[tuple[int, int]] = []
-    for i in order.tolist():
-        n = ues[i]
-        ue_total = spent[n] + cost_ue[i]
-        uav_total = spent_uav + cost_uav[i]
-        if ue_total <= sc.p_ue_max and (not relays[i] or uav_total <= sc.p_uav_max):
-            spent[n] = ue_total
+    for i in sorted(fresh, key=lambda i: -(w[i] * rate[i])):
+        n, cost, cost_uav = ues[i], floor_ue[i] * funded, floor_uav[i] * funded
+        if spent[n] + cost <= sc.p_ue_max and (
+                not relays[i] or spent_uav + cost_uav <= sc.p_uav_max):
+            spent[n] += cost
+            p[i] = cost
             if relays[i]:
-                spent_uav = uav_total
-            paid[i] = True
+                spent_uav += cost_uav
+                q[i] = cost_uav
         else:
+            live[i] = False
             alloc[n, subs[i]] = 0
             dropped.append((n, subs[i]))
-    p_ue[ue[paid], sub[paid]] = funded_ue[paid]
-    p_uav[sub[paid & relay]] = funded_uav[paid & relay]
 
-    powers = PowerAllocation(p_ue, p_uav)
-    spread_leftover(PowerProblem(beta, alloc, gains, weights, sc), powers)
-    return alloc, powers, dropped
+    kept = [i for i in range(ue.size) if live[i]]
+    sigma2, noise2 = sc.noise_var, sc.noise_var + sc.ici_power
+    c = 1.0 + sc.ici_power / sigma2
+    h1, h2 = full.h_hop1.tolist(), full.h_uav_bs.tolist()
+
+    def m_slope(i: int) -> float:  # dM/ds2 of relayed pair i at its powers
+        return HALF_LOG2E / (c * (p[i] * h1[i]) + q[i] * h2[i] + noise2)
+
+    def ue_marginal(i: int) -> float:
+        s1 = p[i] * h1[i]
+        dk = HALF_LOG2E / (s1 + sigma2)
+        if relays[i]:
+            return w[i] * max(h1[i] * dk - h1[i] * (c * m_slope(i)), 0.0)
+        # a direct link's M is a constant
+        return w[i] * (h1[i] * (dk + HALF_LOG2E / (s1 + noise2)))
+
+    def uav_marginal(i: int) -> float:
+        return w[i] * max(h2[i] * (HALF_LOG2E / (q[i] * h2[i] + noise2))
+                          - h2[i] * m_slope(i), 0.0)
+
+    by_ue: dict[int, list[int]] = {}
+    for i in kept:
+        by_ue.setdefault(ues[i], []).append(i)
+    for mine in by_ue.values():
+        _spread(sc.p_ue_max, mine, p, ue_marginal)
+    _spread(sc.p_uav_max, [i for i in kept if relays[i]], q, uav_marginal)
+
+    p_ue, p_uav = np.zeros(alloc.shape), np.zeros(alloc.shape[1])
+    for i in kept:
+        p_ue[ues[i], subs[i]] = p[i]
+        if relays[i]:
+            p_uav[subs[i]] = q[i]
+    return alloc, PowerAllocation(p_ue, p_uav), dropped
 
 
-def spread_leftover(prob: PowerProblem, powers: PowerAllocation) -> None:
-    """Hand each entity's remaining budget to its subchannels in
-    proportion to the marginal rate, weighted by `prob.weights`, at the
-    current powers (evenly when no subchannel gains).  UE budgets are
-    spread first; the UAV's marginals are then taken at the raised UE
-    powers.  `powers` must be laid out as `prob`."""
-    s = prob.sc
-    u = prob.n_ue_vars
-    # (variables, budget owner of each, budget, power array, its indices)
-    parts = ((slice(0, u), prob.ue_n, s.p_ue_max, powers.p_ue,
-              (prob.ue_n, prob.ue_k)),
-             (slice(u, None), np.zeros(prob.n_vars - u, dtype=int), s.p_uav_max,
-              powers.p_uav, prob.uav_k))
-    for part, entity, budget, p, idx in parts:
-        n = int(entity.max(initial=-1)) + 1
-        leftover = (budget - np.bincount(entity, p[idx], n))[entity]
-        if not np.any(leftover > 0.0):
-            continue
-        terms = prob.dc_terms(prob.pack(powers))
-        marginal = prob.weights[prob.owner[part]] * np.maximum(
-            terms.k_grad[part] - terms.m_grad[part], 0.0)
-        total = np.bincount(entity, marginal, n)[entity]
-        even = 1.0 / np.bincount(entity, minlength=n)[entity]
-        share = np.divide(marginal, total, out=even, where=total > 0.0)
-        p[idx] += np.where(leftover > 0.0, leftover * share, 0.0)
+def _spread(budget: float, mine: list[int], p: list[float], marginal) -> None:
+    """Hand what `budget` leaves over its members' powers `p[i]`, i in
+    `mine`, to them in proportion to `marginal(i)` (evenly when no member
+    gains), in place."""
+    total = 0.0
+    for i in mine:
+        total += p[i]
+    leftover = budget - total
+    if not leftover > 0.0:
+        return
+    gain = [marginal(i) for i in mine]
+    total = 0.0
+    for g in gain:
+        total += g
+    for i, g in zip(mine, gain):
+        p[i] += leftover * (g / total if total > 0.0 else 1.0 / len(mine))
 
 
 # ---------------------------------------------------------------------------

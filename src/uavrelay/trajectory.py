@@ -314,8 +314,12 @@ def _horizontal_objective(ctx: SurrogateContext, inputs: SlotInputs):
           for d, (k, c, p, *_) in zip(dm.tolist(), hops)]
     pairs = [(wn, mn, qa[0] + qb[0], qa[1] + qb[1])
              for wn, mn, qa, qb in zip(w, m0.tolist(), q0[:n], q0[n:])]
-    slope_x = sum(wn * mx for wn, _, mx, _ in pairs)
-    slope_y = sum(wn * my for wn, _, _, my in pairs)
+    # sums run in member order with `+=`: `sum()` compensates its rounding
+    # from Python 3.12 on, so the answers would hinge on the Python version
+    slope_x = slope_y = 0.0
+    for wn, _, mx, my in pairs:
+        slope_x += wn * mx
+        slope_y += wn * my
 
     def objective(xy: np.ndarray) -> tuple:
         x, y = map(float, xy)
@@ -331,8 +335,9 @@ def _horizontal_objective(ctx: SurrogateContext, inputs: SlotInputs):
             beta[k] += ws2 * (-dk / a_j)
             a.append(a_j)
         dx0, dy0 = x - x0, y - y0
-        value = sum(wn * (0.5 * math.log2(a1 * a2) - mn - (mx * dx0 + my * dy0))
-                    for (wn, mn, mx, my), a1, a2 in zip(pairs, a[:n], a[n:]))
+        value = 0.0
+        for (wn, mn, mx, my), a1, a2 in zip(pairs, a[:n], a[n:]):
+            value += wn * (0.5 * math.log2(a1 * a2) - mn - (mx * dx0 + my * dy0))
         # sum_i alpha_i H_i + beta_i g_i g_i^T, with H_i = -(iso_i I + aniso_i
         # d_i d_i^T) and g_i = -iso_i d_i
         gx, gy, hxx, hxy, hyy, diag = -slope_x, -slope_y, 0.0, 0.0, 0.0, 0.0

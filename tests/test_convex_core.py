@@ -70,6 +70,14 @@ def reference_block_projector(fs):
     return threshold
 
 
+def reference_linear_violation(fs, x):
+    """The blocks' largest residual at `x`, vectorized: `bincount` sums
+    each block in member order, as the float form does."""
+    block, budgets = fs.blocks
+    over = np.bincount(block, x, len(budgets)) - budgets
+    return max(0.0, float(np.max(over)), float(np.max(fs.floors - x)))
+
+
 def assert_projects_as_reference(fs, x):
     """`fs.project(x)` against `reference_block_projector`, to within
     4 n eps times the sum of |x - floors|, |floors| and the budgets: the
@@ -131,6 +139,8 @@ class TestProjection:
         fs = FeasibleSet(blocks=(block_of, np.array(budgets)), floors=lo)
         assert fs.project(y) == pytest.approx(expected, abs=1e-9)
         assert_projects_as_reference(fs, y)
+        for x in (y, fs.project(y)):
+            assert fs.linear_violation(x) == reference_linear_violation(fs, x)
 
     def test_a_binding_single_member_block_lands_on_its_budget(self):
         # exactly, so that two points past the budget project alike
@@ -141,6 +151,12 @@ class TestProjection:
             p = fs.project(scale * np.array([0.5, 0.5, 0.4, 0.4]))
             assert p[:2].tolist() == budgets[:2].tolist()
             assert p[2:].sum() == pytest.approx(0.7, rel=1e-15)
+
+    def test_an_empty_set_of_blocks(self):
+        # a problem with no variables: nothing to project, nothing violated
+        fs = FeasibleSet(blocks=(np.array([], dtype=int), np.array([])), floors=np.array([]))
+        assert fs.project(np.array([])).size == 0
+        assert fs.linear_violation(np.array([])) == 0.0
 
     def test_floors_over_budget_leave_the_set_empty(self):
         fs = FeasibleSet(blocks=(np.array([0, 0, 1]), np.array([0.5, 1.0])),

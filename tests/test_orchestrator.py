@@ -29,12 +29,13 @@ from uavrelay.orchestrator import (
     sweep,
     validate_solution,
 )
-from uavrelay.power_alloc import PowerProblem, spread_leftover
+from uavrelay.power_alloc import PowerProblem
 from uavrelay.scenario import (Scenario, SnrThresholds, UavState, dbm_to_watts,
                                load_scenario)
 from uavrelay.trajectory import Audit
 
 from test_link_rate import _funded_slot, _slot
+from test_power_alloc import reference_spread
 from test_scenario import documents
 
 BLOCKED = SnrThresholds(1e18, 1e18, 1e18)
@@ -136,7 +137,8 @@ def loop_complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
                          weights, sc):
     """`complete_powers` written out per assignment: carry the held powers
     that meet this slot's floors, then fund the rest best full-budget
-    value first (a stable sort)."""
+    value first (a stable sort), and spread the leftover budgets with
+    `test_power_alloc`'s vectorized reference spread."""
     alloc = alloc.copy()
     full = LinkBudget(beta[:, None] == 1, sc.p_ue_max, sc.p_uav_max, gains.h_ue_bs,
                       gains.h_ue_uav, gains.h_uav_bs, sc.snr_thresholds,
@@ -165,7 +167,7 @@ def loop_complete_powers(prev_beta, prev_alloc, prev_powers, beta, alloc, gains,
         else:
             alloc[n, k] = 0
     powers = PowerAllocation(p_ue, p_uav)
-    spread_leftover(PowerProblem(beta, alloc, gains, weights, sc), powers)
+    reference_spread(PowerProblem(beta, alloc, gains, weights, sc), powers)
     return alloc, powers
 
 

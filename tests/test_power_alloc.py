@@ -3,6 +3,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 from uavrelay import orchestrator, power_alloc, run_episode
 from uavrelay.channel import gain_matrices
 from uavrelay.convex_core import Diagnostics, SolveResult, maximize_concave
-from uavrelay.link_rate import HALF_LOG2E, LinkBudget, PowerAllocation, dc_m, rate_report
+from uavrelay.link_rate import (HALF_LOG2E, LinkBudget, PowerAllocation, dc_k, dc_m,
+                                rate_report)
 from uavrelay.power_alloc import (_FLOOR_MARGIN, PowerProblem, PowerResult,
-                                  restore_feasible, scp_power, spread_leftover)
+                                  restore_feasible, scp_power)
 from uavrelay.scenario import Scenario, SnrThresholds, dbm_to_watts
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -43,14 +45,25 @@ def random_powers(rng, alloc, beta, sc):
     return PowerAllocation(p_ue, p_uav)
 
 
+def reference_dc_terms(prob, x):
+    """Both concave pieces of every rate term at the packed powers `x`,
+    K and M from `link_rate.dc_k` and `dc_m` over the problem's stacked
+    hop signals, with their partials chained through the gains: the
+    vectorized split that `PowerProblem.dc_terms` (K alone),
+    `m_tangent` and the funding spread write out."""
+    s = (x * prob.h)[prob._stack]
+    k, dk = dc_k(s, prob._noise)
+    m, dm = dc_m(s, prob.relay, prob.sigma2, prob.ici)
+    return SimpleNamespace(k=k, m=m, k_grad=prob.h * np.bincount(prob._stack, dk, prob.n_vars),
+                           m_grad=prob.h * np.bincount(prob._stack, dm, prob.n_vars))
+
+
 def dc_by_ue(prob, x):
-    """`dc_terms` at `x` with each UE's K and M summed: (K_n, M_n)
-    arrays and the terms, M from `link_rate.dc_m` over the problem's
-    stacked hop signals."""
-    terms = prob.dc_terms(x)
-    m, _ = dc_m((x * prob.h)[prob._stack], prob.relay, prob.sigma2, prob.ici)
+    """`reference_dc_terms` at `x` with each UE's K and M summed:
+    (K_n, M_n) arrays and the terms."""
+    terms = reference_dc_terms(prob, x)
     n = prob.alloc.shape[0]
-    return np.bincount(prob.ue_n, terms.k, n), np.bincount(prob.ue_n, m, n), terms
+    return np.bincount(prob.ue_n, terms.k, n), np.bincount(prob.ue_n, terms.m, n), terms
 
 
 def exact_rates(sc, gains, beta, alloc, powers):
@@ -84,7 +97,10 @@ class TestDcSplit:
         sc, gains, beta, alloc, weights = mixed_instance()
         prob = PowerProblem(beta, alloc, gains, weights, sc)
         x0 = prob.pack(random_powers(np.random.default_rng(2), alloc, beta, sc))
-        base = prob.dc_terms(x0)
+        base = reference_dc_terms(prob, x0)
+        terms = prob.dc_terms(x0)
+        assert terms.k.tobytes() == base.k.tobytes()
+        assert terms.k_grad.tobytes() == base.k_grad.tobytes()
         for i, n in enumerate(prob.owner):
             h = 1e-6 * max(x0[i], 1e-3)
             up, dn = x0.copy(), x0.copy()
@@ -366,11 +382,9 @@ def reference_argmax(prob, slope, fset):
 
 
 def reference_m_tangent(prob, x0):
-    """M's tangent from `link_rate.dc_m`'s vectorized M and `dc_terms`'
-    partials."""
-    m, _ = dc_m((x0 * prob.h)[prob._stack], prob.relay, prob.sigma2, prob.ici)
-    return (float(prob.weights[prob.ue_n] @ m),
-            prob.weights[prob.owner] * prob.dc_terms(x0).m_grad)
+    """M's tangent from `reference_dc_terms`' vectorized M and partials."""
+    terms = reference_dc_terms(prob, x0)
+    return float(prob.weights[prob.ue_n] @ terms.m), prob.weights[prob.owner] * terms.m_grad
 
 
 def dense_instance():
@@ -849,7 +863,7 @@ class TestRestoration:
         assert prob.feasible_set().linear_violation(x) <= 1e-9
 
     def test_funding_never_builds_the_water_filling_layout(self, monkeypatch):
-        # `spread_leftover`'s problem never water-fills, so it pays nothing for it
+        # funding water-fills nothing, so it pays nothing for the layout
         built, layout = [], PowerProblem._layout
         monkeypatch.setattr(PowerProblem, "_layout",
                             property(lambda self: built.append(1) or layout.func(self)))
@@ -889,8 +903,87 @@ def reference_restore_feasible(beta, alloc, gains, weights, sc):
         n, k = np.argwhere(owned)[np.argmin(value[owned == 1])]
         alloc[n, k] = 0
         dropped.append((int(n), int(k)))
-    spread_leftover(prob, powers)
+    reference_spread(prob, powers)
     return alloc, powers, dropped
+
+
+def reference_funding(beta, alloc, gains, weights, sc, held=None):
+    """The funding rule vectorized over the allocation's pairs: the
+    numpy form of `restore_feasible`, which its float form repeats bit
+    for bit."""
+    alloc = np.asarray(alloc, dtype=int).copy()
+    beta = np.asarray(beta, dtype=int)
+    weights = np.asarray(weights, dtype=float)
+    ue, sub = np.nonzero(alloc)
+    relay = beta[ue] == 1
+    full = LinkBudget(relay, sc.p_ue_max, sc.p_uav_max, gains.h_ue_bs[ue, sub],
+                      gains.h_ue_uav[ue, sub], gains.h_uav_bs[sub], sc.snr_thresholds,
+                      sc.noise_var, sc.ici_power)
+    floor_ue, floor_uav = full.floors()
+    p_ue = np.zeros(alloc.shape)
+    p_uav = np.zeros(alloc.shape[1])
+    carry = np.zeros(ue.size, dtype=bool)
+    if held is not None:
+        carry = (held.p_ue[ue, sub] >= floor_ue) & (held.p_uav[sub] >= floor_uav)
+        kept = ue[carry], sub[carry]
+        p_ue[kept] = held.p_ue[kept]
+        p_uav[sub[carry & relay]] = held.p_uav[sub[carry & relay]]
+
+    fresh = np.flatnonzero(~carry)
+    order = fresh[np.argsort(-(weights[ue] * full.rate)[fresh], kind="stable")]
+    funded_ue, funded_uav = (f * (1.0 + _FLOOR_MARGIN) for f in (floor_ue, floor_uav))
+    spent = p_ue.sum(axis=1).tolist()
+    spent_uav = float(p_uav.sum())
+    ues, subs, relays = ue.tolist(), sub.tolist(), relay.tolist()
+    cost_ue, cost_uav = funded_ue.tolist(), funded_uav.tolist()
+    paid = np.zeros(ue.size, dtype=bool)
+    dropped = []
+    for i in order.tolist():
+        n = ues[i]
+        ue_total = spent[n] + cost_ue[i]
+        uav_total = spent_uav + cost_uav[i]
+        if ue_total <= sc.p_ue_max and (not relays[i] or uav_total <= sc.p_uav_max):
+            spent[n] = ue_total
+            if relays[i]:
+                spent_uav = uav_total
+            paid[i] = True
+        else:
+            alloc[n, subs[i]] = 0
+            dropped.append((n, subs[i]))
+    p_ue[ue[paid], sub[paid]] = funded_ue[paid]
+    p_uav[sub[paid & relay]] = funded_uav[paid & relay]
+
+    powers = PowerAllocation(p_ue, p_uav)
+    reference_spread(PowerProblem(beta, alloc, gains, weights, sc), powers)
+    return alloc, powers, dropped
+
+
+def reference_spread(prob, powers):
+    """Hand each entity's remaining budget to its subchannels in
+    proportion to the marginal rate, weighted by `prob.weights`, at the
+    current powers (evenly when no subchannel gains), in place: the UE
+    budgets first, then the UAV's at the raised UE powers.  The
+    vectorized spread that ends `restore_feasible`, from
+    `reference_dc_terms`; `powers` must be laid out as `prob`."""
+    s = prob.sc
+    u = prob.n_ue_vars
+    # (variables, budget owner of each, budget, power array, its indices)
+    parts = ((slice(0, u), prob.ue_n, s.p_ue_max, powers.p_ue,
+              (prob.ue_n, prob.ue_k)),
+             (slice(u, None), np.zeros(prob.n_vars - u, dtype=int), s.p_uav_max,
+              powers.p_uav, prob.uav_k))
+    for part, entity, budget, p, idx in parts:
+        n = int(entity.max(initial=-1)) + 1
+        leftover = (budget - np.bincount(entity, p[idx], n))[entity]
+        if not np.any(leftover > 0.0):
+            continue
+        terms = reference_dc_terms(prob, prob.pack(powers))
+        marginal = prob.weights[prob.owner[part]] * np.maximum(
+            terms.k_grad[part] - terms.m_grad[part], 0.0)
+        total = np.bincount(entity, marginal, n)[entity]
+        even = 1.0 / np.bincount(entity, minlength=n)[entity]
+        share = np.divide(marginal, total, out=even, where=total > 0.0)
+        p[idx] += np.where(leftover > 0.0, leftover * share, 0.0)
 
 
 def full_budget_floors(sc, gains, beta):
@@ -971,3 +1064,51 @@ class TestFundingRule:
         removed = sorted(map(tuple, np.argwhere((alloc == 1) & ~kept).tolist()))
         assert sorted(dropped) == removed
         assert len(set(dropped)) == len(dropped)
+
+
+def dense_funding_instance():
+    """A 20 x 40 funding problem on perfbench's dense_cellular channel:
+    every subchannel assigned at random, a third of the UEs relayed, a
+    fifth weightless, budgets at 0.6 of the largest floor total an entity
+    funds, so that funding sheds, and powers held from none to twice
+    the floors, so that some carry and some are re-funded."""
+    base = workloads.scenario(workloads.WORKLOADS["dense_cellular"], 0)
+    gains = gain_matrices(base, base.uav_start)
+    rng = np.random.default_rng(11)
+    alloc = np.zeros((base.n_ues, base.n_subchannels), dtype=int)
+    alloc[rng.integers(0, base.n_ues, base.n_subchannels), np.arange(base.n_subchannels)] = 1
+    beta = (np.arange(base.n_ues) % 3 == 0).astype(int)
+    weights = rng.uniform(0.5, 2.0, base.n_ues) * (np.arange(base.n_ues) % 5 != 0)
+    floor_ue, floor_uav = full_budget_floors(base, gains, beta)
+    sc = replace(base, p_ue_max=0.6 * (floor_ue * alloc).sum(axis=1).max(),
+                 p_uav_max=0.6 * (floor_uav * alloc).sum())
+    held = PowerAllocation(floor_ue * alloc * rng.uniform(0.0, 2.0, alloc.shape),
+                           (floor_uav * alloc).sum(axis=0) * rng.uniform(0.0, 2.0, alloc.shape[1]))
+    return sc, gains, beta, alloc, weights, held
+
+
+class TestFloatFunding:
+    """`restore_feasible` on floats against the vectorized funding rule
+    (`reference_funding`), bit for bit: the allocation, the powers and
+    the shed pairs in order."""
+
+    @staticmethod
+    def check(sc, gains, beta, alloc, weights, held):
+        got_alloc, got, dropped = restore_feasible(beta, alloc, gains, weights, sc, held)
+        want_alloc, want, want_dropped = reference_funding(beta, alloc, gains, weights, sc,
+                                                           held)
+        assert dropped == want_dropped
+        assert got_alloc.tobytes() == want_alloc.tobytes()
+        assert got.p_ue.tobytes() == want.p_ue.tobytes()
+        assert got.p_uav.tobytes() == want.p_uav.tobytes()
+        return dropped
+
+    @given(funding_instances())
+    @settings(max_examples=300, deadline=None)
+    def test_funding_instances(self, instance):
+        self.check(*instance)
+
+    @pytest.mark.parametrize("warm", (False, True))
+    def test_dense_instance(self, warm):
+        sc, gains, beta, alloc, weights, held = dense_funding_instance()
+        assert self.check(sc, gains, beta, alloc, weights, held if warm else None)
