@@ -24,9 +24,11 @@ UAV powers a link can run on.
 and is the only place the exact link model is written out: `rate_report`
 sums it over the assigned links of a slot, and the matching, trajectory
 and power stages call it on their own batches of links.  `relayed_links`
-is its lean relayed case, for callers that hold the gains and floors of
-many evaluations; both read the AF SNR from `af_snr` and the floors from
-`floor_signals`.
+is its lean relayed case, for callers that hold the floors: the matching
+stage's full-budget table and its greedy starts' realized relayed rows
+(the greedy pass ranks its relayed candidates on Python floats in
+`relayed_links`' operations and order, but stores none of them).  Both
+read the AF SNR from `af_snr` and the floors from `floor_signals`.
 
 The power and trajectory stages' concave surrogates share one
 difference-of-concave split of every rate, R = K - M, in the received

@@ -9,9 +9,11 @@ its subchannels and the relay budget is divided evenly over the relayed
 subchannels.  A swap exchanges the owners of two subchannels, which keeps
 those counts, so the split is fixed for a whole run.
 
-Swap approval is one array pass: `swap_approvals` reads a (K, K) table
-whose row j scores the owner of subchannel j on every subchannel, and
-tests every subchannel pair at once.
+Each scan of the swap game builds one array prefilter over the (K, K)
+table whose row j scores the owner of subchannel j on every subchannel:
+the pairs of distinct owners where no involved player loses and QoS holds
+both ways.  The strict-gain test then runs on Python floats over the
+surviving pairs, and the prefilter is rebuilt only after a swap.
 
 Greedy starts read tables too, each built once for the inputs it reads
 (`MatchingContext`).  A direct UE's row depends only on its own
@@ -21,17 +23,19 @@ reach are built in one link-budget call once per slot: a UAV move leaves
 them as they are.  The reach ends where the split falls below the UE's
 lowest floor: past it the UE fails QoS on every subchannel and scores
 zero, so those counts are never evaluated.  A relayed UE's row also moves
-with the relay total and the air gains, so it is scored by
-`link_rate.relayed_links` from the relay-hop floors, which are built once
-per channel state, whenever a relayed assignment is made or dropped.  The
-start's realized rows are the `GameView` the swap game runs on, so a
+with the relay total and the air gains, so the greedy pass scores its
+candidates lazily, one subchannel at a time, on Python floats
+(`relayed_candidates`), and `link_rate.relayed_links` scores only the
+realized relayed rows: once after the pass and once per relayed drop.
+The start's realized rows are the `GameView` the swap game runs on, so a
 fresh start is scored once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -71,12 +75,17 @@ def _direct_rows(ctx: "MatchingContext") -> DirectRows:
                       np.cumsum(reach) - reach, reach)
 
 
+# the tables a context builds once per slot, which read no air gain
+_PER_SLOT = ("direct", "cellular")
+
+
 @dataclass(frozen=True)
 class MatchingContext:
     """Slot inputs the game scores against, and the tables its greedy
-    starts read, each built on first use: the full-budget table, the
-    relay-hop floors and the start modes per channel state, and the direct
-    rows per slot (`moved` carries them to the slot's next channel
+    starts read, each built on first use: the full-budget table's relayed
+    half, the relay-hop floors and their list forms, and the start modes
+    per channel state; the direct rows and the full-budget table's cellular
+    half per slot (`moved` carries them to the slot's next channel
     state)."""
 
     scenario: Scenario
@@ -93,22 +102,32 @@ class MatchingContext:
 
     def moved(self, gains: ChannelGains) -> "MatchingContext":
         """The context of this slot at the UAV's next channel state.  A move
-        changes only the air gains, so the direct rows carry over."""
+        changes only the air gains, so the per-slot tables carry over."""
         ctx = MatchingContext(self.scenario, gains, self.weights)
-        if "direct" in vars(self):
-            vars(ctx)["direct"] = self.direct
+        vars(ctx).update((name, vars(self)[name]) for name in _PER_SLOT if name in vars(self))
         return ctx
+
+    @cached_property
+    def cellular(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Weighted rate and QoS verdict of every UE in cellular mode on
+        every subchannel at the full UE budget, then the all-cellular
+        start's rows, `where(feasible, utility, 0)`, and its ceiling."""
+        sc, g = self.scenario, self.gains
+        link = lr.LinkBudget(False, sc.p_ue_max, 0.0, g.h_ue_bs, g.h_ue_uav, g.h_uav_bs,
+                             sc.snr_thresholds, sc.noise_var, sc.ici_power)
+        utility, feasible = self.weights[:, None] * link.rate, link.feasible()
+        rows = np.where(feasible, utility, 0.0)
+        return utility, feasible, rows, rows.max(axis=0).sum()
 
     @cached_property
     def full_budget(self) -> tuple[np.ndarray, np.ndarray]:
         """Weighted rate and QoS verdict of every UE in each mode on every
         subchannel at the full UE and relay budgets, indexed [mode, ue, k]."""
-        n, sc = self.n_ues, self.scenario
-        utility, feasible = score_rows(self, np.tile(np.arange(n), 2),
-                                       np.repeat([False, True], n),
-                                       sc.p_ue_max, sc.p_uav_max)
-        shape = (2, n, self.n_subchannels)
-        return utility.reshape(shape), feasible.reshape(shape)
+        sc, g = self.scenario, self.gains
+        rate, ok = lr.relayed_links(sc.p_ue_max, sc.p_uav_max, g.h_ue_uav, g.h_uav_bs,
+                                    *self.relay_floors, sc.noise_var, sc.ici_power)
+        utility, feasible, _, _ = self.cellular
+        return np.array([utility, self.weights[:, None] * rate]), np.array([feasible, ok])
 
     @cached_property
     def direct(self) -> DirectRows:
@@ -124,6 +143,13 @@ class MatchingContext:
         return ue / g.h_ue_uav, uav / g.h_uav_bs
 
     @cached_property
+    def relay_lists(self) -> tuple[list, list, list, list, list]:
+        """`h_ue_uav`, `h_uav_bs`, the weights and the relay-hop floors as
+        nested lists of floats, which `relayed_candidates` reads."""
+        return (self.gains.h_ue_uav.tolist(), self.gains.h_uav_bs.tolist(),
+                self.weights.tolist(), *(f.tolist() for f in self.relay_floors))
+
+    @cached_property
     def starts(self) -> list[tuple[np.ndarray, np.ndarray, float]]:
         """The relaying matching stage's greedy starts in play order, each
         as (modes, rows, ceiling): scored modes (relay where its
@@ -135,13 +161,13 @@ class MatchingContext:
         utility, feasible = self.full_budget
         table = np.where(feasible, utility, 0.0)
         score = table.sum(axis=2)
-        modes = [np.where(score[RELAY] > score[CELLULAR], RELAY, CELLULAR),
-                 np.full(self.n_ues, CELLULAR)]
+        modes = [np.where(score[RELAY] > score[CELLULAR], RELAY, CELLULAR)]
         coverage = np.where(feasible[CELLULAR].any(axis=1), CELLULAR, RELAY)
         if coverage.any():
             modes.append(coverage)
         rows = [table[m, np.arange(self.n_ues)] for m in modes]
-        return [(m, r, r.max(axis=0).sum()) for m, r in zip(modes, rows)]
+        starts = [(m, r, r.max(axis=0).sum()) for m, r in zip(modes, rows)]
+        return starts[:1] + [(np.full(self.n_ues, CELLULAR), *self.cellular[2:])] + starts[1:]
 
 
 def score_rows(ctx: MatchingContext, ues, relay, ue_power,
@@ -207,36 +233,48 @@ class GameView:
         return self.utility[self.owner, k], self.feasible[self.owner, k]
 
 
-def swap_approvals(u: np.ndarray, ok: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """(K, K) mask, true at (k1, k2), k1 < k2, where exchanging the
-    owners of k1 and k2 is approved, from the owner table: row j of
-    `u`/`ok` scores the owner of subchannel j (`owner[j]`, -1 for vacant)
-    on every subchannel, as `GameView.utility[owner]` does.
-
-    Approved iff no involved player (either subchannel, either UE) loses
-    utility, at least one real UE strictly gains, the two owners differ,
-    and the swapped matching stays feasible: QoS on the two re-assigned
-    subchannels (the power split, the exclusivity structure and each UE's
-    single mode are unchanged by construction)."""
-    own = np.diagonal(u)
-    u11, u22, u12, u21 = own[:, None], own[None, :], u, u.T
-    real = owner >= 0
-    # no involved player loses: subchannels k1, k2, then UEs n1, n2
-    approved = ~((u21 < u11) | (u12 < u22) | (u12 < u11) | (u21 < u22))
-    # some real UE strictly gains
-    approved &= (real[:, None] & (u12 > u11)) | (real[None, :] & (u21 > u22))
-    # QoS on both re-assigned subchannels, and two distinct owners
-    approved &= ok & ok.T
-    approved &= owner[:, None] != owner[None, :]
-    return np.triu(approved, 1)
-
-
 @dataclass
 class MsmaResult:
     beta: np.ndarray
     alloc: np.ndarray
     n_swaps: int
     examined_per_round: list[int]
+
+
+@cache
+def _upper(n: int) -> np.ndarray:
+    """The (n, n) mask of the pairs k1 < k2, read-only, as every call
+    shares it."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _first_swap(u: np.ndarray, ok: np.ndarray, owner: np.ndarray, at: int) -> int | None:
+    """Row-major position k1 * K + k2, at or after `at`, of the first
+    approved exchange of the owners of subchannels k1 < k2, or None, from
+    the owner table: row j of `u`/`ok` scores the owner of subchannel j
+    (`owner[j]`, -1 for vacant) on every subchannel.
+
+    Approved iff no involved player (either subchannel, either UE) loses
+    utility, at least one real UE strictly gains, the two owners differ,
+    and the swapped matching stays feasible: QoS on the two re-assigned
+    subchannels (the power split, the exclusivity structure and each UE's
+    single mode are unchanged by construction).  One array pass keeps the
+    pairs of distinct owners where nobody loses and QoS holds both ways;
+    the strict-gain test runs on floats over those, in scan order.  A
+    vacant subchannel's row is all zero, so it never gains."""
+    own = np.diagonal(u)
+    keep = np.minimum(u, u.T) >= np.maximum(own[:, None], own)
+    keep &= ok & ok.T & (owner[:, None] != owner) & _upper(owner.size)
+    hits = at + np.flatnonzero(keep.ravel()[at:])
+    k1s, k2s = np.divmod(hits, owner.size)
+    own = own.tolist()
+    for i, k1, k2, u12, u21 in zip(hits.tolist(), k1s.tolist(), k2s.tolist(),
+                                   u[k1s, k2s].tolist(), u[k2s, k1s].tolist()):
+        if u12 > own[k1] or u21 > own[k2]:
+            return i
+    return None
 
 
 def msma_detailed(view: GameView) -> MsmaResult:
@@ -246,10 +284,11 @@ def msma_detailed(view: GameView) -> MsmaResult:
     Deterministic: each round scans the subchannel pairs (k1 < k2) in
     row-major order and executes the first approved swap at or after its
     scan position, then goes on from the next pair, so a round examines
-    all K(K-1)/2 pairs.  The approvals come from one mask over the owner
-    table (row j: the owner of subchannel j, scored on every subchannel);
-    an executed swap exchanges two columns of `alloc`, that is two table
-    rows, and the mask is rebuilt."""
+    all K(K-1)/2 pairs.  The approvals come from the owner table (row j:
+    the owner of subchannel j, scored on every subchannel), one prefilter
+    per scan and a float test on its survivors (`_first_swap`); an executed
+    swap exchanges two columns of `alloc`, that is two table rows, and the
+    prefilter is rebuilt."""
     owner = view.owner.copy()
     u, ok = view.utility[owner], view.feasible[owner]
     n_swaps = 0
@@ -259,11 +298,7 @@ def msma_detailed(view: GameView) -> MsmaResult:
     while changed:
         changed = False
         at = 0  # scan position, row-major over (k1, k2)
-        while True:
-            hits = np.flatnonzero(swap_approvals(u, ok, owner).ravel()[at:])
-            if not hits.size:
-                break
-            at += int(hits[0])
+        while (at := _first_swap(u, ok, owner, at)) is not None:
             k1, k2 = divmod(at, n_sub)
             for a in (u, ok, owner):
                 a[[k1, k2]] = a[[k2, k1]]
@@ -272,6 +307,30 @@ def msma_detailed(view: GameView) -> MsmaResult:
             at += 1
         examined_per_round.append(n_sub * (n_sub - 1) // 2)
     return MsmaResult(*assignment(view.modes, owner), n_swaps, examined_per_round)
+
+
+def relayed_candidates(ctx: MatchingContext, ues: list[int], counts: list[int],
+                       relay_total: int, k: int) -> list[float]:
+    """`where(feasible, utility, 0)` of each relayed UE in `ues` on
+    subchannel k at the split it would hold after taking it: UE n at
+    p_ue_max / (counts[n] + 1) and the relay at p_uav_max / (relay_total +
+    1).  Python floats, in the operations and order of
+    `link_rate.relayed_links` and the weighting after it; `math.log2` can
+    differ from numpy's in the last bit, so these values only rank
+    candidates and are never stored."""
+    sc = ctx.scenario
+    h_ue_uav, h_uav_bs, weights, floor_ue, floor_uav = ctx.relay_lists
+    out = [0.0] * len(ues)
+    p_uav = sc.p_uav_max / (relay_total + 1)
+    if not p_uav >= floor_uav[k]:
+        return out
+    g2 = p_uav * h_uav_bs[k] / (sc.noise_var + sc.ici_power)
+    for i, n in enumerate(ues):
+        p_ue = sc.p_ue_max / (counts[n] + 1)
+        if p_ue >= floor_ue[n][k]:
+            g1 = p_ue * h_ue_uav[n][k] / sc.noise_var
+            out[i] = weights[n] * (0.5 * math.log2(1.0 + g1 * g2 / (g1 + g2 + 1.0)))
+    return out
 
 
 def init_matching(ctx: MatchingContext, modes: np.ndarray) -> GameView:
@@ -286,63 +345,51 @@ def init_matching(ctx: MatchingContext, modes: np.ndarray) -> GameView:
     every survivor meets QoS under the realized equal split; dropping only
     raises the survivors' powers, so it terminates.
 
-    Both passes read tables.  Direct UE n holding c subchannels runs at
-    p_ue_max / c whatever the others hold, so its rows are `ctx.direct`'s,
-    built once per slot; in the repair its realized row is its table row
-    one count down.  A relayed UE's row also moves with the relay total,
-    so `link_rate.relayed_links` scores every relayed row in this call,
-    from the relay-hop floors built once per channel state: once at the
-    full budgets, once after each relayed pick at the next split (for the
-    greedy pass), once at the split held after the pass, and once after
-    each relayed drop (for the repair).  The realized rows become the returned view; rows of UEs
-    holding nothing may be stale, as the game reads only the owners'
-    rows."""
+    Direct UE n holding c subchannels runs at p_ue_max / c whatever the
+    others hold, so its rows are `ctx.direct`'s, built once per slot: the
+    greedy pass takes each subchannel's best direct candidate from them,
+    and in the repair a direct UE's realized row is its table row one
+    count down.  A relayed UE's row also moves with the relay total, so
+    the greedy pass scores the relayed candidates of each subchannel as it
+    reaches it (`relayed_candidates`, on floats), and a relayed pick
+    re-scores nothing.  `link_rate.relayed_links` scores only the realized
+    relayed rows: once at the split held after the pass, and once after
+    each relayed drop (for the repair).  The realized rows become the
+    returned view; rows of UEs holding nothing may be stale, as the game
+    reads only the owners' rows."""
     sc, g, n_ues, n_sub = ctx.scenario, ctx.gains, ctx.n_ues, ctx.n_subchannels
     modes = np.asarray(modes, dtype=int)
     relay = modes == RELAY
     direct, relayed = np.flatnonzero(~relay), np.flatnonzero(relay)
     rows = ctx.direct
-    counts = np.zeros(n_ues, dtype=int)
-    relay_total = 0
+    is_relayed, relayed_ues = relay.tolist(), relayed.tolist()
+    counts, relay_total = [0] * n_ues, 0
 
-    if relayed.size:
-        floor_ue, floor_uav = ctx.relay_floors
-        floor_ue, h1, w = floor_ue[relayed], g.h_ue_uav[relayed], ctx.weights[relayed, None]
-
-    def relayed_rows(more):
-        """(utility, feasible) of every relayed UE with `more` subchannels
-        of its own (at least one) and of the relay beyond those held."""
-        own = np.maximum(counts[relayed] + more, 1)
-        rate, ok = lr.relayed_links(sc.p_ue_max / own[:, None],
-                                    sc.p_uav_max / (relay_total + more), h1, g.h_uav_bs,
-                                    floor_ue, floor_uav, sc.noise_var, sc.ici_power)
-        return w * rate, ok
-
-    def relayed_cand():
-        utility, ok = relayed_rows(1)
-        return np.where(ok, utility, 0.0)
-
-    # cand[n]: UE n's utility where it meets QoS, else 0, at the split it
-    # would hold after one more subchannel
+    # cand[n]: direct UE n's utility where it meets QoS, else 0, at the
+    # split it would hold after one more subchannel; 0 for relayed UEs
     cand = np.zeros((n_ues, n_sub))
     cand[direct] = rows.value[rows.first[direct]]
-    if relayed.size:
-        cand[relayed] = relayed_cand()
-    owner = np.full(n_sub, -1)
+    owner = [-1] * n_sub
     for k in range(n_sub):
         n = int(cand[:, k].argmax())
-        if cand[n, k] <= 0.0:
+        value = cand[n, k]
+        if relayed_ues:
+            scores = relayed_candidates(ctx, relayed_ues, counts, relay_total, k)
+            best = max(scores)
+            m = relayed_ues[scores.index(best)]
+            if best > value or (best == value and m < n):
+                n, value = m, best
+        if value <= 0.0:
             continue
         owner[k] = n
         counts[n] += 1
-        if relay[n]:
-            # a relayed pick thins the relay split for every relayed UE
-            relay_total += 1
-            cand[relayed] = relayed_cand()
+        if is_relayed[n]:
+            relay_total += 1  # read by the later subchannels' relayed candidates
         elif counts[n] < rows.reach[n]:
             cand[n] = rows.value[rows.first[n] + counts[n]]
         else:
             cand[n] = 0.0
+    owner, counts = np.array(owner), np.array(counts)
 
     # realized rows, plus the vacant row -1
     utility = np.zeros((n_ues + 1, n_sub))
@@ -355,9 +402,18 @@ def init_matching(ctx: MatchingContext, modes: np.ndarray) -> GameView:
         i = rows.first[ues] + np.maximum(counts[ues] - 1, 0)
         utility[ues], feasible[ues] = rows.utility[i], rows.feasible[i]
 
+    def realize_relayed():
+        """Every relayed UE's row at the split it holds (the full UE budget
+        when it holds nothing) and the relay split held."""
+        floor_ue, floor_uav = ctx.relay_floors
+        rate, ok = lr.relayed_links(sc.p_ue_max / np.maximum(counts[relayed], 1)[:, None],
+                                    sc.p_uav_max / relay_total, g.h_ue_uav[relayed], g.h_uav_bs,
+                                    floor_ue[relayed], floor_uav, sc.noise_var, sc.ici_power)
+        utility[relayed], feasible[relayed] = ctx.weights[relayed, None] * rate, ok
+
     realize(direct)
     if relay_total:
-        utility[relayed], feasible[relayed] = relayed_rows(0)
+        realize_relayed()
     k_all = np.arange(n_sub)
     while True:
         bad = np.flatnonzero(~feasible[owner, k_all])  # vacant is always feasible
@@ -370,6 +426,6 @@ def init_matching(ctx: MatchingContext, modes: np.ndarray) -> GameView:
         if relay[n]:
             relay_total -= 1
             if relay_total:
-                utility[relayed], feasible[relayed] = relayed_rows(0)
+                realize_relayed()
         else:
             realize(n)

@@ -106,11 +106,11 @@ class SlotSolution:
         return float(np.linalg.norm(self.position - self.start_position))
 
     def scheduled_ues(self) -> list[int]:
-        return [n for n in range(self.alloc.shape[0])
-                if self.alloc[n].any() and self.rates[n] > 0.0]
+        return np.flatnonzero(self.alloc.any(axis=1) & (self.rates > 0.0)).tolist()
 
     def relay_ues(self) -> list[int]:
-        return [n for n in self.scheduled_ues() if self.beta[n]]
+        served = self.alloc.any(axis=1) & (self.rates > 0.0)
+        return np.flatnonzero(served & (self.beta != 0)).tolist()
 
 
 def validate_solution(sol: SlotSolution, sc: Scenario,
@@ -231,12 +231,14 @@ def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, incumbent: Audit,
 
     What is built when:
     - per slot: the direct rows every greedy start reads (`ctx.direct`),
-      and the stable matching of a start that relays nobody, which reads
-      no air gain (`fresh`);
-    - per channel state: the full-budget table, the start modes with
-      their ceilings (`ctx.starts`), the relay-hop floors, and the stable
-      matching of each start that relays (`fresh`).  These starts and
-      their swap runs are the matching stage's only swap runs;
+      the full-budget table's cellular half with the all-cellular start's
+      rows and ceiling (`ctx.cellular`), and the stable matching of a
+      start that relays nobody (`fresh`), none of which reads an air gain;
+    - per channel state: the full-budget table's relayed half, the other
+      start modes with their ceilings (`ctx.starts`), the relay-hop
+      floors, and the stable matching of each start that relays
+      (`fresh`).  These starts and their swap runs are the matching
+      stage's only swap runs;
     - per call: the completions.  Completion carries the incumbent's
       powers, and each distinct matching is completed at most once per
       call: a repeat would only repeat its objective, which never beats

@@ -1,5 +1,7 @@
 import itertools
+import math
 from dataclasses import fields, replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -75,10 +77,60 @@ def msma(beta, alloc, ctx):
     return mt.msma_detailed(mt.GameView.of(beta, alloc, ctx))
 
 
+def swap_approvals(u, ok, owner):
+    """(K, K) mask, true at (k1, k2), k1 < k2, where exchanging the
+    owners of k1 and k2 is approved, from the owner table: row j of
+    `u`/`ok` scores the owner of subchannel j (`owner[j]`, -1 for vacant)
+    on every subchannel, as `GameView.utility[owner]` does.  The one-pass
+    array form of the approval test that `msma_detailed` prefilters and
+    then finishes on floats.
+
+    Approved iff no involved player (either subchannel, either UE) loses
+    utility, at least one real UE strictly gains, the two owners differ,
+    and the swapped matching stays feasible: QoS on the two re-assigned
+    subchannels."""
+    own = np.diagonal(u)
+    u11, u22, u12, u21 = own[:, None], own[None, :], u, u.T
+    real = owner >= 0
+    # no involved player loses: subchannels k1, k2, then UEs n1, n2
+    approved = ~((u21 < u11) | (u12 < u22) | (u12 < u11) | (u21 < u22))
+    # some real UE strictly gains
+    approved &= (real[:, None] & (u12 > u11)) | (real[None, :] & (u21 > u22))
+    # QoS on both re-assigned subchannels, and two distinct owners
+    approved &= ok & ok.T
+    approved &= owner[:, None] != owner[None, :]
+    return np.triu(approved, 1)
+
+
+def mask_msma(view):
+    """The swap game driven by the whole approval mask, rebuilt after
+    every swap: the reference the prefiltered scan is held to."""
+    owner = view.owner.copy()
+    u, ok = view.utility[owner], view.feasible[owner]
+    n_swaps, examined_per_round, n_sub = 0, [], owner.size
+    changed = True
+    while changed:
+        changed = False
+        at = 0
+        while True:
+            hits = np.flatnonzero(swap_approvals(u, ok, owner).ravel()[at:])
+            if not hits.size:
+                break
+            at += int(hits[0])
+            k1, k2 = divmod(at, n_sub)
+            for a in (u, ok, owner):
+                a[[k1, k2]] = a[[k2, k1]]
+            n_swaps += 1
+            changed = True
+            at += 1
+        examined_per_round.append(n_sub * (n_sub - 1) // 2)
+    return mt.MsmaResult(*mt.assignment(view.modes, owner), n_swaps, examined_per_round)
+
+
 def approvals(view):
     """The swap-approval mask of the view's own matching."""
     o = view.owner
-    return mt.swap_approvals(view.utility[o], view.feasible[o], o)
+    return swap_approvals(view.utility[o], view.feasible[o], o)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +677,7 @@ class TestTableGreedyStart:
         assert all(builds == (starts > 0) for builds, starts in slots)
         assert sum(starts for _, starts in slots) > 2 * sum(builds for builds, _ in slots)
 
-    def test_a_relayed_start_rescores_only_on_relayed_picks_and_drops(self, monkeypatch):
+    def test_a_relayed_start_scores_only_its_realized_relayed_rows(self, monkeypatch):
         picked = dropped = 0
         for seed in range(60):
             ctx, modes = greedy_start(seed, 6, 12, (5.0, 50.0, 200.0)[seed % 3], 1.0,
@@ -634,16 +686,42 @@ class TestTableGreedyStart:
             greedy = reference_greedy(ctx, modes)
             picks = int(relay[greedy[greedy >= 0]].sum())
             _, alloc = reference_init_matching(ctx, modes)
-            drops = picks - int(alloc[relay].sum())
+            held = int(alloc[relay].sum())
             calls = count_relayed_links(monkeypatch)
             mt.init_matching(ctx, modes)
             monkeypatch.undo()
-            # the full-budget rows, one per pick, the rows held after the
-            # greedy pass, and one per drop
-            assert len(calls) <= relay.any() + picks + (picks > 0) + drops
+            # none per relayed pick: the rows held after the greedy pass,
+            # then one per relayed drop that leaves the relay in use
+            assert len(calls) == (picks > 0) + (picks - held) - (picks > 0 and not held)
             picked += picks > 0
-            dropped += drops > 0
+            dropped += picks > held
         assert picked >= 40 and dropped >= 3
+
+    @given(greedy_starts())
+    @settings(max_examples=150, deadline=None)
+    def test_float_candidates_are_within_an_ulp_of_the_link_budget(self, start):
+        ctx, modes = start
+        seen = []
+        original = mt.relayed_candidates
+
+        def recorded(ctx, ues, counts, relay_total, k):
+            out = original(ctx, ues, counts, relay_total, k)
+            seen.append((list(ues), list(counts), relay_total, k, out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mt, "relayed_candidates", recorded)
+            mt.init_matching(ctx, modes)
+        assert len(seen) == (ctx.n_subchannels if (modes == mt.RELAY).any() else 0)
+        sc, g = ctx.scenario, ctx.gains
+        floor_ue, floor_uav = ctx.relay_floors
+        for ues, counts, relay_total, k, out in seen:
+            rate, ok = lr.relayed_links(
+                sc.p_ue_max / (np.array(counts)[ues] + 1), sc.p_uav_max / (relay_total + 1),
+                g.h_ue_uav[ues, k], g.h_uav_bs[k], floor_ue[ues, k], floor_uav[k],
+                sc.noise_var, sc.ici_power)
+            for value, exact in zip(out, np.where(ok, ctx.weights[ues] * rate, 0.0).tolist()):
+                assert abs(value - exact) <= math.ulp(exact)
 
     @given(greedy_starts())
     @settings(max_examples=150, deadline=None)
@@ -655,3 +733,101 @@ class TestTableGreedyStart:
         for f in fields(mt.MsmaResult):
             a, b = getattr(handed, f.name), getattr(rebuilt, f.name)
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+
+class TestPrefilteredScan:
+    @given(greedy_starts(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_mask_driven_scan(self, start, rnd):
+        # the greedy start's own matching, and its owners shuffled over the
+        # subchannels: that keeps every UE's count and the relay total, so
+        # the view's rows still score it, and gives the scan swaps to make
+        ctx, modes = start
+        view = mt.init_matching(ctx, modes)
+        shuffled = view.owner.tolist()
+        rnd.shuffle(shuffled)
+        for owner in (view.owner, np.array(shuffled)):
+            game = replace(view, owner=owner)
+            res, ref = mt.msma_detailed(game), mask_msma(game)
+            for f in fields(mt.MsmaResult):
+                a, b = getattr(res, f.name), getattr(ref, f.name)
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+
+# ---------------------------------------------------------------------------
+# The start tables written out as one both-mode link-budget call per
+# channel state: the reference the per-slot cellular half is held to.
+
+def reference_full_budget(ctx):
+    n, sc = ctx.n_ues, ctx.scenario
+    utility, feasible = mt.score_rows(ctx, np.tile(np.arange(n), 2),
+                                      np.repeat([False, True], n), sc.p_ue_max, sc.p_uav_max)
+    shape = (2, n, ctx.n_subchannels)
+    return utility.reshape(shape), feasible.reshape(shape)
+
+
+def reference_starts(ctx):
+    utility, feasible = reference_full_budget(ctx)
+    table = np.where(feasible, utility, 0.0)
+    score = table.sum(axis=2)
+    modes = [np.where(score[mt.RELAY] > score[mt.CELLULAR], mt.RELAY, mt.CELLULAR),
+             np.full(ctx.n_ues, mt.CELLULAR)]
+    coverage = np.where(feasible[mt.CELLULAR].any(axis=1), mt.CELLULAR, mt.RELAY)
+    if coverage.any():
+        modes.append(coverage)
+    rows = [table[m, np.arange(ctx.n_ues)] for m in modes]
+    return [(m, r, r.max(axis=0).sum()) for m, r in zip(modes, rows)]
+
+
+class TestStartTables:
+    @given(greedy_starts(), st.floats(0.25, 4.0))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_the_one_call_tables_bit_for_bit(self, start, scale):
+        ctx, _ = start
+        g = ctx.gains
+
+        def assert_equal_tables(c):
+            for a, b in zip(c.full_budget, reference_full_budget(c)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            got, ref = c.starts, reference_starts(c)
+            assert len(got) == len(ref)
+            for (m, r, ceiling), (m_ref, r_ref, ceiling_ref) in zip(got, ref):
+                assert np.array_equal(m, m_ref) and np.array_equal(r, r_ref)
+                assert ceiling == ceiling_ref
+
+        assert_equal_tables(ctx)
+        # a UAV move changes only the air gains; the cellular half carries over
+        moved = ctx.moved(ChannelGains(g.h_ue_bs, scale * g.h_ue_uav, scale * g.h_uav_bs))
+        assert moved.cellular is ctx.cellular
+        assert_equal_tables(moved)
+
+    def test_the_cellular_half_is_built_once_per_slot(self, monkeypatch):
+        slots = []  # per slot: [cellular-half builds, the contexts whose starts are read]
+        build, starts, slot = (mt.MatchingContext.cellular.func, mt.MatchingContext.starts.func,
+                               orchestrator.jmstp_slot)
+
+        def counted_build(ctx):
+            slots[-1][0] += 1
+            return build(ctx)
+
+        def counted_starts(ctx):
+            slots[-1][1].append(ctx)
+            return starts(ctx)
+
+        def new_slot(*args):
+            slots.append([0, []])
+            return slot(*args)
+
+        cached = cached_property(counted_build)
+        cached.__set_name__(mt.MatchingContext, "cellular")
+        monkeypatch.setattr(mt.MatchingContext, "cellular", cached)
+        monkeypatch.setattr(mt.MatchingContext, "starts", property(counted_starts))
+        monkeypatch.setattr(orchestrator, "jmstp_slot", new_slot)
+        for seed in range(3):
+            orchestrator.run_episode(Scenario(
+                n_ues=5, n_subchannels=10, n_slots=10, d_max=25.0, fading_model="mixed",
+                rng_seed=seed).with_positions(seed), "jmstp")
+        # a context per channel state, each held, so that ids are not reused
+        states = [len({id(c) for c in ctxs}) for _, ctxs in slots]
+        assert all(builds == (n > 0) for (builds, _), n in zip(slots, states))
+        assert sum(states) > 2 * sum(builds for builds, _ in slots)

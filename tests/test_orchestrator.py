@@ -878,6 +878,18 @@ class TestBaselines:
         assert log.avg_rates[2] == 0.0
         assert all(2 not in sol.scheduled_ues() for sol in log.slots)
 
+    def test_served_ue_lists_equal_the_loop_form(self):
+        relayed = 0
+        for seed in range(3):
+            for sol in run_episode(relay_panel(seed), "jmstp").slots:
+                served = [n for n in range(sol.alloc.shape[0])
+                          if sol.alloc[n].any() and sol.rates[n] > 0.0]
+                assert sol.scheduled_ues() == served
+                assert sol.relay_ues() == [n for n in served if sol.beta[n]]
+                assert all(type(n) is int for n in sol.scheduled_ues() + sol.relay_ues())
+                relayed += bool(sol.relay_ues())
+        assert relayed
+
 
 class TestPaperClaim:
     """The abstract's claim: the joint algorithm outperforms the random

@@ -131,3 +131,14 @@ def test_code_lines_diff_prints_both_checkouts_per_module(tmp_path):
     rows = [line.split() for line in done.stdout.splitlines()[1:]]
     assert rows == [["a.py", "6", "7", "+1"], ["b.py", "0", "1", "+1"],
                     ["total", "6", "8", "+2"]]
+
+
+def test_kernel_ab_of_a_checkout_against_itself_finds_no_mismatch():
+    done = run_script(ROOT / "scripts" / "kernel_ab.py", str(ROOT), str(ROOT),
+                      "--workload", "relay_mixed", "--repeats", "1")
+    assert done.returncode == 0, done.stderr
+    head = done.stdout.splitlines()[0]
+    starts = int(re.search(r": (\d+) greedy starts, 0 mismatches$", head).group(1))
+    assert starts > 0
+    assert [line.split()[0] for line in done.stdout.splitlines()[2:]] == [
+        "init_matching", "msma_detailed"]
