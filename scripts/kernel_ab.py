@@ -17,7 +17,7 @@ for the tables it builds lazily.  Each start's view then plays
 
 It prints the number of starts, the mismatches, and the microseconds per
 call of `init_matching` (the whole replay, context set-up included) and
-of `msma_detailed` on each side, each the fastest of `--repeats` runs
+of `msma_detailed` on each side, each the fastest of `REPEATS` (7) runs
 (the two sides alternating within each repeat), with HEAD / BASE.  It
 exits 1 when there is a mismatch.  Traced benchmark runs cannot give
 this comparison, since their per-layer times drift between runs by more
@@ -49,6 +49,7 @@ WORKLOADS = {
     "dense_cellular": ("dense_cellular", "cellular", None),
     "relay_dense": ("dense_cellular", "jmstp", 10),
 }
+REPEATS = 7  # timed runs per kernel and side
 
 
 def capture(head: Path, workload: str) -> list[tuple]:
@@ -103,12 +104,12 @@ def replay(mt, starts) -> list:
     return views
 
 
-def fastest(runs: dict, repeats: int) -> dict:
-    """The fastest of `repeats` timings of each side's run, in seconds;
+def fastest(runs: dict) -> dict:
+    """The fastest of `REPEATS` timings of each side's run, in seconds;
     the sides alternate within each repeat, and which goes first from
     repeat to repeat, so that drift in machine speed falls on both."""
     best = dict.fromkeys(runs, float("inf"))
-    for r in range(repeats):
+    for r in range(REPEATS):
         for label in list(runs)[::1 if r % 2 == 0 else -1]:
             t0 = time.perf_counter()
             runs[label]()
@@ -128,10 +129,7 @@ def main(argv=None) -> int:
     ap.add_argument("head", type=Path, help="checkout whose src/ is the B side, and "
                                             "whose package and perfbench/ capture the starts")
     ap.add_argument("--workload", choices=sorted(WORKLOADS), default="relay_mixed")
-    ap.add_argument("--repeats", type=int, default=7, help="timed runs per kernel and side")
     args = ap.parse_args(argv)
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
 
     starts = capture(args.head.resolve(), args.workload)
     sides = {label: load_matching(path.resolve(), f"ab_{label.lower()}")
@@ -145,10 +143,9 @@ def main(argv=None) -> int:
     print(f"workload {args.workload}: {n} greedy starts, {mismatches} mismatches")
     if not n:
         return 0
-    times = [fastest({label: lambda mt=mt: replay(mt, starts) for label, mt in sides.items()},
-                     args.repeats),
+    times = [fastest({label: lambda mt=mt: replay(mt, starts) for label, mt in sides.items()}),
              fastest({label: lambda mt=mt, vs=views[label]: [mt.msma_detailed(v) for v in vs]
-                      for label, mt in sides.items()}, args.repeats)]
+                      for label, mt in sides.items()})]
     print(f"{'kernel':<15} {'BASE us/call':>12} {'HEAD us/call':>12} {'HEAD/BASE':>9}")
     for kernel, timed in zip(("init_matching", "msma_detailed"), times):
         base, head = timed["BASE"] / n * 1e6, timed["HEAD"] / n * 1e6

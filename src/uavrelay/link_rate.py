@@ -25,10 +25,11 @@ and is the only place the exact link model is written out: `rate_report`
 sums it over the assigned links of a slot, and the matching, trajectory
 and power stages call it on their own batches of links.  `relayed_links`
 is its lean relayed case, for callers that hold the floors: the matching
-stage's full-budget table and its greedy starts' realized relayed rows
-(the greedy pass ranks its relayed candidates on Python floats in
-`relayed_links`' operations and order, but stores none of them).  Both
-read the AF SNR from `af_snr` and the floors from `floor_signals`.
+stage's full-budget table and its greedy starts' realized relayed rows.
+`relayed_column` is the same case, weighted, on Python floats and one
+subchannel at a time, with which the greedy pass ranks its relayed
+candidates; its last bit may differ from numpy's, so nothing stores it.  All three read
+the AF SNR from `af_snr` and the floors from `floor_signals`.
 
 The power and trajectory stages' concave surrogates share one
 difference-of-concave split of every rate, R = K - M, in the received
@@ -106,6 +107,25 @@ def relayed_links(p_ue, p_uav, h_ue_uav, h_uav_bs, floor_ue, floor_uav,
     g1 = p_ue * h_ue_uav / sigma2
     g2 = p_uav * h_uav_bs / (sigma2 + ici)
     return 0.5 * np.log2(1.0 + af_snr(g1, g2)), (p_ue >= floor_ue) & (p_uav >= floor_uav)
+
+
+def relayed_column(ues, weights, p_ue, p_uav: float, h_ue_uav, h_uav_bs: float, floor_ue,
+                   floor_uav: float, sigma2: float, ici: float) -> list[float]:
+    """Weighted rates of relayed links on one subchannel, 0 where QoS
+    fails, as Python floats: UE n of `ues`, of weight weights[n], at power
+    p_ue[n] over access gain h_ue_uav[n] against floor floor_ue[n], the
+    relay at p_uav over h_uav_bs against floor_uav.  `relayed_links`'
+    operations in its order, then the weight, but `math.log2` can differ
+    from `np.log2` in the last bit, so these values may rank links and are
+    never to be stored."""
+    out = [0.0] * len(ues)
+    if p_uav >= floor_uav:
+        g2 = p_uav * h_uav_bs / (sigma2 + ici)
+        for i, n in enumerate(ues):
+            if p_ue[n] >= floor_ue[n]:
+                snr = af_snr(p_ue[n] * h_ue_uav[n] / sigma2, g2)
+                out[i] = weights[n] * (0.5 * math.log2(1.0 + snr))
+    return out
 
 
 class LinkBudget:

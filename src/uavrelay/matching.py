@@ -25,15 +25,15 @@ lowest floor: past it the UE fails QoS on every subchannel and scores
 zero, so those counts are never evaluated.  A relayed UE's row also moves
 with the relay total and the air gains, so the greedy pass scores its
 candidates lazily, one subchannel at a time, on Python floats
-(`relayed_candidates`), and `link_rate.relayed_links` scores only the
-realized relayed rows: once after the pass and once per relayed drop.
+(`link_rate.relayed_column`), and `link_rate.relayed_links` scores only
+the realized relayed rows: once after the pass and once per relayed
+drop.
 The start's realized rows are the `GameView` the swap game runs on, so a
 fresh start is scored once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -75,10 +75,6 @@ def _direct_rows(ctx: "MatchingContext") -> DirectRows:
                       np.cumsum(reach) - reach, reach)
 
 
-# the tables a context builds once per slot, which read no air gain
-_PER_SLOT = ("direct", "cellular")
-
-
 @dataclass(frozen=True)
 class MatchingContext:
     """Slot inputs the game scores against, and the tables its greedy
@@ -102,9 +98,10 @@ class MatchingContext:
 
     def moved(self, gains: ChannelGains) -> "MatchingContext":
         """The context of this slot at the UAV's next channel state.  A move
-        changes only the air gains, so the per-slot tables carry over."""
+        changes only the air gains, so the per-slot tables built so far,
+        which read no air gain, carry over."""
         ctx = MatchingContext(self.scenario, gains, self.weights)
-        vars(ctx).update((name, vars(self)[name]) for name in _PER_SLOT if name in vars(self))
+        vars(ctx).update((n, t) for n, t in vars(self).items() if n in ("direct", "cellular"))
         return ctx
 
     @cached_property
@@ -145,9 +142,11 @@ class MatchingContext:
     @cached_property
     def relay_lists(self) -> tuple[list, list, list, list, list]:
         """`h_ue_uav`, `h_uav_bs`, the weights and the relay-hop floors as
-        nested lists of floats, which `relayed_candidates` reads."""
-        return (self.gains.h_ue_uav.tolist(), self.gains.h_uav_bs.tolist(),
-                self.weights.tolist(), *(f.tolist() for f in self.relay_floors))
+        lists of floats, the (N, K) ones by subchannel, as the greedy pass
+        reads them."""
+        floor_ue, floor_uav = self.relay_floors
+        return (self.gains.h_ue_uav.T.tolist(), self.gains.h_uav_bs.tolist(),
+                self.weights.tolist(), floor_ue.T.tolist(), floor_uav.tolist())
 
     @cached_property
     def starts(self) -> list[tuple[np.ndarray, np.ndarray, float]]:
@@ -309,30 +308,6 @@ def msma_detailed(view: GameView) -> MsmaResult:
     return MsmaResult(*assignment(view.modes, owner), n_swaps, examined_per_round)
 
 
-def relayed_candidates(ctx: MatchingContext, ues: list[int], counts: list[int],
-                       relay_total: int, k: int) -> list[float]:
-    """`where(feasible, utility, 0)` of each relayed UE in `ues` on
-    subchannel k at the split it would hold after taking it: UE n at
-    p_ue_max / (counts[n] + 1) and the relay at p_uav_max / (relay_total +
-    1).  Python floats, in the operations and order of
-    `link_rate.relayed_links` and the weighting after it; `math.log2` can
-    differ from numpy's in the last bit, so these values only rank
-    candidates and are never stored."""
-    sc = ctx.scenario
-    h_ue_uav, h_uav_bs, weights, floor_ue, floor_uav = ctx.relay_lists
-    out = [0.0] * len(ues)
-    p_uav = sc.p_uav_max / (relay_total + 1)
-    if not p_uav >= floor_uav[k]:
-        return out
-    g2 = p_uav * h_uav_bs[k] / (sc.noise_var + sc.ici_power)
-    for i, n in enumerate(ues):
-        p_ue = sc.p_ue_max / (counts[n] + 1)
-        if p_ue >= floor_ue[n][k]:
-            g1 = p_ue * h_ue_uav[n][k] / sc.noise_var
-            out[i] = weights[n] * (0.5 * math.log2(1.0 + g1 * g2 / (g1 + g2 + 1.0)))
-    return out
-
-
 def init_matching(ctx: MatchingContext, modes: np.ndarray) -> GameView:
     """Greedy feasible start for UEs held to the given modes, returned as
     the view the swap game starts from.
@@ -351,19 +326,25 @@ def init_matching(ctx: MatchingContext, modes: np.ndarray) -> GameView:
     and in the repair a direct UE's realized row is its table row one
     count down.  A relayed UE's row also moves with the relay total, so
     the greedy pass scores the relayed candidates of each subchannel as it
-    reaches it (`relayed_candidates`, on floats), and a relayed pick
-    re-scores nothing.  `link_rate.relayed_links` scores only the realized
-    relayed rows: once at the split held after the pass, and once after
-    each relayed drop (for the repair).  The realized rows become the
-    returned view; rows of UEs holding nothing may be stale, as the game
-    reads only the owners' rows."""
+    reaches it (`link_rate.relayed_column`, on floats), and a relayed
+    pick re-scores nothing.  A float's last bit can differ from numpy's,
+    so two candidates within an ulp of each other could rank otherwise
+    than on numpy values; the values are never stored.
+    `link_rate.relayed_links` scores only the realized relayed rows: once
+    at the split held after the pass, and once after each relayed drop
+    (for the repair).  The realized rows become the returned view; rows of
+    UEs holding nothing may be stale, as the game reads only the owners'
+    rows."""
     sc, g, n_ues, n_sub = ctx.scenario, ctx.gains, ctx.n_ues, ctx.n_subchannels
     modes = np.asarray(modes, dtype=int)
     relay = modes == RELAY
     direct, relayed = np.flatnonzero(~relay), np.flatnonzero(relay)
     rows = ctx.direct
     is_relayed, relayed_ues = relay.tolist(), relayed.tolist()
-    counts, relay_total = [0] * n_ues, 0
+    # p_next[n]: UE n's power after one more subchannel
+    counts, relay_total, p_next = [0] * n_ues, 0, [sc.p_ue_max] * n_ues
+    if relayed_ues:
+        h_ue_uav, h_uav_bs, weights, floor_ue, floor_uav = ctx.relay_lists
 
     # cand[n]: direct UE n's utility where it meets QoS, else 0, at the
     # split it would hold after one more subchannel; 0 for relayed UEs
@@ -374,7 +355,10 @@ def init_matching(ctx: MatchingContext, modes: np.ndarray) -> GameView:
         n = int(cand[:, k].argmax())
         value = cand[n, k]
         if relayed_ues:
-            scores = relayed_candidates(ctx, relayed_ues, counts, relay_total, k)
+            scores = lr.relayed_column(relayed_ues, weights, p_next,
+                                       sc.p_uav_max / (relay_total + 1), h_ue_uav[k],
+                                       h_uav_bs[k], floor_ue[k], floor_uav[k],
+                                       sc.noise_var, sc.ici_power)
             best = max(scores)
             m = relayed_ues[scores.index(best)]
             if best > value or (best == value and m < n):
@@ -385,6 +369,7 @@ def init_matching(ctx: MatchingContext, modes: np.ndarray) -> GameView:
         counts[n] += 1
         if is_relayed[n]:
             relay_total += 1  # read by the later subchannels' relayed candidates
+            p_next[n] = sc.p_ue_max / (counts[n] + 1)
         elif counts[n] < rows.reach[n]:
             cand[n] = rows.value[rows.first[n] + counts[n]]
         else:

@@ -497,8 +497,9 @@ class TestBruteForce:
 # rescored per subchannel, and the repair rebuilding the whole view per
 # drop.  The reference the table-driven `init_matching` is held to.
 
-def reference_greedy(ctx, modes):
-    """Owner of each subchannel after the greedy pass."""
+def reference_greedy(ctx, modes, columns=None):
+    """Owner of each subchannel after the greedy pass; each subchannel's
+    candidate values, over every UE, go to `columns` when given."""
     sc = ctx.scenario
     relay = modes == mt.RELAY
     counts = np.zeros(ctx.n_ues, dtype=int)
@@ -514,6 +515,8 @@ def reference_greedy(ctx, modes):
                 ctx, stale, relay[stale], sc.p_ue_max / (counts[stale] + 1),
                 sc.p_uav_max / (relay_total + 1))
             value[:, stale] = np.where(feasible, utility, 0.0).T
+        if columns is not None:
+            columns.append(value[k].copy())
         n = int(value[k].argmax())
         stale = np.array([], dtype=int)
         if value[k, n] > 0.0:
@@ -700,28 +703,37 @@ class TestTableGreedyStart:
     @given(greedy_starts())
     @settings(max_examples=150, deadline=None)
     def test_float_candidates_are_within_an_ulp_of_the_link_budget(self, start):
+        # every relayed candidate the greedy pass compares, against
+        # `relayed_links` on the same inputs; and, weighted and merged with
+        # the subchannel's direct candidates, the floats pick the UE that
+        # numpy values pick (first index of the largest positive value)
         ctx, modes = start
         seen = []
-        original = mt.relayed_candidates
+        original = lr.relayed_column
 
-        def recorded(ctx, ues, counts, relay_total, k):
-            out = original(ctx, ues, counts, relay_total, k)
-            seen.append((list(ues), list(counts), relay_total, k, out))
+        def recorded(ues, weights, p_ue, *rest):
+            out = original(ues, weights, p_ue, *rest)
+            seen.append(((ues, weights, list(p_ue), *rest), out))  # the pass updates p_ue
             return out
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mt, "relayed_candidates", recorded)
+            mp.setattr(lr, "relayed_column", recorded)
             mt.init_matching(ctx, modes)
         assert len(seen) == (ctx.n_subchannels if (modes == mt.RELAY).any() else 0)
-        sc, g = ctx.scenario, ctx.gains
-        floor_ue, floor_uav = ctx.relay_floors
-        for ues, counts, relay_total, k, out in seen:
-            rate, ok = lr.relayed_links(
-                sc.p_ue_max / (np.array(counts)[ues] + 1), sc.p_uav_max / (relay_total + 1),
-                g.h_ue_uav[ues, k], g.h_uav_bs[k], floor_ue[ues, k], floor_uav[k],
-                sc.noise_var, sc.ici_power)
-            for value, exact in zip(out, np.where(ok, ctx.weights[ues] * rate, 0.0).tolist()):
-                assert abs(value - exact) <= math.ulp(exact)
+        columns = []
+        owner = reference_greedy(ctx, modes, columns)
+        for k, ((ues, weights, p_ue, p_uav, h_ue_uav, h_uav_bs, floor_ue, floor_uav, sigma2,
+                 ici), out) in enumerate(seen):
+            pick = lambda xs: np.array([xs[n] for n in ues])
+            rate, ok = lr.relayed_links(pick(p_ue), p_uav, pick(h_ue_uav), h_uav_bs,
+                                        pick(floor_ue), floor_uav, sigma2, ici)
+            exact = np.where(ok, pick(weights) * rate, 0.0)
+            for value, e in zip(out, exact.tolist()):
+                assert abs(value - e) <= math.ulp(e)
+            column = columns[k]
+            column[ues] = out
+            n = int(column.argmax())
+            assert (n if column[n] > 0.0 else -1) == owner[k]
 
     @given(greedy_starts())
     @settings(max_examples=150, deadline=None)

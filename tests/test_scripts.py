@@ -135,7 +135,7 @@ def test_code_lines_diff_prints_both_checkouts_per_module(tmp_path):
 
 def test_kernel_ab_of_a_checkout_against_itself_finds_no_mismatch():
     done = run_script(ROOT / "scripts" / "kernel_ab.py", str(ROOT), str(ROOT),
-                      "--workload", "relay_mixed", "--repeats", "1")
+                      "--workload", "relay_mixed")
     assert done.returncode == 0, done.stderr
     head = done.stdout.splitlines()[0]
     starts = int(re.search(r": (\d+) greedy starts, 0 mismatches$", head).group(1))
