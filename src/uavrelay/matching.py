@@ -19,8 +19,10 @@ Greedy starts read tables too, each built once for the inputs it reads
 (`MatchingContext`).  A direct UE's row depends only on its own
 subchannel count c (it runs at p_ue_max / c), the direct gains, the
 weights and the scenario, so every UE's direct rows at every count it can
-reach are built in one link-budget call once per slot: a UAV move leaves
-them as they are.  The reach ends where the split falls below the UE's
+reach are built in one direct link-budget call once per slot: a UAV move
+leaves them as they are.  Each UE's first row runs at the full budget,
+so the full-budget table's cellular half and the all-cellular start are
+gathered from them.  The reach ends where the split falls below the UE's
 lowest floor: past it the UE fails QoS on every subchannel and scores
 zero, so those counts are never evaluated.  A relayed UE's row also moves
 with the relay total and the air gains, so the greedy pass scores its
@@ -65,12 +67,15 @@ def _direct_rows(ctx: "MatchingContext") -> DirectRows:
     its lowest direct floor, past which it fails QoS everywhere and reads
     an all-zero row; one row of slack is scored past it, capped at K."""
     sc, n_sub = ctx.scenario, ctx.n_subchannels
-    floor_ue, _ = lr.floor_signals(False, sc.snr_thresholds, sc.noise_var, sc.ici_power)
-    floor = (floor_ue / ctx.gains.h_ue_bs).min(axis=1)
+    floor = ctx.direct_floors.min(axis=1)
     splits = sc.p_ue_max / np.arange(1, n_sub + 1)
     reach = np.minimum((splits >= floor[:, None]).sum(axis=1) + 1, n_sub)
     holder, count = np.nonzero(np.arange(n_sub) < reach[:, None])
-    utility, feasible = score_rows(ctx, holder, False, sc.p_ue_max / (count + 1), 0.0)
+    # a direct link reads no air gain, so the air gains are stand-ins
+    link = lr.LinkBudget(False, (sc.p_ue_max / (count + 1))[:, None], 0.0,
+                         ctx.gains.h_ue_bs[holder], 1.0, 1.0,
+                         sc.snr_thresholds, sc.noise_var, sc.ici_power)
+    utility, feasible = ctx.weights[holder, None] * link.rate, link.feasible()
     return DirectRows(utility, feasible, np.where(feasible, utility, 0.0),
                       np.cumsum(reach) - reach, reach)
 
@@ -78,11 +83,12 @@ def _direct_rows(ctx: "MatchingContext") -> DirectRows:
 @dataclass(frozen=True)
 class MatchingContext:
     """Slot inputs the game scores against, and the tables its greedy
-    starts read, each built on first use: the full-budget table's relayed
-    half, the relay-hop floors and their list forms, and the start modes
-    per channel state; the direct rows and the full-budget table's cellular
-    half per slot (`moved` carries them to the slot's next channel
-    state)."""
+    starts read, each built on first use.  Per slot (`moved` carries them
+    to the slot's next channel state): the direct rows and the
+    all-cellular start gathered from them.  Per channel state: the
+    full-budget table, whose cellular half is gathered from the direct
+    rows too, the relay-hop floors and their list forms, and the other
+    start modes."""
 
     scenario: Scenario
     gains: ChannelGains
@@ -101,35 +107,33 @@ class MatchingContext:
         changes only the air gains, so the per-slot tables built so far,
         which read no air gain, carry over."""
         ctx = MatchingContext(self.scenario, gains, self.weights)
-        vars(ctx).update((n, t) for n, t in vars(self).items() if n in ("direct", "cellular"))
+        vars(ctx).update((n, t) for n, t in vars(self).items()
+                         if n in ("direct", "cellular_start"))
         return ctx
-
-    @cached_property
-    def cellular(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Weighted rate and QoS verdict of every UE in cellular mode on
-        every subchannel at the full UE budget, then the all-cellular
-        start's rows, `where(feasible, utility, 0)`, and its ceiling."""
-        sc, g = self.scenario, self.gains
-        link = lr.LinkBudget(False, sc.p_ue_max, 0.0, g.h_ue_bs, g.h_ue_uav, g.h_uav_bs,
-                             sc.snr_thresholds, sc.noise_var, sc.ici_power)
-        utility, feasible = self.weights[:, None] * link.rate, link.feasible()
-        rows = np.where(feasible, utility, 0.0)
-        return utility, feasible, rows, rows.max(axis=0).sum()
-
-    @cached_property
-    def full_budget(self) -> tuple[np.ndarray, np.ndarray]:
-        """Weighted rate and QoS verdict of every UE in each mode on every
-        subchannel at the full UE and relay budgets, indexed [mode, ue, k]."""
-        sc, g = self.scenario, self.gains
-        rate, ok = lr.relayed_links(sc.p_ue_max, sc.p_uav_max, g.h_ue_uav, g.h_uav_bs,
-                                    *self.relay_floors, sc.noise_var, sc.ici_power)
-        utility, feasible, _, _ = self.cellular
-        return np.array([utility, self.weights[:, None] * rate]), np.array([feasible, ok])
 
     @cached_property
     def direct(self) -> DirectRows:
         """Every UE's direct rows, which read no air gain."""
         return _direct_rows(self)
+
+    @property
+    def direct_floors(self) -> np.ndarray:
+        """The smallest UE power (N, K) that meets each direct link's
+        floor."""
+        sc = self.scenario
+        floor, _ = lr.floor_signals(False, sc.snr_thresholds, sc.noise_var, sc.ici_power)
+        return floor / self.gains.h_ue_bs
+
+    @cached_property
+    def full_budget(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weighted rate and QoS verdict of every UE in each mode on every
+        subchannel at the full UE and relay budgets, indexed [mode, ue, k]:
+        each UE's first direct row, then one relayed-link call."""
+        sc, g, rows = self.scenario, self.gains, self.direct
+        rate, ok = lr.relayed_links(sc.p_ue_max, sc.p_uav_max, g.h_ue_uav, g.h_uav_bs,
+                                    *self.relay_floors, sc.noise_var, sc.ici_power)
+        return (np.array([rows.utility[rows.first], self.weights[:, None] * rate]),
+                np.array([rows.feasible[rows.first], ok]))
 
     @cached_property
     def relay_floors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -149,14 +153,20 @@ class MatchingContext:
                 self.weights.tolist(), floor_ue.T.tolist(), floor_uav.tolist())
 
     @cached_property
+    def cellular_start(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The all-cellular start as (modes, rows, ceiling): row n holds UE
+        n's first direct row, `where(feasible, utility, 0)` at full budget,
+        and the ceiling sums each subchannel's largest entry."""
+        rows = self.direct.value[self.direct.first]
+        return np.full(self.n_ues, CELLULAR), rows, rows.max(axis=0).sum()
+
+    @cached_property
     def starts(self) -> list[tuple[np.ndarray, np.ndarray, float]]:
         """The relaying matching stage's greedy starts in play order, each
-        as (modes, rows, ceiling): scored modes (relay where its
-        QoS-feasible full-budget utility sums higher), all-cellular, and
-        coverage modes (relay only the UEs with no QoS-feasible direct
-        subchannel) if they relay anyone.  Row n holds UE n's entries of
-        `where(feasible, utility, 0)` at full budget in its start mode, and
-        the ceiling sums each subchannel's largest entry."""
+        as `cellular_start` is: scored modes (relay where its QoS-feasible
+        full-budget utility sums higher), all-cellular, and coverage modes
+        (relay only the UEs with no QoS-feasible direct subchannel) if they
+        relay anyone."""
         utility, feasible = self.full_budget
         table = np.where(feasible, utility, 0.0)
         score = table.sum(axis=2)
@@ -166,24 +176,7 @@ class MatchingContext:
             modes.append(coverage)
         rows = [table[m, np.arange(self.n_ues)] for m in modes]
         starts = [(m, r, r.max(axis=0).sum()) for m, r in zip(modes, rows)]
-        return starts[:1] + [(np.full(self.n_ues, CELLULAR), *self.cellular[2:])] + starts[1:]
-
-
-def score_rows(ctx: MatchingContext, ues, relay, ue_power,
-               uav_power) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted rate and QoS verdict of UE `ues[i]` in mode `relay[i]` on
-    every subchannel, one row per entry, from one link-budget evaluation.
-    `relay`, `ue_power` and `uav_power` (the relay's power per relayed
-    subchannel) are one value per row, or one for all."""
-    g, sc = ctx.gains, ctx.scenario
-
-    def column(a, dtype=float):
-        return np.asarray(a, dtype=dtype).reshape(-1, 1)
-
-    link = lr.LinkBudget(column(relay, bool), column(ue_power), column(uav_power),
-                         g.h_ue_bs[ues], g.h_ue_uav[ues], g.h_uav_bs,
-                         sc.snr_thresholds, sc.noise_var, sc.ici_power)
-    return ctx.weights[ues, None] * link.rate, link.feasible()
+        return starts[:1] + [self.cellular_start] + starts[1:]
 
 
 def assignment(modes: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,40 +189,18 @@ def assignment(modes: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.nda
 @dataclass
 class GameView:
     """Utilities and QoS verdicts of one matching under its equal-split
-    powers.  `owner` holds the UE on each subchannel, -1 where it is
-    vacant; row n of `utility`/`feasible` scores UE n in its mode
-    (`modes[n]`) on every subchannel, and a last all-zero, all-feasible
-    row is read by vacant subchannels as row -1.  The game reads only the
-    owners' rows.  Valid across swaps because swaps never change any UE's
-    subchannel count or the relay total."""
+    powers, as `init_matching` returns it and `msma_detailed` plays it.
+    `owner` holds the UE on each subchannel, -1 where it is vacant; row n
+    of `utility`/`feasible` scores UE n in its mode (`modes[n]`) on every
+    subchannel, and a last all-zero, all-feasible row is read by vacant
+    subchannels as row -1.  The game reads only the owners' rows.  Valid
+    across swaps because swaps never change any UE's subchannel count or
+    the relay total."""
 
     modes: np.ndarray
     owner: np.ndarray
     utility: np.ndarray
     feasible: np.ndarray
-
-    @classmethod
-    def of(cls, beta: np.ndarray, alloc: np.ndarray, ctx: MatchingContext) -> "GameView":
-        """Score the matching `(beta, alloc)`, every UE in one call."""
-        sc = ctx.scenario
-        relay = np.asarray(beta) == RELAY
-        relay_total = int(alloc[relay].sum())
-        uav_power = sc.p_uav_max / relay_total if relay_total else 0.0
-        utility, feasible = score_rows(
-            ctx, np.arange(ctx.n_ues), relay,
-            sc.p_ue_max / np.maximum(alloc.sum(axis=1), 1), uav_power)
-        k_sub = ctx.n_subchannels
-        return cls(np.asarray(beta), np.where(alloc.any(axis=0), alloc.argmax(axis=0), -1),
-                   np.vstack([utility, np.zeros(k_sub)]),
-                   np.vstack([feasible, np.ones(k_sub, dtype=bool)]))
-
-    def assignment(self) -> tuple[np.ndarray, np.ndarray]:
-        return assignment(self.modes, self.owner)
-
-    def own(self) -> tuple[np.ndarray, np.ndarray]:
-        """Utility and QoS verdict of each subchannel's owner there."""
-        k = np.arange(self.owner.size)
-        return self.utility[self.owner, k], self.feasible[self.owner, k]
 
 
 @dataclass

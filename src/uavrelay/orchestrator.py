@@ -11,8 +11,8 @@ trajectory -> power, and differ only in their stages:
   played, and a stable matching whose ceiling cannot is not completed.
   A start is played at most once per channel state, and one that relays
   nobody at most once per slot, since it reads no air gain;
-- cellular: the matching stage has only the all-cellular start, and
-  there is no trajectory stage, so the UAV never moves;
+- cellular: the matching stage has only the all-cellular start, played
+  as lazily, and there is no trajectory stage, so the UAV never moves;
 - random: the first cycle draws a random matching from the slot's own
   channel and funds it cold; later cycles run only trajectory and power.
 
@@ -231,14 +231,14 @@ def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, incumbent: Audit,
 
     What is built when:
     - per slot: the direct rows every greedy start reads (`ctx.direct`),
-      the full-budget table's cellular half with the all-cellular start's
-      rows and ceiling (`ctx.cellular`), and the stable matching of a
-      start that relays nobody (`fresh`), none of which reads an air gain;
-    - per channel state: the full-budget table's relayed half, the other
-      start modes with their ceilings (`ctx.starts`), the relay-hop
-      floors, and the stable matching of each start that relays
-      (`fresh`).  These starts and their swap runs are the matching
-      stage's only swap runs;
+      the all-cellular start's rows and ceiling, gathered from them
+      (`ctx.cellular_start`), and the stable matching of a start that
+      relays nobody (`fresh`), none of which reads an air gain;
+    - per channel state: the full-budget table (`ctx.full_budget`), its
+      cellular half gathered from the direct rows, the other start modes
+      with their ceilings (`ctx.starts`), the relay-hop floors, and the
+      stable matching of each start that relays (`fresh`).  These starts
+      and their swap runs are the matching stage's only swap runs;
     - per call: the completions.  Completion carries the incumbent's
       powers, and each distinct matching is completed at most once per
       call: a repeat would only repeat its objective, which never beats
@@ -255,28 +255,29 @@ def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, incumbent: Audit,
     loop already returns to this stage after every trajectory and power
     move.
 
-    With relay starts the loop is lazy.  A completed link runs at or
-    below the full UE and relay budgets, so it earns at most its entry of
-    `where(feasible, utility, 0)` (`ctx.full_budget`).  The sum of those
-    entries over a matching's links is its ceiling; a start's ceiling sums
-    each subchannel's largest entry over the UEs in their start modes, and
+    The loop is lazy.  A completed link runs at or below the full UE and
+    relay budgets, so it earns at most its entry of `where(feasible,
+    utility, 0)` (`ctx.full_budget`).  The sum of those entries over a
+    matching's links is its ceiling; a start's ceiling sums each
+    subchannel's largest entry over the UEs in their start modes, and
     bounds every matching the start can reach.  A start is played, and a
     matching completed, only while its ceiling, inflated by
     `_CEILING_RTOL` for summation order, beats the running best, which
     starts at the incumbent and never falls.  A skipped candidate could
     never have won, so the answer is the one every start completed would
-    give.  The cellular stage builds no table and prunes nothing."""
+    give.  The cellular stage reads only the all-cellular start's rows, so
+    it builds no full-budget table."""
     sc, gains, weights = ctx.scenario, ctx.gains, ctx.weights
     inputs = incumbent.inputs
     best = (incumbent_obj, incumbent)
-    starts = ctx.starts if fresh.relay else [(np.full(ctx.n_ues, CELLULAR), None, None)]
+    starts = ctx.starts if fresh.relay else [ctx.cellular_start]
 
     def out_of_reach(ceiling):
         return not _beats(ceiling * (1.0 + _CEILING_RTOL), best[0])
 
     completed = {inputs.beta.tobytes() + inputs.alloc.tobytes(), fresh.source}
     for modes, rows, ceiling in starts:
-        if rows is not None and out_of_reach(ceiling):
+        if out_of_reach(ceiling):
             continue
         key = modes.tobytes()
         if key not in fresh.stable:
@@ -284,8 +285,7 @@ def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, incumbent: Audit,
             fresh.stable[key] = res.beta, res.alloc
         cand_beta, cand_alloc = fresh.stable[key]
         cand = cand_beta.tobytes() + cand_alloc.tobytes()
-        if cand in completed or (rows is not None
-                                 and out_of_reach(rows[cand_alloc != 0].sum())):
+        if cand in completed or out_of_reach(rows[cand_alloc != 0].sum()):
             continue
         completed.add(cand)
         cand_alloc, cand_powers = complete_powers(inputs.beta, inputs.alloc, inputs.powers,
@@ -298,11 +298,21 @@ def _matching_stage(ctx: MatchingContext, fresh: _FreshStarts, incumbent: Audit,
     return best[1]
 
 
+def _qos_verdicts(ctx: MatchingContext) -> np.ndarray:
+    """QoS verdict of every UE in each mode on every subchannel at the
+    full UE and relay budgets, indexed [mode, ue, k]: `ctx.full_budget`'s
+    verdicts, read from the power floors alone, with no rate priced."""
+    sc = ctx.scenario
+    floor_ue, floor_uav = ctx.relay_floors
+    return np.array([sc.p_ue_max >= ctx.direct_floors,
+                     (sc.p_ue_max >= floor_ue) & (sc.p_uav_max >= floor_uav)])
+
+
 def _random_matching(ctx: MatchingContext,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform mode per UE among its QoS-feasible options, then each
     subchannel goes to a uniform pick of the UEs feasible on it."""
-    _, feasible = ctx.full_budget
+    feasible = _qos_verdicts(ctx)
     modes: dict[int, int] = {}
     for n in range(ctx.n_ues):
         options = [m for m in (CELLULAR, RELAY) if feasible[m, n].any()]

@@ -48,11 +48,54 @@ def random_context(seed, n_ues=2, n_sub=2, thresholds=None):
     )
 
 
+def score_rows(ctx, ues, relay, ue_power, uav_power):
+    """Weighted rate and QoS verdict of UE `ues[i]` in mode `relay[i]` on
+    every subchannel, one row per entry, from one link-budget call over
+    both modes: the reference the package's one-mode tables are held to.
+    `relay`, `ue_power` and `uav_power` (the relay's power per relayed
+    subchannel) are one value per row, or one for all."""
+    g, sc = ctx.gains, ctx.scenario
+
+    def column(a, dtype=float):
+        return np.asarray(a, dtype=dtype).reshape(-1, 1)
+
+    link = lr.LinkBudget(column(relay, bool), column(ue_power), column(uav_power),
+                         g.h_ue_bs[ues], g.h_ue_uav[ues], g.h_uav_bs,
+                         sc.snr_thresholds, sc.noise_var, sc.ici_power)
+    return ctx.weights[ues, None] * link.rate, link.feasible()
+
+
+def view_of(beta, alloc, ctx):
+    """The `GameView` of the matching `(beta, alloc)` under its equal
+    split, every UE scored in one call."""
+    sc = ctx.scenario
+    relay = np.asarray(beta) == mt.RELAY
+    relay_total = int(alloc[relay].sum())
+    uav_power = sc.p_uav_max / relay_total if relay_total else 0.0
+    utility, feasible = score_rows(ctx, np.arange(ctx.n_ues), relay,
+                                   sc.p_ue_max / np.maximum(alloc.sum(axis=1), 1), uav_power)
+    k_sub = ctx.n_subchannels
+    return mt.GameView(np.asarray(beta), np.where(alloc.any(axis=0), alloc.argmax(axis=0), -1),
+                       np.vstack([utility, np.zeros(k_sub)]),
+                       np.vstack([feasible, np.ones(k_sub, dtype=bool)]))
+
+
+def own(view):
+    """Utility and QoS verdict of each subchannel's owner there."""
+    k = np.arange(view.owner.size)
+    return view.utility[view.owner, k], view.feasible[view.owner, k]
+
+
+def view_assignment(view):
+    """The view's matching as `(beta, alloc)`."""
+    return mt.assignment(view.modes, view.owner)
+
+
 def row(ctx, ue, mode, ue_power=None, uav_power=None):
     """(utility, feasible) of one UE in one mode over every subchannel,
     full budgets by default."""
     sc = ctx.scenario
-    utility, feasible = mt.score_rows(
+    utility, feasible = score_rows(
         ctx, [ue], [mode == mt.RELAY], sc.p_ue_max if ue_power is None else ue_power,
         sc.p_uav_max if uav_power is None else uav_power)
     return utility[0], feasible[0]
@@ -74,7 +117,7 @@ def holding(n_ues, owner):
 
 def msma(beta, alloc, ctx):
     """The swap game run from the matching `(beta, alloc)`."""
-    return mt.msma_detailed(mt.GameView.of(beta, alloc, ctx))
+    return mt.msma_detailed(view_of(beta, alloc, ctx))
 
 
 def swap_approvals(u, ok, owner):
@@ -139,11 +182,11 @@ def approvals(view):
 def matching_feasible(beta, alloc, ctx):
     """Per-assignment QoS under the matching's own equal-split powers.
     Power caps hold by construction of the split."""
-    return bool(mt.GameView.of(beta, alloc, ctx).own()[1].all())
+    return bool(own(view_of(beta, alloc, ctx))[1].all())
 
 
 def is_pairwise_stable(beta, alloc, ctx):
-    return not approvals(mt.GameView.of(beta, alloc, ctx)).any()
+    return not approvals(view_of(beta, alloc, ctx)).any()
 
 
 def brute_force_stable(ctx):
@@ -190,8 +233,8 @@ class TestSubchannelUtility:
         ctx = random_context(3, n_ues=3, n_sub=5)
         pairs = [(2, mt.RELAY), (0, mt.CELLULAR), (2, mt.CELLULAR)]
         powers = [0.01, 0.02, 0.005]
-        utility, feasible = mt.score_rows(ctx, [ue for ue, _ in pairs],
-                                          [m == mt.RELAY for _, m in pairs], powers, 0.07)
+        utility, feasible = score_rows(ctx, [ue for ue, _ in pairs],
+                                       [m == mt.RELAY for _, m in pairs], powers, 0.07)
         for (ue, mode), p, u, ok in zip(pairs, powers, utility, feasible):
             u1, ok1 = row(ctx, ue, mode, p, 0.07)
             np.testing.assert_array_equal(u, u1)
@@ -199,28 +242,28 @@ class TestSubchannelUtility:
 
 
 class TestMcPairUtility:
-    """A matching's utility under its equal split, as `GameView` scores it."""
+    """A matching's utility under its equal split, as `view_of` scores it."""
 
     def test_empty_set(self):
         ctx = random_context(3)
         alloc = np.zeros((ctx.n_ues, ctx.n_subchannels), dtype=int)
-        assert mt.GameView.of(np.zeros(ctx.n_ues, dtype=int), alloc, ctx).own()[0].sum() == 0.0
+        assert own(view_of(np.zeros(ctx.n_ues, dtype=int), alloc, ctx))[0].sum() == 0.0
 
     def test_singleton(self):
         ctx = random_context(4)
         alloc = holding(2, [-1, 1])
         # alone on its subchannel, the UE holds the full budget
-        view = mt.GameView.of(np.zeros(2, dtype=int), alloc, ctx)
-        assert view.own()[0].sum() == row(ctx, 1, mt.CELLULAR)[0][1]
+        view = view_of(np.zeros(2, dtype=int), alloc, ctx)
+        assert own(view)[0].sum() == row(ctx, 1, mt.CELLULAR)[0][1]
 
     def test_additive_over_disjoint_sets(self):
         ctx = random_context(5, n_ues=2, n_sub=6)
         left, right = [0, 2, 4], [1, 5]
         alloc = holding(2, [0 if k in left + right else -1 for k in range(6)])
-        view = mt.GameView.of(np.array([mt.RELAY, mt.CELLULAR]), alloc, ctx)
+        view = view_of(np.array([mt.RELAY, mt.CELLULAR]), alloc, ctx)
         sc = ctx.scenario
         u, _ = row(ctx, 0, mt.RELAY, sc.p_ue_max / 5, sc.p_uav_max / 5)
-        assert view.own()[0].sum() == pytest.approx(
+        assert own(view)[0].sum() == pytest.approx(
             sum(u[k] for k in left) + sum(u[k] for k in right), rel=1e-12)
 
 
@@ -230,7 +273,7 @@ class TestInitMatching:
         starved = replace(ctx, scenario=replace(ctx.scenario, p_ue_max=1e-15,
                                                 p_uav_max=1e-15))
         for modes in (np.zeros(2, dtype=int), np.ones(2, dtype=int)):
-            beta, alloc = mt.init_matching(starved, modes).assignment()
+            beta, alloc = view_assignment(mt.init_matching(starved, modes))
             assert not alloc.any() and not beta.any()
 
     def test_single_ue_single_channel_prefers_better_mode(self):
@@ -247,19 +290,19 @@ class TestInitMatching:
         r_cell, ok_cell = row(ctx, 0, mt.CELLULAR)
         assert ok_cell[0] and ok_relay[0]
         assert r_relay[0] > r_cell[0]
-        beta, alloc = mt.init_matching(ctx, scored_modes(ctx)).assignment()
+        beta, alloc = view_assignment(mt.init_matching(ctx, scored_modes(ctx)))
         assert beta.tolist() == [mt.RELAY] and alloc.tolist() == [[1]]
 
     def test_random_instances_feasible_and_consistent(self):
         for seed in range(30):
             ctx = random_context(seed, n_ues=2, n_sub=2)
-            beta, alloc = mt.init_matching(ctx, scored_modes(ctx)).assignment()
+            beta, alloc = view_assignment(mt.init_matching(ctx, scored_modes(ctx)))
             assert matching_feasible(beta, alloc, ctx)
 
     def test_larger_instances_feasible_and_consistent(self):
         for seed in range(10):
             ctx = random_context(100 + seed, n_ues=5, n_sub=10)
-            beta, alloc = mt.init_matching(ctx, scored_modes(ctx)).assignment()
+            beta, alloc = view_assignment(mt.init_matching(ctx, scored_modes(ctx)))
             assert matching_feasible(beta, alloc, ctx)
 
 
@@ -276,7 +319,7 @@ def crossing_context():
 
 
 def swap_approved(beta, alloc, k1, k2, ctx):
-    return bool(approvals(mt.GameView.of(beta, alloc, ctx))[k1, k2])
+    return bool(approvals(view_of(beta, alloc, ctx))[k1, k2])
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +356,7 @@ def scalar_msma(beta, alloc, ctx):
     """Rounds of ascending (k1, k2) scans, the first approved swap executing
     at once; returns the result and the swaps executed in each round."""
     owner = [int(np.flatnonzero(col)[0]) if col.any() else -1 for col in alloc.T]
-    utility, feasible = scalar_lookups(mt.GameView.of(beta, alloc, ctx))
+    utility, feasible = scalar_lookups(view_of(beta, alloc, ctx))
     examined, swaps_per_round = [], []
     n_sub = len(owner)
     while not swaps_per_round or swaps_per_round[-1]:
@@ -370,7 +413,7 @@ class TestScalarEquivalence:
     @settings(max_examples=150, deadline=None)
     def test_mask_matches_scalar_predicate(self, game):
         ctx, beta, alloc = game
-        view = mt.GameView.of(beta, alloc, ctx)
+        view = view_of(beta, alloc, ctx)
         mask = approvals(view)
         utility, feasible = scalar_lookups(view)
         owner = [int(np.flatnonzero(col)[0]) if col.any() else -1 for col in alloc.T]
@@ -404,8 +447,8 @@ class TestSwapBlocking:
     def test_crossed_assignment_blocks(self):
         ctx, beta, alloc = crossing_context()
         assert swap_approved(beta, alloc, 0, 1, ctx)
-        before = mt.GameView.of(beta, alloc, ctx).own()[0].sum()
-        after = mt.GameView.of(beta, alloc[:, [1, 0]], ctx).own()[0].sum()
+        before = own(view_of(beta, alloc, ctx))[0].sum()
+        after = own(view_of(beta, alloc[:, [1, 0]], ctx))[0].sum()
         assert after > before
 
     def test_identical_subchannels_rejected(self):
@@ -443,15 +486,15 @@ class TestMsma:
             res = mt.msma_detailed(view)
             assert is_pairwise_stable(res.beta, res.alloc, ctx)
             # no player loses and one gains, so every swap raises the sum
-            before = view.own()[0].sum()
-            after = mt.GameView.of(res.beta, res.alloc, ctx).own()[0].sum()
+            before = own(view)[0].sum()
+            after = own(view_of(res.beta, res.alloc, ctx))[0].sum()
             assert after > before or not res.n_swaps
 
     def test_examined_counter_bounded(self):
         for seed in range(10):
             n, k = 4, 6
             ctx = random_context(seed, n_ues=n, n_sub=k)
-            beta, alloc = mt.init_matching(ctx, scored_modes(ctx)).assignment()
+            beta, alloc = view_assignment(mt.init_matching(ctx, scored_modes(ctx)))
             alloc[:, ::2] = alloc[:, ::2][:, ::-1]  # give the scan work
             res = msma(beta, alloc, ctx)
             _, swaps_per_round = scalar_msma(beta, alloc, ctx)
@@ -511,7 +554,7 @@ def reference_greedy(ctx, modes, columns=None):
     for k in range(ctx.n_subchannels):
         if stale.size:
             # rows at the split each UE would hold after one more subchannel
-            utility, feasible = mt.score_rows(
+            utility, feasible = score_rows(
                 ctx, stale, relay[stale], sc.p_ue_max / (counts[stale] + 1),
                 sc.p_uav_max / (relay_total + 1))
             value[:, stale] = np.where(feasible, utility, 0.0).T
@@ -532,7 +575,7 @@ def reference_repair(ctx, modes, owner):
     owner = owner.copy()
     while True:
         beta, alloc = mt.assignment(modes, owner)
-        utility_k, feasible_k = mt.GameView.of(beta, alloc, ctx).own()
+        utility_k, feasible_k = own(view_of(beta, alloc, ctx))
         bad = np.flatnonzero(~feasible_k)
         if not bad.size:
             return beta, alloc
@@ -579,22 +622,22 @@ def greedy_starts(draw):
 
 
 def assert_same_start(ctx, modes):
-    beta, alloc = mt.init_matching(ctx, modes).assignment()
+    beta, alloc = view_assignment(mt.init_matching(ctx, modes))
     ref_beta, ref_alloc = reference_init_matching(ctx, modes)
     assert np.array_equal(beta, ref_beta) and np.array_equal(alloc, ref_alloc)
     return alloc
 
 
-def count_score_rows(monkeypatch):
-    """The `score_rows` calls made from here on, one entry each."""
+def count_link_budgets(monkeypatch):
+    """The `LinkBudget` evaluations made from here on, one entry each."""
     calls = []
-    original = mt.score_rows
+    original = lr.LinkBudget
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(mt, "score_rows", counted)
+    monkeypatch.setattr(lr, "LinkBudget", counted)
     return calls
 
 
@@ -650,11 +693,12 @@ class TestTableGreedyStart:
         for seed in range(20):
             ctx, modes = greedy_start(seed, 6, 12, (1.0, 50.0, 200.0)[seed % 3],
                                       (1e-9, 1.0)[seed % 2], "cellular")
-            calls, kernel = count_score_rows(monkeypatch), count_relayed_links(monkeypatch)
+            calls, kernel = count_link_budgets(monkeypatch), count_relayed_links(monkeypatch)
             mt.init_matching(ctx, modes)
             mt.init_matching(ctx.moved(ctx.gains), modes)
             monkeypatch.undo()
-            assert len(calls) == 1 and kernel == []
+            # one direct link-budget call, over every UE and count
+            assert len(calls) == 1 and not calls[0][0] and kernel == []
         slots = []  # per slot: [direct-row builds, greedy starts]
         build, init, slot = mt._direct_rows, orchestrator.init_matching, orchestrator.jmstp_slot
 
@@ -741,7 +785,7 @@ class TestTableGreedyStart:
         ctx, modes = start
         view = mt.init_matching(ctx, modes)
         handed = mt.msma_detailed(view)
-        rebuilt = msma(*view.assignment(), ctx)
+        rebuilt = msma(*view_assignment(view), ctx)
         for f in fields(mt.MsmaResult):
             a, b = getattr(handed, f.name), getattr(rebuilt, f.name)
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
@@ -768,12 +812,13 @@ class TestPrefilteredScan:
 
 # ---------------------------------------------------------------------------
 # The start tables written out as one both-mode link-budget call per
-# channel state: the reference the per-slot cellular half is held to.
+# channel state: the reference the tables gathered from the per-slot direct
+# rows are held to.
 
 def reference_full_budget(ctx):
     n, sc = ctx.n_ues, ctx.scenario
-    utility, feasible = mt.score_rows(ctx, np.tile(np.arange(n), 2),
-                                      np.repeat([False, True], n), sc.p_ue_max, sc.p_uav_max)
+    utility, feasible = score_rows(ctx, np.tile(np.arange(n), 2),
+                                   np.repeat([False, True], n), sc.p_ue_max, sc.p_uav_max)
     shape = (2, n, ctx.n_subchannels)
     return utility.reshape(shape), feasible.reshape(shape)
 
@@ -806,34 +851,44 @@ class TestStartTables:
             for (m, r, ceiling), (m_ref, r_ref, ceiling_ref) in zip(got, ref):
                 assert np.array_equal(m, m_ref) and np.array_equal(r, r_ref)
                 assert ceiling == ceiling_ref
+            m, r, ceiling = c.cellular_start
+            assert (np.array_equal(m, ref[1][0]) and np.array_equal(r, ref[1][1])
+                    and ceiling == ref[1][2])
 
         assert_equal_tables(ctx)
-        # a UAV move changes only the air gains; the cellular half carries over
+        # a UAV move changes only the air gains; the direct rows carry over
         moved = ctx.moved(ChannelGains(g.h_ue_bs, scale * g.h_ue_uav, scale * g.h_uav_bs))
-        assert moved.cellular is ctx.cellular
+        assert moved.direct is ctx.direct
         assert_equal_tables(moved)
 
     def test_the_cellular_half_is_built_once_per_slot(self, monkeypatch):
-        slots = []  # per slot: [cellular-half builds, the contexts whose starts are read]
-        build, starts, slot = (mt.MatchingContext.cellular.func, mt.MatchingContext.starts.func,
-                               orchestrator.jmstp_slot)
+        # one direct table per slot, which every channel state's
+        # full-budget table gathers its cellular half from
+        slots = []  # per slot: [direct-table builds, the contexts whose full budget is read]
+        build, full_budget, slot = (mt._direct_rows, mt.MatchingContext.full_budget.func,
+                                    orchestrator.jmstp_slot)
 
         def counted_build(ctx):
             slots[-1][0] += 1
             return build(ctx)
 
-        def counted_starts(ctx):
+        def counted_full_budget(ctx):
             slots[-1][1].append(ctx)
-            return starts(ctx)
+            rows = ctx.direct
+            with pytest.MonkeyPatch.context() as mp:
+                priced = count_link_budgets(mp)
+                utility, feasible = full_budget(ctx)
+            assert priced == []  # gathered, not priced again
+            assert np.array_equal(utility[mt.CELLULAR], rows.utility[rows.first])
+            assert np.array_equal(feasible[mt.CELLULAR], rows.feasible[rows.first])
+            return utility, feasible
 
         def new_slot(*args):
             slots.append([0, []])
             return slot(*args)
 
-        cached = cached_property(counted_build)
-        cached.__set_name__(mt.MatchingContext, "cellular")
-        monkeypatch.setattr(mt.MatchingContext, "cellular", cached)
-        monkeypatch.setattr(mt.MatchingContext, "starts", property(counted_starts))
+        monkeypatch.setattr(mt, "_direct_rows", counted_build)
+        monkeypatch.setattr(mt.MatchingContext, "full_budget", property(counted_full_budget))
         monkeypatch.setattr(orchestrator, "jmstp_slot", new_slot)
         for seed in range(3):
             orchestrator.run_episode(Scenario(
@@ -843,3 +898,42 @@ class TestStartTables:
         states = [len({id(c) for c in ctxs}) for _, ctxs in slots]
         assert all(builds == (n > 0) for (builds, _), n in zip(slots, states))
         assert sum(states) > 2 * sum(builds for builds, _ in slots)
+
+
+class TestRandomVerdicts:
+    """The random baseline reads only QoS verdicts, from the power floors."""
+
+    @given(greedy_starts())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_the_full_budget_verdicts_bit_for_bit(self, start):
+        ctx, _ = start
+        verdicts = orchestrator._qos_verdicts(ctx)
+        _, feasible = ctx.full_budget
+        assert verdicts.dtype == feasible.dtype and verdicts.shape == feasible.shape
+        assert np.array_equal(verdicts, feasible)
+
+    def test_a_random_episode_prices_no_rates(self, monkeypatch):
+        built, draws = [], []
+        build, full_budget, draw = (mt._direct_rows, mt.MatchingContext.full_budget.func,
+                                    orchestrator._random_matching)
+
+        def counted_build(ctx):
+            built.append("direct rows")
+            return build(ctx)
+
+        def counted_full_budget(ctx):
+            built.append("full budget")
+            return full_budget(ctx)
+
+        def counted_draw(ctx, rng):
+            draws.append(draw(ctx, rng))
+            return draws[-1]
+
+        monkeypatch.setattr(mt, "_direct_rows", counted_build)
+        monkeypatch.setattr(mt.MatchingContext, "full_budget", property(counted_full_budget))
+        monkeypatch.setattr(orchestrator, "_random_matching", counted_draw)
+        sc = Scenario(n_ues=5, n_subchannels=10, n_slots=5, d_max=25.0, fading_model="mixed",
+                      rng_seed=0).with_positions(0)
+        orchestrator.run_episode(sc, "random")
+        assert len(draws) == sc.n_slots and any(beta.any() for beta, _ in draws)
+        assert built == []

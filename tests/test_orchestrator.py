@@ -554,10 +554,11 @@ class TestMatchingCeilings:
     @pytest.mark.parametrize("dbm", [6.0, 20.0])
     def test_cellular_answers_equal_the_exhaustive_stage_bit_for_bit(self, monkeypatch,
                                                                      dbm):
-        # the cellular stage prunes nothing by ceiling; it skips only the
-        # incumbent's own matching and the one it came from.  The UAV never
-        # moves, so a slot's second call holds the first call's channel
-        # state, and its one start reaches the matching that call completed
+        # the cellular stage prunes its one start by the same ceilings, read
+        # from the direct rows, and skips the incumbent's own matching and
+        # the one it came from.  The UAV never moves, so a slot's second
+        # call holds the first call's channel state, and its one start
+        # reaches the matching that call completed
         calls = spy_stages(monkeypatch, relay=False)
         sc = Scenario(n_ues=20, n_subchannels=40, n_slots=10, d_max=25.0,
                       fading_model="mixed", p_ue_max=dbm_to_watts(dbm),

@@ -6,10 +6,11 @@ than it is defined there.  Code means identifiers, plus string literals
 that are one identifier (what `getattr` and perfbench's hooks look up),
 not comments or docstrings: prose that mentions a name keeps nothing
 alive.  That check is by name, so a definition shares its uses with
-every other name spelled the same.  A second check holds dataclass
-fields to reads: each must be read as an attribute (`obj.field` in load
-context, or a one-identifier string for `getattr`), so a local or a
-keyword argument that shares its name keeps no field alive."""
+every other name spelled the same.  Two more checks hold dataclass
+fields and methods to reads: each must be read as an attribute
+(`obj.name` in load context, or a one-identifier string for `getattr`),
+so a local, a keyword argument or a module-level function that shares
+its name keeps none alive."""
 
 import ast
 import io
@@ -25,9 +26,6 @@ USERS = ("src", "scripts", "perfbench")
 ALLOWED = {
     "los_probability": "the closed-form LoS probability that test_channel "
                        "checks gain_matrices' vectorized one against",
-    "of": "GameView.of scores any matching under its equal split; the swap "
-          "game's tests build their games with it, the package through "
-          "init_matching",
 }
 # Class.field: why it stays although nothing reads it as an attribute
 ALLOWED_FIELDS = {
@@ -48,6 +46,16 @@ def fields(path):
                 "dataclass" in ast.unparse(d) for d in node.decorator_list):
             yield from ((node.name, s.target.id) for s in node.body
                         if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name))
+
+
+def methods(path):
+    """(class, method) of every function defined in a class body in
+    `path`, dunder methods aside."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef):
+            yield from ((node.name, f.name) for f in node.body
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not re.fullmatch(r"__\w+__", f.name))
 
 
 def definitions(path):
@@ -87,11 +95,12 @@ def unused() -> set[str]:
             if named[name] <= count and not re.fullmatch(r"__\w+__", name)}
 
 
-def unread_fields() -> set[str]:
-    """`Class.field` of the dataclass fields no code reads as an attribute."""
+def unread(members) -> set[str]:
+    """`Class.name` of the members that `members` (`fields` or `methods`)
+    finds and no code reads as an attribute."""
     read = {name for path in sources(USERS) for name in attribute_reads(path)}
     return {f"{cls}.{name}" for path in sources(["src/uavrelay"])
-            for cls, name in fields(path) if name not in read}
+            for cls, name in members(path) if name not in read}
 
 
 def test_every_definition_is_used_outside_tests():
@@ -103,8 +112,12 @@ def test_every_allowed_name_is_still_test_only():
 
 
 def test_every_dataclass_field_is_read_outside_tests():
-    assert sorted(unread_fields() - ALLOWED_FIELDS.keys()) == []
+    assert sorted(unread(fields) - ALLOWED_FIELDS.keys()) == []
 
 
 def test_every_allowed_field_is_still_unread():
-    assert sorted(ALLOWED_FIELDS.keys() - unread_fields()) == []
+    assert sorted(ALLOWED_FIELDS.keys() - unread(fields)) == []
+
+
+def test_every_method_is_read_outside_tests():
+    assert sorted(unread(methods)) == []
